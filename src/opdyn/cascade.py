@@ -20,6 +20,7 @@ from math import erf, exp, log, sqrt
 
 import numpy as np
 
+from .network import solve_exact
 from .signals import FiniteModel, GaussianLLR, sample_world, trial_rng
 
 ONE = Fraction(1)
@@ -128,6 +129,64 @@ def run_exact(model: FiniteModel, n) -> CascadeExact:
             limit_wrong += w0 if a == 1 else w1
     return CascadeExact(p_correct=p_correct, p_cascaded_by=p_cascaded,
                         p_wrong_cascade=p_wrong, limit_wrong=limit_wrong)
+
+
+def limit_accuracy(model: FiniteModel) -> Fraction:
+    """lim_i P(A_i = S): exact absorption analysis of the public-ratio chain.
+
+    Explores the reachable public-ratio states; cascade states are absorbing
+    (their update multiplies by 1). Solves the finite linear system for the
+    probability, from each transient state and true S, of eventually joining
+    a cascade whose forced action equals S. Raises if the transient state
+    space does not stay finite and small.
+
+    The system (I - Q) h = r over the transient states is nonsingular: an
+    action that depends on the signal moves the public ratio by a factor
+    bounded away from 1 in a fixed direction, so from every transient state a
+    long enough run of equal actions reaches a cascade. Absorption is then
+    certain, Q^t -> 0, and 1 is not an eigenvalue of Q.
+    """
+    states = []          # transient (non-cascade) ratios
+    index = {}
+    frontier = [Fraction(1)]
+    absorb = {}          # cascade ratio -> forced action
+    while frontier:
+        lx = frontier.pop()
+        if lx in index or lx in absorb:
+            continue
+        if in_cascade(model, lx):
+            absorb[lx] = agent_decision(lx, private_ratio(model, 0))
+            continue
+        index[lx] = len(states)
+        states.append(lx)
+        if len(states) > 64:
+            raise RuntimeError("public-ratio chain did not stay small")
+        a0, a1 = action_distribution(model, lx)
+        for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
+            if m0 > 0 and m1 > 0:
+                frontier.append(lx * m0 / m1)
+    m = len(states)
+    # h_s[state] = P(end in a cascade with action == s | S = s, at state)
+    total = Fraction(0)
+    for s in (0, 1):
+        A = [[Fraction(1 if r == c else 0) for c in range(m)] for r in range(m)]
+        b = [Fraction(0)] * m
+        for lx in states:
+            r = index[lx]
+            a0, a1 = action_distribution(model, lx)
+            for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
+                prob = m1 if s == 1 else m0
+                if prob == 0:
+                    continue
+                nxt = lx * m0 / m1
+                if nxt in absorb:
+                    if absorb[nxt] == s:
+                        b[r] += prob
+                else:
+                    A[r][index[nxt]] -= prob
+        h = solve_exact(A, b)
+        total += Fraction(1, 2) * h[index[Fraction(1)]]
+    return total
 
 
 def run_sampled(model: FiniteModel, n, trials, seed):

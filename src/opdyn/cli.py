@@ -24,16 +24,19 @@ from .signals import FiniteModel, GaussianLLR, bernoulli_delta, read_signal_mode
 
 
 def _load_graph(spec):
-    if ":" in spec:
-        parts = spec.split(":")
-        kind = parts[0]
-        n = int(parts[1])
-        if kind == "random_regular":
-            d = int(parts[2])
-            seed = int(parts[3]) if len(parts) > 3 else 0
-            return generate(kind, n, d=d, seed=seed)
-        return generate(kind, n)
-    return read_network(spec)
+    try:
+        if ":" in spec:
+            parts = spec.split(":")
+            kind = parts[0]
+            n = int(parts[1])
+            if kind == "random_regular":
+                d = int(parts[2])
+                seed = int(parts[3]) if len(parts) > 3 else 0
+                return generate(kind, n, d=d, seed=seed)
+            return generate(kind, n)
+        return read_network(spec)
+    except (ValueError, IndexError, OSError) as exc:
+        raise ValueError(f"bad graph spec {spec!r}: {exc}") from exc
 
 
 def _load_signal(spec):
@@ -229,11 +232,17 @@ def _cmd_cascade(args):
         out = cascade.run_exact(model, args.n)
         onset = [float(b - a) for a, b in
                  zip([0] + out.p_cascaded_by[:-1], out.p_cascaded_by)]
-        _emit({"experiment": "cascade-exact", "signal": args.signal, "n": args.n,
-               "p_correct": [str(p) for p in out.p_correct],
-               "p_cascaded_by": [str(p) for p in out.p_cascaded_by],
-               "cascade_onset_histogram": onset,
-               "p_wrong_cascade_limit": str(out.limit_wrong)}, args.out)
+        record = {"experiment": "cascade-exact", "signal": args.signal, "n": args.n,
+                  "p_correct": [str(p) for p in out.p_correct],
+                  "p_cascaded_by": [str(p) for p in out.p_cascaded_by],
+                  "cascade_onset_histogram": onset,
+                  "p_wrong_cascade_limit": str(out.limit_wrong)}
+        try:
+            record["plateau"] = str(cascade.limit_accuracy(model))
+        except RuntimeError as exc:      # too many non-cascade public ratios to solve
+            record["plateau"] = None
+            record["plateau_error"] = str(exc)
+        _emit(record, args.out)
         return 0
     correct, cascaded = cascade.run_sampled(model, args.n, args.trials, seed=args.seed)
     onset = [float(b - a) for a, b in zip(np.concatenate([[0.0], cascaded[:-1]]), cascaded)]
@@ -345,8 +354,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a ValueError (bad input) becomes a JSON error on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(json.dumps({"command": args.command, "error": str(exc)}), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,14 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .network import Network, mixing_tv, stationary_distribution, validate
-from .harness_util import wilson_interval
+from .network import (EXACT_SOLVE_MAX_N, Network, require_rational, solve_exact,
+                      stationary_distribution)
+from .harness_util import debug, wilson_interval
 
-EXACT_ENUM_MAX_N = 20
+# exact p_w refuses a DP over more distinct weighted signal sums than this
+EXACT_DP_MAX_SUPPORT = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,6 @@ def limit(net: Network, initial):
     return sum(a * x for a, x in zip(alpha, initial))
 
 
-def rounding(x):
-    """Round-to-nearest with the half point kept as the special value 1/2."""
-    if x * 2 == 1:
-        return Fraction(1, 2)
-    return 1 if x > Fraction(1, 2) else 0
-
-
 @dataclass
 class LearningEstimate:
     p: object          # success probability (Fraction in exact mode)
@@ -70,39 +64,61 @@ class LearningEstimate:
     ci: tuple = None   # Wilson 95% interval in MC mode
 
 
+def _exact_p_w(alpha, delta):
+    """(p_w, tie mass) by a knapsack DP over the integer-weighted signal sum.
+
+    Condition on S = 1 (the other state is symmetric). With D the common
+    denominator of alpha, c_i = alpha_i D are integers and A_infinity = s / D
+    for s = sum_i c_i psi_i, so success is 2s > D and a tie 2s = D. With
+    1/2 + delta = a/b, each agent multiplies a vector's weight by a (psi_i = 1)
+    or b - a (psi_i = 0); the DP maps each reachable s to its total integer
+    weight over b^n.
+    """
+    hit = Fraction(1, 2) + delta
+    a, b = hit.numerator, hit.denominator
+    D = math.lcm(*(x.denominator for x in alpha))
+    weights = {0: 1}
+    for x in alpha:
+        c = x.numerator * (D // x.denominator)
+        nxt = {}
+        for s, w in weights.items():
+            nxt[s] = nxt.get(s, 0) + w * (b - a)
+            nxt[s + c] = nxt.get(s + c, 0) + w * a
+        if len(nxt) > EXACT_DP_MAX_SUPPORT:
+            raise ValueError(f"exact p_w: more than {EXACT_DP_MAX_SUPPORT} distinct weighted "
+                             f"signal sums (common denominator {D}); use mode='monte_carlo'")
+        weights = nxt
+    debug("p_w DP: n=%d support=%d D=%d", len(alpha), len(weights), D)
+    total = b ** len(alpha)
+    succ = sum(w for s, w in weights.items() if 2 * s > D)
+    tie = sum(w for s, w in weights.items() if 2 * s == D)
+    return Fraction(succ, total), Fraction(tie, total)
+
+
 def learning_probability(net: Network, delta, mode="exact_enumeration",
                          trials=10000, rng=None) -> LearningEstimate:
     """p_w(delta) = P(round(A_infinity) = S) under Bernoulli(delta) signals.
 
-    Exact mode enumerates the 2^n signal vectors with rational weights
-    (n <= 20); exact ties A_infinity = 1/2 are reported separately and count
-    as neither success nor failure. Monte Carlo mode samples signal vectors
-    and carries a Wilson interval.
+    Exact mode needs rational weights and an exact alpha (n <= 200, see
+    network.EXACT_SOLVE_MAX_N); it runs a knapsack DP over the weighted
+    signal sum (see _exact_p_w) and refuses more than EXACT_DP_MAX_SUPPORT
+    distinct sums. Exact ties A_infinity = 1/2
+    are reported separately and count as neither success nor failure. Monte
+    Carlo mode samples signal vectors and carries a Wilson interval.
     """
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2)")
-    alpha = stationary_distribution(net).alpha
     n = net.n
     if mode == "exact_enumeration":
-        if n > EXACT_ENUM_MAX_N:
-            raise ValueError(f"exact enumeration capped at n={EXACT_ENUM_MAX_N}")
-        # by symmetry P(success | S=1) = P(success | S=0); condition on S=1
-        half = Fraction(1, 2)
-        p_hit = half + delta
-        p_miss = half - delta
-        succ = Fraction(0)
-        tie = Fraction(0)
-        for psi in product((0, 1), repeat=n):
-            k = sum(psi)
-            w = p_hit ** k * p_miss ** (n - k)
-            a_inf = sum(a * x for a, x in zip(alpha, psi))
-            r = rounding(a_inf)
-            if r == 1:
-                succ += w
-            elif r == Fraction(1, 2):
-                tie += w
-        return LearningEstimate(p=succ, tie_mass=tie, exact=True)
+        require_rational(net, "exact p_w")
+        sd = stationary_distribution(net)
+        if not sd.exact:
+            raise ValueError(f"exact p_w needs an exact stationary distribution, which is "
+                             f"solved only for n <= {EXACT_SOLVE_MAX_N} (n={n})")
+        p, tie = _exact_p_w(sd.alpha, delta)
+        return LearningEstimate(p=p, tie_mass=tie, exact=True)
+    alpha = stationary_distribution(net).alpha
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
@@ -201,9 +217,11 @@ def cheater_limit_exact(net: Network, cheaters: dict):
     """Independent oracle: honest limits via absorbing-chain hitting probabilities.
 
     Returns a matrix h[i][c] = P(walk from i is absorbed at cheater c), so the
-    limit of honest agent i is sum_c h[i][c] * value(c). Exact rational solve.
+    limit of honest agent i is sum_c h[i][c] * value(c). Exact rational solve
+    of (I - P_HH) h = P_Hc over the honest agents H. I - P_HH is nonsingular:
+    on a strongly connected network every honest walk reaches a cheater with
+    positive probability, so P_HH^t -> 0 and 1 is not an eigenvalue of P_HH.
     """
-    from .network import _solve_rational
     n = net.n
     cs = sorted(cheaters)
     honest = [i for i in range(n) if i not in cheaters]
@@ -217,7 +235,7 @@ def cheater_limit_exact(net: Network, cheaters: dict):
             row = [P[i][j] - (1 if i == j else 0) for j in honest]
             A.append(row)
             b.append(-sum(P[i][j] for j in [c]))
-        sol = _solve_rational(A, b)
+        sol = solve_exact(A, b)
         for k, i in enumerate(honest):
             out.setdefault(i, {})[c] = sol[k]
     return out

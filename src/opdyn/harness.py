@@ -411,9 +411,7 @@ def _exp_cascade_bounded(cfg):
     model = bernoulli_delta(Fraction(1, 6))  # p = 2/3
     n = cfg.options.get("n", 16)
     out = cascade.run_exact(model, n)
-    # exact limiting accuracy: absorb the (finitely many) non-cascade public
-    # states into the cascade states via the one-step map, solved exactly
-    plateau = _cascade_limit_accuracy(model)
+    plateau = cascade.limit_accuracy(model)
     onset = next(i for i, m in enumerate(out.p_cascaded_by) if m > 0)
     uncascaded_tail = 1 - out.p_cascaded_by[-1]
     # past onset the accuracy can only move within the still-uncascaded mass
@@ -430,70 +428,17 @@ def _exp_cascade_bounded(cfg):
     return ({}, exact, {}, assertions)
 
 
-def _cascade_limit_accuracy(model):
-    """lim_i P(A_i = S): exact absorption analysis of the public-ratio chain.
-
-    Explores the reachable public-ratio states; cascade states are absorbing
-    (their update multiplies by 1). Solves the finite linear system for the
-    probability, from each transient state and true S, of eventually joining
-    a cascade whose forced action equals S. Raises if the transient state
-    space does not stay finite and small.
-    """
-    from .network import _solve_rational
-    states = []          # transient (non-cascade) ratios
-    index = {}
-    frontier = [Fraction(1)]
-    absorb = {}          # cascade ratio -> forced action
-    while frontier:
-        lx = frontier.pop()
-        if lx in index or lx in absorb:
-            continue
-        if cascade.in_cascade(model, lx):
-            absorb[lx] = cascade.agent_decision(lx, cascade.private_ratio(model, 0))
-            continue
-        index[lx] = len(states)
-        states.append(lx)
-        if len(states) > 64:
-            raise RuntimeError("public-ratio chain did not stay small")
-        a0, a1 = cascade.action_distribution(model, lx)
-        for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
-            if m0 > 0 and m1 > 0:
-                frontier.append(lx * m0 / m1)
-    m = len(states)
-    # h_s[state] = P(end in a cascade with action == s | S = s, at state)
-    total = Fraction(0)
-    for s in (0, 1):
-        A = [[Fraction(1 if r == c else 0) for c in range(m)] for r in range(m)]
-        b = [Fraction(0)] * m
-        for lx in states:
-            r = index[lx]
-            a0, a1 = cascade.action_distribution(model, lx)
-            for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
-                prob = m1 if s == 1 else m0
-                if prob == 0:
-                    continue
-                nxt = lx * m0 / m1
-                if nxt in absorb:
-                    if absorb[nxt] == s:
-                        b[r] += prob
-                else:
-                    A[r][index[nxt]] -= prob
-        h = _solve_rational(A, b)
-        total += Fraction(1, 2) * h[index[Fraction(1)]]
-    return total
-
-
 def _exp_cascade_unbounded(cfg):
     """Unbounded Gaussian ratios: late accuracy beats the bounded plateau."""
     trials = cfg.trials or 100000
     n = cfg.options.get("n", 50)
     model = GaussianLLR(sigma2=1)
     p_correct = cascade.gaussian_run(model, n, trials, seed=cfg.seed)
-    plateau = float(_cascade_limit_accuracy(bernoulli_delta(Fraction(1, 6))))
+    plateau = float(cascade.limit_accuracy(bernoulli_delta(Fraction(1, 6))))
     successes = int(round(p_correct[-1] * trials))
     lo, hi = wilson_interval(successes, trials)
     half = (hi - lo) / 2
-    assertions = {"beats_bounded_plateau": p_correct[-1] - 3 * half > plateau}
+    assertions = {"beats_bounded_plateau": bool(p_correct[-1] - 3 * half > plateau)}
     return ({"p_correct_last": float(p_correct[-1]), "bounded_plateau": plateau},
             {}, {"p_correct_last": (lo, hi)}, assertions)
 

@@ -1,4 +1,4 @@
-"""Small statistics helpers shared by the dynamics modules and the harness."""
+"""Small helpers shared by the dynamics modules and the harness: statistics and debug records."""
 
 from __future__ import annotations
 
@@ -18,3 +18,13 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def debug(msg, *args):
+    """Emit a DEBUG record on the "opdyn" logger.
+
+    logging is imported on the first record, not when opdyn is imported, so
+    start-up does not pay for it.
+    """
+    import logging
+    logging.getLogger("opdyn").debug(msg, *args)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -22,6 +21,9 @@ from .network import Network
 
 EXACT_RETENTION_MAX_N = 16
 EXACT_INFLUENCE_MAX_N = 14
+
+# rows per block in limit_profiles
+_PROFILE_ROWS = 4096
 
 
 def _check_odd_neighborhoods(net: Network):
@@ -56,14 +58,34 @@ def step(net: Network, config) -> tuple:
     return tuple(np.sign(s).astype(int))
 
 
+def _batch_stepper(net: Network):
+    """(step, dtype): step maps a batch of +-1 rows to the next round, in dtype.
+
+    dtype is the smallest signed integer type that holds every
+    closed-neighbourhood sum, so batches stay narrow. Neighbourhood sums are
+    gathered column slot by column slot; slots past a short neighbourhood
+    repeat its first member and are masked out.
+    """
+    _check_odd_neighborhoods(net)
+    nbrs = [sorted(net.out_neighbors(i)) for i in range(net.n)]
+    width = max(map(len, nbrs))
+    dtype = np.min_scalar_type(-1 - width)          # signed, holds -width .. width
+    idx = np.array([nb + nb[:1] * (width - len(nb)) for nb in nbrs]).T
+    keep = np.array([[k < len(nb) for nb in nbrs] for k in range(width)], dtype=dtype)
+
+    def step(batch):
+        s = batch[:, idx[0]].astype(dtype, copy=False)
+        for k in range(1, width):
+            g = batch[:, idx[k]]
+            s += g if keep[k].all() else g * keep[k]
+        return np.sign(s)
+    return step, dtype
+
+
 def step_many(net: Network, configs: np.ndarray) -> np.ndarray:
     """Vectorized step over a batch of configs (rows)."""
-    _check_odd_neighborhoods(net)
-    M = _neighbor_matrix(net)
-    s = configs @ M.T
-    if np.any(s == 0):
-        raise ArithmeticError("neighborhood sum hit zero despite odd-size check")
-    return np.sign(s).astype(np.int64)
+    step, _dtype = _batch_stepper(net)
+    return step(np.asarray(configs)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -123,60 +145,83 @@ def j_functional(net: Network, prev, cur, nxt) -> int:
 
 # -- retention of information ------------------------------------------------
 
-def _signal_weight_tables(n, delta):
-    """Per-count exact probabilities: weight of a +-1 vector with k matches of S."""
-    delta = Fraction(delta)
-    p = Fraction(1, 2) + delta
-    q = Fraction(1, 2) - delta
-    return [p ** k * q ** (n - k) for k in range(n + 1)]
-
-
 def all_spin_configs(n) -> np.ndarray:
-    out = np.array(list(product((-1, 1), repeat=n)), dtype=np.int64)
+    """All 2^n +-1 vectors as int8 rows, first coordinate slowest (itertools.product order)."""
+    out = np.empty((1 << n, n), dtype=np.int8)
+    for j in range(n):
+        out[:, j] = np.tile(np.repeat(np.array([-1, 1], dtype=np.int8), 1 << (n - 1 - j)), 1 << j)
     return out
 
 
 def limit_profiles(net: Network, configs: np.ndarray) -> np.ndarray:
     """Even-phase limit configuration per row, vectorized.
 
-    Runs 2 * (|E| + 1) rounds so every trajectory is inside its cycle, then
-    one more pair of rounds to land on the even phase of the original clock.
+    Steps two rounds at a time, for at most |E| + 1 pairs: by then every
+    trajectory is inside its cycle of period at most two, and the pairs
+    keep the even phase of the original clock. A block of rows stops early
+    once each of its rows is a fixed point of the two-step map, as the even
+    phase then never changes. Blocks of _PROFILE_ROWS keep the temporaries
+    small; rows come back in the narrow dtype of _batch_stepper.
     """
-    edge_count = len(net.undirected_edge_list())
-    t_stop = 2 * (edge_count + 1)
-    cur = configs.copy()
-    for _ in range(t_stop):
-        cur = step_many(net, cur)
-    return cur
+    step, dtype = _batch_stepper(net)
+    pairs = len(net.undirected_edge_list()) + 1
+    out = np.empty(configs.shape, dtype=dtype)
+    for lo in range(0, len(configs), _PROFILE_ROWS):
+        cur = np.asarray(configs[lo:lo + _PROFILE_ROWS], dtype=dtype)
+        for _ in range(pairs):
+            nxt = step(step(cur))
+            if np.array_equal(nxt, cur):
+                break
+            cur = nxt
+        out[lo:lo + _PROFILE_ROWS] = cur
+    return out
+
+
+def _pooled_weights(net: Network, delta):
+    """Integer joint weights of (limit profile, S), pooled per profile, and their denominator.
+
+    With 1/2 + delta = a/b, a signal vector with k plus signs weighs
+    a^k (b - a)^(n - k) given S = +1 and a^(n - k) (b - a)^k given S = -1,
+    both over b^n, and S is a fair coin, so every weight is over 2 b^n.
+    Profiles are packed (bit j set iff agent j's limit action is +1) and
+    counted per (profile, number of plus signals) with np.unique. Returns
+    ({packed profile: [weight with S = -1, weight with S = +1]}, 2 b^n).
+    """
+    n = net.n
+    hit = Fraction(1, 2) + Fraction(delta)
+    a, b = hit.numerator, hit.denominator
+    up = [a ** k * (b - a) ** (n - k) for k in range(n + 1)]
+    configs = all_spin_configs(n)
+    limits = limit_profiles(net, configs)
+    packed = np.zeros(len(limits), dtype=np.int64)
+    for j in range(n):
+        packed |= (limits[:, j] > 0).astype(np.int64) << j
+    plus = (configs > 0).sum(axis=1)
+    keys, counts = np.unique(packed * (n + 1) + plus, return_counts=True)
+    pooled = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        prof, k = divmod(key, n + 1)
+        acc = pooled.setdefault(prof, [0, 0])
+        acc[0] += count * up[n - k]
+        acc[1] += count * up[k]
+    return pooled, 2 * b ** n
 
 
 def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
     """iota(G, delta) = P(MAP estimate of S from the limit actions != S).
 
     Exact mode enumerates all 2^n +-1 signal vectors (n <= 16), pushes each
-    through the dynamics, pools the exact joint weights of (limit profile, S)
-    and sums the losing mass. Monte Carlo mode lower-bounds performance with
-    the majority-of-limit-actions estimator (odd n) and returns its error rate.
+    through the dynamics, pools the exact integer joint weights of
+    (limit profile, S) and sums the losing mass. Monte Carlo mode
+    lower-bounds performance with the majority-of-limit-actions estimator
+    (odd n) and returns its error rate.
     """
     n = net.n
     if mode == "exact":
         if n > EXACT_RETENTION_MAX_N:
             raise ValueError(f"exact retention capped at n={EXACT_RETENTION_MAX_N}")
-        wt = _signal_weight_tables(n, delta)
-        configs = all_spin_configs(n)
-        limits = limit_profiles(net, configs)
-        half = Fraction(1, 2)
-        joint = {}
-        plus = (configs == 1).sum(axis=1)
-        for row in range(configs.shape[0]):
-            prof = tuple(int(x) for x in limits[row])
-            k_plus = int(plus[row])
-            w1 = half * wt[k_plus]           # S = +1: matches = #(+1 signals)
-            w0 = half * wt[n - k_plus]       # S = -1
-            acc = joint.setdefault(prof, [Fraction(0), Fraction(0)])
-            acc[0] += w0
-            acc[1] += w1
-        return sum(min(w0, w1) for (w0, w1) in joint.values())
+        pooled, den = _pooled_weights(net, delta)
+        return Fraction(sum(min(w) for w in pooled.values()), den)
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
@@ -184,8 +229,8 @@ def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
             raise ValueError("majority-vote surrogate needs odd n")
         d = float(delta)
         ss = rng.integers(0, 2, size=trials) * 2 - 1
-        flips = (rng.random((trials, n)) < (0.5 + d)) * 2 - 1
-        configs = (flips * ss[:, None]).astype(np.int64)
+        s8 = ss.astype(np.int8)[:, None]
+        configs = np.where(rng.random((trials, n)) < (0.5 + d), s8, -s8)
         limits = limit_profiles(net, configs)
         guesses = np.sign(limits.sum(axis=1))
         return float(np.mean(guesses != ss))
@@ -207,20 +252,12 @@ def map_rule(net: Network, delta):
     broken by a sign-symmetric rule so the map stays odd; either choice has
     the same error mass.
     """
-    n = net.n
-    wt = _signal_weight_tables(n, delta)
-    configs = all_spin_configs(n)
-    limits = limit_profiles(net, configs)
-    half = Fraction(1, 2)
-    joint = {}
-    plus = (configs == 1).sum(axis=1)
-    for row in range(configs.shape[0]):
-        prof = tuple(int(x) for x in limits[row])
-        acc = joint.setdefault(prof, [Fraction(0), Fraction(0)])
-        acc[0] += half * wt[n - int(plus[row])]
-        acc[1] += half * wt[int(plus[row])]
-    return {prof: (_symmetric_tiebreak(prof) if w1 == w0 else (1 if w1 > w0 else -1))
-            for prof, (w0, w1) in joint.items()}
+    pooled, _den = _pooled_weights(net, delta)
+    rule = {}
+    for packed, (w0, w1) in pooled.items():
+        prof = tuple(1 if (packed >> j) & 1 else -1 for j in range(net.n))
+        rule[prof] = _symmetric_tiebreak(prof) if w1 == w0 else (1 if w1 > w0 else -1)
+    return rule
 
 
 def signals_to_vote_table(net: Network) -> np.ndarray:

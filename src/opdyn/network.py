@@ -13,13 +13,20 @@ import random as _random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
+
+from .harness_util import debug
 
 ROW_SUM_TOL = 1e-12
 
 # exact linear solve below this size, power iteration above
 EXACT_SOLVE_MAX_N = 200
+
+# rebuilt rationals have denominators at most this; a float within ~1e-12 of
+# such a rational determines it uniquely
+REBUILD_MAX_DEN = 10 ** 6
 
 
 def _as_weight(w):
@@ -291,6 +298,93 @@ def generate(kind, n, weighting="lazy_uniform", d=None, seed=None, custom_weight
     return Network(n=n, edges=tuple(edges), directed=False)
 
 
+# -- exact linear algebra ----------------------------------------------------
+
+def rationalize(x) -> Fraction:
+    """The closest rational to the float x with denominator at most REBUILD_MAX_DEN."""
+    return Fraction(float(x)).limit_denominator(REBUILD_MAX_DEN)
+
+
+def _integer_rows(A, b):
+    """Each equation A[r] x = b[r] as integers: [A[r] | b[r]] times the lcm of its denominators."""
+    rows = []
+    for row, rhs in zip(A, b):
+        scale = lcm(rhs.denominator, *(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row]
+                    + [rhs.numerator * (scale // rhs.denominator)])
+    return rows
+
+
+def _satisfies(rows, x):
+    """True iff x solves every integer equation in rows exactly."""
+    den = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (den // v.denominator) for v in x]
+    return all(sum(c * v for c, v in zip(row, xs) if c) == row[-1] * den for row in rows)
+
+
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination on integer rows [A | b]; exact x.
+
+    Every division by the previous pivot is exact, and at the end every
+    diagonal entry equals the last pivot (det(A) up to sign), so
+    x_i = M[i][n] / M[i][i].
+    """
+    M = [row[:] for row in rows]
+    n = len(M)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
+        if piv is None:
+            raise ValueError("singular system")
+        M[k], M[piv] = M[piv], M[k]
+        top = M[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+    return [Fraction(M[i][n], M[i][i]) for i in range(n)]
+
+
+def solve_exact(A, b):
+    """The exact rational solution of A x = b for a nonsingular square A.
+
+    A is a list of rows and b a list; entries are Fractions or ints. Solves
+    in floats, rebuilds every entry with `rationalize`, and checks A x = b in
+    integer arithmetic. The check proves the answer only because the solution
+    is unique, so a caller must pass a nonsingular A and say why it is. When
+    the rebuilt answer fails the check, fraction-free (Bareiss) integer
+    elimination computes it. Raises ValueError on a singular system.
+    """
+    n = len(A)
+    rows = _integer_rows(A, b)
+    try:
+        xf = np.linalg.solve(np.array([[float(v) for v in row] for row in A]),
+                             np.array([float(v) for v in b]))
+    except np.linalg.LinAlgError:
+        xf = None
+    if xf is not None and np.isfinite(xf).all():
+        x = [rationalize(v) for v in xf]
+        if _satisfies(rows, x):
+            debug("exact solve n=%d: certified float rebuild", n)
+            return x
+    debug("exact solve n=%d: Bareiss fallback", n)
+    x = _bareiss(rows)
+    if not _satisfies(rows, x):
+        raise ArithmeticError("Bareiss elimination returned a non-solution")
+    return x
+
+
+def require_rational(net: Network, purpose):
+    """Raise ValueError naming the first edge with a float weight; exact oracles need rationals."""
+    for (i, j, _w) in net.edges:
+        w = net.weight(i, j)
+        if not isinstance(w, Fraction):
+            raise ValueError(f"{purpose} needs rational weights, but edge ({i},{j}) "
+                             f"has the float weight {w!r}; write it as p/q")
+
+
 # -- stationary distribution -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -305,50 +399,35 @@ class StationaryDistribution:
         return np.array([float(a) for a in self.alpha])
 
 
-def _solve_rational(A, b):
-    """Gaussian elimination over Fractions. A: list of rows, b: list."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
     """Left unit eigenvector of the weight matrix (the PageRank vector).
 
-    Exact rational solve for rational weights and n <= 200; power iteration
-    (cap 1e6 rounds) otherwise. Always verifies the residual
-    max |alpha P - alpha| <= tol before returning.
+    Rational weights and n <= 200: `solve_exact` on alpha (P - I) = 0 with
+    the last equation replaced by sum(alpha) = 1. That system is nonsingular:
+    P is irreducible (validate checks strong connectivity), so by
+    Perron-Frobenius the solutions of alpha (P - I) = 0 form one line,
+    spanned by a positive vector; the n equations sum to zero, so any n - 1
+    of them cut out that line, and sum(alpha) = 1 picks one point of it.
+    Otherwise power iteration (cap 1e6 rounds), returned only if
+    max |alpha P - alpha| <= tol.
     """
     rep = validate(net, require_stochastic=True)
     if not rep.ok:
         raise ValueError(f"network fails stochastic validation: {rep}")
     n = net.n
     if net.is_rational and n <= EXACT_SOLVE_MAX_N:
-        P = net.weight_matrix(exact=True)
-        # alpha (P - I) = 0 with sum(alpha) = 1: replace last equation
-        A = [[P[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
-        A[n - 1] = [Fraction(1)] * n
-        b = [Fraction(0)] * (n - 1) + [Fraction(1)]
-        alpha = _solve_rational(A, b)
+        A = [[0] * n for _ in range(n)]      # A[c][r] = P[r][c] - [r == c]
+        for r in range(n):
+            for c, w in net.out_neighbors(r).items():
+                A[c][r] = w
+        for r in range(n):
+            A[r][r] -= 1
+        A[n - 1] = [1] * n
+        alpha = solve_exact(A, [Fraction(0)] * (n - 1) + [Fraction(1)])
         if any(a <= 0 for a in alpha):
             raise ValueError("stationary solve produced a non-positive entry")
-        residual = max(
-            abs(sum(alpha[i] * P[i][j] for i in range(n)) - alpha[j]) for j in range(n)
-        )
-        if residual != 0:
-            raise AssertionError("exact stationary solve has nonzero residual")
         return StationaryDistribution(tuple(alpha))
+    debug("stationary n=%d: power iteration", n)
     P = net.weight_matrix()
     alpha = np.full(n, 1.0 / n)
     for _ in range(10 ** 6):

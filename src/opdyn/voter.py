@@ -15,12 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 
-from .network import Network, stationary_distribution, validate
+from .harness_util import debug
+from .network import Network, rationalize, require_rational, validate
 
 EXACT_SOLVE_MAX_N = 12
+
+# about this many entries per block of 2^n-wide rows, so the 2^n x 2^n
+# transition structure is never held whole beyond the float system itself
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,6 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
 
 # -- exact absorption analysis ----------------------------------------------
 
-def _state_bits(s, n):
-    return tuple((s >> i) & 1 for i in range(n))
-
-
 def _adopt_probs(net: Network, acts):
     """q_i = P(agent i's next action is 1 | current actions), exact."""
     qs = []
@@ -145,29 +147,64 @@ def _adopt_probs(net: Network, acts):
     return qs
 
 
-def _expected_over_next(qs, table):
-    """E[table(next state)] given per-agent adoption probabilities, exact.
+def _state_bits(n):
+    """bits[s, j] = action of agent j in state s (states are little-endian bit vectors)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
 
-    table is a dict state_int -> Fraction over all 2^n states; contracts one
-    agent at a time, so the cost is O(2^n) Fraction ops rather than 4^n.
+
+def _blocks(ns):
+    """Slices of the state range 0 .. ns - 1 with about _BLOCK_ENTRIES / ns states each."""
+    step = max(1, _BLOCK_ENTRIES // ns)
+    return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
+
+
+def certify_absorption(net: Network, h):
+    """Check h(s) = E[h(next) | s] at every state, in integers; raise ArithmeticError if not.
+
+    With H the lcm of the denominators of h, T = h H is an integer table.
+    Agent i's row weights share the denominator d_i, so it adopts 1 with
+    probability q_i = a_i / d_i for an integer a_i that depends on the state.
+    Contracting T one agent at a time, T <- (d_i - a_i) T[bit_i = 0] + a_i T[bit_i = 1],
+    leaves prod_i d_i H E[h(next) | s], which must equal prod_i d_i T[s].
     """
-    n = len(qs)
-    cur = [table[s] for s in range(1 << n)]
-    for i in range(n - 1, -1, -1):
-        bit = 1 << i
-        cur = [(1 - qs[i]) * cur[s] + qs[i] * cur[s | bit] for s in range(bit)]
-    return cur[0]
+    n = net.n
+    ns = 1 << n
+    H = lcm(*(h[s].denominator for s in range(ns)))
+    d = [lcm(*(w.denominator for w in net.out_neighbors(i).values())) for i in range(n)]
+    scale = prod(d)
+    # int64 holds every partial sum when H prod(d) does; otherwise Python integers
+    dtype = np.int64 if H * scale < 2 ** 63 else object
+    W = np.zeros((n, n), dtype=dtype)
+    for i in range(n):
+        for j, w in net.out_neighbors(i).items():
+            W[i, j] = w.numerator * (d[i] // w.denominator)
+    T = np.array([h[s].numerator * (H // h[s].denominator) for s in range(ns)], dtype=dtype)
+    bits = _state_bits(n).astype(dtype)
+    d = np.array(d, dtype=dtype)
+    for block in _blocks(ns):
+        a = bits[block] @ W.T                 # a[s, i] = d_i q_i(s)
+        cur = T
+        for i in range(n - 1, -1, -1):        # agent i is bit i; the top bit halves first
+            half = 1 << i
+            ai = a[:, i:i + 1]
+            cur = (d[i] - ai) * cur[..., :half] + ai * cur[..., half:]
+        bad = np.flatnonzero(cur[:, 0] != T[block] * scale)
+        if len(bad):
+            s = block.start + int(bad[0])
+            raise ArithmeticError(f"rational certification failed at state {s}: "
+                                  f"E[h(next)] = {Fraction(int(cur[bad[0], 0]), H * scale)}, h = {h[s]}")
+    debug("absorption certificate: %d states, H=%d", ns, H)
 
 
-def absorption_probabilities(net: Network, verify_tol=10 ** -9):
+def absorption_probabilities(net: Network):
     """P(absorb at all-ones | start state) for every state, exact rationals.
 
-    Solves the 2^n-state first-step system numerically, reconstructs small
-    rationals, then certifies the candidate exactly: for every transient
-    state s, E[h(next) | s] (computed by exact contraction of the one-step
-    product measure) must equal h(s), with h = 0 and 1 at the two absorbing
-    states. Since absorption is almost sure, the system has a unique
-    solution, so the certificate is a proof. Raises if certification fails.
+    Solves the 2^n-state first-step system in floats, rebuilds each value
+    with network.rationalize, then certifies the candidate exactly with
+    certify_absorption: E[h(next) | s] = h(s) at every state, with h = 0 and
+    1 at the two absorbing states. Absorption is almost sure, so that system
+    has a unique solution and the certificate is a proof. Raises ValueError
+    on float weights and ArithmeticError if certification fails.
     """
     n = net.n
     if n > EXACT_SOLVE_MAX_N:
@@ -175,38 +212,29 @@ def absorption_probabilities(net: Network, verify_tol=10 ** -9):
     rep = validate(net, require_stochastic=True)
     if not rep.ok:
         raise ValueError(f"network fails stochastic validation: {rep}")
+    require_rational(net, "exact absorption")
     ns = 1 << n
-    all_ones = ns - 1
-    qs_per_state = [_adopt_probs(net, _state_bits(s, n)) for s in range(ns)]
+    q = _state_bits(n) @ net.weight_matrix().T       # q[s, i] = P(agent i adopts 1 | s)
 
-    # float solve of (I - Q) h = r over transient states
-    transient = [s for s in range(ns) if s not in (0, all_ones)]
-    idx = {s: k for k, s in enumerate(transient)}
-    m = len(transient)
-    A = np.eye(m)
-    b = np.zeros(m)
-    transient_cols = np.array(transient)
-    for s in transient:
-        qf = np.array([float(q) for q in qs_per_state[s]])
-        # row of transition probabilities: build by appending one agent at a time
-        row = np.ones(1)
-        for i in range(n):
-            row = np.concatenate([row * (1.0 - qf[i]), row * qf[i]])
-        b[idx[s]] += row[all_ones]
-        A[idx[s], :] -= row[transient_cols]
-    hf = np.linalg.solve(A, b)
+    # float solve of (I - Q) h = r over the transient states 1 .. ns - 2
+    A = np.eye(ns - 2)
+    r = np.zeros(ns - 2)
+    for block in _blocks(ns):
+        rows = np.ones((block.stop - block.start, 1))
+        for i in range(n):                           # append agent i as bit i
+            qi = q[block, i:i + 1]
+            rows = np.concatenate([rows * (1.0 - qi), rows * qi], axis=1)
+        # keep this block's transient states; state s is row s - 1 of A
+        lo, hi = max(block.start, 1), min(block.stop, ns - 1)
+        part = rows[lo - block.start:hi - block.start]
+        A[lo - 1:hi - 1] -= part[:, 1:-1]
+        r[lo - 1:hi - 1] = part[:, -1]
+    hf = np.linalg.solve(A, r)
 
-    # rational reconstruction + exact certificate; denominators <= 1e6 are
-    # uniquely determined by a float within ~1e-12 of the truth
-    h = {0: Fraction(0), all_ones: Fraction(1)}
-    for s in transient:
-        h[s] = Fraction(float(hf[idx[s]])).limit_denominator(10 ** 6)
-    for s in transient:
-        expected = _expected_over_next(qs_per_state[s], h)
-        if expected != h[s]:
-            raise ArithmeticError(
-                f"rational certification failed at state {s}: drift {float(expected - h[s])}"
-            )
+    h = {0: Fraction(0), ns - 1: Fraction(1)}
+    for s in range(1, ns - 1):
+        h[s] = rationalize(hf[s - 1])
+    certify_absorption(net, h)
     return h
 
 
@@ -227,7 +255,7 @@ def one_step_distribution(net: Network, acts):
         for i in range(n):
             p *= qs[i] if (s2 >> i) & 1 else 1 - qs[i]
         if p != 0:
-            out[_state_bits(s2, n)] = p
+            out[tuple((s2 >> i) & 1 for i in range(n))] = p
     return out
 
 

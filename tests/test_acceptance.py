@@ -5,6 +5,8 @@ Each test runs (or reuses) one registry experiment, prints a single
 the criterion is about. Shared experiments run once per session.
 """
 
+import json
+
 from opdyn.harness import registry, run_experiment
 
 _CACHE = {}
@@ -12,7 +14,11 @@ _CACHE = {}
 
 def _record(name):
     if name not in _CACHE:
-        _CACHE[name] = run_experiment(registry(name))
+        rec = run_experiment(registry(name))
+        # every record must survive the JSON that `opdyn accept --out` writes
+        body = json.loads(rec.to_json())
+        assert (body["assertions"], body["exact"]) == (rec.assertions, rec.exact)
+        _CACHE[name] = rec
     return _CACHE[name]
 
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -81,11 +82,60 @@ def test_graph_and_signal_files(tmp_path, capsys):
     assert Fraction(rec["p_w"]) == Fraction(81, 125)
 
 
-def test_accept_single(capsys):
-    code = cli.main(["accept", "--only", "three-bit-map"])
+def test_accept_single(capsys, tmp_path):
+    path = tmp_path / "gate.jsonl"
+    code = cli.main(["accept", "--only", "three-bit-map", "--out", str(path)])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("PASS three-bit-map")
+    record = json.loads(path.read_text())
+    assert record["config"]["name"] == "three-bit-map"
+    assert record["assertions"] == {"map_margin_everywhere": True}
+
+
+def test_cascade_plateau_matches_golden(capsys):
+    golden = Path(__file__).resolve().parent.parent / "bench" / "golden_gate.jsonl"
+    records = [json.loads(line) for line in golden.read_text().splitlines() if line.strip()]
+    want = next(r for r in records if r["config"]["name"] == "cascade-bounded")["exact"]["plateau"]
+    code, rec = run_json(capsys, ["cascade", "--signal", "bernoulli:1/6"])
+    assert code == 0
+    assert rec["plateau"] == want == "5/7"
+
+
+def test_cascade_plateau_cap_is_reported(tmp_path, capsys):
+    # three letters with incommensurate ratios: the public-ratio chain does not stay small
+    path = tmp_path / "sig3.txt"
+    path.write_text("3\n1/2 3/10 1/5\n1/10 1/5 7/10\n")
+    code, rec = run_json(capsys, ["cascade", "--signal", f"file:{path}", "--n", "3"])
+    assert code == 0
+    assert rec["plateau"] is None
+    assert "did not stay small" in rec["plateau_error"]
+    assert len(rec["p_correct"]) == 3
+
+
+def _error_record(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return code, json.loads(lines[0])
+
+
+def test_float_weights_rejected_by_exact_oracles(tmp_path, capsys):
+    path = tmp_path / "decimal.txt"
+    path.write_text("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.75\n")
+    for argv in (["voter", "--graph", str(path), "--exact"], ["degroot", "--graph", str(path)]):
+        code, err = _error_record(capsys, argv)
+        assert code == 2
+        assert "edge (1,0) has the float weight 0.25" in err["error"]
+
+
+def test_bad_graph_spec_is_a_json_error(capsys):
+    code, err = _error_record(capsys, ["degroot", "--graph", "cycle:x"])
+    assert code == 2
+    assert err["command"] == "degroot"
+    assert err["error"].startswith("bad graph spec 'cycle:x'")
 
 
 def test_bad_signal_spec():

@@ -1,11 +1,15 @@
+import logging
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import degroot
-from opdyn.network import generate, mixing_tv, stationary_distribution
+from opdyn.network import Network, from_pairs, generate, mixing_tv, stationary_distribution
 from opdyn.signals import trial_rng
+from oracles import enumerate_p_w
 
 
 def test_step_path3_oracle():
@@ -63,11 +67,12 @@ def test_learning_probability_mc_agrees():
 
 
 def test_hoeffding_bound_holds():
-    net = generate("cycle", 7)
-    alpha = stationary_distribution(net).alpha
-    for d in (Fraction(1, 10), Fraction(3, 10)):
-        exact = degroot.learning_probability(net, d, mode="exact_enumeration")
-        assert float(exact.p + exact.tie_mass) >= degroot.hoeffding_success_bound(alpha, d) - 1e-12
+    for net in (generate("cycle", 7), generate("cycle", 101),
+                generate("random_regular", 120, d=4, seed=0)):
+        alpha = stationary_distribution(net).alpha
+        for d in (Fraction(1, 10), Fraction(3, 10)):
+            exact = degroot.learning_probability(net, d, mode="exact_enumeration")
+            assert float(exact.p + exact.tie_mass) >= degroot.hoeffding_success_bound(alpha, d) - 1e-12
 
 
 def test_convergence_round_is_tight():
@@ -105,3 +110,44 @@ def test_limit_is_invariant_of_dynamics(n, bits):
     lim = degroot.limit(net, psi)
     stepped = degroot.step(net, degroot.DeGrootState(actions=psi))
     assert degroot.limit(net, stepped.actions) == lim
+
+
+def _small_net(kind, n, seed):
+    """A network of at most 12 agents of the given kind."""
+    if kind == "random_regular":
+        return generate(kind, max(4, n - n % 2), d=3, seed=seed)
+    if kind == "from_pairs":
+        # a random tree plus one chord: irregular degrees, so alpha takes several values
+        rng = random.Random(seed)
+        pairs = {(rng.randrange(i), i) for i in range(1, n)} | {(0, n - 1)}
+        return from_pairs(n, sorted(pairs))
+    return generate(kind, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["chain", "cycle", "star", "random_regular", "from_pairs"]),
+       n=st.integers(2, 12), seed=st.integers(0, 50),
+       delta=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(12, 25), max_denominator=50))
+def test_learning_probability_dp_matches_enumerator(kind, n, seed, delta):
+    net = _small_net(kind, n, seed)
+    est = degroot.learning_probability(net, delta, mode="exact_enumeration")
+    assert (est.p, est.tie_mass) == enumerate_p_w(net, delta)
+
+
+def test_learning_probability_dp_logs_support(caplog):
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        degroot.learning_probability(generate("star", 9), Fraction(1, 10))
+    # alpha = (9, 2, ..., 2) / 25: sums 0..25 reachable in steps of 2, plus 9
+    assert "p_w DP: n=9 support=18 D=25" in caplog.text
+
+
+def test_learning_probability_dp_support_cap(monkeypatch):
+    monkeypatch.setattr(degroot, "EXACT_DP_MAX_SUPPORT", 8)
+    with pytest.raises(ValueError, match="distinct weighted signal sums"):
+        degroot.learning_probability(generate("star", 9), Fraction(1, 10))
+
+
+def test_exact_p_w_rejects_float_weights():
+    net = Network(n=2, edges=((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (1, 0, 0.5), (1, 1, 0.5)))
+    with pytest.raises(ValueError, match=r"edge \(1,0\) has the float weight 0.5"):
+        degroot.learning_probability(net, Fraction(1, 10))

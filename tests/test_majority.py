@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import majority
-from opdyn.network import generate
+from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
+from oracles import fraction_retention, stepwise_limit_profiles
+
+# odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
+# three triangles in a chain, whose degrees 2 and 4 mix neighbourhoods of sizes 3 and 5
+ODD_NETS = [generate("cycle", n) for n in range(3, 12)] + [
+    generate("complete", 5), generate("complete", 7),
+    generate("random_regular", 8, d=4, seed=7), generate("random_regular", 10, d=4, seed=1),
+    from_pairs(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (1, 6), (5, 6)]),
+]
 
 
 def test_even_closed_neighborhood_rejected():
@@ -114,3 +123,19 @@ def test_success_probability_majority():
     d = Fraction(1, 4)
     p = Fraction(1, 2) + d
     assert majority.success_probability(maj3, 3, d) == p ** 3 + 3 * p ** 2 * (1 - p)
+
+
+def test_limit_profiles_match_stepwise():
+    for net in ODD_NETS:
+        configs = majority.all_spin_configs(net.n)
+        assert np.array_equal(majority.limit_profiles(net, configs),
+                              stepwise_limit_profiles(net, configs))
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(0, len(ODD_NETS) - 1),
+       delta=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(9, 20), max_denominator=20))
+def test_retention_integer_pooling_matches_fraction(k, delta):
+    net = ODD_NETS[k]
+    assert net.n <= 11
+    assert majority.retention_error(net, delta, mode="exact") == fraction_retention(net, delta)

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn.network import (Network, ball, from_pairs, generate, mixing_tv,
-                           read_network, stationary_distribution, validate,
+                           read_network, solve_exact, stationary_distribution, validate,
                            write_network)
+from oracles import solve_rational
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 def test_lazy_uniform_rows_are_stochastic():
@@ -91,3 +95,56 @@ def test_generated_nets_validate(n, kind):
 def test_parallel_edge_rejected():
     with pytest.raises(ValueError):
         Network(n=2, edges=((0, 1, 1), (0, 1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_solve_exact_matches_fraction_oracle(data, n):
+    A = [data.draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    b = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    try:
+        want = solve_rational(A, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve_exact(A, b)
+        return
+    assert solve_exact(A, b) == want
+
+
+def test_solve_exact_bareiss_fallback(caplog):
+    # the solution has a denominator far above the rebuild bound, so the
+    # rebuilt float answer fails the certificate and elimination takes over
+    A = [[Fraction(1, 1000003), Fraction(1, 999983)], [Fraction(2, 7), Fraction(1, 3)]]
+    b = [Fraction(1), Fraction(1, 1000033)]
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        x = solve_exact(A, b)
+    assert x == solve_rational(A, b)
+    assert "Bareiss fallback" in caplog.text
+
+
+def test_stationary_branches_match_oracle(caplog):
+    # lazy-uniform graphs rebuild from floats; skewed directed weights need Bareiss
+    skewed = Network(n=3, edges=((0, 0, Fraction(1, 999983)), (0, 1, Fraction(999982, 999983)),
+                                 (1, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
+                                 (2, 0, Fraction(1, 1000003)), (2, 2, Fraction(1000002, 1000003))))
+    for net, branch in ((generate("grid", 9), "certified float rebuild"),
+                        (from_pairs(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), "certified float rebuild"),
+                        (skewed, "Bareiss fallback")):
+        P = net.weight_matrix(exact=True)
+        n = net.n
+        A = [[P[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
+        A[n - 1] = [Fraction(1)] * n
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="opdyn"):
+            alpha = stationary_distribution(net).alpha
+        assert list(alpha) == solve_rational(A, [Fraction(0)] * (n - 1) + [Fraction(1)])
+        assert f"exact solve n={n}: {branch}" in caplog.text
+
+
+def test_stationary_float_weights_use_power_iteration(caplog):
+    net = Network(n=2, edges=((0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.25), (1, 1, 0.75)))
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        sd = stationary_distribution(net)
+    assert not sd.exact
+    assert np.allclose(sd.as_floats(), [1 / 3, 2 / 3])
+    assert "stationary n=2: power iteration" in caplog.text

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import voter
-from opdyn.network import generate, stationary_distribution
+from opdyn.network import Network, generate, stationary_distribution
 from opdyn.signals import trial_rng
+from oracles import absorption_drift
 
 
 def test_two_node_one_step_distribution():
@@ -122,3 +124,40 @@ def test_absorption_certificate_holds(bits):
 def test_absorption_size_cap():
     with pytest.raises(ValueError):
         voter.absorption_probabilities(generate("cycle", 13))
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["chain", "cycle", "star"]), n=st.integers(3, 5),
+       state=st.integers(1, 30), eps=st.fractions(min_value=Fraction(-1, 7), max_value=Fraction(1, 7)))
+def test_certificate_matches_fraction_contraction(kind, n, state, eps):
+    net = generate(kind, n)
+    h = voter.absorption_probabilities(net)
+    assert absorption_drift(net, h) == {}
+    s = state % ((1 << n) - 2) + 1
+    if eps == 0:
+        return
+    h[s] += eps
+    first_bad = min(absorption_drift(net, h))
+    with pytest.raises(ArithmeticError, match=f"failed at state {first_bad}:"):
+        voter.certify_absorption(net, h)
+
+
+def test_certificate_with_wide_denominators(caplog):
+    # a doubly stochastic circulant with denominators 10007: alpha is uniform,
+    # and prod_i d_i H exceeds int64, so the certificate runs on Python integers
+    p = 10007
+    ws = [Fraction(p - 6, p), Fraction(1, p), Fraction(2, p), Fraction(1, p), Fraction(2, p)]
+    net = Network(n=5, edges=tuple((i, (i + k) % 5, ws[k]) for i in range(5) for k in range(5)))
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        h = voter.absorption_probabilities(net)
+    assert all(h[s] == Fraction(bin(s).count("1"), 5) for s in range(32))
+    assert "absorption certificate: 32 states, H=5" in caplog.text
+    h[7] = Fraction(3, 5) + Fraction(1, 10 ** 12)
+    with pytest.raises(ArithmeticError):
+        voter.certify_absorption(net, h)
+
+
+def test_exact_absorption_rejects_float_weights():
+    net = Network(n=2, edges=((0, 0, 0.5), (0, 1, 0.5), (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
+    with pytest.raises(ValueError, match=r"edge \(0,0\) has the float weight 0.5"):
+        voter.absorption_probabilities(net)

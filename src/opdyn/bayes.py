@@ -4,23 +4,35 @@ Everything here is forward induction over an explicit weighted list of
 (S, signal profile) atoms with exact rational weights. An agent's knowledge
 at round t is the cell of atoms consistent with what it has seen (its own
 signal plus neighbors' earlier actions); its belief is the S=1 weight share
-of that cell, its action the utility-maximizing response. Beliefs and
-weights stay Fractions throughout: exact indifference (belief 1/2) is
-load-bearing for the discrete-action results and must not be a float
-accident.
+of that cell, its action the utility-maximizing response.
+
+The engine works on scaled integers. Every atom weight is multiplied by D,
+the lcm of the weights' denominators, so cell weights are integer sums and
+the discrete action is the integer comparison 2 w1 vs w: exact indifference
+(belief 1/2) is load-bearing for the discrete-action results and must not be
+a float accident. Each round refines every agent's partition by the
+constant-size key (previous cell, neighbors' actions). Belief Fractions are
+built, one per cell, only when a result's beliefs are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import comb
+from math import comb, lcm
+from typing import NamedTuple
 
+import numpy as np
+
+from .harness_util import debug
 from .network import Network, ball
 from .signals import FiniteModel, JointTable
 
 PROFILE_SPACE_CAP = 10 ** 6
+# a packed refinement key stays below this bound, so it fits in int64
+_KEY_BOUND = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -30,7 +42,7 @@ class ProfileSpace:
     n: int
     entries: tuple  # (s, profile, weight)
 
-    @property
+    @cached_property
     def m(self):
         """Number of distinct signal profiles (the M in the round bound)."""
         return len({prof for (_s, prof, _w) in self.entries})
@@ -54,73 +66,191 @@ def build_profile_space(model, n, joint_table=None) -> ProfileSpace:
         raise TypeError("profile spaces need a finite signal model")
     if len(model.alphabet) ** n > PROFILE_SPACE_CAP:
         raise ValueError("profile space too large to enumerate")
-    half = Fraction(1, 2)
+    q = lcm(*(p.denominator for p in model.mu0 + model.mu1))
+    denom = 2 * q ** n          # each weight (1/2) prod_k mu[k] is an integer over denom
     entries = []
+    total = 0
     for s in (0, 1):
-        mu = model.mu1 if s == 1 else model.mu0
-        for prof in product(range(len(model.alphabet)), repeat=n):
-            w = half
-            for k in prof:
-                w *= mu[k]
-            entries.append((s, tuple(model.alphabet[k] for k in prof), w))
-    total = sum(w for (_s, _p, w) in entries)
-    if total != 1:
+        mu = [p.numerator * (q // p.denominator) for p in (model.mu1 if s == 1 else model.mu0)]
+        # numerators of all profiles in product() order, one letter at a time
+        level = [1]
+        for _ in range(n):
+            level = [x * a for x in level for a in mu]
+        weight = {x: Fraction(x, denom) for x in set(level)}
+        entries.extend((s, prof, weight[x]) for prof, x in zip(product(model.alphabet, repeat=n), level))
+        total += sum(level)
+    if total != denom:
         raise AssertionError("profile weights must sum to 1")
     return ProfileSpace(n=n, entries=tuple(entries))
 
 
-@dataclass
+class Round(NamedTuple):
+    """One round of run_exact, in integers scaled by the result's D.
+
+    Agents see signals, never S, so a cell is a set of signal profiles.
+    cells[i, p] is the id of agent i's cell holding profile p, numbered in
+    order of first occurrence. Agent i's cells are base[i], ..., base[i+1] - 1
+    of the per-cell arrays w (cell weight) and w1 (its S=1 weight), so agent
+    i's belief on profile p is w1[c] / w[c] with c = base[i] + cells[i, p].
+    act[i, p] is the discrete action (0/1); it is None under the continuous
+    utility, where the action is the belief.
+    """
+
+    cells: np.ndarray
+    base: np.ndarray
+    w: np.ndarray
+    w1: np.ndarray
+    act: np.ndarray | None
+
+    def flat_cells(self):
+        """(n, M) index of every agent's cell of every profile into w and w1."""
+        return self.cells + self.base[:-1, None]
+
+
+@dataclass(eq=False)
 class BayesResult:
+    """A run of run_exact.
+
+    beliefs[t][i][e] (Fraction), actions[t][i][e] and partitions[t][i][e]
+    (cell id of atom e for agent i at round t) are built from the integer
+    rounds in `steps` when first read. Atom e has signal profile
+    profile_of[e]; profile p weighs profile_w[p] / scale, of which
+    profile_w1[p] / scale has S = 1.
+    """
+
     space: ProfileSpace
     net: Network
     utility: str
     tie_rule: str
-    beliefs: list          # beliefs[t][i][e] (Fraction)
-    actions: list          # actions[t][i][e]
-    partitions: list       # partitions[t][i][e] = cell id of entry e for agent i at round t
     rounds: int
     stabilized: bool
+    scale: int
+    profile_of: np.ndarray = field(repr=False)
+    profile_w: np.ndarray = field(repr=False)
+    profile_w1: np.ndarray = field(repr=False)
+    steps: list = field(repr=False)
+
+    @cached_property
+    def beliefs(self):
+        out = []
+        for r in self.steps:
+            cell = np.empty(len(r.w), dtype=object)
+            cell[:] = [Fraction(a, b) for a, b in zip(r.w1.tolist(), r.w.tolist())]
+            out.append(cell[r.flat_cells()[:, self.profile_of]].tolist())
+        return out
+
+    @cached_property
+    def actions(self):
+        if self.utility == "continuous":
+            return self.beliefs
+        return [r.act[:, self.profile_of].tolist() for r in self.steps]
+
+    @cached_property
+    def partitions(self):
+        return [r.cells[:, self.profile_of].tolist() for r in self.steps]
 
     def limit_actions(self, e):
-        return tuple(self.actions[-1][i][e] for i in range(self.net.n))
+        if self.utility == "continuous":
+            return self.limit_beliefs(e)
+        return tuple(self.steps[-1].act[:, self.profile_of[e]].tolist())
 
     def limit_beliefs(self, e):
-        return tuple(self.beliefs[-1][i][e] for i in range(self.net.n))
+        r = self.steps[-1]
+        c = r.flat_cells()[:, self.profile_of[e]]
+        return tuple(Fraction(a, b) for a, b in zip(r.w1[c].tolist(), r.w[c].tolist()))
+
+    def _belief_pairs(self, t):
+        """(numerator, denominator) arrays, (n, M), of the round-t beliefs in lowest terms."""
+        r = self.steps[t]
+        flat = r.flat_cells()
+        return tuple(p[flat] for p in _lowest_terms(r.w1, r.w))
+
+    def _action_arrays(self, t):
+        """(n, M) arrays, equal at two (round, agent, profile) places exactly where the actions are."""
+        if self.utility == "discrete":
+            return (self.steps[t].act,)
+        return self._belief_pairs(t)
+
+    def _changed(self):
+        """changed[t - 1, i, p]: agent i's action on profile p differs between rounds t - 1 and t."""
+        out = np.zeros((self.rounds - 1, self.net.n, len(self.profile_w)), dtype=bool)
+        prev = self._action_arrays(0)
+        for t in range(1, self.rounds):
+            cur = self._action_arrays(t)
+            for a, b in zip(cur, prev):
+                out[t - 1] |= a != b
+            prev = cur
+        return out
 
     def change_counts(self):
         """per entry, per agent: number of rounds t with A_{t+1} != A_t."""
-        n = self.net.n
-        E = len(self.space.entries)
-        out = [[0] * n for _ in range(E)]
-        for t in range(1, self.rounds):
-            for i in range(n):
-                for e in range(E):
-                    if self.actions[t][i][e] != self.actions[t - 1][i][e]:
-                        out[e][i] += 1
-        return out
+        return self._changed().sum(axis=0)[:, self.profile_of].T.tolist()
 
     def fixation_rounds(self):
         """per entry: first round from which no agent's action ever changes."""
-        n = self.net.n
-        E = len(self.space.entries)
-        out = []
-        for e in range(E):
-            fix = 0
-            for t in range(1, self.rounds):
-                if any(self.actions[t][i][e] != self.actions[t - 1][i][e] for i in range(n)):
-                    fix = t
-            out.append(fix)
-        return out
+        moved = self._changed().any(axis=1)                 # (rounds - 1, M)
+        last = (np.arange(1, self.rounds)[:, None] * moved).max(axis=0, initial=0)
+        return last[self.profile_of].tolist()
 
 
-def _cells_from_keys(keys):
-    """Map history keys to small ids; entries sharing a key share a cell."""
-    ids = {}
-    out = []
-    for k in keys:
-        if k not in ids:
-            ids[k] = len(ids)
-        out.append(ids[k])
+def _lowest_terms(num, den):
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
+def _first_occurrence_ids(key, bound):
+    """Number the distinct values of key, all in [0, bound), 0, 1, ... in order of first occurrence.
+
+    Returns (ids as int32, count). When bound is at most a few times len(key) a
+    table of first positions does it in O(len(key) + bound); otherwise np.unique sorts.
+    """
+    size = len(key)
+    if bound <= 4 * size:
+        first = np.full(bound, size, dtype=np.int64)
+        np.minimum.at(first, key, np.arange(size))
+        at = first[key]
+        rank = np.cumsum(at == np.arange(size), dtype=np.int32) - 1
+        return rank[at], int(rank[-1]) + 1
+    _values, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse], len(first)
+
+
+def _pair_ids(num, den):
+    """Equal ids exactly where the pairs (num, den) are equal; (ids, count)."""
+    order = np.lexsort((num, den))
+    sn, sd = num[order], den[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (sn[1:] != sn[:-1]) | (sd[1:] != sd[:-1])
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(new.sum())
+
+
+def _refine(cells, counts, codes, radix, nbrs):
+    """Split every agent's cells by the action codes (< radix) its neighbors showed.
+
+    Agent i's next key is (cell, codes of nbrs[i]) packed into one integer;
+    the packed key is renumbered whenever one more code would pass _KEY_BOUND.
+    """
+    new = np.empty_like(cells)
+    new_counts = np.empty_like(counts)
+    for i, nb in enumerate(nbrs):
+        key, bound = cells[i].astype(np.int64), int(counts[i])
+        for j in nb:
+            if bound * radix > _KEY_BOUND:
+                key, bound = _first_occurrence_ids(key, bound)
+                key = key.astype(np.int64)
+            key = key * radix + codes[j]
+            bound *= radix
+        new[i], new_counts[i] = _first_occurrence_ids(key, bound)
+    return new, new_counts
+
+
+def _scatter_sum(index, values, size):
+    out = np.zeros(size, dtype=values.dtype)
+    np.add.at(out, index, values)
     return out
 
 
@@ -133,6 +263,9 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
     sequential-model convention), 'own_signal' defers to the agent's signal
     (signals must then be 0/1-valued). Stops early once every agent's
     knowledge partition stops refining, after which all rounds repeat.
+
+    Atom weights are scaled by their common denominator D and summed per
+    cell in int64 when D < 2**62 (so 2 w1 fits), else in Python integers.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -142,61 +275,73 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     n = net.n
     entries = space.entries
-    E = len(entries)
-    weights = [w for (_s, _p, w) in entries]
-    states = [s for (s, _p, _w) in entries]
-    nbrs = [sorted(net.out_neighbors(i)) for i in range(n)]
+    scale = lcm(*(w.denominator for (_s, _p, w) in entries))
+    dtype = np.int64 if scale < 2 ** 62 else object     # cell sums are <= D, and 2 w1 <= 2 D
+    weights = np.array([w.numerator * (scale // w.denominator) for (_s, _p, w) in entries], dtype=dtype)
+    states = np.array([s for (s, _p, _w) in entries])
+    if not (weights > 0).all():
+        raise ValueError("atom weights must be positive")
+    if not np.isin(states, (0, 1)).all():
+        raise ValueError("atom states must be 0 or 1")
 
-    keys = [[(entries[e][1][i],) for e in range(E)] for i in range(n)]
-    half = Fraction(1, 2)
-    beliefs, actions, partitions = [], [], []
+    # distinct signal profiles, numbered in order of first occurrence, and their weights;
+    # a first-occurrence numbering of profile cells is then one of atom cells too
+    profiles = {}
+    profile_of = np.fromiter((profiles.setdefault(p, len(profiles)) for (_s, p, _w) in entries),
+                             dtype=np.int64, count=len(entries))
+    M = len(profiles)
+    profile_w = _scatter_sum(profile_of, weights, M)
+    profile_w1 = _scatter_sum(profile_of, np.where(states == 1, weights, 0).astype(dtype), M)
+
+    # signal letters (any hashables) as small ids; sig[i, p] is agent i's letter in profile p
+    flat = [x for p in profiles for x in p]
+    letters = {x: k for k, x in enumerate(dict.fromkeys(flat))}
+    sig = np.fromiter(map(letters.__getitem__, flat), dtype=np.int64, count=M * n).reshape(M, n).T
+    # the own_signal tie action per letter id; -1 marks a letter other than 0/1
+    letter_bit = np.array([int(x) if x in (0, 1) else -1 for x in letters], dtype=np.int8)
+    nbrs = [sorted(net.out_neighbors(i)) for i in range(n)]
+    tiled_w, tiled_w1 = np.tile(profile_w, n), np.tile(profile_w1, n)
+
+    cells = np.empty((n, M), dtype=np.int32)
+    counts = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        cells[i], counts[i] = _first_occurrence_ids(sig[i], len(letters))
+    steps = []
     stabilized = False
     for t in range(horizon):
-        part_t = [_cells_from_keys(keys[i]) for i in range(n)]
-        bel_t, act_t = [], []
-        for i in range(n):
-            cell_w = {}
-            cell_w1 = {}
-            for e in range(E):
-                c = part_t[i][e]
-                cell_w[c] = cell_w.get(c, Fraction(0)) + weights[e]
-                if states[e] == 1:
-                    cell_w1[c] = cell_w1.get(c, Fraction(0)) + weights[e]
-            bel_i = []
-            act_i = []
-            for e in range(E):
-                c = part_t[i][e]
-                b = cell_w1.get(c, Fraction(0)) / cell_w[c]
-                bel_i.append(b)
-                if utility == "continuous":
-                    act_i.append(b)
-                elif b > half:
-                    act_i.append(1)
-                elif b < half:
-                    act_i.append(0)
-                elif tie_rule == "choose_one":
-                    act_i.append(1)
-                else:
-                    sig = entries[e][1][i]
-                    if sig not in (0, 1):
-                        raise ValueError("own_signal tie rule needs 0/1 signals")
-                    act_i.append(sig)
-            bel_t.append(bel_i)
-            act_t.append(act_i)
-        beliefs.append(bel_t)
-        actions.append(act_t)
-        partitions.append(part_t)
-        # observe: append this round's neighbor actions to every agent's history
-        for i in range(n):
-            for e in range(E):
-                keys[i][e] = keys[i][e] + tuple(act_t[j][e] for j in nbrs[i])
-        if t >= 1 and all(partitions[-1][i] == partitions[-2][i] for i in range(n)):
+        base = np.concatenate(([0], np.cumsum(counts)))
+        flat_cells = (cells + base[:-1, None]).ravel()
+        w = _scatter_sum(flat_cells, tiled_w, base[-1])
+        w1 = _scatter_sum(flat_cells, tiled_w1, base[-1])
+        if utility == "discrete":
+            margin = 2 * w1 - w                 # sign of belief - 1/2
+            up = margin >= 0 if tie_rule == "choose_one" else margin > 0
+            act = up[flat_cells].reshape(n, M).astype(np.int8)
+            if tie_rule == "own_signal":
+                tie = (margin == 0)[flat_cells].reshape(n, M)
+                bits = letter_bit[sig[tie]]
+                if (bits < 0).any():
+                    raise ValueError("own_signal tie rule needs 0/1 signals")
+                act[tie] = bits
+            codes, radix = act, 2
+        else:
+            act = None
+            ids, radix = _pair_ids(*_lowest_terms(w1, w))
+            codes = ids[flat_cells].reshape(n, M)
+        steps.append(Round(cells=cells, base=base, w=w, w1=w1, act=act))
+        if t >= 1 and np.array_equal(cells, steps[-2].cells):
             # partitions can no longer refine; every later round repeats this one
             stabilized = True
             break
+        if t + 1 < horizon:
+            cells, counts = _refine(cells, counts, codes, radix, nbrs)
+    debug("bayes run_exact: %d atoms, %d profiles, D=%d (%s), %d rounds, stabilized=%s, "
+          "max %d cells per agent", len(entries), M, scale,
+          "int64" if dtype is np.int64 else "python-int", len(steps), stabilized, int(counts.max()))
     return BayesResult(space=space, net=net, utility=utility, tie_rule=tie_rule,
-                       beliefs=beliefs, actions=actions, partitions=partitions,
-                       rounds=len(actions), stabilized=stabilized)
+                       rounds=len(steps), stabilized=stabilized, scale=scale,
+                       profile_of=profile_of, profile_w=profile_w, profile_w1=profile_w1,
+                       steps=steps)
 
 
 # -- checks over a result ----------------------------------------------------
@@ -222,14 +367,15 @@ def fixation_stats(res: BayesResult):
 def expected_utility(res: BayesResult, agent, t=None):
     """Exact E[u(S, A^i_t)] over the whole space (default: limit round)."""
     t = res.rounds - 1 if t is None else t
-    total = Fraction(0)
-    for e, (s, _p, w) in enumerate(res.space.entries):
-        a = res.actions[t][agent][e]
-        if res.utility == "discrete":
-            total += w * (1 if a == s else 0)
-        else:
-            total += w * (1 - (a - s) ** 2)
-    return total
+    r = res.steps[t]
+    if res.utility == "discrete":
+        hits = np.where(r.act[agent] == 1, res.profile_w1, res.profile_w - res.profile_w1)
+        return Fraction(int(hits.sum()), res.scale)
+    # a cell of weight w playing b = w1/w earns w - w1 (1 - b)^2 - (w - w1) b^2 = w - w1 (w - w1) / w
+    cells = slice(r.base[agent], r.base[agent + 1])
+    loss = sum((Fraction(a * (b - a), b) for a, b in zip(r.w1[cells].tolist(), r.w[cells].tolist())),
+               Fraction(0))
+    return (int(res.profile_w.sum()) - loss) / res.scale
 
 
 def agreement_check(res: BayesResult):
@@ -239,11 +385,9 @@ def agreement_check(res: BayesResult):
     """
     n = res.net.n
     if res.utility == "continuous":
-        bad = []
-        for e in range(len(res.space.entries)):
-            lb = res.limit_beliefs(e)
-            if any(b != lb[0] for b in lb):
-                bad.append((e, lb))
+        num, den = res._belief_pairs(-1)
+        split = ((num != num[0]) | (den != den[0])).any(axis=0)
+        bad = [(e, res.limit_beliefs(e)) for e in np.flatnonzero(split[res.profile_of]).tolist()]
         return {"agree": not bad, "disagreements": bad}
     utils = [expected_utility(res, i) for i in range(n)]
     return {"agree": all(u == utils[0] for u in utils), "utilities": utils}
@@ -255,12 +399,13 @@ def full_information_check(res: BayesResult):
     Fails by design for non-product spaces (the XOR pair): agreement at 1/2
     does not recover the pooled posterior there.
     """
+    pooled_num, pooled_den = _lowest_terms(res.profile_w1, res.profile_w)
+    num, den = res._belief_pairs(-1)
+    missed = ((num != pooled_num) | (den != pooled_den)).any(axis=0)
     bad = []
-    for e, (_s, prof, _w) in enumerate(res.space.entries):
-        lb = res.limit_beliefs(e)
-        pooled = res.space.full_posterior(prof)
-        if any(b != pooled for b in lb):
-            bad.append((e, lb, pooled))
+    for e in np.flatnonzero(missed[res.profile_of]).tolist():
+        p = res.profile_of[e]
+        bad.append((e, res.limit_beliefs(e), Fraction(int(pooled_num[p]), int(pooled_den[p]))))
     return {"full_learning": not bad, "failures": bad}
 
 
@@ -403,21 +548,21 @@ def chain_tie_to_self(n, delta, horizon=None):
     if not res.stabilized:
         raise RuntimeError("chain run did not stabilize within the horizon")
 
-    claim_ok = True
-    p_some_wrong = Fraction(0)
-    p_adjacent_wrong = Fraction(0)
-    for e, (s, prof, w) in enumerate(space.entries):
-        lim = res.limit_actions(e)
-        for i in range(n):
-            has_equal_neighbor = any(
-                prof[j] == prof[i] for j in (i - 1, i + 1) if 0 <= j < n
-            )
-            if has_equal_neighbor:
-                if any(res.actions[t][i][e] != prof[i] for t in range(res.rounds)):
-                    claim_ok = False
-        if any(a != s for a in lim):
-            p_some_wrong += w
-        if any(prof[i] != s and prof[i + 1] != s for i in range(n - 1)):
-            p_adjacent_wrong += w
-    return {"claim_ok": claim_ok, "p_some_wrong": p_some_wrong,
-            "p_adjacent_wrong": p_adjacent_wrong, "rounds": res.rounds}
+    first_atom = np.unique(res.profile_of, return_index=True)[1]
+    sig = np.array([space.entries[e][1] for e in first_atom], dtype=np.int8).T      # (n, M)
+    acts = np.stack([r.act for r in res.steps])                                      # (rounds, n, M)
+    equal_neighbor = np.zeros(sig.shape, dtype=bool)
+    equal_neighbor[1:] |= sig[1:] == sig[:-1]
+    equal_neighbor[:-1] |= sig[:-1] == sig[1:]
+    claim_ok = not (equal_neighbor & (acts != sig).any(axis=0)).any()
+    w1 = res.profile_w1
+    w0 = res.profile_w - w1
+
+    def mass(wrong):
+        """P(wrong(S)) for wrong(s), the profiles that count when S = s."""
+        return Fraction(int(w0[wrong(0)].sum() + w1[wrong(1)].sum()), res.scale)
+
+    return {"claim_ok": claim_ok,
+            "p_some_wrong": mass(lambda s: (acts[-1] != s).any(axis=0)),
+            "p_adjacent_wrong": mass(lambda s: ((sig[1:] != s) & (sig[:-1] != s)).any(axis=0)),
+            "rounds": res.rounds}

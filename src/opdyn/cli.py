@@ -47,7 +47,7 @@ def _load_signal(spec):
         return GaussianLLR(sigma2=float(Fraction(rest)))
     if kind == "file":
         return read_signal_model(rest)
-    raise SystemExit(f"unknown signal spec {spec!r} (bernoulli:<d> | gaussian:<s2> | file:<path>)")
+    raise ValueError(f"unknown signal spec {spec!r} (bernoulli:<d> | gaussian:<s2> | file:<path>)")
 
 
 def _emit(record, out):
@@ -172,12 +172,22 @@ def _cmd_majority(args):
     return 0
 
 
+def _scenario_delta(model):
+    """delta = P(signal = S) - 1/2 of a two-letter model; the scenarios take no other kind.
+
+    The model must be symmetric (mu0 = reversed mu1) with letter 1 the likelier under S = 1.
+    """
+    if not (isinstance(model, FiniteModel) and len(model.alphabet) == 2
+            and model.mu0 == model.mu1[::-1] and model.mu1[1] > Fraction(1, 2)):
+        raise ValueError("--scenario needs a symmetric two-letter signal model "
+                         "(mu0 = reversed mu1, mu1[1] > 1/2)")
+    return model.mu1[1] - Fraction(1, 2)
+
+
 def _cmd_bayes(args):
-    delta = Fraction("1/6")
-    model = _load_signal(args.signal) if args.signal else bernoulli_delta(delta)
-    if isinstance(model, FiniteModel) and len(model.alphabet) == 2:
-        delta = model.mu1[1] - Fraction(1, 2)
+    model = _load_signal(args.signal) if args.signal else bernoulli_delta(Fraction(1, 6))
     if args.scenario:
+        delta = _scenario_delta(model)
         kind, _, rest = args.scenario.partition(":")
         if kind == "senate":
             n, k = (int(x) for x in rest.split(","))
@@ -195,11 +205,11 @@ def _cmd_bayes(args):
                    "p_adjacent_wrong": str(out["p_adjacent_wrong"]),
                    "rounds": out["rounds"]}, args.out)
             return 0
-        raise SystemExit(f"unknown scenario {args.scenario!r}")
+        raise ValueError(f"unknown scenario {args.scenario!r} (senate:<n,k> | chain-tie:<n>)")
     if not args.graph:
-        raise SystemExit("bayes needs --graph unless --scenario is given")
+        raise ValueError("bayes needs --graph unless --scenario is given")
     if isinstance(model, GaussianLLR):
-        raise SystemExit("exact forward induction needs a finite signal model")
+        raise ValueError("exact forward induction needs a finite signal model")
     net = _load_graph(args.graph)
     space = bayes.build_profile_space(model, net.n)
     tie = {"one": "choose_one", "own": "own_signal"}[args.tie]

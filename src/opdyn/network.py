@@ -486,18 +486,31 @@ def _parse_weight(tok):
 
 
 def read_network(path) -> Network:
-    """Graph file: `n <count> directed|undirected`, then `src dst weight` lines."""
+    """Graph file: `n <count> directed|undirected`, then `src dst weight` lines.
+
+    Blank lines and lines whose first non-blank character is `#` are skipped.
+    A malformed line raises ValueError naming its line number.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "n" or head[2] not in ("directed", "undirected"):
-        raise ValueError(f"bad header line {lines[0]!r}")
-    n = int(head[1])
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty graph file: expected a header 'n <count> directed|undirected'")
+    no, header = lines[0]
+    head = header.split()
+    if len(head) != 3 or head[0] != "n" or head[2] not in ("directed", "undirected") \
+            or not head[1].isdigit():
+        raise ValueError(f"line {no}: expected 'n <count> directed|undirected', got {header!r}")
     edges = []
-    for ln in lines[1:]:
-        s, t, w = ln.split()
-        edges.append((int(s), int(t), _parse_weight(w)))
-    return Network(n=n, edges=tuple(edges), directed=head[2] == "directed")
+    for no, ln in lines[1:]:
+        fields = ln.split()
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"got {ln!r}")
+            edges.append((int(fields[0]), int(fields[1]), _parse_weight(fields[2])))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {no}: expected 'src dst weight': {exc}") from None
+    return Network(n=int(head[1]), edges=tuple(edges), directed=head[2] == "directed")
 
 
 def write_network(net: Network, path):

@@ -6,6 +6,7 @@ src/opdyn replaced; the differential tests require equal results.
 
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,3 +95,103 @@ def absorption_drift(net, h):
         if cur[0] != h[s]:
             out[s] = cur[0] - h[s]
     return out
+
+
+def fraction_profile_entries(model, n):
+    """(s, profile, weight) atoms of 1/2 d0 x mu0^n + 1/2 d1 x mu1^n, one Fraction product per atom."""
+    half = Fraction(1, 2)
+    entries = []
+    for s in (0, 1):
+        mu = model.mu1 if s == 1 else model.mu0
+        for prof in product(range(len(model.alphabet)), repeat=n):
+            w = half
+            for k in prof:
+                w *= mu[k]
+            entries.append((s, tuple(model.alphabet[k] for k in prof), w))
+    return tuple(entries)
+
+
+class FractionRun(NamedTuple):
+    """The public fields of a bayes.BayesResult, as fraction_run_exact computes them."""
+
+    beliefs: list
+    actions: list
+    partitions: list
+    rounds: int
+    stabilized: bool
+
+
+def _cells_from_keys(keys):
+    """Map history keys to small ids; entries sharing a key share a cell."""
+    ids = {}
+    out = []
+    for k in keys:
+        if k not in ids:
+            ids[k] = len(ids)
+        out.append(ids[k])
+    return out
+
+
+def fraction_run_exact(net, space, horizon, utility="continuous", tie_rule="choose_one"):
+    """Forward induction with Fraction beliefs per atom and growing history keys.
+
+    The reference for bayes.run_exact: each agent's cell key is its own
+    signal followed by every neighbour action it has seen, and every belief
+    is a Fraction division per atom.
+    """
+    n = net.n
+    entries = space.entries
+    E = len(entries)
+    weights = [w for (_s, _p, w) in entries]
+    states = [s for (s, _p, _w) in entries]
+    nbrs = [sorted(net.out_neighbors(i)) for i in range(n)]
+
+    keys = [[(entries[e][1][i],) for e in range(E)] for i in range(n)]
+    half = Fraction(1, 2)
+    beliefs, actions, partitions = [], [], []
+    stabilized = False
+    for t in range(horizon):
+        part_t = [_cells_from_keys(keys[i]) for i in range(n)]
+        bel_t, act_t = [], []
+        for i in range(n):
+            cell_w = {}
+            cell_w1 = {}
+            for e in range(E):
+                c = part_t[i][e]
+                cell_w[c] = cell_w.get(c, Fraction(0)) + weights[e]
+                if states[e] == 1:
+                    cell_w1[c] = cell_w1.get(c, Fraction(0)) + weights[e]
+            bel_i = []
+            act_i = []
+            for e in range(E):
+                c = part_t[i][e]
+                b = cell_w1.get(c, Fraction(0)) / cell_w[c]
+                bel_i.append(b)
+                if utility == "continuous":
+                    act_i.append(b)
+                elif b > half:
+                    act_i.append(1)
+                elif b < half:
+                    act_i.append(0)
+                elif tie_rule == "choose_one":
+                    act_i.append(1)
+                else:
+                    sig = entries[e][1][i]
+                    if sig not in (0, 1):
+                        raise ValueError("own_signal tie rule needs 0/1 signals")
+                    act_i.append(sig)
+            bel_t.append(bel_i)
+            act_t.append(act_i)
+        beliefs.append(bel_t)
+        actions.append(act_t)
+        partitions.append(part_t)
+        # observe: append this round's neighbor actions to every agent's history
+        for i in range(n):
+            for e in range(E):
+                keys[i][e] = keys[i][e] + tuple(act_t[j][e] for j in nbrs[i])
+        if t >= 1 and all(partitions[-1][i] == partitions[-2][i] for i in range(n)):
+            # partitions can no longer refine; every later round repeats this one
+            stabilized = True
+            break
+    return FractionRun(beliefs=beliefs, actions=actions, partitions=partitions,
+                       rounds=len(actions), stabilized=stabilized)

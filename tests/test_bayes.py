@@ -1,10 +1,15 @@
+import logging
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import fraction_profile_entries, fraction_run_exact
 
 from opdyn import bayes
-from opdyn.network import from_pairs, generate
-from opdyn.signals import bernoulli_delta, xor_pair
+from opdyn.harness import _senate_joint_space
+from opdyn.network import Network, from_pairs, generate
+from opdyn.signals import FiniteModel, bernoulli_delta, xor_pair
 
 DELTA = Fraction(1, 6)
 
@@ -19,6 +24,21 @@ def test_profile_space_weights():
     assert sp.m == 8
     # pooled posterior for an all-ones profile: odds (2/3)^3 : (1/3)^3 = 8 : 1
     assert sp.full_posterior((1, 1, 1)) == Fraction(8, 9)
+
+
+@pytest.mark.parametrize("model, sizes", [
+    (bernoulli_delta(DELTA), range(1, 9)),
+    (bernoulli_delta(Fraction(3, 7)), range(1, 6)),
+    (FiniteModel(alphabet=("lo", "mid", "hi"), mu0=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                 mu1=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))), range(1, 6)),
+    (FiniteModel(alphabet=(0, 1), mu0=(Fraction(6007, 10007), Fraction(4000, 10007)),
+                 mu1=(Fraction(3001, 10007), Fraction(7006, 10007))), range(1, 6)),
+])
+def test_profile_space_matches_fraction_products(model, sizes):
+    for n in sizes:
+        entries = bayes.build_profile_space(model, n).entries
+        assert entries == fraction_profile_entries(model, n)
+        assert all(type(w) is Fraction for (_s, _p, w) in entries)
 
 
 def test_round_zero_belief_is_private():
@@ -123,3 +143,132 @@ def test_bad_arguments():
         bayes.senate_scenario(4, 5, DELTA)
     with pytest.raises(ValueError):
         bayes.senate_scenario(10, 4, DELTA)
+
+
+# -- the integer engine against the Fraction oracle --------------------------
+
+RICH = FiniteModel(alphabet=(0, 1, 2),
+                   mu0=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                   mu1=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+# denominators 10007: at n = 5 the common denominator D is 2 * 10007^5 > 2**63
+WIDE = FiniteModel(alphabet=(0, 1),
+                   mu0=(Fraction(6007, 10007), Fraction(4000, 10007)),
+                   mu1=(Fraction(4000, 10007), Fraction(6007, 10007)))
+
+
+def assert_matches_oracle(net, space, horizon, utility, tie_rule):
+    """run_exact and the Fraction oracle agree field by field, or raise the same ValueError."""
+    try:
+        want = fraction_run_exact(net, space, horizon, utility, tie_rule)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            bayes.run_exact(net, space, horizon, utility, tie_rule)
+        return None
+    got = bayes.run_exact(net, space, horizon, utility, tie_rule)
+    assert (got.rounds, got.stabilized) == (want.rounds, want.stabilized)
+    assert got.partitions == want.partitions
+    assert got.actions == want.actions
+    assert got.beliefs == want.beliefs
+    assert all(type(b) is Fraction for row in got.beliefs[-1] for b in row)
+    assert bayes.martingale_residuals(got) == []
+    assert bayes.refinement_violations(got) == []
+    return got
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}      # a spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    return from_pairs(n, sorted(pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=connected_graphs(), delta=st.sampled_from([Fraction(1, 6), Fraction(1, 10), Fraction(3, 7)]),
+       utility=st.sampled_from(["discrete", "continuous"]),
+       tie_rule=st.sampled_from(["choose_one", "own_signal"]))
+def test_run_exact_matches_fraction_oracle(net, delta, utility, tie_rule):
+    space = space_for(net.n, delta)
+    assert_matches_oracle(net, space, space.m * net.n + 1, utility, tie_rule)
+    t = min(2, net.n - 1)
+    assert bayes.locality_check(net, space, t, utility=utility, tie_rule=tie_rule)["local"]
+
+
+@pytest.mark.parametrize("utility", ["discrete", "continuous"])
+@pytest.mark.parametrize("tie_rule", ["choose_one", "own_signal"])
+def test_run_exact_matches_oracle_on_named_spaces(utility, tie_rule):
+    # the 3-letter model of bayes-agreement (ties on letter 2 raise under own_signal)
+    for net in (generate("chain", 3), generate("cycle", 3), generate("star", 4)):
+        space = bayes.build_profile_space(RICH, net.n)
+        assert_matches_oracle(net, space, space.m * net.n + 1, utility, tie_rule)
+    assert_matches_oracle(generate("chain", 2), bayes.build_profile_space(xor_pair(), 2), 10,
+                          utility, tie_rule)
+    # isolated agents that see (own bit, verdict) letters: tuple letters, no 0/1 signal
+    senate = _senate_joint_space(5, 3, Fraction(1, 6))
+    loops = Network(n=5, edges=tuple((i, i, Fraction(1)) for i in range(5)), directed=False)
+    assert_matches_oracle(loops, senate, 3, utility, tie_rule)
+
+
+@pytest.mark.parametrize("utility", ["discrete", "continuous"])
+def test_run_exact_wide_denominators_use_python_ints(utility):
+    net = generate("cycle", 5)
+    space = bayes.build_profile_space(WIDE, 5)
+    got = assert_matches_oracle(net, space, space.m * 5 + 1, utility, "choose_one")
+    assert got.scale > 2 ** 63 and got.profile_w.dtype == object
+    assert bayes.locality_check(net, space, 2, utility=utility)["local"]
+
+
+@pytest.mark.parametrize("utility", ["discrete", "continuous"])
+def test_run_exact_renumbers_long_keys(monkeypatch, utility):
+    # a tiny key bound forces the packed (cell, neighbour actions) key to be renumbered
+    # before every neighbour is folded in
+    monkeypatch.setattr(bayes, "_KEY_BOUND", 4)
+    net = generate("star", 5)
+    space = space_for(5)
+    assert_matches_oracle(net, space, space.m * 5 + 1, utility, "choose_one")
+
+
+def test_vectorized_checks_match_atom_loops():
+    net = generate("cycle", 4)
+    space = space_for(4)
+    for utility in ("discrete", "continuous"):
+        res = bayes.run_exact(net, space, horizon=space.m * 4 + 1, utility=utility)
+        E = len(space.entries)
+        changes = [[sum(res.actions[t][i][e] != res.actions[t - 1][i][e] for t in range(1, res.rounds))
+                    for i in range(4)] for e in range(E)]
+        assert res.change_counts() == changes
+        fix = [max([t for t in range(1, res.rounds)
+                    if any(res.actions[t][i][e] != res.actions[t - 1][i][e] for i in range(4))],
+                   default=0) for e in range(E)]
+        assert res.fixation_rounds() == fix
+        for i in range(4):
+            for t in range(res.rounds):
+                want = sum(w * (1 - (res.actions[t][i][e] - s) ** 2 if utility == "continuous"
+                                else int(res.actions[t][i][e] == s))
+                           for e, (s, _p, w) in enumerate(space.entries))
+                assert bayes.expected_utility(res, i, t) == want
+        assert [res.limit_beliefs(e) for e in range(E)] == \
+            [tuple(res.beliefs[-1][i][e] for i in range(4)) for e in range(E)]
+
+
+def test_run_exact_logs_sizes(caplog):
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        bayes.run_exact(generate("cycle", 3), space_for(3), horizon=25, utility="discrete")
+    # weights 1/2 (2/3)^k (1/3)^(3-k) share the denominator 2 * 3^3; round-0 actions
+    # are the signals, so from round 1 each agent of the triangle knows all 8 profiles
+    assert ("bayes run_exact: 16 atoms, 8 profiles, D=54 (int64), 3 rounds, stabilized=True, "
+            "max 8 cells per agent") in caplog.text
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        bayes.run_exact(generate("cycle", 5), bayes.build_profile_space(WIDE, 5), horizon=2)
+    assert f"D={2 * 10007 ** 5} (python-int)" in caplog.text
+
+
+def test_run_exact_rejects_bad_atoms():
+    net = generate("chain", 2)
+    bad_state = bayes.ProfileSpace(n=2, entries=((2, (0, 0), Fraction(1)),))
+    with pytest.raises(ValueError, match="states must be 0 or 1"):
+        bayes.run_exact(net, bad_state, horizon=2)
+    zero = bayes.ProfileSpace(n=2, entries=((0, (0, 0), Fraction(1)), (1, (0, 0), Fraction(0))))
+    with pytest.raises(ValueError, match="weights must be positive"):
+        bayes.run_exact(net, zero, horizon=2)

@@ -138,6 +138,35 @@ def test_bad_graph_spec_is_a_json_error(capsys):
     assert err["error"].startswith("bad graph spec 'cycle:x'")
 
 
-def test_bad_signal_spec():
-    with pytest.raises(SystemExit):
-        cli.main(["cascade", "--signal", "weird:1"])
+def test_bad_signal_spec(capsys):
+    code, err = _error_record(capsys, ["cascade", "--signal", "weird:1"])
+    assert code == 2
+    assert err == {"command": "cascade",
+                   "error": "unknown signal spec 'weird:1' (bernoulli:<d> | gaussian:<s2> | file:<path>)"}
+
+
+def test_bayes_scenario_rejects_asymmetric_model(tmp_path, capsys):
+    path = tmp_path / "skew.txt"
+    path.write_text("2\n1/2 1/2\n1/3 2/3\n")
+    for scenario in ("senate:8,5", "chain-tie:4"):
+        code, err = _error_record(capsys, ["bayes", "--scenario", scenario, "--signal", f"file:{path}"])
+        assert code == 2
+        assert "symmetric two-letter signal model" in err["error"]
+    # the symmetric file model gives the bernoulli:1/6 verdict error 17/81
+    path.write_text("2\n2/3 1/3\n1/3 2/3\n")
+    code, rec = run_json(capsys, ["bayes", "--scenario", "senate:8,5", "--signal", f"file:{path}"])
+    assert code == 0 and rec["verdict_error"] == "17/81"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bayes", "--scenario", "jury:3"], "unknown scenario 'jury:3'"),
+    (["bayes", "--signal", "bernoulli:1/6"], "bayes needs --graph unless --scenario is given"),
+    (["bayes", "--graph", "cycle:3", "--signal", "gaussian:1"],
+     "exact forward induction needs a finite signal model"),
+    (["bayes", "--graph", "cycle:3", "--signal", "weird:1"], "unknown signal spec 'weird:1'"),
+])
+def test_bayes_input_errors_are_json(capsys, argv, message):
+    code, err = _error_record(capsys, argv)
+    assert code == 2
+    assert err["command"] == "bayes"
+    assert err["error"].startswith(message)

@@ -67,6 +67,29 @@ def test_file_round_trip(tmp_path):
         assert back.out_neighbors(i) == net.out_neighbors(i)
 
 
+def test_read_network_skips_indented_comments(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("# a triangle\nn 3 undirected\n  # note\n\t# tabbed\n0 1 1\n\n1 2 1\n   \n0 2 1\n")
+    net = read_network(path)
+    assert net.n == 3
+    assert [sorted(net.out_neighbors(i)) for i in range(3)] == [[1, 2], [2], []]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("n 3 undirected\n0 1 1\n0 2\n", "line 3: expected 'src dst weight'"),
+    ("n 3 undirected\n# c\n0 1 x\n", "line 3: expected 'src dst weight'"),
+    ("n 3 undirected\n0 1 1/0\n", "line 2: expected 'src dst weight'"),
+    ("\n# only a comment\nn three undirected\n", "line 3: expected 'n <count> directed|undirected'"),
+    ("n 3 sideways\n", "line 1: expected 'n <count> directed|undirected'"),
+    ("  # nothing else\n", "empty graph file"),
+])
+def test_read_network_errors_name_the_line(tmp_path, body, message):
+    path = tmp_path / "g.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        read_network(path)
+
+
 def test_from_pairs_matches_generate():
     a = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
     b = generate("chain", 4)

@@ -149,11 +149,6 @@ class BayesResult:
     def partitions(self):
         return [r.cells[:, self.profile_of].tolist() for r in self.steps]
 
-    def limit_actions(self, e):
-        if self.utility == "continuous":
-            return self.limit_beliefs(e)
-        return tuple(self.steps[-1].act[:, self.profile_of[e]].tolist())
-
     def limit_beliefs(self, e):
         r = self.steps[-1]
         c = r.flat_cells()[:, self.profile_of[e]]
@@ -198,19 +193,8 @@ def _lowest_terms(num, den):
     return num // g, den // g
 
 
-def _first_occurrence_ids(key, bound):
-    """Number the distinct values of key, all in [0, bound), 0, 1, ... in order of first occurrence.
-
-    Returns (ids as int32, count). When bound is at most a few times len(key) a
-    table of first positions does it in O(len(key) + bound); otherwise np.unique sorts.
-    """
-    size = len(key)
-    if bound <= 4 * size:
-        first = np.full(bound, size, dtype=np.int64)
-        np.minimum.at(first, key, np.arange(size))
-        at = first[key]
-        rank = np.cumsum(at == np.arange(size), dtype=np.int32) - 1
-        return rank[at], int(rank[-1]) + 1
+def _first_occurrence_ids(key):
+    """Number the distinct values of key 0, 1, ... in order of first occurrence; (ids as int32, count)."""
     _values, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int32)
     rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
@@ -240,11 +224,11 @@ def _refine(cells, counts, codes, radix, nbrs):
         key, bound = cells[i].astype(np.int64), int(counts[i])
         for j in nb:
             if bound * radix > _KEY_BOUND:
-                key, bound = _first_occurrence_ids(key, bound)
+                key, bound = _first_occurrence_ids(key)
                 key = key.astype(np.int64)
             key = key * radix + codes[j]
             bound *= radix
-        new[i], new_counts[i] = _first_occurrence_ids(key, bound)
+        new[i], new_counts[i] = _first_occurrence_ids(key)
     return new, new_counts
 
 
@@ -305,7 +289,7 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
     cells = np.empty((n, M), dtype=np.int32)
     counts = np.empty(n, dtype=np.int64)
     for i in range(n):
-        cells[i], counts[i] = _first_occurrence_ids(sig[i], len(letters))
+        cells[i], counts[i] = _first_occurrence_ids(sig[i])
     steps = []
     stabilized = False
     for t in range(horizon):

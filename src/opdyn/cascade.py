@@ -211,10 +211,6 @@ def run_sampled(model: FiniteModel, n, trials, seed):
 
 # -- Gaussian (unbounded ratios) --------------------------------------------
 
-def _phi(x):
-    return 0.5 * (1.0 + erf(x / sqrt(2.0)))
-
-
 def gaussian_run(model: GaussianLLR, n, trials, seed):
     """Vectorized sequential run with N(+-1, sigma^2) signals, log domain.
 

@@ -317,15 +317,12 @@ def build_parser():
     p.add_argument("--delta", default="1/10")
     p.add_argument("--mode", choices=["exact", "mc"], default="mc")
     p.add_argument("--exact", action="store_true", help="force the exact absorption solve")
-    p.add_argument("--horizon", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_voter)
 
     p = sub.add_parser("voter-strong", help="two-bit strong/weak voter variant")
     p.add_argument("--graph", required=True)
     p.add_argument("--delta", default="1/10")
-    p.add_argument("--mode", choices=["exact", "mc"], default="mc")
-    p.add_argument("--horizon", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_voter_strong)
 

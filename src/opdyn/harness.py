@@ -355,15 +355,15 @@ def _senate_joint_space(n, k, delta):
     """Each agent's observable as one composite letter (own signal, verdict)."""
     from itertools import product as iproduct
     p = Fraction(1, 2) + Fraction(delta)
+    # an atom's weight depends only on how many of its signals equal S
+    weight = [Fraction(1, 2) * p ** hits * (1 - p) ** (n - hits) for hits in range(n + 1)]
     entries = []
     need = (k + 1) // 2
     for s in (0, 1):
         for prof in iproduct((0, 1), repeat=n):
-            w = Fraction(1, 2)
-            for b in prof:
-                w *= p if b == s else 1 - p
+            ones = sum(prof)
             verdict = 1 if sum(prof[:k]) >= need else 0
-            entries.append((s, tuple((b, verdict) for b in prof), w))
+            entries.append((s, tuple((b, verdict) for b in prof), weight[ones if s else n - ones]))
     return bayes.ProfileSpace(n=n, entries=tuple(entries))
 
 

@@ -28,59 +28,77 @@ EXACT_SOLVE_MAX_N = 12
 # transition structure is never held whole beyond the float system itself
 _BLOCK_ENTRIES = 1 << 20
 
-
-@dataclass(frozen=True)
-class VoterState:
-    actions: tuple
-    t: int = 0
+# rows of a Monte Carlo block hold about this many agent draws
+_MC_BLOCK = 1 << 16
 
 
-def step(net: Network, state: VoterState, rng) -> VoterState:
-    """Synchronous round: every agent redraws from its neighborhood."""
-    acts = state.actions
-    nxt = []
-    for i in range(net.n):
-        nb = net.out_neighbors(i)
-        js = list(nb)
-        ws = np.array([float(nb[j]) for j in js])
-        pick = js[int(rng.choice(len(js), p=ws / ws.sum()))]
-        nxt.append(acts[pick])
-    return VoterState(actions=tuple(nxt), t=state.t + 1)
+class _VoterRound:
+    """One synchronous voter round on row blocks of the trials x agents state.
 
-
-def _step_vectorized(cum, choice_idx, acts, rng):
-    u = rng.random(len(choice_idx))
-    picks = []
-    for i, (c, js) in enumerate(zip(cum, choice_idx)):
-        picks.append(js[int(np.searchsorted(c, u[i], side="right"))])
-    return tuple(acts[p] for p in picks)
-
-
-def run_to_consensus(net: Network, signals, rng, step_cap=None):
-    """Play rounds until unanimity; returns (value, T) or raises on timeout.
-
-    Default cap is 100 * 2 d n^2, a hundredfold of the expected-absorption
-    bound for uniform undirected weighting.
+    The state keeps the agents in decreasing-degree order: column q is agent
+    order[q] (order is None when that is the identity). cum[c, q] is agent q's
+    cumulative weight over its first c + 1 sorted neighbours, the last real
+    entry pinned to 1.0 (a float cumsum can end just below 1, and a draw above
+    it would pick past the row) and +inf after it; nbr[q, c] is the column of
+    its c-th neighbour. Only the leading width[c] agents have a threshold
+    below the pinned one in row c, so only they compare it: a star's leaves
+    do not pay for the hub's degree. Scratch arrays hold blocks of `rows` trials.
     """
-    n = net.n
-    if step_cap is None:
-        d = max(len(net.out_neighbors(i)) for i in range(n))
-        step_cap = 100 * 2 * d * n * n
-    # precompute cumulative rows for speed
-    cum = []
-    choice_idx = []
-    for i in range(n):
-        nb = net.out_neighbors(i)
-        js = list(nb)
-        ws = np.array([float(nb[j]) for j in js], dtype=float)
-        cum.append(np.cumsum(ws / ws.sum()))
-        choice_idx.append(js)
-    acts = tuple(signals)
-    for t in range(step_cap + 1):
-        if all(a == acts[0] for a in acts):
-            return acts[0], t
-        acts = _step_vectorized(cum, choice_idx, acts, rng)
-    raise TimeoutError(f"no consensus within {step_cap} rounds")
+
+    def __init__(self, net: Network, rows):
+        n = net.n
+        nbrs = [sorted(net.out_neighbors(i).items()) for i in range(n)]
+        deg = np.array([len(r) for r in nbrs])
+        if not deg.all():
+            raise ValueError(f"agent {int(np.argmin(deg))} has no out-neighbours")
+        order = np.argsort(-deg, kind="stable")
+        col = np.empty(n, dtype=np.intp)
+        col[order] = np.arange(n)
+        dmax = int(deg.max())
+        self.cum = np.full((dmax, n), np.inf)
+        self.nbr = np.zeros((n, dmax), dtype=np.intp)
+        for q, i in enumerate(order):
+            ws = np.array([float(w) for _j, w in nbrs[i]])
+            c = np.cumsum(ws / ws.sum())
+            c[-1] = 1.0
+            self.cum[:len(c), q] = c
+            self.nbr[q, :len(c)] = col[[j for j, _w in nbrs[i]]]
+        self.width = [int((deg > c + 1).sum()) for c in range(dmax - 1)]
+        self.order = None if (order == np.arange(n)).all() else order
+        self.base = np.arange(0, n * dmax, dmax)
+        self.row_start = np.arange(0, rows * n, n)[:, None]
+        self.u = np.empty((rows, n))
+        self.uq = self.u if self.order is None else np.empty_like(self.u)
+        self.cnt = np.empty((rows, n), dtype=np.min_scalar_type(dmax))
+        self.hit = np.empty((rows, n), dtype=bool)
+        self.k = np.empty((rows, n), dtype=np.intp)
+        self.J = np.empty_like(self.k)
+
+    def picks(self, u):
+        """State column each agent copies under the draws u (block x n, state order).
+
+        cum[:, q] is nondecreasing below the pinned 1.0, which no draw reaches,
+        so #{c : u[:, q] >= cum[c, q]} is searchsorted(cum[:, q], u[:, q], side="right").
+        """
+        b = len(u)
+        cnt, hit, k = self.cnt[:b], self.hit[:b], self.k[:b]
+        np.greater_equal(u, self.cum[0], out=cnt)
+        for c in range(1, len(self.width)):
+            a = self.width[c]
+            np.greater_equal(u[:, :a], self.cum[c, :a], out=hit[:, :a])
+            cnt[:, :a] += hit[:, :a]
+        np.add(self.base, cnt, out=k)
+        return self.nbr.take(k, out=self.J[:b], mode="clip")   # k < nbr.size: skip the bounds check
+
+    def step(self, rng, cur, out):
+        """Draw one round for the trials in cur and write their next state to out."""
+        b = len(cur)
+        u = rng.random(out=self.u[:b])
+        if self.order is not None:
+            u = np.take(u, self.order, axis=1, out=self.uq[:b])
+        J = self.picks(u)
+        J += self.row_start[:b]
+        cur.take(J, out=out)
 
 
 def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
@@ -89,46 +107,56 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     Draws S uniform and psi_i = S with probability 1/2 + delta per trial,
     runs synchronous rounds until unanimity, and returns a dict with the
     count of trials whose consensus matched S and the absorption times.
+
+    Each round draws u (active trials x n) and agent i copies its neighbour
+    searchsorted(cum_i, u_i, side="right"). Draws are made in row blocks of
+    about _MC_BLOCK entries; the generator fills row-major, so the blocks
+    repeat the stream of one whole-array draw and no result depends on the
+    block size.
     """
     n = net.n
+    rows = max(1, _MC_BLOCK // n)
+    rnd = _VoterRound(net, rows)
+    dmax = len(rnd.cum)
     if step_cap is None:
-        d = max(len(net.out_neighbors(i)) for i in range(n))
-        step_cap = 100 * 2 * d * n * n
-    cum = []
-    choice_idx = []
-    for i in range(n):
-        nb = net.out_neighbors(i)
-        js = np.array(sorted(nb), dtype=np.int64)
-        ws = np.array([float(nb[j]) for j in js], dtype=float)
-        cum.append(np.cumsum(ws / ws.sum()))
-        choice_idx.append(js)
+        step_cap = 100 * 2 * dmax * n * n
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s = rng.integers(0, 2, size=trials).astype(np.int8)
-    match = rng.random((trials, n)) < 0.5 + float(delta)
-    state = np.where(match, s[:, None], 1 - s[:, None]).astype(np.int8)
+    state = np.empty((trials, n), dtype=np.int8)
+    p = 0.5 + float(delta)
+    for lo in range(0, trials, rows):
+        sb = s[lo:lo + rows, None]
+        match = rng.random((len(sb), n)) < p
+        if rnd.order is not None:
+            match = match[:, rnd.order]
+        state[lo:lo + rows] = np.where(match, sb, 1 - sb)
 
     active = np.arange(trials)
     times = np.zeros(trials, dtype=np.int64)
     value = np.zeros(trials, dtype=np.int8)
+    rounds = trial_rounds = 0
     for t in range(step_cap + 1):
-        done = (state == state[:, :1]).all(axis=1)
+        ones = np.einsum("ij->i", state, dtype=np.intp)    # faster than sum on short rows
+        done = (ones == 0) | (ones == n)
         if done.any():
             idx = active[done]
             value[idx] = state[done, 0]
             times[idx] = t
             active = active[~done]
             state = state[~done]
-        if len(active) == 0:
-            break
         m = len(active)
-        u = rng.random((m, n))
+        if m == 0:
+            break
+        rounds += 1
+        trial_rounds += m
         nxt = np.empty_like(state)
-        for i in range(n):
-            picks = choice_idx[i][np.searchsorted(cum[i], u[:, i], side="right")]
-            nxt[:, i] = state[np.arange(m), picks]
+        for lo in range(0, m, rows):
+            rnd.step(rng, state[lo:lo + rows], nxt[lo:lo + rows])
         state = nxt
     else:
         raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
+    debug("voter MC: n=%d trials=%d dmax=%d rounds=%d trial_rounds=%d block=%d rows",
+          n, trials, dmax, rounds, trial_rounds, rows)
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
 

@@ -195,3 +195,52 @@ def fraction_run_exact(net, space, horizon, utility="continuous", tie_rule="choo
             break
     return FractionRun(beliefs=beliefs, actions=actions, partitions=partitions,
                        rounds=len(actions), stabilized=stabilized)
+
+
+def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):
+    """voter.mc_consensus as one searchsorted call per agent per round, on whole arrays.
+
+    The reference for the blocked kernel: the same draws in the same order, so
+    every seed gives the same matches, times, s and value.
+    """
+    n = net.n
+    if step_cap is None:
+        d = max(len(net.out_neighbors(i)) for i in range(n))
+        step_cap = 100 * 2 * d * n * n
+    cum = []
+    choice_idx = []
+    for i in range(n):
+        nb = net.out_neighbors(i)
+        js = np.array(sorted(nb), dtype=np.int64)
+        ws = np.array([float(nb[j]) for j in js], dtype=float)
+        cum.append(np.cumsum(ws / ws.sum()))
+        choice_idx.append(js)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    s = rng.integers(0, 2, size=trials).astype(np.int8)
+    match = rng.random((trials, n)) < 0.5 + float(delta)
+    state = np.where(match, s[:, None], 1 - s[:, None]).astype(np.int8)
+
+    active = np.arange(trials)
+    times = np.zeros(trials, dtype=np.int64)
+    value = np.zeros(trials, dtype=np.int8)
+    for t in range(step_cap + 1):
+        done = (state == state[:, :1]).all(axis=1)
+        if done.any():
+            idx = active[done]
+            value[idx] = state[done, 0]
+            times[idx] = t
+            active = active[~done]
+            state = state[~done]
+        if len(active) == 0:
+            break
+        m = len(active)
+        u = rng.random((m, n))
+        nxt = np.empty_like(state)
+        for i in range(n):
+            picks = choice_idx[i][np.searchsorted(cum[i], u[:, i], side="right")]
+            nxt[:, i] = state[np.arange(m), picks]
+        state = nxt
+    else:
+        raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
+    return {"matches": int((value == s).sum()), "trials": trials,
+            "times": times, "s": s, "value": value}

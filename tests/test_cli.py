@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from opdyn import cli
+from opdyn import cli, voter
 from opdyn.network import generate, write_network
 from opdyn.signals import bernoulli_delta, write_signal_model
 
@@ -34,6 +34,31 @@ def test_voter_exact(capsys):
     assert [Fraction(a) for a in rec["alpha"]] == [Fraction(2, 7), Fraction(3, 7), Fraction(2, 7)]
     assert Fraction(rec["p_consensus_one_by_state"]["100"]) == Fraction(2, 7)
     assert Fraction(rec["p_consensus_one_by_state"]["111"]) == 1
+
+
+def test_voter_monte_carlo_commands(tmp_path, capsys):
+    code, rec = run_json(capsys, ["voter", "--graph", "cycle:6", "--delta", "1/5",
+                                  "--trials", "200", "--seed", "1"])
+    assert code == 0
+    out = voter.mc_consensus(generate("cycle", 6), Fraction(1, 5), 200, seed=1)
+    assert rec["p_match_signal_state"] == out["matches"] / 200
+    assert rec["mean_absorption_time"] == float(out["times"].mean())
+    code, rec = run_json(capsys, ["voter-strong", "--graph", "cycle:5", "--delta", "1/10",
+                                  "--trials", "30", "--seed", "2"])
+    assert code == 0
+    assert rec["trials"] == 30 and rec["p_majority_wins_given_strict"] == 1.0
+    # the flags nothing read are gone
+    for argv in (["voter", "--graph", "cycle:3", "--horizon", "5"],
+                 ["voter-strong", "--graph", "cycle:3", "--mode", "mc"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    capsys.readouterr()
+    # an agent with no out-edges is a user error, not an IndexError
+    path = tmp_path / "lonely.txt"
+    path.write_text("n 2 directed\n0 0 1\n")
+    code, err = _error_record(capsys, ["voter", "--graph", str(path), "--trials", "5"])
+    assert code == 2
+    assert err["error"] == "agent 1 has no out-neighbours"
 
 
 def test_cascade_exact(capsys):

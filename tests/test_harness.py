@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -61,3 +62,16 @@ def test_result_record_json():
     assert body["schema_version"] == harness.SCHEMA_VERSION
     assert body["config"]["name"] == "three-bit-map"
     assert all(isinstance(v, bool) for v in body["assertions"].values())
+
+
+def test_senate_joint_space_weights_are_atom_products():
+    p = Fraction(1, 2) + Fraction(1, 6)
+    space = harness._senate_joint_space(6, 3, Fraction(1, 6))
+    assert len(space.entries) == 2 * 2 ** 6
+    for s, prof, w in space.entries:
+        want = Fraction(1, 2)
+        for b, verdict in prof:
+            want *= p if b == s else 1 - p
+            assert verdict == (sum(c for c, _v in prof[:3]) >= 2)
+        assert w == want
+    assert sum(w for _s, _p, w in space.entries) == 1

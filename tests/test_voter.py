@@ -1,4 +1,5 @@
 import logging
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import voter
-from opdyn.network import Network, generate, stationary_distribution
+from opdyn.network import Network, from_pairs, generate, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import absorption_drift
+from oracles import absorption_drift, searchsorted_mc_consensus
 
 
 def test_two_node_one_step_distribution():
@@ -49,10 +50,12 @@ def test_martingale_residual_zero():
         assert voter.martingale_residual(net, acts) == 0
 
 
-def test_run_to_consensus_unanimous_start():
-    net = generate("cycle", 5)
-    value, t = voter.run_to_consensus(net, (1,) * 5, trial_rng(0, 0))
-    assert (value, t) == (1, 0)
+def test_mc_consensus_unanimous_start():
+    # delta = 1/2: every signal equals S, so each trial starts at consensus S
+    out = voter.mc_consensus(generate("cycle", 5), Fraction(1, 2), trials=40, seed=3)
+    assert out["matches"] == 40
+    assert (out["times"] == 0).all()
+    assert (out["value"] == out["s"]).all()
 
 
 def test_mc_consensus_matches_exact_small():
@@ -62,6 +65,67 @@ def test_mc_consensus_matches_exact_small():
     p_hat = out["matches"] / out["trials"]
     assert abs(p_hat - (0.5 + float(delta))) < 0.02
     assert out["times"].min() >= 0
+
+
+def test_pick_pins_the_last_threshold():
+    # ten weights 1/10 sum in floats to just below 1: a draw above that sum
+    # would pick past the row, so the last threshold is pinned to 1.0
+    ws = np.full(10, float(Fraction(1, 10)))
+    assert np.cumsum(ws / ws.sum())[-1] < 1.0
+    rnd = voter._VoterRound(generate("complete", 10), rows=1)
+    assert (rnd.cum[-1] == 1.0).all()
+    u = np.full((1, 10), np.nextafter(1.0, 0))
+    assert rnd.picks(u).tolist() == [[9] * 10]       # every agent's last neighbour
+    assert rnd.picks(np.zeros((1, 10))).tolist() == [[0] * 10]
+
+
+def _weighted_net(n, seed):
+    """A random tree plus chords with random positive integer weights on each closed neighbourhood."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(i), i) for i in range(1, n)} | {(0, n - 1)}
+    base = from_pairs(n, sorted(pairs))
+    edges = []
+    for i in range(n):
+        ws = {j: rng.randint(1, 5) for j in base.out_neighbors(i)}
+        total = sum(ws.values())
+        edges += [(i, j, Fraction(w, total)) for j, w in ws.items()]
+    return Network(n=n, edges=tuple(edges))
+
+
+def _mc_net(kind, n, seed):
+    if kind == "grid":
+        return generate(kind, (2 + n % 2) ** 2)
+    if kind == "random_regular":
+        return generate(kind, max(4, n - n % 2), d=3, seed=seed)
+    if kind == "weighted":
+        return _weighted_net(n, seed)
+    return generate(kind, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cycle", "chain", "star", "complete", "grid", "random_regular", "weighted"]),
+       n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3)]),
+       trials=st.integers(0, 60), block=st.sampled_from([1, 8, 24, 1 << 16]))
+def test_mc_consensus_matches_searchsorted_oracle(kind, n, seed, delta, trials, block):
+    # small blocks split the trials into many row blocks; the stream must not notice
+    net = _mc_net(kind, n, seed)
+    want = searchsorted_mc_consensus(net, delta, trials, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voter, "_MC_BLOCK", block)
+        got = voter.mc_consensus(net, delta, trials, seed)
+    assert got["matches"] == want["matches"] and got["trials"] == trials
+    for key in ("times", "s", "value"):
+        assert got[key].dtype == want[key].dtype
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_mc_consensus_logs_sizes(caplog):
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        out = voter.mc_consensus(generate("star", 6), Fraction(1, 10), trials=50, seed=2)
+    times = out["times"]
+    assert (f"voter MC: n=6 trials=50 dmax=6 rounds={times.max()} "
+            f"trial_rounds={times.sum()} block=10922 rows") in caplog.text
 
 
 def test_strong_voter_strict_majority_deterministic_outcome():

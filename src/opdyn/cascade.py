@@ -20,6 +20,7 @@ from math import erf, exp, log, sqrt
 
 import numpy as np
 
+from .harness_util import debug
 from .network import solve_exact
 from .signals import FiniteModel, GaussianLLR, sample_world, trial_rng
 
@@ -216,32 +217,51 @@ def gaussian_run(model: GaussianLLR, n, trials, seed):
 
     Private log-ratio of S=0 vs S=1 for observation y is -2y/sigma^2. The
     action is a threshold rule in y, so the observer's update only needs
-    Phi at the moving threshold. Returns per-position P(A_i = S) and the
-    fraction of runs whose last decision ignored the signal support
-    (always 0: Gaussian support is unbounded, no cascade ever starts).
+    Phi at the moving threshold. Returns per-position P(A_i = S).
+
+    The public log-ratio is a function of the action history, so the trials
+    share few distinct values: vals holds those in use and state[t] indexes
+    trial t's. Phi and the logs are evaluated once per value, each child value
+    is vals + update exactly as a per-trial update would compute it, and
+    np.unique merges equal children (NaNs into one, whose trials all act 0),
+    so the output is bit-identical to updating every trial's ratio itself.
     """
+    if trials < 1:
+        raise ValueError("gaussian_run needs at least one trial")
     sigma2 = float(model.sigma2)
     sigma = sqrt(sigma2)
     base = trial_rng(seed, 0)
     s = base.integers(0, 2, size=trials)
     mean = np.where(s == 1, 1.0, -1.0)
-    log_lx = np.zeros(trials)
+    vals = np.zeros(1)
+    state = np.zeros(trials, dtype=np.intp)
     p_correct = np.zeros(n)
+    states_max = thresholds = 0
     for i in range(n):
         y = mean * 1.0 + trial_rng(seed, 1, agent=i).normal(0.0, sigma, size=trials)
+        m = len(vals)
+        states_max = max(states_max, m)
+        thresholds += m
         # action 1 iff log Lx - 2y/sigma^2 <= 0, i.e. y >= sigma^2 log Lx / 2
-        thresh = sigma2 * log_lx / 2.0
-        act = (y >= thresh).astype(np.int64)
+        thresh = sigma2 * vals / 2.0
+        act = y >= thresh[state]
         p_correct[i] = np.mean(act == s)
         # observer: P(A=1 | S=s') = 1 - Phi((thresh - m(s'))/sigma)
-        z1 = (thresh - 1.0) / sigma
-        z0 = (thresh + 1.0) / sigma
-        pa1_s1 = 1.0 - _ndtr(z1)
-        pa1_s0 = 1.0 - _ndtr(z0)
+        pa1_s1 = 1.0 - _ndtr((thresh - 1.0) / sigma)
+        pa1_s0 = 1.0 - _ndtr((thresh + 1.0) / sigma)
         with np.errstate(divide="ignore"):
             upd1 = np.log(pa1_s0) - np.log(pa1_s1)
             upd0 = np.log1p(-pa1_s0) - np.log1p(-pa1_s1)
-        log_lx = log_lx + np.where(act == 1, upd1, upd0)
+        # child of (state, act) is act * m + state; keep only the children some trial reached
+        key = act * m + state
+        used = np.flatnonzero(np.bincount(key, minlength=2 * m))
+        vals, inverse = np.unique(np.concatenate([vals + upd0, vals + upd1])[used],
+                                  return_inverse=True)
+        child = np.empty(2 * m, dtype=np.intp)
+        child[used] = inverse
+        state = child[key]
+    debug("gaussian cascade: n=%d trials=%d states_max=%d thresholds=%d of n*trials=%d",
+          n, trials, states_max, thresholds, n * trials)
     return p_correct
 
 

@@ -120,25 +120,19 @@ def _cmd_voter(args):
 def _cmd_voter_strong(args):
     net = _load_graph(args.graph)
     delta = float(Fraction(args.delta))
-    ones = strict = strict_won = 0
-    steps = []
-    for trial in range(args.trials):
-        rng = trial_rng(args.seed, trial)
-        s = int(rng.integers(0, 2))
-        signals = tuple(int(b) for b in (rng.random(net.n) < 0.5 + delta))
-        signals = tuple(b if s == 1 else 1 - b for b in signals)
-        value, t = voter.run_strong_voter(net, signals, rng)
-        ones += value == 1
-        steps.append(t)
-        k = sum(signals)
-        if 2 * k != net.n:
-            strict += 1
-            strict_won += value == (1 if 2 * k > net.n else 0)
+    rng = trial_rng(args.seed, 0)
+    s = rng.integers(0, 2, size=args.trials)[:, None]
+    match = rng.random((args.trials, net.n)) < 0.5 + delta
+    signals = match == (s == 1)                 # the signal is s where it matches
+    values, steps = voter.strong_voter_trials(net, signals, rng)
+    k = signals.sum(axis=1)
+    strict = 2 * k != net.n
+    won = values[strict] == (2 * k[strict] > net.n)
     _emit({"experiment": "voter-strong", "graph": args.graph, "delta": args.delta,
            "trials": args.trials, "seed": args.seed,
-           "p_consensus_one": ones / args.trials,
-           "p_majority_wins_given_strict": strict_won / strict if strict else None,
-           "mean_steps": sum(steps) / len(steps)}, args.out)
+           "p_consensus_one": float(values.mean()),
+           "p_majority_wins_given_strict": float(won.mean()) if strict.any() else None,
+           "mean_steps": float(steps.mean())}, args.out)
     return 0
 
 
@@ -235,8 +229,7 @@ def _cmd_cascade(args):
         p_correct = cascade.gaussian_run(model, args.n, args.trials, seed=args.seed)
         _emit({"experiment": "cascade-gaussian", "signal": args.signal, "n": args.n,
                "trials": args.trials, "seed": args.seed,
-               "p_correct": [float(p) for p in p_correct],
-               "cascade_onset_histogram": [0] * args.n}, args.out)
+               "p_correct": [float(p) for p in p_correct]}, args.out)
         return 0
     if args.mode == "exact":
         out = cascade.run_exact(model, args.n)
@@ -291,8 +284,16 @@ def _cmd_accept(args):
     return 1 if failed else 0
 
 
+def _positive_int(text):
+    """argparse type of every --trials: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p, trials_default=10000):
-    p.add_argument("--trials", type=int, default=trials_default, help="Monte Carlo trial count")
+    p.add_argument("--trials", type=_positive_int, default=trials_default, help="Monte Carlo trial count")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out", help="write the JSON record here instead of stdout")
 
@@ -360,14 +361,28 @@ def build_parser():
     return ap
 
 
+def _fail(command, exc, code):
+    print(json.dumps({"command": command, "error": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None):
-    """Run one subcommand; a ValueError (bad input) becomes a JSON error on stderr and exit code 2."""
+    """Run one subcommand; errors end as one JSON line {command, error} on stderr.
+
+    A ValueError (bad input) exits with code 2, like argparse's own refusals.
+    A cap or certificate that stopped the run (TimeoutError, RuntimeError,
+    ArithmeticError) exits with code 3. Their subclasses that signal a bug
+    rather than a stopped run keep their traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (ZeroDivisionError, OverflowError, FloatingPointError, NotImplementedError, RecursionError):
+        raise
     except ValueError as exc:
-        print(json.dumps({"command": args.command, "error": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail(args.command, exc, 2)
+    except (TimeoutError, RuntimeError, ArithmeticError) as exc:
+        return _fail(args.command, exc, 3)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ import numpy as np
 from . import bayes, cascade, degroot, majority, voter
 from .harness_util import wilson_interval
 from .network import Network, from_pairs, generate, stationary_distribution
-from .signals import FiniteModel, bernoulli_delta, GaussianLLR, xor_pair, three_bit_epsilon, map_accuracy_three_bits
+from .signals import (FiniteModel, bernoulli_delta, GaussianLLR, xor_pair, three_bit_epsilon,
+                      map_accuracy_three_bits, trial_rng)
 
 SCHEMA_VERSION = 1
 
@@ -158,33 +159,30 @@ def _exp_voter_absorption(cfg):
 
 
 def _exp_strong_voter(cfg):
-    """Strict-majority determinism and the tie coin-flip for the two-bit variant."""
+    """Strict-majority determinism and the tie coin-flip for the two-bit variant.
+
+    Each case runs its trials in lockstep on one generator, trial_rng(seed, case).
+    """
     trials = cfg.trials or 10000
     estimates, intervals, assertions = {}, {}, {}
     cases = {
         "cycle7": (0, generate("cycle", 7), (1, 1, 1, 1, 0, 0, 0)),
         "grid9": (1, generate("grid", 9), (1, 1, 1, 1, 1, 0, 0, 0, 0)),
+        "tie": (6, generate("cycle", 6), (1, 0, 1, 0, 1, 0)),
     }
+    wins = {}
     for label, (case_key, net, signals) in cases.items():
-        wins = 0
-        for trial in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(case_key, trial)))
-            value, _t = voter.run_strong_voter(net, signals, rng)
-            wins += value == 1
-        estimates[f"p_majority_{label}"] = wins / trials
-        assertions[f"majority_always_wins_{label}"] = wins == trials
-    net6 = generate("cycle", 6)
-    tie_signals = (1, 0, 1, 0, 1, 0)
-    wins = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(6, trial)))
-        value, _t = voter.run_strong_voter(net6, tie_signals, rng)
-        wins += value == 1
-    lo, hi = wilson_interval(wins, trials)
+        values, _steps = voter.strong_voter_trials(net, np.tile(signals, (trials, 1)),
+                                                   trial_rng(cfg.seed, case_key))
+        wins[label] = int(values.sum())
+    for label in ("cycle7", "grid9"):
+        estimates[f"p_majority_{label}"] = wins[label] / trials
+        assertions[f"majority_always_wins_{label}"] = wins[label] == trials
+    lo, hi = wilson_interval(wins["tie"], trials)
     half = (hi - lo) / 2
-    estimates["p_ones_tie"] = wins / trials
+    estimates["p_ones_tie"] = wins["tie"] / trials
     intervals["p_ones_tie"] = (lo, hi)
-    assertions["tie_is_fair"] = abs(wins / trials - 0.5) <= 3 * half
+    assertions["tie_is_fair"] = abs(wins["tie"] / trials - 0.5) <= 3 * half
     return (estimates, {}, intervals, assertions)
 
 

@@ -13,8 +13,8 @@ the strict signal majority whenever one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 
 import numpy as np
@@ -30,6 +30,10 @@ _BLOCK_ENTRIES = 1 << 20
 
 # rows of a Monte Carlo block hold about this many agent draws
 _MC_BLOCK = 1 << 16
+
+# strong_voter_trials finishes this many or fewer open trials one at a time:
+# a lockstep step costs about as much as 70 one-trial edge updates
+_LOCKSTEP_MIN = 64
 
 
 class _VoterRound:
@@ -312,101 +316,156 @@ def martingale_residual(net: Network, acts):
 
 
 # -- strong/weak variant -----------------------------------------------------
+#
+# An agent's (opinion, strength) pair is coded 2 * opinion + strength, an edge
+# update's draw as ctrl = 2 * coin + swap, and the update of edge (i, j) is
+# looked up at ctrl * 16 + 4 * code_i + code_j.
 
-@dataclass(frozen=True)
-class StrongVoterState:
-    opinions: tuple   # in {0, 1}
-    strengths: tuple  # in {0, 1}; 1 = strong
-    t: int = 0
-
-
-def initial_strong_state(signals) -> StrongVoterState:
-    return StrongVoterState(opinions=tuple(signals), strengths=(1,) * len(signals), t=0)
-
-
-def strong_voter_step(net: Network, state: StrongVoterState, rng) -> StrongVoterState:
-    """One asynchronous update on a uniformly random edge.
-
-    Strong-vs-strong disagreement: both keep opinions, both go weak.
-    Strong-vs-weak: the weak side adopts the strong opinion, strengths keep.
-    Weak-vs-weak disagreement: both adopt one common fair-coin opinion.
-    Equal opinions: no change. Afterwards the two endpoints swap their whole
-    (opinion, strength) pairs with probability 1/2.
-    """
+def _strong_pairs(net: Network):
+    """The edges between two distinct agents, which the variant picks uniformly."""
     if net.directed:
         raise ValueError("strong voter runs on undirected networks")
     pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
-    i, j = pairs[int(rng.integers(0, len(pairs)))]
-    ops = list(state.opinions)
-    sts = list(state.strengths)
-    ai, aj = ops[i], ops[j]
-    wi, wj = sts[i], sts[j]
+    if not pairs:
+        raise ValueError("strong voter needs an edge between two agents")
+    return pairs
+
+
+def _strong_rule(ai, wi, aj, wj, coin, swap):
+    """One edge update of (opinion, strength) pairs; returns the new (ai, wi, aj, wj).
+
+    Strong-vs-strong disagreement: both keep opinions, both go weak.
+    Strong-vs-weak: the weak side adopts the strong opinion, strengths keep.
+    Weak-vs-weak disagreement: both adopt the common fair-coin opinion.
+    Equal opinions: no change. Afterwards the two endpoints swap their whole
+    pairs if swap is 1.
+    """
     if ai != aj:
-        if wi == 1 and wj == 1:
-            wi, wj = 0, 0
-        elif wi == 1 and wj == 0:
+        if wi and wj:
+            wi = wj = 0
+        elif wi:
             aj = ai
-        elif wj == 1 and wi == 0:
+        elif wj:
             ai = aj
         else:
-            common = int(rng.integers(0, 2))
-            ai = aj = common
-            wi = wj = 0
-    if rng.integers(0, 2) == 1:
-        ai, aj = aj, ai
-        wi, wj = wj, wi
-    ops[i], ops[j] = ai, aj
-    sts[i], sts[j] = wi, wj
-    return StrongVoterState(opinions=tuple(ops), strengths=tuple(sts), t=state.t + 1)
+            ai = aj = coin
+    if swap:
+        ai, wi, aj, wj = aj, wj, ai, wi
+    return ai, wi, aj, wj
+
+
+@cache
+def _strong_table():
+    """(code_i, code_j, change in the count of ones) after each (ctrl, code_i, code_j)."""
+    table = []
+    for ctrl in range(4):
+        for ci in range(4):
+            for cj in range(4):
+                ai, wi, aj, wj = _strong_rule(ci >> 1, ci & 1, cj >> 1, cj & 1, ctrl >> 1, ctrl & 1)
+                table.append((2 * ai + wi, 2 * aj + wj, ai + aj - (ci >> 1) - (cj >> 1)))
+    return tuple(table)
+
+
+@cache
+def _strong_arrays():
+    """_strong_table as three int8 columns, for whole-array lookups."""
+    return tuple(np.array(col, dtype=np.int8) for col in zip(*_strong_table()))
+
+
+def _strong_apply(codes, flat_i, flat_j, ctrl):
+    """Update edge (i, j) of every row of codes in place under its draw ctrl.
+
+    flat_i and flat_j index the raveled codes; returns each row's change in
+    its count of ones.
+    """
+    flat = codes.reshape(-1)
+    new_i, new_j, d_ones = _strong_arrays()
+    k = ctrl * 16 + flat[flat_i] * 4 + flat[flat_j]
+    flat[flat_i] = new_i[k]
+    flat[flat_j] = new_j[k]
+    return d_ones[k]
+
+
+def _strong_walk(pairs, codes, ones, t, step_cap, rng):
+    """Run one trial on from its list of codes with t updates done; returns (opinion, T).
+
+    Draws edges, coins and swaps in batches of 1024 and looks each update up in
+    _strong_table; codes changes in place and ones counts its opinions 1.
+    """
+    n = len(codes)
+    table = _strong_table()
+    batch = 1024
+    while t <= step_cap:
+        edges = rng.integers(0, len(pairs), size=batch)
+        coins = rng.integers(0, 2, size=batch)
+        swaps = rng.integers(0, 2, size=batch)
+        # memoryviews yield Python ints lazily: a trial reads only the draws it uses
+        for e, ctrl in zip(memoryview(edges), memoryview(coins * 32 + swaps * 16)):
+            if ones == 0 or ones == n:
+                return codes[0] >> 1, t
+            i, j = pairs[e]
+            codes[i], codes[j], d = table[ctrl + 4 * codes[i] + codes[j]]
+            ones += d
+            t += 1
+    if ones == 0 or ones == n:
+        return codes[0] >> 1, t
+    raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")
 
 
 def run_strong_voter(net: Network, signals, rng, step_cap=None):
-    """Run edge updates until all opinions agree; returns (opinion, T).
+    """Run one trial's edge updates until all opinions agree; returns (opinion, T).
 
-    Same protocol as strong_voter_step, inlined with batched randomness so ten
-    thousand trials stay cheap.
+    strong_voter_trials runs many trials at once.
     """
     n = net.n
     if step_cap is None:
         step_cap = 2000 * n * n
-    if net.directed:
-        raise ValueError("strong voter runs on undirected networks")
-    pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
-    ops = list(signals)
-    sts = [1] * n
-    ones = sum(ops)
-    batch = 1024
-    t = 0
-    while t <= step_cap:
-        edge_draws = rng.integers(0, len(pairs), size=batch)
-        coin_draws = rng.integers(0, 2, size=batch)
-        swap_draws = rng.integers(0, 2, size=batch)
-        for k in range(batch):
-            if ones == 0 or ones == n:
-                return ops[0], t
-            i, j = pairs[edge_draws[k]]
-            ai, aj = ops[i], ops[j]
-            wi, wj = sts[i], sts[j]
-            if ai != aj:
-                if wi and wj:
-                    wi = wj = 0
-                elif wi:
-                    ones += ai - aj
-                    aj = ai
-                elif wj:
-                    ones += aj - ai
-                    ai = aj
-                else:
-                    common = int(coin_draws[k])
-                    ones += 2 * common - (ai + aj)
-                    ai = aj = common
-                    wi = wj = 0
-            if swap_draws[k]:
-                ai, aj = aj, ai
-                wi, wj = wj, wi
-            ops[i], ops[j] = ai, aj
-            sts[i], sts[j] = wi, wj
-            t += 1
-    if ones == 0 or ones == n:
-        return ops[0], t
-    raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")
+    return _strong_walk(_strong_pairs(net), [2 * a + 1 for a in signals], sum(signals), 0, step_cap, rng)
+
+
+def strong_voter_trials(net: Network, signals, rng):
+    """Run the trials of a trials x n 0/1 signal array in lockstep; returns (values, steps).
+
+    Each step draws one edge and one (coin, swap) for every trial not yet at
+    consensus, from the one generator rng, applies the update to all of them
+    at once and drops the trials that reached consensus. Once _LOCKSTEP_MIN
+    or fewer trials are open, each runs on alone in turn with _strong_walk,
+    drawing from the same rng. values[t] is trial t's consensus opinion and
+    steps[t] its number of edge updates. Raises TimeoutError if a trial has
+    no consensus after 2000 n^2 updates.
+    """
+    n = net.n
+    step_cap = 2000 * n * n
+    pair_list = _strong_pairs(net)
+    pairs = np.array(pair_list, dtype=np.intp)
+    sig = np.asarray(signals)
+    if sig.ndim != 2 or sig.shape[1] != n or not np.isin(sig, (0, 1)).all():
+        raise ValueError(f"signals must be a trials x {n} array of 0/1")
+    trials = len(sig)
+    # C order: _strong_apply writes through codes.reshape(-1), which must be a view
+    codes = np.ascontiguousarray(2 * sig.astype(np.int8) + 1)
+    ones = sig.sum(axis=1, dtype=np.intp)
+    active = np.arange(trials)
+    values = np.zeros(trials, dtype=np.int8)
+    steps = np.zeros(trials, dtype=np.int64)
+    row_start = np.arange(0, trials * n, n)
+    for t in range(step_cap + 1):
+        done = (ones == 0) | (ones == n)
+        if done.any():
+            values[active[done]] = ones[done] == n
+            steps[active[done]] = t
+            keep = ~done
+            active, codes, ones = active[keep], codes[keep], ones[keep]
+        m = len(active)
+        if m <= _LOCKSTEP_MIN:
+            break
+        if t == step_cap:
+            raise TimeoutError(f"{m} trials without opinion consensus after {step_cap} edge updates")
+        draw = rng.integers(0, 4 * len(pairs), size=m)
+        edge = pairs[draw >> 2]
+        ones += _strong_apply(codes, row_start[:m] + edge[:, 0], row_start[:m] + edge[:, 1], draw & 3)
+    for trial, row, k in zip(active.tolist(), codes.tolist(), ones.tolist()):
+        values[trial], steps[trial] = _strong_walk(pair_list, row, k, t, step_cap, rng)
+    debug("strong voter: trials=%d steps_max=%d trial_steps=%d",
+          trials, int(steps.max(initial=0)), int(steps.sum()))
+    return values, steps

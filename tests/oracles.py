@@ -4,14 +4,18 @@ Each one is the straightforward Fraction computation that a kernel in
 src/opdyn replaced; the differential tests require equal results.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from opdyn import majority
-from opdyn.network import stationary_distribution
+from opdyn.cascade import _ndtr
+from opdyn.network import Network, stationary_distribution
+from opdyn.signals import GaussianLLR, trial_rng
 
 
 def solve_rational(A, b):
@@ -244,3 +248,86 @@ def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):
         raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
+
+
+def per_trial_gaussian_run(model: GaussianLLR, n, trials, seed):
+    """cascade.gaussian_run as it updated every trial's public log-ratio itself.
+
+    Vectorized sequential run with N(+-1, sigma^2) signals, log domain.
+
+    Private log-ratio of S=0 vs S=1 for observation y is -2y/sigma^2. The
+    action is a threshold rule in y, so the observer's update only needs
+    Phi at the moving threshold. Returns per-position P(A_i = S) and the
+    fraction of runs whose last decision ignored the signal support
+    (always 0: Gaussian support is unbounded, no cascade ever starts).
+    """
+    sigma2 = float(model.sigma2)
+    sigma = sqrt(sigma2)
+    base = trial_rng(seed, 0)
+    s = base.integers(0, 2, size=trials)
+    mean = np.where(s == 1, 1.0, -1.0)
+    log_lx = np.zeros(trials)
+    p_correct = np.zeros(n)
+    for i in range(n):
+        y = mean * 1.0 + trial_rng(seed, 1, agent=i).normal(0.0, sigma, size=trials)
+        # action 1 iff log Lx - 2y/sigma^2 <= 0, i.e. y >= sigma^2 log Lx / 2
+        thresh = sigma2 * log_lx / 2.0
+        act = (y >= thresh).astype(np.int64)
+        p_correct[i] = np.mean(act == s)
+        # observer: P(A=1 | S=s') = 1 - Phi((thresh - m(s'))/sigma)
+        z1 = (thresh - 1.0) / sigma
+        z0 = (thresh + 1.0) / sigma
+        pa1_s1 = 1.0 - _ndtr(z1)
+        pa1_s0 = 1.0 - _ndtr(z0)
+        with np.errstate(divide="ignore"):
+            upd1 = np.log(pa1_s0) - np.log(pa1_s1)
+            upd0 = np.log1p(-pa1_s0) - np.log1p(-pa1_s1)
+        log_lx = log_lx + np.where(act == 1, upd1, upd0)
+    return p_correct
+
+
+@dataclass(frozen=True)
+class StrongVoterState:
+    opinions: tuple   # in {0, 1}
+    strengths: tuple  # in {0, 1}; 1 = strong
+    t: int = 0
+
+
+def initial_strong_state(signals) -> StrongVoterState:
+    return StrongVoterState(opinions=tuple(signals), strengths=(1,) * len(signals), t=0)
+
+
+def strong_voter_step(net: Network, state: StrongVoterState, rng) -> StrongVoterState:
+    """One asynchronous update on a uniformly random edge.
+
+    Strong-vs-strong disagreement: both keep opinions, both go weak.
+    Strong-vs-weak: the weak side adopts the strong opinion, strengths keep.
+    Weak-vs-weak disagreement: both adopt one common fair-coin opinion.
+    Equal opinions: no change. Afterwards the two endpoints swap their whole
+    (opinion, strength) pairs with probability 1/2.
+    """
+    if net.directed:
+        raise ValueError("strong voter runs on undirected networks")
+    pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
+    i, j = pairs[int(rng.integers(0, len(pairs)))]
+    ops = list(state.opinions)
+    sts = list(state.strengths)
+    ai, aj = ops[i], ops[j]
+    wi, wj = sts[i], sts[j]
+    if ai != aj:
+        if wi == 1 and wj == 1:
+            wi, wj = 0, 0
+        elif wi == 1 and wj == 0:
+            aj = ai
+        elif wj == 1 and wi == 0:
+            ai = aj
+        else:
+            common = int(rng.integers(0, 2))
+            ai = aj = common
+            wi = wj = 0
+    if rng.integers(0, 2) == 1:
+        ai, aj = aj, ai
+        wi, wj = wj, wi
+    ops[i], ops[j] = ai, aj
+    sts[i], sts[j] = wi, wj
+    return StrongVoterState(opinions=tuple(ops), strengths=tuple(sts), t=state.t + 1)

@@ -1,9 +1,14 @@
+import logging
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from opdyn import cascade
 from opdyn.signals import GaussianLLR, bernoulli_delta
+from oracles import per_trial_gaussian_run
 
 MODEL = bernoulli_delta(Fraction(1, 6))  # P(signal = S) = 2/3
 
@@ -57,3 +62,32 @@ def test_gaussian_keeps_learning():
     p = cascade.gaussian_run(GaussianLLR(1.0), 40, trials=20000, seed=5)
     assert p[-1] > p[0] + 0.05
     assert p[-1] > 0.85
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigma2=st.sampled_from([0.01, 0.25, 1.0, 4.0]), n=st.integers(1, 60),
+       trials=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_gaussian_run_matches_per_trial_oracle(sigma2, n, trials, seed):
+    # sigma2 = 1/100 underflows the action probabilities: infinite and NaN ratios appear
+    model = GaussianLLR(sigma2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = per_trial_gaussian_run(model, n, trials, seed)
+        got = cascade.gaussian_run(model, n, trials, seed)
+    assert np.array_equal(got, want)
+
+
+def test_gaussian_run_logs_sizes(caplog):
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        cascade.gaussian_run(GaussianLLR(1.0), 3, trials=1000, seed=4)
+    # one public state at the first position, at most two at the second, at most four at the third
+    record = next(r.getMessage() for r in caplog.records if r.getMessage().startswith("gaussian cascade:"))
+    fields = dict(f.split("=") for f in record.split(": ")[1].split() if "=" in f)
+    assert fields["n"] == "3" and fields["trials"] == "1000"
+    assert fields["states_max"] == "4" and fields["thresholds"] == "7"
+    assert record.endswith("of n*trials=3000")
+
+
+def test_gaussian_run_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial"):
+        cascade.gaussian_run(GaussianLLR(1.0), 3, trials=0, seed=4)

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from opdyn import cli, voter
+from opdyn import cascade, cli, voter
 from opdyn.network import generate, write_network
-from opdyn.signals import bernoulli_delta, write_signal_model
+from opdyn.signals import GaussianLLR, bernoulli_delta, write_signal_model
 
 
 def run_json(capsys, argv):
@@ -195,3 +195,53 @@ def test_bayes_input_errors_are_json(capsys, argv, message):
     assert code == 2
     assert err["command"] == "bayes"
     assert err["error"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["voter-strong", "--graph", "cycle:5"],
+    ["cascade", "--signal", "bernoulli:1/6", "--mode", "mc"],
+    ["cascade", "--signal", "gaussian:1"],
+])
+def test_zero_trials_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--trials", "0"])
+    assert exc.value.code == 2
+    assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cap_ends_as_json_with_exit_code_3(tmp_path, capsys):
+    # two agents that copy each other and have no self-loops swap their actions forever
+    path = tmp_path / "swap.txt"
+    path.write_text("n 2 directed\n0 1 1\n1 0 1\n")
+    code, err = _error_record(capsys, ["voter", "--graph", str(path), "--trials", "5"])
+    assert code == 3
+    assert err == {"command": "voter", "error": "3 trials unabsorbed after 800 rounds"}
+
+
+@pytest.mark.parametrize("error", [TimeoutError, RuntimeError, ArithmeticError])
+def test_stopped_runs_end_as_json(monkeypatch, capsys, error):
+    def stop(*_args, **_kwargs):
+        raise error("stopped")
+    monkeypatch.setattr(voter, "strong_voter_trials", stop)
+    code, err = _error_record(capsys, ["voter-strong", "--graph", "cycle:5", "--trials", "3"])
+    assert code == 3
+    assert err == {"command": "voter-strong", "error": "stopped"}
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError, NotImplementedError, RecursionError])
+def test_bugs_keep_their_traceback(monkeypatch, capsys, error):
+    def bug(*_args, **_kwargs):
+        raise error("bug")
+    monkeypatch.setattr(voter, "strong_voter_trials", bug)
+    with pytest.raises(error, match="bug"):
+        cli.main(["voter-strong", "--graph", "cycle:5", "--trials", "3"])
+    assert capsys.readouterr().err == ""
+
+
+def test_gaussian_cascade_record(capsys):
+    code, rec = run_json(capsys, ["cascade", "--signal", "gaussian:1", "--n", "5",
+                                  "--trials", "400", "--seed", "3"])
+    assert code == 0
+    # unbounded signals never start a cascade, so the record carries no onset histogram
+    assert "cascade_onset_histogram" not in rec
+    assert rec["p_correct"] == list(cascade.gaussian_run(GaussianLLR(1.0), 5, 400, seed=3))

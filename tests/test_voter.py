@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import voter
 from opdyn.network import Network, from_pairs, generate, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import absorption_drift, searchsorted_mc_consensus
+from oracles import (StrongVoterState, absorption_drift, initial_strong_state,
+                     searchsorted_mc_consensus, strong_voter_step)
 
 
 def test_two_node_one_step_distribution():
@@ -147,11 +148,11 @@ def test_strong_voter_step_protocol():
             return self.vals.pop(0)
 
     # strong-strong disagreement demotes both, no swap
-    st0 = voter.initial_strong_state((0, 1))
-    st1 = voter.strong_voter_step(net, st0, FixedRng([0, 0]))
+    st0 = initial_strong_state((0, 1))
+    st1 = strong_voter_step(net, st0, FixedRng([0, 0]))
     assert st1.opinions == (0, 1) and st1.strengths == (0, 0)
     # then weak-weak disagreement lands on a common coin value, no swap
-    st2 = voter.strong_voter_step(net, st1, FixedRng([0, 1, 0]))
+    st2 = strong_voter_step(net, st1, FixedRng([0, 1, 0]))
     assert st2.opinions == (1, 1) and st2.strengths == (0, 0)
 
 
@@ -165,10 +166,88 @@ def test_strong_voter_strong_beats_weak():
         def integers(self, lo, hi, size=None):
             return self.vals.pop(0)
 
-    st0 = voter.StrongVoterState(opinions=(0, 1), strengths=(1, 0))
-    st1 = voter.strong_voter_step(net, st0, FixedRng([0, 0]))
+    st0 = StrongVoterState(opinions=(0, 1), strengths=(1, 0))
+    st1 = strong_voter_step(net, st0, FixedRng([0, 0]))
     assert st1.opinions == (0, 0)
     assert st1.strengths == (1, 0)
+
+
+class _Draws:
+    """Stands in for a generator: integers() returns the given values in order."""
+
+    def __init__(self, vals):
+        self.vals = list(vals)
+
+    def integers(self, lo, hi, size=None):
+        return self.vals.pop(0)
+
+
+def test_lockstep_rule_matches_step_oracle():
+    # every (opinion, strength) pair state of an edge, under each coin and swap
+    net = generate("chain", 2)
+    cases = [(ai, wi, aj, wj, coin, swap) for ai in (0, 1) for wi in (0, 1) for aj in (0, 1)
+             for wj in (0, 1) for coin in (0, 1) for swap in (0, 1)]
+    codes = np.array([[2 * ai + wi, 2 * aj + wj] for ai, wi, aj, wj, _c, _s in cases], dtype=np.int8)
+    ctrl = np.array([2 * coin + swap for *_pair, coin, swap in cases])
+    rows = np.arange(0, 2 * len(cases), 2)
+    d_ones = voter._strong_apply(codes, rows, rows + 1, ctrl)
+    for (ai, wi, aj, wj, coin, swap), got, d in zip(cases, codes, d_ones):
+        draws = [0] + ([coin] if ai != aj and not wi and not wj else []) + [swap]
+        want = strong_voter_step(net, StrongVoterState(opinions=(ai, aj), strengths=(wi, wj)),
+                                 _Draws(draws))
+        assert tuple(got >> 1) == want.opinions and tuple(got & 1) == want.strengths
+        assert d == sum(want.opinions) - ai - aj
+
+
+@pytest.mark.parametrize("lockstep_min", [0, 64, 10**6])   # all lockstep, a walked tail, all walked
+def test_strong_voter_trials_strict_majority_and_ties(monkeypatch, lockstep_min):
+    monkeypatch.setattr(voter, "_LOCKSTEP_MIN", lockstep_min)
+    net = generate("grid", 9)
+    rng = np.random.default_rng(11)
+    signals = rng.integers(0, 2, size=(500, 9))
+    signals[:5] = signals[0, 0]                 # unanimous starts take no step
+    values, steps = voter.strong_voter_trials(net, signals, rng)
+    assert values.shape == steps.shape == (500,)
+    assert np.array_equal(values, 2 * signals.sum(axis=1) > 9)
+    unanimous = (signals == signals[:, :1]).all(axis=1)
+    assert unanimous[:5].all() and np.array_equal(steps == 0, unanimous)
+    tie_net = generate("cycle", 6)
+    values, _steps = voter.strong_voter_trials(tie_net, np.tile((1, 0, 1, 0, 1, 0), (2000, 1)), rng)
+    assert abs(values.mean() - 0.5) < 0.05
+    # a Fortran-ordered input runs the same stream to the same results
+    split = np.tile([[1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 1, 1, 0]],
+                    (25, 1))
+    c_values, c_steps = voter.strong_voter_trials(generate("cycle", 7), split, np.random.default_rng(11))
+    f_values, f_steps = voter.strong_voter_trials(generate("cycle", 7), np.asfortranarray(split),
+                                                  np.random.default_rng(11))
+    assert np.array_equal(f_values, c_values) and np.array_equal(f_steps, c_steps)
+
+
+def test_strong_voter_trials_input_and_cap():
+    net = generate("cycle", 5)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="trials x 5 array of 0/1"):
+        voter.strong_voter_trials(net, [[1, 0, 1]], rng)
+    with pytest.raises(ValueError, match="trials x 5 array of 0/1"):
+        voter.strong_voter_trials(net, [[1, 0, 2, 0, 1]], rng)
+    with pytest.raises(ValueError, match="undirected"):
+        voter.strong_voter_trials(Network(2, ((0, 1, 1), (1, 0, 1))), [[0, 1]], rng)
+    with pytest.raises(ValueError, match="needs an edge between two agents"):
+        voter.strong_voter_trials(Network(1, ((0, 0, 1),), directed=False), [[1]], rng)
+    # two components, each unanimous against the other: never a consensus
+    split = Network(4, ((0, 1, 1), (2, 3, 1)), directed=False)
+    with pytest.raises(TimeoutError, match="no opinion consensus within 32000 edge updates"):
+        voter.strong_voter_trials(split, [[1, 1, 0, 0], [0, 0, 1, 1]], rng)
+    with pytest.raises(TimeoutError, match="65 trials without opinion consensus after 32000 edge updates"):
+        voter.strong_voter_trials(split, np.tile((1, 1, 0, 0), (65, 1)), rng)
+
+
+def test_strong_voter_trials_logs_sizes(caplog):
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        _values, steps = voter.strong_voter_trials(generate("cycle", 7), np.tile((1, 1, 1, 1, 0, 0, 0), (40, 1)),
+                                                   np.random.default_rng(3))
+    assert (f"strong voter: trials=40 steps_max={steps.max()} trial_steps={steps.sum()}"
+            in caplog.text)
 
 
 @settings(max_examples=10, deadline=None)

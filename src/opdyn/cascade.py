@@ -221,10 +221,11 @@ def gaussian_run(model: GaussianLLR, n, trials, seed):
 
     The public log-ratio is a function of the action history, so the trials
     share few distinct values: vals holds those in use and state[t] indexes
-    trial t's. Phi and the logs are evaluated once per value, each child value
-    is vals + update exactly as a per-trial update would compute it, and
-    np.unique merges equal children (NaNs into one, whose trials all act 0),
-    so the output is bit-identical to updating every trial's ratio itself.
+    trial t's. Phi and the logs are evaluated once per (value, action) that a
+    trial reached, each child value is vals + update exactly as a per-trial
+    update would compute it, and np.unique merges equal children (NaNs into
+    one, whose trials all act 0), so the output is bit-identical to updating
+    every trial's ratio itself. The DEBUG record counts infinite or NaN children.
     """
     if trials < 1:
         raise ValueError("gaussian_run needs at least one trial")
@@ -236,7 +237,7 @@ def gaussian_run(model: GaussianLLR, n, trials, seed):
     vals = np.zeros(1)
     state = np.zeros(trials, dtype=np.intp)
     p_correct = np.zeros(n)
-    states_max = thresholds = 0
+    states_max = thresholds = nonfinite = 0
     for i in range(n):
         y = mean * 1.0 + trial_rng(seed, 1, agent=i).normal(0.0, sigma, size=trials)
         m = len(vals)
@@ -246,22 +247,24 @@ def gaussian_run(model: GaussianLLR, n, trials, seed):
         thresh = sigma2 * vals / 2.0
         act = y >= thresh[state]
         p_correct[i] = np.mean(act == s)
-        # observer: P(A=1 | S=s') = 1 - Phi((thresh - m(s'))/sigma)
-        pa1_s1 = 1.0 - _ndtr((thresh - 1.0) / sigma)
-        pa1_s0 = 1.0 - _ndtr((thresh + 1.0) / sigma)
-        with np.errstate(divide="ignore"):
-            upd1 = np.log(pa1_s0) - np.log(pa1_s1)
-            upd0 = np.log1p(-pa1_s0) - np.log1p(-pa1_s1)
-        # child of (state, act) is act * m + state; keep only the children some trial reached
+        # child of (state, act) is act * m + state; update only the children some trial reached
         key = act * m + state
         used = np.flatnonzero(np.bincount(key, minlength=2 * m))
-        vals, inverse = np.unique(np.concatenate([vals + upd0, vals + upd1])[used],
-                                  return_inverse=True)
+        one, at = used >= m, used % m
+        # observer: P(A=1 | S=s') = 1 - Phi((thresh - m(s'))/sigma)
+        pa1_s1 = 1.0 - _ndtr((thresh[at] - 1.0) / sigma)
+        pa1_s0 = 1.0 - _ndtr((thresh[at] + 1.0) / sigma)
+        children = vals[at]
+        with np.errstate(divide="ignore"):
+            children[one] += np.log(pa1_s0[one]) - np.log(pa1_s1[one])
+            children[~one] += np.log1p(-pa1_s0[~one]) - np.log1p(-pa1_s1[~one])
+        nonfinite += int((~np.isfinite(children)).sum())
+        vals, inverse = np.unique(children, return_inverse=True)
         child = np.empty(2 * m, dtype=np.intp)
         child[used] = inverse
         state = child[key]
-    debug("gaussian cascade: n=%d trials=%d states_max=%d thresholds=%d of n*trials=%d",
-          n, trials, states_max, thresholds, n * trials)
+    debug("gaussian cascade: n=%d trials=%d states_max=%d nonfinite_children=%d "
+          "thresholds=%d of n*trials=%d", n, trials, states_max, nonfinite, thresholds, n * trials)
     return p_correct
 
 

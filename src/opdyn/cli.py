@@ -151,17 +151,14 @@ def _cmd_majority(args):
         record["seed"] = args.seed
     if args.emit_lyapunov:
         rng = trial_rng(args.seed, 1)
-        config = tuple(int(v) for v in (rng.integers(0, 2, size=net.n) * 2 - 1))
-        traj = [config]
-        series = []
-        for _ in range(len(net.undirected_edge_list()) + 2):
-            traj.append(majority.step(net, traj[-1]))
-        for t in range(1, len(traj) - 1):
-            series.append({"t": t,
-                           "L": majority.lyapunov(net, traj[t], traj[t + 1]),
-                           "J": majority.j_functional(net, traj[t - 1], traj[t], traj[t + 1])})
-        record["initial_config"] = list(config)
-        record["lyapunov_series"] = series
+        config = [int(v) for v in (rng.integers(0, 2, size=net.n) * 2 - 1)]
+        traj = majority.trajectory(net, [config], len(net.undirected_edge_list()) + 2)
+        lyap = majority.lyapunov_series(net, traj)[:, 0].tolist()
+        j = majority.j_series(net, traj)[:, 0].tolist()
+        record["initial_config"] = config
+        # L is written as a JSON string and J as a number, the record's published form
+        record["lyapunov_series"] = [{"t": t, "L": str(lyap[t]), "J": j[t - 1]}
+                                     for t in range(1, len(traj) - 1)]
     _emit(record, args.out)
     return 0
 
@@ -184,14 +181,20 @@ def _cmd_bayes(args):
         delta = _scenario_delta(model)
         kind, _, rest = args.scenario.partition(":")
         if kind == "senate":
-            n, k = (int(x) for x in rest.split(","))
+            try:
+                n, k = (int(x) for x in rest.split(","))
+            except ValueError:
+                raise ValueError(f"bad scenario spec {args.scenario!r}: expected senate:<n>,<k>") from None
             out = bayes.senate_scenario(n, k, delta)
             _emit({"experiment": "bayes-senate", "n": n, "k": k, "delta": str(delta),
                    "verdict_error": str(out["verdict_error"]),
                    "all_follow_verdict": out["all_follow_verdict"]}, args.out)
             return 0
         if kind == "chain-tie":
-            n = int(rest)
+            try:
+                n = int(rest)
+            except ValueError:
+                raise ValueError(f"bad scenario spec {args.scenario!r}: expected chain-tie:<n>") from None
             out = bayes.chain_tie_to_self(n, delta, horizon=args.horizon or None)
             _emit({"experiment": "bayes-chain-tie", "n": n, "delta": str(delta),
                    "sticks_to_own_signal": out["claim_ok"],
@@ -199,7 +202,7 @@ def _cmd_bayes(args):
                    "p_adjacent_wrong": str(out["p_adjacent_wrong"]),
                    "rounds": out["rounds"]}, args.out)
             return 0
-        raise ValueError(f"unknown scenario {args.scenario!r} (senate:<n,k> | chain-tie:<n>)")
+        raise ValueError(f"unknown scenario {args.scenario!r} (senate:<n>,<k> | chain-tie:<n>)")
     if not args.graph:
         raise ValueError("bayes needs --graph unless --scenario is given")
     if isinstance(model, GaussianLLR):
@@ -307,7 +310,6 @@ def build_parser():
     p.add_argument("--graph", required=True, help="graph file or shorthand kind:n[:d[:seed]]")
     p.add_argument("--delta", default="1/10", help="signal quality P(signal=S) - 1/2")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--horizon", type=int, default=0, help="round cap for iteration")
     p.add_argument("--cheater", action="append", metavar="i=v",
                    help="pin agent i to value v (repeatable); reports exact limits")
     _add_common(p)
@@ -343,7 +345,7 @@ def build_parser():
     p.add_argument("--tie", choices=["one", "own"], default="one",
                    help="indifference rule: always 1, or repeat the own signal")
     p.add_argument("--horizon", type=int, default=0)
-    p.add_argument("--scenario", help="senate:<n,k> | chain-tie:<n>")
+    p.add_argument("--scenario", help="senate:<n>,<k> | chain-tie:<n>")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bayes)
 

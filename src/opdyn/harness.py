@@ -193,28 +193,27 @@ def _majority_test_nets(max_n=8):
     return nets
 
 
+def _period2_checks(traj, lyap, j, edge_count):
+    """The majority-period2 assertions on one network's trajectories.
+
+    traj is (|E| + 3) x rows x n, lyap its L series and j its J series, as
+    majority.trajectory, lyapunov_series and j_series return them.
+    """
+    return {"period_two_by_edge_count": bool((traj[edge_count + 2] == traj[edge_count]).all()
+                                             and (traj[edge_count + 1] == traj[edge_count - 1]).all()),
+            "lyapunov_decrement_identity": bool((np.diff(lyap, axis=0) == -j).all()),
+            "dissipation_nonnegative": bool((j >= 0).all())}
+
+
 def _exp_majority_period2(cfg):
     """Exhaustive period/Lyapunov audit over every initial configuration."""
-    period_ok = identity_ok = nonneg_ok = True
+    checks = []
     for net in _majority_test_nets(cfg.options.get("max_n", 8)):
         edge_count = len(net.undirected_edge_list())
-        for row in majority.all_spin_configs(net.n):
-            traj = [tuple(int(v) for v in row)]
-            for _ in range(edge_count + 2):
-                traj.append(majority.step(net, traj[-1]))
-            # cycle entry by t = |E|
-            if traj[edge_count + 2] != traj[edge_count] or traj[edge_count + 1] != traj[edge_count - 1]:
-                period_ok = False
-            lyap = [majority.lyapunov(net, traj[t], traj[t + 1]) for t in range(len(traj) - 1)]
-            for t in range(1, len(traj) - 1):
-                j_t = majority.j_functional(net, traj[t - 1], traj[t], traj[t + 1])
-                if lyap[t] - lyap[t - 1] != -j_t:
-                    identity_ok = False
-                if j_t < 0:
-                    nonneg_ok = False
-    return ({}, {}, {}, {"period_two_by_edge_count": period_ok,
-                         "lyapunov_decrement_identity": identity_ok,
-                         "dissipation_nonnegative": nonneg_ok})
+        traj = majority.trajectory(net, majority.all_spin_configs(net.n), edge_count + 2)
+        checks.append(_period2_checks(traj, majority.lyapunov_series(net, traj),
+                                      majority.j_series(net, traj), edge_count))
+    return ({}, {}, {}, {key: all(c[key] for c in checks) for key in checks[0]})
 
 
 def _table_to_fn(table, n):
@@ -441,6 +440,20 @@ def _exp_cascade_unbounded(cfg):
             {}, {"p_correct_last": (lo, hi)}, assertions)
 
 
+def _map_rule_checks(rule):
+    """(odd, monotone) for a MAP rule {+-1 profile: +-1 guess}, on whole arrays.
+
+    Odd: a profile whose negation is also a key gets the negated guess.
+    Monotone: no +1-profile lies coordinatewise below a -1-profile.
+    """
+    profs = np.array(list(rule), dtype=np.int8)
+    guess = np.array(list(rule.values()))
+    negated = (profs[:, None, :] == -profs[None, :, :]).all(axis=2)
+    odd = not (negated & (guess[:, None] != -guess[None, :])).any()
+    below = profs[guess > 0][:, None, :] <= profs[guess < 0][None, :, :]
+    return odd, not below.all(axis=2).any()
+
+
 def _exp_retention_cycle(cfg):
     """Bigger odd cycles retain more: exact MAP error non-increasing in n."""
     delta = Fraction(3, 10)
@@ -448,18 +461,10 @@ def _exp_retention_cycle(cfg):
     for n in range(5, 16, 2):
         errors.append((n, majority.retention_error(generate("cycle", n), delta, mode="exact")))
     monotone = all(a[1] >= b[1] for a, b in zip(errors, errors[1:]))
-    odd_ok = mono_ok = True
-    for n in range(4, cfg.options.get("map_max_n", 12) + 1):
-        rule = majority.map_rule(generate("cycle", n), delta)
-        for prof, g in rule.items():
-            neg = tuple(-v for v in prof)
-            if neg in rule and rule[neg] != -g:
-                odd_ok = False
-        profs = sorted(rule)
-        for a in profs:
-            for b in profs:
-                if all(x <= y for x, y in zip(a, b)) and rule[a] > rule[b]:
-                    mono_ok = False
+    checks = [_map_rule_checks(majority.map_rule(generate("cycle", n), delta))
+              for n in range(4, cfg.options.get("map_max_n", 12) + 1)]
+    odd_ok = all(odd for odd, _mono in checks)
+    mono_ok = all(mono for _odd, mono in checks)
     exact = {f"iota_n{n}": _frac(e) for n, e in errors}
     return ({}, exact, {}, {"error_non_increasing": monotone,
                             "map_odd": odd_ok, "map_monotone": mono_ok})

@@ -4,7 +4,8 @@ Each round every agent adopts the sign of the sum of its closed neighborhood
 (which includes itself; closed neighborhoods must have odd size so the sum is
 never zero). On a finite undirected graph the trajectory enters a cycle of
 period at most two within |E| rounds; the integer Lyapunov functional
-L_t = sum_{(i,j) in E} (A^i_{t+1} - A^j_t)^2 certifies this step by step.
+L_t = 1/2 sum over ordered neighbour pairs (i, j) of (A^i_{t+1} - A^j_t)^2
+certifies this step by step.
 
 Also here: retention-of-information experiments (exact MAP over limit-action
 profiles) and the influence / Russo machinery for monotone boolean functions.
@@ -36,56 +37,91 @@ def _check_odd_neighborhoods(net: Network):
             )
 
 
-def _neighbor_matrix(net: Network):
-    """0/1 matrix M with M[i, j] = 1 iff j in N(i); weights are ignored."""
-    M = np.zeros((net.n, net.n), dtype=np.int64)
-    for i in range(net.n):
-        for j in net.out_neighbors(i):
-            M[i, j] = 1
-    return M
+class _Neighbourhoods:
+    """Closed neighbourhoods as padded index columns, for batches of +-1 rows.
+
+    Column slot k of agent i holds its k-th closed neighbour in sorted order;
+    slots past a short neighbourhood repeat its first member and keep[k, i] = 0
+    masks them out. dtype is the smallest signed integer type that holds every
+    closed-neighbourhood sum, so batches stay narrow. Batches may have any
+    leading axes, with agents on the last one.
+    """
+
+    def __init__(self, net: Network):
+        _check_odd_neighborhoods(net)
+        nbrs = [sorted(net.out_neighbors(i)) for i in range(net.n)]
+        width = max(map(len, nbrs))
+        self.dtype = np.min_scalar_type(-1 - width)     # signed, holds -width .. width
+        self.idx = np.array([nb + nb[:1] * (width - len(nb)) for nb in nbrs]).T
+        self.keep = np.array([[k < len(nb) for nb in nbrs] for k in range(width)], dtype=self.dtype)
+        # slots 1.. for sums, with no mask where every neighbourhood reaches the slot
+        self._rest = [(i, None if k.all() else k) for i, k in zip(self.idx[1:], self.keep[1:])]
+
+    def sums(self, batch):
+        """(N A)_i = sum_{j in N(i)} A^j per row, in dtype."""
+        s = batch[..., self.idx[0]].astype(self.dtype, copy=False)
+        for idx, keep in self._rest:
+            g = batch[..., idx]
+            s += g if keep is None else g * keep
+        return s
+
+    def step(self, batch):
+        return np.sign(self.sums(batch))
+
+
+def trajectory(net: Network, configs, rounds) -> np.ndarray:
+    """A_0 .. A_rounds for every row of configs, as an int8 (rounds + 1) x rows x n array.
+
+    A^i_{t+1} = sgn sum_{j in N(i)} A^j_t. The closed neighbourhoods are
+    checked for odd size, and the rows for +-1 entries, once per call.
+    """
+    hood = _Neighbourhoods(net)
+    a = np.asarray(configs, dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != net.n or not np.all(np.abs(a) == 1):
+        raise ValueError("config must be a +-1 vector of length n")
+    out = np.empty((rounds + 1,) + a.shape, dtype=np.int8)
+    out[0] = a
+    for t in range(rounds):
+        nxt = hood.step(out[t])
+        if not nxt.all():
+            raise ArithmeticError("neighborhood sum hit zero despite odd-size check")
+        out[t + 1] = nxt
+    return out
 
 
 def step(net: Network, config) -> tuple:
-    """A^i_{t+1} = sgn sum_{j in N(i)} A^j_t."""
-    _check_odd_neighborhoods(net)
-    M = _neighbor_matrix(net)
-    a = np.asarray(config, dtype=np.int64)
-    if a.shape != (net.n,) or not np.all(np.abs(a) == 1):
-        raise ValueError("config must be a +-1 vector of length n")
-    s = M @ a
-    if np.any(s == 0):
-        raise ArithmeticError("neighborhood sum hit zero despite odd-size check")
-    return tuple(np.sign(s).astype(int))
+    """A^i_{t+1} = sgn sum_{j in N(i)} A^j_t, for one configuration."""
+    return tuple(trajectory(net, [config], 1)[1, 0].tolist())
 
 
-def _batch_stepper(net: Network):
-    """(step, dtype): step maps a batch of +-1 rows to the next round, in dtype.
+def lyapunov_series(net: Network, traj) -> np.ndarray:
+    """L_0 .. L_{T-1} for every row of a (T + 1) x rows x n trajectory, as T x rows int64.
 
-    dtype is the smallest signed integer type that holds every
-    closed-neighbourhood sum, so batches stay narrow. Neighbourhood sums are
-    gathered column slot by column slot; slots past a short neighbourhood
-    repeat its first member and are masked out.
+    L_t = 1/2 sum over ordered neighbour pairs (i, j) of (A^i_{t+1} - A^j_t)^2.
+    The symmetric-directed edge set counts each undirected edge in both
+    orientations and each self-loop once; halving keeps the value an integer
+    (every square is 0 or 4, paired across orientations) and makes the exact
+    decrement identity L_t - L_{t-1} = -J_t come out with J as in j_series.
     """
-    _check_odd_neighborhoods(net)
-    nbrs = [sorted(net.out_neighbors(i)) for i in range(net.n)]
-    width = max(map(len, nbrs))
-    dtype = np.min_scalar_type(-1 - width)          # signed, holds -width .. width
-    idx = np.array([nb + nb[:1] * (width - len(nb)) for nb in nbrs]).T
-    keep = np.array([[k < len(nb) for nb in nbrs] for k in range(width)], dtype=dtype)
-
-    def step(batch):
-        s = batch[:, idx[0]].astype(dtype, copy=False)
-        for k in range(1, width):
-            g = batch[:, idx[k]]
-            s += g if keep[k].all() else g * keep[k]
-        return np.sign(s)
-    return step, dtype
+    traj = np.asarray(traj)
+    hood = _Neighbourhoods(net)
+    total = 0
+    for idx, keep in zip(hood.idx, hood.keep):
+        d = traj[1:] - traj[:-1, ..., idx]
+        total += (d * d * keep).sum(axis=-1, dtype=np.int64)
+    if (total % 2).any():
+        raise AssertionError("ordered-pair Lyapunov sum should be even")
+    return total // 2
 
 
-def step_many(net: Network, configs: np.ndarray) -> np.ndarray:
-    """Vectorized step over a batch of configs (rows)."""
-    step, _dtype = _batch_stepper(net)
-    return step(np.asarray(configs)).astype(np.int64)
+def j_series(net: Network, traj) -> np.ndarray:
+    """J_1 .. J_{T-1} for every row of a (T + 1) x rows x n trajectory, as (T - 1) x rows int64.
+
+    J_t = sum_i (A^i_{t+1} - A^i_{t-1}) * sum_{j in N(i)} A^j_t.
+    """
+    traj = np.asarray(traj)
+    s = _Neighbourhoods(net).sums(traj[1:-1])
+    return (np.subtract(traj[2:], traj[:-2], dtype=np.int64) * s).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -97,50 +133,17 @@ class LimitCycle:
 
 
 def run_to_cycle(net: Network, config) -> LimitCycle:
-    """Iterate until the state repeats two rounds back; always within |E| rounds."""
+    """The cycle of period at most two that the trajectory enters, always within |E| rounds."""
     edge_count = len(net.undirected_edge_list())
-    prev = None
-    cur = tuple(int(x) for x in config)
-    traj = [cur]
-    for t in range(edge_count + 2):
-        nxt = step(net, cur)
-        traj.append(nxt)
-        if prev is not None and nxt == prev:
-            entry = t - 1
-            even, odd = (traj[entry], traj[entry + 1]) if entry % 2 == 0 else (traj[entry + 1], traj[entry])
-            return LimitCycle(config_even=even, config_odd=odd,
-                              entry_time=entry, period=1 if nxt == cur else 2)
-        prev, cur = cur, nxt
-    raise AssertionError("no period-two cycle within |E| rounds; majority invariant broken")
-
-
-def limit_actions(net: Network, config) -> tuple:
-    """A^i_infinity = lim A^i_{2t}: the even-phase configuration of the cycle."""
-    return run_to_cycle(net, config).config_even
-
-
-def lyapunov(net: Network, config_t, config_tplus1) -> int:
-    """L_t = 1/2 sum over ordered neighbor pairs of (A^i_{t+1} - A^j_t)^2.
-
-    The symmetric-directed edge set counts each undirected edge in both
-    orientations and each self-loop once; halving keeps the value an integer
-    (every square is 0 or 4, paired across orientations) and makes the exact
-    decrement identity L_t - L_{t-1} = -J_t come out with J as defined below.
-    """
-    total = 0
-    for i in range(net.n):
-        for j in net.out_neighbors(i):
-            total += (config_tplus1[i] - config_t[j]) ** 2
-    if total % 2:
-        raise AssertionError("ordered-pair Lyapunov sum should be even")
-    return total // 2
-
-
-def j_functional(net: Network, prev, cur, nxt) -> int:
-    """J_t = sum_i (A^i_{t+1} - A^i_{t-1}) * sum_{j in N(i)} A^j_t."""
-    M = _neighbor_matrix(net)
-    s = M @ np.asarray(cur, dtype=np.int64)
-    return int(sum((nxt[i] - prev[i]) * s[i] for i in range(net.n)))
+    traj = trajectory(net, [config], edge_count + 2)[:, 0]
+    repeats = (traj[2:] == traj[:-2]).all(axis=1)
+    if not repeats.any():
+        raise AssertionError("no period-two cycle within |E| rounds; majority invariant broken")
+    entry = int(repeats.argmax())
+    cur, nxt = (tuple(row.tolist()) for row in traj[entry:entry + 2])
+    even, odd = (cur, nxt) if entry % 2 == 0 else (nxt, cur)
+    return LimitCycle(config_even=even, config_odd=odd,
+                      entry_time=entry, period=1 if nxt == cur else 2)
 
 
 # -- retention of information ------------------------------------------------
@@ -161,15 +164,15 @@ def limit_profiles(net: Network, configs: np.ndarray) -> np.ndarray:
     keep the even phase of the original clock. A block of rows stops early
     once each of its rows is a fixed point of the two-step map, as the even
     phase then never changes. Blocks of _PROFILE_ROWS keep the temporaries
-    small; rows come back in the narrow dtype of _batch_stepper.
+    small; rows come back in the narrow dtype of _Neighbourhoods.
     """
-    step, dtype = _batch_stepper(net)
+    hood = _Neighbourhoods(net)
     pairs = len(net.undirected_edge_list()) + 1
-    out = np.empty(configs.shape, dtype=dtype)
+    out = np.empty(configs.shape, dtype=hood.dtype)
     for lo in range(0, len(configs), _PROFILE_ROWS):
-        cur = np.asarray(configs[lo:lo + _PROFILE_ROWS], dtype=dtype)
+        cur = np.asarray(configs[lo:lo + _PROFILE_ROWS], dtype=hood.dtype)
         for _ in range(pairs):
-            nxt = step(step(cur))
+            nxt = hood.step(hood.step(cur))
             if np.array_equal(nxt, cur):
                 break
             cur = nxt

@@ -10,6 +10,7 @@ tables for counterexamples such as the XOR pair.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,7 +218,6 @@ def delta_independence(joint: dict, tol=None):
         product[outcome] = w
     # product may put mass outside joint's support
     support = set(joint)
-    import itertools
     for combo in itertools.product(*[sorted(m, key=repr) for m in marginals]):
         if combo not in support:
             w = 1
@@ -267,28 +267,28 @@ def map_accuracy_three_bits(p, d1=0, d2=0, d3=0):
     bits conditionally independent, S fair. Enumerates the 8 outcomes under
     both states; returns (accuracy, rule) with rule mapping each outcome
     triple to the MAP guess.
+
+    Works on integer numerators over D, the lcm of the denominators: each
+    bit probability is an integer over D, so each outcome's weight under a
+    state is an integer over 2 D^3, and only the accuracy becomes a Fraction.
     """
     p = Fraction(p)
     ds = [Fraction(d) for d in (d1, d2, d3)]
-    if not Fraction(1, 2) < p < 1:
+    den = math.lcm(p.denominator, *(d.denominator for d in ds))
+    P = p.numerator * (den // p.denominator)
+    dn = [d.numerator * (den // d.denominator) for d in ds]
+    if not den < 2 * P < 2 * den:
         raise ValueError("need 1/2 < p < 1")
-    for d in ds:
-        for q in (p + d, p - d):
-            if not 0 < q < 1:
-                raise ValueError("degenerate parameters: a conditional probability leaves (0,1)")
-    half = Fraction(1, 2)
+    if not all(0 < q < den for d in dn for q in (P + d, P - d)):
+        raise ValueError("degenerate parameters: a conditional probability leaves (0,1)")
     rule = {}
-    acc = Fraction(0)
-    for x in [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]:
-        w1 = half
-        w0 = half
-        for xi, d in zip(x, ds):
-            p1 = p + d if xi == 1 else 1 - p - d
-            p0 = p - d if xi == 0 else 1 - p + d
-            w1 *= p1
-            w0 *= p0
+    acc = 0
+    for x in itertools.product((0, 1), repeat=3):
+        w1 = w0 = 1
+        for xi, d in zip(x, dn):
+            w1 *= P + d if xi == 1 else den - P - d
+            w0 *= P - d if xi == 0 else den - P + d
         # ties broken toward 1; tie outcomes contribute equally either way
-        guess = 1 if w1 >= w0 else 0
-        rule[x] = guess
+        rule[x] = 1 if w1 >= w0 else 0
         acc += max(w0, w1)
-    return acc, rule
+    return Fraction(acc, 2 * den ** 3), rule

@@ -54,12 +54,58 @@ def enumerate_p_w(net, delta):
     return succ, tie
 
 
-def stepwise_limit_profiles(net, configs):
-    """Even-phase limits by exactly 2(|E| + 1) single int64 majority rounds."""
+def neighbor_matrix(net: Network):
+    """0/1 matrix M with M[i, j] = 1 iff j in N(i); weights are ignored."""
     M = np.zeros((net.n, net.n), dtype=np.int64)
     for i in range(net.n):
         for j in net.out_neighbors(i):
             M[i, j] = 1
+    return M
+
+
+def scalar_step(net: Network, config) -> tuple:
+    """majority.step as one matrix-vector product per configuration.
+
+    A^i_{t+1} = sgn sum_{j in N(i)} A^j_t.
+    """
+    majority._check_odd_neighborhoods(net)
+    M = neighbor_matrix(net)
+    a = np.asarray(config, dtype=np.int64)
+    if a.shape != (net.n,) or not np.all(np.abs(a) == 1):
+        raise ValueError("config must be a +-1 vector of length n")
+    s = M @ a
+    if np.any(s == 0):
+        raise ArithmeticError("neighborhood sum hit zero despite odd-size check")
+    return tuple(np.sign(s).astype(int))
+
+
+def scalar_lyapunov(net: Network, config_t, config_tplus1) -> int:
+    """L_t = 1/2 sum over ordered neighbor pairs of (A^i_{t+1} - A^j_t)^2, one pair of rounds.
+
+    The reference for majority.lyapunov_series.
+    """
+    total = 0
+    for i in range(net.n):
+        for j in net.out_neighbors(i):
+            total += (config_tplus1[i] - config_t[j]) ** 2
+    if total % 2:
+        raise AssertionError("ordered-pair Lyapunov sum should be even")
+    return total // 2
+
+
+def scalar_j_functional(net: Network, prev, cur, nxt) -> int:
+    """J_t = sum_i (A^i_{t+1} - A^i_{t-1}) * sum_{j in N(i)} A^j_t, one triple of rounds.
+
+    The reference for majority.j_series.
+    """
+    M = neighbor_matrix(net)
+    s = M @ np.asarray(cur, dtype=np.int64)
+    return int(sum((nxt[i] - prev[i]) * s[i] for i in range(net.n)))
+
+
+def stepwise_limit_profiles(net, configs):
+    """Even-phase limits by exactly 2(|E| + 1) single int64 majority rounds."""
+    M = neighbor_matrix(net)
     cur = np.asarray(configs, dtype=np.int64)
     for _ in range(2 * (len(net.undirected_edge_list()) + 1)):
         cur = np.sign(cur @ M.T)
@@ -80,6 +126,40 @@ def fraction_retention(net, delta):
         acc[0] += Fraction(1, 2) * p ** (n - k_plus) * q ** k_plus     # S = -1
         acc[1] += Fraction(1, 2) * p ** k_plus * q ** (n - k_plus)     # S = +1
     return sum(min(w0, w1) for w0, w1 in joint.values())
+
+
+def fraction_map_accuracy_three_bits(p, d1=0, d2=0, d3=0):
+    """signals.map_accuracy_three_bits with one Fraction product per outcome and state.
+
+    Bit i has P(X_i=1 | S=1) = p + d_i and P(X_i=0 | S=0) = p - d_i, the
+    bits conditionally independent, S fair. Enumerates the 8 outcomes under
+    both states; returns (accuracy, rule) with rule mapping each outcome
+    triple to the MAP guess.
+    """
+    p = Fraction(p)
+    ds = [Fraction(d) for d in (d1, d2, d3)]
+    if not Fraction(1, 2) < p < 1:
+        raise ValueError("need 1/2 < p < 1")
+    for d in ds:
+        for q in (p + d, p - d):
+            if not 0 < q < 1:
+                raise ValueError("degenerate parameters: a conditional probability leaves (0,1)")
+    half = Fraction(1, 2)
+    rule = {}
+    acc = Fraction(0)
+    for x in [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]:
+        w1 = half
+        w0 = half
+        for xi, d in zip(x, ds):
+            p1 = p + d if xi == 1 else 1 - p - d
+            p0 = p - d if xi == 0 else 1 - p + d
+            w1 *= p1
+            w0 *= p0
+        # ties broken toward 1; tie outcomes contribute equally either way
+        guess = 1 if w1 >= w0 else 0
+        rule[x] = guess
+        acc += max(w0, w1)
+    return acc, rule
 
 
 def absorption_drift(net, h):

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opdyn import cascade, cli, voter
+from opdyn import cascade, cli, majority, voter
 from opdyn.network import generate, write_network
-from opdyn.signals import GaussianLLR, bernoulli_delta, write_signal_model
+from opdyn.signals import GaussianLLR, bernoulli_delta, trial_rng, write_signal_model
+from oracles import scalar_j_functional, scalar_lyapunov, scalar_step
 
 
 def run_json(capsys, argv):
@@ -49,9 +53,11 @@ def test_voter_monte_carlo_commands(tmp_path, capsys):
     assert rec["trials"] == 30 and rec["p_majority_wins_given_strict"] == 1.0
     # the flags nothing read are gone
     for argv in (["voter", "--graph", "cycle:3", "--horizon", "5"],
-                 ["voter-strong", "--graph", "cycle:3", "--mode", "mc"]):
-        with pytest.raises(SystemExit):
+                 ["voter-strong", "--graph", "cycle:3", "--mode", "mc"],
+                 ["degroot", "--graph", "cycle:3", "--horizon", "5"]):
+        with pytest.raises(SystemExit) as exc:
             cli.main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
     # an agent with no out-edges is a user error, not an IndexError
     path = tmp_path / "lonely.txt"
@@ -92,6 +98,26 @@ def test_majority_lyapunov(capsys):
     for a, b in zip(series, series[1:]):
         assert Fraction(b["L"]) - Fraction(a["L"]) == -Fraction(b["J"])
         assert Fraction(b["J"]) >= 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_majority_lyapunov_record_matches_scalar_kernels(capsys, seed):
+    code, rec = run_json(capsys, ["majority", "--graph", "cycle:7", "--emit-lyapunov",
+                                  "--seed", str(seed)])
+    assert code == 0
+    # the record as one scalar step, lyapunov and j_functional call per round built it
+    net = generate("cycle", 7)
+    config = tuple(int(v) for v in (trial_rng(seed, 1).integers(0, 2, size=7) * 2 - 1))
+    traj = [config]
+    for _ in range(len(net.undirected_edge_list()) + 2):
+        traj.append(scalar_step(net, traj[-1]))
+    series = [{"t": t,
+               "L": scalar_lyapunov(net, traj[t], traj[t + 1]),
+               "J": scalar_j_functional(net, traj[t - 1], traj[t], traj[t + 1])}
+              for t in range(1, len(traj) - 1)]
+    assert rec["initial_config"] == list(config)
+    assert rec["lyapunov_series"] == json.loads(json.dumps(series, default=str))
+    assert rec["iota"] == str(majority.retention_error(net, Fraction(3, 10)))
 
 
 def test_graph_and_signal_files(tmp_path, capsys):
@@ -189,6 +215,8 @@ def test_bayes_scenario_rejects_asymmetric_model(tmp_path, capsys):
     (["bayes", "--graph", "cycle:3", "--signal", "gaussian:1"],
      "exact forward induction needs a finite signal model"),
     (["bayes", "--graph", "cycle:3", "--signal", "weird:1"], "unknown signal spec 'weird:1'"),
+    (["bayes", "--scenario", "senate:3"], "bad scenario spec 'senate:3': expected senate:<n>,<k>"),
+    (["bayes", "--scenario", "chain-tie:x"], "bad scenario spec 'chain-tie:x': expected chain-tie:<n>"),
 ])
 def test_bayes_input_errors_are_json(capsys, argv, message):
     code, err = _error_record(capsys, argv)
@@ -245,3 +273,15 @@ def test_gaussian_cascade_record(capsys):
     # unbounded signals never start a cascade, so the record carries no onset histogram
     assert "cascade_onset_histogram" not in rec
     assert rec["p_correct"] == list(cascade.gaussian_run(GaussianLLR(1.0), 5, 400, seed=3))
+
+
+def test_gaussian_cascade_underflow_leaves_stderr_empty():
+    # sigma2 = 1/100 underflows the action probabilities, so infinite public ratios appear
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "opdyn.cli", "cascade", "--signal", "gaussian:1/100",
+                           "--trials", "500", "--n", "40"],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(json.loads(proc.stdout)["p_correct"]) == 40

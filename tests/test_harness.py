@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from opdyn import harness
+from opdyn import harness, majority
 from opdyn.harness_util import wilson_interval
+from opdyn.network import generate
 
 
 def test_wilson_midpoint():
@@ -75,3 +76,45 @@ def test_senate_joint_space_weights_are_atom_products():
             assert verdict == (sum(c for c, _v in prof[:3]) >= 2)
         assert w == want
     assert sum(w for _s, _p, w in space.entries) == 1
+
+
+def _period2_checks(net, traj, edge_count):
+    return harness._period2_checks(traj, majority.lyapunov_series(net, traj),
+                                   majority.j_series(net, traj), edge_count)
+
+
+@pytest.mark.parametrize("kind, n", [("cycle", 7), ("complete", 5), ("cycle", 8)])
+def test_period2_checks_catch_faults(kind, n):
+    net = generate(kind, n)
+    edge_count = len(net.undirected_edge_list())
+    traj = majority.trajectory(net, majority.all_spin_configs(n), edge_count + 2)
+    assert all(_period2_checks(net, traj, edge_count).values())
+    # one flipped entry in the last round breaks the period-two repeat
+    bad = traj.copy()
+    bad[-1, 5, 0] *= -1
+    assert not _period2_checks(net, bad, edge_count)["period_two_by_edge_count"]
+    # one flipped entry mid-way through the all-(+1) fixed point: L - L' = -J holds for any
+    # +-1 sequence, but the round before the flip dissipates a negative amount
+    bad = traj.copy()
+    bad[3, -1, 0] = -1
+    checks = _period2_checks(net, bad, edge_count)
+    assert checks["lyapunov_decrement_identity"] and not checks["dissipation_nonnegative"]
+    # one L value off by a unit step breaks the decrement identity
+    lyap = majority.lyapunov_series(net, traj)
+    lyap[2, 0] += 2
+    assert not harness._period2_checks(traj, lyap, majority.j_series(net, traj),
+                                       edge_count)["lyapunov_decrement_identity"]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_map_rule_checks_catch_a_swapped_guess(n):
+    rule = majority.map_rule(generate("cycle", n), Fraction(3, 10))
+    assert harness._map_rule_checks(rule) == (True, True)
+    for prof in rule:
+        bad = dict(rule)
+        bad[prof] = -bad[prof]
+        assert harness._map_rule_checks(bad) != (True, True)
+    # swapping the two constant profiles together keeps the rule odd but not monotone
+    bad = dict(rule)
+    bad[(1,) * n], bad[(-1,) * n] = -1, 1
+    assert harness._map_rule_checks(bad) == (True, False)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import majority
 from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
-from oracles import fraction_retention, stepwise_limit_profiles
+from oracles import (fraction_retention, scalar_j_functional, scalar_lyapunov, scalar_step,
+                     stepwise_limit_profiles)
 
 # odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
 # three triangles in a chain, whose degrees 2 and 4 mix neighbourhoods of sizes 3 and 5
@@ -45,27 +46,53 @@ def test_run_to_cycle_period_two_example():
     assert majority.step(net, lc.config_odd) == lc.config_even
 
 
-def test_step_many_matches_step():
+def test_trajectory_matches_step():
     net = generate("cycle", 6)
     configs = majority.all_spin_configs(6)
-    batch = majority.step_many(net, configs)
+    batch = majority.trajectory(net, configs, 1)[1]
     for k in range(0, 64, 7):
         assert tuple(batch[k]) == majority.step(net, tuple(configs[k]))
+
+
+def test_trajectory_rejects_bad_rows():
+    net = generate("cycle", 5)
+    for configs in ([(1, 1, 0, 1, 1)], [(1, 1, 1)], (1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match=r"\+-1 vector of length n"):
+            majority.trajectory(net, configs, 2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(bits=st.integers(0, 2 ** 7 - 1))
 def test_lyapunov_identity_cycle7(bits):
     net = generate("cycle", 7)
-    traj = [tuple(1 if (bits >> i) & 1 else -1 for i in range(7))]
-    for _ in range(9):
-        traj.append(majority.step(net, traj[-1]))
+    traj = majority.trajectory(net, [[1 if (bits >> i) & 1 else -1 for i in range(7)]], 9)
+    lyap = majority.lyapunov_series(net, traj)[:, 0]
+    j = majority.j_series(net, traj)[:, 0]
     for t in range(1, 8):
-        l_prev = majority.lyapunov(net, traj[t - 1], traj[t])
-        l_cur = majority.lyapunov(net, traj[t], traj[t + 1])
-        j_t = majority.j_functional(net, traj[t - 1], traj[t], traj[t + 1])
-        assert l_cur - l_prev == -j_t
-        assert j_t >= 0
+        assert lyap[t] - lyap[t - 1] == -j[t - 1]
+        assert j[t - 1] >= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, len(ODD_NETS) - 1), rounds=st.integers(1, 8),
+       rows=st.lists(st.integers(0, 2 ** 11 - 1), min_size=1, max_size=4))
+def test_trajectory_and_series_match_scalar_oracles(k, rounds, rows):
+    net = ODD_NETS[k]
+    configs = [[1 if (bits >> i) & 1 else -1 for i in range(net.n)] for bits in rows]
+    traj = majority.trajectory(net, configs, rounds)
+    lyap = majority.lyapunov_series(net, traj)
+    j = majority.j_series(net, traj)
+    assert traj.dtype == np.int8 and traj.shape == (rounds + 1, len(rows), net.n)
+    assert lyap.shape == (rounds, len(rows)) and j.shape == (rounds - 1, len(rows))
+    for r, config in enumerate(configs):
+        want = [tuple(config)]
+        for _ in range(rounds):
+            want.append(scalar_step(net, want[-1]))
+        assert [tuple(row) for row in traj[:, r].tolist()] == want
+        assert lyap[:, r].tolist() == [scalar_lyapunov(net, want[t], want[t + 1])
+                                       for t in range(rounds)]
+        assert j[:, r].tolist() == [scalar_j_functional(net, want[t - 1], want[t], want[t + 1])
+                                    for t in range(1, rounds)]
 
 
 def test_retention_exact_vs_monte_carlo():

@@ -9,6 +9,7 @@ from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta,
                            map_accuracy_three_bits, private_belief,
                            read_signal_model, sample_world, three_bit_epsilon,
                            trial_rng, tv_distance, write_signal_model, xor_pair)
+from oracles import fraction_map_accuracy_three_bits
 
 
 def test_bernoulli_model_exact():
@@ -71,6 +72,28 @@ def test_three_bit_map_beats_one_bit(num, k):
     d = k * min(p, 1 - p) / 3
     acc, _ = map_accuracy_three_bits(p, d, 0, -d)
     assert acc >= p + three_bit_epsilon(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=60)
+       .filter(lambda p: Fraction(1, 2) < p < 1),
+       skews=st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=12),
+                      min_size=3, max_size=3))
+def test_three_bit_map_matches_fraction_oracle(p, skews):
+    # skews in units of room = min(p, 1 - p); +-room itself is degenerate and must be refused
+    ds = [s * min(p, 1 - p) for s in skews]
+    if any(abs(s) == 1 for s in skews):
+        for fn in (map_accuracy_three_bits, fraction_map_accuracy_three_bits):
+            with pytest.raises(ValueError, match="degenerate parameters"):
+                fn(p, *ds)
+        return
+    assert map_accuracy_three_bits(p, *ds) == fraction_map_accuracy_three_bits(p, *ds)
+
+
+def test_three_bit_map_rejects_bad_quality():
+    for p in (Fraction(1, 2), Fraction(1), Fraction(1, 3)):
+        with pytest.raises(ValueError, match="need 1/2 < p < 1"):
+            map_accuracy_three_bits(p)
 
 
 def test_signal_model_file_round_trip(tmp_path):

@@ -7,16 +7,18 @@ the public ratio carried by the action history and P_i the private signal's
 ratio. An outside observer tracks Lx exactly; a cascade has started once
 the next agent's decision no longer depends on its signal.
 
-Finite signal models run in exact rational arithmetic, merging observer
-states that share the same public ratio. Gaussian signals (unbounded
-ratios) run as vectorized Monte Carlo in the log domain.
+Finite signal models run exactly, merging observer states that share the
+same public ratio: each distinct ratio is analysed once, and the forward
+pass carries the state weights as integers over a common denominator.
+Gaussian signals (unbounded ratios) run as vectorized Monte Carlo in the
+log domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import erf, exp, log, sqrt
+from math import erf, lcm, sqrt
 
 import numpy as np
 
@@ -91,45 +93,68 @@ def run_exact(model: FiniteModel, n) -> CascadeExact:
     """Exact forward pass, merging observer states by their public ratio.
 
     State: public ratio -> (weight | S=0, weight | S=1), with prior 1/2 each.
+    Each public ratio is numbered once, when it is first reached, and its
+    cascade status, forced action, action probabilities a0 D and a1 D and
+    children are cached under that number; D is the lcm of the denominators
+    of mu0 and mu1, so a0 D and a1 D are integers. The weights at position i
+    are integers over 2 D^i, and Fractions are built only for the outputs.
     """
-    states = {ONE: (Fraction(1, 2), Fraction(1, 2))}
-    p_correct, p_cascaded, p_wrong = [], [], []
-    for _i in range(n):
-        casc = Fraction(0)
-        wrong = Fraction(0)
-        correct = Fraction(0)
-        nxt = {}
-        for lx, (w0, w1) in states.items():
-            if in_cascade(model, lx):
-                casc += w0 + w1
-                a = agent_decision(lx, private_ratio(model, 0))
-                wrong += w0 if a == 1 else w1
+    D = lcm(*(p.denominator for p in (*model.mu0, *model.mu1)))
+    ids = {}
+    rows = []       # number -> [public ratio, forced action or None, a0 D, a1 D, children or None]
+
+    def number(lx):
+        k = ids.get(lx)
+        if k is None:
+            k = ids[lx] = len(rows)
             a0, a1 = action_distribution(model, lx)
-            correct += w1 * a1 + w0 * (1 - a0)
-            for action, m0, m1 in ((1, a0, a1), (0, 1 - a0, 1 - a1)):
-                if m0 == 0 and m1 == 0:
-                    continue
-                if m0 == 0 or m1 == 0:
-                    # one-sided action probabilities would make an action
-                    # reveal S outright; impossible with a common support
-                    raise AssertionError("signal support must not separate states")
-                new_lx = lx * m0 / m1
-                if observer_action(new_lx) != action:
-                    raise AssertionError("observer must copy the last action")
-                c0, c1 = nxt.get(new_lx, (Fraction(0), Fraction(0)))
-                nxt[new_lx] = (c0 + w0 * m0, c1 + w1 * m1)
-        p_correct.append(correct)
-        p_cascaded.append(casc)
-        p_wrong.append(wrong)
+            forced = agent_decision(lx, private_ratio(model, 0)) if in_cascade(model, lx) else None
+            rows.append([lx, forced, int(a0 * D), int(a1 * D), None])
+        return k
+
+    def children(k):
+        """(child number, m0 D, m1 D) for each action that can follow ratio k."""
+        lx, _forced, A0, A1, _kids = rows[k]
+        kids = []
+        for action, m0, m1 in ((1, A0, A1), (0, D - A0, D - A1)):
+            if m0 == 0 and m1 == 0:
+                continue
+            if m0 == 0 or m1 == 0:
+                # one-sided action probabilities would make an action
+                # reveal S outright; impossible with a common support
+                raise AssertionError("signal support must not separate states")
+            new_lx = lx * Fraction(m0, m1)
+            if observer_action(new_lx) != action:
+                raise AssertionError("observer must copy the last action")
+            kids.append((number(new_lx), m0, m1))
+        rows[k][4] = kids
+        return kids
+
+    def wrong_mass(states):
+        return sum(w0 if rows[k][1] == 1 else w1
+                   for k, (w0, w1) in states.items() if rows[k][1] is not None)
+
+    states = {number(ONE): (1, 1)}
+    p_correct, p_cascaded, p_wrong = [], [], []
+    den = 2
+    for _i in range(n):
+        casc = correct = 0
+        nxt = {}
+        for k, (w0, w1) in states.items():
+            _lx, forced, A0, A1, kids = rows[k]
+            if forced is not None:
+                casc += w0 + w1
+            correct += w1 * A1 + w0 * (D - A0)
+            for c, m0, m1 in kids if kids is not None else children(k):
+                c0, c1 = nxt.get(c, (0, 0))
+                nxt[c] = (c0 + w0 * m0, c1 + w1 * m1)
+        p_correct.append(Fraction(correct, den * D))
+        p_cascaded.append(Fraction(casc, den))
+        p_wrong.append(Fraction(wrong_mass(states), den))
         states = nxt
-    # terminal wrong-cascade mass
-    limit_wrong = Fraction(0)
-    for lx, (w0, w1) in states.items():
-        if in_cascade(model, lx):
-            a = agent_decision(lx, private_ratio(model, 0))
-            limit_wrong += w0 if a == 1 else w1
+        den *= D
     return CascadeExact(p_correct=p_correct, p_cascaded_by=p_cascaded,
-                        p_wrong_cascade=p_wrong, limit_wrong=limit_wrong)
+                        p_wrong_cascade=p_wrong, limit_wrong=Fraction(wrong_mass(states), den))
 
 
 def limit_accuracy(model: FiniteModel) -> Fraction:

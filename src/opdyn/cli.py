@@ -98,8 +98,9 @@ def _cmd_degroot(args):
 
 def _cmd_voter(args):
     net = _load_graph(args.graph)
-    delta = Fraction(args.delta)
-    if args.exact or args.mode == "exact":
+    if args.mode == "exact":
+        if args.delta is not None:
+            raise ValueError("--delta applies to --mode mc only: the exact table covers every start state")
         h = voter.absorption_probabilities(net)
         alpha = stationary_distribution(net).alpha
         table = {format(s, f"0{net.n}b")[::-1]: str(p) for s, p in sorted(h.items())}
@@ -107,6 +108,7 @@ def _cmd_voter(args):
                "alpha": [str(a) for a in alpha],
                "p_consensus_one_by_state": table}, args.out)
         return 0
+    delta = Fraction("1/10" if args.delta is None else args.delta)
     out = voter.mc_consensus(net, delta, args.trials, seed=args.seed)
     lo, hi = wilson_interval(out["matches"], out["trials"])
     _emit({"experiment": "voter-consensus", "graph": args.graph, "mode": "mc",
@@ -156,8 +158,7 @@ def _cmd_majority(args):
         lyap = majority.lyapunov_series(net, traj)[:, 0].tolist()
         j = majority.j_series(net, traj)[:, 0].tolist()
         record["initial_config"] = config
-        # L is written as a JSON string and J as a number, the record's published form
-        record["lyapunov_series"] = [{"t": t, "L": str(lyap[t]), "J": j[t - 1]}
+        record["lyapunov_series"] = [{"t": t, "L": lyap[t], "J": j[t - 1]}
                                      for t in range(1, len(traj) - 1)]
     _emit(record, args.out)
     return 0
@@ -317,9 +318,9 @@ def build_parser():
 
     p = sub.add_parser("voter", help="neighbor-copying dynamics")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", default="1/10")
-    p.add_argument("--mode", choices=["exact", "mc"], default="mc")
-    p.add_argument("--exact", action="store_true", help="force the exact absorption solve")
+    p.add_argument("--delta", help="signal quality P(signal=S) - 1/2, Monte Carlo only (default 1/10)")
+    p.add_argument("--mode", choices=["exact", "mc"], default="mc",
+                   help="exact: certified absorption table over every start state")
     _add_common(p)
     p.set_defaults(fn=_cmd_voter)
 

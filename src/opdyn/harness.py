@@ -117,7 +117,13 @@ def _exp_degroot_monotone(cfg):
 
 
 def _exp_voter_identity(cfg):
-    """Exact absorption probability == stationary-weighted signal mass, all nets/signals."""
+    """Exact absorption probability == stationary-weighted signal mass, all nets/signals.
+
+    absorption_probabilities returns the table alpha . s only after its integer
+    certificate accepts it (harmonic, 0 and 1 at the unanimity states), so
+    absorption_equals_alpha_mass checks that the certificate accepts alpha . s
+    on every net.
+    """
     ok = True
     for kind in ("chain", "cycle", "star"):
         for n in range(3, cfg.options.get("max_n", 8) + 1):

@@ -184,6 +184,13 @@ def validate(net: Network, require_stochastic: bool = False) -> ValidationReport
     return ValidationReport(v)
 
 
+def require_stochastic(net: Network):
+    """Raise ValueError listing every violation unless validate(net, require_stochastic=True) passes."""
+    rep = validate(net, require_stochastic=True)
+    if not rep.ok:
+        raise ValueError(f"network fails stochastic validation: {rep}")
+
+
 # -- generators --------------------------------------------------------------
 
 def _undirected_pairs(kind, n, d=None, seed=None):
@@ -411,9 +418,7 @@ def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
     Otherwise power iteration (cap 1e6 rounds), returned only if
     max |alpha P - alpha| <= tol.
     """
-    rep = validate(net, require_stochastic=True)
-    if not rep.ok:
-        raise ValueError(f"network fails stochastic validation: {rep}")
+    require_stochastic(net)
     n = net.n
     if net.is_rational and n <= EXACT_SOLVE_MAX_N:
         A = [[0] * n for _ in range(n)]      # A[c][r] = P[r][c] - [r == c]

@@ -1,9 +1,14 @@
 """The randomized voter model and its strong/weak two-bit variant.
 
 Base model: synchronous rounds; each agent independently adopts the previous
-action of a neighbor chosen with its row weights. Unanimity states are the
-only absorbing states on a connected stochastic network, and the chance of
-absorbing at all-ones given the signals equals sum_i alpha_i * psi_i.
+action of a neighbor chosen with its row weights. On a network that passes
+validate(require_stochastic=True) (self-loops, strongly connected) the
+unanimity states are the only absorbing states and absorption is almost
+sure; both the exact path and the Monte Carlo refuse any other network.
+sum_i alpha_i A_i is a martingale, so the chance of absorbing at all-ones
+given the signals equals sum_i alpha_i * psi_i. The exact path builds that
+table on integers from the stationary distribution and certifies it state
+by state; no linear system over the 2^n states is solved.
 
 Variant: asynchronous edge updates with (opinion, strength) pairs; strong
 opinions beat weak ones, equal-strength disagreements demote or randomize,
@@ -20,12 +25,12 @@ from math import lcm, prod
 import numpy as np
 
 from .harness_util import debug
-from .network import Network, rationalize, require_rational, validate
+from .network import Network, require_rational, require_stochastic, stationary_distribution
 
-EXACT_SOLVE_MAX_N = 12
+EXACT_SOLVE_MAX_N = 14
 
-# about this many entries per block of 2^n-wide rows, so the 2^n x 2^n
-# transition structure is never held whole beyond the float system itself
+# about this many entries per block of 2^n-wide rows, so the certificate
+# never holds the 2^n x 2^n contraction whole
 _BLOCK_ENTRIES = 1 << 20
 
 # rows of a Monte Carlo block hold about this many agent draws
@@ -111,6 +116,8 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     Draws S uniform and psi_i = S with probability 1/2 + delta per trial,
     runs synchronous rounds until unanimity, and returns a dict with the
     count of trials whose consensus matched S and the absorption times.
+    Like the exact path it refuses, with ValueError, a network that fails
+    validate(require_stochastic=True): only there is absorption almost sure.
 
     Each round draws u (active trials x n) and agent i copies its neighbour
     searchsorted(cum_i, u_i, side="right"). Draws are made in row blocks of
@@ -120,7 +127,8 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     """
     n = net.n
     rows = max(1, _MC_BLOCK // n)
-    rnd = _VoterRound(net, rows)
+    rnd = _VoterRound(net, rows)        # first: it names an agent without out-neighbours
+    require_stochastic(net)
     dmax = len(rnd.cum)
     if step_cap is None:
         step_cap = 100 * 2 * dmax * n * n
@@ -193,81 +201,90 @@ def _blocks(ns):
 def certify_absorption(net: Network, h):
     """Check h(s) = E[h(next) | s] at every state, in integers; raise ArithmeticError if not.
 
-    With H the lcm of the denominators of h, T = h H is an integer table.
-    Agent i's row weights share the denominator d_i, so it adopts 1 with
-    probability q_i = a_i / d_i for an integer a_i that depends on the state.
-    Contracting T one agent at a time, T <- (d_i - a_i) T[bit_i = 0] + a_i T[bit_i = 1],
+    With H the lcm of the denominators of h, T = h H is an integer table,
+    which _certify_table checks.
+    """
+    ns = 1 << net.n
+    H = lcm(*(h[s].denominator for s in range(ns)))
+    _certify_table(net, [h[s].numerator * (H // h[s].denominator) for s in range(ns)], H)
+
+
+def _certify_table(net: Network, T, H):
+    """Check that h = T / H is 0 at all-zeros, 1 at all-ones and harmonic; raise ArithmeticError if not.
+
+    T is the list of integers h(s) H over the 2^n states. Agent i's row
+    weights share the denominator d_i, so it adopts 1 with probability
+    q_i = a_i / d_i for an integer a_i that depends on the state. Contracting
+    T one agent at a time, T <- d_i T[bit_i = 0] + a_i (T[bit_i = 1] - T[bit_i = 0]),
     leaves prod_i d_i H E[h(next) | s], which must equal prod_i d_i T[s].
     """
     n = net.n
     ns = 1 << n
-    H = lcm(*(h[s].denominator for s in range(ns)))
+    if T[0] != 0 or T[ns - 1] != H:
+        raise ArithmeticError(f"rational certification failed at the unanimity states: "
+                              f"h = {Fraction(T[0], H)} and {Fraction(T[ns - 1], H)}, want 0 and 1")
     d = [lcm(*(w.denominator for w in net.out_neighbors(i).values())) for i in range(n)]
     scale = prod(d)
-    # int64 holds every partial sum when H prod(d) does; otherwise Python integers
-    dtype = np.int64 if H * scale < 2 ** 63 else object
+    # every partial sum and difference is at most 2 max|T| prod(d) in absolute value
+    bound = 2 * max(map(abs, T)) * scale
+    dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
+    T = np.array(T, dtype=dtype)
     W = np.zeros((n, n), dtype=dtype)
     for i in range(n):
         for j, w in net.out_neighbors(i).items():
             W[i, j] = w.numerator * (d[i] // w.denominator)
-    T = np.array([h[s].numerator * (H // h[s].denominator) for s in range(ns)], dtype=dtype)
     bits = _state_bits(n).astype(dtype)
-    d = np.array(d, dtype=dtype)
+    top = n - 1
     for block in _blocks(ns):
         a = bits[block] @ W.T                 # a[s, i] = d_i q_i(s)
-        cur = T
-        for i in range(n - 1, -1, -1):        # agent i is bit i; the top bit halves first
+        # agent i is bit i; the top bit halves first, into a fresh block x ns/2 array
+        half = 1 << top
+        cur = a[:, top:top + 1] * (T[half:] - T[:half])
+        cur += d[top] * T[:half]
+        for i in range(top - 1, -1, -1):
             half = 1 << i
-            ai = a[:, i:i + 1]
-            cur = (d[i] - ai) * cur[..., :half] + ai * cur[..., half:]
+            low = cur[:, :half]
+            nxt = cur[:, half:] - low
+            nxt *= a[:, i:i + 1]
+            low *= d[i]
+            nxt += low
+            cur = nxt
         bad = np.flatnonzero(cur[:, 0] != T[block] * scale)
         if len(bad):
             s = block.start + int(bad[0])
             raise ArithmeticError(f"rational certification failed at state {s}: "
-                                  f"E[h(next)] = {Fraction(int(cur[bad[0], 0]), H * scale)}, h = {h[s]}")
+                                  f"E[h(next)] = {Fraction(int(cur[bad[0], 0]), H * scale)}, "
+                                  f"h = {Fraction(int(T[s]), H)}")
     debug("absorption certificate: %d states, H=%d", ns, H)
 
 
 def absorption_probabilities(net: Network):
     """P(absorb at all-ones | start state) for every state, exact rationals.
 
-    Solves the 2^n-state first-step system in floats, rebuilds each value
-    with network.rationalize, then certifies the candidate exactly with
-    certify_absorption: E[h(next) | s] = h(s) at every state, with h = 0 and
-    1 at the two absorbing states. Absorption is almost sure, so that system
-    has a unique solution and the certificate is a proof. Raises ValueError
-    on float weights and ArithmeticError if certification fails.
+    The voter martingale gives the answer: E[sum_i alpha_i A_i(t+1) | A(t)]
+    = sum_j (alpha P)_j A_j(t) = sum_j alpha_j A_j(t), so with alpha the
+    stationary distribution (an n-size exact solve) the candidate is
+    h(s) = sum_i alpha_i s_i. With H the lcm of alpha's denominators it is the
+    integer table T = bits @ (alpha H), which _certify_table checks state by
+    state: h = 0 and 1 at the two unanimity states and E[h(next) | s] = h(s)
+    everywhere. A stochastic network (self-loops, strongly connected, checked
+    first) absorbs almost surely, so the bounded harmonic function with those
+    boundary values is unique and the certificate is a proof. Raises
+    ValueError on float weights or a failed validation, and ArithmeticError
+    if certification fails.
     """
     n = net.n
     if n > EXACT_SOLVE_MAX_N:
-        raise ValueError(f"exact absorption solve capped at n={EXACT_SOLVE_MAX_N}")
-    rep = validate(net, require_stochastic=True)
-    if not rep.ok:
-        raise ValueError(f"network fails stochastic validation: {rep}")
+        raise ValueError(f"exact absorption capped at n={EXACT_SOLVE_MAX_N}")
+    require_stochastic(net)
     require_rational(net, "exact absorption")
-    ns = 1 << n
-    q = _state_bits(n) @ net.weight_matrix().T       # q[s, i] = P(agent i adopts 1 | s)
-
-    # float solve of (I - Q) h = r over the transient states 1 .. ns - 2
-    A = np.eye(ns - 2)
-    r = np.zeros(ns - 2)
-    for block in _blocks(ns):
-        rows = np.ones((block.stop - block.start, 1))
-        for i in range(n):                           # append agent i as bit i
-            qi = q[block, i:i + 1]
-            rows = np.concatenate([rows * (1.0 - qi), rows * qi], axis=1)
-        # keep this block's transient states; state s is row s - 1 of A
-        lo, hi = max(block.start, 1), min(block.stop, ns - 1)
-        part = rows[lo - block.start:hi - block.start]
-        A[lo - 1:hi - 1] -= part[:, 1:-1]
-        r[lo - 1:hi - 1] = part[:, -1]
-    hf = np.linalg.solve(A, r)
-
-    h = {0: Fraction(0), ns - 1: Fraction(1)}
-    for s in range(1, ns - 1):
-        h[s] = rationalize(hf[s - 1])
-    certify_absorption(net, h)
-    return h
+    alpha = stationary_distribution(net).alpha
+    H = lcm(*(a.denominator for a in alpha))
+    scaled = np.array([a.numerator * (H // a.denominator) for a in alpha],
+                      dtype=np.int64 if H < 2 ** 63 else object)
+    T = (_state_bits(n) @ scaled).tolist()      # entries are at most H
+    _certify_table(net, T, H)
+    return {s: Fraction(t, H) for s, t in enumerate(T)}
 
 
 def exact_consensus_probability(net: Network, signals):

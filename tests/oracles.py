@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from opdyn import majority
+from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
-from opdyn.network import Network, stationary_distribution
+from opdyn.network import Network, rationalize, require_rational, require_stochastic, stationary_distribution
 from opdyn.signals import GaussianLLR, trial_rng
 
 
@@ -179,6 +179,76 @@ def absorption_drift(net, h):
         if cur[0] != h[s]:
             out[s] = cur[0] - h[s]
     return out
+
+
+def float_solve_absorption(net):
+    """voter.absorption_probabilities as a float solve of the first-step system.
+
+    Solves (I - Q) h = r over the 2^n - 2 transient states in floats, rebuilds
+    each value with network.rationalize and certifies the candidate with
+    voter.certify_absorption. The rebuild finds h only when its denominators
+    are at most network.REBUILD_MAX_DEN; otherwise certification fails.
+    """
+    n = net.n
+    require_stochastic(net)
+    require_rational(net, "exact absorption")
+    ns = 1 << n
+    q = voter._state_bits(n) @ net.weight_matrix().T       # q[s, i] = P(agent i adopts 1 | s)
+    A = np.eye(ns - 2)
+    r = np.zeros(ns - 2)
+    for block in voter._blocks(ns):
+        rows = np.ones((block.stop - block.start, 1))
+        for i in range(n):                                  # append agent i as bit i
+            qi = q[block, i:i + 1]
+            rows = np.concatenate([rows * (1.0 - qi), rows * qi], axis=1)
+        # keep this block's transient states; state s is row s - 1 of A
+        lo, hi = max(block.start, 1), min(block.stop, ns - 1)
+        part = rows[lo - block.start:hi - block.start]
+        A[lo - 1:hi - 1] -= part[:, 1:-1]
+        r[lo - 1:hi - 1] = part[:, -1]
+    hf = np.linalg.solve(A, r)
+    h = {0: Fraction(0), ns - 1: Fraction(1)}
+    for s in range(1, ns - 1):
+        h[s] = rationalize(hf[s - 1])
+    voter.certify_absorption(net, h)
+    return h
+
+
+def fraction_cascade_run_exact(model, n) -> cascade.CascadeExact:
+    """cascade.run_exact with every weight a Fraction and the ratio helpers called per visit."""
+    states = {Fraction(1): (Fraction(1, 2), Fraction(1, 2))}
+    p_correct, p_cascaded, p_wrong = [], [], []
+    for _i in range(n):
+        casc = wrong = correct = Fraction(0)
+        nxt = {}
+        for lx, (w0, w1) in states.items():
+            if cascade.in_cascade(model, lx):
+                casc += w0 + w1
+                a = cascade.agent_decision(lx, cascade.private_ratio(model, 0))
+                wrong += w0 if a == 1 else w1
+            a0, a1 = cascade.action_distribution(model, lx)
+            correct += w1 * a1 + w0 * (1 - a0)
+            for action, m0, m1 in ((1, a0, a1), (0, 1 - a0, 1 - a1)):
+                if m0 == 0 and m1 == 0:
+                    continue
+                if m0 == 0 or m1 == 0:
+                    raise AssertionError("signal support must not separate states")
+                new_lx = lx * m0 / m1
+                if cascade.observer_action(new_lx) != action:
+                    raise AssertionError("observer must copy the last action")
+                c0, c1 = nxt.get(new_lx, (Fraction(0), Fraction(0)))
+                nxt[new_lx] = (c0 + w0 * m0, c1 + w1 * m1)
+        p_correct.append(correct)
+        p_cascaded.append(casc)
+        p_wrong.append(wrong)
+        states = nxt
+    limit_wrong = Fraction(0)
+    for lx, (w0, w1) in states.items():
+        if cascade.in_cascade(model, lx):
+            a = cascade.agent_decision(lx, cascade.private_ratio(model, 0))
+            limit_wrong += w0 if a == 1 else w1
+    return cascade.CascadeExact(p_correct=p_correct, p_cascaded_by=p_cascaded,
+                                p_wrong_cascade=p_wrong, limit_wrong=limit_wrong)
 
 
 def fraction_profile_entries(model, n):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import cascade
-from opdyn.signals import GaussianLLR, bernoulli_delta
-from oracles import per_trial_gaussian_run
+from opdyn.signals import FiniteModel, GaussianLLR, bernoulli_delta
+from oracles import fraction_cascade_run_exact, per_trial_gaussian_run
 
 MODEL = bernoulli_delta(Fraction(1, 6))  # P(signal = S) = 2/3
 
@@ -56,6 +56,18 @@ def test_observer_copies_last_action():
     assert cascade.observer_action(Fraction(4)) == 0
     # run_exact asserts the copy claim internally on every transition
     cascade.run_exact(MODEL, 10)
+
+
+@pytest.mark.parametrize("model", [
+    bernoulli_delta(Fraction(1, 10)), MODEL, bernoulli_delta(Fraction(3, 10)),
+    FiniteModel((0, 1, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+    FiniteModel((0, 1, 2, 3), (Fraction(1, 4),) * 4,
+                (Fraction(1, 8), Fraction(1, 8), Fraction(3, 8), Fraction(3, 8))),
+], ids=["bernoulli-1/10", "bernoulli-1/6", "bernoulli-3/10", "three-letter", "four-letter"])
+@pytest.mark.parametrize("n", [1, 60])
+def test_run_exact_matches_fraction_oracle(model, n):
+    assert cascade.run_exact(model, n) == fraction_cascade_run_exact(model, n)
 
 
 def test_gaussian_keeps_learning():

@@ -33,7 +33,7 @@ def test_degroot_cheater(capsys):
 
 
 def test_voter_exact(capsys):
-    code, rec = run_json(capsys, ["voter", "--graph", "chain:3", "--exact"])
+    code, rec = run_json(capsys, ["voter", "--graph", "chain:3", "--mode", "exact"])
     assert code == 0
     assert [Fraction(a) for a in rec["alpha"]] == [Fraction(2, 7), Fraction(3, 7), Fraction(2, 7)]
     assert Fraction(rec["p_consensus_one_by_state"]["100"]) == Fraction(2, 7)
@@ -51,8 +51,9 @@ def test_voter_monte_carlo_commands(tmp_path, capsys):
                                   "--trials", "30", "--seed", "2"])
     assert code == 0
     assert rec["trials"] == 30 and rec["p_majority_wins_given_strict"] == 1.0
-    # the flags nothing read are gone
+    # the flags nothing read, and the duplicate --exact spelling of --mode exact, are gone
     for argv in (["voter", "--graph", "cycle:3", "--horizon", "5"],
+                 ["voter", "--graph", "cycle:3", "--exact"],
                  ["voter-strong", "--graph", "cycle:3", "--mode", "mc"],
                  ["degroot", "--graph", "cycle:3", "--horizon", "5"]):
         with pytest.raises(SystemExit) as exc:
@@ -112,7 +113,7 @@ def test_majority_lyapunov_record_matches_scalar_kernels(capsys, seed):
     for _ in range(len(net.undirected_edge_list()) + 2):
         traj.append(scalar_step(net, traj[-1]))
     series = [{"t": t,
-               "L": scalar_lyapunov(net, traj[t], traj[t + 1]),
+               "L": int(scalar_lyapunov(net, traj[t], traj[t + 1])),
                "J": scalar_j_functional(net, traj[t - 1], traj[t], traj[t + 1])}
               for t in range(1, len(traj) - 1)]
     assert rec["initial_config"] == list(config)
@@ -176,7 +177,7 @@ def _error_record(capsys, argv):
 def test_float_weights_rejected_by_exact_oracles(tmp_path, capsys):
     path = tmp_path / "decimal.txt"
     path.write_text("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.75\n")
-    for argv in (["voter", "--graph", str(path), "--exact"], ["degroot", "--graph", str(path)]):
+    for argv in (["voter", "--graph", str(path), "--mode", "exact"], ["degroot", "--graph", str(path)]):
         code, err = _error_record(capsys, argv)
         assert code == 2
         assert "edge (1,0) has the float weight 0.25" in err["error"]
@@ -238,12 +239,29 @@ def test_zero_trials_is_refused(capsys, argv):
 
 
 def test_cap_ends_as_json_with_exit_code_3(tmp_path, capsys):
-    # two agents that copy each other and have no self-loops swap their actions forever
+    # two components that settle on different opinions never reach one consensus
+    path = tmp_path / "split.txt"
+    path.write_text("n 4 undirected\n0 1 1\n2 3 1\n")
+    code, err = _error_record(capsys, ["voter-strong", "--graph", str(path), "--trials", "5"])
+    assert code == 3
+    assert err == {"command": "voter-strong", "error": "no opinion consensus within 32000 edge updates"}
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_voter_refuses_a_network_that_need_not_absorb(tmp_path, capsys, mode):
+    # two agents that copy each other and have no self-loops can swap their actions forever
     path = tmp_path / "swap.txt"
     path.write_text("n 2 directed\n0 1 1\n1 0 1\n")
-    code, err = _error_record(capsys, ["voter", "--graph", str(path), "--trials", "5"])
-    assert code == 3
-    assert err == {"command": "voter", "error": "3 trials unabsorbed after 800 rounds"}
+    code, err = _error_record(capsys, ["voter", "--graph", str(path), "--mode", mode])
+    assert code == 2
+    assert err == {"command": "voter", "error": "network fails stochastic validation: "
+                                                "node 0 has no self-loop; node 1 has no self-loop"}
+
+
+def test_voter_exact_refuses_delta(capsys):
+    code, err = _error_record(capsys, ["voter", "--graph", "cycle:3", "--mode", "exact", "--delta", "1/5"])
+    assert code == 2
+    assert err["error"].startswith("--delta applies to --mode mc only")
 
 
 @pytest.mark.parametrize("error", [TimeoutError, RuntimeError, ArithmeticError])

@@ -1,15 +1,16 @@
 import logging
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from opdyn import voter
-from opdyn.network import Network, from_pairs, generate, stationary_distribution
+from opdyn.network import REBUILD_MAX_DEN, Network, from_pairs, generate, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (StrongVoterState, absorption_drift, initial_strong_state,
+from oracles import (StrongVoterState, absorption_drift, float_solve_absorption, initial_strong_state,
                      searchsorted_mc_consensus, strong_voter_step)
 
 
@@ -265,8 +266,40 @@ def test_absorption_certificate_holds(bits):
 
 
 def test_absorption_size_cap():
-    with pytest.raises(ValueError):
-        voter.absorption_probabilities(generate("cycle", 13))
+    with pytest.raises(ValueError, match=f"capped at n={voter.EXACT_SOLVE_MAX_N}"):
+        voter.absorption_probabilities(generate("cycle", voter.EXACT_SOLVE_MAX_N + 1))
+
+
+@st.composite
+def _stochastic_digraphs(draw):
+    """A strongly connected directed graph on n <= 7 agents with a self-loop at each and random positive rows."""
+    n = draw(st.integers(2, 7))
+    ring = draw(st.permutations(range(n)))
+    arcs = {(ring[k], ring[(k + 1) % n]) for k in range(n)} | {(i, i) for i in range(n)}
+    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n))
+    edges = []
+    for i in range(n):
+        out = sorted(j for a, j in arcs if a == i)
+        ws = draw(st.lists(st.integers(1, 4), min_size=len(out), max_size=len(out)))
+        edges += [(i, j, Fraction(w, sum(ws))) for j, w in zip(out, ws)]
+    return Network(n=n, edges=tuple(edges), directed=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=_stochastic_digraphs())
+def test_absorption_matches_float_solve_oracle(net):
+    # the float rebuild can only find denominators up to REBUILD_MAX_DEN
+    assume(lcm(*(a.denominator for a in stationary_distribution(net).alpha)) <= REBUILD_MAX_DEN)
+    assert voter.absorption_probabilities(net) == float_solve_absorption(net)
+
+
+def test_certificate_checks_the_unanimity_states():
+    # h + c is harmonic too; only h(all-zeros) = 0 and h(all-ones) = 1 pin h down
+    net = generate("cycle", 4)
+    h = {s: p + Fraction(1, 7) for s, p in voter.absorption_probabilities(net).items()}
+    assert absorption_drift(net, h) == {}
+    with pytest.raises(ArithmeticError, match="failed at the unanimity states"):
+        voter.certify_absorption(net, h)
 
 
 @settings(max_examples=15, deadline=None)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .harness_util import debug
 from .network import Network, ball
-from .signals import FiniteModel, JointTable
+from .signals import FiniteModel, JointTable, bernoulli_cube
 
 PROFILE_SPACE_CAP = 10 ** 6
 # a packed refinement key stays below this bound, so it fits in int64
@@ -453,9 +453,10 @@ def locality_check(net: Network, space: ProfileSpace, t: int,
 
 # -- named scenarios ---------------------------------------------------------
 
-def _binomial_mass(k, j, p):
-    """P(j of k independent bits equal S), exact."""
-    return comb(k, j) * p ** j * (1 - p) ** (k - j)
+def _binomial_mass(k, delta):
+    """P(j of k independent bits equal S) for j = 0 .. k, exact."""
+    w, den = bernoulli_cube(delta, k)
+    return [Fraction(comb(k, j) * wj, den) for j, wj in enumerate(w)]
 
 
 def senate_scenario(n, senate_size, delta):
@@ -478,7 +479,7 @@ def senate_scenario(n, senate_size, delta):
     half = Fraction(1, 2)
 
     # verdict error: majority of k bits each matching S w.p. p
-    err = sum(_binomial_mass(k, j, p) for j in range(0, (k + 1) // 2))
+    err = sum(_binomial_mass(k, delta)[:(k + 1) // 2])
     # P(verdict matches S on j matches): verdict = S iff > k/2 matches
     # joint law of (own signal, verdict) given S, for a NON-senator:
     #   independent: P(psi = S) = p; P(A_S = S) = 1 - err
@@ -499,8 +500,7 @@ def senate_scenario(n, senate_size, delta):
 
     def _majority_matches(own_match):
         """P(verdict = S | own bit matches S or not), over the other k-1 bits."""
-        return sum(_binomial_mass(k - 1, j, p)
-                   for j in range(k) if j + own_match >= need)
+        return sum(mass for j, mass in enumerate(_binomial_mass(k - 1, delta)) if j + own_match >= need)
 
     for m in (0, 1):
         # senator: the verdict includes the senator's own bit

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -99,8 +98,10 @@ def _cmd_degroot(args):
 def _cmd_voter(args):
     net = _load_graph(args.graph)
     if args.mode == "exact":
-        if args.delta is not None:
-            raise ValueError("--delta applies to --mode mc only: the exact table covers every start state")
+        for flag, value in (("--delta", args.delta), ("--trials", args.trials), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --mode mc only: the exact table covers every "
+                                 "start state and samples nothing")
         h = voter.absorption_probabilities(net)
         alpha = stationary_distribution(net).alpha
         table = {format(s, f"0{net.n}b")[::-1]: str(p) for s, p in sorted(h.items())}
@@ -109,10 +110,12 @@ def _cmd_voter(args):
                "p_consensus_one_by_state": table}, args.out)
         return 0
     delta = Fraction("1/10" if args.delta is None else args.delta)
-    out = voter.mc_consensus(net, delta, args.trials, seed=args.seed)
+    trials = 10000 if args.trials is None else args.trials
+    seed = 0 if args.seed is None else args.seed
+    out = voter.mc_consensus(net, delta, trials, seed=seed)
     lo, hi = wilson_interval(out["matches"], out["trials"])
     _emit({"experiment": "voter-consensus", "graph": args.graph, "mode": "mc",
-           "delta": str(delta), "trials": args.trials, "seed": args.seed,
+           "delta": str(delta), "trials": trials, "seed": seed,
            "p_match_signal_state": out["matches"] / out["trials"],
            "wilson95": [lo, hi],
            "mean_absorption_time": float(out["times"].mean())}, args.out)
@@ -262,19 +265,9 @@ def _cmd_cascade(args):
 
 def _cmd_accept(args):
     names = [args.only] if args.only else experiment_names()
-    workers = int(os.environ.get("OPDYN_WORKERS", "1"))
-    records = {}
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {name: pool.submit(run_experiment, registry(name)) for name in names}
-        records = {name: fut.result() for name, fut in futs.items()}
-    else:
-        for name in names:
-            records[name] = run_experiment(registry(name))
     failed = 0
     for name in names:
-        rec = records[name]
+        rec = run_experiment(registry(name))
         status = "PASS" if rec.passed else "FAIL"
         print(f"{status} {name} ({rec.runtime:.1f}s)")
         if not rec.passed:
@@ -296,8 +289,8 @@ def _positive_int(text):
     return value
 
 
-def _add_common(p, trials_default=10000):
-    p.add_argument("--trials", type=_positive_int, default=trials_default, help="Monte Carlo trial count")
+def _add_common(p):
+    p.add_argument("--trials", type=_positive_int, default=10000, help="Monte Carlo trial count")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out", help="write the JSON record here instead of stdout")
 
@@ -322,7 +315,8 @@ def build_parser():
     p.add_argument("--mode", choices=["exact", "mc"], default="mc",
                    help="exact: certified absorption table over every start state")
     _add_common(p)
-    p.set_defaults(fn=_cmd_voter)
+    # like --delta, --trials and --seed are Monte Carlo only (defaults 10000 and 0)
+    p.set_defaults(fn=_cmd_voter, trials=None, seed=None)
 
     p = sub.add_parser("voter-strong", help="two-bit strong/weak voter variant")
     p.add_argument("--graph", required=True)

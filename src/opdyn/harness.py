@@ -20,7 +20,7 @@ import numpy as np
 from . import bayes, cascade, degroot, majority, voter
 from .harness_util import wilson_interval
 from .network import Network, from_pairs, generate, stationary_distribution
-from .signals import (FiniteModel, bernoulli_delta, GaussianLLR, xor_pair, three_bit_epsilon,
+from .signals import (FiniteModel, bernoulli_cube, bernoulli_delta, GaussianLLR, xor_pair, three_bit_epsilon,
                       map_accuracy_three_bits, trial_rng)
 
 SCHEMA_VERSION = 1
@@ -357,9 +357,9 @@ def _exp_bayes_xor(cfg):
 def _senate_joint_space(n, k, delta):
     """Each agent's observable as one composite letter (own signal, verdict)."""
     from itertools import product as iproduct
-    p = Fraction(1, 2) + Fraction(delta)
     # an atom's weight depends only on how many of its signals equal S
-    weight = [Fraction(1, 2) * p ** hits * (1 - p) ** (n - hits) for hits in range(n + 1)]
+    hits, den = bernoulli_cube(delta, n)
+    weight = [Fraction(w, 2 * den) for w in hits]
     entries = []
     need = (k + 1) // 2
     for s in (0, 1):

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .network import Network
+from .signals import bernoulli_cube
 
 EXACT_RETENTION_MAX_N = 16
 EXACT_INFLUENCE_MAX_N = 14
@@ -191,9 +192,7 @@ def _pooled_weights(net: Network, delta):
     ({packed profile: [weight with S = -1, weight with S = +1]}, 2 b^n).
     """
     n = net.n
-    hit = Fraction(1, 2) + Fraction(delta)
-    a, b = hit.numerator, hit.denominator
-    up = [a ** k * (b - a) ** (n - k) for k in range(n + 1)]
+    up, den = bernoulli_cube(delta, n)
     configs = all_spin_configs(n)
     limits = limit_profiles(net, configs)
     packed = np.zeros(len(limits), dtype=np.int64)
@@ -207,7 +206,7 @@ def _pooled_weights(net: Network, delta):
         acc = pooled.setdefault(prof, [0, 0])
         acc[0] += count * up[n - k]
         acc[1] += count * up[k]
-    return pooled, 2 * b ** n
+    return pooled, 2 * den
 
 
 def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
@@ -277,34 +276,22 @@ def signals_to_vote_table(net: Network) -> np.ndarray:
 
 # -- influences and Russo's formula ------------------------------------------
 
-def _weights_for_delta(configs: np.ndarray, delta):
-    """Exact P_delta weight per row: bits are +1 w.p. 1/2 + delta, independent."""
-    n = configs.shape[1]
-    delta = Fraction(delta)
-    p = Fraction(1, 2) + delta
-    q = Fraction(1, 2) - delta
-    plus = (configs == 1).sum(axis=1)
-    table = [p ** k * q ** (n - k) for k in range(n + 1)]
-    return [table[int(k)] for k in plus]
-
-
 def influence(f, n, i, delta, mode="exact", trials=100000, rng=None):
     """I_i = P_delta(f flips when bit i flips): the pivotal probability.
 
-    f maps a +-1 tuple to +-1. Exact mode enumerates the 2^n cube (n <= 14).
+    f maps a +-1 tuple to +-1. Exact mode enumerates the 2^n cube (n <= 14)
+    and sums the integer weights of bernoulli_cube.
     """
     if mode == "exact":
         if n > EXACT_INFLUENCE_MAX_N:
             raise ValueError(f"exact influence capped at n={EXACT_INFLUENCE_MAX_N}")
-        configs = all_spin_configs(n)
-        w = _weights_for_delta(configs, delta)
-        total = Fraction(0)
-        for row, wt in zip(configs, w):
-            x = tuple(int(v) for v in row)
+        w, den = bernoulli_cube(delta, n)
+        total = 0
+        for x in map(tuple, all_spin_configs(n).tolist()):
             y = x[:i] + (-x[i],) + x[i + 1:]
             if f(x) != f(y):
-                total += wt
-        return total
+                total += w[x.count(1)]
+        return Fraction(total, den)
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
@@ -320,9 +307,8 @@ def influence(f, n, i, delta, mode="exact", trials=100000, rng=None):
 
 def success_probability(f, n, delta):
     """Exact P_delta(f(X) = +1)."""
-    configs = all_spin_configs(n)
-    w = _weights_for_delta(configs, delta)
-    return sum(wt for row, wt in zip(configs, w) if f(tuple(int(v) for v in row)) == 1)
+    w, den = bernoulli_cube(delta, n)
+    return Fraction(sum(w[x.count(1)] for x in map(tuple, all_spin_configs(n).tolist()) if f(x) == 1), den)
 
 
 def russo_residual(f, n, delta, h=Fraction(1, 10000)):

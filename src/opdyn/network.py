@@ -104,41 +104,31 @@ class Network:
 
     # -- connectivity --------------------------------------------------------
 
-    def _reachable(self, start, reverse=False):
-        adj = [[] for _ in range(self.n)]
-        for (i, j, _w) in self.edges:
-            if reverse:
-                adj[j].append(i)
-            else:
-                adj[i].append(j)
-        seen = {start}
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
     def is_strongly_connected(self):
         if self.n == 0:
             return False
-        return (len(self._reachable(0)) == self.n
-                and len(self._reachable(0, reverse=True)) == self.n)
+        back = [[] for _ in range(self.n)]
+        for (i, j, _w) in self.edges:
+            back[j].append(i)
+        return -1 not in _bfs(self._out, 0) and -1 not in _bfs(back, 0)
 
     def distances_from(self, center):
         """BFS distance (in edges, following direction) from center; -1 if unreachable."""
-        dist = [-1] * self.n
-        dist[center] = 0
-        q = deque([center])
-        while q:
-            u = q.popleft()
-            for v in self._out[u]:
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return dist
+        return _bfs(self._out, center)
+
+
+def _bfs(adj, start):
+    """Edge distances from start in the adjacency adj (adj[u] iterates u's successors); -1 if unreachable."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    q = deque([start])
+    while q:
+        u = q.popleft()
+        for v in adj[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return dist
 
 
 @dataclass
@@ -244,23 +234,20 @@ def _undirected_pairs(kind, n, d=None, seed=None):
 
 
 def _pairs_connected(n, pairs):
+    """True iff the undirected pairs (i != j) join all n >= 1 nodes."""
     adj = [[] for _ in range(n)]
     for (a, b) in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    seen = {0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                q.append(v)
-    return len(seen) == n
+    return -1 not in _bfs(adj, 0)
 
 
 def from_pairs(n, pairs):
-    """Lazy-uniform network from an explicit undirected pair list (i != j)."""
+    """Lazy-uniform network from an undirected pair list (i != j).
+
+    N(i) is the neighbours of i plus i itself, and w(i, j) = 1/|N(i)| as
+    exact Fractions.
+    """
     nbrs = [set() for _ in range(n)]
     for (a, b) in pairs:
         nbrs[a].add(b)
@@ -274,35 +261,14 @@ def from_pairs(n, pairs):
     return Network(n=n, edges=tuple(edges), directed=False)
 
 
-def generate(kind, n, weighting="lazy_uniform", d=None, seed=None, custom_weights=None):
-    """Build a named test network.
+def generate(kind, n, d=None, seed=None):
+    """Build a named lazy-uniform test network (see from_pairs).
 
     kinds: chain, cycle, complete, star, grid, random_regular (needs d, seed).
-    lazy_uniform weighting sets N(i) = neighbors plus i itself and
-    w(i, j) = 1/|N(i)| as exact Fractions.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = _undirected_pairs(kind, n, d=d, seed=seed)
-    nbrs = [set() for _ in range(n)]
-    for (a, b) in pairs:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    edges = []
-    if weighting == "lazy_uniform":
-        for i in range(n):
-            closed = sorted(nbrs[i] | {i})
-            w = Fraction(1, len(closed))
-            for j in closed:
-                edges.append((i, j, w))
-    elif weighting == "custom":
-        if custom_weights is None:
-            raise ValueError("custom weighting needs custom_weights {(i,j): w}")
-        for (i, j), w in custom_weights.items():
-            edges.append((i, j, w))
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    return Network(n=n, edges=tuple(edges), directed=False)
+    return from_pairs(n, _undirected_pairs(kind, n, d=d, seed=seed))
 
 
 # -- exact linear algebra ----------------------------------------------------

@@ -71,6 +71,18 @@ def bernoulli_delta(delta) -> FiniteModel:
     return FiniteModel(alphabet=(0, 1), mu0=(h + delta, h - delta), mu1=(h - delta, h + delta))
 
 
+def bernoulli_cube(delta, n):
+    """Integer weights of n i.i.d. bits that each equal S w.p. 1/2 + delta, by count.
+
+    With 1/2 + delta = a/b, a bit vector with k bits equal to S has
+    probability w[k] / den, where w[k] = a^k (b - a)^(n - k) and den = b^n.
+    Any rational delta is taken, 0 and negative values included.
+    """
+    hit = Fraction(1, 2) + Fraction(delta)
+    a, b = hit.numerator, hit.denominator
+    return [a ** k * (b - a) ** (n - k) for k in range(n + 1)], b ** n
+
+
 @dataclass(frozen=True)
 class GaussianLLR:
     """signal = (2S - 1) + noise, noise ~ N(0, sigma2). Unbounded private beliefs."""

@@ -25,7 +25,7 @@ from math import lcm, prod
 import numpy as np
 
 from .harness_util import debug
-from .network import Network, require_rational, require_stochastic, stationary_distribution
+from .network import Network, _pairs_connected, require_rational, require_stochastic, stationary_distribution
 
 EXACT_SOLVE_MAX_N = 14
 
@@ -448,12 +448,15 @@ def strong_voter_trials(net: Network, signals, rng):
     at once and drops the trials that reached consensus. Once _LOCKSTEP_MIN
     or fewer trials are open, each runs on alone in turn with _strong_walk,
     drawing from the same rng. values[t] is trial t's consensus opinion and
-    steps[t] its number of edge updates. Raises TimeoutError if a trial has
-    no consensus after 2000 n^2 updates.
+    steps[t] its number of edge updates. Raises ValueError on a disconnected
+    network, and TimeoutError if a trial has no consensus after 2000 n^2
+    updates.
     """
     n = net.n
     step_cap = 2000 * n * n
     pair_list = _strong_pairs(net)
+    if not _pairs_connected(n, pair_list):
+        raise ValueError("strong voter needs a connected network: two components never reach one consensus")
     pairs = np.array(pair_list, dtype=np.intp)
     sig = np.asarray(signals)
     if sig.ndim != 2 or sig.shape[1] != n or not np.isin(sig, (0, 1)).all():

@@ -54,6 +54,29 @@ def enumerate_p_w(net, delta):
     return succ, tie
 
 
+def reachability_distances(adj: np.ndarray, start):
+    """Edge distances from start by boolean matrix powers; -1 if unreachable.
+
+    adj is an n x n boolean adjacency (adj[u, v]: an edge u -> v). reach_t,
+    the nodes within t edges of start, is reach_{t-1} (A | I) until it stops
+    changing; a node's distance is the first t whose reach_t holds it.
+    """
+    n = len(adj)
+    step = (np.asarray(adj, dtype=bool) | np.eye(n, dtype=bool)).astype(np.int64)
+    reach = np.zeros(n, dtype=bool)
+    reach[start] = True
+    dist = np.full(n, -1)
+    dist[start] = 0
+    t = 0
+    while True:
+        t += 1
+        nxt = (reach.astype(np.int64) @ step) > 0
+        if np.array_equal(nxt, reach):
+            return dist.tolist()
+        dist[nxt & ~reach] = t
+        reach = nxt
+
+
 def neighbor_matrix(net: Network):
     """0/1 matrix M with M[i, j] = 1 iff j in N(i); weights are ignored."""
     M = np.zeros((net.n, net.n), dtype=np.int64)
@@ -126,6 +149,37 @@ def fraction_retention(net, delta):
         acc[0] += Fraction(1, 2) * p ** (n - k_plus) * q ** k_plus     # S = -1
         acc[1] += Fraction(1, 2) * p ** k_plus * q ** (n - k_plus)     # S = +1
     return sum(min(w0, w1) for w0, w1 in joint.values())
+
+
+def _weights_for_delta(configs: np.ndarray, delta):
+    """Exact P_delta weight per row: bits are +1 w.p. 1/2 + delta, independent."""
+    n = configs.shape[1]
+    delta = Fraction(delta)
+    p = Fraction(1, 2) + delta
+    q = Fraction(1, 2) - delta
+    plus = (configs == 1).sum(axis=1)
+    table = [p ** k * q ** (n - k) for k in range(n + 1)]
+    return [table[int(k)] for k in plus]
+
+
+def fraction_influence(f, n, i, delta):
+    """majority.influence in exact mode, one Fraction weight per cube vertex."""
+    configs = majority.all_spin_configs(n)
+    w = _weights_for_delta(configs, delta)
+    total = Fraction(0)
+    for row, wt in zip(configs, w):
+        x = tuple(int(v) for v in row)
+        y = x[:i] + (-x[i],) + x[i + 1:]
+        if f(x) != f(y):
+            total += wt
+    return total
+
+
+def fraction_success_probability(f, n, delta):
+    """majority.success_probability, one Fraction weight per cube vertex."""
+    configs = majority.all_spin_configs(n)
+    w = _weights_for_delta(configs, delta)
+    return sum(wt for row, wt in zip(configs, w) if f(tuple(int(v) for v in row)) == 1)
 
 
 def fraction_map_accuracy_three_bits(p, d1=0, d2=0, d3=0):

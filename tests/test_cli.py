@@ -238,13 +238,21 @@ def test_zero_trials_is_refused(capsys, argv):
     assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
 
 
-def test_cap_ends_as_json_with_exit_code_3(tmp_path, capsys):
-    # two components that settle on different opinions never reach one consensus
-    path = tmp_path / "split.txt"
-    path.write_text("n 4 undirected\n0 1 1\n2 3 1\n")
-    code, err = _error_record(capsys, ["voter-strong", "--graph", str(path), "--trials", "5"])
+def test_cap_ends_as_json_with_exit_code_3(capsys):
+    # a one-round horizon is too short for the chain to settle
+    code, err = _error_record(capsys, ["bayes", "--scenario", "chain-tie:6", "--horizon", "1"])
     assert code == 3
-    assert err == {"command": "voter-strong", "error": "no opinion consensus within 32000 edge updates"}
+    assert err == {"command": "bayes", "error": "chain run did not stabilize within the horizon"}
+
+
+def test_voter_strong_refuses_a_disconnected_graph(tmp_path, capsys):
+    # two 4-node paths that settle on different opinions never reach one consensus
+    path = tmp_path / "split.txt"
+    path.write_text("n 8 undirected\n0 1 1\n1 2 1\n2 3 1\n4 5 1\n5 6 1\n6 7 1\n")
+    code, err = _error_record(capsys, ["voter-strong", "--graph", str(path), "--trials", "5"])
+    assert code == 2
+    assert err == {"command": "voter-strong",
+                   "error": "strong voter needs a connected network: two components never reach one consensus"}
 
 
 @pytest.mark.parametrize("mode", ["mc", "exact"])
@@ -259,9 +267,11 @@ def test_voter_refuses_a_network_that_need_not_absorb(tmp_path, capsys, mode):
 
 
 def test_voter_exact_refuses_delta(capsys):
-    code, err = _error_record(capsys, ["voter", "--graph", "cycle:3", "--mode", "exact", "--delta", "1/5"])
-    assert code == 2
-    assert err["error"].startswith("--delta applies to --mode mc only")
+    # the Monte Carlo flags are refused too, even at their defaults
+    for flag, value in (("--delta", "1/5"), ("--trials", "5"), ("--seed", "3"), ("--seed", "0")):
+        code, err = _error_record(capsys, ["voter", "--graph", "cycle:3", "--mode", "exact", flag, value])
+        assert code == 2
+        assert err["error"].startswith(f"{flag} applies to --mode mc only")
 
 
 @pytest.mark.parametrize("error", [TimeoutError, RuntimeError, ArithmeticError])

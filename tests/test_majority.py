@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import majority
 from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
-from oracles import (fraction_retention, scalar_j_functional, scalar_lyapunov, scalar_step,
-                     stepwise_limit_profiles)
+from oracles import (fraction_influence, fraction_retention, fraction_success_probability, scalar_j_functional,
+                     scalar_lyapunov, scalar_step, stepwise_limit_profiles)
 
 # odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
 # three triangles in a chain, whose degrees 2 and 4 mix neighbourhoods of sizes 3 and 5
@@ -126,6 +126,23 @@ def test_influence_dictator_and_parity():
     parity = lambda x: x[0] * x[1] * x[2]
     for i in range(3):
         assert majority.influence(parity, 3, i, Fraction(1, 10)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6),
+       delta=st.one_of(st.just(Fraction(0)), st.fractions(-Fraction(1, 2), Fraction(1, 2), max_denominator=30),
+                       st.sampled_from([Fraction(1, 10) + Fraction(1, 10000), Fraction(1, 10) - Fraction(1, 10000),
+                                        -Fraction(1, 10000)])))
+def test_cube_kernels_match_fraction_oracle(data, n, delta):
+    # f is a random truth table over the 2^n cube, indexed by the bits with +1 as 1
+    table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n))
+
+    def f(x):
+        return table[sum(1 << j for j, v in enumerate(x) if v == 1)]
+
+    for i in range(n):
+        assert majority.influence(f, n, i, delta) == fraction_influence(f, n, i, delta)
+    assert majority.success_probability(f, n, delta) == fraction_success_probability(f, n, delta)
 
 
 def test_influence_mc_agrees():

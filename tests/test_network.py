@@ -1,3 +1,4 @@
+import hashlib
 import logging
 from fractions import Fraction
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn.network import (Network, ball, from_pairs, generate, mixing_tv,
+from opdyn.network import (Network, _pairs_connected, ball, from_pairs, generate, mixing_tv,
                            read_network, solve_exact, stationary_distribution, validate,
                            write_network)
-from oracles import solve_rational
+from oracles import reachability_distances, solve_rational
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -95,6 +96,49 @@ def test_from_pairs_matches_generate():
     b = generate("chain", 4)
     for i in range(4):
         assert a.out_neighbors(i) == b.out_neighbors(i)
+
+
+# first 16 hex digits of sha256(repr(generate(*args).edges)); these topologies must not move
+TOPOLOGY_DIGESTS = {
+    ("chain", 9): "de0103ff74676ef7", ("chain", 16): "50f20ee8eff13a3a",
+    ("cycle", 9): "25f9f9be6add65dd", ("cycle", 16): "73caa5bf5dd83ae5",
+    ("complete", 9): "17f47676f61ecc5c", ("complete", 16): "ff35875bf1ecb797",
+    ("star", 9): "6dfa9e5b5a93c639", ("star", 16): "d53cfb0cc9d16273",
+    ("grid", 9): "dd800abcc2bd212e", ("grid", 16): "421334e4e97e7f20",
+    ("random_regular", 20, 3, 0): "1c663fefa75cfe48", ("random_regular", 20, 3, 1): "5db95ba4f6ca4766",
+    ("random_regular", 20, 3, 2): "d3e9a4820a6e143a", ("random_regular", 20, 3, 3): "77d0ea4b55bde305",
+    ("random_regular", 20, 3, 4): "f8a9774f1ada37d9",
+    ("random_regular", 40, 4, 0): "325bdf34b5dbd6f4", ("random_regular", 40, 4, 1): "6d8ff380e5e4f94d",
+    ("random_regular", 40, 4, 2): "61475aa69224587b", ("random_regular", 40, 4, 3): "2ba5f489fa83a452",
+    ("random_regular", 40, 4, 4): "a85557216d9ef384",
+}
+
+
+def test_seeded_topologies_are_pinned():
+    for args, digest in TOPOLOGY_DIGESTS.items():
+        kind, n, *rest = args
+        d, seed = rest or (None, None)
+        net = generate(kind, n, d=d, seed=seed)
+        assert hashlib.sha256(repr(net.edges).encode()).hexdigest()[:16] == digest, args
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_bfs_matches_reachability_oracle(data, n):
+    # at most 2n edges: disconnected graphs and nodes without out-edges are common
+    node = st.integers(0, n - 1)
+    edges = sorted(data.draw(st.sets(st.tuples(node, node), max_size=2 * n)))
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = True
+    net = Network(n=n, edges=tuple((i, j, 1) for i, j in edges))
+    dists = [reachability_distances(adj, c) for c in range(n)]
+    for c in range(n):
+        assert net.distances_from(c) == dists[c]
+    assert net.is_strongly_connected() == all(-1 not in d for d in dists)
+    undirected = adj | adj.T
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if undirected[i, j]]
+    assert _pairs_connected(n, pairs) == (-1 not in reachability_distances(undirected, 0))
 
 
 def test_random_regular_degrees():

@@ -224,7 +224,7 @@ def test_strong_voter_trials_strict_majority_and_ties(monkeypatch, lockstep_min)
     assert np.array_equal(f_values, c_values) and np.array_equal(f_steps, c_steps)
 
 
-def test_strong_voter_trials_input_and_cap():
+def test_strong_voter_trials_input_and_cap(monkeypatch):
     net = generate("cycle", 5)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="trials x 5 array of 0/1"):
@@ -237,6 +237,10 @@ def test_strong_voter_trials_input_and_cap():
         voter.strong_voter_trials(Network(1, ((0, 0, 1),), directed=False), [[1]], rng)
     # two components, each unanimous against the other: never a consensus
     split = Network(4, ((0, 1, 1), (2, 3, 1)), directed=False)
+    with pytest.raises(ValueError, match="needs a connected network"):
+        voter.strong_voter_trials(split, [[1, 1, 0, 0]], rng)
+    # past the connectivity check, the step cap still ends such a run
+    monkeypatch.setattr(voter, "_pairs_connected", lambda n, pairs: True)
     with pytest.raises(TimeoutError, match="no opinion consensus within 32000 edge updates"):
         voter.strong_voter_trials(split, [[1, 1, 0, 0], [0, 0, 1, 1]], rng)
     with pytest.raises(TimeoutError, match="65 trials without opinion consensus after 32000 edge updates"):

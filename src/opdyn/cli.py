@@ -66,10 +66,23 @@ def _parse_cheaters(specs):
     return out
 
 
+def _refuse(args, flags, reason):
+    """Raise ValueError naming the first of flags that was given: the path taken reads none of them."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{flag} {reason}")
+
+
+def _trials_seed(args):
+    """--trials and --seed of a path that samples: 10000 and 0 unless given."""
+    return (10000 if args.trials is None else args.trials, 0 if args.seed is None else args.seed)
+
+
 def _cmd_degroot(args):
     net = _load_graph(args.graph)
     cheaters = _parse_cheaters(args.cheater)
     if cheaters:
+        _refuse(args, ("--trials", "--seed"), "does not apply to --cheater: the limits are exact and sample nothing")
         exact = degroot.cheater_limit_exact(net, set(cheaters))
         limits = {i: str(cheaters[i]) if i in cheaters
                   else str(sum(Fraction(v) * exact[i][c] for c, v in cheaters.items()))
@@ -80,17 +93,18 @@ def _cmd_degroot(args):
         return 0
     delta = Fraction(args.delta)
     if args.mode == "exact":
+        _refuse(args, ("--trials", "--seed"), "applies to --mode mc only: exact enumeration samples nothing")
         est = degroot.learning_probability(net, delta, mode="exact_enumeration")
         _emit({"experiment": "degroot-learning", "graph": args.graph,
                "delta": str(delta), "mode": "exact",
                "p_w": str(est.p), "tie_mass": str(est.tie_mass)}, args.out)
     else:
-        rng = trial_rng(args.seed, 0)
+        trials, seed = _trials_seed(args)
         est = degroot.learning_probability(net, delta, mode="monte_carlo",
-                                           trials=args.trials, rng=rng)
+                                           trials=trials, rng=trial_rng(seed, 0))
         _emit({"experiment": "degroot-learning", "graph": args.graph,
-               "delta": str(delta), "mode": "mc", "trials": args.trials,
-               "seed": args.seed, "p_w": est.p,
+               "delta": str(delta), "mode": "mc", "trials": trials,
+               "seed": seed, "p_w": est.p,
                "wilson95": est.ci}, args.out)
     return 0
 
@@ -98,10 +112,8 @@ def _cmd_degroot(args):
 def _cmd_voter(args):
     net = _load_graph(args.graph)
     if args.mode == "exact":
-        for flag, value in (("--delta", args.delta), ("--trials", args.trials), ("--seed", args.seed)):
-            if value is not None:
-                raise ValueError(f"{flag} applies to --mode mc only: the exact table covers every "
-                                 "start state and samples nothing")
+        _refuse(args, ("--delta", "--trials", "--seed"),
+                "applies to --mode mc only: the exact table covers every start state and samples nothing")
         h = voter.absorption_probabilities(net)
         alpha = stationary_distribution(net).alpha
         table = {format(s, f"0{net.n}b")[::-1]: str(p) for s, p in sorted(h.items())}
@@ -110,8 +122,7 @@ def _cmd_voter(args):
                "p_consensus_one_by_state": table}, args.out)
         return 0
     delta = Fraction("1/10" if args.delta is None else args.delta)
-    trials = 10000 if args.trials is None else args.trials
-    seed = 0 if args.seed is None else args.seed
+    trials, seed = _trials_seed(args)
     out = voter.mc_consensus(net, delta, trials, seed=seed)
     lo, hi = wilson_interval(out["matches"], out["trials"])
     _emit({"experiment": "voter-consensus", "graph": args.graph, "mode": "mc",
@@ -125,16 +136,17 @@ def _cmd_voter(args):
 def _cmd_voter_strong(args):
     net = _load_graph(args.graph)
     delta = float(Fraction(args.delta))
-    rng = trial_rng(args.seed, 0)
-    s = rng.integers(0, 2, size=args.trials)[:, None]
-    match = rng.random((args.trials, net.n)) < 0.5 + delta
+    trials, seed = _trials_seed(args)
+    rng = trial_rng(seed, 0)
+    s = rng.integers(0, 2, size=trials)[:, None]
+    match = rng.random((trials, net.n)) < 0.5 + delta
     signals = match == (s == 1)                 # the signal is s where it matches
     values, steps = voter.strong_voter_trials(net, signals, rng)
     k = signals.sum(axis=1)
     strict = 2 * k != net.n
     won = values[strict] == (2 * k[strict] > net.n)
     _emit({"experiment": "voter-strong", "graph": args.graph, "delta": args.delta,
-           "trials": args.trials, "seed": args.seed,
+           "trials": trials, "seed": seed,
            "p_consensus_one": float(values.mean()),
            "p_majority_wins_given_strict": float(won.mean()) if strict.any() else None,
            "mean_steps": float(steps.mean())}, args.out)
@@ -146,16 +158,19 @@ def _cmd_majority(args):
     delta = Fraction(args.delta)
     record = {"experiment": "majority-retention", "graph": args.graph,
               "delta": str(delta), "mode": args.mode}
+    trials, seed = _trials_seed(args)
     if args.mode == "exact":
+        # --emit-lyapunov draws its start from --seed
+        _refuse(args, ("--trials",) if args.emit_lyapunov else ("--trials", "--seed"),
+                "applies to --mode mc only: exact enumeration samples nothing")
         record["iota"] = str(majority.retention_error(net, delta, mode="exact"))
     else:
-        rng = trial_rng(args.seed, 0)
         record["iota"] = majority.retention_error(net, delta, mode="monte_carlo",
-                                                 trials=args.trials, rng=rng)
-        record["trials"] = args.trials
-        record["seed"] = args.seed
+                                                 trials=trials, rng=trial_rng(seed, 0))
+        record["trials"] = trials
+        record["seed"] = seed
     if args.emit_lyapunov:
-        rng = trial_rng(args.seed, 1)
+        rng = trial_rng(seed, 1)
         config = [int(v) for v in (rng.integers(0, 2, size=net.n) * 2 - 1)]
         traj = majority.trajectory(net, [config], len(net.undirected_edge_list()) + 2)
         lyap = majority.lyapunov_series(net, traj)[:, 0].tolist()
@@ -232,13 +247,15 @@ def _cmd_bayes(args):
 
 def _cmd_cascade(args):
     model = _load_signal(args.signal)
+    trials, seed = _trials_seed(args)
     if isinstance(model, GaussianLLR):
-        p_correct = cascade.gaussian_run(model, args.n, args.trials, seed=args.seed)
+        p_correct = cascade.gaussian_run(model, args.n, trials, seed=seed)
         _emit({"experiment": "cascade-gaussian", "signal": args.signal, "n": args.n,
-               "trials": args.trials, "seed": args.seed,
+               "trials": trials, "seed": seed,
                "p_correct": [float(p) for p in p_correct]}, args.out)
         return 0
     if args.mode == "exact":
+        _refuse(args, ("--trials", "--seed"), "applies to --mode mc only: the exact recursion samples nothing")
         out = cascade.run_exact(model, args.n)
         onset = [float(b - a) for a, b in
                  zip([0] + out.p_cascaded_by[:-1], out.p_cascaded_by)]
@@ -254,10 +271,10 @@ def _cmd_cascade(args):
             record["plateau_error"] = str(exc)
         _emit(record, args.out)
         return 0
-    correct, cascaded = cascade.run_sampled(model, args.n, args.trials, seed=args.seed)
+    correct, cascaded = cascade.run_sampled(model, args.n, trials, seed=seed)
     onset = [float(b - a) for a, b in zip(np.concatenate([[0.0], cascaded[:-1]]), cascaded)]
     _emit({"experiment": "cascade-mc", "signal": args.signal, "n": args.n,
-           "trials": args.trials, "seed": args.seed,
+           "trials": trials, "seed": seed,
            "p_correct": [float(p) for p in correct],
            "cascade_onset_histogram": onset}, args.out)
     return 0
@@ -290,8 +307,9 @@ def _positive_int(text):
 
 
 def _add_common(p):
-    p.add_argument("--trials", type=_positive_int, default=10000, help="Monte Carlo trial count")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    # both default to None, so a path that samples nothing can refuse them when given
+    p.add_argument("--trials", type=_positive_int, help="Monte Carlo trial count (default 10000)")
+    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
     p.add_argument("--out", help="write the JSON record here instead of stdout")
 
 
@@ -315,8 +333,7 @@ def build_parser():
     p.add_argument("--mode", choices=["exact", "mc"], default="mc",
                    help="exact: certified absorption table over every start state")
     _add_common(p)
-    # like --delta, --trials and --seed are Monte Carlo only (defaults 10000 and 0)
-    p.set_defaults(fn=_cmd_voter, trials=None, seed=None)
+    p.set_defaults(fn=_cmd_voter)
 
     p = sub.add_parser("voter-strong", help="two-bit strong/weak voter variant")
     p.add_argument("--graph", required=True)

@@ -34,80 +34,47 @@ EXACT_SOLVE_MAX_N = 14
 _BLOCK_ENTRIES = 1 << 20
 
 # rows of a Monte Carlo block hold about this many agent draws
-_MC_BLOCK = 1 << 16
+_MC_BLOCK = 1 << 14
+
+# a float weight counts as an integer number of these units: the scale of the
+# row-sum tolerance network.ROW_SUM_TOL
+_FLOAT_UNIT = 1 << 40
 
 # strong_voter_trials finishes this many or fewer open trials one at a time:
 # a lockstep step costs about as much as 70 one-trial edge updates
 _LOCKSTEP_MIN = 64
 
 
-class _VoterRound:
-    """One synchronous voter round on row blocks of the trials x agents state.
+def _weight_counts(net: Network):
+    """(A, D): agent i's weight on j as the integer count A[j, i] out of D[i] = sum_j A[j, i].
 
-    The state keeps the agents in decreasing-degree order: column q is agent
-    order[q] (order is None when that is the identity). cum[c, q] is agent q's
-    cumulative weight over its first c + 1 sorted neighbours, the last real
-    entry pinned to 1.0 (a float cumsum can end just below 1, and a draw above
-    it would pick past the row) and +inf after it; nbr[q, c] is the column of
-    its c-th neighbour. Only the leading width[c] agents have a threshold
-    below the pinned one in row c, so only they compare it: a star's leaves
-    do not pay for the hub's degree. Scratch arrays hold blocks of `rows` trials.
+    A rational row counts in units of the lcm of its denominators, so the
+    counts are its numerators and D[i] is that lcm. A row with a float weight
+    counts in units of 2^-40, rounded, and a positive weight never rounds to 0.
+    Refuses, with ValueError, an agent without out-neighbours, a network that
+    fails validate(require_stochastic=True) and a row whose D[i] reaches 2^53,
+    past which float64 no longer holds every count sum exactly.
     """
-
-    def __init__(self, net: Network, rows):
-        n = net.n
-        nbrs = [sorted(net.out_neighbors(i).items()) for i in range(n)]
-        deg = np.array([len(r) for r in nbrs])
-        if not deg.all():
-            raise ValueError(f"agent {int(np.argmin(deg))} has no out-neighbours")
-        order = np.argsort(-deg, kind="stable")
-        col = np.empty(n, dtype=np.intp)
-        col[order] = np.arange(n)
-        dmax = int(deg.max())
-        self.cum = np.full((dmax, n), np.inf)
-        self.nbr = np.zeros((n, dmax), dtype=np.intp)
-        for q, i in enumerate(order):
-            ws = np.array([float(w) for _j, w in nbrs[i]])
-            c = np.cumsum(ws / ws.sum())
-            c[-1] = 1.0
-            self.cum[:len(c), q] = c
-            self.nbr[q, :len(c)] = col[[j for j, _w in nbrs[i]]]
-        self.width = [int((deg > c + 1).sum()) for c in range(dmax - 1)]
-        self.order = None if (order == np.arange(n)).all() else order
-        self.base = np.arange(0, n * dmax, dmax)
-        self.row_start = np.arange(0, rows * n, n)[:, None]
-        self.u = np.empty((rows, n))
-        self.uq = self.u if self.order is None else np.empty_like(self.u)
-        self.cnt = np.empty((rows, n), dtype=np.min_scalar_type(dmax))
-        self.hit = np.empty((rows, n), dtype=bool)
-        self.k = np.empty((rows, n), dtype=np.intp)
-        self.J = np.empty_like(self.k)
-
-    def picks(self, u):
-        """State column each agent copies under the draws u (block x n, state order).
-
-        cum[:, q] is nondecreasing below the pinned 1.0, which no draw reaches,
-        so #{c : u[:, q] >= cum[c, q]} is searchsorted(cum[:, q], u[:, q], side="right").
-        """
-        b = len(u)
-        cnt, hit, k = self.cnt[:b], self.hit[:b], self.k[:b]
-        np.greater_equal(u, self.cum[0], out=cnt)
-        for c in range(1, len(self.width)):
-            a = self.width[c]
-            np.greater_equal(u[:, :a], self.cum[c, :a], out=hit[:, :a])
-            cnt[:, :a] += hit[:, :a]
-        np.add(self.base, cnt, out=k)
-        return self.nbr.take(k, out=self.J[:b], mode="clip")   # k < nbr.size: skip the bounds check
-
-    def step(self, rng, cur, out):
-        """Draw one round for the trials in cur and write their next state to out."""
-        b = len(cur)
-        u = rng.random(out=self.u[:b])
-        if self.order is not None:
-            u = np.take(u, self.order, axis=1, out=self.uq[:b])
-        J = self.picks(u)
-        J += self.row_start[:b]
-        cur.take(J, out=out)
+    n = net.n
+    for i in range(n):
+        if not net.out_neighbors(i):
+            raise ValueError(f"agent {i} has no out-neighbours")
+    require_stochastic(net)
+    A = np.zeros((n, n))
+    D = np.empty(n)
+    for i in range(n):
+        nb = net.out_neighbors(i)
+        ws = nb.values()
+        unit = lcm(*(w.denominator for w in ws)) if all(isinstance(w, Fraction) for w in ws) else _FLOAT_UNIT
+        counts = {j: max(1, round(w * unit)) for j, w in nb.items()}
+        total = sum(counts.values())
+        if total >= 2 ** 53:
+            raise ValueError(f"agent {i}'s weights need the integer total {total}, 2^53 or more: "
+                             "voter Monte Carlo counts them exactly in float64")
+        for j, c in counts.items():
+            A[j, i] = c
+        D[i] = total
+    return A, D
 
 
 def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
@@ -119,56 +86,65 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     Like the exact path it refuses, with ValueError, a network that fails
     validate(require_stochastic=True): only there is absorption almost sure.
 
-    Each round draws u (active trials x n) and agent i copies its neighbour
-    searchsorted(cum_i, u_i, side="right"). Draws are made in row blocks of
-    about _MC_BLOCK entries; the generator fills row-major, so the blocks
-    repeat the stream of one whole-array draw and no result depends on the
-    block size.
+    Agent i adopts 1 with probability C_i / D_i, where C = state @ A counts
+    the weight on neighbours at 1 (see _weight_counts). Each round draws u
+    (open trials x n) and agent i adopts 1 iff u_i D_i < C_i. C and D are
+    integers below 2^53, so the product is exact, and the two ends are exact:
+    C_i = 0 never adopts 1, and C_i = D_i always does, because
+    fl(u D) < D for every double u < 1. A unanimous state therefore steps onto
+    itself. An extra column of ones in A gives each row's count of ones, so a
+    round steps every open trial and then retires those that were unanimous
+    before it. Rows go in blocks of about _MC_BLOCK entries; the generator
+    fills row-major, so the blocks repeat the stream of one whole-array draw
+    and no result depends on the block size.
     """
     n = net.n
-    rows = max(1, _MC_BLOCK // n)
-    rnd = _VoterRound(net, rows)        # first: it names an agent without out-neighbours
-    require_stochastic(net)
-    dmax = len(rnd.cum)
+    counts, D = _weight_counts(net)
+    A = np.ones((n, n + 1))
+    A[:, :n] = counts
     if step_cap is None:
-        step_cap = 100 * 2 * dmax * n * n
+        step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
+    rows = max(1, _MC_BLOCK // n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s = rng.integers(0, 2, size=trials).astype(np.int8)
-    state = np.empty((trials, n), dtype=np.int8)
+    cur = np.empty((trials, n), dtype=np.int8)
     p = 0.5 + float(delta)
     for lo in range(0, trials, rows):
         sb = s[lo:lo + rows, None]
-        match = rng.random((len(sb), n)) < p
-        if rnd.order is not None:
-            match = match[:, rnd.order]
-        state[lo:lo + rows] = np.where(match, sb, 1 - sb)
+        cur[lo:lo + rows] = np.where(rng.random((len(sb), n)) < p, sb, 1 - sb)
 
+    nxt = np.empty_like(cur)
+    C = np.empty((rows, n + 1))
+    u = np.empty((rows, n))
+    ones = np.empty(trials)
     active = np.arange(trials)
     times = np.zeros(trials, dtype=np.int64)
     value = np.zeros(trials, dtype=np.int8)
-    rounds = trial_rounds = 0
     for t in range(step_cap + 1):
-        ones = np.einsum("ij->i", state, dtype=np.intp)    # faster than sum on short rows
-        done = (ones == 0) | (ones == n)
+        m = len(active)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            c = np.matmul(cur[lo:hi], A, out=C[:hi - lo])
+            ones[lo:hi] = c[:, n]
+            x = rng.random(out=u[:hi - lo])
+            x *= D
+            np.less(x, c[:, :n], out=nxt[lo:hi].view(bool))
+        done = (ones[:m] == 0) | (ones[:m] == n)
         if done.any():
             idx = active[done]
-            value[idx] = state[done, 0]
+            value[idx] = nxt[:m][done, 0]
             times[idx] = t
-            active = active[~done]
-            state = state[~done]
-        m = len(active)
-        if m == 0:
+            keep = ~done
+            active = active[keep]
+            np.compress(keep, nxt[:m], axis=0, out=cur[:len(active)])
+        else:
+            cur, nxt = nxt, cur
+        if len(active) == 0:
             break
-        rounds += 1
-        trial_rounds += m
-        nxt = np.empty_like(state)
-        for lo in range(0, m, rows):
-            rnd.step(rng, state[lo:lo + rows], nxt[lo:lo + rows])
-        state = nxt
     else:
         raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
-    debug("voter MC: n=%d trials=%d dmax=%d rounds=%d trial_rounds=%d block=%d rows",
-          n, trials, dmax, rounds, trial_rounds, rows)
+    debug("voter MC: n=%d trials=%d max_D=%d rows=%d rounds=%d trial_rounds=%d",
+          n, trials, int(D.max(initial=0)), rows, int(times.max(initial=0)), int(times.sum()))
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
 
@@ -255,7 +231,7 @@ def _certify_table(net: Network, T, H):
             raise ArithmeticError(f"rational certification failed at state {s}: "
                                   f"E[h(next)] = {Fraction(int(cur[bad[0], 0]), H * scale)}, "
                                   f"h = {Fraction(int(T[s]), H)}")
-    debug("absorption certificate: %d states, H=%d", ns, H)
+    debug("absorption certificate: %d states, H=%d, dtype=%s", ns, H, np.dtype(dtype).name)
 
 
 def absorption_probabilities(net: Network):

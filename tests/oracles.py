@@ -7,7 +7,7 @@ src/opdyn replaced; the differential tests require equal results.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import sqrt
+from math import lcm, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -406,10 +406,11 @@ def fraction_run_exact(net, space, horizon, utility="continuous", tie_rule="choo
 
 
 def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):
-    """voter.mc_consensus as one searchsorted call per agent per round, on whole arrays.
+    """The voter chain sampled by picking a neighbour: one searchsorted call per agent per round.
 
-    The reference for the blocked kernel: the same draws in the same order, so
-    every seed gives the same matches, times, s and value.
+    Agent i copies the neighbour whose cumulative weight interval holds its
+    draw. It samples the same chain as voter.mc_consensus from different
+    draws, so the two agree in distribution, not trial by trial.
     """
     n = net.n
     if step_cap is None:
@@ -450,6 +451,54 @@ def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):
         state = nxt
     else:
         raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
+    return {"matches": int((value == s).sum()), "trials": trials,
+            "times": times, "s": s, "value": value}
+
+
+def threshold_mc_consensus(net, delta, trials, seed, step_cap=None):
+    """voter.mc_consensus as a scalar loop over trials and agents, on the same draws.
+
+    Agent i's row is integer counts over D_i: the numerators over the lcm of
+    its denominators, or for a row with a float weight each weight times 2^40,
+    rounded and at least 1. It adopts 1 iff the Python float u * D_i is below
+    C_i, the count on its neighbours at 1. Every round draws u for each open
+    trial and then retires the trials that were unanimous before the round.
+    """
+    n = net.n
+    rows = []
+    for i in range(n):
+        nb = net.out_neighbors(i)
+        if all(isinstance(w, Fraction) for w in nb.values()):
+            d = lcm(*(w.denominator for w in nb.values()))
+            counts = {j: int(w * d) for j, w in nb.items()}
+        else:
+            counts = {j: max(1, round(w * 2 ** 40)) for j, w in nb.items()}
+        rows.append((counts, sum(counts.values())))
+    if step_cap is None:
+        step_cap = 100 * 2 * max(len(counts) for counts, _ in rows) * n * n
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    s = rng.integers(0, 2, size=trials).astype(np.int8)
+    match = rng.random((trials, n)) < 0.5 + float(delta)
+    states = [[int(s[k]) if match[k, i] else 1 - int(s[k]) for i in range(n)] for k in range(trials)]
+    times = np.zeros(trials, dtype=np.int64)
+    value = np.zeros(trials, dtype=np.int8)
+    open_trials = list(range(trials))
+    for t in range(step_cap + 1):
+        draws = rng.random((len(open_trials), n)).tolist()
+        still_open = []
+        for k, u in zip(open_trials, draws):
+            state = states[k]
+            if sum(state) in (0, n):
+                value[k], times[k] = state[0], t
+                continue
+            states[k] = [int(u[i] * D < sum(c for j, c in counts.items() if state[j]))
+                         for i, (counts, D) in enumerate(rows)]
+            still_open.append(k)
+        open_trials = still_open
+        if not open_trials:
+            break
+    else:
+        raise TimeoutError(f"{len(open_trials)} trials unabsorbed after {step_cap} rounds")
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
 

@@ -183,6 +183,60 @@ def test_float_weights_rejected_by_exact_oracles(tmp_path, capsys):
         assert "edge (1,0) has the float weight 0.25" in err["error"]
 
 
+def test_voter_monte_carlo_on_float_weights(tmp_path, capsys):
+    # the decimal file the exact oracles refuse runs under Monte Carlo, and so
+    # does a float row summing to 1 - 1e-13
+    for text in ("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.75\n",
+                 "n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.7499999999999\n"):
+        path = tmp_path / "decimal.txt"
+        path.write_text(text)
+        code, rec = run_json(capsys, ["voter", "--graph", str(path), "--trials", "300", "--seed", "2"])
+        assert code == 0
+        assert rec["trials"] == 300 and 0 <= rec["p_match_signal_state"] <= 1
+        assert rec["wilson95"][0] <= rec["p_match_signal_state"] <= rec["wilson95"][1]
+        assert rec["mean_absorption_time"] > 0
+    # a row whose counts need a total of 2^53 or more is refused by agent
+    q = 2 ** 53 + 1
+    path.write_text(f"n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 1/{q}\n1 1 {q - 1}/{q}\n")
+    code, err = _error_record(capsys, ["voter", "--graph", str(path), "--trials", "5"])
+    assert code == 2
+    assert err["error"].startswith(f"agent 1's weights need the integer total {q}, 2^53 or more")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["degroot", "--graph", "cycle:3", "--trials", "5", "--seed", "3"], "--trials applies to --mode mc only"),
+    (["degroot", "--graph", "cycle:3", "--seed", "0"], "--seed applies to --mode mc only"),
+    (["degroot", "--graph", "cycle:3", "--cheater", "0=1", "--mode", "mc", "--trials", "5"],
+     "--trials does not apply to --cheater"),
+    (["cascade", "--signal", "bernoulli:1/6", "--mode", "exact", "--trials", "5"],
+     "--trials applies to --mode mc only"),
+    (["cascade", "--signal", "bernoulli:1/6", "--seed", "3"], "--seed applies to --mode mc only"),
+    (["majority", "--graph", "cycle:5", "--trials", "5"], "--trials applies to --mode mc only"),
+    (["majority", "--graph", "cycle:5", "--seed", "3"], "--seed applies to --mode mc only"),
+    (["majority", "--graph", "cycle:5", "--emit-lyapunov", "--trials", "5"], "--trials applies to --mode mc only"),
+])
+def test_exact_paths_refuse_the_sampling_flags(capsys, argv, message):
+    code, err = _error_record(capsys, argv)
+    assert code == 2
+    assert err["command"] == argv[0] and err["error"].startswith(message)
+
+
+def test_sampling_paths_read_trials_and_seed(capsys):
+    code, rec = run_json(capsys, ["degroot", "--graph", "cycle:3", "--mode", "mc", "--trials", "50", "--seed", "4"])
+    assert code == 0 and (rec["trials"], rec["seed"]) == (50, 4)
+    code, rec = run_json(capsys, ["degroot", "--graph", "cycle:3", "--mode", "mc"])
+    assert code == 0 and (rec["trials"], rec["seed"]) == (10000, 0)
+    code, rec = run_json(capsys, ["cascade", "--signal", "bernoulli:1/6", "--mode", "mc", "--trials", "40",
+                                  "--seed", "4"])
+    assert code == 0 and (rec["trials"], rec["seed"]) == (40, 4)
+    code, rec = run_json(capsys, ["majority", "--graph", "cycle:5", "--mode", "mc", "--trials", "40", "--seed", "4"])
+    assert code == 0 and (rec["trials"], rec["seed"]) == (40, 4)
+    # --emit-lyapunov reads --seed on the exact path too
+    seeded = run_json(capsys, ["majority", "--graph", "cycle:7", "--emit-lyapunov", "--seed", "3"])[1]
+    default = run_json(capsys, ["majority", "--graph", "cycle:7", "--emit-lyapunov"])[1]
+    assert seeded["initial_config"] != default["initial_config"]
+
+
 def test_bad_graph_spec_is_a_json_error(capsys):
     code, err = _error_record(capsys, ["degroot", "--graph", "cycle:x"])
     assert code == 2

@@ -11,7 +11,8 @@ from opdyn import voter
 from opdyn.network import REBUILD_MAX_DEN, Network, from_pairs, generate, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (StrongVoterState, absorption_drift, float_solve_absorption, initial_strong_state,
-                     searchsorted_mc_consensus, strong_voter_step)
+                     searchsorted_mc_consensus, strong_voter_step,
+                     threshold_mc_consensus)
 
 
 def test_two_node_one_step_distribution():
@@ -69,16 +70,88 @@ def test_mc_consensus_matches_exact_small():
     assert out["times"].min() >= 0
 
 
-def test_pick_pins_the_last_threshold():
-    # ten weights 1/10 sum in floats to just below 1: a draw above that sum
-    # would pick past the row, so the last threshold is pinned to 1.0
-    ws = np.full(10, float(Fraction(1, 10)))
-    assert np.cumsum(ws / ws.sum())[-1] < 1.0
-    rnd = voter._VoterRound(generate("complete", 10), rows=1)
-    assert (rnd.cum[-1] == 1.0).all()
-    u = np.full((1, 10), np.nextafter(1.0, 0))
-    assert rnd.picks(u).tolist() == [[9] * 10]       # every agent's last neighbour
-    assert rnd.picks(np.zeros((1, 10))).tolist() == [[0] * 10]
+class _PinnedRounds:
+    """A generator whose round draws (random with out=) all equal value; S and psi come from seed."""
+
+    default_rng = staticmethod(np.random.default_rng)      # the real one, kept before a test patches it
+
+    def __init__(self, seed, value):
+        self.rng = self.default_rng(seed)
+        self.value = value
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.rng.random(size)
+        out.fill(self.value)
+        return out
+
+
+def test_threshold_rule_is_exact_at_the_ends(monkeypatch):
+    # all neighbours at 1 give C = D: even the largest draw below 1 adopts 1,
+    # and all neighbours at 0 give C = 0, which not even the draw 0 adopts
+    top = np.nextafter(1.0, 0)
+    nets = (generate("complete", 10), generate("star", 7), _weighted_net(6, 3), _float_net())
+    for net in nets:
+        counts, D = voter._weight_counts(net)
+        C = np.ones(net.n) @ counts
+        assert np.array_equal(C, D)
+        assert (top * D < C).all() and not (0.0 * D < 0 * C).any()
+    assert voter._weight_counts(nets[0])[1].tolist() == [10.0] * 10
+    # the kernel steps a unanimous trial in the round that retires it, so it
+    # must land on itself under either extreme draw
+    for net in nets:
+        for value in (0.0, top):
+            monkeypatch.setattr(np.random, "default_rng", lambda seed, value=value: _PinnedRounds(seed, value))
+            out = voter.mc_consensus(net, Fraction(1, 2), 40, seed=3)
+            assert not out["times"].any() and np.array_equal(out["value"], out["s"])
+    # on complete:10 a draw just below 1 adopts 1 only where every neighbour is
+    # at 1, and the draw 0 wherever one is: one round ends every trial
+    for value, want in ((top, 0), (0.0, 1)):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed, value=value: _PinnedRounds(seed, value))
+        out = voter.mc_consensus(nets[0], Fraction(0), 200, seed=4)
+        moved = out["times"] == 1
+        assert moved.sum() > 190 and (out["times"] <= 1).all() and (out["value"][moved] == want).all()
+
+
+def _adopt_count(D, C):
+    """K = #{k < 2^53 : fl(k 2^-53 D) < C} for each pair of int64 entries of D and C.
+
+    fl(u D) is nondecreasing in u, so the k that pass are a prefix 0 .. K - 1.
+    K is bisected on the 2^-53 grid from a bracket around C 2^53 / D that is
+    checked first.
+    """
+    Df, Cf = D.astype(np.float64), C.astype(np.float64)
+
+    def below(k):
+        return (k * 2.0 ** -53) * Df < Cf            # k <= 2^53 converts exactly
+    guess = (Cf / Df * 2.0 ** 53).astype(np.int64)
+    lo, hi = np.maximum(guess - 2, 0), np.minimum(guess + 3, 2 ** 53)
+    assert below(lo - 1).all() and not below(hi).any()      # lo <= K <= hi
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        hit = below(mid)
+        lo, hi = np.where(hit & (lo < hi), mid + 1, lo), np.where(hit, hi, mid)
+    return lo
+
+
+def test_adoption_probability_is_within_two_ulps_of_c_over_d():
+    # P(fl(u D) < C) for u uniform on the 2^-53 grid, counted exactly, against
+    # C / D for every 0 <= C <= D: every D up to 2048, then every 97th, powers
+    # of two and their neighbours, and the primes 9973 and 10007
+    extra = {4095, 4096, 4097, 8191, 8192, 8193, 9973, 10007}
+    all_d = np.array(sorted(set(range(1, 2049)) | set(range(2049, 10008, 97)) | extra), dtype=np.int64)
+    for ds in np.array_split(all_d, 16):
+        D = np.repeat(ds, ds + 1)
+        C = np.arange(len(D)) - np.repeat(np.cumsum(ds + 1) - (ds + 1), ds + 1)
+        K = _adopt_count(D, C)
+        # |K / 2^53 - C / D| <= 2^-52 is |K D - C 2^53| <= 2 D; with 2^53 = Q D + R
+        # that is |(K - C Q) D - C R| <= 2 D, which stays inside int64
+        Q, R = np.repeat(2 ** 53 // ds, ds + 1), np.repeat(2 ** 53 % ds, ds + 1)
+        assert (np.abs((K - C * Q) * D - C * R) <= 2 * D).all()
+        assert (K[C == 0] == 0).all() and (K[C == D] == 2 ** 53).all()
 
 
 def _weighted_net(n, seed):
@@ -94,6 +167,12 @@ def _weighted_net(n, seed):
     return Network(n=n, edges=tuple(edges))
 
 
+def _float_net(n=5, seed=0):
+    """_weighted_net with its weights as floats; row 0 is scaled to sum to 1 - 1e-13."""
+    edges = [(i, j, float(w) * (1 - 1e-13 if i == 0 else 1)) for i, j, w in _weighted_net(n, seed).edges]
+    return Network(n=n, edges=tuple(edges))
+
+
 def _mc_net(kind, n, seed):
     if kind == "grid":
         return generate(kind, (2 + n % 2) ** 2)
@@ -101,18 +180,20 @@ def _mc_net(kind, n, seed):
         return generate(kind, max(4, n - n % 2), d=3, seed=seed)
     if kind == "weighted":
         return _weighted_net(n, seed)
+    if kind == "float":
+        return _float_net(n, seed)
     return generate(kind, n)
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["cycle", "chain", "star", "complete", "grid", "random_regular", "weighted"]),
+@given(kind=st.sampled_from(["cycle", "chain", "star", "complete", "grid", "random_regular", "weighted", "float"]),
        n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
        delta=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3)]),
        trials=st.integers(0, 60), block=st.sampled_from([1, 8, 24, 1 << 16]))
-def test_mc_consensus_matches_searchsorted_oracle(kind, n, seed, delta, trials, block):
+def test_mc_consensus_matches_threshold_oracle(kind, n, seed, delta, trials, block):
     # small blocks split the trials into many row blocks; the stream must not notice
     net = _mc_net(kind, n, seed)
-    want = searchsorted_mc_consensus(net, delta, trials, seed)
+    want = threshold_mc_consensus(net, delta, trials, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voter, "_MC_BLOCK", block)
         got = voter.mc_consensus(net, delta, trials, seed)
@@ -122,12 +203,49 @@ def test_mc_consensus_matches_searchsorted_oracle(kind, n, seed, delta, trials, 
         assert np.array_equal(got[key], want[key]), key
 
 
+@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), _weighted_net(6, 1)],
+                         ids=["cycle5", "star6", "weighted6"])
+def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
+    # the count rule and the searchsorted pick sample one chain from different draws
+    trials = 4000
+    got = voter.mc_consensus(net, Fraction(1, 10), trials, seed=5)
+    want = searchsorted_mc_consensus(net, Fraction(1, 10), trials, seed=6)
+    p, q = got["matches"] / trials, want["matches"] / trials
+    assert abs(p - q) <= 4 * np.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+    a, b = got["times"], want["times"]
+    assert abs(a.mean() - b.mean()) <= 4 * np.sqrt((a.var() + b.var()) / trials)
+
+
+def test_mc_consensus_float_rows_and_wide_denominators():
+    # float rows count in units of 2^-40, and a row summing to 1 - 1e-13 still absorbs
+    net = _float_net()
+    counts, D = voter._weight_counts(net)
+    assert np.abs(D - 2 ** 40).max() <= net.n and (counts[counts > 0] >= 2 ** 35).all()
+    out = voter.mc_consensus(net, Fraction(1, 10), 500, seed=4)
+    assert out["trials"] == 500 and out["times"].max() > 0
+    out = voter.mc_consensus(net, Fraction(1, 2), 50, seed=4)    # every start is unanimous
+    assert out["matches"] == 50 and not out["times"].any()
+    # a positive float weight never rounds to 0
+    tiny = Network(n=2, edges=((0, 0, 1 - 1e-13), (0, 1, 1e-13), (1, 0, 0.5), (1, 1, 0.5)))
+    assert voter._weight_counts(tiny)[0][1, 0] == 1
+
+    def wide(q):
+        return Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
+                                   (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
+    # D = 2^53 - 1 still counts exactly; an agent whose lcm reaches 2^53 is refused by name
+    assert voter._weight_counts(wide(2 ** 53 - 1))[1][0] == 2 ** 53 - 1
+    assert voter.mc_consensus(wide(2 ** 53 - 1), Fraction(1, 10), 20, seed=0)["trials"] == 20
+    with pytest.raises(ValueError, match=r"agent 0's weights need the integer total 9007199254740992, 2\^53"):
+        voter.mc_consensus(wide(2 ** 53), Fraction(1, 10), 5, seed=0)
+
+
 def test_mc_consensus_logs_sizes(caplog):
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
         out = voter.mc_consensus(generate("star", 6), Fraction(1, 10), trials=50, seed=2)
     times = out["times"]
-    assert (f"voter MC: n=6 trials=50 dmax=6 rounds={times.max()} "
-            f"trial_rounds={times.sum()} block=10922 rows") in caplog.text
+    # the hub's row has six neighbours, so its weights count over D = 6
+    assert (f"voter MC: n=6 trials=50 max_D=6 rows=2730 rounds={times.max()} "
+            f"trial_rounds={times.sum()}") in caplog.text
 
 
 def test_strong_voter_strict_majority_deterministic_outcome():
@@ -331,7 +449,12 @@ def test_certificate_with_wide_denominators(caplog):
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
         h = voter.absorption_probabilities(net)
     assert all(h[s] == Fraction(bin(s).count("1"), 5) for s in range(32))
-    assert "absorption certificate: 32 states, H=5" in caplog.text
+    # the slow Python-integer fallback names itself
+    assert "absorption certificate: 32 states, H=5, dtype=object" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        voter.absorption_probabilities(generate("cycle", 5))
+    assert "absorption certificate: 32 states, H=5, dtype=int32" in caplog.text
     h[7] = Fraction(3, 5) + Fraction(1, 10 ** 12)
     with pytest.raises(ArithmeticError):
         voter.certify_absorption(net, h)

@@ -7,10 +7,10 @@ the public ratio carried by the action history and P_i the private signal's
 ratio. An outside observer tracks Lx exactly; a cascade has started once
 the next agent's decision no longer depends on its signal.
 
-Finite signal models run exactly, merging observer states that share the
-same public ratio: each distinct ratio is analysed once, and the forward
-pass carries the state weights as integers over a common denominator.
-Gaussian signals (unbounded ratios) run as vectorized Monte Carlo in the
+A finite signal model is one Markov chain over public ratios (_Chain):
+each distinct ratio is numbered and analysed once, and the exact series,
+the limiting accuracy and the seeded per-trial runs all walk it. Gaussian
+signals (unbounded ratios) run as vectorized Monte Carlo in the
 log domain.
 """
 
@@ -26,9 +26,6 @@ from .harness_util import debug
 from .network import solve_exact
 from .signals import FiniteModel, GaussianLLR, sample_world, trial_rng
 
-ONE = Fraction(1)
-
-
 def private_ratio(model: FiniteModel, k) -> Fraction:
     """P(psi = x | S=0) / P(psi = x | S=1) for alphabet index k."""
     return model.mu0[k] / model.mu1[k]
@@ -37,28 +34,6 @@ def private_ratio(model: FiniteModel, k) -> Fraction:
 def agent_decision(public_ratio, priv_ratio):
     """Action given the public and private likelihood ratios (tie -> 1)."""
     return 1 if public_ratio * priv_ratio <= 1 else 0
-
-
-def action_distribution(model: FiniteModel, public_ratio):
-    """P(A=1 | S=s, public ratio), exact, for s = 0 and 1."""
-    p1 = [Fraction(0), Fraction(0)]
-    for k in range(len(model.alphabet)):
-        if agent_decision(public_ratio, private_ratio(model, k)) == 1:
-            p1[0] += model.mu0[k]
-            p1[1] += model.mu1[k]
-    return p1[0], p1[1]
-
-
-def observer_update(model: FiniteModel, public_ratio, action):
-    """Bayes update of the public ratio after seeing one action."""
-    a0, a1 = action_distribution(model, public_ratio)
-    if action == 1:
-        if a1 == 0:
-            raise ZeroDivisionError("impossible action under S=1")
-        return public_ratio * a0 / a1
-    if a1 == 1:
-        raise ZeroDivisionError("impossible action under S=0")
-    return public_ratio * (1 - a0) / (1 - a1)
 
 
 def observer_action(public_ratio):
@@ -72,11 +47,64 @@ def observer_action(public_ratio):
     return 1 if public_ratio <= 1 else 0
 
 
-def in_cascade(model: FiniteModel, public_ratio):
-    """True iff the next decision is the same for every signal in the support."""
-    decisions = {agent_decision(public_ratio, private_ratio(model, k))
-                 for k in range(len(model.alphabet))}
-    return len(decisions) == 1
+class _Chain:
+    """The public-ratio chain of a finite model, each ratio numbered when first reached.
+
+    Row k is [public ratio, forced action or None, a0 D, a1 D, action per
+    letter, children or None], where a_s = P(A=1 | S=s, ratio) and D is the
+    lcm of the denominators of mu0 and mu1, so a0 D and a1 D are integers.
+    A ratio is in a cascade (forced action set) once every letter gives the
+    same action. Row 0 is the prior ratio 1. Children are found on demand.
+    """
+
+    def __init__(self, model: FiniteModel):
+        self.priv = [private_ratio(model, j) for j in range(len(model.alphabet))]
+        self.D = lcm(*(p.denominator for p in (*model.mu0, *model.mu1)))
+        self.mu0D = [int(p * self.D) for p in model.mu0]
+        self.mu1D = [int(p * self.D) for p in model.mu1]
+        self.ids = {}
+        self.rows = []
+        self.number(Fraction(1))
+
+    def number(self, lx):
+        """The row of public ratio lx, appended when lx is first reached."""
+        k = self.ids.get(lx)
+        if k is None:
+            k = self.ids[lx] = len(self.rows)
+            acts = tuple(agent_decision(lx, p) for p in self.priv)
+            forced = acts[0] if len(set(acts)) == 1 else None
+            A0 = sum(m for a, m in zip(acts, self.mu0D) if a)
+            A1 = sum(m for a, m in zip(acts, self.mu1D) if a)
+            self.rows.append([lx, forced, A0, A1, acts, None])
+        return k
+
+    def children(self, k):
+        """action -> (child number, m0 D, m1 D) for each action that can follow row k.
+
+        The child's ratio is the observer's Bayes update lx * m0 / m1.
+        """
+        row = self.rows[k]
+        if row[5] is None:
+            lx, _forced, A0, A1, _acts, _kids = row
+            D = self.D
+            kids = {}
+            for action, m0, m1 in ((1, A0, A1), (0, D - A0, D - A1)):
+                if m0 == 0 and m1 == 0:
+                    continue
+                if m0 == 0 or m1 == 0:
+                    # one-sided action probabilities would make an action
+                    # reveal S outright; impossible with a common support
+                    raise AssertionError("signal support must not separate states")
+                new_lx = lx * Fraction(m0, m1)
+                if observer_action(new_lx) != action:
+                    raise AssertionError("observer must copy the last action")
+                kids[action] = (self.number(new_lx), m0, m1)
+            row[5] = kids
+        return row[5]
+
+    def child(self, k, action):
+        """The row the observer moves to after seeing action at row k."""
+        return self.children(k)[action][0]
 
 
 @dataclass
@@ -90,62 +118,31 @@ class CascadeExact:
 
 
 def run_exact(model: FiniteModel, n) -> CascadeExact:
-    """Exact forward pass, merging observer states by their public ratio.
+    """Exact forward pass over the public-ratio chain.
 
-    State: public ratio -> (weight | S=0, weight | S=1), with prior 1/2 each.
-    Each public ratio is numbered once, when it is first reached, and its
-    cascade status, forced action, action probabilities a0 D and a1 D and
-    children are cached under that number; D is the lcm of the denominators
-    of mu0 and mu1, so a0 D and a1 D are integers. The weights at position i
-    are integers over 2 D^i, and Fractions are built only for the outputs.
+    State: chain row -> (weight | S=0, weight | S=1), with prior 1/2 each.
+    The weights at position i are integers over 2 D^i, and Fractions are
+    built only for the outputs.
     """
-    D = lcm(*(p.denominator for p in (*model.mu0, *model.mu1)))
-    ids = {}
-    rows = []       # number -> [public ratio, forced action or None, a0 D, a1 D, children or None]
-
-    def number(lx):
-        k = ids.get(lx)
-        if k is None:
-            k = ids[lx] = len(rows)
-            a0, a1 = action_distribution(model, lx)
-            forced = agent_decision(lx, private_ratio(model, 0)) if in_cascade(model, lx) else None
-            rows.append([lx, forced, int(a0 * D), int(a1 * D), None])
-        return k
-
-    def children(k):
-        """(child number, m0 D, m1 D) for each action that can follow ratio k."""
-        lx, _forced, A0, A1, _kids = rows[k]
-        kids = []
-        for action, m0, m1 in ((1, A0, A1), (0, D - A0, D - A1)):
-            if m0 == 0 and m1 == 0:
-                continue
-            if m0 == 0 or m1 == 0:
-                # one-sided action probabilities would make an action
-                # reveal S outright; impossible with a common support
-                raise AssertionError("signal support must not separate states")
-            new_lx = lx * Fraction(m0, m1)
-            if observer_action(new_lx) != action:
-                raise AssertionError("observer must copy the last action")
-            kids.append((number(new_lx), m0, m1))
-        rows[k][4] = kids
-        return kids
+    chain = _Chain(model)
+    rows, D = chain.rows, chain.D
 
     def wrong_mass(states):
         return sum(w0 if rows[k][1] == 1 else w1
                    for k, (w0, w1) in states.items() if rows[k][1] is not None)
 
-    states = {number(ONE): (1, 1)}
+    states = {0: (1, 1)}
     p_correct, p_cascaded, p_wrong = [], [], []
     den = 2
     for _i in range(n):
         casc = correct = 0
         nxt = {}
         for k, (w0, w1) in states.items():
-            _lx, forced, A0, A1, kids = rows[k]
+            _lx, forced, A0, A1, _acts, kids = rows[k]
             if forced is not None:
                 casc += w0 + w1
             correct += w1 * A1 + w0 * (D - A0)
-            for c, m0, m1 in kids if kids is not None else children(k):
+            for c, m0, m1 in (kids if kids is not None else chain.children(k)).values():
                 c0, c1 = nxt.get(c, (0, 0))
                 nxt[c] = (c0 + w0 * m0, c1 + w1 * m1)
         p_correct.append(Fraction(correct, den * D))
@@ -160,79 +157,71 @@ def run_exact(model: FiniteModel, n) -> CascadeExact:
 def limit_accuracy(model: FiniteModel) -> Fraction:
     """lim_i P(A_i = S): exact absorption analysis of the public-ratio chain.
 
-    Explores the reachable public-ratio states; cascade states are absorbing
-    (their update multiplies by 1). Solves the finite linear system for the
-    probability, from each transient state and true S, of eventually joining
-    a cascade whose forced action equals S. Raises if the transient state
-    space does not stay finite and small.
+    Explores the rows reachable from ratio 1 in numbering order; cascade rows
+    are absorbing (their update multiplies by 1). Solves the finite linear
+    system for the probability, from each transient row and true S, of
+    eventually joining a cascade whose forced action equals S. Raises if the
+    transient rows do not stay finite and small.
 
-    The system (I - Q) h = r over the transient states is nonsingular: an
+    The system (I - Q) h = r over the transient rows is nonsingular: an
     action that depends on the signal moves the public ratio by a factor
-    bounded away from 1 in a fixed direction, so from every transient state a
+    bounded away from 1 in a fixed direction, so from every transient row a
     long enough run of equal actions reaches a cascade. Absorption is then
-    certain, Q^t -> 0, and 1 is not an eigenvalue of Q.
+    certain, Q^t -> 0, and 1 is not an eigenvalue of Q. The system is solved
+    multiplied by D, in the integer masses.
     """
-    states = []          # transient (non-cascade) ratios
-    index = {}
-    frontier = [Fraction(1)]
-    absorb = {}          # cascade ratio -> forced action
-    while frontier:
-        lx = frontier.pop()
-        if lx in index or lx in absorb:
-            continue
-        if in_cascade(model, lx):
-            absorb[lx] = agent_decision(lx, private_ratio(model, 0))
-            continue
-        index[lx] = len(states)
-        states.append(lx)
-        if len(states) > 64:
-            raise RuntimeError("public-ratio chain did not stay small")
-        a0, a1 = action_distribution(model, lx)
-        for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
-            if m0 > 0 and m1 > 0:
-                frontier.append(lx * m0 / m1)
-    m = len(states)
-    # h_s[state] = P(end in a cascade with action == s | S = s, at state)
+    chain = _Chain(model)
+    rows, D = chain.rows, chain.D
+    index = {}           # transient row -> unknown
+    k = 0
+    while k < len(rows):
+        if rows[k][1] is None:
+            index[k] = len(index)
+            if len(index) > 64:
+                raise RuntimeError("public-ratio chain did not stay small")
+            chain.children(k)
+        k += 1
+    m = len(index)
+    # h_s[row] = P(end in a cascade with action == s | S = s, at row)
     total = Fraction(0)
     for s in (0, 1):
-        A = [[Fraction(1 if r == c else 0) for c in range(m)] for r in range(m)]
-        b = [Fraction(0)] * m
-        for lx in states:
-            r = index[lx]
-            a0, a1 = action_distribution(model, lx)
-            for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
+        A = [[D if r == c else 0 for c in range(m)] for r in range(m)]
+        b = [0] * m
+        for k, r in index.items():
+            for c, m0, m1 in rows[k][5].values():
                 prob = m1 if s == 1 else m0
-                if prob == 0:
-                    continue
-                nxt = lx * m0 / m1
-                if nxt in absorb:
-                    if absorb[nxt] == s:
-                        b[r] += prob
-                else:
-                    A[r][index[nxt]] -= prob
+                if c in index:
+                    A[r][index[c]] -= prob
+                elif rows[c][1] == s:
+                    b[r] += prob
         h = solve_exact(A, b)
-        total += Fraction(1, 2) * h[index[Fraction(1)]]
+        total += Fraction(1, 2) * h[index[0]]
     return total
 
 
 def run_sampled(model: FiniteModel, n, trials, seed):
-    """Seeded Monte Carlo counterpart of run_exact (sanity cross-check)."""
-    correct = np.zeros(n, dtype=np.int64)
-    cascaded = np.zeros(n, dtype=np.int64)
+    """Seeded Monte Carlo counterpart of run_exact (sanity cross-check).
+
+    Each trial draws its world with sample_world on trial_rng(seed, trial)
+    and walks the chain by table lookup: the row's action for the signal,
+    then the child row.
+    """
+    chain = _Chain(model)
+    rows = chain.rows
+    correct = [0] * n
+    cascaded = [0] * n
     for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        world = sample_world(model, n, rng)
-        lx = ONE
+        world = sample_world(model, n, trial_rng(seed, trial))
+        k = 0
         for i in range(n):
-            if in_cascade(model, lx):
+            _lx, forced, _A0, _A1, acts, _kids = rows[k]
+            if forced is not None:
                 cascaded[i] += 1
-            a = agent_decision(lx, private_ratio(model, model.index(world.signals[i])))
+            a = acts[model.index(world.signals[i])]
             if a == world.s:
                 correct[i] += 1
-            lx = observer_update(model, lx, a)
-            if observer_action(lx) != a:
-                raise AssertionError("observer must copy the last action")
-    return correct / trials, cascaded / trials
+            k = chain.child(k, a)
+    return np.array(correct, dtype=np.int64) / trials, np.array(cascaded, dtype=np.int64) / trials
 
 
 # -- Gaussian (unbounded ratios) --------------------------------------------

@@ -82,7 +82,8 @@ def _cmd_degroot(args):
     net = _load_graph(args.graph)
     cheaters = _parse_cheaters(args.cheater)
     if cheaters:
-        _refuse(args, ("--trials", "--seed"), "does not apply to --cheater: the limits are exact and sample nothing")
+        _refuse(args, ("--trials", "--seed", "--delta", "--mode"),
+                "does not apply to --cheater: the limits are exact, read no signal and sample nothing")
         exact = degroot.cheater_limit_exact(net, set(cheaters))
         limits = {i: str(cheaters[i]) if i in cheaters
                   else str(sum(Fraction(v) * exact[i][c] for c, v in cheaters.items()))
@@ -91,10 +92,10 @@ def _cmd_degroot(args):
                "cheaters": {str(i): str(v) for i, v in cheaters.items()},
                "limits_exact": limits}, args.out)
         return 0
-    delta = Fraction(args.delta)
-    if args.mode == "exact":
-        _refuse(args, ("--trials", "--seed"), "applies to --mode mc only: exact enumeration samples nothing")
-        est = degroot.learning_probability(net, delta, mode="exact_enumeration")
+    delta = Fraction("1/10" if args.delta is None else args.delta)
+    if args.mode != "mc":
+        _refuse(args, ("--trials", "--seed"), "applies to --mode mc only: the exact DP samples nothing")
+        est = degroot.learning_probability(net, delta, mode="exact")
         _emit({"experiment": "degroot-learning", "graph": args.graph,
                "delta": str(delta), "mode": "exact",
                "p_w": str(est.p), "tie_mass": str(est.tie_mass)}, args.out)
@@ -200,6 +201,8 @@ def _cmd_bayes(args):
         delta = _scenario_delta(model)
         kind, _, rest = args.scenario.partition(":")
         if kind == "senate":
+            _refuse(args, ("--graph", "--utility", "--tie", "--horizon"),
+                    "does not apply to --scenario senate: the scenario fixes its own agents and rules")
             try:
                 n, k = (int(x) for x in rest.split(","))
             except ValueError:
@@ -210,6 +213,8 @@ def _cmd_bayes(args):
                    "all_follow_verdict": out["all_follow_verdict"]}, args.out)
             return 0
         if kind == "chain-tie":
+            _refuse(args, ("--graph", "--utility", "--tie"),
+                    "does not apply to --scenario chain-tie: the scenario fixes its own chain and rules")
             try:
                 n = int(rest)
             except ValueError:
@@ -228,18 +233,20 @@ def _cmd_bayes(args):
         raise ValueError("exact forward induction needs a finite signal model")
     net = _load_graph(args.graph)
     space = bayes.build_profile_space(model, net.n)
-    tie = {"one": "choose_one", "own": "own_signal"}[args.tie]
+    utility = "discrete" if args.utility is None else args.utility
+    tie = "one" if args.tie is None else args.tie
     horizon = args.horizon or space.m * net.n + 1
-    res = bayes.run_exact(net, space, horizon=horizon, utility=args.utility, tie_rule=tie)
+    res = bayes.run_exact(net, space, horizon=horizon, utility=utility,
+                          tie_rule={"one": "choose_one", "own": "own_signal"}[tie])
     record = {"experiment": "bayes-exact", "graph": args.graph, "signal": args.signal,
-              "utility": args.utility, "tie": args.tie, "rounds": res.rounds,
+              "utility": utility, "tie": tie, "rounds": res.rounds,
               "stabilized": res.stabilized,
               "agreement": bayes.agreement_check(res)["agree"]}
     if res.stabilized:
         stats = bayes.fixation_stats(res)
         record["fixation_bound_ok"] = stats["bound_ok"]
         record["max_fixation_round"] = max(stats["fixation"])
-    if args.utility == "continuous":
+    if utility == "continuous":
         record["full_information"] = bayes.full_information_check(res)["full_learning"]
     _emit(record, args.out)
     return 0
@@ -249,12 +256,14 @@ def _cmd_cascade(args):
     model = _load_signal(args.signal)
     trials, seed = _trials_seed(args)
     if isinstance(model, GaussianLLR):
+        if args.mode == "exact":
+            _refuse(args, ("--mode",), "exact needs a finite signal model: gaussian signals are only sampled")
         p_correct = cascade.gaussian_run(model, args.n, trials, seed=seed)
         _emit({"experiment": "cascade-gaussian", "signal": args.signal, "n": args.n,
                "trials": trials, "seed": seed,
                "p_correct": [float(p) for p in p_correct]}, args.out)
         return 0
-    if args.mode == "exact":
+    if args.mode != "mc":
         _refuse(args, ("--trials", "--seed"), "applies to --mode mc only: the exact recursion samples nothing")
         out = cascade.run_exact(model, args.n)
         onset = [float(b - a) for a, b in
@@ -320,8 +329,8 @@ def build_parser():
 
     p = sub.add_parser("degroot", help="repeated weighted averaging")
     p.add_argument("--graph", required=True, help="graph file or shorthand kind:n[:d[:seed]]")
-    p.add_argument("--delta", default="1/10", help="signal quality P(signal=S) - 1/2")
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact")
+    p.add_argument("--delta", help="signal quality P(signal=S) - 1/2 (default 1/10)")
+    p.add_argument("--mode", choices=["exact", "mc"], help="exact (default): knapsack DP; mc: sampled")
     p.add_argument("--cheater", action="append", metavar="i=v",
                    help="pin agent i to value v (repeatable); reports exact limits")
     _add_common(p)
@@ -353,10 +362,10 @@ def build_parser():
     p = sub.add_parser("bayes", help="exact rational Bayesian agents")
     p.add_argument("--graph")
     p.add_argument("--signal", help="bernoulli:<d> | file:<path>")
-    p.add_argument("--utility", choices=["discrete", "continuous"], default="discrete")
-    p.add_argument("--tie", choices=["one", "own"], default="one",
-                   help="indifference rule: always 1, or repeat the own signal")
-    p.add_argument("--horizon", type=int, default=0)
+    p.add_argument("--utility", choices=["discrete", "continuous"], help="default discrete")
+    p.add_argument("--tie", choices=["one", "own"],
+                   help="indifference rule: always 1 (default), or repeat the own signal")
+    p.add_argument("--horizon", type=int, help="rounds to run (default: enough to stabilize)")
     p.add_argument("--scenario", help="senate:<n>,<k> | chain-tie:<n>")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bayes)
@@ -364,7 +373,8 @@ def build_parser():
     p = sub.add_parser("cascade", help="one-shot sequential decisions")
     p.add_argument("--signal", required=True)
     p.add_argument("--n", type=int, default=16, help="number of agents in the sequence")
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact")
+    p.add_argument("--mode", choices=["exact", "mc"],
+                   help="exact (default for finite signals) or mc; gaussian signals are only sampled")
     _add_common(p)
     p.set_defaults(fn=_cmd_cascade)
 

@@ -95,22 +95,22 @@ def _exact_p_w(alpha, delta):
     return Fraction(succ, total), Fraction(tie, total)
 
 
-def learning_probability(net: Network, delta, mode="exact_enumeration",
+def learning_probability(net: Network, delta, mode="exact",
                          trials=10000, rng=None) -> LearningEstimate:
     """p_w(delta) = P(round(A_infinity) = S) under Bernoulli(delta) signals.
 
-    Exact mode needs rational weights and an exact alpha (n <= 200, see
+    mode="exact" needs rational weights and an exact alpha (n <= 200, see
     network.EXACT_SOLVE_MAX_N); it runs a knapsack DP over the weighted
     signal sum (see _exact_p_w) and refuses more than EXACT_DP_MAX_SUPPORT
-    distinct sums. Exact ties A_infinity = 1/2
-    are reported separately and count as neither success nor failure. Monte
-    Carlo mode samples signal vectors and carries a Wilson interval.
+    distinct sums. Exact ties A_infinity = 1/2 are reported separately and
+    count as neither success nor failure. mode="monte_carlo" samples signal
+    vectors and carries a Wilson interval.
     """
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2)")
     n = net.n
-    if mode == "exact_enumeration":
+    if mode == "exact":
         require_rational(net, "exact p_w")
         sd = stationary_distribution(net)
         if not sd.exact:

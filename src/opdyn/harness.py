@@ -104,12 +104,12 @@ def _exp_degroot_monotone(cfg):
     """Exact learning probability: monotone in signal quality, -> 1/2 at 0+."""
     net = generate("star", cfg.options.get("n", 9))
     deltas = [Fraction(k, 100) for k in range(5, 50, 5)]
-    ps = [degroot.learning_probability(net, d, mode="exact_enumeration").p for d in deltas]
+    ps = [degroot.learning_probability(net, d, mode="exact").p for d in deltas]
     monotone = all(a <= b for a, b in zip(ps, ps[1:]))
     cyc = generate("cycle", 9)
-    ps_c = [degroot.learning_probability(cyc, d, mode="exact_enumeration").p for d in deltas]
+    ps_c = [degroot.learning_probability(cyc, d, mode="exact").p for d in deltas]
     monotone = monotone and all(a <= b for a, b in zip(ps_c, ps_c[1:]))
-    p_small = degroot.learning_probability(net, Fraction(1, 100), mode="exact_enumeration").p
+    p_small = degroot.learning_probability(net, Fraction(1, 100), mode="exact").p
     near_half = abs(p_small - Fraction(1, 2)) <= Fraction(2, 100)
     exact = {f"p_w({d})": _frac(p) for d, p in zip(deltas, ps)}
     exact["p_w(1/100)"] = _frac(p_small)

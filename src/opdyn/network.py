@@ -416,12 +416,7 @@ def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
 
 
 def mixing_tv(net: Network, start: int, t: int) -> float:
-    """TV distance between the t-step distribution from start and alpha.
-
-    Exact matrix powers (float) up to n = 200.
-    """
-    if net.n > EXACT_SOLVE_MAX_N:
-        raise ValueError("mixing_tv is a desk-scale tool (n <= 200)")
+    """TV distance between the t-step distribution from start and alpha, by a float matrix power."""
     alpha = stationary_distribution(net).as_floats()
     P = net.weight_matrix()
     dist = np.zeros(net.n)

@@ -15,7 +15,7 @@ import numpy as np
 from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
 from opdyn.network import Network, rationalize, require_rational, require_stochastic, stationary_distribution
-from opdyn.signals import GaussianLLR, trial_rng
+from opdyn.signals import GaussianLLR, sample_world, trial_rng
 
 
 def solve_rational(A, b):
@@ -268,6 +268,35 @@ def float_solve_absorption(net):
     return h
 
 
+def action_distribution(model, public_ratio):
+    """P(A=1 | S=s, public ratio), exact, for s = 0 and 1."""
+    p1 = [Fraction(0), Fraction(0)]
+    for k in range(len(model.alphabet)):
+        if cascade.agent_decision(public_ratio, cascade.private_ratio(model, k)) == 1:
+            p1[0] += model.mu0[k]
+            p1[1] += model.mu1[k]
+    return p1[0], p1[1]
+
+
+def observer_update(model, public_ratio, action):
+    """Bayes update of the public ratio after seeing one action."""
+    a0, a1 = action_distribution(model, public_ratio)
+    if action == 1:
+        if a1 == 0:
+            raise ZeroDivisionError("impossible action under S=1")
+        return public_ratio * a0 / a1
+    if a1 == 1:
+        raise ZeroDivisionError("impossible action under S=0")
+    return public_ratio * (1 - a0) / (1 - a1)
+
+
+def in_cascade(model, public_ratio):
+    """True iff the next decision is the same for every signal in the support."""
+    decisions = {cascade.agent_decision(public_ratio, cascade.private_ratio(model, k))
+                 for k in range(len(model.alphabet))}
+    return len(decisions) == 1
+
+
 def fraction_cascade_run_exact(model, n) -> cascade.CascadeExact:
     """cascade.run_exact with every weight a Fraction and the ratio helpers called per visit."""
     states = {Fraction(1): (Fraction(1, 2), Fraction(1, 2))}
@@ -276,11 +305,11 @@ def fraction_cascade_run_exact(model, n) -> cascade.CascadeExact:
         casc = wrong = correct = Fraction(0)
         nxt = {}
         for lx, (w0, w1) in states.items():
-            if cascade.in_cascade(model, lx):
+            if in_cascade(model, lx):
                 casc += w0 + w1
                 a = cascade.agent_decision(lx, cascade.private_ratio(model, 0))
                 wrong += w0 if a == 1 else w1
-            a0, a1 = cascade.action_distribution(model, lx)
+            a0, a1 = action_distribution(model, lx)
             correct += w1 * a1 + w0 * (1 - a0)
             for action, m0, m1 in ((1, a0, a1), (0, 1 - a0, 1 - a1)):
                 if m0 == 0 and m1 == 0:
@@ -298,11 +327,76 @@ def fraction_cascade_run_exact(model, n) -> cascade.CascadeExact:
         states = nxt
     limit_wrong = Fraction(0)
     for lx, (w0, w1) in states.items():
-        if cascade.in_cascade(model, lx):
+        if in_cascade(model, lx):
             a = cascade.agent_decision(lx, cascade.private_ratio(model, 0))
             limit_wrong += w0 if a == 1 else w1
     return cascade.CascadeExact(p_correct=p_correct, p_cascaded_by=p_cascaded,
                                 p_wrong_cascade=p_wrong, limit_wrong=limit_wrong)
+
+
+def fraction_limit_accuracy(model) -> Fraction:
+    """cascade.limit_accuracy exploring the ratio chain itself, with Fraction masses and updates."""
+    states = []          # transient (non-cascade) ratios
+    index = {}
+    frontier = [Fraction(1)]
+    absorb = {}          # cascade ratio -> forced action
+    while frontier:
+        lx = frontier.pop()
+        if lx in index or lx in absorb:
+            continue
+        if in_cascade(model, lx):
+            absorb[lx] = cascade.agent_decision(lx, cascade.private_ratio(model, 0))
+            continue
+        index[lx] = len(states)
+        states.append(lx)
+        if len(states) > 64:
+            raise RuntimeError("public-ratio chain did not stay small")
+        a0, a1 = action_distribution(model, lx)
+        for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
+            if m0 > 0 and m1 > 0:
+                frontier.append(lx * m0 / m1)
+    m = len(states)
+    # h_s[state] = P(end in a cascade with action == s | S = s, at state)
+    total = Fraction(0)
+    for s in (0, 1):
+        A = [[Fraction(1 if r == c else 0) for c in range(m)] for r in range(m)]
+        b = [Fraction(0)] * m
+        for lx in states:
+            r = index[lx]
+            a0, a1 = action_distribution(model, lx)
+            for m0, m1 in ((a0, a1), (1 - a0, 1 - a1)):
+                prob = m1 if s == 1 else m0
+                if prob == 0:
+                    continue
+                nxt = lx * m0 / m1
+                if nxt in absorb:
+                    if absorb[nxt] == s:
+                        b[r] += prob
+                else:
+                    A[r][index[nxt]] -= prob
+        h = solve_rational(A, b)
+        total += Fraction(1, 2) * h[index[Fraction(1)]]
+    return total
+
+
+def per_trial_run_sampled(model, n, trials, seed):
+    """cascade.run_sampled stepping every trial's public ratio through observer_update in Fractions."""
+    correct = np.zeros(n, dtype=np.int64)
+    cascaded = np.zeros(n, dtype=np.int64)
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        world = sample_world(model, n, rng)
+        lx = Fraction(1)
+        for i in range(n):
+            if in_cascade(model, lx):
+                cascaded[i] += 1
+            a = cascade.agent_decision(lx, cascade.private_ratio(model, model.index(world.signals[i])))
+            if a == world.s:
+                correct[i] += 1
+            lx = observer_update(model, lx, a)
+            if cascade.observer_action(lx) != a:
+                raise AssertionError("observer must copy the last action")
+    return correct / trials, cascaded / trials
 
 
 def fraction_profile_entries(model, n):

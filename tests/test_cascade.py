@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from opdyn import cascade
 from opdyn.signals import FiniteModel, GaussianLLR, bernoulli_delta
-from oracles import fraction_cascade_run_exact, per_trial_gaussian_run
+from oracles import (fraction_cascade_run_exact, fraction_limit_accuracy, observer_update, per_trial_gaussian_run,
+                     per_trial_run_sampled)
 
 MODEL = bernoulli_delta(Fraction(1, 6))  # P(signal = S) = 2/3
 
@@ -20,17 +21,24 @@ def test_first_agent_follows_signal():
 
 
 def test_observer_update_is_bayes():
-    lx = cascade.observer_update(MODEL, Fraction(1), 1)
+    lx = observer_update(MODEL, Fraction(1), 1)
     # agent followed its signal, so the action carries one signal's ratio
     assert lx == Fraction(1, 2)
-    assert cascade.observer_update(MODEL, Fraction(1), 0) == Fraction(2)
+    assert observer_update(MODEL, Fraction(1), 0) == Fraction(2)
+    # the chain's children are the same updates
+    chain = cascade._Chain(MODEL)
+    assert [chain.rows[chain.child(0, a)][0] for a in (1, 0)] == [Fraction(1, 2), Fraction(2)]
 
 
 def test_cascade_states():
-    assert cascade.in_cascade(MODEL, Fraction(1, 2))   # both signals say 1
-    assert cascade.in_cascade(MODEL, Fraction(4))      # both say 0
-    assert not cascade.in_cascade(MODEL, Fraction(1))
-    assert not cascade.in_cascade(MODEL, Fraction(2))
+    chain = cascade._Chain(MODEL)
+
+    def forced(lx):
+        return chain.rows[chain.number(lx)][1]
+    assert forced(Fraction(1, 2)) == 1   # both signals say 1
+    assert forced(Fraction(4)) == 0      # both say 0
+    assert forced(Fraction(1)) is None
+    assert forced(Fraction(2)) is None
 
 
 def test_exact_series_oracle():
@@ -58,16 +66,41 @@ def test_observer_copies_last_action():
     cascade.run_exact(MODEL, 10)
 
 
-@pytest.mark.parametrize("model", [
-    bernoulli_delta(Fraction(1, 10)), MODEL, bernoulli_delta(Fraction(3, 10)),
-    FiniteModel((0, 1, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-                (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
-    FiniteModel((0, 1, 2, 3), (Fraction(1, 4),) * 4,
-                (Fraction(1, 8), Fraction(1, 8), Fraction(3, 8), Fraction(3, 8))),
-], ids=["bernoulli-1/10", "bernoulli-1/6", "bernoulli-3/10", "three-letter", "four-letter"])
+THREE_LETTER = FiniteModel((0, 1, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+                           (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+FOUR_LETTER = FiniteModel((0, 1, 2, 3), (Fraction(1, 4),) * 4,
+                          (Fraction(1, 8), Fraction(1, 8), Fraction(3, 8), Fraction(3, 8)))
+# incommensurate private ratios: the public-ratio chain does not stay small
+INCOMMENSURATE = FiniteModel((0, 1, 2), (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)),
+                             (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10)))
+MODELS = [bernoulli_delta(Fraction(1, 10)), MODEL, bernoulli_delta(Fraction(3, 10)), THREE_LETTER, FOUR_LETTER]
+MODEL_IDS = ["bernoulli-1/10", "bernoulli-1/6", "bernoulli-3/10", "three-letter", "four-letter"]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 @pytest.mark.parametrize("n", [1, 60])
 def test_run_exact_matches_fraction_oracle(model, n):
     assert cascade.run_exact(model, n) == fraction_cascade_run_exact(model, n)
+
+
+@pytest.mark.parametrize("model", MODELS + [INCOMMENSURATE], ids=MODEL_IDS + ["incommensurate"])
+def test_limit_accuracy_matches_fraction_oracle(model):
+    # the four-letter chain keeps more than 64 non-cascade ratios too: both sides refuse it
+    if model is FOUR_LETTER or model is INCOMMENSURATE:
+        for fn in (cascade.limit_accuracy, fraction_limit_accuracy):
+            with pytest.raises(RuntimeError, match="public-ratio chain did not stay small"):
+                fn(model)
+    else:
+        assert cascade.limit_accuracy(model) == fraction_limit_accuracy(model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(MODELS + [INCOMMENSURATE]), n=st.integers(1, 40),
+       trials=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_run_sampled_matches_per_trial_oracle(model, n, trials, seed):
+    got = cascade.run_sampled(model, n, trials, seed)
+    want = per_trial_run_sampled(model, n, trials, seed)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_gaussian_keeps_learning():

@@ -214,6 +214,22 @@ def test_voter_monte_carlo_on_float_weights(tmp_path, capsys):
     (["majority", "--graph", "cycle:5", "--trials", "5"], "--trials applies to --mode mc only"),
     (["majority", "--graph", "cycle:5", "--seed", "3"], "--seed applies to --mode mc only"),
     (["majority", "--graph", "cycle:5", "--emit-lyapunov", "--trials", "5"], "--trials applies to --mode mc only"),
+    # flags that a path reads nothing from, including an explicitly typed default
+    (["degroot", "--graph", "cycle:3", "--cheater", "0=1", "--delta", "1/5", "--mode", "mc"],
+     "--delta does not apply to --cheater"),
+    (["degroot", "--graph", "cycle:3", "--cheater", "0=1", "--mode", "exact"], "--mode does not apply to --cheater"),
+    (["degroot", "--graph", "cycle:3", "--cheater", "0=1", "--delta", "1/10"], "--delta does not apply to --cheater"),
+    (["cascade", "--signal", "gaussian:1", "--mode", "exact", "--n", "3", "--trials", "10"],
+     "--mode exact needs a finite signal model"),
+    (["bayes", "--scenario", "senate:10,5", "--graph", "cycle:3", "--utility", "continuous", "--tie", "own",
+      "--horizon", "3"], "--graph does not apply to --scenario senate"),
+    (["bayes", "--scenario", "senate:10,5", "--utility", "discrete"], "--utility does not apply to --scenario senate"),
+    (["bayes", "--scenario", "senate:10,5", "--tie", "one"], "--tie does not apply to --scenario senate"),
+    (["bayes", "--scenario", "senate:10,5", "--horizon", "3"], "--horizon does not apply to --scenario senate"),
+    (["bayes", "--scenario", "chain-tie:4", "--graph", "cycle:3"], "--graph does not apply to --scenario chain-tie"),
+    (["bayes", "--scenario", "chain-tie:4", "--utility", "continuous"],
+     "--utility does not apply to --scenario chain-tie"),
+    (["bayes", "--scenario", "chain-tie:4", "--tie", "own"], "--tie does not apply to --scenario chain-tie"),
 ])
 def test_exact_paths_refuse_the_sampling_flags(capsys, argv, message):
     code, err = _error_record(capsys, argv)
@@ -231,6 +247,8 @@ def test_sampling_paths_read_trials_and_seed(capsys):
     assert code == 0 and (rec["trials"], rec["seed"]) == (40, 4)
     code, rec = run_json(capsys, ["majority", "--graph", "cycle:5", "--mode", "mc", "--trials", "40", "--seed", "4"])
     assert code == 0 and (rec["trials"], rec["seed"]) == (40, 4)
+    code, rec = run_json(capsys, ["cascade", "--signal", "gaussian:1", "--mode", "mc", "--n", "3", "--trials", "10"])
+    assert code == 0 and rec["experiment"] == "cascade-gaussian" and rec["trials"] == 10
     # --emit-lyapunov reads --seed on the exact path too
     seeded = run_json(capsys, ["majority", "--graph", "cycle:7", "--emit-lyapunov", "--seed", "3"])[1]
     default = run_json(capsys, ["majority", "--graph", "cycle:7", "--emit-lyapunov"])[1]

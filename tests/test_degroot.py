@@ -50,7 +50,7 @@ def test_learning_probability_exact_cycle3():
     # A_infinity = mean of three signals: success iff majority correct
     net = generate("cycle", 3)
     d = Fraction(1, 10)
-    est = degroot.learning_probability(net, d, mode="exact_enumeration")
+    est = degroot.learning_probability(net, d, mode="exact")
     p = Fraction(1, 2) + d
     assert est.p == p ** 3 + 3 * p ** 2 * (1 - p)
     assert est.tie_mass == 0
@@ -59,7 +59,7 @@ def test_learning_probability_exact_cycle3():
 def test_learning_probability_mc_agrees():
     net = generate("cycle", 5)
     d = Fraction(3, 10)
-    exact = degroot.learning_probability(net, d, mode="exact_enumeration").p
+    exact = degroot.learning_probability(net, d, mode="exact").p
     mc = degroot.learning_probability(net, d, mode="monte_carlo",
                                       trials=20000, rng=trial_rng(1, 0))
     lo, hi = mc.ci
@@ -71,7 +71,7 @@ def test_hoeffding_bound_holds():
                 generate("random_regular", 120, d=4, seed=0)):
         alpha = stationary_distribution(net).alpha
         for d in (Fraction(1, 10), Fraction(3, 10)):
-            exact = degroot.learning_probability(net, d, mode="exact_enumeration")
+            exact = degroot.learning_probability(net, d, mode="exact")
             assert float(exact.p + exact.tie_mass) >= degroot.hoeffding_success_bound(alpha, d) - 1e-12
 
 
@@ -130,7 +130,7 @@ def _small_net(kind, n, seed):
        delta=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(12, 25), max_denominator=50))
 def test_learning_probability_dp_matches_enumerator(kind, n, seed, delta):
     net = _small_net(kind, n, seed)
-    est = degroot.learning_probability(net, delta, mode="exact_enumeration")
+    est = degroot.learning_probability(net, delta, mode="exact")
     assert (est.p, est.tie_mass) == enumerate_p_w(net, delta)
 
 

@@ -105,7 +105,7 @@ def _cmd_degroot(args):
                                            trials=trials, rng=trial_rng(seed, 0))
         _emit({"experiment": "degroot-learning", "graph": args.graph,
                "delta": str(delta), "mode": "mc", "trials": trials,
-               "seed": seed, "p_w": est.p,
+               "seed": seed, "p_w": est.p, "tie_mass": est.tie_mass,
                "wilson95": est.ci}, args.out)
     return 0
 
@@ -136,7 +136,7 @@ def _cmd_voter(args):
 
 def _cmd_voter_strong(args):
     net = _load_graph(args.graph)
-    delta = float(Fraction(args.delta))
+    delta = float(voter.check_delta(args.delta))
     trials, seed = _trials_seed(args)
     rng = trial_rng(seed, 0)
     s = rng.integers(0, 2, size=trials)[:, None]
@@ -308,7 +308,7 @@ def _cmd_accept(args):
 
 
 def _positive_int(text):
-    """argparse type of every --trials: an integer of at least 1."""
+    """argparse type of every --trials and of cascade's --n: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -372,7 +372,7 @@ def build_parser():
 
     p = sub.add_parser("cascade", help="one-shot sequential decisions")
     p.add_argument("--signal", required=True)
-    p.add_argument("--n", type=int, default=16, help="number of agents in the sequence")
+    p.add_argument("--n", type=_positive_int, default=16, help="number of agents in the sequence")
     p.add_argument("--mode", choices=["exact", "mc"],
                    help="exact (default for finite signals) or mc; gaussian signals are only sampled")
     _add_common(p)

@@ -22,6 +22,9 @@ from .harness_util import debug, wilson_interval
 # exact p_w refuses a DP over more distinct weighted signal sums than this
 EXACT_DP_MAX_SUPPORT = 2 ** 20
 
+# rows of a Monte Carlo block hold about this many signal draws
+_MC_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class DeGrootState:
@@ -103,8 +106,9 @@ def learning_probability(net: Network, delta, mode="exact",
     network.EXACT_SOLVE_MAX_N); it runs a knapsack DP over the weighted
     signal sum (see _exact_p_w) and refuses more than EXACT_DP_MAX_SUPPORT
     distinct sums. Exact ties A_infinity = 1/2 are reported separately and
-    count as neither success nor failure. mode="monte_carlo" samples signal
-    vectors and carries a Wilson interval.
+    count as neither success nor failure. mode="monte_carlo" samples trials
+    signal vectors from rng a block at a time (see _sample_p_w) and carries a
+    Wilson interval.
     """
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 2):
@@ -122,24 +126,50 @@ def learning_probability(net: Network, delta, mode="exact",
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
-        af = np.array([float(a) for a in alpha])
-        d = float(delta)
-        wins = 0
-        ties = 0
-        for _ in range(trials):
-            s = int(rng.integers(0, 2))
-            psi = (rng.random(n) < (0.5 + d)).astype(float)
-            if s == 0:
-                psi = 1.0 - psi
-            a_inf = float(af @ psi)
-            if a_inf == 0.5:
-                ties += 1
-            elif (a_inf > 0.5) == (s == 1):
-                wins += 1
+        wins, ties = _sample_p_w(alpha, delta, trials, rng)
         lo, hi = wilson_interval(wins, trials)
         return LearningEstimate(p=wins / trials, tie_mass=ties / trials,
                                 exact=False, trials=trials, ci=(lo, hi))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _sample_p_w(alpha, delta, trials, rng):
+    """(wins, ties) over trials sampled signal vectors, scored a block of rows at a time.
+
+    Draws S for every trial, then u for trials x n agents in blocks of about
+    _MC_BLOCK entries, and psi_i = S iff u_i < 1/2 + delta. The generator
+    fills row-major, so the blocks repeat the stream of one whole-array draw.
+    With an exact alpha whose common denominator D is below 2^53, the
+    integers c_i = alpha_i D of the agents whose signal is S add up to m,
+    exactly in float64; the limit is m / D under S = 1 and (D - m) / D under
+    S = 0, so under either state a win is 2m > D and a tie 2m = D, the test of
+    _exact_p_w. Otherwise the float limit alpha . psi is a tie at exactly 1/2
+    and a win on S's side of it.
+    """
+    n = len(alpha)
+    D = math.lcm(*(a.denominator for a in alpha)) if all(isinstance(a, Fraction) for a in alpha) else None
+    if D is None or D >= 2 ** 53:
+        D, c = None, np.array([float(a) for a in alpha])
+    else:
+        c = np.array([float(a * D) for a in alpha])
+    rows = max(1, _MC_BLOCK // n)
+    s = rng.integers(0, 2, size=trials)
+    p = 0.5 + float(delta)
+    wins = ties = 0
+    for lo in range(0, trials, rows):
+        sb = s[lo:lo + rows]
+        match = rng.random((len(sb), n)) < p
+        if D is None:
+            a_inf = np.where(match, sb[:, None], 1 - sb[:, None]) @ c
+            tie = a_inf == 0.5
+            wins += np.count_nonzero(~tie & ((a_inf > 0.5) == (sb == 1)))
+        else:
+            m2 = 2 * (match @ c)
+            tie = m2 == D
+            wins += np.count_nonzero(m2 > D)
+        ties += np.count_nonzero(tie)
+    debug("p_w MC: n=%d trials=%d rows=%d D=%s", n, trials, rows, "float" if D is None else D)
+    return int(wins), int(ties)
 
 
 def hoeffding_success_bound(alpha, delta):

@@ -50,6 +50,7 @@ class Network:
     edges: tuple = ()
     directed: bool = True
     _out: dict = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         out = {i: {} for i in range(self.n)}
@@ -60,6 +61,7 @@ class Network:
                 raise ValueError(f"parallel edge ({i},{j})")
             out[i][j] = _as_weight(w)
         object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_cache", {})
 
     # -- basic views ---------------------------------------------------------
 
@@ -94,6 +96,15 @@ class Network:
             for j, w in nb.items():
                 P[i, j] = float(w)
         return P
+
+    def cached(self, build):
+        """build(self), computed on the first call and kept: a Network never changes.
+
+        Nothing is kept when build raises, so a refusal repeats on every call.
+        """
+        if build not in self._cache:
+            self._cache[build] = build(self)
+        return self._cache[build]
 
     def undirected_edge_list(self):
         """Unordered edges {i, j} with i <= j (each once). Self-loops included."""

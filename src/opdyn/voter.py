@@ -77,6 +77,17 @@ def _weight_counts(net: Network):
     return A, D
 
 
+def check_delta(delta):
+    """delta as a Fraction; ValueError unless 0 <= delta <= 1/2, where 1/2 + delta is a probability.
+
+    delta = 0 draws fair signals and delta = 1/2 signals that all equal S.
+    """
+    delta = Fraction(delta)
+    if not 0 <= delta <= Fraction(1, 2):
+        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
+    return delta
+
+
 def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     """Trial-vectorized Monte Carlo of the base model under Bernoulli signals.
 
@@ -84,7 +95,8 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     runs synchronous rounds until unanimity, and returns a dict with the
     count of trials whose consensus matched S and the absorption times.
     Like the exact path it refuses, with ValueError, a network that fails
-    validate(require_stochastic=True): only there is absorption almost sure.
+    validate(require_stochastic=True): only there is absorption almost sure,
+    and a delta outside [0, 1/2] (see check_delta).
 
     Agent i adopts 1 with probability C_i / D_i, where C = state @ A counts
     the weight on neighbours at 1 (see _weight_counts). Each round draws u
@@ -99,6 +111,7 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     and no result depends on the block size.
     """
     n = net.n
+    delta = check_delta(delta)
     counts, D = _weight_counts(net)
     A = np.ones((n, n + 1))
     A[:, :n] = counts
@@ -315,12 +328,20 @@ def martingale_residual(net: Network, acts):
 # looked up at ctrl * 16 + 4 * code_i + code_j.
 
 def _strong_pairs(net: Network):
-    """The edges between two distinct agents, which the variant picks uniformly."""
+    """The edges between two distinct agents, which the variant picks uniformly.
+
+    Callers take it through net.cached, so each network builds and checks it
+    once. Raises ValueError on a directed network, on one without such an
+    edge and on a disconnected one, whose components can settle on different
+    opinions and never reach one consensus.
+    """
     if net.directed:
         raise ValueError("strong voter runs on undirected networks")
-    pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
+    pairs = tuple(e for e in net.undirected_edge_list() if e[0] != e[1])
     if not pairs:
         raise ValueError("strong voter needs an edge between two agents")
+    if not _pairs_connected(net.n, pairs):
+        raise ValueError("strong voter needs a connected network: two components never reach one consensus")
     return pairs
 
 
@@ -382,38 +403,39 @@ def _strong_apply(codes, flat_i, flat_j, ctrl):
 def _strong_walk(pairs, codes, ones, t, step_cap, rng):
     """Run one trial on from its list of codes with t updates done; returns (opinion, T).
 
-    Draws edges, coins and swaps in batches of 1024 and looks each update up in
-    _strong_table; codes changes in place and ones counts its opinions 1.
+    Each update is one draw d from [0, 4 len(pairs)), packed as in
+    strong_voter_trials: edge d >> 2 and ctrl d & 3. Draws come in batches of
+    64, then 128, 256, ..., never past step_cap updates in all, and each
+    update is looked up in _strong_table; codes changes in place and ones
+    counts its opinions 1.
     """
     n = len(codes)
     table = _strong_table()
-    batch = 1024
-    while t <= step_cap:
-        edges = rng.integers(0, len(pairs), size=batch)
-        coins = rng.integers(0, 2, size=batch)
-        swaps = rng.integers(0, 2, size=batch)
-        # memoryviews yield Python ints lazily: a trial reads only the draws it uses
-        for e, ctrl in zip(memoryview(edges), memoryview(coins * 32 + swaps * 16)):
-            if ones == 0 or ones == n:
-                return codes[0] >> 1, t
-            i, j = pairs[e]
-            codes[i], codes[j], d = table[ctrl + 4 * codes[i] + codes[j]]
-            ones += d
+    batch = 64
+    while ones != 0 and ones != n:
+        if t >= step_cap:
+            raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")
+        for d in rng.integers(0, 4 * len(pairs), size=min(batch, step_cap - t)).tolist():
+            i, j = pairs[d >> 2]
+            codes[i], codes[j], change = table[((d & 3) << 4) + 4 * codes[i] + codes[j]]
+            ones += change
             t += 1
-    if ones == 0 or ones == n:
-        return codes[0] >> 1, t
-    raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")
+            if ones == 0 or ones == n:
+                break
+        batch *= 2
+    return codes[0] >> 1, t
 
 
 def run_strong_voter(net: Network, signals, rng, step_cap=None):
     """Run one trial's edge updates until all opinions agree; returns (opinion, T).
 
+    Refuses, like strong_voter_trials, a directed or disconnected network.
     strong_voter_trials runs many trials at once.
     """
     n = net.n
     if step_cap is None:
         step_cap = 2000 * n * n
-    return _strong_walk(_strong_pairs(net), [2 * a + 1 for a in signals], sum(signals), 0, step_cap, rng)
+    return _strong_walk(net.cached(_strong_pairs), [2 * a + 1 for a in signals], sum(signals), 0, step_cap, rng)
 
 
 def strong_voter_trials(net: Network, signals, rng):
@@ -430,9 +452,7 @@ def strong_voter_trials(net: Network, signals, rng):
     """
     n = net.n
     step_cap = 2000 * n * n
-    pair_list = _strong_pairs(net)
-    if not _pairs_connected(n, pair_list):
-        raise ValueError("strong voter needs a connected network: two components never reach one consensus")
+    pair_list = net.cached(_strong_pairs)
     pairs = np.array(pair_list, dtype=np.intp)
     sig = np.asarray(signals)
     if sig.ndim != 2 or sig.shape[1] != n or not np.isin(sig, (0, 1)).all():

@@ -1,20 +1,24 @@
-"""Slow, direct reference implementations that the fast exact kernels are tested against.
+"""Slow, direct reference implementations that the fast kernels are tested against.
 
-Each one is the straightforward Fraction computation that a kernel in
-src/opdyn replaced; the differential tests require equal results.
+Each one is the straightforward Fraction computation or per-trial loop that a
+kernel in src/opdyn replaced. The differential tests require equal results
+from an oracle on the kernel's own draws, and agreement in distribution from
+a sampler that draws its own.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, sqrt
+from math import fsum, lcm, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
-from opdyn.network import Network, rationalize, require_rational, require_stochastic, stationary_distribution
+from opdyn.network import (Network, from_pairs, rationalize, require_rational, require_stochastic,
+                           stationary_distribution)
 from opdyn.signals import GaussianLLR, sample_world, trial_rng
 
 
@@ -52,6 +56,77 @@ def enumerate_p_w(net, delta):
         elif a_inf > half:
             succ += w
     return succ, tie
+
+
+def per_trial_learning_probability(net, delta, trials, rng):
+    """degroot.learning_probability(mode="monte_carlo") as it drew S and psi one trial at a time.
+
+    It samples the same p_w as the block kernel from other draws, so the two
+    agree in distribution, not trial by trial.
+    """
+    delta = Fraction(delta)
+    n = net.n
+    alpha = stationary_distribution(net).alpha
+    af = np.array([float(a) for a in alpha])
+    d = float(delta)
+    wins = 0
+    ties = 0
+    for _ in range(trials):
+        s = int(rng.integers(0, 2))
+        psi = (rng.random(n) < (0.5 + d)).astype(float)
+        if s == 0:
+            psi = 1.0 - psi
+        a_inf = float(af @ psi)
+        if a_inf == 0.5:
+            ties += 1
+        elif (a_inf > 0.5) == (s == 1):
+            wins += 1
+    return wins, ties
+
+
+def scalar_learning_probability(net, delta, trials, rng):
+    """(wins, ties) of degroot.learning_probability(mode="monte_carlo"), one trial at a time on its draws.
+
+    The draws are S for every trial, then u for trials x n agents, psi_i = S
+    iff u_i < 1/2 + delta. An exact alpha scores the Fraction limit
+    sum_i alpha_i psi_i against 1/2, which the kernel matches while the
+    common denominator of alpha is below 2^53; a float alpha scores the
+    correctly rounded sum (math.fsum), which the kernel matches unless some
+    limit lies within rounding of 1/2.
+    """
+    alpha = stationary_distribution(net).alpha
+    exact = all(isinstance(a, Fraction) for a in alpha)
+    total, half = (sum, Fraction(1, 2)) if exact else (fsum, 0.5)
+    s = rng.integers(0, 2, size=trials).tolist()
+    u = rng.random((trials, net.n)).tolist()
+    p = 0.5 + float(delta)
+    wins = ties = 0
+    for state, row in zip(s, u):
+        a_inf = total(a * (state if x < p else 1 - state) for a, x in zip(alpha, row))
+        if a_inf == half:
+            ties += 1
+        elif (a_inf > half) == (state == 1):
+            wins += 1
+    return wins, ties
+
+
+def weighted_net(n, seed):
+    """A random tree plus chords with random positive integer weights on each closed neighbourhood."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(i), i) for i in range(1, n)} | {(0, n - 1)}
+    base = from_pairs(n, sorted(pairs))
+    edges = []
+    for i in range(n):
+        ws = {j: rng.randint(1, 5) for j in base.out_neighbors(i)}
+        total = sum(ws.values())
+        edges += [(i, j, Fraction(w, total)) for j, w in ws.items()]
+    return Network(n=n, edges=tuple(edges))
+
+
+def float_net(n=5, seed=0):
+    """weighted_net with its weights as floats; row 0 is scaled to sum to 1 - 1e-13."""
+    edges = [(i, j, float(w) * (1 - 1e-13 if i == 0 else 1)) for i, j, w in weighted_net(n, seed).edges]
+    return Network(n=n, edges=tuple(edges))
 
 
 def reachability_distances(adj: np.ndarray, start):
@@ -678,3 +753,70 @@ def strong_voter_step(net: Network, state: StrongVoterState, rng) -> StrongVoter
     ops[i], ops[j] = ai, aj
     sts[i], sts[j] = wi, wj
     return StrongVoterState(opinions=tuple(ops), strengths=tuple(sts), t=state.t + 1)
+
+
+class FixedDraws:
+    """Stands in for a generator: integers() returns the given values in order."""
+
+    def __init__(self, vals):
+        self.vals = list(vals)
+
+    def integers(self, lo, hi, size=None):
+        return self.vals.pop(0)
+
+
+def per_update_strong_walk(net: Network, state: StrongVoterState, step_cap, rng) -> StrongVoterState:
+    """voter._strong_walk as one strong_voter_step per update, on the kernel's draws.
+
+    Runs from state until all opinions agree and returns the final state.
+    Draws come in batches of 64, 128, 256, ... values d in [0, 4 |pairs|),
+    never past step_cap updates in all. A draw d holds the edge d >> 2, the
+    coin (d >> 1) & 1 and the swap d & 1; strong_voter_step reads them in that
+    order, the coin only for a disagreement between two weak agents.
+    """
+    pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
+    draws = []
+    batch = 64
+    while 0 < sum(state.opinions) < net.n:
+        if state.t >= step_cap:
+            raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")
+        if not draws:
+            draws = rng.integers(0, 4 * len(pairs), size=min(batch, step_cap - state.t)).tolist()
+            batch *= 2
+        d = draws.pop(0)
+        i, j = pairs[d >> 2]
+        weak_tie = state.opinions[i] != state.opinions[j] and not state.strengths[i] and not state.strengths[j]
+        state = strong_voter_step(net, state, FixedDraws([d >> 2] + [(d >> 1) & 1] * weak_tie + [d & 1]))
+    return state
+
+
+def three_draw_run_strong_voter(net: Network, signals, rng, step_cap=None):
+    """voter.run_strong_voter as it drew edges, coins and swaps as three arrays of 1024 per batch.
+
+    It samples the same walk as the one-draw kernel from other draws, so the
+    two agree in distribution, not trial by trial.
+    """
+    n = net.n
+    if step_cap is None:
+        step_cap = 2000 * n * n
+    pairs = voter._strong_pairs(net)
+    codes = [2 * a + 1 for a in signals]
+    ones = sum(signals)
+    t = 0
+    table = voter._strong_table()
+    batch = 1024
+    while t <= step_cap:
+        edges = rng.integers(0, len(pairs), size=batch)
+        coins = rng.integers(0, 2, size=batch)
+        swaps = rng.integers(0, 2, size=batch)
+        # memoryviews yield Python ints lazily: a trial reads only the draws it uses
+        for e, ctrl in zip(memoryview(edges), memoryview(coins * 32 + swaps * 16)):
+            if ones == 0 or ones == n:
+                return codes[0] >> 1, t
+            i, j = pairs[e]
+            codes[i], codes[j], d = table[ctrl + 4 * codes[i] + codes[j]]
+            ones += d
+            t += 1
+    if ones == 0 or ones == n:
+        return codes[0] >> 1, t
+    raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opdyn import cascade, cli, majority, voter
+from opdyn import cascade, cli, degroot, majority, voter
 from opdyn.network import generate, write_network
 from opdyn.signals import GaussianLLR, bernoulli_delta, trial_rng, write_signal_model
 from oracles import scalar_j_functional, scalar_lyapunov, scalar_step
@@ -240,6 +240,9 @@ def test_exact_paths_refuse_the_sampling_flags(capsys, argv, message):
 def test_sampling_paths_read_trials_and_seed(capsys):
     code, rec = run_json(capsys, ["degroot", "--graph", "cycle:3", "--mode", "mc", "--trials", "50", "--seed", "4"])
     assert code == 0 and (rec["trials"], rec["seed"]) == (50, 4)
+    est = degroot.learning_probability(generate("cycle", 3), Fraction(1, 10), mode="monte_carlo", trials=50,
+                                       rng=trial_rng(4, 0))
+    assert (rec["p_w"], rec["tie_mass"]) == (est.p, est.tie_mass)
     code, rec = run_json(capsys, ["degroot", "--graph", "cycle:3", "--mode", "mc"])
     assert code == 0 and (rec["trials"], rec["seed"]) == (10000, 0)
     code, rec = run_json(capsys, ["cascade", "--signal", "bernoulli:1/6", "--mode", "mc", "--trials", "40",
@@ -308,6 +311,37 @@ def test_zero_trials_is_refused(capsys, argv):
         cli.main(argv + ["--trials", "0"])
     assert exc.value.code == 2
     assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["cascade", "--signal", "bernoulli:1/6"], "-3"),
+    (["cascade", "--signal", "bernoulli:1/6", "--mode", "mc", "--trials", "3"], "0"),
+    (["cascade", "--signal", "gaussian:1"], "-2"),
+])
+def test_cascade_without_agents_is_refused(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--n", value])
+    assert exc.value.code == 2
+    assert f"argument --n: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["voter", "--graph", "cycle:5", "--delta", "3/4"],
+    ["voter", "--graph", "cycle:5", "--delta", "-1"],
+    ["voter-strong", "--graph", "cycle:5", "--delta", "2"],
+])
+def test_voter_samplers_refuse_delta_outside_the_half_interval(capsys, argv):
+    code, err = _error_record(capsys, argv + ["--trials", "5"])
+    assert code == 2
+    assert err == {"command": argv[0], "error": f"delta must lie in [0, 1/2], got {argv[-1]}"}
+
+
+def test_voter_samplers_take_the_ends_of_the_half_interval(capsys):
+    # delta = 1/2: every signal equals S, so every trial starts at consensus S
+    code, rec = run_json(capsys, ["voter-strong", "--graph", "cycle:5", "--delta", "1/2", "--trials", "20"])
+    assert code == 0 and rec["mean_steps"] == 0
+    code, rec = run_json(capsys, ["voter", "--graph", "cycle:5", "--delta", "0", "--trials", "20"])
+    assert code == 0 and rec["trials"] == 20
 
 
 def test_cap_ends_as_json_with_exit_code_3(capsys):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import degroot
 from opdyn.network import Network, from_pairs, generate, mixing_tv, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import enumerate_p_w
+from oracles import (enumerate_p_w, float_net, per_trial_learning_probability, scalar_learning_probability,
+                     weighted_net)
 
 
 def test_step_path3_oracle():
@@ -116,6 +117,8 @@ def _small_net(kind, n, seed):
     """A network of at most 12 agents of the given kind."""
     if kind == "random_regular":
         return generate(kind, max(4, n - n % 2), d=3, seed=seed)
+    if kind == "weighted":
+        return weighted_net(n, seed)
     if kind == "from_pairs":
         # a random tree plus one chord: irregular degrees, so alpha takes several values
         rng = random.Random(seed)
@@ -151,3 +154,56 @@ def test_exact_p_w_rejects_float_weights():
     net = Network(n=2, edges=((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (1, 0, 0.5), (1, 1, 0.5)))
     with pytest.raises(ValueError, match=r"edge \(1,0\) has the float weight 0.5"):
         degroot.learning_probability(net, Fraction(1, 10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cycle", "star", "chain", "from_pairs", "weighted"]),
+       n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.sampled_from([Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), Fraction(49, 100)]),
+       trials=st.integers(1, 300), block=st.sampled_from([1, 8, 40, 1 << 14]))
+def test_learning_probability_mc_matches_scalar_oracle(kind, n, seed, delta, trials, block):
+    # small blocks split the trials into many row blocks; the stream must not notice
+    net = _small_net(kind, n, seed)
+    wins, ties = scalar_learning_probability(net, delta, trials, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degroot, "_MC_BLOCK", block)
+        est = degroot.learning_probability(net, delta, mode="monte_carlo", trials=trials,
+                                           rng=np.random.default_rng(seed))
+    assert (est.p, est.tie_mass, est.trials) == (wins / trials, ties / trials, trials)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_learning_probability_mc_matches_scalar_oracle_on_float_weights(seed):
+    # a float alpha sums in float64; no limit of these draws lies within rounding of 1/2
+    net = float_net(7, seed)
+    trials = 500
+    wins, ties = scalar_learning_probability(net, Fraction(1, 10), trials, np.random.default_rng(seed))
+    est = degroot.learning_probability(net, Fraction(1, 10), mode="monte_carlo", trials=trials,
+                                       rng=np.random.default_rng(seed))
+    assert (est.p, est.tie_mass) == (wins / trials, ties / trials)
+
+
+@pytest.mark.parametrize("net", [generate("cycle", 6), generate("star", 7), weighted_net(6, 1)],
+                         ids=["cycle6", "star7", "weighted6"])
+def test_learning_probability_mc_agrees_with_the_per_trial_sampler(net):
+    # the block kernel and the old per-trial loop sample p_w and the tie mass from different draws
+    trials = 4000
+    got = degroot.learning_probability(net, Fraction(1, 10), mode="monte_carlo", trials=trials, rng=trial_rng(5, 0))
+    wins, ties = per_trial_learning_probability(net, Fraction(1, 10), trials, trial_rng(6, 0))
+    for p, q in ((got.p, wins / trials), (got.tie_mass, ties / trials)):
+        assert abs(p - q) <= 4 * np.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+
+
+def test_learning_probability_mc_logs_sizes(caplog):
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        degroot.learning_probability(generate("star", 9), Fraction(1, 10), mode="monte_carlo",
+                                     trials=100, rng=trial_rng(1, 0))
+    # alpha = (9, 2, ..., 2) / 25, and 2^14 // 9 rows hold a block
+    assert "p_w MC: n=9 trials=100 rows=1820 D=25" in caplog.text
+    # alpha = (q, 2) / (q + 2) with q + 2 = 2^54 + 1: too wide for float64, so the sum is a float
+    q = 2 ** 54 - 1
+    wide = Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
+                               (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        degroot.learning_probability(wide, Fraction(1, 10), mode="monte_carlo", trials=10, rng=trial_rng(1, 0))
+    assert "p_w MC: n=2 trials=10 rows=8192 D=float" in caplog.text

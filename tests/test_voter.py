@@ -1,5 +1,4 @@
 import logging
-import random
 from fractions import Fraction
 from math import lcm
 
@@ -8,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from opdyn import voter
-from opdyn.network import REBUILD_MAX_DEN, Network, from_pairs, generate, stationary_distribution
+from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (StrongVoterState, absorption_drift, float_solve_absorption, initial_strong_state,
-                     searchsorted_mc_consensus, strong_voter_step,
-                     threshold_mc_consensus)
+from oracles import (FixedDraws, StrongVoterState, absorption_drift, float_net, float_solve_absorption,
+                     initial_strong_state, per_update_strong_walk, searchsorted_mc_consensus, strong_voter_step,
+                     three_draw_run_strong_voter, threshold_mc_consensus, weighted_net)
 
 
 def test_two_node_one_step_distribution():
@@ -93,7 +92,7 @@ def test_threshold_rule_is_exact_at_the_ends(monkeypatch):
     # all neighbours at 1 give C = D: even the largest draw below 1 adopts 1,
     # and all neighbours at 0 give C = 0, which not even the draw 0 adopts
     top = np.nextafter(1.0, 0)
-    nets = (generate("complete", 10), generate("star", 7), _weighted_net(6, 3), _float_net())
+    nets = (generate("complete", 10), generate("star", 7), weighted_net(6, 3), float_net())
     for net in nets:
         counts, D = voter._weight_counts(net)
         C = np.ones(net.n) @ counts
@@ -154,34 +153,15 @@ def test_adoption_probability_is_within_two_ulps_of_c_over_d():
         assert (K[C == 0] == 0).all() and (K[C == D] == 2 ** 53).all()
 
 
-def _weighted_net(n, seed):
-    """A random tree plus chords with random positive integer weights on each closed neighbourhood."""
-    rng = random.Random(seed)
-    pairs = {(rng.randrange(i), i) for i in range(1, n)} | {(0, n - 1)}
-    base = from_pairs(n, sorted(pairs))
-    edges = []
-    for i in range(n):
-        ws = {j: rng.randint(1, 5) for j in base.out_neighbors(i)}
-        total = sum(ws.values())
-        edges += [(i, j, Fraction(w, total)) for j, w in ws.items()]
-    return Network(n=n, edges=tuple(edges))
-
-
-def _float_net(n=5, seed=0):
-    """_weighted_net with its weights as floats; row 0 is scaled to sum to 1 - 1e-13."""
-    edges = [(i, j, float(w) * (1 - 1e-13 if i == 0 else 1)) for i, j, w in _weighted_net(n, seed).edges]
-    return Network(n=n, edges=tuple(edges))
-
-
 def _mc_net(kind, n, seed):
     if kind == "grid":
         return generate(kind, (2 + n % 2) ** 2)
     if kind == "random_regular":
         return generate(kind, max(4, n - n % 2), d=3, seed=seed)
     if kind == "weighted":
-        return _weighted_net(n, seed)
+        return weighted_net(n, seed)
     if kind == "float":
-        return _float_net(n, seed)
+        return float_net(n, seed)
     return generate(kind, n)
 
 
@@ -203,7 +183,7 @@ def test_mc_consensus_matches_threshold_oracle(kind, n, seed, delta, trials, blo
         assert np.array_equal(got[key], want[key]), key
 
 
-@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), _weighted_net(6, 1)],
+@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), weighted_net(6, 1)],
                          ids=["cycle5", "star6", "weighted6"])
 def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
     # the count rule and the searchsorted pick sample one chain from different draws
@@ -218,7 +198,7 @@ def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
 
 def test_mc_consensus_float_rows_and_wide_denominators():
     # float rows count in units of 2^-40, and a row summing to 1 - 1e-13 still absorbs
-    net = _float_net()
+    net = float_net()
     counts, D = voter._weight_counts(net)
     assert np.abs(D - 2 ** 40).max() <= net.n and (counts[counts > 0] >= 2 ** 35).all()
     out = voter.mc_consensus(net, Fraction(1, 10), 500, seed=4)
@@ -291,16 +271,6 @@ def test_strong_voter_strong_beats_weak():
     assert st1.strengths == (1, 0)
 
 
-class _Draws:
-    """Stands in for a generator: integers() returns the given values in order."""
-
-    def __init__(self, vals):
-        self.vals = list(vals)
-
-    def integers(self, lo, hi, size=None):
-        return self.vals.pop(0)
-
-
 def test_lockstep_rule_matches_step_oracle():
     # every (opinion, strength) pair state of an edge, under each coin and swap
     net = generate("chain", 2)
@@ -313,7 +283,7 @@ def test_lockstep_rule_matches_step_oracle():
     for (ai, wi, aj, wj, coin, swap), got, d in zip(cases, codes, d_ones):
         draws = [0] + ([coin] if ai != aj and not wi and not wj else []) + [swap]
         want = strong_voter_step(net, StrongVoterState(opinions=(ai, aj), strengths=(wi, wj)),
-                                 _Draws(draws))
+                                 FixedDraws(draws))
         assert tuple(got >> 1) == want.opinions and tuple(got & 1) == want.strengths
         assert d == sum(want.opinions) - ai - aj
 
@@ -371,6 +341,67 @@ def test_strong_voter_trials_logs_sizes(caplog):
                                                    np.random.default_rng(3))
     assert (f"strong voter: trials=40 steps_max={steps.max()} trial_steps={steps.sum()}"
             in caplog.text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cycle", "chain", "star", "complete", "grid", "random_regular"]),
+       n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+       t=st.integers(0, 50), cap=st.sampled_from([None, 0, 1, 63, 64, 65, 200]))
+def test_strong_walk_matches_per_update_oracle(kind, n, seed, data, t, cap):
+    # any (opinion, strength) codes, any updates already done, caps inside and at the batch edges
+    net = _mc_net(kind, n, seed)
+    codes = data.draw(st.lists(st.integers(0, 3), min_size=net.n, max_size=net.n))
+    step_cap = 2000 * net.n ** 2 if cap is None else t + cap
+    state = StrongVoterState(opinions=tuple(c >> 1 for c in codes), strengths=tuple(c & 1 for c in codes), t=t)
+    ones = sum(state.opinions)
+    try:
+        want = per_update_strong_walk(net, state, step_cap, np.random.default_rng(seed))
+    except TimeoutError as exc:
+        with pytest.raises(TimeoutError, match=str(exc)):
+            voter._strong_walk(net.cached(voter._strong_pairs), codes, ones, t, step_cap, np.random.default_rng(seed))
+        return
+    got = voter._strong_walk(net.cached(voter._strong_pairs), codes, ones, t, step_cap, np.random.default_rng(seed))
+    assert got == (want.opinions[0], want.t)
+    assert codes == [2 * a + w for a, w in zip(want.opinions, want.strengths)]
+
+
+@pytest.mark.parametrize("kind, n, signals", [
+    ("grid", 9, (1, 1, 1, 1, 1, 0, 0, 0, 0)),
+    ("cycle", 6, (1, 0, 1, 0, 1, 0)),
+    ("star", 5, (0, 1, 1, 0, 0)),
+], ids=["grid9", "cycle6-tie", "star5"])
+def test_run_strong_voter_agrees_with_the_three_draw_sampler(kind, n, signals):
+    # one packed draw per update and three drawn arrays per batch sample one walk from different draws
+    net = generate(kind, n)
+    trials = 2000
+    got = np.array([voter.run_strong_voter(net, signals, trial_rng(7, k)) for k in range(trials)])
+    want = np.array([three_draw_run_strong_voter(net, signals, trial_rng(8, k)) for k in range(trials)])
+    for col in (0, 1):
+        a, b = got[:, col], want[:, col]
+        assert abs(a.mean() - b.mean()) <= 4 * np.sqrt((a.var() + b.var()) / trials) + 1e-12, col
+
+
+def test_run_strong_voter_refuses_a_disconnected_network(tmp_path):
+    # two 4-node paths that settle on different opinions never reach one consensus
+    path = tmp_path / "split.txt"
+    path.write_text("n 8 undirected\n0 1 1\n1 2 1\n2 3 1\n4 5 1\n5 6 1\n6 7 1\n")
+    net = read_network(path)
+    rng = np.random.default_rng(0)
+    for _ in range(2):                        # a refusal is not cached: it repeats
+        with pytest.raises(ValueError, match="strong voter needs a connected network"):
+            voter.run_strong_voter(net, (1, 1, 1, 1, 0, 0, 0, 0), rng)
+    # nothing was drawn before the refusal
+    assert rng.integers(0, 2 ** 32) == np.random.default_rng(0).integers(0, 2 ** 32)
+    # a connected network builds its pair list once
+    grid = generate("grid", 9)
+    assert grid.cached(voter._strong_pairs) is grid.cached(voter._strong_pairs)
+    assert len(grid.cached(voter._strong_pairs)) == 12
+
+
+@pytest.mark.parametrize("delta", [Fraction(3, 4), Fraction(-1), Fraction(1, 2) + Fraction(1, 10 ** 9), -1e-9])
+def test_mc_consensus_refuses_delta_outside_the_half_interval(delta):
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1/2\]"):
+        voter.mc_consensus(generate("cycle", 5), delta, trials=10, seed=0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from . import bayes, cascade, degroot, majority, voter
 from .harness import experiment_names, registry, run_experiment
 from .harness_util import wilson_interval
 from .network import generate, read_network, stationary_distribution, validate
-from .signals import FiniteModel, GaussianLLR, bernoulli_delta, read_signal_model, trial_rng
+from .signals import FiniteModel, GaussianLLR, bernoulli_delta, check_delta, read_signal_model, trial_rng
 
 
 def _load_graph(spec):
@@ -136,17 +137,17 @@ def _cmd_voter(args):
 
 def _cmd_voter_strong(args):
     net = _load_graph(args.graph)
-    delta = float(voter.check_delta(args.delta))
+    delta = check_delta(args.delta)
     trials, seed = _trials_seed(args)
     rng = trial_rng(seed, 0)
     s = rng.integers(0, 2, size=trials)[:, None]
-    match = rng.random((trials, net.n)) < 0.5 + delta
+    match = rng.random((trials, net.n)) < 0.5 + float(delta)
     signals = match == (s == 1)                 # the signal is s where it matches
     values, steps = voter.strong_voter_trials(net, signals, rng)
     k = signals.sum(axis=1)
     strict = 2 * k != net.n
     won = values[strict] == (2 * k[strict] > net.n)
-    _emit({"experiment": "voter-strong", "graph": args.graph, "delta": args.delta,
+    _emit({"experiment": "voter-strong", "graph": args.graph, "delta": str(delta),
            "trials": trials, "seed": seed,
            "p_consensus_one": float(values.mean()),
            "p_majority_wins_given_strict": float(won.mean()) if strict.any() else None,
@@ -390,15 +391,36 @@ def _fail(command, exc, code):
     return code
 
 
+def _debug_to_stderr():
+    """Send the "opdyn" logger's DEBUG records to stderr; returns the function that undoes it."""
+    import logging
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s: %(message)s"))
+    log = logging.getLogger("opdyn")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+
+    def undo():
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return undo
+
+
 def main(argv=None):
     """Run one subcommand; errors end as one JSON line {command, error} on stderr.
 
     A ValueError (bad input) exits with code 2, like argparse's own refusals.
     A cap or certificate that stopped the run (TimeoutError, RuntimeError,
     ArithmeticError) exits with code 3. Their subclasses that signal a bug
-    rather than a stopped run keep their traceback.
+    rather than a stopped run keep their traceback. OPDYN_LOG=debug sends
+    the run's DEBUG records to stderr; any other non-empty value exits 2.
     """
     args = build_parser().parse_args(argv)
+    level = os.environ.get("OPDYN_LOG", "")
+    if level not in ("", "debug"):
+        return _fail(args.command, f"OPDYN_LOG must be debug or unset, got {level!r}", 2)
+    undo = _debug_to_stderr() if level else None
     try:
         return args.fn(args)
     except (ZeroDivisionError, OverflowError, FloatingPointError, NotImplementedError, RecursionError):
@@ -407,6 +429,9 @@ def main(argv=None):
         return _fail(args.command, exc, 2)
     except (TimeoutError, RuntimeError, ArithmeticError) as exc:
         return _fail(args.command, exc, 3)
+    finally:
+        if undo is not None:
+            undo()
 
 
 if __name__ == "__main__":

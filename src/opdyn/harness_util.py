@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 
@@ -21,10 +22,12 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
 
 
 def debug(msg, *args):
-    """Emit a DEBUG record on the "opdyn" logger.
+    """Emit a DEBUG record on the "opdyn" logger, if logging is imported.
 
-    logging is imported on the first record, not when opdyn is imported, so
-    start-up does not pay for it.
+    opdyn never imports logging itself unless OPDYN_LOG asks for records (see
+    cli.main), so start-up does not pay for it. Where nothing imported
+    logging, no handler can listen, and the record is dropped.
     """
-    import logging
-    logging.getLogger("opdyn").debug(msg, *args)
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("opdyn").debug(msg, *args)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .network import Network
-from .signals import bernoulli_cube
+from .signals import bernoulli_cube, check_delta
 
 EXACT_RETENTION_MAX_N = 16
 EXACT_INFLUENCE_MAX_N = 14
@@ -216,9 +216,11 @@ def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
     through the dynamics, pools the exact integer joint weights of
     (limit profile, S) and sums the losing mass. Monte Carlo mode
     lower-bounds performance with the majority-of-limit-actions estimator
-    (odd n) and returns its error rate.
+    (odd n) and returns its error rate. Both refuse a delta outside [0, 1/2]
+    (see signals.check_delta).
     """
     n = net.n
+    delta = check_delta(delta)
     if mode == "exact":
         if n > EXACT_RETENTION_MAX_N:
             raise ValueError(f"exact retention capped at n={EXACT_RETENTION_MAX_N}")

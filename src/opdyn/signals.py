@@ -71,6 +71,17 @@ def bernoulli_delta(delta) -> FiniteModel:
     return FiniteModel(alphabet=(0, 1), mu0=(h + delta, h - delta), mu1=(h - delta, h + delta))
 
 
+def check_delta(delta):
+    """delta as a Fraction; ValueError unless 0 <= delta <= 1/2, where 1/2 + delta is a probability.
+
+    delta = 0 draws fair signals and delta = 1/2 signals that all equal S.
+    """
+    delta = Fraction(delta)
+    if not 0 <= delta <= Fraction(1, 2):
+        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
+    return delta
+
+
 def bernoulli_cube(delta, n):
     """Integer weights of n i.i.d. bits that each equal S w.p. 1/2 + delta, by count.
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .harness_util import debug
 from .network import Network, _pairs_connected, require_rational, require_stochastic, stationary_distribution
+from .signals import check_delta
 
 EXACT_SOLVE_MAX_N = 14
 
@@ -35,6 +36,15 @@ _BLOCK_ENTRIES = 1 << 20
 
 # rows of a Monte Carlo block hold about this many agent draws
 _MC_BLOCK = 1 << 14
+
+# a Monte Carlo round works on blocks of words whose uniform digits, 16
+# words per row and word, fill about this many words: a block with a lane
+# still tied after its first digit (probability about 2^-16 per lane and
+# row) pays about 30 numpy calls for its next one
+_ROUND_WORDS = 1 << 17
+
+_ALL = np.uint64(2 ** 64 - 1)
+_ENDLESS = 1 << 62
 
 # a float weight counts as an integer number of these units: the scale of the
 # row-sum tolerance network.ROW_SUM_TOL
@@ -52,8 +62,9 @@ def _weight_counts(net: Network):
     counts are its numerators and D[i] is that lcm. A row with a float weight
     counts in units of 2^-40, rounded, and a positive weight never rounds to 0.
     Refuses, with ValueError, an agent without out-neighbours, a network that
-    fails validate(require_stochastic=True) and a row whose D[i] reaches 2^53,
-    past which float64 no longer holds every count sum exactly.
+    fails validate(require_stochastic=True) and a row whose D[i] reaches 2^53:
+    A and D are float64 arrays, which hold every integer exactly only below
+    2^53.
     """
     n = net.n
     for i in range(n):
@@ -70,22 +81,151 @@ def _weight_counts(net: Network):
         total = sum(counts.values())
         if total >= 2 ** 53:
             raise ValueError(f"agent {i}'s weights need the integer total {total}, 2^53 or more: "
-                             "voter Monte Carlo counts them exactly in float64")
+                             "voter Monte Carlo holds the counts in float64, exact only below 2^53")
         for j, c in counts.items():
             A[j, i] = c
         D[i] = total
     return A, D
 
 
-def check_delta(delta):
-    """delta as a Fraction; ValueError unless 0 <= delta <= 1/2, where 1/2 + delta is a probability.
+class _Expansion:
+    """Base-2^16 expansions of the fractions num / den (0 < num < den < 2^53), one row each.
 
-    delta = 0 draws fair signals and delta = 1/2 signals that all equal S.
+    E[m] is digit m + 1 of each expansion, rem the remainder after the
+    digits held and L each expansion's length in digits, _ENDLESS if it does
+    not end.
     """
-    delta = Fraction(delta)
-    if not 0 <= delta <= Fraction(1, 2):
-        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
-    return delta
+
+    def __init__(self, num, den):
+        self.den = den
+        self.E, self.rem = _expand(num, den, 4)
+        # a dyadic q has den < 2^53 and so ends within 4 digits
+        self.L = np.where(self.rem == 0, 4 - np.argmax(self.E[::-1] != 0, axis=0), _ENDLESS)
+
+    def digits(self, stop):
+        """E with at least `stop` digits."""
+        while len(self.E) < stop:
+            E, self.rem = _expand(self.rem, self.den, 4)
+            self.E = np.concatenate([self.E, E])
+        return self.E
+
+
+def _expand(rem, den, digits):
+    """The next `digits` base-2^16 digits of rem / den < 1, and the remainder after them.
+
+    Each digit takes two steps of int64 long division by bytes (256 rem < 2^61).
+    """
+    out = np.zeros((digits, len(den)), dtype=np.uint16)
+    for m in range(2 * digits):
+        byte, rem = np.divmod(rem << 8, den)
+        out[m // 2] |= (byte << (8 - 8 * (m % 2))).astype(np.uint16)
+    return out, rem
+
+
+class _Stages:
+    """The stage rows through which mc_consensus picks neighbours.
+
+    Agent i's neighbours j_0 .. j_{d-1}, in index order, have the counts c_k
+    out of D_i of _weight_counts, and C_k = c_0 + ... + c_{k-1}. In each lane
+    the agent has one uniform U and copies j_k where C_k / D_i <= U <
+    C_{k+1} / D_i, so j_k with probability exactly c_k / D_i. Its stage
+    k < d - 1 is the test U < C_{k+1} / D_i; the tests only turn on as k
+    grows, so the agent copies j_k for its first stage k that is set, and
+    j_{d-1} if none is. Stage row r is agent agent[r]'s stage for nbr[r],
+    with q = num[r] / den[r]; an agent's rows come in stage order, exp holds
+    the expansions of all the q and owner[r] is agent[r]'s state row.
+
+    The state holds agent order[p] in row p, so each degree's agents are
+    the rows a0:a1 of one select group (a0, a1, J, r0): J[k, a] is the row
+    of agent a0 + a's neighbour j_k and r0 + k (a1 - a0) + a the row of its
+    stage k.
+    """
+
+    def __init__(self, net: Network):
+        counts, D = (a.astype(np.int64) for a in _weight_counts(net))
+        deg = np.count_nonzero(counts, axis=0)
+        self.max_D = int(D.max(initial=0))
+        self.order = np.argsort(deg, kind="stable")
+        row = np.argsort(self.order)
+        self.last = np.empty(net.n, dtype=np.intp)
+        self.select, parts = [], []
+        a0 = r0 = 0
+        for d in np.unique(deg).tolist():
+            who = self.order[a0:a0 + np.count_nonzero(deg == d)]
+            js = np.array([np.flatnonzero(counts[:, i]) for i in who]).reshape(len(who), d)
+            C = np.cumsum(counts[js, who[:, None]], axis=1)
+            self.last[who] = js[:, -1]
+            self.select.append((a0, a0 + len(who), row[js.T], r0))
+            parts.append([np.tile(who, d - 1)] + [v.T[:-1].reshape(-1) for v in (js, C, np.repeat(D[who, None], d, 1))])
+            a0, r0 = a0 + len(who), r0 + (d - 1) * len(who)
+        self.agent, self.nbr, self.num, self.den = (np.concatenate(v) for v in zip(*parts))
+        self.owner = row[self.agent]
+        self.exp = _Expansion(self.num, self.den)
+
+
+def _uniform_digits(words):
+    """The uint16 digits of uint64 words, 4 per word, lowest first."""
+    return words.astype("<u8", copy=False).view("<u2")
+
+
+def _bernoulli_words(exp: _Expansion, owner, owners, live, draw):
+    """len(live) words of exact [U < q] lanes for each row r of exp, q its num / den.
+
+    Each of the `owners` rows of uniforms holds one U per lane, and row r
+    compares the U of owner[r], so the rows of one owner see one U in each
+    lane; with distinct owners the lanes are independent Bernoulli(q). A U
+    is spelled by random base-2^16 digits, most significant first, and the
+    first one that differs from q's digit decides the lane: 1 iff it is the
+    smaller. Each (owner, word) pair draws 16 uint64 words, pair after pair
+    in row-major order, and lane l reads the l-th uint16 of them. Then the
+    pairs with a lane still tied (probability 2^-16) where live is set, in
+    one of their rows, draw 16 more words each, in pair order, for the next
+    digit, until none is left. A lane still tied where q's expansion ends
+    has U >= q and is 0.
+    """
+    w = len(live)
+    u = _uniform_digits(draw(16 * owners * w)).reshape(owners, 64 * w)[owner]
+    e = exp.E[0][:, None]
+    out, tied = _pack(u < e), _pack(u == e) & live
+    idx = np.flatnonzero(tied)
+    row, tied, flat = idx // w, tied.reshape(-1)[idx], out.reshape(-1)
+    m = 1
+    while True:
+        keep = (tied != 0) & (exp.L[row] > m)
+        idx, row, tied = idx[keep], row[keep], tied[keep]
+        if not len(idx):
+            return out
+        pairs, at = np.unique(owner[row] * w + idx % w, return_inverse=True)
+        u = _uniform_digits(draw(16 * len(pairs))).reshape(len(pairs), 64)[at]
+        e = exp.digits(m + 1)[m, row][:, None]
+        ties = _lanes(tied).reshape(len(idx), 64).view(bool)
+        flat[idx] |= _pack(ties & (u < e))[:, 0]
+        tied = _pack(ties & (u == e))[:, 0]
+        m += 1
+
+
+def _select(state, st: _Stages, B, out):
+    """out[p] = the state of the neighbour each lane of row p copies: the one of its first set stage."""
+    w = state.shape[1]
+    for a0, a1, J, r0 in st.select:
+        d, c = J.shape
+        P = np.empty((d + 1, c, w), dtype=np.uint64)     # P[k + 1]: stage k is set, and so every later one
+        P[0] = 0
+        P[1:d] = B[r0:r0 + (d - 1) * c].reshape(d - 1, c, w)
+        P[d] = _ALL
+        G = state[J]
+        G &= P[1:] ^ P[:-1]
+        np.bitwise_or.reduce(G, axis=0, out=out[a0:a1])
+
+
+def _pack(bits):
+    """Bits along the last axis, a multiple of 64 long, as words: bit l of word w is bits[..., 64 w + l]."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
+
+def _lanes(words):
+    """The bits of words as a flat uint8 array, 64 per word, lowest first."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8).reshape(-1), bitorder="little")
 
 
 def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
@@ -96,68 +236,87 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     count of trials whose consensus matched S and the absorption times.
     Like the exact path it refuses, with ValueError, a network that fails
     validate(require_stochastic=True): only there is absorption almost sure,
-    and a delta outside [0, 1/2] (see check_delta).
+    and a delta outside [0, 1/2] (see signals.check_delta).
 
-    Agent i adopts 1 with probability C_i / D_i, where C = state @ A counts
-    the weight on neighbours at 1 (see _weight_counts). Each round draws u
-    (open trials x n) and agent i adopts 1 iff u_i D_i < C_i. C and D are
-    integers below 2^53, so the product is exact, and the two ends are exact:
-    C_i = 0 never adopts 1, and C_i = D_i always does, because
-    fl(u D) < D for every double u < 1. A unanimous state therefore steps onto
-    itself. An extra column of ones in A gives each row's count of ones, so a
-    round steps every open trial and then retires those that were unanimous
-    before it. Rows go in blocks of about _MC_BLOCK entries; the generator
-    fills row-major, so the blocks repeat the stream of one whole-array draw
-    and no result depends on the block size.
+    The state is bit-sliced: state[p, w] holds the actions of agent
+    order[p] in 64 trials, trial 64 w + l in bit l until repacking moves it.
+    Each round every agent copies one neighbour: the stage rows of _Stages
+    compare one uniform per agent and lane with the agent's cumulative
+    weights, exactly (_bernoulli_words), so it copies j with probability
+    exactly A[j, i] / D_i (see _weight_counts). Unanimity
+    is one OR and one AND over agents; a trial unanimous at the start of
+    round t retires with time t. Once fewer than half the lanes of the words
+    are open, the open lanes are repacked, in order, into the fewest words.
+    S and psi come from the whole-array draws S = integers(0, 2, trials) and
+    psi_i = S iff random((trials, n))[t, i] < 1/2 + delta, taken in row
+    blocks of about _MC_BLOCK draws and packed block by block. The rounds
+    then draw raw 64-bit words from the same generator, a block of words of
+    about _ROUND_WORDS draws at a time.
     """
     n = net.n
     delta = check_delta(delta)
-    counts, D = _weight_counts(net)
-    A = np.ones((n, n + 1))
-    A[:, :n] = counts
+    st = _Stages(net)
     if step_cap is None:
         step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
-    rows = max(1, _MC_BLOCK // n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s = rng.integers(0, 2, size=trials).astype(np.int8)
-    cur = np.empty((trials, n), dtype=np.int8)
-    p = 0.5 + float(delta)
+    W = -(-trials // 64)
+    lane = np.arange(64 * W)
+    flip = ~_pack(np.pad(s, (0, 64 * W - trials)).astype(bool))      # ~S: psi = match ^ ~S
+    state = np.empty((n, W), dtype=np.uint64)
+    rows = 64 * max(1, _MC_BLOCK // (64 * n))
     for lo in range(0, trials, rows):
-        sb = s[lo:lo + rows, None]
-        cur[lo:lo + rows] = np.where(rng.random((len(sb), n)) < p, sb, 1 - sb)
+        m = min(rows, trials - lo)
+        match = np.zeros((n, -(-m // 64) * 64), dtype=bool)
+        match[:, :m] = (rng.random((m, n)) < 0.5 + float(delta)).T[st.order]
+        cols = slice(lo // 64, lo // 64 + match.shape[1] // 64)
+        state[:, cols] = _pack(match) ^ flip[cols]
+    lanes = lane.astype(np.int32)            # the trial in each lane; padding lanes never open
+    live = _pack(lane < trials)              # the open lanes
+    count, drawn, repacks = trials, 0, 0
+    raw = rng.bit_generator.random_raw
 
-    nxt = np.empty_like(cur)
-    C = np.empty((rows, n + 1))
-    u = np.empty((rows, n))
-    ones = np.empty(trials)
-    active = np.arange(trials)
+    def draw(size):
+        nonlocal drawn
+        drawn += size
+        return raw(size)
+
     times = np.zeros(trials, dtype=np.int64)
     value = np.zeros(trials, dtype=np.int8)
+    block = max(1, _ROUND_WORDS // (16 * max(n, len(st.den))))     # 16 words of digits per row and word
     for t in range(step_cap + 1):
-        m = len(active)
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            c = np.matmul(cur[lo:hi], A, out=C[:hi - lo])
-            ones[lo:hi] = c[:, n]
-            x = rng.random(out=u[:hi - lo])
-            x *= D
-            np.less(x, c[:, :n], out=nxt[lo:hi].view(bool))
-        done = (ones[:m] == 0) | (ones[:m] == n)
+        every = np.bitwise_and.reduce(state, axis=0)
+        done = live & ~(np.bitwise_or.reduce(state, axis=0) ^ every)
         if done.any():
-            idx = active[done]
-            value[idx] = nxt[:m][done, 0]
-            times[idx] = t
-            keep = ~done
-            active = active[keep]
-            np.compress(keep, nxt[:m], axis=0, out=cur[:len(active)])
-        else:
-            cur, nxt = nxt, cur
-        if len(active) == 0:
+            live ^= done
+            ws = np.flatnonzero(done)
+            hit = _lanes(done[ws]).view(bool)
+            ids = lanes[(64 * ws[:, None] + np.arange(64)).reshape(-1)[hit]]
+            times[ids] = t
+            value[ids] = _lanes(every[ws])[hit]
+            count -= len(ids)
+        if count == 0:
             break
-    else:
-        raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
-    debug("voter MC: n=%d trials=%d max_D=%d rows=%d rounds=%d trial_rounds=%d",
-          n, trials, int(D.max(initial=0)), rows, int(times.max(initial=0)), int(times.sum()))
+        if t == step_cap:
+            raise TimeoutError(f"{count} trials unabsorbed after {step_cap} rounds")
+        if len(live) > 1 and 2 * count < 64 * len(live):
+            keep = np.flatnonzero(_lanes(live))
+            W = -(-count // 64)
+            bits = np.zeros(64 * W, dtype=np.uint8)
+            packed = np.empty((n, W), dtype=np.uint64)
+            for r in range(n):                   # a row at a time keeps the unpacked bits small
+                bits[:count] = _lanes(state[r])[keep]
+                packed[r] = _pack(bits)
+            state, lanes = packed, np.pad(lanes[keep], (0, 64 * W - count), constant_values=trials)
+            live = _pack(np.arange(64 * W) < count)
+            repacks += 1
+        new = np.empty_like(state)
+        for w0 in range(0, state.shape[1], block):
+            cols = slice(w0, w0 + block)
+            _select(state[:, cols], st, _bernoulli_words(st.exp, st.owner, n, live[cols], draw), new[:, cols])
+        state = new
+    debug("voter MC: n=%d trials=%d max_D=%d stage_rows=%d rounds=%d trial_rounds=%d words=%d repacks=%d",
+          n, trials, st.max_D, len(st.den), int(times.max(initial=0)), int(times.sum()), drawn, repacks)
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
 

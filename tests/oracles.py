@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum, lcm, sqrt
+from math import fsum, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
 from opdyn.network import (Network, from_pairs, rationalize, require_rational, require_stochastic,
                            stationary_distribution)
-from opdyn.signals import GaussianLLR, sample_world, trial_rng
+from opdyn.signals import GaussianLLR, check_delta, sample_world, trial_rng
 
 
 def solve_rational(A, b):
@@ -624,50 +624,164 @@ def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):
             "times": times, "s": s, "value": value}
 
 
-def threshold_mc_consensus(net, delta, trials, seed, step_cap=None):
-    """voter.mc_consensus as a scalar loop over trials and agents, on the same draws.
+def product_mc_consensus(net, delta, trials, seed, step_cap=None):
+    """voter.mc_consensus as one exact product C = state @ A per block of rows, with a float draw per agent-round.
 
-    Agent i's row is integer counts over D_i: the numerators over the lcm of
-    its denominators, or for a row with a float weight each weight times 2^40,
-    rounded and at least 1. It adopts 1 iff the Python float u * D_i is below
-    C_i, the count on its neighbours at 1. Every round draws u for each open
-    trial and then retires the trials that were unanimous before the round.
+    Agent i adopts 1 iff u D_i < C_i for a double u, C_i the count on its
+    neighbours at 1 out of D_i (see voter._weight_counts): the probability is
+    C_i / D_i within 2 ulps (test_adoption_probability_is_within_two_ulps_of_c_over_d).
+    It draws S and psi as the kernel does and then its own round draws, so
+    the two sample one chain and agree in distribution, not trial by trial.
     """
     n = net.n
-    rows = []
-    for i in range(n):
-        nb = net.out_neighbors(i)
-        if all(isinstance(w, Fraction) for w in nb.values()):
-            d = lcm(*(w.denominator for w in nb.values()))
-            counts = {j: int(w * d) for j, w in nb.items()}
-        else:
-            counts = {j: max(1, round(w * 2 ** 40)) for j, w in nb.items()}
-        rows.append((counts, sum(counts.values())))
+    delta = check_delta(delta)
+    counts, D = voter._weight_counts(net)
+    A = np.ones((n, n + 1))
+    A[:, :n] = counts
     if step_cap is None:
-        step_cap = 100 * 2 * max(len(counts) for counts, _ in rows) * n * n
+        step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
+    rows = max(1, voter._MC_BLOCK // n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    s = rng.integers(0, 2, size=trials).astype(np.int8)
+    cur = np.empty((trials, n), dtype=np.int8)
+    p = 0.5 + float(delta)
+    for lo in range(0, trials, rows):
+        sb = s[lo:lo + rows, None]
+        cur[lo:lo + rows] = np.where(rng.random((len(sb), n)) < p, sb, 1 - sb)
+
+    nxt = np.empty_like(cur)
+    C = np.empty((rows, n + 1))
+    u = np.empty((rows, n))
+    ones = np.empty(trials)
+    active = np.arange(trials)
+    times = np.zeros(trials, dtype=np.int64)
+    value = np.zeros(trials, dtype=np.int8)
+    for t in range(step_cap + 1):
+        m = len(active)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            c = np.matmul(cur[lo:hi], A, out=C[:hi - lo])
+            ones[lo:hi] = c[:, n]
+            x = rng.random(out=u[:hi - lo])
+            x *= D
+            np.less(x, c[:, :n], out=nxt[lo:hi].view(bool))
+        done = (ones[:m] == 0) | (ones[:m] == n)
+        if done.any():
+            idx = active[done]
+            value[idx] = nxt[:m][done, 0]
+            times[idx] = t
+            keep = ~done
+            active = active[keep]
+            np.compress(keep, nxt[:m], axis=0, out=cur[:len(active)])
+        else:
+            cur, nxt = nxt, cur
+        if len(active) == 0:
+            break
+    else:
+        raise TimeoutError(f"{len(active)} trials unabsorbed after {step_cap} rounds")
+    return {"matches": int((value == s).sum()), "trials": trials,
+            "times": times, "s": s, "value": value}
+
+
+def fraction_bernoulli_words(qs, w, live, calls, owner=None):
+    """The words voter._bernoulli_words owes rows of probabilities qs, from the words its draws returned.
+
+    Row r compares the uniforms of owner[r] (by default its own). Each
+    call's words come 16 per (owner, word) pair, and lane l of a pair reads
+    the l-th uint16 of them, in little-endian order, as its next base-2^16
+    digit.
+    calls[0] covers every pair in row-major order; each later call covers,
+    in order, the pairs that still had a lane tied where live is set, in
+    one of their rows. A lane with m digits is tied in row r while the
+    number U they spell equals the first m digits of q = qs[r] and q has
+    further digits. Each live lane of row r is 1 iff U < q, for U spelled
+    by all of its pair's digits, and dead lanes are 0.
+    """
+    owner = list(range(len(qs))) if owner is None else [int(o) for o in owner]
+    owners = max(owner, default=-1) + 1
+    digits = [[[] for _ in range(64)] for _ in range(owners * w)]
+
+    def lane_u(p, lane):
+        ds = digits[p][lane]
+        return sum(d << 16 * (len(ds) - 1 - k) for k, d in enumerate(ds)), 65536 ** len(ds)
+
+    def tied(p):
+        for r in (r for r, o in enumerate(owner) if o == p // w):
+            q = qs[r]
+            for lane in range(64):
+                u, scale = lane_u(p, lane)
+                if (live[p % w] >> lane) & 1 and (q * scale).denominator != 1 and u == int(q * scale):
+                    return True
+        return False
+
+    for c, words in enumerate(calls):
+        pairs = range(len(digits)) if c == 0 else [p for p in range(len(digits)) if tied(p)]
+        lanes = np.asarray(words, dtype=np.uint64).astype("<u8").view("<u2").reshape(-1, 64)
+        assert len(lanes) == len(pairs)
+        for j, p in enumerate(pairs):
+            for lane in range(64):
+                digits[p][lane].append(int(lanes[j, lane]))
+    assert not any(tied(p) for p in range(len(digits)))
+    out = np.zeros((len(qs), w), dtype=np.uint64)
+    for r, o in enumerate(owner):
+        for word in range(w):
+            for lane in range(64):
+                u, scale = lane_u(o * w + word, lane)
+                if (live[word] >> lane) & 1 and Fraction(u, scale) < qs[r]:
+                    out[r, word] |= np.uint64(1 << lane)
+    return out
+
+
+def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=None):
+    """voter.mc_consensus as a scalar loop over trials and agents, on the stage masks the kernel drew.
+
+    stages is the kernel's voter._Stages: stage row r belongs to agent
+    agent[r], in stage order, and names neighbour nbr[r]; last[i] is agent
+    i's last neighbour. masks holds the (stage rows, words) arrays of
+    voter._bernoulli_words in call order, and a round takes as many columns as
+    its layout has words. The layout puts the trials in lanes in order;
+    once fewer than half of its lanes hold open trials, the open ones move,
+    in order, to the fewest words. In each round agent i of a trial copies
+    nbr[r] for its first stage row r set in the trial's lane, last[i] if
+    none is. A trial unanimous at the start of round t retires with time t.
+    """
+    n = net.n
+    if step_cap is None:
+        step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s = rng.integers(0, 2, size=trials).astype(np.int8)
     match = rng.random((trials, n)) < 0.5 + float(delta)
     states = [[int(s[k]) if match[k, i] else 1 - int(s[k]) for i in range(n)] for k in range(trials)]
+    rows = [[(int(r), int(stages.nbr[r])) for r in np.flatnonzero(stages.agent == i)] for i in range(n)]
+    masks = [m.tolist() for m in masks]
+    layout = list(range(trials))
     times = np.zeros(trials, dtype=np.int64)
     value = np.zeros(trials, dtype=np.int8)
-    open_trials = list(range(trials))
+    open_trials = set(range(trials))
     for t in range(step_cap + 1):
-        draws = rng.random((len(open_trials), n)).tolist()
-        still_open = []
-        for k, u in zip(open_trials, draws):
-            state = states[k]
-            if sum(state) in (0, n):
-                value[k], times[k] = state[0], t
-                continue
-            states[k] = [int(u[i] * D < sum(c for j, c in counts.items() if state[j]))
-                         for i, (counts, D) in enumerate(rows)]
-            still_open.append(k)
-        open_trials = still_open
+        for k in sorted(open_trials):
+            if sum(states[k]) in (0, n):
+                value[k], times[k] = states[k][0], t
+                open_trials.discard(k)
         if not open_trials:
             break
-    else:
-        raise TimeoutError(f"{len(open_trials)} trials unabsorbed after {step_cap} rounds")
+        if t == step_cap:
+            raise TimeoutError(f"{len(open_trials)} trials unabsorbed after {step_cap} rounds")
+        words = -(-len(layout) // 64)
+        if words > 1 and 2 * len(open_trials) < 64 * words:
+            layout = sorted(open_trials)
+            words = -(-len(layout) // 64)
+        cols = [[] for _ in masks[0]]
+        while len(cols[0]) < words:
+            for r, part in enumerate(masks.pop(0)):
+                cols[r] += part
+        for lane, k in enumerate(layout):
+            if k not in open_trials:
+                continue
+            word, bit = divmod(lane, 64)
+            states[k] = [next((states[k][j] for r, j in rows[i] if (cols[r][word] >> bit) & 1),
+                              states[k][stages.last[i]]) for i in range(n)]
+    assert not masks
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
 

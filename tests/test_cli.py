@@ -344,6 +344,69 @@ def test_voter_samplers_take_the_ends_of_the_half_interval(capsys):
     assert code == 0 and rec["trials"] == 20
 
 
+@pytest.mark.parametrize("argv, delta", [
+    (["majority", "--graph", "cycle:5", "--delta", "3/4"], "3/4"),
+    (["majority", "--graph", "cycle:5", "--delta=-1/4"], "-1/4"),
+    (["majority", "--graph", "cycle:5", "--delta", "3/4", "--mode", "mc", "--trials", "10"], "3/4"),
+])
+def test_majority_refuses_delta_outside_the_half_interval(capsys, argv, delta):
+    # once these printed a negative error probability, 53/512 and 0.0
+    code, err = _error_record(capsys, argv)
+    assert code == 2
+    assert err == {"command": "majority", "error": f"delta must lie in [0, 1/2], got {delta}"}
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1/2\]"):
+        majority.retention_error(generate("cycle", 5), Fraction(delta), mode="monte_carlo", trials=10,
+                                 rng=trial_rng(0, 0))
+
+
+def test_majority_takes_the_ends_of_the_half_interval(capsys):
+    # delta = 1/2: every signal equals S, so the MAP estimate never errs; delta = 0: it errs half the time
+    for mode in (["--mode", "exact"], ["--mode", "mc", "--trials", "50"]):
+        code, rec = run_json(capsys, ["majority", "--graph", "cycle:5", "--delta", "1/2"] + mode)
+        assert code == 0 and Fraction(rec["iota"]) == 0
+    code, rec = run_json(capsys, ["majority", "--graph", "cycle:5", "--delta", "0"])
+    assert code == 0 and Fraction(rec["iota"]) == Fraction(1, 2)
+
+
+def test_voter_strong_writes_delta_as_a_fraction(capsys):
+    # like voter and degroot, so records of one delta compare equal across subcommands
+    for flag in ("0.1", "1/10"):
+        code, rec = run_json(capsys, ["voter-strong", "--graph", "cycle:5", "--delta", flag, "--trials", "20"])
+        assert code == 0 and rec["delta"] == "1/10"
+    code, rec = run_json(capsys, ["voter", "--graph", "cycle:5", "--delta", "0.1", "--trials", "20"])
+    assert rec["delta"] == "1/10"
+
+
+def _run_cli(argv, **env):
+    env = dict({k: v for k, v in os.environ.items() if k != "OPDYN_LOG"}, **env, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", "import sys; from opdyn import cli; code = cli.main(sys.argv[1:]); "
+                           "print('logging' in sys.modules, file=sys.stderr); sys.exit(code)"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+
+
+def test_opdyn_log_debug_sends_the_records_to_stderr():
+    argv = ["voter", "--graph", "cycle:5", "--trials", "300", "--seed", "4"]
+    proc = _run_cli(argv, OPDYN_LOG="debug")
+    assert proc.returncode == 0
+    out = voter.mc_consensus(generate("cycle", 5), Fraction(1, 10), 300, seed=4)
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith(f"opdyn DEBUG: voter MC: n=5 trials=300 max_D=3 stage_rows=10 "
+                               f"rounds={out['times'].max()} trial_rounds={out['times'].sum()} words=")
+    assert lines[-1] == "True" and json.loads(proc.stdout)["trials"] == 300
+    # unset, nothing imports logging and stderr stays empty
+    proc = _run_cli(argv)
+    assert proc.returncode == 0 and proc.stderr == "False\n"
+    assert json.loads(proc.stdout)["mean_absorption_time"] == float(out["times"].mean())
+
+
+def test_opdyn_log_refuses_other_values():
+    proc = _run_cli(["voter", "--graph", "cycle:5", "--trials", "30"], OPDYN_LOG="verbose")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        json.dumps({"command": "voter", "error": "OPDYN_LOG must be debug or unset, got 'verbose'"}), "False"]
+
+
 def test_cap_ends_as_json_with_exit_code_3(capsys):
     # a one-round horizon is too short for the chain to settle
     code, err = _error_record(capsys, ["bayes", "--scenario", "chain-tie:6", "--horizon", "1"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta,
+from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta, check_delta,
                            belief_support, delta_independence,
                            map_accuracy_three_bits, private_belief,
                            read_signal_model, sample_world, three_bit_epsilon,
@@ -125,3 +125,11 @@ def test_sample_world_respects_state():
 def test_tv_distance():
     assert tv_distance({0: Fraction(1, 2), 1: Fraction(1, 2)},
                        {0: Fraction(1), 1: Fraction(0)}) == Fraction(1, 2)
+
+
+def test_check_delta_takes_the_half_interval_and_refuses_the_rest():
+    assert check_delta(0) == 0 and check_delta("1/2") == Fraction(1, 2) and check_delta(0.25) == Fraction(1, 4)
+    assert isinstance(check_delta(Fraction(1, 10)), Fraction)
+    for bad in (Fraction(3, 4), -1, "-1/4", Fraction(1, 2) + Fraction(1, 10 ** 9), -1e-9):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1/2\], got "):
+            check_delta(bad)

@@ -10,8 +10,9 @@ from opdyn import voter
 from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (FixedDraws, StrongVoterState, absorption_drift, float_net, float_solve_absorption,
-                     initial_strong_state, per_update_strong_walk, searchsorted_mc_consensus, strong_voter_step,
-                     three_draw_run_strong_voter, threshold_mc_consensus, weighted_net)
+                     fraction_bernoulli_words, initial_strong_state, per_update_strong_walk, product_mc_consensus,
+                     searchsorted_mc_consensus, stagewise_mc_consensus, strong_voter_step,
+                     three_draw_run_strong_voter, weighted_net)
 
 
 def test_two_node_one_step_distribution():
@@ -69,50 +70,145 @@ def test_mc_consensus_matches_exact_small():
     assert out["times"].min() >= 0
 
 
-class _PinnedRounds:
-    """A generator whose round draws (random with out=) all equal value; S and psi come from seed."""
-
-    default_rng = staticmethod(np.random.default_rng)      # the real one, kept before a test patches it
-
-    def __init__(self, seed, value):
-        self.rng = self.default_rng(seed)
-        self.value = value
-
-    def integers(self, *args, **kwargs):
-        return self.rng.integers(*args, **kwargs)
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return self.rng.random(size)
-        out.fill(self.value)
-        return out
-
-
-def test_threshold_rule_is_exact_at_the_ends(monkeypatch):
-    # all neighbours at 1 give C = D: even the largest draw below 1 adopts 1,
-    # and all neighbours at 0 give C = 0, which not even the draw 0 adopts
-    top = np.nextafter(1.0, 0)
-    nets = (generate("complete", 10), generate("star", 7), weighted_net(6, 3), float_net())
-    for net in nets:
+def test_stage_rows_pick_each_neighbour_with_its_exact_weight():
+    # stage k is the test U < q_k = (c_0 + ... + c_k) / D_i on the agent's U, and the
+    # first set stage picks: P(j_k) = q_k - q_{k-1} = c_k / D_i, with q_{-1} = 0 and q_{d-1} = 1
+    for net in (generate("cycle", 5), generate("star", 7), generate("grid", 9), weighted_net(8, 3), float_net(7)):
         counts, D = voter._weight_counts(net)
-        C = np.ones(net.n) @ counts
-        assert np.array_equal(C, D)
-        assert (top * D < C).all() and not (0.0 * D < 0 * C).any()
-    assert voter._weight_counts(nets[0])[1].tolist() == [10.0] * 10
-    # the kernel steps a unanimous trial in the round that retires it, so it
-    # must land on itself under either extreme draw
-    for net in nets:
-        for value in (0.0, top):
-            monkeypatch.setattr(np.random, "default_rng", lambda seed, value=value: _PinnedRounds(seed, value))
-            out = voter.mc_consensus(net, Fraction(1, 2), 40, seed=3)
-            assert not out["times"].any() and np.array_equal(out["value"], out["s"])
-    # on complete:10 a draw just below 1 adopts 1 only where every neighbour is
-    # at 1, and the draw 0 wherever one is: one round ends every trial
-    for value, want in ((top, 0), (0.0, 1)):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed, value=value: _PinnedRounds(seed, value))
-        out = voter.mc_consensus(nets[0], Fraction(0), 200, seed=4)
-        moved = out["times"] == 1
-        assert moved.sum() > 190 and (out["times"] <= 1).all() and (out["value"][moved] == want).all()
+        st = voter._Stages(net)
+        for i in range(net.n):
+            rows = np.flatnonzero(st.agent == i)
+            js = [int(j) for j in st.nbr[rows]] + [int(st.last[i])]
+            assert js == np.flatnonzero(counts[:, i]).tolist()
+            assert (st.order[st.owner[rows]] == i).all()
+            qs = [Fraction(0)] + [Fraction(int(st.num[r]), int(st.den[r])) for r in rows] + [Fraction(1)]
+            assert all(0 < q < 1 for q in qs[1:-1])
+            assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(counts[j, i]), int(D[i])) for j in js]
+        # the select groups hold every agent once and every stage row once
+        assert sorted(st.order.tolist()) == list(range(net.n))
+        assert sum((a1 - a0) * (len(J) - 1) for a0, a1, J, _r0 in st.select) == len(st.den)
+
+
+class _PinnedWords:
+    """draw(size) for voter._bernoulli_words: random words, but the lanes in force copy q's digits before digit through.
+
+    Every call draws 16 words, 64 uint16 lane digits, per (row, word) pair,
+    and call m gives each lane its digit m. The first call's pairs run
+    row-major over (row, word); later calls copy q's digit only for a
+    one-row expansion, where every pair has the same q.
+    """
+
+    def __init__(self, exp, w, force, through, seed):
+        self.exp, self.w, self.force, self.through = exp, w, force, through
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __call__(self, size):
+        m = len(self.calls)
+        lanes = self.rng.bit_generator.random_raw(size).astype("<u8").view("<u2").reshape(-1, 64)
+        if m < self.through and (m == 0 or len(self.exp.den) == 1):
+            digit = self.exp.digits(m + 1)[m]
+            pinned = [lane for lane in range(64) if self.force >> lane & 1]
+            lanes[:, pinned] = (np.repeat(digit, self.w) if m == 0 else digit[0])[..., None]
+        self.calls.append(lanes.reshape(-1).view("<u8").astype(np.uint64))
+        return self.calls[-1].copy()
+
+
+def _float_q():
+    """A float_net() row's first stage threshold: a count ratio over about 2^40."""
+    st = voter._Stages(float_net())
+    return Fraction(int(st.num[0]), int(st.den[0]))
+
+
+_FLOAT_Q = _float_q()
+
+
+@pytest.mark.parametrize("q, through", [
+    (Fraction(1, 2), 0),                           # the first digit decides every lane
+    (Fraction(1, 2), 1),                           # a lane tied on it has U >= q: q's expansion ends there
+    (Fraction(1, 3), 2),                           # tied past the first digit
+    (Fraction(1, 3), 6),                           # tied past the 4 digits the expansion holds at first
+    (Fraction(2, 5), 3),
+    (Fraction(1, 2 ** 53 - 1), 4),                 # three zero digits, then 0x0800
+    (Fraction(5, 2 ** 20), 3),                     # a dyadic q whose expansion ends at digit 2
+    (_FLOAT_Q, 3),                                 # a float row's count ratio over about 2^40
+], ids=["1/2", "1/2-tied", "1/3", "1/3-past-4", "2/5", "1/(2^53-1)", "5/2^20", "float-row"])
+def test_bernoulli_words_match_the_fraction_oracle(q, through):
+    w = 3
+    exp = voter._Expansion(np.array([q.numerator]), np.array([q.denominator]))
+    L = int(exp.L[0])
+    for live in (np.full(w, voter._ALL), np.array([0xF0F0, voter._ALL, 1], dtype=np.uint64)):
+        draw = _PinnedWords(exp, w, 0b111111 | 1 << 40, through, seed=q.denominator % 1000)
+        got = voter._bernoulli_words(exp, np.arange(1), 1, live, draw)
+        assert np.array_equal(got & live, fraction_bernoulli_words([q], w, live.tolist(), draw.calls))
+        # the pinned lanes stay tied through digit `through`, and no pair draws past the end of q
+        assert 1 + min(through, L - 1) <= len(draw.calls) <= L
+
+
+def test_bernoulli_words_of_many_rows_match_the_fraction_oracle():
+    # rows of different q, with the first digit pinned to tie some lanes of every pair
+    qs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(5, 2 ** 12), Fraction(7, 9), _FLOAT_Q]
+    exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
+    for seed in range(3):
+        live = np.array([voter._ALL, 0x00FF00FF00FF00FF], dtype=np.uint64)
+        draw = _PinnedWords(exp, 2, 0b1011 << 20, 1, seed=seed)
+        got = voter._bernoulli_words(exp, np.arange(len(qs)), len(qs), live, draw)
+        assert np.array_equal(got & live, fraction_bernoulli_words(qs, 2, live.tolist(), draw.calls))
+        assert len(draw.calls) > 1
+
+
+def test_bernoulli_words_draw_each_owners_next_digit_once():
+    # rows 0 and 1 share owner 0 and agree on q's first two digits; lanes pinned to 1/3's
+    # digits stay tied in both, and each tied (owner, word) pair draws its next digit once
+    qs = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 40), Fraction(2, 5)]
+    owner = np.array([0, 0, 1])
+    exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
+    pinned = [20, 21, 23]
+    live = np.array([voter._ALL, 0x00FF00FF00FF00FF], dtype=np.uint64)
+    for seed in range(3):
+        rng, calls = np.random.default_rng(seed), []
+
+        def draw(size):
+            lanes = rng.bit_generator.random_raw(size).astype("<u8").view("<u2").reshape(-1, 64)
+            if len(calls) < 4:
+                lanes[:, pinned] = 0x5555
+            calls.append(lanes.reshape(-1).view("<u8").astype(np.uint64))
+            return calls[-1].copy()
+        got = voter._bernoulli_words(exp, owner, 2, live, draw)
+        assert np.array_equal(got & live, fraction_bernoulli_words(qs, 2, live.tolist(), calls, owner))
+        assert len(calls) > 4 and not (got[0] & ~got[1]).any()
+
+
+@pytest.mark.parametrize("net", [weighted_net(8, 3), float_net(7), generate("star", 9), generate("grid", 9)],
+                         ids=["weighted8", "float7", "star9", "grid9"])
+def test_stage_words_give_each_stage_row_its_own_q(net):
+    # row r of the stage words must be [U < num[r] / den[r]] for its agent's U, by the Fraction oracle
+    st = voter._Stages(net)
+    rng = np.random.default_rng(len(st.den))
+    live = np.array([voter._ALL, 0x0FF0F00F00FF0FF0], dtype=np.uint64)
+    calls = []
+
+    def draw(size):
+        calls.append(rng.bit_generator.random_raw(size))
+        return calls[-1].copy()
+    B = voter._bernoulli_words(st.exp, st.owner, net.n, live, draw)
+    qs = [Fraction(int(num), int(den)) for num, den in zip(st.num, st.den)]
+    assert np.array_equal(B & live, fraction_bernoulli_words(qs, len(live), live.tolist(), calls, st.owner))
+    # an agent's stages test one U against rising q, so each stage word holds the one before it
+    for i in range(net.n):
+        rows = np.flatnonzero(st.agent == i)
+        assert all(((B[a] & ~B[b]) == 0).all() for a, b in zip(rows, rows[1:]))
+
+
+def _recorded_masks(mp):
+    """Patch voter._bernoulli_words to record the stage words it returns; returns the list."""
+    masks, real = [], voter._bernoulli_words
+
+    def record(*args):
+        masks.append(real(*args))
+        return masks[-1]
+    mp.setattr(voter, "_bernoulli_words", record)
+    return masks
 
 
 def _adopt_count(D, C):
@@ -169,31 +265,66 @@ def _mc_net(kind, n, seed):
 @given(kind=st.sampled_from(["cycle", "chain", "star", "complete", "grid", "random_regular", "weighted", "float"]),
        n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
        delta=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3)]),
-       trials=st.integers(0, 60), block=st.sampled_from([1, 8, 24, 1 << 16]))
-def test_mc_consensus_matches_threshold_oracle(kind, n, seed, delta, trials, block):
-    # small blocks split the trials into many row blocks; the stream must not notice
+       trials=st.sampled_from([0, 1, 63, 64, 65, 129]), block=st.sampled_from([1, 8, 24, 1 << 16]),
+       words=st.sampled_from([1, 1 << 15]))
+def test_round_step_matches_a_scalar_loop_on_the_same_masks(kind, n, seed, delta, trials, block, words):
+    # small blocks split the start draws into many row blocks and each round into one-word blocks
     net = _mc_net(kind, n, seed)
-    want = threshold_mc_consensus(net, delta, trials, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voter, "_MC_BLOCK", block)
+        mp.setattr(voter, "_ROUND_WORDS", words)
+        masks = _recorded_masks(mp)
         got = voter.mc_consensus(net, delta, trials, seed)
+    want = stagewise_mc_consensus(net, delta, trials, seed, voter._Stages(net), masks)
     assert got["matches"] == want["matches"] and got["trials"] == trials
     for key in ("times", "s", "value"):
         assert got[key].dtype == want[key].dtype
         assert np.array_equal(got[key], want[key]), key
 
 
-@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), weighted_net(6, 1)],
-                         ids=["cycle5", "star6", "weighted6"])
+def test_round_step_on_one_agent_and_a_repack():
+    # one agent is unanimous from the start; 129 trials on a cycle repack from 3 words to fewer
+    one = Network(n=1, edges=((0, 0, 1),))
+    out = voter.mc_consensus(one, Fraction(1, 10), 129, seed=0)
+    want = stagewise_mc_consensus(one, Fraction(1, 10), 129, 0, voter._Stages(one), [])
+    assert not out["times"].any() and np.array_equal(out["value"], want["value"])
+    net = generate("cycle", 7)
+    with pytest.MonkeyPatch.context() as mp:
+        masks = _recorded_masks(mp)
+        got = voter.mc_consensus(net, Fraction(1, 10), 129, seed=3)
+    assert {m.shape[1] for m in masks} >= {3, 1}
+    want = stagewise_mc_consensus(net, Fraction(1, 10), 129, 3, voter._Stages(net), masks)
+    for key in ("times", "s", "value"):
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_mc_consensus_step_cap_names_the_open_trials():
+    # the cap counts rounds: a trial unanimous at round step_cap still retires
+    net = generate("cycle", 9)
+    with pytest.MonkeyPatch.context() as mp:
+        masks = _recorded_masks(mp)
+        with pytest.raises(TimeoutError) as exc:
+            voter.mc_consensus(net, Fraction(1, 10), 300, seed=2, step_cap=5)
+    with pytest.raises(TimeoutError) as want:
+        stagewise_mc_consensus(net, Fraction(1, 10), 300, 2, voter._Stages(net), masks, step_cap=5)
+    assert str(exc.value) == str(want.value) and str(exc.value).endswith("trials unabsorbed after 5 rounds")
+    times = voter.mc_consensus(net, Fraction(1, 10), 300, seed=2)["times"]
+    out = voter.mc_consensus(net, Fraction(1, 10), 300, seed=2, step_cap=int(times.max()))
+    assert np.array_equal(out["times"], times)
+
+
+@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), weighted_net(6, 1), float_net()],
+                         ids=["cycle5", "star6", "weighted6", "float5"])
 def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
-    # the count rule and the searchsorted pick sample one chain from different draws
+    # the stage rule, the searchsorted pick and the product rule sample one chain from different draws
     trials = 4000
     got = voter.mc_consensus(net, Fraction(1, 10), trials, seed=5)
-    want = searchsorted_mc_consensus(net, Fraction(1, 10), trials, seed=6)
-    p, q = got["matches"] / trials, want["matches"] / trials
-    assert abs(p - q) <= 4 * np.sqrt((p * (1 - p) + q * (1 - q)) / trials)
-    a, b = got["times"], want["times"]
-    assert abs(a.mean() - b.mean()) <= 4 * np.sqrt((a.var() + b.var()) / trials)
+    for sampler, seed in ((searchsorted_mc_consensus, 6), (product_mc_consensus, 7)):
+        want = sampler(net, Fraction(1, 10), trials, seed=seed)
+        p, q = got["matches"] / trials, want["matches"] / trials
+        assert abs(p - q) <= 4 * np.sqrt((p * (1 - p) + q * (1 - q)) / trials), sampler.__name__
+        a, b = got["times"], want["times"]
+        assert abs(a.mean() - b.mean()) <= 4 * np.sqrt((a.var() + b.var()) / trials), sampler.__name__
 
 
 def test_mc_consensus_float_rows_and_wide_denominators():
@@ -219,13 +350,20 @@ def test_mc_consensus_float_rows_and_wide_denominators():
         voter.mc_consensus(wide(2 ** 53), Fraction(1, 10), 5, seed=0)
 
 
-def test_mc_consensus_logs_sizes(caplog):
+def test_mc_consensus_logs_sizes(caplog, monkeypatch):
+    drawn, real = [], voter._bernoulli_words
+
+    def counted(exp, owner, owners, live, draw):
+        return real(exp, owner, owners, live, lambda size: drawn.append(size) or draw(size))
+    monkeypatch.setattr(voter, "_bernoulli_words", counted)
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
-        out = voter.mc_consensus(generate("star", 6), Fraction(1, 10), trials=50, seed=2)
+        out = voter.mc_consensus(generate("star", 6), Fraction(1, 10), trials=200, seed=2)
     times = out["times"]
-    # the hub's row has six neighbours, so its weights count over D = 6
-    assert (f"voter MC: n=6 trials=50 max_D=6 rows=2730 rounds={times.max()} "
-            f"trial_rounds={times.sum()}") in caplog.text
+    # the hub's row has six neighbours, so its weights count over D = 6; it has
+    # five stage rows and each leaf, with two neighbours, one
+    assert (f"voter MC: n=6 trials=200 max_D=6 stage_rows=10 rounds={times.max()} "
+            f"trial_rounds={times.sum()} words={sum(drawn)} repacks=") in caplog.text
+    assert "repacks=0" not in caplog.text
 
 
 def test_strong_voter_strict_majority_deterministic_outcome():

@@ -316,10 +316,18 @@ def _positive_int(text):
     return value
 
 
+def _non_negative_int(text):
+    """argparse type of every --seed: an integer of at least 0, as numpy's SeedSequence takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_common(p):
     # both default to None, so a path that samples nothing can refuse them when given
     p.add_argument("--trials", type=_positive_int, help="Monte Carlo trial count (default 10000)")
-    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, help="base RNG seed (default 0)")
     p.add_argument("--out", help="write the JSON record here instead of stdout")
 
 

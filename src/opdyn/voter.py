@@ -37,10 +37,10 @@ _BLOCK_ENTRIES = 1 << 20
 # rows of a Monte Carlo block hold about this many agent draws
 _MC_BLOCK = 1 << 14
 
-# a Monte Carlo round works on blocks of words whose uniform digits, 16
-# words per row and word, fill about this many words: a block with a lane
-# still tied after its first digit (probability about 2^-16 per lane and
-# row) pays about 30 numpy calls for its next one
+# Monte Carlo draws its neighbour picks a block of columns at a time, whose
+# uniform digits, 16 words per row and column, fill about this many words:
+# a block with a lane still tied after its first digit (probability about
+# 2^-16 per lane and row) pays about 30 numpy calls for its next one
 _ROUND_WORDS = 1 << 17
 
 _ALL = np.uint64(2 ** 64 - 1)
@@ -56,36 +56,42 @@ _LOCKSTEP_MIN = 64
 
 
 def _weight_counts(net: Network):
-    """(A, D): agent i's weight on j as the integer count A[j, i] out of D[i] = sum_j A[j, i].
+    """(J, C, D): agent i copies neighbour J[i][k] with the integer count C[i][k] out of D[i] = sum(C[i]).
 
-    A rational row counts in units of the lcm of its denominators, so the
-    counts are its numerators and D[i] is that lcm. A row with a float weight
-    counts in units of 2^-40, rounded, and a positive weight never rounds to 0.
-    Refuses, with ValueError, an agent without out-neighbours, a network that
-    fails validate(require_stochastic=True) and a row whose D[i] reaches 2^53:
-    A and D are float64 arrays, which hold every integer exactly only below
-    2^53.
+    J[i] lists agent i's out-neighbours in index order, and J[i], C[i] are
+    int64 arrays. A rational row counts in units of the lcm of its
+    denominators, so the counts are its numerators and D[i] is that lcm. A
+    row with a float weight counts in units of 2^-40, rounded, and a
+    positive weight never rounds to 0. Refuses, with ValueError, an agent
+    without out-neighbours, a network that fails
+    validate(require_stochastic=True) and a row whose D[i] reaches 2^53: the
+    exact expansions of the cumulative counts over D[i] (see _Expansion)
+    need D[i] below 2^53.
     """
     n = net.n
     for i in range(n):
         if not net.out_neighbors(i):
             raise ValueError(f"agent {i} has no out-neighbours")
     require_stochastic(net)
-    A = np.zeros((n, n))
-    D = np.empty(n)
+    J, C = [], []
+    D = np.empty(n, dtype=np.int64)
     for i in range(n):
         nb = net.out_neighbors(i)
-        ws = nb.values()
-        unit = lcm(*(w.denominator for w in ws)) if all(isinstance(w, Fraction) for w in ws) else _FLOAT_UNIT
-        counts = {j: max(1, round(w * unit)) for j, w in nb.items()}
-        total = sum(counts.values())
+        js = sorted(nb)
+        ws = [nb[j] for j in js]
+        if all(isinstance(w, Fraction) for w in ws):
+            unit = lcm(*(w.denominator for w in ws))
+            counts = [w.numerator * (unit // w.denominator) for w in ws]
+        else:
+            counts = [max(1, round(w * _FLOAT_UNIT)) for w in ws]
+        total = sum(counts)
         if total >= 2 ** 53:
             raise ValueError(f"agent {i}'s weights need the integer total {total}, 2^53 or more: "
-                             "voter Monte Carlo holds the counts in float64, exact only below 2^53")
-        for j, c in counts.items():
-            A[j, i] = c
+                             "voter Monte Carlo expands its count ratios exactly only below 2^53")
+        J.append(np.array(js, dtype=np.int64))
+        C.append(np.array(counts, dtype=np.int64))
         D[i] = total
-    return A, D
+    return J, C, D
 
 
 class _Expansion:
@@ -142,21 +148,21 @@ class _Stages:
     """
 
     def __init__(self, net: Network):
-        counts, D = (a.astype(np.int64) for a in _weight_counts(net))
-        deg = np.count_nonzero(counts, axis=0)
+        J, C, D = _weight_counts(net)
+        deg = np.array([len(js) for js in J], dtype=np.intp)
         self.max_D = int(D.max(initial=0))
         self.order = np.argsort(deg, kind="stable")
         row = np.argsort(self.order)
         self.last = np.empty(net.n, dtype=np.intp)
         self.select, parts = [], []
         a0 = r0 = 0
-        for d in np.unique(deg).tolist():
+        for d in sorted(set(deg.tolist())):         # np.unique would import numpy.ma, 10-20 ms, on first use
             who = self.order[a0:a0 + np.count_nonzero(deg == d)]
-            js = np.array([np.flatnonzero(counts[:, i]) for i in who]).reshape(len(who), d)
-            C = np.cumsum(counts[js, who[:, None]], axis=1)
+            js = np.array([J[i] for i in who]).reshape(len(who), d)
+            cum = np.cumsum(np.array([C[i] for i in who]).reshape(len(who), d), axis=1)
             self.last[who] = js[:, -1]
             self.select.append((a0, a0 + len(who), row[js.T], r0))
-            parts.append([np.tile(who, d - 1)] + [v.T[:-1].reshape(-1) for v in (js, C, np.repeat(D[who, None], d, 1))])
+            parts.append([np.tile(who, d - 1)] + [v.T[:-1].reshape(-1) for v in (js, cum, np.repeat(D[who, None], d, 1))])
             a0, r0 = a0 + len(who), r0 + (d - 1) * len(who)
         self.agent, self.nbr, self.num, self.den = (np.concatenate(v) for v in zip(*parts))
         self.owner = row[self.agent]
@@ -168,8 +174,8 @@ def _uniform_digits(words):
     return words.astype("<u8", copy=False).view("<u2")
 
 
-def _bernoulli_words(exp: _Expansion, owner, owners, live, draw):
-    """len(live) words of exact [U < q] lanes for each row r of exp, q its num / den.
+def _bernoulli_words(exp: _Expansion, owner, owners, w, draw):
+    """w words of exact [U < q] lanes for each row r of exp, q its num / den.
 
     Each of the `owners` rows of uniforms holds one U per lane, and row r
     compares the U of owner[r], so the rows of one owner see one U in each
@@ -178,15 +184,13 @@ def _bernoulli_words(exp: _Expansion, owner, owners, live, draw):
     first one that differs from q's digit decides the lane: 1 iff it is the
     smaller. Each (owner, word) pair draws 16 uint64 words, pair after pair
     in row-major order, and lane l reads the l-th uint16 of them. Then the
-    pairs with a lane still tied (probability 2^-16) where live is set, in
-    one of their rows, draw 16 more words each, in pair order, for the next
-    digit, until none is left. A lane still tied where q's expansion ends
-    has U >= q and is 0.
+    pairs with a lane still tied (probability 2^-16) in one of their rows
+    draw 16 more words each, in pair order, for the next digit, until none
+    is left. A lane still tied where q's expansion ends has U >= q and is 0.
     """
-    w = len(live)
     u = _uniform_digits(draw(16 * owners * w)).reshape(owners, 64 * w)[owner]
     e = exp.E[0][:, None]
-    out, tied = _pack(u < e), _pack(u == e) & live
+    out, tied = _pack(u < e), _pack(u == e)
     idx = np.flatnonzero(tied)
     row, tied, flat = idx // w, tied.reshape(-1)[idx], out.reshape(-1)
     m = 1
@@ -204,18 +208,47 @@ def _bernoulli_words(exp: _Expansion, owner, owners, live, draw):
         m += 1
 
 
-def _select(state, st: _Stages, B, out):
-    """out[p] = the state of the neighbour each lane of row p copies: the one of its first set stage."""
-    w = state.shape[1]
-    for a0, a1, J, r0 in st.select:
-        d, c = J.shape
-        P = np.empty((d + 1, c, w), dtype=np.uint64)     # P[k + 1]: stage k is set, and so every later one
-        P[0] = 0
-        P[1:d] = B[r0:r0 + (d - 1) * c].reshape(d - 1, c, w)
-        P[d] = _ALL
-        G = state[J]
-        G &= P[1:] ^ P[:-1]
-        np.bitwise_or.reduce(G, axis=0, out=out[a0:a1])
+class _Choices:
+    """The neighbour picks of mc_consensus as one stream of word columns.
+
+    A pick never depends on the state, so the picks are drawn ahead. For
+    select group g of _Stages, with neighbours j_0 .. j_{d-1},
+    masks[g][k, a, c] is the word of lanes in which agent a0 + a copies j_k
+    in column c: its stage k is set and its stage k - 1 is not (stage -1
+    never set, stage d - 1 always). Each refill turns one _bernoulli_words
+    call of `block` words into `block` columns; take() hands them out in
+    order, so no column is dropped or used twice.
+    """
+
+    def __init__(self, st: _Stages, block, draw):
+        self.st, self.block, self.draw = st, block, draw
+        self.masks, self.at = [], block
+        self.refills = self.columns = 0
+
+    def take(self, most):
+        """(masks, m): the next m <= most columns of each group's masks, m < most only at the end of a refill."""
+        if self.at == self.block:
+            self._refill()
+        m = min(most, self.block - self.at)
+        cols = slice(self.at, self.at + m)
+        self.at += m
+        self.columns += m
+        return [M[:, :, cols] for M in self.masks], m
+
+    def _refill(self):
+        st, w = self.st, self.block
+        self.masks = []                 # freed before the next block is drawn
+        B = _bernoulli_words(st.exp, st.owner, len(st.order), w, self.draw)
+        for _a0, _a1, J, r0 in st.select:
+            d, c = J.shape
+            S = B[r0:r0 + (d - 1) * c].reshape(d - 1, c, w)
+            M = np.empty((d, c, w), dtype=np.uint64)
+            M[:d - 1] = S
+            M[d - 1] = _ALL
+            M[1:] ^= S
+            self.masks.append(M)
+        self.at = 0
+        self.refills += 1
 
 
 def _pack(bits):
@@ -242,16 +275,20 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     order[p] in 64 trials, trial 64 w + l in bit l until repacking moves it.
     Each round every agent copies one neighbour: the stage rows of _Stages
     compare one uniform per agent and lane with the agent's cumulative
-    weights, exactly (_bernoulli_words), so it copies j with probability
-    exactly A[j, i] / D_i (see _weight_counts). Unanimity
-    is one OR and one AND over agents; a trial unanimous at the start of
-    round t retires with time t. Once fewer than half the lanes of the words
-    are open, the open lanes are repacked, in order, into the fewest words.
-    S and psi come from the whole-array draws S = integers(0, 2, trials) and
-    psi_i = S iff random((trials, n))[t, i] < 1/2 + delta, taken in row
-    blocks of about _MC_BLOCK draws and packed block by block. The rounds
-    then draw raw 64-bit words from the same generator, a block of words of
-    about _ROUND_WORDS draws at a time.
+    weights, exactly (_bernoulli_words), so it copies J[i][k] with
+    probability exactly C[i][k] / D[i] (see _weight_counts). The picks come
+    from _Choices, a round of W words taking the stream's next W columns,
+    so a round is one gather, one AND and one OR per select group.
+    Unanimity is one XOR with the first agent's row and one OR; a trial
+    unanimous at the start of round t retires with time t. A lane not open,
+    padding or retired, is unanimous and stays so, so a trial retires iff
+    the lanes not unanimous differ from the open ones. Once fewer than half
+    the lanes of the words are open, the open lanes are repacked, in order,
+    into the fewest words. S and psi come from the whole-array draws
+    S = integers(0, 2, trials) and psi_i = S iff random((trials, n))[t, i]
+    < 1/2 + delta, taken in row blocks of about _MC_BLOCK draws and packed
+    block by block. The picks then draw raw 64-bit words from the same
+    generator, a block of columns of about _ROUND_WORDS draws at a time.
     """
     n = net.n
     delta = check_delta(delta)
@@ -283,17 +320,16 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
 
     times = np.zeros(trials, dtype=np.int64)
     value = np.zeros(trials, dtype=np.int8)
-    block = max(1, _ROUND_WORDS // (16 * max(n, len(st.den))))     # 16 words of digits per row and word
+    choices = _Choices(st, max(1, _ROUND_WORDS // (16 * max(n, len(st.den)))), draw)   # 16 words per row and column
     for t in range(step_cap + 1):
-        every = np.bitwise_and.reduce(state, axis=0)
-        done = live & ~(np.bitwise_or.reduce(state, axis=0) ^ every)
-        if done.any():
-            live ^= done
+        mixed = np.bitwise_or.reduce(state ^ state[0], axis=0)
+        if (mixed != live).any():
+            done, live = live ^ mixed, mixed
             ws = np.flatnonzero(done)
             hit = _lanes(done[ws]).view(bool)
             ids = lanes[(64 * ws[:, None] + np.arange(64)).reshape(-1)[hit]]
             times[ids] = t
-            value[ids] = _lanes(every[ws])[hit]
+            value[ids] = _lanes(state[0, ws])[hit]
             count -= len(ids)
         if count == 0:
             break
@@ -311,12 +347,19 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
             live = _pack(np.arange(64 * W) < count)
             repacks += 1
         new = np.empty_like(state)
-        for w0 in range(0, state.shape[1], block):
-            cols = slice(w0, w0 + block)
-            _select(state[:, cols], st, _bernoulli_words(st.exp, st.owner, n, live[cols], draw), new[:, cols])
+        w0 = 0
+        while w0 < W:
+            masks, m = choices.take(W - w0)
+            cur = state[:, w0:w0 + m]
+            for (a0, a1, J, _r0), M in zip(st.select, masks):
+                G = cur[J]
+                G &= M
+                np.bitwise_or.reduce(G, axis=0, out=new[a0:a1, w0:w0 + m])
+            w0 += m
         state = new
-    debug("voter MC: n=%d trials=%d max_D=%d stage_rows=%d rounds=%d trial_rounds=%d words=%d repacks=%d",
-          n, trials, st.max_D, len(st.den), int(times.max(initial=0)), int(times.sum()), drawn, repacks)
+    debug("voter MC: n=%d trials=%d max_D=%d stage_rows=%d rounds=%d trial_rounds=%d words=%d repacks=%d "
+          "refills=%d columns=%d", n, trials, st.max_D, len(st.den), int(times.max(initial=0)), int(times.sum()),
+          drawn, repacks, choices.refills, choices.columns)
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}
 

@@ -635,9 +635,11 @@ def product_mc_consensus(net, delta, trials, seed, step_cap=None):
     """
     n = net.n
     delta = check_delta(delta)
-    counts, D = voter._weight_counts(net)
-    A = np.ones((n, n + 1))
-    A[:, :n] = counts
+    J, counts, D = voter._weight_counts(net)
+    A = np.zeros((n, n + 1))             # A[j, i]: agent i's count on j; column n counts the ones
+    A[:, n] = 1
+    for i, (js, cs) in enumerate(zip(J, counts)):
+        A[js, i] = cs
     if step_cap is None:
         step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
     rows = max(1, voter._MC_BLOCK // n)
@@ -683,7 +685,7 @@ def product_mc_consensus(net, delta, trials, seed, step_cap=None):
             "times": times, "s": s, "value": value}
 
 
-def fraction_bernoulli_words(qs, w, live, calls, owner=None):
+def fraction_bernoulli_words(qs, w, calls, owner=None):
     """The words voter._bernoulli_words owes rows of probabilities qs, from the words its draws returned.
 
     Row r compares the uniforms of owner[r] (by default its own). Each
@@ -691,11 +693,10 @@ def fraction_bernoulli_words(qs, w, live, calls, owner=None):
     the l-th uint16 of them, in little-endian order, as its next base-2^16
     digit.
     calls[0] covers every pair in row-major order; each later call covers,
-    in order, the pairs that still had a lane tied where live is set, in
-    one of their rows. A lane with m digits is tied in row r while the
-    number U they spell equals the first m digits of q = qs[r] and q has
-    further digits. Each live lane of row r is 1 iff U < q, for U spelled
-    by all of its pair's digits, and dead lanes are 0.
+    in order, the pairs that still had a lane tied in one of their rows. A
+    lane with m digits is tied in row r while the number U they spell
+    equals the first m digits of q = qs[r] and q has further digits. Each
+    lane of row r is 1 iff U < q, for U spelled by all of its pair's digits.
     """
     owner = list(range(len(qs))) if owner is None else [int(o) for o in owner]
     owners = max(owner, default=-1) + 1
@@ -710,7 +711,7 @@ def fraction_bernoulli_words(qs, w, live, calls, owner=None):
             q = qs[r]
             for lane in range(64):
                 u, scale = lane_u(p, lane)
-                if (live[p % w] >> lane) & 1 and (q * scale).denominator != 1 and u == int(q * scale):
+                if (q * scale).denominator != 1 and u == int(q * scale):
                     return True
         return False
 
@@ -727,7 +728,7 @@ def fraction_bernoulli_words(qs, w, live, calls, owner=None):
         for word in range(w):
             for lane in range(64):
                 u, scale = lane_u(o * w + word, lane)
-                if (live[word] >> lane) & 1 and Fraction(u, scale) < qs[r]:
+                if Fraction(u, scale) < qs[r]:
                     out[r, word] |= np.uint64(1 << lane)
     return out
 
@@ -737,13 +738,16 @@ def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=Non
 
     stages is the kernel's voter._Stages: stage row r belongs to agent
     agent[r], in stage order, and names neighbour nbr[r]; last[i] is agent
-    i's last neighbour. masks holds the (stage rows, words) arrays of
-    voter._bernoulli_words in call order, and a round takes as many columns as
-    its layout has words. The layout puts the trials in lanes in order;
-    once fewer than half of its lanes hold open trials, the open ones move,
-    in order, to the fewest words. In each round agent i of a trial copies
-    nbr[r] for its first stage row r set in the trial's lane, last[i] if
-    none is. A trial unanimous at the start of round t retires with time t.
+    i's last neighbour. masks holds the (stage rows, columns) arrays of
+    voter._bernoulli_words in call order, read as one stream of columns: a
+    round whose layout has W words takes the stream's next W columns, the
+    first for word 0, across the ends of the arrays. The layout puts the
+    trials in lanes in order; once fewer than half of its lanes hold open
+    trials, the open ones move, in order, to the fewest words. In each round
+    agent i of a trial copies nbr[r] for its first stage row r set in the
+    trial's lane, last[i] if none is. A trial unanimous at the start of
+    round t retires with time t. Every array is read from, and the last one
+    only as far as the rounds need.
     """
     n = net.n
     if step_cap is None:
@@ -753,6 +757,7 @@ def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=Non
     match = rng.random((trials, n)) < 0.5 + float(delta)
     states = [[int(s[k]) if match[k, i] else 1 - int(s[k]) for i in range(n)] for k in range(trials)]
     rows = [[(int(r), int(stages.nbr[r])) for r in np.flatnonzero(stages.agent == i)] for i in range(n)]
+    stream = [[] for _ in stages.nbr]            # the columns drawn and not yet taken, per stage row
     masks = [m.tolist() for m in masks]
     layout = list(range(trials))
     times = np.zeros(trials, dtype=np.int64)
@@ -771,10 +776,11 @@ def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=Non
         if words > 1 and 2 * len(open_trials) < 64 * words:
             layout = sorted(open_trials)
             words = -(-len(layout) // 64)
-        cols = [[] for _ in masks[0]]
-        while len(cols[0]) < words:
+        while len(stream[0]) < words:
             for r, part in enumerate(masks.pop(0)):
-                cols[r] += part
+                stream[r] += part
+        cols = [part[:words] for part in stream]
+        stream = [part[words:] for part in stream]
         for lane, k in enumerate(layout):
             if k not in open_trials:
                 continue

@@ -313,6 +313,20 @@ def test_zero_trials_is_refused(capsys, argv):
     assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["voter", "--graph", "cycle:5"],
+    ["voter-strong", "--graph", "cycle:5"],
+    ["degroot", "--graph", "cycle:5", "--mode", "mc"],
+    ["majority", "--graph", "cycle:5", "--mode", "mc"],
+    ["cascade", "--signal", "gaussian:1"],
+], ids=["voter", "voter-strong", "degroot", "majority", "cascade"])
+def test_negative_seed_is_refused_by_name(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--trials", "10", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, value", [
     (["cascade", "--signal", "bernoulli:1/6"], "-3"),
     (["cascade", "--signal", "bernoulli:1/6", "--mode", "mc", "--trials", "3"], "0"),

@@ -74,16 +74,16 @@ def test_stage_rows_pick_each_neighbour_with_its_exact_weight():
     # stage k is the test U < q_k = (c_0 + ... + c_k) / D_i on the agent's U, and the
     # first set stage picks: P(j_k) = q_k - q_{k-1} = c_k / D_i, with q_{-1} = 0 and q_{d-1} = 1
     for net in (generate("cycle", 5), generate("star", 7), generate("grid", 9), weighted_net(8, 3), float_net(7)):
-        counts, D = voter._weight_counts(net)
+        J, C, D = voter._weight_counts(net)
         st = voter._Stages(net)
         for i in range(net.n):
             rows = np.flatnonzero(st.agent == i)
             js = [int(j) for j in st.nbr[rows]] + [int(st.last[i])]
-            assert js == np.flatnonzero(counts[:, i]).tolist()
+            assert js == J[i].tolist() == sorted(net.out_neighbors(i))
             assert (st.order[st.owner[rows]] == i).all()
             qs = [Fraction(0)] + [Fraction(int(st.num[r]), int(st.den[r])) for r in rows] + [Fraction(1)]
             assert all(0 < q < 1 for q in qs[1:-1])
-            assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(counts[j, i]), int(D[i])) for j in js]
+            assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(c), int(D[i])) for c in C[i]]
         # the select groups hold every agent once and every stage row once
         assert sorted(st.order.tolist()) == list(range(net.n))
         assert sum((a1 - a0) * (len(J) - 1) for a0, a1, J, _r0 in st.select) == len(st.den)
@@ -137,10 +137,10 @@ def test_bernoulli_words_match_the_fraction_oracle(q, through):
     w = 3
     exp = voter._Expansion(np.array([q.numerator]), np.array([q.denominator]))
     L = int(exp.L[0])
-    for live in (np.full(w, voter._ALL), np.array([0xF0F0, voter._ALL, 1], dtype=np.uint64)):
-        draw = _PinnedWords(exp, w, 0b111111 | 1 << 40, through, seed=q.denominator % 1000)
-        got = voter._bernoulli_words(exp, np.arange(1), 1, live, draw)
-        assert np.array_equal(got & live, fraction_bernoulli_words([q], w, live.tolist(), draw.calls))
+    for force in (0b111111 | 1 << 40, 0xF0F0 | 1 << 63):
+        draw = _PinnedWords(exp, w, force, through, seed=q.denominator % 1000)
+        got = voter._bernoulli_words(exp, np.arange(1), 1, w, draw)
+        assert np.array_equal(got, fraction_bernoulli_words([q], w, draw.calls))
         # the pinned lanes stay tied through digit `through`, and no pair draws past the end of q
         assert 1 + min(through, L - 1) <= len(draw.calls) <= L
 
@@ -150,10 +150,9 @@ def test_bernoulli_words_of_many_rows_match_the_fraction_oracle():
     qs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(5, 2 ** 12), Fraction(7, 9), _FLOAT_Q]
     exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
     for seed in range(3):
-        live = np.array([voter._ALL, 0x00FF00FF00FF00FF], dtype=np.uint64)
         draw = _PinnedWords(exp, 2, 0b1011 << 20, 1, seed=seed)
-        got = voter._bernoulli_words(exp, np.arange(len(qs)), len(qs), live, draw)
-        assert np.array_equal(got & live, fraction_bernoulli_words(qs, 2, live.tolist(), draw.calls))
+        got = voter._bernoulli_words(exp, np.arange(len(qs)), len(qs), 2, draw)
+        assert np.array_equal(got, fraction_bernoulli_words(qs, 2, draw.calls))
         assert len(draw.calls) > 1
 
 
@@ -164,7 +163,6 @@ def test_bernoulli_words_draw_each_owners_next_digit_once():
     owner = np.array([0, 0, 1])
     exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
     pinned = [20, 21, 23]
-    live = np.array([voter._ALL, 0x00FF00FF00FF00FF], dtype=np.uint64)
     for seed in range(3):
         rng, calls = np.random.default_rng(seed), []
 
@@ -174,8 +172,8 @@ def test_bernoulli_words_draw_each_owners_next_digit_once():
                 lanes[:, pinned] = 0x5555
             calls.append(lanes.reshape(-1).view("<u8").astype(np.uint64))
             return calls[-1].copy()
-        got = voter._bernoulli_words(exp, owner, 2, live, draw)
-        assert np.array_equal(got & live, fraction_bernoulli_words(qs, 2, live.tolist(), calls, owner))
+        got = voter._bernoulli_words(exp, owner, 2, 2, draw)
+        assert np.array_equal(got, fraction_bernoulli_words(qs, 2, calls, owner))
         assert len(calls) > 4 and not (got[0] & ~got[1]).any()
 
 
@@ -185,15 +183,14 @@ def test_stage_words_give_each_stage_row_its_own_q(net):
     # row r of the stage words must be [U < num[r] / den[r]] for its agent's U, by the Fraction oracle
     st = voter._Stages(net)
     rng = np.random.default_rng(len(st.den))
-    live = np.array([voter._ALL, 0x0FF0F00F00FF0FF0], dtype=np.uint64)
     calls = []
 
     def draw(size):
         calls.append(rng.bit_generator.random_raw(size))
         return calls[-1].copy()
-    B = voter._bernoulli_words(st.exp, st.owner, net.n, live, draw)
+    B = voter._bernoulli_words(st.exp, st.owner, net.n, 2, draw)
     qs = [Fraction(int(num), int(den)) for num, den in zip(st.num, st.den)]
-    assert np.array_equal(B & live, fraction_bernoulli_words(qs, len(live), live.tolist(), calls, st.owner))
+    assert np.array_equal(B, fraction_bernoulli_words(qs, 2, calls, st.owner))
     # an agent's stages test one U against rising q, so each stage word holds the one before it
     for i in range(net.n):
         rows = np.flatnonzero(st.agent == i)
@@ -266,9 +263,10 @@ def _mc_net(kind, n, seed):
        n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
        delta=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3)]),
        trials=st.sampled_from([0, 1, 63, 64, 65, 129]), block=st.sampled_from([1, 8, 24, 1 << 16]),
-       words=st.sampled_from([1, 1 << 15]))
+       words=st.sampled_from([1, 1 << 9, 1 << 15]))
 def test_round_step_matches_a_scalar_loop_on_the_same_masks(kind, n, seed, delta, trials, block, words):
-    # small blocks split the start draws into many row blocks and each round into one-word blocks
+    # small blocks split the start draws into many row blocks; refills of one column or a few
+    # split rounds of several words, and refills of many columns serve many rounds
     net = _mc_net(kind, n, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voter, "_MC_BLOCK", block)
@@ -282,17 +280,34 @@ def test_round_step_matches_a_scalar_loop_on_the_same_masks(kind, n, seed, delta
         assert np.array_equal(got[key], want[key]), key
 
 
+def _round_widths(times, trials):
+    """The words of each round mc_consensus played, from its absorption times.
+
+    Round t plays the trials with times above t; before it, once fewer than
+    half the lanes of the words are open, the open ones move to the fewest words.
+    """
+    W, widths = -(-trials // 64), []
+    for t in range(int(times.max(initial=0))):
+        left = int((times > t).sum())
+        if W > 1 and 2 * left < 64 * W:
+            W = -(-left // 64)
+        widths.append(W)
+    return widths
+
+
 def test_round_step_on_one_agent_and_a_repack():
-    # one agent is unanimous from the start; 129 trials on a cycle repack from 3 words to fewer
+    # one agent is unanimous from the start; 129 trials on a cycle repack from 3 words to fewer,
+    # on refills of 2 columns (14 stage rows), so rounds of 3 words and of 1 cross their ends
     one = Network(n=1, edges=((0, 0, 1),))
     out = voter.mc_consensus(one, Fraction(1, 10), 129, seed=0)
     want = stagewise_mc_consensus(one, Fraction(1, 10), 129, 0, voter._Stages(one), [])
     assert not out["times"].any() and np.array_equal(out["value"], want["value"])
     net = generate("cycle", 7)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voter, "_ROUND_WORDS", 2 * 16 * 14)
         masks = _recorded_masks(mp)
         got = voter.mc_consensus(net, Fraction(1, 10), 129, seed=3)
-    assert {m.shape[1] for m in masks} >= {3, 1}
+    assert {m.shape[1] for m in masks} == {2} and {3, 1} <= set(_round_widths(got["times"], 129))
     want = stagewise_mc_consensus(net, Fraction(1, 10), 129, 3, voter._Stages(net), masks)
     for key in ("times", "s", "value"):
         assert np.array_equal(got[key], want[key]), key
@@ -330,32 +345,34 @@ def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
 def test_mc_consensus_float_rows_and_wide_denominators():
     # float rows count in units of 2^-40, and a row summing to 1 - 1e-13 still absorbs
     net = float_net()
-    counts, D = voter._weight_counts(net)
-    assert np.abs(D - 2 ** 40).max() <= net.n and (counts[counts > 0] >= 2 ** 35).all()
+    _J, C, D = voter._weight_counts(net)
+    assert np.abs(D - 2 ** 40).max() <= net.n and (np.concatenate(C) >= 2 ** 35).all()
     out = voter.mc_consensus(net, Fraction(1, 10), 500, seed=4)
     assert out["trials"] == 500 and out["times"].max() > 0
     out = voter.mc_consensus(net, Fraction(1, 2), 50, seed=4)    # every start is unanimous
     assert out["matches"] == 50 and not out["times"].any()
     # a positive float weight never rounds to 0
     tiny = Network(n=2, edges=((0, 0, 1 - 1e-13), (0, 1, 1e-13), (1, 0, 0.5), (1, 1, 0.5)))
-    assert voter._weight_counts(tiny)[0][1, 0] == 1
+    assert voter._weight_counts(tiny)[1][0][1] == 1
 
     def wide(q):
         return Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
                                    (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
     # D = 2^53 - 1 still counts exactly; an agent whose lcm reaches 2^53 is refused by name
-    assert voter._weight_counts(wide(2 ** 53 - 1))[1][0] == 2 ** 53 - 1
+    assert voter._weight_counts(wide(2 ** 53 - 1))[2][0] == 2 ** 53 - 1
     assert voter.mc_consensus(wide(2 ** 53 - 1), Fraction(1, 10), 20, seed=0)["trials"] == 20
     with pytest.raises(ValueError, match=r"agent 0's weights need the integer total 9007199254740992, 2\^53"):
         voter.mc_consensus(wide(2 ** 53), Fraction(1, 10), 5, seed=0)
 
 
 def test_mc_consensus_logs_sizes(caplog, monkeypatch):
-    drawn, real = [], voter._bernoulli_words
+    drawn, blocks, real = [], [], voter._bernoulli_words
 
-    def counted(exp, owner, owners, live, draw):
-        return real(exp, owner, owners, live, lambda size: drawn.append(size) or draw(size))
+    def counted(exp, owner, owners, w, draw):
+        blocks.append(w)
+        return real(exp, owner, owners, w, lambda size: drawn.append(size) or draw(size))
     monkeypatch.setattr(voter, "_bernoulli_words", counted)
+    monkeypatch.setattr(voter, "_ROUND_WORDS", 3 * 16 * 10)     # refills of 3 columns
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
         out = voter.mc_consensus(generate("star", 6), Fraction(1, 10), trials=200, seed=2)
     times = out["times"]
@@ -364,6 +381,10 @@ def test_mc_consensus_logs_sizes(caplog, monkeypatch):
     assert (f"voter MC: n=6 trials=200 max_D=6 stage_rows=10 rounds={times.max()} "
             f"trial_rounds={times.sum()} words={sum(drawn)} repacks=") in caplog.text
     assert "repacks=0" not in caplog.text
+    # each round takes one column per word, and a refill comes only when the last one is used up
+    columns, refills = sum(_round_widths(times, 200)), len(blocks)
+    assert set(blocks) == {3} and 3 * (refills - 1) < columns <= 3 * refills
+    assert f"refills={refills} columns={columns}\n" in caplog.text + "\n"
 
 
 def test_strong_voter_strict_majority_deterministic_outcome():

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -33,6 +33,8 @@ from .signals import FiniteModel, JointTable, bernoulli_cube
 PROFILE_SPACE_CAP = 10 ** 6
 # a packed refinement key stays below this bound, so it fits in int64
 _KEY_BOUND = 2 ** 62
+# a dense numbering table holds at most this many entries per (agent, profile) place
+_TABLE_PER_PLACE = 4
 
 
 @dataclass(frozen=True)
@@ -177,28 +179,24 @@ class BayesResult:
             prev = cur
         return out
 
+    def _change_arrays(self):
+        """(fixation round per profile, (n, M) counts of the rounds in which each agent's action changed)."""
+        changed = self._changed()
+        last = (np.arange(1, self.rounds)[:, None] * changed.any(axis=1)).max(axis=0, initial=0)
+        return last, changed.sum(axis=0)
+
     def change_counts(self):
         """per entry, per agent: number of rounds t with A_{t+1} != A_t."""
-        return self._changed().sum(axis=0)[:, self.profile_of].T.tolist()
+        return self._change_arrays()[1][:, self.profile_of].T.tolist()
 
     def fixation_rounds(self):
         """per entry: first round from which no agent's action ever changes."""
-        moved = self._changed().any(axis=1)                 # (rounds - 1, M)
-        last = (np.arange(1, self.rounds)[:, None] * moved).max(axis=0, initial=0)
-        return last[self.profile_of].tolist()
+        return self._change_arrays()[0][self.profile_of].tolist()
 
 
 def _lowest_terms(num, den):
     g = np.gcd(num, den)
     return num // g, den // g
-
-
-def _first_occurrence_ids(key):
-    """Number the distinct values of key 0, 1, ... in order of first occurrence; (ids as int32, count)."""
-    _values, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse], len(first)
 
 
 def _pair_ids(num, den):
@@ -212,24 +210,86 @@ def _pair_ids(num, den):
     return ids, int(new.sum())
 
 
-def _refine(cells, counts, codes, radix, nbrs):
-    """Split every agent's cells by the action codes (< radix) its neighbors showed.
+def _number(keys, bounds):
+    """Every agent's keys numbered in its order of first occurrence, all agents in one pass.
 
-    Agent i's next key is (cell, codes of nbrs[i]) packed into one integer;
-    the packed key is renumbered whenever one more code would pass _KEY_BOUND.
+    keys is (n, M) with keys[i] < bounds[i]. Agent i's keys are offset by
+    bounds[0] + ... + bounds[i-1], so no two agents share a key, and the
+    first-occurrence numbering of the flat offset keys gives agent i a run
+    of ids in its own order; subtracting the run's start gives its cells.
+    A key range of at most _TABLE_PER_PLACE entries per (agent, profile)
+    place finds each key's first position in a dense table, a wider one by
+    one stable sort. Returns (cells as int32, counts, whether the table ran).
     """
-    new = np.empty_like(cells)
-    new_counts = np.empty_like(counts)
-    for i, nb in enumerate(nbrs):
-        key, bound = cells[i].astype(np.int64), int(counts[i])
-        for j in nb:
-            if bound * radix > _KEY_BOUND:
-                key, bound = _first_occurrence_ids(key)
-                key = key.astype(np.int64)
-            key = key * radix + codes[j]
-            bound *= radix
-        new[i], new_counts[i] = _first_occurrence_ids(key)
-    return new, new_counts
+    n, M = keys.shape
+    size = int(bounds.sum())
+    flat = (keys + (np.cumsum(bounds) - bounds)[:, None]).ravel()
+    pos = np.arange(flat.size)
+    by_table = size <= _TABLE_PER_PLACE * flat.size
+    if by_table:
+        first = np.full(size, flat.size)
+        np.minimum.at(first, flat, pos)
+        first = first[flat]
+    else:
+        order = np.argsort(flat, kind="stable")     # stable: a key's first place leads its run
+        ordered = flat[order]
+        new = np.ones(flat.size, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        first = np.empty_like(pos)
+        first[order] = order[new][np.cumsum(new) - 1]
+    lead = np.flatnonzero(first == pos)                # each key's first place, in id order
+    counts = np.diff(np.searchsorted(lead, M * np.arange(n + 1)))
+    rank = np.empty(flat.size, dtype=np.int32)
+    rank[lead] = np.arange(len(lead), dtype=np.int32)
+    cells = rank[first].reshape(n, M)
+    cells -= (np.cumsum(counts) - counts).astype(np.int32)[:, None]
+    return cells, counts, by_table
+
+
+def _neighbour_slots(net: Network):
+    """[(rows, nbrs)] per slot k: the agents with a k-th neighbour (in sorted order) and that neighbour.
+
+    rows is a slice over all agents where every agent has the slot.
+    """
+    nbrs = [sorted(net.out_neighbors(i)) for i in range(net.n)]
+    slots = []
+    for k in range(max(map(len, nbrs), default=0)):
+        rows = [i for i in range(net.n) if len(nbrs[i]) > k]
+        nb = np.array([nbrs[i][k] for i in rows], dtype=np.intp)
+        slots.append((slice(None) if len(rows) == net.n else np.array(rows, dtype=np.intp), nb))
+    return slots
+
+
+def _refine(cells, counts, codes, radix, net):
+    """Split every agent's cells by the action codes (< radix) its neighbours showed.
+
+    Agent i's next key is (cell, codes of its neighbours in sorted order)
+    packed into one integer, for all agents at once, one neighbour slot at
+    a time. Before a slot that would take the keys' range past the limit,
+    they are renumbered: the dense table's size when the radix is small,
+    else _KEY_BOUND. Returns _number's (cells, counts, whether the table ran).
+    """
+    key, bound = cells.astype(np.int64), counts.copy()
+    limit = _TABLE_PER_PLACE * cells.size if radix <= _TABLE_PER_PLACE else _KEY_BOUND
+    for rows, nb in net.cached(_neighbour_slots):
+        if int(bound.sum()) + (radix - 1) * int(bound[rows].sum()) > limit:
+            key, bound, _ = _number(key, bound)
+            key = key.astype(np.int64)
+        key[rows] *= radix
+        key[rows] += codes[nb]
+        bound[rows] *= radix
+    return _number(key, bound)
+
+
+def _first_occurrence(values, count):
+    """(ids, distinct): the `count` hashable values numbered 0, 1, ... in order of first occurrence.
+
+    One dict pass maps each value to the position where it first occurs;
+    the positions become dense ids in numpy.
+    """
+    first = {}
+    at = np.fromiter(map(first.setdefault, values, range(count)), dtype=np.int64, count=count)
+    return (np.cumsum(at == np.arange(count)) - 1)[at], list(first)
 
 
 def _scatter_sum(index, values, size):
@@ -259,10 +319,15 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     n = net.n
     entries = space.entries
-    scale = lcm(*(w.denominator for (_s, _p, w) in entries))
+    # one unzip of the atoms, then C-level passes over its columns; weights are
+    # scaled once per distinct weight object, as spaces share them between atoms
+    states, profs, ws = zip(*entries) if entries else ((),) * 3
+    distinct = dict(zip(map(id, ws), ws))
+    scale = lcm(*(w.denominator for w in distinct.values()))
     dtype = np.int64 if scale < 2 ** 62 else object     # cell sums are <= D, and 2 w1 <= 2 D
-    weights = np.array([w.numerator * (scale // w.denominator) for (_s, _p, w) in entries], dtype=dtype)
-    states = np.array([s for (s, _p, _w) in entries])
+    scaled = {k: w.numerator * (scale // w.denominator) for k, w in distinct.items()}
+    weights = np.array(list(map(scaled.__getitem__, map(id, ws))), dtype=dtype)
+    states = np.array(states)
     if not (weights > 0).all():
         raise ValueError("atom weights must be positive")
     if not np.isin(states, (0, 1)).all():
@@ -270,26 +335,22 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
 
     # distinct signal profiles, numbered in order of first occurrence, and their weights;
     # a first-occurrence numbering of profile cells is then one of atom cells too
-    profiles = {}
-    profile_of = np.fromiter((profiles.setdefault(p, len(profiles)) for (_s, p, _w) in entries),
-                             dtype=np.int64, count=len(entries))
+    profile_of, profiles = _first_occurrence(profs, len(profs))
     M = len(profiles)
+    if set(map(len, profiles)) - {n}:
+        raise ValueError(f"signal profiles must have {n} letters")
     profile_w = _scatter_sum(profile_of, weights, M)
     profile_w1 = _scatter_sum(profile_of, np.where(states == 1, weights, 0).astype(dtype), M)
 
     # signal letters (any hashables) as small ids; sig[i, p] is agent i's letter in profile p
-    flat = [x for p in profiles for x in p]
-    letters = {x: k for k, x in enumerate(dict.fromkeys(flat))}
-    sig = np.fromiter(map(letters.__getitem__, flat), dtype=np.int64, count=M * n).reshape(M, n).T
+    sig, letters = _first_occurrence(chain.from_iterable(zip(*profiles)), n * M)
+    sig = sig.reshape(n, M)
     # the own_signal tie action per letter id; -1 marks a letter other than 0/1
     letter_bit = np.array([int(x) if x in (0, 1) else -1 for x in letters], dtype=np.int8)
-    nbrs = [sorted(net.out_neighbors(i)) for i in range(n)]
     tiled_w, tiled_w1 = np.tile(profile_w, n), np.tile(profile_w1, n)
 
-    cells = np.empty((n, M), dtype=np.int32)
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        cells[i], counts[i] = _first_occurrence_ids(sig[i])
+    cells, counts, by_table = _number(sig, np.full(n, len(letters)))
+    tables = int(by_table)
     steps = []
     stabilized = False
     for t in range(horizon):
@@ -318,10 +379,12 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
             stabilized = True
             break
         if t + 1 < horizon:
-            cells, counts = _refine(cells, counts, codes, radix, nbrs)
+            cells, counts, by_table = _refine(cells, counts, codes, radix, net)
+            tables += by_table
     debug("bayes run_exact: %d atoms, %d profiles, D=%d (%s), %d rounds, stabilized=%s, "
-          "max %d cells per agent", len(entries), M, scale,
-          "int64" if dtype is np.int64 else "python-int", len(steps), stabilized, int(counts.max()))
+          "max %d cells per agent, numbered by table %d, by sort %d", len(entries), M, scale,
+          "int64" if dtype is np.int64 else "python-int", len(steps), stabilized, int(counts.max()),
+          tables, len(steps) - tables)
     return BayesResult(space=space, net=net, utility=utility, tie_rule=tie_rule,
                        rounds=len(steps), stabilized=stabilized, scale=scale,
                        profile_of=profile_of, profile_w=profile_w, profile_w1=profile_w1,
@@ -341,11 +404,10 @@ def fixation_stats(res: BayesResult):
         raise ValueError("run did not stabilize; raise the horizon to certify fixation")
     m = res.space.m
     n = res.net.n
-    fix = res.fixation_rounds()
-    changes = res.change_counts()
-    bound_ok = (all(f <= m * n for f in fix)
-                and all(c <= m for row in changes for c in row))
-    return {"fixation": fix, "changes": changes, "m": m, "bound": m * n, "bound_ok": bound_ok}
+    fix, changes = res._change_arrays()
+    bound_ok = bool(fix.max(initial=0) <= m * n and changes.max(initial=0) <= m)
+    return {"fixation": fix[res.profile_of].tolist(), "changes": changes[:, res.profile_of].T.tolist(),
+            "m": m, "bound": m * n, "bound_ok": bound_ok}
 
 
 def expected_utility(res: BayesResult, agent, t=None):

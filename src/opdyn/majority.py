@@ -15,17 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
+from .harness_util import debug
 from .network import Network
 from .signals import bernoulli_cube, check_delta
 
-EXACT_RETENTION_MAX_N = 16
+EXACT_RETENTION_MAX_N = 23
 EXACT_INFLUENCE_MAX_N = 14
 
 # rows per block in limit_profiles
 _PROFILE_ROWS = 4096
+# the exact retention enumeration varies this many agents within a block of 2^bits signal vectors
+_HALF_CUBE_BITS = 12
 
 
 def _check_odd_neighborhoods(net: Network):
@@ -157,75 +161,127 @@ def all_spin_configs(n) -> np.ndarray:
     return out
 
 
+def _even_limit(hood: _Neighbourhoods, cur, pairs):
+    """The even-phase limit of a block of rows, two rounds at a time for at most `pairs` pairs.
+
+    Stops early once every row is a fixed point of the two-step map, as the
+    even phase then never changes. Pass the block in Fortran order: each
+    agent's column is then contiguous, and so are the gathers of step.
+    """
+    for _ in range(pairs):
+        nxt = hood.step(hood.step(cur))
+        if np.array_equal(nxt, cur):
+            break
+        cur = nxt
+    return cur
+
+
 def limit_profiles(net: Network, configs: np.ndarray) -> np.ndarray:
     """Even-phase limit configuration per row, vectorized.
 
     Steps two rounds at a time, for at most |E| + 1 pairs: by then every
     trajectory is inside its cycle of period at most two, and the pairs
-    keep the even phase of the original clock. A block of rows stops early
-    once each of its rows is a fixed point of the two-step map, as the even
-    phase then never changes. Blocks of _PROFILE_ROWS keep the temporaries
-    small; rows come back in the narrow dtype of _Neighbourhoods.
+    keep the even phase of the original clock. Blocks of _PROFILE_ROWS keep
+    the temporaries small; rows come back in the narrow dtype of
+    _Neighbourhoods.
     """
     hood = _Neighbourhoods(net)
     pairs = len(net.undirected_edge_list()) + 1
     out = np.empty(configs.shape, dtype=hood.dtype)
     for lo in range(0, len(configs), _PROFILE_ROWS):
-        cur = np.asarray(configs[lo:lo + _PROFILE_ROWS], dtype=hood.dtype)
-        for _ in range(pairs):
-            nxt = hood.step(hood.step(cur))
-            if np.array_equal(nxt, cur):
-                break
-            cur = nxt
-        out[lo:lo + _PROFILE_ROWS] = cur
+        block = np.asfortranarray(configs[lo:lo + _PROFILE_ROWS], dtype=hood.dtype)
+        out[lo:lo + _PROFILE_ROWS] = _even_limit(hood, block, pairs)
     return out
 
 
-def _pooled_weights(net: Network, delta):
-    """Integer joint weights of (limit profile, S), pooled per profile, and their denominator.
+def _canonical_weights(net: Network, delta):
+    """Joint weights of (limit profile, S) per pair {p, ~p} of complementary limit profiles.
 
-    With 1/2 + delta = a/b, a signal vector with k plus signs weighs
-    a^k (b - a)^(n - k) given S = +1 and a^(n - k) (b - a)^k given S = -1,
-    both over b^n, and S is a fair coin, so every weight is over 2 b^n.
-    Profiles are packed (bit j set iff agent j's limit action is +1) and
-    counted per (profile, number of plus signals) with np.unique. Returns
-    ({packed profile: [weight with S = -1, weight with S = +1]}, 2 b^n).
+    Profiles are packed, bit j set iff agent j's limit action is +1, and the
+    pair's canonical member c is the one with bit n - 1 clear. With
+    1/2 + delta = a/b, a signal vector with k plus signs weighs
+    up[k] = a^k (b - a)^(n - k) given S = +1 and up[n - k] given S = -1,
+    both over b^n (signals.bernoulli_cube). Odd neighbourhoods make the
+    dynamics odd, limit(-x) = -limit(x), and negating x swaps the two
+    weights, so the vectors with x_0 = +1 carry them all: a vector reaching
+    c adds up[k] to P[c] and up[n - k] to Q[c], one reaching ~c adds them
+    the other way round. Then profile c weighs P[c] with S = +1 and Q[c]
+    with S = -1, profile ~c the reverse, all over 2 b^n.
+
+    The 2^(n-1) vectors are built block by block from their index range,
+    agents first: agents 1 .. L vary within a block and the others are
+    constant in it, so no 2^n-row array exists. Each block's profiles are
+    packed by one float64 product with the powers of two (exact, as the
+    sums stay below 2^53). A table over the 2^(n-1) canonical profiles
+    gives each pair its slot when first reached, and the pairs' weights are
+    pooled per slot with np.add.at, in int64 when b^n < 2^63 (no pair's sum
+    exceeds b^n), else in Python integers. Returns (c of every pair
+    reached, in slot order, P[c], Q[c], b^n).
     """
     n = net.n
+    hood = _Neighbourhoods(net)
+    pairs = len(net.undirected_edge_list()) + 1
     up, den = bernoulli_cube(delta, n)
-    configs = all_spin_configs(n)
-    limits = limit_profiles(net, configs)
-    packed = np.zeros(len(limits), dtype=np.int64)
-    for j in range(n):
-        packed |= (limits[:, j] > 0).astype(np.int64) << j
-    plus = (configs > 0).sum(axis=1)
-    keys, counts = np.unique(packed * (n + 1) + plus, return_counts=True)
-    pooled = {}
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        prof, k = divmod(key, n + 1)
-        acc = pooled.setdefault(prof, [0, 0])
-        acc[0] += count * up[n - k]
-        acc[1] += count * up[k]
-    return pooled, 2 * den
+    dtype = np.int64 if den < 2 ** 63 else object
+    up = np.array(up, dtype=dtype)
+    half, full = 1 << (n - 1), (1 << n) - 1
+    slot = np.full(half, -1, dtype=np.int32)
+    found, count = [], 0
+    P, Q = np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype)
+    L = min(n - 1, _HALF_CUBE_BITS)
+    block = np.empty((n, 1 << L), dtype=hood.dtype)
+    block[0] = 1
+    block[1:L + 1] = 2 * ((np.arange(1 << L) >> np.arange(L)[:, None]) & 1) - 1
+    low_plus = 1 + (block[1:L + 1] > 0).sum(axis=0)
+    powers = 2.0 ** np.arange(n)
+    blocks = half >> L
+    for b in range(blocks):
+        high = ((b >> np.arange(n - 1 - L)) & 1).astype(hood.dtype)
+        block[L + 1:] = 2 * high[:, None] - 1
+        limits = _even_limit(hood, block.T, pairs)
+        p = ((limits.astype(np.float64) @ powers).astype(np.int64) + full) >> 1     # sum of +-2^j is 2p - full
+        plus = low_plus + int(high.sum())
+        flip = p >= half
+        c = np.where(flip, p ^ full, p)
+        k = np.where(flip, n - plus, plus)
+        ids = slot[c]
+        fresh = np.flatnonzero(ids < 0)
+        if len(fresh):
+            slot[c[fresh]] = fresh                  # one row of each new profile wins its slot,
+            new = c[fresh[slot[c[fresh]] == fresh]]     # so each new profile shows up once
+            slot[new] = np.arange(count, count + len(new))
+            found.append(new)
+            count += len(new)
+            if count > len(P):      # at least double the room
+                room = np.zeros(count, dtype=dtype)
+                P, Q = np.concatenate((P, room)), np.concatenate((Q, room))
+            ids = slot[c]
+        np.add.at(P, ids, up[k])
+        np.add.at(Q, ids, up[n - k])
+    debug("majority retention: n=%d configs=%d blocks=%d pairs=%d (%s)", n, half, blocks, count,
+          "int64" if dtype is np.int64 else "python-int")
+    return np.concatenate(found), P[:count], Q[:count], den
 
 
 def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
     """iota(G, delta) = P(MAP estimate of S from the limit actions != S).
 
-    Exact mode enumerates all 2^n +-1 signal vectors (n <= 16), pushes each
-    through the dynamics, pools the exact integer joint weights of
-    (limit profile, S) and sums the losing mass. Monte Carlo mode
-    lower-bounds performance with the majority-of-limit-actions estimator
-    (odd n) and returns its error rate. Both refuse a delta outside [0, 1/2]
-    (see signals.check_delta).
+    Exact mode enumerates the 2^(n-1) +-1 signal vectors with x_0 = +1
+    (n <= EXACT_RETENTION_MAX_N), pushes each through the dynamics and pools
+    the exact integer joint weights of (limit profile, S) per pair of
+    complementary profiles (see _canonical_weights); the MAP estimate loses
+    min(P[c], Q[c]) on each of the pair's two profiles, so iota is the sum
+    of min(P[c], Q[c]) over b^n. Monte Carlo mode lower-bounds performance
+    with the majority-of-limit-actions estimator (odd n) and returns its
+    error rate. Both refuse a delta outside [0, 1/2] (see signals.check_delta).
     """
     n = net.n
     delta = check_delta(delta)
     if mode == "exact":
         if n > EXACT_RETENTION_MAX_N:
             raise ValueError(f"exact retention capped at n={EXACT_RETENTION_MAX_N}")
-        pooled, den = _pooled_weights(net, delta)
-        return Fraction(sum(min(w) for w in pooled.values()), den)
+        _c, P, Q, den = _canonical_weights(net, delta)
+        return Fraction(int(np.minimum(P, Q).sum()), den)
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
@@ -256,9 +312,12 @@ def map_rule(net: Network, delta):
     broken by a sign-symmetric rule so the map stays odd; either choice has
     the same error mass.
     """
-    pooled, _den = _pooled_weights(net, delta)
+    c, P, Q, _den = _canonical_weights(net, delta)
+    full = (1 << net.n) - 1
+    c, P, Q = c.tolist(), P.tolist(), Q.tolist()
     rule = {}
-    for packed, (w0, w1) in pooled.items():
+    # each packed profile with its weights given S = -1 and S = +1: (Q, P) for c, (P, Q) for ~c
+    for packed, w0, w1 in chain(zip(c, Q, P), zip((x ^ full for x in c), P, Q)):
         prof = tuple(1 if (packed >> j) & 1 else -1 for j in range(net.n))
         rule[prof] = _symmetric_tiebreak(prof) if w1 == w0 else (1 if w1 > w0 else -1)
     return rule

@@ -269,7 +269,8 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     count of trials whose consensus matched S and the absorption times.
     Like the exact path it refuses, with ValueError, a network that fails
     validate(require_stochastic=True): only there is absorption almost sure,
-    and a delta outside [0, 1/2] (see signals.check_delta).
+    and a delta outside [0, 1/2] (see signals.check_delta). The stage rows
+    and that check come from _Stages, built once per network (Network.cached).
 
     The state is bit-sliced: state[p, w] holds the actions of agent
     order[p] in 64 trials, trial 64 w + l in bit l until repacking moves it.
@@ -292,7 +293,7 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     """
     n = net.n
     delta = check_delta(delta)
-    st = _Stages(net)
+    st = net.cached(_Stages)
     if step_cap is None:
         step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
     rng = np.random.default_rng(np.random.SeedSequence(seed))

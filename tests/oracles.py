@@ -19,7 +19,7 @@ from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
 from opdyn.network import (Network, from_pairs, rationalize, require_rational, require_stochastic,
                            stationary_distribution)
-from opdyn.signals import GaussianLLR, check_delta, sample_world, trial_rng
+from opdyn.signals import GaussianLLR, bernoulli_cube, check_delta, sample_world, trial_rng
 
 
 def solve_rational(A, b):
@@ -224,6 +224,33 @@ def fraction_retention(net, delta):
         acc[0] += Fraction(1, 2) * p ** (n - k_plus) * q ** k_plus     # S = -1
         acc[1] += Fraction(1, 2) * p ** k_plus * q ** (n - k_plus)     # S = +1
     return sum(min(w0, w1) for w0, w1 in joint.values())
+
+
+def full_cube_pooled_weights(net, delta):
+    """Integer joint weights of (limit profile, S) over the whole 2^n cube, pooled per profile.
+
+    The reference for majority._canonical_weights: every signal vector is
+    pushed through limit_profiles, profiles are packed (bit j set iff agent
+    j's limit action is +1) and counted per (profile, number of plus
+    signals) with np.unique. Returns ({packed profile: [weight with
+    S = -1, weight with S = +1]}, 2 b^n).
+    """
+    n = net.n
+    up, den = bernoulli_cube(delta, n)
+    configs = majority.all_spin_configs(n)
+    limits = majority.limit_profiles(net, configs)
+    packed = np.zeros(len(limits), dtype=np.int64)
+    for j in range(n):
+        packed |= (limits[:, j] > 0).astype(np.int64) << j
+    plus = (configs > 0).sum(axis=1)
+    keys, counts = np.unique(packed * (n + 1) + plus, return_counts=True)
+    pooled = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        prof, k = divmod(key, n + 1)
+        acc = pooled.setdefault(prof, [0, 0])
+        acc[0] += count * up[n - k]
+        acc[1] += count * up[k]
+    return pooled, 2 * den
 
 
 def _weights_for_delta(configs: np.ndarray, delta):
@@ -572,6 +599,34 @@ def fraction_run_exact(net, space, horizon, utility="continuous", tie_rule="choo
             break
     return FractionRun(beliefs=beliefs, actions=actions, partitions=partitions,
                        rounds=len(actions), stabilized=stabilized)
+
+
+def _first_occurrence_ids(key):
+    """Number the distinct values of key 0, 1, ... in order of first occurrence; (ids as int32, count)."""
+    _values, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse], len(first)
+
+
+def per_agent_refine(cells, counts, codes, radix, net):
+    """bayes._refine one agent at a time: fold in each neighbour's code, then np.unique per agent.
+
+    The packed key is renumbered whenever one more code would pass 2^62.
+    Returns (cells, counts, False): a sort numbered every agent's keys.
+    """
+    new = np.empty_like(cells)
+    new_counts = np.empty_like(counts)
+    for i in range(net.n):
+        key, bound = cells[i].astype(np.int64), int(counts[i])
+        for j in sorted(net.out_neighbors(i)):
+            if bound * radix > 2 ** 62:
+                key, bound = _first_occurrence_ids(key)
+                key = key.astype(np.int64)
+            key = key * radix + codes[j]
+            bound *= radix
+        new[i], new_counts[i] = _first_occurrence_ids(key)
+    return new, new_counts, False
 
 
 def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):

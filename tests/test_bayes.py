@@ -2,9 +2,10 @@ import logging
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import fraction_profile_entries, fraction_run_exact
+from oracles import fraction_profile_entries, fraction_run_exact, per_agent_refine
 
 from opdyn import bayes
 from opdyn.harness import _senate_joint_space
@@ -176,8 +177,8 @@ def assert_matches_oracle(net, space, horizon, utility, tie_rule):
 
 
 @st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(2, 6))
+def connected_graphs(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}      # a spanning tree
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
     pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
@@ -229,6 +230,29 @@ def test_run_exact_renumbers_long_keys(monkeypatch, utility):
     assert_matches_oracle(net, space, space.m * 5 + 1, utility, "choose_one")
 
 
+@settings(max_examples=60, deadline=None)
+@given(net=connected_graphs(max_n=7), delta=st.sampled_from([Fraction(1, 6), Fraction(3, 7)]),
+       utility=st.sampled_from(["discrete", "continuous"]),
+       tie_rule=st.sampled_from(["choose_one", "own_signal"]),
+       table=st.sampled_from([4, 2, 1, 0]), key_bound=st.sampled_from([2 ** 62, 64, 4]))
+def test_refinement_matches_per_agent_oracle(net, delta, utility, tie_rule, table, key_bound):
+    # a table of 0 or 1 entries per place sends every discrete round to the sort, a small
+    # one renumbers between neighbour slots, and a small key bound renumbers the sorted keys
+    space = space_for(net.n, delta)
+    horizon = space.m * net.n + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bayes, "_TABLE_PER_PLACE", table)
+        mp.setattr(bayes, "_KEY_BOUND", key_bound)
+        got = bayes.run_exact(net, space, horizon, utility, tie_rule)
+        mp.setattr(bayes, "_refine", per_agent_refine)
+        want = bayes.run_exact(net, space, horizon, utility, tie_rule)
+    assert (got.rounds, got.stabilized) == (want.rounds, want.stabilized)
+    for a, b in zip(got.steps, want.steps):
+        for field in ("cells", "base", "w", "w1"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert (a.act is None and b.act is None) if utility == "continuous" else np.array_equal(a.act, b.act)
+
+
 def test_vectorized_checks_match_atom_loops():
     net = generate("cycle", 4)
     space = space_for(4)
@@ -258,7 +282,13 @@ def test_run_exact_logs_sizes(caplog):
     # weights 1/2 (2/3)^k (1/3)^(3-k) share the denominator 2 * 3^3; round-0 actions
     # are the signals, so from round 1 each agent of the triangle knows all 8 profiles
     assert ("bayes run_exact: 16 atoms, 8 profiles, D=54 (int64), 3 rounds, stabilized=True, "
-            "max 8 cells per agent") in caplog.text
+            "max 8 cells per agent, numbered by table 3, by sort 0") in caplog.text
+    # the continuous radix counts distinct beliefs; on the 4-cycle the keys of round 3 span
+    # more than a table of 4 entries per (agent, profile) place holds, so a sort numbers them
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        bayes.run_exact(generate("cycle", 4), space_for(4), horizon=70, utility="continuous")
+    assert "4 rounds, stabilized=True, max 16 cells per agent, numbered by table 3, by sort 1" in caplog.text
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
         bayes.run_exact(generate("cycle", 5), bayes.build_profile_space(WIDE, 5), horizon=2)
     assert f"D={2 * 10007 ** 5} (python-int)" in caplog.text

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import majority
 from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
-from oracles import (fraction_influence, fraction_retention, fraction_success_probability, scalar_j_functional,
-                     scalar_lyapunov, scalar_step, stepwise_limit_profiles)
+from oracles import (fraction_influence, fraction_retention, fraction_success_probability, full_cube_pooled_weights,
+                     scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles)
 
 # odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
 # three triangles in a chain, whose degrees 2 and 4 mix neighbourhoods of sizes 3 and 5
@@ -183,3 +184,58 @@ def test_retention_integer_pooling_matches_fraction(k, delta):
     net = ODD_NETS[k]
     assert net.n <= 11
     assert majority.retention_error(net, delta, mode="exact") == fraction_retention(net, delta)
+
+
+@st.composite
+def odd_graphs(draw):
+    """Graphs whose closed neighbourhoods all have odd size: every degree is even, as in a sum of cycles."""
+    n = draw(st.integers(3, 12))
+    edges = set()
+    for _ in range(draw(st.integers(0, 4))):
+        ring = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=n, unique=True))
+        edges ^= {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1])}
+    return from_pairs(n, sorted(edges))
+
+
+def full_cube_rule(net, pooled):
+    """map_rule's guesses from the full-cube pooled weights."""
+    rule = {}
+    for packed, (w0, w1) in pooled.items():
+        prof = tuple(1 if (packed >> j) & 1 else -1 for j in range(net.n))
+        rule[prof] = majority._symmetric_tiebreak(prof) if w1 == w0 else (1 if w1 > w0 else -1)
+    return rule
+
+
+# 1/2 + delta = 6001/10000 puts b^n past 2^63 from n = 5 on, so those weights pool in Python integers
+DELTAS = [Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(1, 10) + Fraction(1, 10000)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=odd_graphs(), delta=st.sampled_from(DELTAS), bits=st.sampled_from([0, 2, 12]))
+def test_half_cube_retention_matches_full_cube(net, delta, bits):
+    # bits < n - 1 streams the half cube in several blocks of 2^bits vectors
+    pooled, den = full_cube_pooled_weights(net, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(majority, "_HALF_CUBE_BITS", bits)
+        iota = majority.retention_error(net, delta, mode="exact")
+        rule = majority.map_rule(net, delta)
+    assert iota == Fraction(sum(min(w) for w in pooled.values()), den) == fraction_retention(net, delta)
+    assert rule == full_cube_rule(net, pooled)
+
+
+def test_retention_logs_sizes(caplog, monkeypatch):
+    monkeypatch.setattr(majority, "_HALF_CUBE_BITS", 2)
+    net = generate("cycle", 7)
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        majority.retention_error(net, Fraction(3, 10))
+        majority.retention_error(net, DELTAS[-1])
+    # the 2^6 vectors with x_0 = +1, in blocks of 4; each pair {p, ~p} of limit profiles once
+    pairs = len(full_cube_pooled_weights(net, Fraction(3, 10))[0]) // 2
+    assert f"majority retention: n=7 configs=64 blocks=16 pairs={pairs} (int64)" in caplog.text
+    assert f"majority retention: n=7 configs=64 blocks=16 pairs={pairs} (python-int)" in caplog.text
+
+
+def test_retention_size_cap():
+    cap = majority.EXACT_RETENTION_MAX_N
+    with pytest.raises(ValueError, match=f"capped at n={cap}"):
+        majority.retention_error(generate("cycle", cap + 1), Fraction(3, 10))

@@ -387,6 +387,21 @@ def test_mc_consensus_logs_sizes(caplog, monkeypatch):
     assert f"refills={refills} columns={columns}\n" in caplog.text + "\n"
 
 
+def test_mc_consensus_validates_once_per_network(monkeypatch):
+    checked, real = [], voter.require_stochastic
+    monkeypatch.setattr(voter, "require_stochastic", lambda net: checked.append(net) or real(net))
+    net = generate("cycle", 9)
+    first = voter.mc_consensus(net, Fraction(1, 10), trials=300, seed=4)
+    second = voter.mc_consensus(net, Fraction(1, 10), trials=300, seed=4)
+    fresh = voter.mc_consensus(generate("cycle", 9), Fraction(1, 10), trials=300, seed=4)
+    # the second call reuses the first one's stage rows; a new network is checked again
+    assert len(checked) == 2 and checked[0] is net
+    for out in (second, fresh):
+        assert out["matches"] == first["matches"]
+        for key in ("times", "s", "value"):
+            assert np.array_equal(out[key], first[key])
+
+
 def test_strong_voter_strict_majority_deterministic_outcome():
     net = generate("cycle", 5)
     signals = (1, 1, 1, 0, 0)

@@ -1,7 +1,8 @@
 """Exact Bayesian repeated-action dynamics over finite probability spaces.
 
 Everything here is forward induction over an explicit weighted list of
-(S, signal profile) atoms with exact rational weights. An agent's knowledge
+(S, signal profile) atoms with exact rational weights, held as integer
+arrays (ProfileSpace). An agent's knowledge
 at round t is the cell of atoms consistent with what it has seen (its own
 signal plus neighbors' earlier actions); its belief is the S=1 weight share
 of that cell, its action the utility-maximizing response.
@@ -20,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
-from math import comb, lcm
+from itertools import chain
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .harness_util import debug
-from .network import Network, ball
+from .harness_util import debug, int_dtype, scaled
+from .network import Network, _integer_view, ball
 from .signals import FiniteModel, JointTable, bernoulli_cube
 
 PROFILE_SPACE_CAP = 10 ** 6
@@ -37,17 +38,65 @@ _KEY_BOUND = 2 ** 62
 _TABLE_PER_PLACE = 4
 
 
-@dataclass(frozen=True)
-class ProfileSpace:
-    """Weighted enumeration of (S, signal profile) pairs; the oracle backbone."""
+class Atoms(NamedTuple):
+    """A profile space as the integer arrays run_exact reads.
 
-    n: int
-    entries: tuple  # (s, profile, weight)
+    Atom e has the state states[e] (int8) and the signal profile
+    profile_of[e], and weighs weights[e] / scale: int64 while 2 scale < 2^63
+    (a cell's S = 1 weight w1 <= scale, and run_exact forms 2 w1), Python
+    integers beyond. sig[i, p] is the id of agent i's letter in profile p,
+    and letters[k] the letter with id k. Profiles and letters are numbered
+    in order of first occurrence.
+    """
+
+    states: np.ndarray
+    profile_of: np.ndarray
+    weights: np.ndarray
+    scale: int
+    sig: np.ndarray
+    letters: list
+
+
+class ProfileSpace:
+    """Weighted enumeration of (S, signal profile) atoms; the oracle backbone.
+
+    A space has two forms, and builds either from the other at most once,
+    when it is first read: `atoms` (Atoms, the integer arrays run_exact
+    reads) and `entries` ((s, profile, weight) tuples with Fraction
+    weights). build_profile_space gives a finite model's product space as
+    atoms, so its entries exist only once something reads them; a space
+    made from entries (a JointTable, a hand-built list) converts them to
+    atoms on its first run_exact, checking that every weight is positive,
+    every state 0 or 1 and every profile n letters long.
+    """
+
+    def __init__(self, n, entries=None, atoms=None):
+        if entries is None and atoms is None:
+            raise TypeError("a ProfileSpace needs its entries or its atoms")
+        self.n = n
+        if entries is not None:
+            self.entries = tuple(entries)
+        if atoms is not None:
+            self.atoms = atoms
 
     @cached_property
+    def atoms(self) -> Atoms:
+        return _atoms_from_entries(self.n, self.entries)
+
+    @cached_property
+    def entries(self):
+        a = self.atoms
+        profiles = list(zip(*(map(a.letters.__getitem__, row) for row in a.sig.tolist())))
+        profiles = profiles or [()] * a.sig.shape[1]          # n = 0: every profile is ()
+        ws = a.weights.tolist()
+        weight = {w: Fraction(w, a.scale) for w in set(ws)}
+        return tuple(zip(a.states.tolist(), map(profiles.__getitem__, a.profile_of.tolist()),
+                         map(weight.__getitem__, ws)))
+
+    @property
     def m(self):
         """Number of distinct signal profiles (the M in the round bound)."""
-        return len({prof for (_s, prof, _w) in self.entries})
+        return self.atoms.sig.shape[1]
 
     def full_posterior(self, profile):
         """P(S=1 | the whole signal profile), exact."""
@@ -56,8 +105,38 @@ class ProfileSpace:
         return w1 / (w0 + w1)
 
 
+def _atoms_from_entries(n, entries) -> Atoms:
+    """The Atoms of (s, profile, weight) entries, weights scaled once per distinct weight object."""
+    states, profs, ws = zip(*entries) if entries else ((),) * 3
+    distinct = dict(zip(map(id, ws), ws))       # spaces share weight objects between atoms
+    scale, nums = scaled(distinct.values())
+    num = dict(zip(distinct, nums))
+    weights = np.array([num[id(w)] for w in ws], dtype=int_dtype(2 * scale))
+    states = np.array(states)
+    if not (weights > 0).all():
+        raise ValueError("atom weights must be positive")
+    if not np.isin(states, (0, 1)).all():
+        raise ValueError("atom states must be 0 or 1")
+    profile_of, profiles = _first_occurrence(profs, len(profs))
+    if set(map(len, profiles)) - {n}:
+        raise ValueError(f"signal profiles must have {n} letters")
+    sig, letters = _first_occurrence(chain.from_iterable(zip(*profiles)), n * len(profiles))
+    return Atoms(states.astype(np.int8), profile_of, weights, scale, sig.reshape(n, len(profiles)), letters)
+
+
 def build_profile_space(model, n, joint_table=None) -> ProfileSpace:
-    """Enumerate the measure 1/2 d0 x mu0^n + 1/2 d1 x mu1^n (or a joint table)."""
+    """The measure 1/2 d0 x mu0^n + 1/2 d1 x mu1^n (or a joint table) as a ProfileSpace.
+
+    A finite model's space is built as Atoms. With q the lcm of the
+    denominators of mu0 and mu1, an atom weighs (1/2) prod_k mu[k] =
+    prod_k (mu[k] q) / (2 q^n); its numerator is built one letter at a time,
+    in product() order, the atoms of S = 0 first. Profile p is the p-th of
+    product(alphabet, repeat=n), so agent i's letter id is digit i of p in
+    base |alphabet|, most significant first. The mu[k] q of both measures
+    have gcd 1, so the numerators do too, and the scale 2 q^n is the lcm of
+    the weights' reduced denominators. A joint table's entries are converted
+    on first use.
+    """
     if joint_table is not None:
         if joint_table.n != n:
             raise ValueError("joint table size mismatch")
@@ -66,24 +145,28 @@ def build_profile_space(model, n, joint_table=None) -> ProfileSpace:
         return build_profile_space(None, n, joint_table=model)
     if not isinstance(model, FiniteModel):
         raise TypeError("profile spaces need a finite signal model")
-    if len(model.alphabet) ** n > PROFILE_SPACE_CAP:
+    a = len(model.alphabet)
+    if a ** n > PROFILE_SPACE_CAP:
         raise ValueError("profile space too large to enumerate")
-    q = lcm(*(p.denominator for p in model.mu0 + model.mu1))
-    denom = 2 * q ** n          # each weight (1/2) prod_k mu[k] is an integer over denom
-    entries = []
-    total = 0
-    for s in (0, 1):
-        mu = [p.numerator * (q // p.denominator) for p in (model.mu1 if s == 1 else model.mu0)]
-        # numerators of all profiles in product() order, one letter at a time
-        level = [1]
+    q, mu = scaled(model.mu0 + model.mu1)
+    M, scale = a ** n, 2 * q ** n
+    dtype = int_dtype(2 * scale)
+    levels = []
+    for m in (mu[:a], mu[a:]):
+        level = np.ones(1, dtype=dtype)
         for _ in range(n):
-            level = [x * a for x in level for a in mu]
-        weight = {x: Fraction(x, denom) for x in set(level)}
-        entries.extend((s, prof, weight[x]) for prof, x in zip(product(model.alphabet, repeat=n), level))
-        total += sum(level)
-    if total != denom:
+            level = np.multiply.outer(level, np.array(m, dtype=dtype)).ravel()
+        levels.append(level)
+    weights = np.concatenate(levels)
+    if weights.sum() != scale:
         raise AssertionError("profile weights must sum to 1")
-    return ProfileSpace(n=n, entries=tuple(entries))
+    sig = np.arange(M) // a ** np.arange(n - 1, -1, -1)[:, None] % a
+    atoms = Atoms(np.repeat(np.array([0, 1], dtype=np.int8), M), np.tile(np.arange(M), 2), weights, scale,
+                  sig, list(model.alphabet))
+    space = ProfileSpace(n=n, atoms=atoms)
+    if len(set(model.alphabet)) < a:        # equal letters make equal profiles, which entries merge
+        return ProfileSpace(n=n, entries=space.entries)
+    return space
 
 
 class Round(NamedTuple):
@@ -249,14 +332,15 @@ def _number(keys, bounds):
 def _neighbour_slots(net: Network):
     """[(rows, nbrs)] per slot k: the agents with a k-th neighbour (in sorted order) and that neighbour.
 
-    rows is a slice over all agents where every agent has the slot.
+    rows is a slice over all agents where every agent has the slot. Read
+    from the rows of the network's IntegerView.
     """
-    nbrs = [sorted(net.out_neighbors(i)) for i in range(net.n)]
+    view = net.cached(_integer_view)
+    deg = np.diff(view.indptr)
     slots = []
-    for k in range(max(map(len, nbrs), default=0)):
-        rows = [i for i in range(net.n) if len(nbrs[i]) > k]
-        nb = np.array([nbrs[i][k] for i in rows], dtype=np.intp)
-        slots.append((slice(None) if len(rows) == net.n else np.array(rows, dtype=np.intp), nb))
+    for k in range(int(deg.max(initial=0))):
+        rows = np.flatnonzero(deg > k)
+        slots.append((slice(None) if len(rows) == net.n else rows, view.J[view.indptr[rows] + k]))
     return slots
 
 
@@ -308,8 +392,9 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
     (signals must then be 0/1-valued). Stops early once every agent's
     knowledge partition stops refining, after which all rounds repeat.
 
-    Atom weights are scaled by their common denominator D and summed per
-    cell in int64 when D < 2**62 (so 2 w1 fits), else in Python integers.
+    Reads the space's Atoms: weights scaled by their common denominator D,
+    summed per cell in int64 when D < 2**62 (so 2 w1 fits), else in Python
+    integers.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -318,33 +403,14 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
     if tie_rule not in ("choose_one", "own_signal"):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     n = net.n
-    entries = space.entries
-    # one unzip of the atoms, then C-level passes over its columns; weights are
-    # scaled once per distinct weight object, as spaces share them between atoms
-    states, profs, ws = zip(*entries) if entries else ((),) * 3
-    distinct = dict(zip(map(id, ws), ws))
-    scale = lcm(*(w.denominator for w in distinct.values()))
-    dtype = np.int64 if scale < 2 ** 62 else object     # cell sums are <= D, and 2 w1 <= 2 D
-    scaled = {k: w.numerator * (scale // w.denominator) for k, w in distinct.items()}
-    weights = np.array(list(map(scaled.__getitem__, map(id, ws))), dtype=dtype)
-    states = np.array(states)
-    if not (weights > 0).all():
-        raise ValueError("atom weights must be positive")
-    if not np.isin(states, (0, 1)).all():
-        raise ValueError("atom states must be 0 or 1")
-
-    # distinct signal profiles, numbered in order of first occurrence, and their weights;
-    # a first-occurrence numbering of profile cells is then one of atom cells too
-    profile_of, profiles = _first_occurrence(profs, len(profs))
-    M = len(profiles)
-    if set(map(len, profiles)) - {n}:
+    # profiles are numbered in order of first occurrence, so a first-occurrence
+    # numbering of profile cells is one of atom cells too
+    states, profile_of, weights, scale, sig, letters = space.atoms
+    M = sig.shape[1]
+    if len(sig) != n:
         raise ValueError(f"signal profiles must have {n} letters")
     profile_w = _scatter_sum(profile_of, weights, M)
-    profile_w1 = _scatter_sum(profile_of, np.where(states == 1, weights, 0).astype(dtype), M)
-
-    # signal letters (any hashables) as small ids; sig[i, p] is agent i's letter in profile p
-    sig, letters = _first_occurrence(chain.from_iterable(zip(*profiles)), n * M)
-    sig = sig.reshape(n, M)
+    profile_w1 = _scatter_sum(profile_of, np.where(states == 1, weights, 0).astype(weights.dtype), M)
     # the own_signal tie action per letter id; -1 marks a letter other than 0/1
     letter_bit = np.array([int(x) if x in (0, 1) else -1 for x in letters], dtype=np.int8)
     tiled_w, tiled_w1 = np.tile(profile_w, n), np.tile(profile_w1, n)
@@ -382,8 +448,8 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
             cells, counts, by_table = _refine(cells, counts, codes, radix, net)
             tables += by_table
     debug("bayes run_exact: %d atoms, %d profiles, D=%d (%s), %d rounds, stabilized=%s, "
-          "max %d cells per agent, numbered by table %d, by sort %d", len(entries), M, scale,
-          "int64" if dtype is np.int64 else "python-int", len(steps), stabilized, int(counts.max()),
+          "max %d cells per agent, numbered by table %d, by sort %d", len(states), M, scale,
+          "int64" if weights.dtype == np.int64 else "python-int", len(steps), stabilized, int(counts.max()),
           tables, len(steps) - tables)
     return BayesResult(space=space, net=net, utility=utility, tie_rule=tie_rule,
                        rounds=len(steps), stabilized=stabilized, scale=scale,
@@ -397,16 +463,20 @@ def fixation_stats(res: BayesResult):
     """Fixation round and per-agent change counts, with the M*n certificate.
 
     Requires the run to have stabilized (else the horizon cannot certify).
-    Returns dict with 'fixation' (per entry), 'changes' (per entry x agent),
-    'bound_ok' for fixation <= M*n and changes <= M everywhere.
+    Returns dict with 'fixation' (per signal profile, an array),
+    'max_fixation' (its maximum, an int), 'changes' (an agents x profiles
+    array), 'bound_ok' for fixation <= M*n and changes <= M everywhere.
+    Every atom of a profile shares its values; BayesResult.fixation_rounds
+    and change_counts list them per atom.
     """
     if not res.stabilized:
         raise ValueError("run did not stabilize; raise the horizon to certify fixation")
     m = res.space.m
     n = res.net.n
     fix, changes = res._change_arrays()
-    bound_ok = bool(fix.max(initial=0) <= m * n and changes.max(initial=0) <= m)
-    return {"fixation": fix[res.profile_of].tolist(), "changes": changes[:, res.profile_of].T.tolist(),
+    top = int(fix.max(initial=0))
+    bound_ok = bool(top <= m * n and changes.max(initial=0) <= m)
+    return {"fixation": fix, "max_fixation": top, "changes": changes,
             "m": m, "bound": m * n, "bound_ok": bound_ok}
 
 
@@ -594,8 +664,8 @@ def chain_tie_to_self(n, delta, horizon=None):
     if not res.stabilized:
         raise RuntimeError("chain run did not stabilize within the horizon")
 
-    first_atom = np.unique(res.profile_of, return_index=True)[1]
-    sig = np.array([space.entries[e][1] for e in first_atom], dtype=np.int8).T      # (n, M)
+    atoms = space.atoms
+    sig = np.array(atoms.letters, dtype=np.int8)[atoms.sig]                          # (n, M)
     acts = np.stack([r.act for r in res.steps])                                      # (rounds, n, M)
     equal_neighbor = np.zeros(sig.shape, dtype=bool)
     equal_neighbor[1:] |= sig[1:] == sig[:-1]

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import erf, lcm, sqrt
+from math import erf, sqrt
 
 import numpy as np
 
-from .harness_util import debug
+from .harness_util import debug, scaled
 from .network import solve_exact
 from .signals import FiniteModel, GaussianLLR, sample_world, trial_rng
 
@@ -59,9 +59,8 @@ class _Chain:
 
     def __init__(self, model: FiniteModel):
         self.priv = [private_ratio(model, j) for j in range(len(model.alphabet))]
-        self.D = lcm(*(p.denominator for p in (*model.mu0, *model.mu1)))
-        self.mu0D = [int(p * self.D) for p in model.mu0]
-        self.mu1D = [int(p * self.D) for p in model.mu1]
+        self.D, counts = scaled((*model.mu0, *model.mu1))
+        self.mu0D, self.mu1D = counts[:len(model.mu0)], counts[len(model.mu0):]
         self.ids = {}
         self.rows = []
         self.number(Fraction(1))

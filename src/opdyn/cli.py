@@ -246,7 +246,7 @@ def _cmd_bayes(args):
     if res.stabilized:
         stats = bayes.fixation_stats(res)
         record["fixation_bound_ok"] = stats["bound_ok"]
-        record["max_fixation_round"] = max(stats["fixation"])
+        record["max_fixation_round"] = stats["max_fixation"]
     if utility == "continuous":
         record["full_information"] = bayes.full_information_check(res)["full_learning"]
     _emit(record, args.out)

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import (EXACT_SOLVE_MAX_N, Network, require_rational, solve_exact,
+from .network import (EXACT_SOLVE_MAX_N, Network, _integer_view, require_rational, solve_exact,
                       stationary_distribution)
-from .harness_util import debug, wilson_interval
+from .harness_util import debug, scaled, wilson_interval
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
 EXACT_DP_MAX_SUPPORT = 2 ** 20
@@ -79,10 +79,9 @@ def _exact_p_w(alpha, delta):
     """
     hit = Fraction(1, 2) + delta
     a, b = hit.numerator, hit.denominator
-    D = math.lcm(*(x.denominator for x in alpha))
+    D, cs = scaled(alpha)
     weights = {0: 1}
-    for x in alpha:
-        c = x.numerator * (D // x.denominator)
+    for c in cs:
         nxt = {}
         for s, w in weights.items():
             nxt[s] = nxt.get(s, 0) + w * (b - a)
@@ -147,11 +146,11 @@ def _sample_p_w(alpha, delta, trials, rng):
     and a win on S's side of it.
     """
     n = len(alpha)
-    D = math.lcm(*(a.denominator for a in alpha)) if all(isinstance(a, Fraction) for a in alpha) else None
+    D, cs = scaled(alpha) if all(isinstance(a, Fraction) for a in alpha) else (None, None)
     if D is None or D >= 2 ** 53:
         D, c = None, np.array([float(a) for a in alpha])
     else:
-        c = np.array([float(a * D) for a in alpha])
+        c = np.array(cs, dtype=np.float64)
     rows = max(1, _MC_BLOCK // n)
     s = rng.integers(0, 2, size=trials)
     p = 0.5 + float(delta)
@@ -248,23 +247,31 @@ def cheater_limit_exact(net: Network, cheaters: dict):
 
     Returns a matrix h[i][c] = P(walk from i is absorbed at cheater c), so the
     limit of honest agent i is sum_c h[i][c] * value(c). Exact rational solve
-    of (I - P_HH) h = P_Hc over the honest agents H. I - P_HH is nonsingular:
-    on a strongly connected network every honest walk reaches a cheater with
-    positive probability, so P_HH^t -> 0 and 1 is not an eigenvalue of P_HH.
+    of (I - P_HH) h = P_Hc over the honest agents H, in integers: with the
+    counts C over the row denominators D of the network's IntegerView, honest
+    agent i's equation times D_i is sum_{j in H} C[i, j] h_j - D_i h_i =
+    -C[i, c]. I - P_HH is nonsingular: on a strongly connected network every
+    honest walk reaches a cheater with positive probability, so P_HH^t -> 0
+    and 1 is not an eigenvalue of P_HH. Refuses float weights.
     """
-    n = net.n
+    require_rational(net, "exact cheater limits")
+    view = net.cached(_integer_view)
     cs = sorted(cheaters)
-    honest = [i for i in range(n) if i not in cheaters]
-    P = net.weight_matrix(exact=True)
+    honest = [i for i in range(net.n) if i not in cheaters]
+    col = {j: k for k, j in enumerate(honest)}
+    D, J, C, indptr = view.D.tolist(), view.J.tolist(), view.C.tolist(), view.indptr.tolist()
     out = {}
     for c in cs:
         # h(c) = 1, h(other cheater) = 0, h(i) = sum_j P[i][j] h(j)
-        A = []
-        b = []
-        for i in honest:
-            row = [P[i][j] - (1 if i == j else 0) for j in honest]
-            A.append(row)
-            b.append(-sum(P[i][j] for j in [c]))
+        A = [[0] * len(honest) for _ in honest]
+        b = [0] * len(honest)
+        for r, i in enumerate(honest):
+            A[r][r] -= D[i]
+            for j, k in zip(J[indptr[i]:indptr[i + 1]], C[indptr[i]:indptr[i + 1]]):
+                if j in col:
+                    A[r][col[j]] += k
+                elif j == c:
+                    b[r] -= k
         sol = solve_exact(A, b)
         for k, i in enumerate(honest):
             out.setdefault(i, {})[c] = sol[k]

@@ -1,10 +1,31 @@
-"""Small helpers shared by the dynamics modules and the harness: statistics and debug records."""
+"""Small helpers shared by the dynamics modules and the harness: scaled integers, statistics, debug records."""
 
 from __future__ import annotations
 
 import math
 import sys
 from statistics import NormalDist
+
+import numpy as np
+
+
+def scaled(values):
+    """(D, ints): D the lcm of the denominators of the rationals `values`, ints[k] = values[k] * D.
+
+    values are Fractions or ints; ints holds Python integers. The one place
+    where the exact kernels put rationals over a common denominator.
+    """
+    values = list(values)
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def int_dtype(bound):
+    """The dtype for integers that, partial sums included, never exceed bound in absolute value.
+
+    np.int64 below 2^63, else object: Python integers, which never overflow.
+    """
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95):

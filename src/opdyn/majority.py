@@ -19,8 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .harness_util import debug
-from .network import Network
+from .harness_util import debug, int_dtype
+from .network import Network, _integer_view
 from .signals import bernoulli_cube, check_delta
 
 EXACT_RETENTION_MAX_N = 23
@@ -32,16 +32,6 @@ _PROFILE_ROWS = 4096
 _HALF_CUBE_BITS = 12
 
 
-def _check_odd_neighborhoods(net: Network):
-    if net.directed:
-        raise ValueError("majority dynamics runs on undirected networks")
-    for i in range(net.n):
-        if len(net.out_neighbors(i)) % 2 == 0:
-            raise ValueError(
-                f"closed neighborhood of {i} has even size; ties are rejected, not resolved"
-            )
-
-
 class _Neighbourhoods:
     """Closed neighbourhoods as padded index columns, for batches of +-1 rows.
 
@@ -49,16 +39,24 @@ class _Neighbourhoods:
     slots past a short neighbourhood repeat its first member and keep[k, i] = 0
     masks them out. dtype is the smallest signed integer type that holds every
     closed-neighbourhood sum, so batches stay narrow. Batches may have any
-    leading axes, with agents on the last one.
+    leading axes, with agents on the last one. Built from the rows of the
+    network's IntegerView, once per network (Network.cached); refuses a directed
+    network and a closed neighbourhood of even size.
     """
 
     def __init__(self, net: Network):
-        _check_odd_neighborhoods(net)
-        nbrs = [sorted(net.out_neighbors(i)) for i in range(net.n)]
-        width = max(map(len, nbrs))
+        if net.directed:
+            raise ValueError("majority dynamics runs on undirected networks")
+        view = net.cached(_integer_view)
+        deg = np.diff(view.indptr)
+        even = np.flatnonzero(deg % 2 == 0)
+        if len(even):
+            raise ValueError(f"closed neighborhood of {even[0]} has even size; ties are rejected, not resolved")
+        width = int(deg.max())
         self.dtype = np.min_scalar_type(-1 - width)     # signed, holds -width .. width
-        self.idx = np.array([nb + nb[:1] * (width - len(nb)) for nb in nbrs]).T
-        self.keep = np.array([[k < len(nb) for nb in nbrs] for k in range(width)], dtype=self.dtype)
+        slot = np.arange(width)[:, None]
+        self.keep = (slot < deg).astype(self.dtype)
+        self.idx = view.J[view.indptr[:-1] + np.where(slot < deg, slot, 0)]
         # slots 1.. for sums, with no mask where every neighbourhood reaches the slot
         self._rest = [(i, None if k.all() else k) for i, k in zip(self.idx[1:], self.keep[1:])]
 
@@ -80,7 +78,7 @@ def trajectory(net: Network, configs, rounds) -> np.ndarray:
     A^i_{t+1} = sgn sum_{j in N(i)} A^j_t. The closed neighbourhoods are
     checked for odd size, and the rows for +-1 entries, once per call.
     """
-    hood = _Neighbourhoods(net)
+    hood = net.cached(_Neighbourhoods)
     a = np.asarray(configs, dtype=np.int64)
     if a.ndim != 2 or a.shape[1] != net.n or not np.all(np.abs(a) == 1):
         raise ValueError("config must be a +-1 vector of length n")
@@ -109,7 +107,7 @@ def lyapunov_series(net: Network, traj) -> np.ndarray:
     decrement identity L_t - L_{t-1} = -J_t come out with J as in j_series.
     """
     traj = np.asarray(traj)
-    hood = _Neighbourhoods(net)
+    hood = net.cached(_Neighbourhoods)
     total = 0
     for idx, keep in zip(hood.idx, hood.keep):
         d = traj[1:] - traj[:-1, ..., idx]
@@ -125,7 +123,7 @@ def j_series(net: Network, traj) -> np.ndarray:
     J_t = sum_i (A^i_{t+1} - A^i_{t-1}) * sum_{j in N(i)} A^j_t.
     """
     traj = np.asarray(traj)
-    s = _Neighbourhoods(net).sums(traj[1:-1])
+    s = net.cached(_Neighbourhoods).sums(traj[1:-1])
     return (np.subtract(traj[2:], traj[:-2], dtype=np.int64) * s).sum(axis=-1)
 
 
@@ -185,7 +183,7 @@ def limit_profiles(net: Network, configs: np.ndarray) -> np.ndarray:
     the temporaries small; rows come back in the narrow dtype of
     _Neighbourhoods.
     """
-    hood = _Neighbourhoods(net)
+    hood = net.cached(_Neighbourhoods)
     pairs = len(net.undirected_edge_list()) + 1
     out = np.empty(configs.shape, dtype=hood.dtype)
     for lo in range(0, len(configs), _PROFILE_ROWS):
@@ -219,10 +217,10 @@ def _canonical_weights(net: Network, delta):
     reached, in slot order, P[c], Q[c], b^n).
     """
     n = net.n
-    hood = _Neighbourhoods(net)
+    hood = net.cached(_Neighbourhoods)
     pairs = len(net.undirected_edge_list()) + 1
     up, den = bernoulli_cube(delta, n)
-    dtype = np.int64 if den < 2 ** 63 else object
+    dtype = int_dtype(den)
     up = np.array(up, dtype=dtype)
     half, full = 1 << (n - 1), (1 << n) - 1
     slot = np.full(half, -1, dtype=np.int32)

@@ -5,10 +5,13 @@ strongly connected directed graph, optionally carrying row-stochastic weights
 (one weight per out-edge, rows summing to 1, self-loop on every node). Weights
 given as Fractions are kept exact; float weights are accepted with a 1e-12
 row-sum tolerance. Undirected graphs are stored as symmetric directed pairs.
+Each network's weights are also held as integers, in one IntegerView built
+and validated on first use and kept with the network.
 """
 
 from __future__ import annotations
 
+import math
 import random as _random
 from collections import deque
 from dataclasses import dataclass, field
@@ -17,9 +20,15 @@ from math import lcm
 
 import numpy as np
 
-from .harness_util import debug
+from .harness_util import debug, int_dtype, scaled
 
 ROW_SUM_TOL = 1e-12
+
+# the integer view counts a float weight in these units, the scale of ROW_SUM_TOL
+FLOAT_UNIT = 1 << 40
+
+# generate builds no topology with more agents, or more neighbour pairs, than this
+GENERATE_MAX_SIZE = 10 ** 5
 
 # exact linear solve below this size, power iteration above
 EXACT_SOLVE_MAX_N = 200
@@ -77,30 +86,25 @@ class Network:
 
     @property
     def is_rational(self):
-        return all(isinstance(w, Fraction) for nb in self._out.values() for w in nb.values())
+        """Every weight is a Fraction (an int given as a weight becomes one)."""
+        return self.cached(_integer_view).rational
 
-    def weight_matrix(self, exact=False):
-        """Row-(sub)stochastic matrix P with P[i, j] = w(i, j).
-
-        exact=True returns a list-of-lists of Fractions (zero-filled),
-        otherwise a float ndarray.
-        """
-        if exact:
-            P = [[Fraction(0)] * self.n for _ in range(self.n)]
-            for i, nb in self._out.items():
-                for j, w in nb.items():
-                    P[i][j] = Fraction(w) if not isinstance(w, Fraction) else w
-            return P
+    def weight_matrix(self):
+        """Float matrix P with P[i, j] = w(i, j), from the integer view's float weights."""
+        view = self.cached(_integer_view)
         P = np.zeros((self.n, self.n))
-        for i, nb in self._out.items():
-            for j, w in nb.items():
-                P[i, j] = float(w)
+        P[view.rows, view.J] = view.W
         return P
 
     def cached(self, build):
         """build(self), computed on the first call and kept: a Network never changes.
 
         Nothing is kept when build raises, so a refusal repeats on every call.
+        The keys are private builders: the integer view (_integer_view, built
+        by the first validate, require_stochastic, stationary solve or
+        exact kernel that reads it), and the tables of the kernels that run
+        on one network many times, such as voter._Stages and
+        majority._Neighbourhoods.
         """
         if build not in self._cache:
             self._cache[build] = build(self)
@@ -142,6 +146,78 @@ def _bfs(adj, start):
     return dist
 
 
+class IntegerView:
+    """A network's weights as integers, and the verdict of its validation.
+
+    Agent i's out-neighbours are J[indptr[i]:indptr[i + 1]], in index order,
+    with integer counts C over the row denominator D[i]: w(i, j) = C / D[i].
+    A rational row counts in units of the lcm of its denominators
+    (harness_util.scaled). A row with a float weight counts in units of
+    1/FLOAT_UNIT = 2^-40, rounded, a positive weight never to 0, and D[i] is
+    its total; rational is False then. C and D are int64 arrays, or object
+    arrays of Python integers once a count or a row denominator reaches 2^63.
+    rows[k] is the agent of entry k, and W[k] its weight as a float.
+
+    faults lists the violations of the base invariants (out-degree >= 1,
+    strong connectivity), and row_faults those of the stochastic ones
+    (self-loop, positive weights, each row summing to 1: exactly, sum C =
+    D, for a rational row, within ROW_SUM_TOL for a float row), in the
+    words of validate. Built once per network, on the first read through
+    Network.cached(_integer_view); a faulty network keeps its view, and
+    require_stochastic refuses it on every call.
+    """
+
+    def __init__(self, net: Network):
+        J, C, D, weights, faults, row_faults = [], [], [], [], [], []
+        self.rational = True
+        for i in range(net.n):
+            nb = net.out_neighbors(i)
+            if not nb:
+                faults.append(f"node {i} has out-degree 0")
+            if i not in nb:
+                row_faults.append(f"node {i} has no self-loop")
+            js = sorted(nb)
+            ws = [nb[j] for j in js]
+            # weights are exact Fractions (ints become Fractions) or floats, see _as_weight
+            if all(type(w) is Fraction for w in ws):
+                row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if w.numerator <= 0]
+                d, cs = scaled(ws)
+                if sum(cs) != d:
+                    row_faults.append(f"row {i} sums to {Fraction(sum(cs), d)}, not 1")
+            else:
+                row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if not w > 0]
+                self.rational = False
+                s = sum(nb.values())
+                if abs(float(s) - 1.0) > ROW_SUM_TOL:
+                    row_faults.append(f"row {i} sums to {float(s)!r}, off by more than {ROW_SUM_TOL}")
+                cs = [max(1, round(w * FLOAT_UNIT)) if 0 < w < math.inf else 0 for w in ws]
+                d = sum(cs)
+            J += js
+            C += cs
+            D.append(d)
+            weights += ws
+        if net.n and not net.is_strongly_connected():
+            faults.append("graph is not strongly connected")
+        bound = max(max(D, default=0), max(map(abs, C), default=0))
+        dtype = int_dtype(bound)
+        sizes = np.array([len(net.out_neighbors(i)) for i in range(net.n)], dtype=np.int64)
+        self.indptr = np.concatenate(([0], np.cumsum(sizes)))
+        self.rows = np.repeat(np.arange(net.n), sizes)
+        self.J = np.array(J, dtype=np.int64)
+        self.C = np.array(C, dtype=dtype)
+        self.D = np.array(D, dtype=dtype)
+        if self.rational and bound < 2 ** 53:     # exact in float64, so C / D rounds once, as float(w) does
+            self.W = self.C / self.D[self.rows]
+        else:
+            self.W = np.array([float(w) for w in weights])
+        self.faults, self.row_faults = tuple(faults), tuple(row_faults)
+
+
+def _integer_view(net: Network) -> IntegerView:
+    """The Network.cached key of a network's IntegerView."""
+    return IntegerView(net)
+
+
 @dataclass
 class ValidationReport:
     violations: list
@@ -160,36 +236,25 @@ def validate(net: Network, require_stochastic: bool = False) -> ValidationReport
     Base invariants: simple (enforced at construction), every out-degree >= 1,
     strongly connected. With require_stochastic additionally: self-loop on
     every node, strictly positive weights, each row summing to 1 (exactly for
-    rational rows, within 1e-12 for float rows).
+    rational rows, within 1e-12 for float rows). The verdict is the one the
+    network's IntegerView found when it was built.
     """
-    v = []
-    for i in range(net.n):
-        if len(net.out_neighbors(i)) == 0:
-            v.append(f"node {i} has out-degree 0")
-    if net.n and not net.is_strongly_connected():
-        v.append("graph is not strongly connected")
-    if require_stochastic:
-        for i in range(net.n):
-            nb = net.out_neighbors(i)
-            if i not in nb:
-                v.append(f"node {i} has no self-loop")
-            for j, w in nb.items():
-                if not (w > 0):
-                    v.append(f"non-positive weight on edge ({i},{j})")
-            s = sum(nb.values())
-            if all(isinstance(w, Fraction) for w in nb.values()):
-                if s != 1:
-                    v.append(f"row {i} sums to {s}, not 1")
-            elif abs(float(s) - 1.0) > ROW_SUM_TOL:
-                v.append(f"row {i} sums to {float(s)!r}, off by more than {ROW_SUM_TOL}")
-    return ValidationReport(v)
+    view = net.cached(_integer_view)
+    return ValidationReport(list(view.faults + (view.row_faults if require_stochastic else ())))
 
 
-def require_stochastic(net: Network):
-    """Raise ValueError listing every violation unless validate(net, require_stochastic=True) passes."""
-    rep = validate(net, require_stochastic=True)
-    if not rep.ok:
-        raise ValueError(f"network fails stochastic validation: {rep}")
+def require_stochastic(net: Network) -> IntegerView:
+    """The network's IntegerView, or ValueError listing every violation of validate(net, require_stochastic=True).
+
+    The view is built, and the network validated, once: on the first call
+    (or the first validate or kernel that reads the view), through
+    Network.cached. Later calls only read the verdict, so a refusal repeats
+    on every call.
+    """
+    view = net.cached(_integer_view)
+    if view.faults or view.row_faults:
+        raise ValueError(f"network fails stochastic validation: {'; '.join(view.faults + view.row_faults)}")
+    return view
 
 
 # -- generators --------------------------------------------------------------
@@ -276,9 +341,15 @@ def generate(kind, n, d=None, seed=None):
     """Build a named lazy-uniform test network (see from_pairs).
 
     kinds: chain, cycle, complete, star, grid, random_regular (needs d, seed).
+    Refuses, before building anything, more than GENERATE_MAX_SIZE agents or
+    neighbour pairs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    pairs = {"complete": n * (n - 1) // 2, "grid": 2 * n, "random_regular": n * (d or 0) // 2}.get(kind, n)
+    if max(n, pairs) > GENERATE_MAX_SIZE:
+        raise ValueError(f"{kind}:{n} is too large: {n} agents and up to {pairs} neighbour pairs, "
+                         f"but generate builds at most {GENERATE_MAX_SIZE} of either")
     return from_pairs(n, _undirected_pairs(kind, n, d=d, seed=seed))
 
 
@@ -291,18 +362,12 @@ def rationalize(x) -> Fraction:
 
 def _integer_rows(A, b):
     """Each equation A[r] x = b[r] as integers: [A[r] | b[r]] times the lcm of its denominators."""
-    rows = []
-    for row, rhs in zip(A, b):
-        scale = lcm(rhs.denominator, *(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row]
-                    + [rhs.numerator * (scale // rhs.denominator)])
-    return rows
+    return [scaled([*row, rhs])[1] for row, rhs in zip(A, b)]
 
 
 def _satisfies(rows, x):
     """True iff x solves every integer equation in rows exactly."""
-    den = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (den // v.denominator) for v in x]
+    den, xs = scaled(x)
     return all(sum(c * v for c, v in zip(row, xs) if c) == row[-1] * den for row in rows)
 
 
@@ -362,6 +427,8 @@ def solve_exact(A, b):
 
 def require_rational(net: Network, purpose):
     """Raise ValueError naming the first edge with a float weight; exact oracles need rationals."""
+    if net.is_rational:
+        return
     for (i, j, _w) in net.edges:
         w = net.weight(i, j)
         if not isinstance(w, Fraction):
@@ -386,30 +453,23 @@ class StationaryDistribution:
 def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
     """Left unit eigenvector of the weight matrix (the PageRank vector).
 
-    Rational weights and n <= 200: `solve_exact` on alpha (P - I) = 0 with
-    the last equation replaced by sum(alpha) = 1. That system is nonsingular:
-    P is irreducible (validate checks strong connectivity), so by
-    Perron-Frobenius the solutions of alpha (P - I) = 0 form one line,
-    spanned by a positive vector; the n equations sum to zero, so any n - 1
-    of them cut out that line, and sum(alpha) = 1 picks one point of it.
-    Otherwise power iteration (cap 1e6 rounds), returned only if
-    max |alpha P - alpha| <= tol.
+    Rational weights and n <= 200: the exact solution of alpha (P - I) = 0
+    with the last equation replaced by sum(alpha) = 1 (see _exact_stationary).
+    That system is nonsingular: P is irreducible (validate checks strong
+    connectivity), so by Perron-Frobenius the solutions of alpha (P - I) = 0
+    form one line, spanned by a positive vector; the n equations sum to
+    zero, so any n - 1 of them cut out that line, and sum(alpha) = 1 picks
+    one point of it. Otherwise power iteration (cap 1e6 rounds), returned
+    only if max |alpha P - alpha| <= tol. Both read the network's
+    IntegerView, built and validated by the first call (require_stochastic)
+    and kept with the network; the solve itself runs on every call.
     """
-    require_stochastic(net)
+    view = require_stochastic(net)
     n = net.n
-    if net.is_rational and n <= EXACT_SOLVE_MAX_N:
-        A = [[0] * n for _ in range(n)]      # A[c][r] = P[r][c] - [r == c]
-        for r in range(n):
-            for c, w in net.out_neighbors(r).items():
-                A[c][r] = w
-        for r in range(n):
-            A[r][r] -= 1
-        A[n - 1] = [1] * n
-        alpha = solve_exact(A, [Fraction(0)] * (n - 1) + [Fraction(1)])
-        if any(a <= 0 for a in alpha):
-            raise ValueError("stationary solve produced a non-positive entry")
-        return StationaryDistribution(tuple(alpha))
-    debug("stationary n=%d: power iteration", n)
+    if view.rational and n <= EXACT_SOLVE_MAX_N:
+        return StationaryDistribution(_exact_stationary(view))
+    debug("stationary n=%d: power iteration (%d edges, max row denominator %s)", n, len(view.J),
+          int(view.D.max()) if view.rational else "float")
     P = net.weight_matrix()
     alpha = np.full(n, 1.0 / n)
     for _ in range(10 ** 6):
@@ -424,6 +484,90 @@ def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
     if np.max(np.abs(alpha @ P - alpha)) > tol:
         raise RuntimeError("stationary residual above tolerance")
     return StationaryDistribution(tuple(alpha))
+
+
+def _exact_stationary(view: IntegerView):
+    """The exact stationary distribution of a validated rational network, as a tuple of Fractions.
+
+    A float solve of the system, built with numpy from the view, gives a
+    guess. Each distinct value of the guess is rebuilt with `rationalize`,
+    and the lcm Q of their denominators is one shared denominator: alpha =
+    round(guess Q) / Q. Failing that, every entry is rebuilt on its own;
+    failing that too, fraction-free (Bareiss) elimination solves the integer
+    system for y = alpha / D (_stationary_rows). Every answer is proved by
+    _is_stationary, exactly and in integers.
+    """
+    n = len(view.D)
+    A = np.zeros((n, n))
+    A[view.J, view.rows] = view.W         # A[c, r] = P[r, c] - [r == c]: the balance of agent c
+    A.flat[::n + 1] -= 1.0
+    A[n - 1] = 1.0
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    try:
+        guess = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        guess = None
+    branch = None
+    if guess is not None and np.isfinite(guess).all():
+        distinct = dict(zip(guess.round(12).tolist(), guess.tolist())).values()
+        Q = lcm(*(rationalize(v).denominator for v in distinct))
+        if Q < 2 ** 53:
+            N = np.rint(np.clip(guess, 0.0, 1.0) * Q).astype(np.int64).tolist()
+            if _is_stationary(view, Q, N):
+                branch = f"certified float rebuild, one shared denominator {Q}"
+        if branch is None:
+            Q, N = scaled(rationalize(v) for v in guess)
+            if _is_stationary(view, Q, N):
+                branch = "certified float rebuild, per entry"
+    if branch is None:
+        branch = "Bareiss fallback"
+        alpha = [d * y for d, y in zip(view.D.tolist(), _bareiss(_stationary_rows(view)))]
+        if any(a <= 0 for a in alpha):
+            raise ValueError("stationary solve produced a non-positive entry")
+        Q, N = scaled(alpha)
+        if not _is_stationary(view, Q, N):
+            raise ArithmeticError("Bareiss elimination returned a non-solution")
+    debug("stationary: exact solve n=%d: %s (%d edges, max row denominator %d)", n, branch, len(view.J),
+          int(view.D.max()))
+    alpha = {x: Fraction(x, Q) for x in set(N)}        # one Fraction per distinct value
+    return tuple(map(alpha.__getitem__, N))
+
+
+def _stationary_rows(view: IntegerView):
+    """The stationary system in integers, for y = alpha / D: rows [A | b] of A y = b.
+
+    Row c < n - 1 is agent c's balance sum_r C[r, c] y_r - D_c y_c = 0,
+    since alpha_r P[r, c] = C[r, c] y_r; the last row is sum_r D_r y_r = 1.
+    """
+    n = len(view.D)
+    D = view.D.tolist()
+    rows = [[0] * (n + 1) for _ in range(n - 1)]
+    for r, c, k in zip(view.rows.tolist(), view.J.tolist(), view.C.tolist()):
+        if c < n - 1:
+            rows[c][r] += k
+    for c in range(n - 1):
+        rows[c][c] -= D[c]
+    return rows + [D + [1]]
+
+
+def _is_stationary(view: IntegerView, Q, N):
+    """True iff alpha = N / Q is positive, sums to 1 and satisfies alpha P = alpha, checked in integers.
+
+    With L the lcm of the row denominators, u_r = N_r L / D_r is an integer
+    and agent c's balance is sum_r C[r, c] u_r = N_c L. Once N > 0 and
+    sum(N) = Q every term and every sum is at most L Q, so the check runs in
+    int64 below 2^63 and in Python integers beyond.
+    """
+    if min(N) <= 0 or sum(N) != Q:
+        return False
+    L = lcm(*view.D.tolist())
+    dtype = int_dtype(L * Q)
+    N = np.array(N, dtype=dtype)
+    u = N * (L // view.D.astype(dtype))
+    flow = np.zeros(len(N), dtype=dtype)
+    np.add.at(flow, view.J, view.C.astype(dtype) * u[view.rows])
+    return bool((flow == N * L).all())
 
 
 def mixing_tv(net: Network, start: int, t: int) -> float:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .harness_util import scaled
 
 def _check_dist(mu, name):
     if any(p <= 0 for p in mu):
@@ -297,9 +298,7 @@ def map_accuracy_three_bits(p, d1=0, d2=0, d3=0):
     """
     p = Fraction(p)
     ds = [Fraction(d) for d in (d1, d2, d3)]
-    den = math.lcm(p.denominator, *(d.denominator for d in ds))
-    P = p.numerator * (den // p.denominator)
-    dn = [d.numerator * (den // d.denominator) for d in ds]
+    den, (P, *dn) = scaled([p, *ds])
     if not den < 2 * P < 2 * den:
         raise ValueError("need 1/2 < p < 1")
     if not all(0 < q < den for d in dn for q in (P + d, P - d)):

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
-from .harness_util import debug
+from .harness_util import debug, int_dtype, scaled
 from .network import Network, _pairs_connected, require_rational, require_stochastic, stationary_distribution
 from .signals import check_delta
 
@@ -46,10 +46,6 @@ _ROUND_WORDS = 1 << 17
 _ALL = np.uint64(2 ** 64 - 1)
 _ENDLESS = 1 << 62
 
-# a float weight counts as an integer number of these units: the scale of the
-# row-sum tolerance network.ROW_SUM_TOL
-_FLOAT_UNIT = 1 << 40
-
 # strong_voter_trials finishes this many or fewer open trials one at a time:
 # a lockstep step costs about as much as 70 one-trial edge updates
 _LOCKSTEP_MIN = 64
@@ -58,40 +54,25 @@ _LOCKSTEP_MIN = 64
 def _weight_counts(net: Network):
     """(J, C, D): agent i copies neighbour J[i][k] with the integer count C[i][k] out of D[i] = sum(C[i]).
 
+    The rows of the network's IntegerView (see network.require_stochastic):
     J[i] lists agent i's out-neighbours in index order, and J[i], C[i] are
     int64 arrays. A rational row counts in units of the lcm of its
-    denominators, so the counts are its numerators and D[i] is that lcm. A
-    row with a float weight counts in units of 2^-40, rounded, and a
-    positive weight never rounds to 0. Refuses, with ValueError, an agent
-    without out-neighbours, a network that fails
-    validate(require_stochastic=True) and a row whose D[i] reaches 2^53: the
-    exact expansions of the cumulative counts over D[i] (see _Expansion)
-    need D[i] below 2^53.
+    denominators; a row with a float weight in units of 2^-40, rounded, a
+    positive weight never to 0. Refuses, with ValueError, an agent without
+    out-neighbours, a network that fails validate(require_stochastic=True)
+    and a row whose D[i] reaches 2^53: the exact expansions of the
+    cumulative counts over D[i] (see _Expansion) need D[i] below 2^53.
     """
-    n = net.n
-    for i in range(n):
+    for i in range(net.n):
         if not net.out_neighbors(i):
             raise ValueError(f"agent {i} has no out-neighbours")
-    require_stochastic(net)
-    J, C = [], []
-    D = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        nb = net.out_neighbors(i)
-        js = sorted(nb)
-        ws = [nb[j] for j in js]
-        if all(isinstance(w, Fraction) for w in ws):
-            unit = lcm(*(w.denominator for w in ws))
-            counts = [w.numerator * (unit // w.denominator) for w in ws]
-        else:
-            counts = [max(1, round(w * _FLOAT_UNIT)) for w in ws]
-        total = sum(counts)
+    view = require_stochastic(net)
+    for i, total in enumerate(view.D.tolist()):
         if total >= 2 ** 53:
             raise ValueError(f"agent {i}'s weights need the integer total {total}, 2^53 or more: "
                              "voter Monte Carlo expands its count ratios exactly only below 2^53")
-        J.append(np.array(js, dtype=np.int64))
-        C.append(np.array(counts, dtype=np.int64))
-        D[i] = total
-    return J, C, D
+    cuts = view.indptr[1:-1]
+    return np.split(view.J, cuts), np.split(view.C.astype(np.int64), cuts), view.D.astype(np.int64)
 
 
 class _Expansion:
@@ -390,41 +371,31 @@ def _blocks(ns):
     return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
 
 
-def certify_absorption(net: Network, h):
-    """Check h(s) = E[h(next) | s] at every state, in integers; raise ArithmeticError if not.
-
-    With H the lcm of the denominators of h, T = h H is an integer table,
-    which _certify_table checks.
-    """
-    ns = 1 << net.n
-    H = lcm(*(h[s].denominator for s in range(ns)))
-    _certify_table(net, [h[s].numerator * (H // h[s].denominator) for s in range(ns)], H)
-
-
 def _certify_table(net: Network, T, H):
     """Check that h = T / H is 0 at all-zeros, 1 at all-ones and harmonic; raise ArithmeticError if not.
 
     T is the list of integers h(s) H over the 2^n states. Agent i's row
-    weights share the denominator d_i, so it adopts 1 with probability
-    q_i = a_i / d_i for an integer a_i that depends on the state. Contracting
-    T one agent at a time, T <- d_i T[bit_i = 0] + a_i (T[bit_i = 1] - T[bit_i = 0]),
-    leaves prod_i d_i H E[h(next) | s], which must equal prod_i d_i T[s].
+    weights are the counts C over the row denominator d_i of the network's
+    IntegerView, so it adopts 1 with probability q_i = a_i / d_i for an
+    integer a_i that depends on the state. Contracting T one agent at a time,
+    T <- d_i T[bit_i = 0] + a_i (T[bit_i = 1] - T[bit_i = 0]), leaves
+    prod_i d_i H E[h(next) | s], which must equal prod_i d_i T[s]. The
+    network must pass validate(require_stochastic=True) with rational weights.
     """
     n = net.n
     ns = 1 << n
     if T[0] != 0 or T[ns - 1] != H:
         raise ArithmeticError(f"rational certification failed at the unanimity states: "
                               f"h = {Fraction(T[0], H)} and {Fraction(T[ns - 1], H)}, want 0 and 1")
-    d = [lcm(*(w.denominator for w in net.out_neighbors(i).values())) for i in range(n)]
+    view = require_stochastic(net)
+    d = view.D.tolist()
     scale = prod(d)
     # every partial sum and difference is at most 2 max|T| prod(d) in absolute value
     bound = 2 * max(map(abs, T)) * scale
-    dtype = np.int32 if bound < 2 ** 31 else np.int64 if bound < 2 ** 63 else object
+    dtype = np.int32 if bound < 2 ** 31 else int_dtype(bound)
     T = np.array(T, dtype=dtype)
     W = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        for j, w in net.out_neighbors(i).items():
-            W[i, j] = w.numerator * (d[i] // w.denominator)
+    W[view.rows, view.J] = view.C.tolist()
     bits = _state_bits(n).astype(dtype)
     top = n - 1
     for block in _blocks(ns):
@@ -470,13 +441,11 @@ def absorption_probabilities(net: Network):
         raise ValueError(f"exact absorption capped at n={EXACT_SOLVE_MAX_N}")
     require_stochastic(net)
     require_rational(net, "exact absorption")
-    alpha = stationary_distribution(net).alpha
-    H = lcm(*(a.denominator for a in alpha))
-    scaled = np.array([a.numerator * (H // a.denominator) for a in alpha],
-                      dtype=np.int64 if H < 2 ** 63 else object)
-    T = (_state_bits(n) @ scaled).tolist()      # entries are at most H
+    H, A = scaled(stationary_distribution(net).alpha)
+    T = (_state_bits(n) @ np.array(A, dtype=int_dtype(H))).tolist()      # entries are at most H
     _certify_table(net, T, H)
-    return {s: Fraction(t, H) for s, t in enumerate(T)}
+    value = {t: Fraction(t, H) for t in set(T)}       # one Fraction per distinct value
+    return dict(enumerate(map(value.__getitem__, T)))
 
 
 def exact_consensus_probability(net: Network, signals):

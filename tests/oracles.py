@@ -17,8 +17,9 @@ import numpy as np
 
 from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
-from opdyn.network import (Network, from_pairs, rationalize, require_rational, require_stochastic,
-                           stationary_distribution)
+from opdyn.harness_util import scaled
+from opdyn.network import (ROW_SUM_TOL, Network, from_pairs, rationalize, require_rational, require_stochastic,
+                           solve_exact, stationary_distribution)
 from opdyn.signals import GaussianLLR, bernoulli_cube, check_delta, sample_world, trial_rng
 
 
@@ -38,6 +39,59 @@ def solve_rational(A, b):
                 f = M[r][col]
                 M[r] = [x - f * y for x, y in zip(M[r], M[col])]
     return [M[i][n] for i in range(n)]
+
+
+def fraction_weight_matrix(net: Network):
+    """P[i][j] = w(i, j) as Fractions, zero-filled; a float weight becomes its exact binary value."""
+    P = [[Fraction(0)] * net.n for _ in range(net.n)]
+    for i in range(net.n):
+        for j, w in net.out_neighbors(i).items():
+            P[i][j] = Fraction(w)
+    return P
+
+
+def fraction_stationary(net: Network):
+    """The stationary distribution by solve_exact on the Fraction matrix of alpha (P - I) = 0.
+
+    The last balance equation is replaced by sum(alpha) = 1. This is how
+    network.stationary_distribution built its system before it read the
+    network's integer view.
+    """
+    P = fraction_weight_matrix(net)
+    n = net.n
+    A = [[P[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
+    A[n - 1] = [Fraction(1)] * n
+    return tuple(solve_exact(A, [Fraction(0)] * (n - 1) + [Fraction(1)]))
+
+
+def fraction_violations(net: Network, require_stochastic=False):
+    """network.validate's violations, found by summing each row's weights (Fractions stay Fractions)."""
+    v = [f"node {i} has out-degree 0" for i in range(net.n) if not net.out_neighbors(i)]
+    if net.n and not net.is_strongly_connected():
+        v.append("graph is not strongly connected")
+    if require_stochastic:
+        for i in range(net.n):
+            nb = net.out_neighbors(i)
+            if i not in nb:
+                v.append(f"node {i} has no self-loop")
+            v += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if not w > 0]
+            s = sum(nb.values())
+            if all(isinstance(w, Fraction) for w in nb.values()):
+                if s != 1:
+                    v.append(f"row {i} sums to {s}, not 1")
+            elif abs(float(s) - 1.0) > ROW_SUM_TOL:
+                v.append(f"row {i} sums to {float(s)!r}, off by more than {ROW_SUM_TOL}")
+    return v
+
+
+def certify_absorption(net: Network, h):
+    """Check h(s) = E[h(next) | s] at every state, in integers; raise ArithmeticError if not.
+
+    With H the lcm of the denominators of h, T = h H is an integer table,
+    which voter._certify_table checks.
+    """
+    H, T = scaled(h[s] for s in range(1 << net.n))
+    voter._certify_table(net, T, H)
 
 
 def enumerate_p_w(net, delta):
@@ -166,7 +220,7 @@ def scalar_step(net: Network, config) -> tuple:
 
     A^i_{t+1} = sgn sum_{j in N(i)} A^j_t.
     """
-    majority._check_odd_neighborhoods(net)
+    majority._Neighbourhoods(net)       # refuses a directed graph and even neighbourhoods
     M = neighbor_matrix(net)
     a = np.asarray(config, dtype=np.int64)
     if a.shape != (net.n,) or not np.all(np.abs(a) == 1):
@@ -342,7 +396,7 @@ def float_solve_absorption(net):
 
     Solves (I - Q) h = r over the 2^n - 2 transient states in floats, rebuilds
     each value with network.rationalize and certifies the candidate with
-    voter.certify_absorption. The rebuild finds h only when its denominators
+    certify_absorption. The rebuild finds h only when its denominators
     are at most network.REBUILD_MAX_DEN; otherwise certification fails.
     """
     n = net.n
@@ -366,7 +420,7 @@ def float_solve_absorption(net):
     h = {0: Fraction(0), ns - 1: Fraction(1)}
     for s in range(1, ns - 1):
         h[s] = rationalize(hf[s - 1])
-    voter.certify_absorption(net, h)
+    certify_absorption(net, h)
     return h
 
 

@@ -294,6 +294,55 @@ def test_run_exact_logs_sizes(caplog):
     assert f"D={2 * 10007 ** 5} (python-int)" in caplog.text
 
 
+@pytest.mark.parametrize("utility", ["discrete", "continuous"])
+def test_array_spaces_match_the_fraction_oracle_on_fraction_entries(utility):
+    # the product spaces are built as integer arrays and never as entries; the
+    # oracle runs on the entries of one Fraction product per atom
+    for model, net in ((bernoulli_delta(DELTA), generate("cycle", 4)), (RICH, generate("chain", 3))):
+        space = bayes.build_profile_space(model, net.n)
+        got = bayes.run_exact(net, space, space.m * net.n + 1, utility)
+        assert "entries" not in vars(space)
+        want = fraction_run_exact(net, bayes.ProfileSpace(net.n, entries=fraction_profile_entries(model, net.n)),
+                                  space.m * net.n + 1, utility)
+        assert (got.rounds, got.stabilized) == (want.rounds, want.stabilized)
+        assert (got.beliefs, got.actions, got.partitions) == (want.beliefs, want.actions, want.partitions)
+        assert space.entries == fraction_profile_entries(model, net.n)
+    # a joint table's entries convert to arrays once, on the first run
+    space = bayes.build_profile_space(xor_pair(), 2)
+    got = bayes.run_exact(generate("chain", 2), space, 10, utility)
+    atoms = space.atoms
+    assert bayes.run_exact(generate("chain", 2), space, 10, utility).steps[-1].w.tolist() == got.steps[-1].w.tolist()
+    assert space.atoms is atoms
+    want = fraction_run_exact(generate("chain", 2), space, 10, utility)
+    assert (got.beliefs, got.actions, got.partitions) == (want.beliefs, want.actions, want.partitions)
+
+
+def test_product_atoms_are_numbered_like_entries():
+    # product order: profile p's letters are the base-|alphabet| digits of p, the S = 0 atoms first
+    space = bayes.build_profile_space(RICH, 3)
+    atoms = space.atoms
+    assert atoms.scale == 2 * 6 ** 3 and atoms.letters == [0, 1, 2]
+    assert atoms.states.tolist() == [0] * 27 + [1] * 27
+    assert atoms.profile_of.tolist() == list(range(27)) * 2
+    assert [tuple(col) for col in atoms.sig.T.tolist()][:4] == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0)]
+    converted = bayes.ProfileSpace(3, entries=space.entries).atoms
+    for a, b in zip(atoms, converted):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    # equal letters make equal profiles, which merge as they do in entries
+    twin = FiniteModel(alphabet=("x", "x"), mu0=(Fraction(1, 3), Fraction(2, 3)), mu1=(Fraction(2, 3), Fraction(1, 3)))
+    assert bayes.build_profile_space(twin, 2).m == 1
+
+
+def test_fixation_stats_stay_on_profile_arrays():
+    net = generate("cycle", 4)
+    space = space_for(4)
+    res = bayes.run_exact(net, space, horizon=space.m * 4 + 1, utility="discrete")
+    stats = bayes.fixation_stats(res)
+    assert stats["max_fixation"] == max(res.fixation_rounds()) and type(stats["max_fixation"]) is int
+    assert stats["fixation"][res.profile_of].tolist() == res.fixation_rounds()
+    assert stats["changes"][:, res.profile_of].T.tolist() == res.change_counts()
+
+
 def test_run_exact_rejects_bad_atoms():
     net = generate("chain", 2)
     bad_state = bayes.ProfileSpace(n=2, entries=((2, (0, 0), Fraction(1)),))

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from opdyn import cascade, cli, degroot, majority, voter
+from opdyn import cascade, cli, degroot, majority, network, voter
 from opdyn.network import generate, write_network
 from opdyn.signals import GaussianLLR, bernoulli_delta, trial_rng, write_signal_model
 from oracles import scalar_j_functional, scalar_lyapunov, scalar_step
@@ -263,6 +264,19 @@ def test_bad_graph_spec_is_a_json_error(capsys):
     assert code == 2
     assert err["command"] == "degroot"
     assert err["error"].startswith("bad graph spec 'cycle:x'")
+
+
+def test_oversized_graph_spec_is_refused_before_it_is_built(capsys, monkeypatch):
+    # the spec names more agents (or pairs) than generate builds; nothing is built or run
+    monkeypatch.setattr(network, "_undirected_pairs", lambda *a, **k: pytest.fail("pairs were built"))
+    for spec, size in (("cycle:99999999999", 99999999999), ("complete:1000000", 499999500000)):
+        start = time.perf_counter()
+        code, err = _error_record(capsys, ["voter", "--graph", spec, "--mode", "mc", "--trials", "2"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and err["command"] == "voter"
+        assert err["error"].startswith(f"bad graph spec {spec!r}: ")
+        assert f"{size} neighbour pairs" in err["error"]
+        assert f"at most {network.GENERATE_MAX_SIZE} of either" in err["error"]
 
 
 def test_bad_signal_spec(capsys):

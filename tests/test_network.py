@@ -1,15 +1,18 @@
 import hashlib
 import logging
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn.network import (Network, _pairs_connected, ball, from_pairs, generate, mixing_tv,
-                           read_network, solve_exact, stationary_distribution, validate,
+from opdyn import network
+from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, ball, from_pairs, generate, mixing_tv,
+                           read_network, require_stochastic, solve_exact, stationary_distribution, validate,
                            write_network)
-from oracles import reachability_distances, solve_rational
+from oracles import (fraction_stationary, fraction_violations, fraction_weight_matrix, reachability_distances,
+                     solve_rational)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -29,6 +32,64 @@ def test_validate_flags_bad_rows():
     assert not rep.ok
 
 
+BAD_ROWS = {
+    "no self-loops, a row short of 1": ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1))),
+    "a zero and a negative weight": ((0, 0, Fraction(1)), (0, 1, Fraction(0)), (1, 0, Fraction(3, 2)),
+                                     (1, 1, Fraction(-1, 2))),
+    "an agent without out-edges": ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))),
+    "two components": ((0, 0, Fraction(1)), (1, 1, Fraction(1))),
+    "float rows off by 1e-9": ((0, 0, 0.5), (0, 1, 0.5 + 1e-9), (1, 0, Fraction(1, 2)), (1, 1, 0.5)),
+    "a NaN and an infinite weight": ((0, 0, float("nan")), (0, 1, 1.0), (1, 0, float("inf")), (1, 1, 0.5)),
+    "ints that sum to 3": ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROWS)
+def test_bad_rows_are_refused_with_the_fraction_oracles_messages(name):
+    # the integer view finds the violations the row sums over Fractions find, in the same order
+    net = Network(n=2, edges=BAD_ROWS[name])
+    want = fraction_violations(net, require_stochastic=True)
+    assert want and validate(net, require_stochastic=True).violations == want
+    assert validate(net).violations == fraction_violations(net)
+    for _ in range(2):      # the verdict is kept, and the refusal repeats
+        with pytest.raises(ValueError) as exc:
+            require_stochastic(net)
+        assert str(exc.value) == "network fails stochastic validation: " + "; ".join(want)
+
+
+def test_integer_view_is_built_once_per_network(monkeypatch):
+    built, real = [], network.IntegerView
+    monkeypatch.setattr(network, "IntegerView", lambda net: built.append(net) or real(net))
+    net = generate("cycle", 6)
+    for _ in range(3):
+        validate(net, require_stochastic=True)
+        stationary_distribution(net)
+        net.weight_matrix()
+    assert built == [net]
+    view = require_stochastic(net)
+    assert view.indptr.tolist() == [0, 3, 6, 9, 12, 15, 18]
+    assert view.J.tolist()[:6] == [0, 1, 5, 0, 1, 2] and (view.C == 1).all() and (view.D == 3).all()
+    assert np.array_equal(net.weight_matrix(), np.array(fraction_weight_matrix(net), dtype=float))
+
+
+def test_integer_view_rows():
+    # edges listed out of order: each row of the view is in index order, counts over the row's lcm
+    net = Network(n=3, edges=((0, 2, Fraction(1, 6)), (0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)),
+                              (1, 1, Fraction(3, 4)), (1, 0, Fraction(1, 4)), (2, 2, Fraction(1, 2)),
+                              (2, 1, Fraction(1, 2))))
+    view = require_stochastic(net)
+    assert view.J.tolist() == [0, 1, 2, 0, 1, 1, 2] and view.rows.tolist() == [0, 0, 0, 1, 1, 2, 2]
+    assert view.C.tolist() == [3, 2, 1, 1, 3, 1, 1] and view.D.tolist() == [6, 4, 2] and view.rational
+    # float rows count in units of 2^-40, and their float weights are the given floats, not C / D
+    floats = Network(n=2, edges=((0, 1, 0.7), (0, 0, 0.3), (1, 0, 0.1), (1, 1, 0.9)))
+    view = require_stochastic(floats)
+    assert not view.rational and view.C.tolist() == [round(0.3 * 2 ** 40), round(0.7 * 2 ** 40),
+                                                      round(0.1 * 2 ** 40), round(0.9 * 2 ** 40)]
+    for P in (net, floats):
+        assert np.array_equal(P.weight_matrix(), np.array(fraction_weight_matrix(P), dtype=float))
+    assert floats.weight_matrix().tolist() == [[0.3, 0.7], [0.1, 0.9]]
+
+
 def test_stationary_path3_closed_form():
     # lazy path on 3 vertices: alpha proportional to |N(i)| = (2, 3, 2)
     sd = stationary_distribution(generate("chain", 3))
@@ -39,7 +100,7 @@ def test_stationary_path3_closed_form():
 def test_stationary_is_left_fixed_point():
     net = generate("random_regular", 10, d=3, seed=3)
     sd = stationary_distribution(net)
-    P = net.weight_matrix(exact=True)
+    P = fraction_weight_matrix(net)
     for j in range(net.n):
         assert sum(sd.alpha[i] * P[i][j] for i in range(net.n)) == sd.alpha[j]
 
@@ -186,26 +247,95 @@ def test_solve_exact_bareiss_fallback(caplog):
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
         x = solve_exact(A, b)
     assert x == solve_rational(A, b)
-    assert "Bareiss fallback" in caplog.text
+    assert "exact solve n=2: Bareiss fallback" in caplog.text
+    # small denominators rebuild from the float solve
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        x = solve_exact([[Fraction(1, 3), Fraction(1)], [Fraction(2), Fraction(-1, 5)]], [Fraction(1), Fraction(0)])
+    assert x == solve_rational([[Fraction(1, 3), Fraction(1)], [Fraction(2), Fraction(-1, 5)]], [1, 0])
+    assert "exact solve n=2: certified float rebuild" in caplog.text
+
+
+def _sampling_chain(alpha):
+    """Every agent copies agent j with probability alpha_j; the stationary distribution is alpha."""
+    n = len(alpha)
+    return Network(n=n, edges=tuple((i, j, alpha[j]) for i in range(n) for j in range(n)))
+
+
+# denominators p_k p_(k+1) around a ring of six primes near 520: each is below
+# REBUILD_MAX_DEN, their lcm is above 2^53
+PER_ENTRY_ALPHA = tuple(map(Fraction, ("50560/256027", "847/265189", "85151/272483", "18469/282943",
+                                       "112012/295927", "11842/275141")))
 
 
 def test_stationary_branches_match_oracle(caplog):
-    # lazy-uniform graphs rebuild from floats; skewed directed weights need Bareiss
+    # lazy-uniform graphs rebuild over one shared denominator; a denominator
+    # above 2^53 leaves the per-entry rebuild; skewed directed weights need Bareiss
     skewed = Network(n=3, edges=((0, 0, Fraction(1, 999983)), (0, 1, Fraction(999982, 999983)),
                                  (1, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
                                  (2, 0, Fraction(1, 1000003)), (2, 2, Fraction(1000002, 1000003))))
-    for net, branch in ((generate("grid", 9), "certified float rebuild"),
-                        (from_pairs(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), "certified float rebuild"),
-                        (skewed, "Bareiss fallback")):
-        P = net.weight_matrix(exact=True)
+    # alpha = (999983, 1000003) / 1999986: the rebuilt entries are wrong yet positive and sum to 1,
+    # so only the balance check turns them down
+    tilted = Network(n=2, edges=((0, 0, Fraction(999982, 999983)), (0, 1, Fraction(1, 999983)),
+                                 (1, 0, Fraction(1, 1000003)), (1, 1, Fraction(1000002, 1000003))))
+    for net, branch, edges, max_d in (
+            (generate("grid", 9), "certified float rebuild, one shared denominator 33", 33, 5),
+            (from_pairs(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),
+             "certified float rebuild, one shared denominator 15", 15, 4),
+            (_sampling_chain(PER_ENTRY_ALPHA), "certified float rebuild, per entry", 36, 20644756792768007),
+            (skewed, "Bareiss fallback", 6, 1000003),
+            (tilted, "Bareiss fallback", 4, 1000003)):
         n = net.n
-        A = [[P[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
-        A[n - 1] = [Fraction(1)] * n
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="opdyn"):
             alpha = stationary_distribution(net).alpha
+        assert alpha == fraction_stationary(net)
+        P = fraction_weight_matrix(net)
+        A = [[P[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
+        A[n - 1] = [Fraction(1)] * n
         assert list(alpha) == solve_rational(A, [Fraction(0)] * (n - 1) + [Fraction(1)])
-        assert f"exact solve n={n}: {branch}" in caplog.text
+        assert (f"stationary: exact solve n={n}: {branch} ({edges} edges, max row denominator {max_d})"
+                in caplog.text)
+    assert stationary_distribution(_sampling_chain(PER_ENTRY_ALPHA)).alpha == PER_ENTRY_ALPHA
+
+
+@st.composite
+def rational_digraphs(draw, max_n=8):
+    """A strongly connected digraph on n <= max_n agents, a self-loop at each, integer weights 1-5 per row."""
+    n = draw(st.integers(1, max_n))
+    ring = draw(st.permutations(range(n)))
+    arcs = {(ring[k], ring[(k + 1) % n]) for k in range(n)} | {(i, i) for i in range(n)}
+    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = []
+    for i in range(n):
+        out = sorted(j for a, j in arcs if a == i)
+        ws = draw(st.lists(st.integers(1, 5), min_size=len(out), max_size=len(out)))
+        edges += [(i, j, Fraction(w, sum(ws))) for j, w in zip(out, ws)]
+    return Network(n=n, edges=tuple(edges))
+
+
+named_topologies = st.one_of(
+    st.tuples(st.sampled_from(["chain", "cycle", "star"]), st.integers(1, 40)).map(lambda a: generate(*a)),
+    st.integers(1, 6).map(lambda side: generate("grid", side * side)),
+    st.tuples(st.integers(3, 20), st.integers(0, 9)).map(
+        lambda a: generate("random_regular", 2 * a[0], d=3, seed=a[1])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(net=st.one_of(rational_digraphs(), named_topologies))
+def test_stationary_view_matches_fraction_matrix_oracle(net):
+    assert stationary_distribution(net).alpha == fraction_stationary(net)
+
+
+def test_generate_refuses_oversized_specs_without_building(monkeypatch):
+    monkeypatch.setattr(network, "_undirected_pairs", lambda *a, **k: pytest.fail("pairs were built"))
+    # 448 agents make 100128 complete pairs, 1000 agents of degree 201 make 100500
+    for kind, n, d in (("cycle", 99999999999, None), ("complete", 1000000, None),
+                       ("chain", GENERATE_MAX_SIZE + 1, None), ("complete", 448, None), ("random_regular", 1000, 201)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"generate builds at most {GENERATE_MAX_SIZE} of either"):
+            generate(kind, n, d=d)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_stationary_float_weights_use_power_iteration(caplog):
@@ -214,4 +344,4 @@ def test_stationary_float_weights_use_power_iteration(caplog):
         sd = stationary_distribution(net)
     assert not sd.exact
     assert np.allclose(sd.as_floats(), [1 / 3, 2 / 3])
-    assert "stationary n=2: power iteration" in caplog.text
+    assert "stationary n=2: power iteration (4 edges, max row denominator float)" in caplog.text

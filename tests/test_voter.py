@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from opdyn import voter
 from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (FixedDraws, StrongVoterState, absorption_drift, float_net, float_solve_absorption,
-                     fraction_bernoulli_words, initial_strong_state, per_update_strong_walk, product_mc_consensus,
-                     searchsorted_mc_consensus, stagewise_mc_consensus, strong_voter_step,
+from oracles import (FixedDraws, StrongVoterState, absorption_drift, certify_absorption, float_net,
+                     float_solve_absorption, fraction_bernoulli_words, initial_strong_state, per_update_strong_walk,
+                     product_mc_consensus, searchsorted_mc_consensus, stagewise_mc_consensus, strong_voter_step,
                      three_draw_run_strong_voter, weighted_net)
 
 
@@ -626,7 +626,7 @@ def test_certificate_checks_the_unanimity_states():
     h = {s: p + Fraction(1, 7) for s, p in voter.absorption_probabilities(net).items()}
     assert absorption_drift(net, h) == {}
     with pytest.raises(ArithmeticError, match="failed at the unanimity states"):
-        voter.certify_absorption(net, h)
+        certify_absorption(net, h)
 
 
 @settings(max_examples=15, deadline=None)
@@ -642,7 +642,7 @@ def test_certificate_matches_fraction_contraction(kind, n, state, eps):
     h[s] += eps
     first_bad = min(absorption_drift(net, h))
     with pytest.raises(ArithmeticError, match=f"failed at state {first_bad}:"):
-        voter.certify_absorption(net, h)
+        certify_absorption(net, h)
 
 
 def test_certificate_with_wide_denominators(caplog):
@@ -662,7 +662,7 @@ def test_certificate_with_wide_denominators(caplog):
     assert "absorption certificate: 32 states, H=5, dtype=int32" in caplog.text
     h[7] = Fraction(3, 5) + Fraction(1, 10 ** 12)
     with pytest.raises(ArithmeticError):
-        voter.certify_absorption(net, h)
+        certify_absorption(net, h)
 
 
 def test_exact_absorption_rejects_float_weights():

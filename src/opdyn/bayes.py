@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness_util import debug, int_dtype, scaled
+from .harness_util import debug, int_dtype, scaled, unscaled
 from .network import Network, _integer_view, ball
 from .signals import FiniteModel, JointTable, bernoulli_cube
 
@@ -88,10 +88,8 @@ class ProfileSpace:
         a = self.atoms
         profiles = list(zip(*(map(a.letters.__getitem__, row) for row in a.sig.tolist())))
         profiles = profiles or [()] * a.sig.shape[1]          # n = 0: every profile is ()
-        ws = a.weights.tolist()
-        weight = {w: Fraction(w, a.scale) for w in set(ws)}
         return tuple(zip(a.states.tolist(), map(profiles.__getitem__, a.profile_of.tolist()),
-                         map(weight.__getitem__, ws)))
+                         unscaled(a.scale, a.weights.tolist())))
 
     @property
     def m(self):

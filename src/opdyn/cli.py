@@ -19,7 +19,7 @@ import numpy as np
 from . import bayes, cascade, degroot, majority, voter
 from .harness import experiment_names, registry, run_experiment
 from .harness_util import wilson_interval
-from .network import generate, read_network, stationary_distribution, validate
+from .network import generate, read_network, stationary_distribution
 from .signals import FiniteModel, GaussianLLR, bernoulli_delta, check_delta, read_signal_model, trial_rng
 
 

@@ -214,34 +214,6 @@ def convergence_round(net: Network, tv_threshold=1e-9, cap=100000):
 
 # -- cheaters ----------------------------------------------------------------
 
-def run_with_cheaters(net: Network, signals, cheaters: dict, horizon=10000, tol=1e-12):
-    """Iterate averaging with some agents pinned to fixed actions.
-
-    Returns the action vector once successive rounds differ by at most tol
-    (floats) or the horizon ends. Cheater coordinates never move.
-    """
-    if not cheaters:
-        raise ValueError("no cheaters given; use run()")
-    if len(cheaters) >= net.n:
-        raise ValueError("at least one honest agent required")
-    for c, v in cheaters.items():
-        if not 0 <= float(v) <= 1:
-            raise ValueError(f"cheater value {v} outside [0, 1]")
-    x = [float(cheaters.get(i, signals[i])) for i in range(net.n)]
-    P = net.weight_matrix()
-    x = np.array(x)
-    fixed = np.array([i in cheaters for i in range(net.n)])
-    vals = np.array([float(cheaters.get(i, 0.0)) for i in range(net.n)])
-    for _ in range(horizon):
-        nxt = P @ x
-        nxt[fixed] = vals[fixed]
-        if np.max(np.abs(nxt - x)) <= tol:
-            x = nxt
-            break
-        x = nxt
-    return tuple(x)
-
-
 def cheater_limit_exact(net: Network, cheaters: dict):
     """Independent oracle: honest limits via absorbing-chain hitting probabilities.
 

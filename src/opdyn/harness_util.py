@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -18,6 +19,15 @@ def scaled(values):
     values = list(values)
     D = math.lcm(*(v.denominator for v in values))
     return D, [v.numerator * (D // v.denominator) for v in values]
+
+
+def unscaled(D, ints):
+    """The inverse of scaled: [Fraction(x, D) for x in ints], one Fraction per distinct value.
+
+    ints is a sequence of Python integers; equal values share one Fraction.
+    """
+    value = {x: Fraction(x, D) for x in set(ints)}
+    return list(map(value.__getitem__, ints))
 
 
 def int_dtype(bound):

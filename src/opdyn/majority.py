@@ -13,7 +13,6 @@ profiles) and the influence / Russo machinery for monotone boolean functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -125,28 +124,6 @@ def j_series(net: Network, traj) -> np.ndarray:
     traj = np.asarray(traj)
     s = net.cached(_Neighbourhoods).sums(traj[1:-1])
     return (np.subtract(traj[2:], traj[:-2], dtype=np.int64) * s).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class LimitCycle:
-    config_even: tuple
-    config_odd: tuple
-    entry_time: int
-    period: int
-
-
-def run_to_cycle(net: Network, config) -> LimitCycle:
-    """The cycle of period at most two that the trajectory enters, always within |E| rounds."""
-    edge_count = len(net.undirected_edge_list())
-    traj = trajectory(net, [config], edge_count + 2)[:, 0]
-    repeats = (traj[2:] == traj[:-2]).all(axis=1)
-    if not repeats.any():
-        raise AssertionError("no period-two cycle within |E| rounds; majority invariant broken")
-    entry = int(repeats.argmax())
-    cur, nxt = (tuple(row.tolist()) for row in traj[entry:entry + 2])
-    even, odd = (cur, nxt) if entry % 2 == 0 else (nxt, cur)
-    return LimitCycle(config_even=even, config_odd=odd,
-                      entry_time=entry, period=1 if nxt == cur else 2)
 
 
 # -- retention of information ------------------------------------------------

@@ -16,11 +16,11 @@ import random as _random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .harness_util import debug, int_dtype, scaled
+from .harness_util import debug, int_dtype, scaled, unscaled
 
 ROW_SUM_TOL = 1e-12
 
@@ -360,25 +360,61 @@ def rationalize(x) -> Fraction:
     return Fraction(float(x)).limit_denominator(REBUILD_MAX_DEN)
 
 
-def _integer_rows(A, b):
-    """Each equation A[r] x = b[r] as integers: [A[r] | b[r]] times the lcm of its denominators."""
-    return [scaled([*row, rhs])[1] for row, rhs in zip(A, b)]
+def _solve_integer(M):
+    """(Q, N, branch): the exact solution x = N / Q of the integer system M = [A | b], and how it was found.
+
+    M is an n x (n + 1) int64 array, or an object array of Python integers
+    once an entry reaches 2^63, and A must be nonsingular. One float solve
+    gives a guess. Each distinct value of the guess is rebuilt with
+    `rationalize`, and the lcm Q of their denominators is one shared
+    denominator: N = round(guess Q), tried while guess Q stays below 2^53, so
+    that N fits int64 wherever the solution lies. Failing that, every entry
+    is rebuilt on its own; failing that too, fraction-free (Bareiss)
+    elimination solves M. _proves checks every answer, A N = b Q in integers,
+    which is a proof because the solution is unique. N is a list of Python
+    integers. Raises ValueError on a singular A.
+    """
+    n = len(M)
+    try:
+        guess = np.linalg.solve(M[:, :n].astype(float), M[:, n].astype(float))
+    except (np.linalg.LinAlgError, OverflowError):        # singular, or an entry beyond float range
+        guess = None
+    if guess is not None and np.isfinite(guess).all():
+        distinct = dict(zip(guess.round(12).tolist(), guess.tolist())).values()
+        Q = lcm(*(rationalize(v).denominator for v in distinct))
+        if Q < 2 ** 53 and Q * np.abs(guess).max(initial=1.0) < 2 ** 53:
+            N = np.rint(guess * Q).astype(np.int64).tolist()
+            if _proves(M, Q, N):
+                return Q, N, f"certified float rebuild, one shared denominator {Q}"
+        Q, N = scaled(rationalize(v) for v in guess)
+        if _proves(M, Q, N):
+            return Q, N, "certified float rebuild, per entry"
+    Q, N = _bareiss(M.tolist())
+    if not _proves(M, Q, N):
+        raise ArithmeticError("Bareiss elimination returned a non-solution")
+    return Q, N, "Bareiss fallback"
 
 
-def _satisfies(rows, x):
-    """True iff x solves every integer equation in rows exactly."""
-    den, xs = scaled(x)
-    return all(sum(c * v for c, v in zip(row, xs) if c) == row[-1] * den for row in rows)
+def _proves(M, Q, N):
+    """True iff x = N / Q solves M = [A | b] exactly: A N = b Q, checked in integers.
+
+    Every product and partial sum is at most max|M| (n max|N| + Q) in absolute
+    value, so the check runs in int64 below 2^63 and in Python integers beyond.
+    """
+    n = len(M)
+    bound = max(1, int(np.abs(M).max(initial=0))) * (n * max(map(abs, N), default=0) + Q)
+    dtype = int_dtype(bound)
+    M = M.astype(dtype)
+    return bool((M[:, :n] @ np.array(N, dtype=dtype) == M[:, n] * Q).all())
 
 
-def _bareiss(rows):
-    """Fraction-free Gauss-Jordan elimination on integer rows [A | b]; exact x.
+def _bareiss(M):
+    """Fraction-free Gauss-Jordan elimination on the integer rows M = [A | b], in place: (Q, N) with x = N / Q.
 
     Every division by the previous pivot is exact, and at the end every
-    diagonal entry equals the last pivot (det(A) up to sign), so
-    x_i = M[i][n] / M[i][i].
+    diagonal entry equals the last pivot (det(A) up to sign), so x_i =
+    M[i][n] / M[i][i]; Q > 0, and N / Q is in lowest terms as a whole.
     """
-    M = [row[:] for row in rows]
     n = len(M)
     prev = 1
     for k in range(n):
@@ -393,36 +429,27 @@ def _bareiss(rows):
                 f = M[i][k]
                 M[i] = [(p * x - f * y) // prev for x, y in zip(M[i], top)]
         prev = p
-    return [Fraction(M[i][n], M[i][i]) for i in range(n)]
+    sign = 1 if prev > 0 else -1
+    g = gcd(prev, *(row[n] for row in M)) * sign
+    return prev // g, [row[n] // g for row in M]
 
 
 def solve_exact(A, b):
-    """The exact rational solution of A x = b for a nonsingular square A.
+    """The exact rational solution of A x = b for a nonsingular square A, as a list of Fractions.
 
-    A is a list of rows and b a list; entries are Fractions or ints. Solves
-    in floats, rebuilds every entry with `rationalize`, and checks A x = b in
-    integer arithmetic. The check proves the answer only because the solution
-    is unique, so a caller must pass a nonsingular A and say why it is. When
-    the rebuilt answer fails the check, fraction-free (Bareiss) integer
-    elimination computes it. Raises ValueError on a singular system.
+    A is a list of rows and b a list; entries are Fractions or ints. Each
+    equation A[r] x = b[r] is scaled to integers by the lcm of its
+    denominators, and _solve_integer solves the integer system. Its check
+    proves the answer only because the solution is unique, so a caller must
+    pass a nonsingular A and say why it is. Raises ValueError on a singular
+    system.
     """
     n = len(A)
-    rows = _integer_rows(A, b)
-    try:
-        xf = np.linalg.solve(np.array([[float(v) for v in row] for row in A]),
-                             np.array([float(v) for v in b]))
-    except np.linalg.LinAlgError:
-        xf = None
-    if xf is not None and np.isfinite(xf).all():
-        x = [rationalize(v) for v in xf]
-        if _satisfies(rows, x):
-            debug("exact solve n=%d: certified float rebuild", n)
-            return x
-    debug("exact solve n=%d: Bareiss fallback", n)
-    x = _bareiss(rows)
-    if not _satisfies(rows, x):
-        raise ArithmeticError("Bareiss elimination returned a non-solution")
-    return x
+    rows = [scaled([*row, rhs])[1] for row, rhs in zip(A, b)]
+    bound = max((abs(v) for row in rows for v in row), default=0)
+    Q, N, branch = _solve_integer(np.array(rows, dtype=int_dtype(bound)).reshape(n, n + 1))
+    debug("exact solve n=%d: %s", n, branch)
+    return unscaled(Q, N)
 
 
 def require_rational(net: Network, purpose):
@@ -489,85 +516,28 @@ def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
 def _exact_stationary(view: IntegerView):
     """The exact stationary distribution of a validated rational network, as a tuple of Fractions.
 
-    A float solve of the system, built with numpy from the view, gives a
-    guess. Each distinct value of the guess is rebuilt with `rationalize`,
-    and the lcm Q of their denominators is one shared denominator: alpha =
-    round(guess Q) / Q. Failing that, every entry is rebuilt on its own;
-    failing that too, fraction-free (Bareiss) elimination solves the integer
-    system for y = alpha / D (_stationary_rows). Every answer is proved by
-    _is_stationary, exactly and in integers.
+    Agent c's balance, sum_r alpha_r C[r, c] / D_r = alpha_c, goes over L_c,
+    the lcm of the row denominators of the agents r that reach c (c among
+    them, by its self-loop): sum_r C[r, c] (L_c / D_r) alpha_r - L_c alpha_c
+    = 0. The last balance gives way to sum(alpha) = 1, and _solve_integer
+    solves the system. Every entry is at most lcm(D), so the system is int64
+    while that lcm is below 2^63.
     """
     n = len(view.D)
-    A = np.zeros((n, n))
-    A[view.J, view.rows] = view.W         # A[c, r] = P[r, c] - [r == c]: the balance of agent c
-    A.flat[::n + 1] -= 1.0
-    A[n - 1] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    try:
-        guess = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        guess = None
-    branch = None
-    if guess is not None and np.isfinite(guess).all():
-        distinct = dict(zip(guess.round(12).tolist(), guess.tolist())).values()
-        Q = lcm(*(rationalize(v).denominator for v in distinct))
-        if Q < 2 ** 53:
-            N = np.rint(np.clip(guess, 0.0, 1.0) * Q).astype(np.int64).tolist()
-            if _is_stationary(view, Q, N):
-                branch = f"certified float rebuild, one shared denominator {Q}"
-        if branch is None:
-            Q, N = scaled(rationalize(v) for v in guess)
-            if _is_stationary(view, Q, N):
-                branch = "certified float rebuild, per entry"
-    if branch is None:
-        branch = "Bareiss fallback"
-        alpha = [d * y for d, y in zip(view.D.tolist(), _bareiss(_stationary_rows(view)))]
-        if any(a <= 0 for a in alpha):
-            raise ValueError("stationary solve produced a non-positive entry")
-        Q, N = scaled(alpha)
-        if not _is_stationary(view, Q, N):
-            raise ArithmeticError("Bareiss elimination returned a non-solution")
+    dtype = int_dtype(lcm(*view.D.tolist()))
+    D = view.D.astype(dtype)
+    L = np.ones(n, dtype=dtype)
+    np.lcm.at(L, view.J, D[view.rows])
+    M = np.zeros((n, n + 1), dtype=dtype)
+    M[view.J, view.rows] = view.C.astype(dtype) * (L[view.J] // D[view.rows])
+    M[np.arange(n), np.arange(n)] -= L
+    M[n - 1] = 1
+    Q, N, branch = _solve_integer(M)
     debug("stationary: exact solve n=%d: %s (%d edges, max row denominator %d)", n, branch, len(view.J),
           int(view.D.max()))
-    alpha = {x: Fraction(x, Q) for x in set(N)}        # one Fraction per distinct value
-    return tuple(map(alpha.__getitem__, N))
-
-
-def _stationary_rows(view: IntegerView):
-    """The stationary system in integers, for y = alpha / D: rows [A | b] of A y = b.
-
-    Row c < n - 1 is agent c's balance sum_r C[r, c] y_r - D_c y_c = 0,
-    since alpha_r P[r, c] = C[r, c] y_r; the last row is sum_r D_r y_r = 1.
-    """
-    n = len(view.D)
-    D = view.D.tolist()
-    rows = [[0] * (n + 1) for _ in range(n - 1)]
-    for r, c, k in zip(view.rows.tolist(), view.J.tolist(), view.C.tolist()):
-        if c < n - 1:
-            rows[c][r] += k
-    for c in range(n - 1):
-        rows[c][c] -= D[c]
-    return rows + [D + [1]]
-
-
-def _is_stationary(view: IntegerView, Q, N):
-    """True iff alpha = N / Q is positive, sums to 1 and satisfies alpha P = alpha, checked in integers.
-
-    With L the lcm of the row denominators, u_r = N_r L / D_r is an integer
-    and agent c's balance is sum_r C[r, c] u_r = N_c L. Once N > 0 and
-    sum(N) = Q every term and every sum is at most L Q, so the check runs in
-    int64 below 2^63 and in Python integers beyond.
-    """
-    if min(N) <= 0 or sum(N) != Q:
-        return False
-    L = lcm(*view.D.tolist())
-    dtype = int_dtype(L * Q)
-    N = np.array(N, dtype=dtype)
-    u = N * (L // view.D.astype(dtype))
-    flow = np.zeros(len(N), dtype=dtype)
-    np.add.at(flow, view.J, view.C.astype(dtype) * u[view.rows])
-    return bool((flow == N * L).all())
+    if min(N) <= 0:
+        raise ValueError("stationary solve produced a non-positive entry")
+    return tuple(unscaled(Q, N))
 
 
 def mixing_tv(net: Network, start: int, t: int) -> float:

@@ -194,16 +194,6 @@ def private_belief(model, x):
     raise TypeError(f"no private beliefs for {type(model).__name__}")
 
 
-def belief_support(model):
-    """('bounded', lo, hi) with exact alphabet extremes, or ('unbounded',)."""
-    if isinstance(model, FiniteModel):
-        beliefs = [private_belief(model, x) for x in model.alphabet]
-        return ("bounded", min(beliefs), max(beliefs))
-    if isinstance(model, GaussianLLR):
-        return ("unbounded",)
-    raise TypeError(f"no belief support for {type(model).__name__}")
-
-
 # -- distances ---------------------------------------------------------------
 
 def tv_distance(p, q):
@@ -216,41 +206,6 @@ def tv_distance(p, q):
             raise ValueError("supports must match")
         diff = sum(abs(a - b) for a, b in zip(p, q))
     return diff / 2
-
-
-def delta_independence(joint: dict, tol=None):
-    """Distance of a finite joint distribution from the product of its marginals.
-
-    joint maps outcome tuples to weights summing to 1. Returns (within, excess)
-    where excess = dTV(joint, product) and within = (excess <= tol) when a
-    tolerance is given, else None.
-    """
-    total = sum(joint.values())
-    if total != 1 and abs(float(total) - 1.0) > 1e-12:
-        raise ValueError(f"joint weights sum to {total}, not 1")
-    ks = next(iter(joint))
-    k = len(ks)
-    marginals = [{} for _ in range(k)]
-    for outcome, w in joint.items():
-        for i, x in enumerate(outcome):
-            marginals[i][x] = marginals[i].get(x, 0) + w
-    product = {}
-    for outcome in joint:
-        w = 1
-        for i, x in enumerate(outcome):
-            w = w * marginals[i][x]
-        product[outcome] = w
-    # product may put mass outside joint's support
-    support = set(joint)
-    for combo in itertools.product(*[sorted(m, key=repr) for m in marginals]):
-        if combo not in support:
-            w = 1
-            for i, x in enumerate(combo):
-                w = w * marginals[i][x]
-            product[combo] = w
-    excess = tv_distance(joint, product)
-    within = None if tol is None else (excess <= tol)
-    return within, excess
 
 
 # -- file format -------------------------------------------------------------

@@ -24,7 +24,7 @@ from math import prod
 
 import numpy as np
 
-from .harness_util import debug, int_dtype, scaled
+from .harness_util import debug, int_dtype, scaled, unscaled
 from .network import Network, _pairs_connected, require_rational, require_stochastic, stationary_distribution
 from .signals import check_delta
 
@@ -348,18 +348,6 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
 
 # -- exact absorption analysis ----------------------------------------------
 
-def _adopt_probs(net: Network, acts):
-    """q_i = P(agent i's next action is 1 | current actions), exact."""
-    qs = []
-    for i in range(net.n):
-        q = Fraction(0)
-        for j, w in net.out_neighbors(i).items():
-            if acts[j] == 1:
-                q += Fraction(w)
-        qs.append(q)
-    return qs
-
-
 def _state_bits(n):
     """bits[s, j] = action of agent j in state s (states are little-endian bit vectors)."""
     return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
@@ -444,53 +432,7 @@ def absorption_probabilities(net: Network):
     H, A = scaled(stationary_distribution(net).alpha)
     T = (_state_bits(n) @ np.array(A, dtype=int_dtype(H))).tolist()      # entries are at most H
     _certify_table(net, T, H)
-    value = {t: Fraction(t, H) for t in set(T)}       # one Fraction per distinct value
-    return dict(enumerate(map(value.__getitem__, T)))
-
-
-def exact_consensus_probability(net: Network, signals):
-    """Exact rational P(consensus = 1 | signals) from the absorption solve."""
-    h = absorption_probabilities(net)
-    s = sum((1 << i) for i, a in enumerate(signals) if a == 1)
-    return h[s]
-
-
-def one_step_distribution(net: Network, acts):
-    """Exact distribution over next states from the given actions."""
-    qs = _adopt_probs(net, acts)
-    n = net.n
-    out = {}
-    for s2 in range(1 << n):
-        p = Fraction(1)
-        for i in range(n):
-            p *= qs[i] if (s2 >> i) & 1 else 1 - qs[i]
-        if p != 0:
-            out[tuple((s2 >> i) & 1 for i in range(n))] = p
-    return out
-
-
-def martingale_residual(net: Network, acts):
-    """E[X_{t+1} | state] - X_t for X = sum_i |N(i)| A_i, exact closed form.
-
-    Requires uniform weighting w(i, j) = 1/|N(i)| on an undirected network;
-    the residual is then identically zero.
-    """
-    if net.directed:
-        raise ValueError("martingale requires an undirected network")
-    degs = []
-    for i in range(net.n):
-        nb = net.out_neighbors(i)
-        d = len(nb)
-        if any(w != Fraction(1, d) for w in nb.values()):
-            raise ValueError("martingale requires uniform weighting 1/|N(i)|")
-        degs.append(d)
-    x_now = sum(d * a for d, a in zip(degs, (Fraction(a) for a in acts)))
-    x_next = Fraction(0)
-    for i in range(net.n):
-        nb = net.out_neighbors(i)
-        e_i = sum(Fraction(w) * acts[j] for j, w in nb.items())
-        x_next += degs[i] * e_i
-    return x_next - x_now
+    return dict(enumerate(unscaled(H, T)))
 
 
 # -- strong/weak variant -----------------------------------------------------

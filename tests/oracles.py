@@ -3,7 +3,10 @@
 Each one is the straightforward Fraction computation or per-trial loop that a
 kernel in src/opdyn replaced. The differential tests require equal results
 from an oracle on the kernel's own draws, and agreement in distribution from
-a sampler that draws its own.
+a sampler that draws its own. The last section holds the helpers that only
+tests call, such as the float iteration of the cheater limits and the voter
+model's one-step law, and the Hypothesis strategy for random rational digraphs
+sits with the Fraction matrix oracles.
 """
 
 import random
@@ -14,13 +17,15 @@ from math import fsum, sqrt
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
 from opdyn.harness_util import scaled
 from opdyn.network import (ROW_SUM_TOL, Network, from_pairs, rationalize, require_rational, require_stochastic,
-                           solve_exact, stationary_distribution)
-from opdyn.signals import GaussianLLR, bernoulli_cube, check_delta, sample_world, trial_rng
+                           stationary_distribution)
+from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_cube, check_delta, private_belief, sample_world,
+                           trial_rng, tv_distance)
 
 
 def solve_rational(A, b):
@@ -51,17 +56,48 @@ def fraction_weight_matrix(net: Network):
 
 
 def fraction_stationary(net: Network):
-    """The stationary distribution by solve_exact on the Fraction matrix of alpha (P - I) = 0.
+    """The stationary distribution by solve_rational on the Fraction matrix of alpha (P - I) = 0.
 
-    The last balance equation is replaced by sum(alpha) = 1. This is how
-    network.stationary_distribution built its system before it read the
-    network's integer view.
+    The last balance equation is replaced by sum(alpha) = 1. Fraction
+    Gauss-Jordan shares nothing with network.solve_exact, whose integer core
+    also solves the stationary system.
     """
     P = fraction_weight_matrix(net)
     n = net.n
     A = [[P[r][c] - (1 if r == c else 0) for r in range(n)] for c in range(n)]
     A[n - 1] = [Fraction(1)] * n
-    return tuple(solve_exact(A, [Fraction(0)] * (n - 1) + [Fraction(1)]))
+    return tuple(solve_rational(A, [Fraction(0)] * (n - 1) + [Fraction(1)]))
+
+
+def fraction_cheater_limits(net: Network, cheaters):
+    """degroot.cheater_limit_exact by solve_rational on the Fraction hitting systems.
+
+    For each cheater c: h(c) = 1, h(other cheater) = 0 and h(i) = sum_j P[i][j]
+    h(j) at every honest agent i, written as (I - P_HH) h = P_Hc.
+    """
+    P = fraction_weight_matrix(net)
+    honest = [i for i in range(net.n) if i not in cheaters]
+    A = [[(1 if i == j else 0) - P[i][j] for j in honest] for i in honest]
+    out = {i: {} for i in honest}
+    for c in sorted(cheaters):
+        for i, h in zip(honest, solve_rational(A, [P[i][c] for i in honest])):
+            out[i][c] = h
+    return out
+
+
+@st.composite
+def rational_digraphs(draw, max_n=8, min_n=1):
+    """A strongly connected digraph on min_n..max_n agents, a self-loop at each, integer weights 1-5 per row."""
+    n = draw(st.integers(min_n, max_n))
+    ring = draw(st.permutations(range(n)))
+    arcs = {(ring[k], ring[(k + 1) % n]) for k in range(n)} | {(i, i) for i in range(n)}
+    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = []
+    for i in range(n):
+        out = sorted(j for a, j in arcs if a == i)
+        ws = draw(st.lists(st.integers(1, 5), min_size=len(out), max_size=len(out)))
+        edges += [(i, j, Fraction(w, sum(ws))) for j, w in zip(out, ws)]
+    return Network(n=n, edges=tuple(edges))
 
 
 def fraction_violations(net: Network, require_stochastic=False):
@@ -1049,3 +1085,157 @@ def three_draw_run_strong_voter(net: Network, signals, rng, step_cap=None):
     if ones == 0 or ones == n:
         return codes[0] >> 1, t
     raise TimeoutError(f"no opinion consensus within {step_cap} edge updates")
+
+
+# -- helpers that only the tests call ---------------------------------------
+
+def run_with_cheaters(net: Network, signals, cheaters: dict, horizon=10000, tol=1e-12):
+    """DeGroot averaging with some agents pinned to fixed actions, in floats: the float check of the cheater limits.
+
+    Returns the action vector once successive rounds differ by at most tol
+    or the horizon ends. Cheater coordinates never move.
+    """
+    if not cheaters:
+        raise ValueError("no cheaters given; use run()")
+    if len(cheaters) >= net.n:
+        raise ValueError("at least one honest agent required")
+    for c, v in cheaters.items():
+        if not 0 <= float(v) <= 1:
+            raise ValueError(f"cheater value {v} outside [0, 1]")
+    x = [float(cheaters.get(i, signals[i])) for i in range(net.n)]
+    P = net.weight_matrix()
+    x = np.array(x)
+    fixed = np.array([i in cheaters for i in range(net.n)])
+    vals = np.array([float(cheaters.get(i, 0.0)) for i in range(net.n)])
+    for _ in range(horizon):
+        nxt = P @ x
+        nxt[fixed] = vals[fixed]
+        if np.max(np.abs(nxt - x)) <= tol:
+            x = nxt
+            break
+        x = nxt
+    return tuple(x)
+
+
+def _adopt_probs(net: Network, acts):
+    """q_i = P(agent i's next voter action is 1 | current actions), exact."""
+    qs = []
+    for i in range(net.n):
+        q = Fraction(0)
+        for j, w in net.out_neighbors(i).items():
+            if acts[j] == 1:
+                q += Fraction(w)
+        qs.append(q)
+    return qs
+
+
+def one_step_distribution(net: Network, acts):
+    """Exact distribution over the voter model's next states from the given actions."""
+    qs = _adopt_probs(net, acts)
+    n = net.n
+    out = {}
+    for s2 in range(1 << n):
+        p = Fraction(1)
+        for i in range(n):
+            p *= qs[i] if (s2 >> i) & 1 else 1 - qs[i]
+        if p != 0:
+            out[tuple((s2 >> i) & 1 for i in range(n))] = p
+    return out
+
+
+def exact_consensus_probability(net: Network, signals):
+    """Exact rational P(voter consensus = 1 | signals), read from voter.absorption_probabilities."""
+    h = voter.absorption_probabilities(net)
+    s = sum((1 << i) for i, a in enumerate(signals) if a == 1)
+    return h[s]
+
+
+def martingale_residual(net: Network, acts):
+    """E[X_{t+1} | state] - X_t for X = sum_i |N(i)| A_i in the voter model, exact closed form.
+
+    Requires uniform weighting w(i, j) = 1/|N(i)| on an undirected network;
+    the residual is then identically zero.
+    """
+    if net.directed:
+        raise ValueError("martingale requires an undirected network")
+    degs = []
+    for i in range(net.n):
+        nb = net.out_neighbors(i)
+        d = len(nb)
+        if any(w != Fraction(1, d) for w in nb.values()):
+            raise ValueError("martingale requires uniform weighting 1/|N(i)|")
+        degs.append(d)
+    x_now = sum(d * a for d, a in zip(degs, (Fraction(a) for a in acts)))
+    x_next = Fraction(0)
+    for i in range(net.n):
+        nb = net.out_neighbors(i)
+        e_i = sum(Fraction(w) * acts[j] for j, w in nb.items())
+        x_next += degs[i] * e_i
+    return x_next - x_now
+
+
+@dataclass(frozen=True)
+class LimitCycle:
+    config_even: tuple
+    config_odd: tuple
+    entry_time: int
+    period: int
+
+
+def run_to_cycle(net: Network, config) -> LimitCycle:
+    """The majority-dynamics cycle of period at most two that the trajectory enters, always within |E| rounds."""
+    edge_count = len(net.undirected_edge_list())
+    traj = majority.trajectory(net, [config], edge_count + 2)[:, 0]
+    repeats = (traj[2:] == traj[:-2]).all(axis=1)
+    if not repeats.any():
+        raise AssertionError("no period-two cycle within |E| rounds; majority invariant broken")
+    entry = int(repeats.argmax())
+    cur, nxt = (tuple(row.tolist()) for row in traj[entry:entry + 2])
+    even, odd = (cur, nxt) if entry % 2 == 0 else (nxt, cur)
+    return LimitCycle(config_even=even, config_odd=odd,
+                      entry_time=entry, period=1 if nxt == cur else 2)
+
+
+def belief_support(model):
+    """('bounded', lo, hi) with exact alphabet extremes of the private beliefs, or ('unbounded',)."""
+    if isinstance(model, FiniteModel):
+        beliefs = [private_belief(model, x) for x in model.alphabet]
+        return ("bounded", min(beliefs), max(beliefs))
+    if isinstance(model, GaussianLLR):
+        return ("unbounded",)
+    raise TypeError(f"no belief support for {type(model).__name__}")
+
+
+def delta_independence(joint: dict, tol=None):
+    """Distance of a finite joint distribution from the product of its marginals.
+
+    joint maps outcome tuples to weights summing to 1. Returns (within, excess)
+    where excess = dTV(joint, product) and within = (excess <= tol) when a
+    tolerance is given, else None.
+    """
+    total = sum(joint.values())
+    if total != 1 and abs(float(total) - 1.0) > 1e-12:
+        raise ValueError(f"joint weights sum to {total}, not 1")
+    ks = next(iter(joint))
+    k = len(ks)
+    marginals = [{} for _ in range(k)]
+    for outcome, w in joint.items():
+        for i, x in enumerate(outcome):
+            marginals[i][x] = marginals[i].get(x, 0) + w
+    product_ = {}
+    for outcome in joint:
+        w = 1
+        for i, x in enumerate(outcome):
+            w = w * marginals[i][x]
+        product_[outcome] = w
+    # the product may put mass outside joint's support
+    support = set(joint)
+    for combo in product(*[sorted(m, key=repr) for m in marginals]):
+        if combo not in support:
+            w = 1
+            for i, x in enumerate(combo):
+                w = w * marginals[i][x]
+            product_[combo] = w
+    excess = tv_distance(joint, product_)
+    within = None if tol is None else (excess <= tol)
+    return within, excess

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import degroot
 from opdyn.network import Network, from_pairs, generate, mixing_tv, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (enumerate_p_w, float_net, per_trial_learning_probability, scalar_learning_probability,
-                     weighted_net)
+from oracles import (enumerate_p_w, float_net, fraction_cheater_limits, per_trial_learning_probability,
+                     rational_digraphs, run_with_cheaters, scalar_learning_probability, weighted_net)
 
 
 def test_step_path3_oracle():
@@ -84,23 +84,48 @@ def test_convergence_round_is_tight():
 
 
 def test_cheater_pulls_limit():
+    # a lone cheater absorbs every honest walk, so every honest limit is its value
     net = generate("cycle", 5)
     psi = (0, 0, 0, 0, 0)
-    out = degroot.run_with_cheaters(net, psi, {0: 1}, horizon=20000)
+    out = run_with_cheaters(net, psi, {0: 1}, horizon=20000)
     assert all(abs(x - 1.0) < 1e-9 for x in out)
+    assert degroot.cheater_limit_exact(net, {0: 1}) == {i: {0: Fraction(1)} for i in range(1, 5)}
 
 
 def test_cheater_exact_oracle_matches_iteration():
     net = generate("chain", 4)
     cheaters = {0: Fraction(1), 3: Fraction(0)}
     h = degroot.cheater_limit_exact(net, cheaters)
-    out = degroot.run_with_cheaters(net, (0, 0, 0, 0), cheaters, horizon=200000, tol=1e-14)
+    out = run_with_cheaters(net, (0, 0, 0, 0), cheaters, horizon=200000, tol=1e-14)
     for i in (1, 2):
         target = sum(Fraction(v) * h[i][c] for c, v in cheaters.items())
         assert abs(out[i] - float(target)) < 1e-9
     # hitting probabilities from each honest vertex sum to one
     for i in (1, 2):
         assert sum(h[i].values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), net=rational_digraphs(min_n=2))
+def test_cheater_limits_match_fraction_hitting_oracle(data, net):
+    cheaters = data.draw(st.sets(st.integers(0, net.n - 1), min_size=1, max_size=min(3, net.n - 1)))
+    assert degroot.cheater_limit_exact(net, dict.fromkeys(cheaters, 1)) == fraction_cheater_limits(net, cheaters)
+
+
+def test_cheater_limits_bareiss_branch(caplog):
+    # honest agents 1 and 2 between the cheaters 0 and 3 step out with
+    # probabilities 1/999983 and 1/1000003: the hitting probabilities have the
+    # denominator 1999984, above the rebuild bound, so elimination solves them
+    p, q = 999983, 1000003
+    net = Network(n=4, edges=((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)),
+                              (1, 0, Fraction(1, p)), (1, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2) - Fraction(1, p)),
+                              (2, 1, Fraction(1, 2) - Fraction(1, q)), (2, 2, Fraction(1, 2)), (2, 3, Fraction(1, q)),
+                              (3, 2, Fraction(1, 2)), (3, 3, Fraction(1, 2))))
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        h = degroot.cheater_limit_exact(net, {0: 1, 3: 0})
+    assert h == fraction_cheater_limits(net, {0, 3})
+    assert h[1][0] == Fraction(1000003, 1999984)
+    assert caplog.text.count("exact solve n=2: Bareiss fallback") == 2
 
 
 @settings(max_examples=15, deadline=None)

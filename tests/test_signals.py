@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta, check_delta,
-                           belief_support, delta_independence,
                            map_accuracy_three_bits, private_belief,
                            read_signal_model, sample_world, three_bit_epsilon,
                            trial_rng, tv_distance, write_signal_model, xor_pair)
-from oracles import fraction_map_accuracy_three_bits
+from oracles import belief_support, delta_independence, fraction_map_accuracy_three_bits
 
 
 def test_bernoulli_model_exact():

@@ -9,23 +9,26 @@ from hypothesis import assume, given, settings, strategies as st
 from opdyn import voter
 from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (FixedDraws, StrongVoterState, absorption_drift, certify_absorption, float_net,
-                     float_solve_absorption, fraction_bernoulli_words, initial_strong_state, per_update_strong_walk,
-                     product_mc_consensus, searchsorted_mc_consensus, stagewise_mc_consensus, strong_voter_step,
-                     three_draw_run_strong_voter, weighted_net)
+from oracles import (FixedDraws, StrongVoterState, absorption_drift, certify_absorption, exact_consensus_probability,
+                     float_net, float_solve_absorption, fraction_bernoulli_words, initial_strong_state,
+                     martingale_residual, one_step_distribution, per_update_strong_walk, product_mc_consensus,
+                     searchsorted_mc_consensus, stagewise_mc_consensus, strong_voter_step, three_draw_run_strong_voter,
+                     weighted_net)
 
 
 def test_two_node_one_step_distribution():
     net = generate("chain", 2)
-    dist = voter.one_step_distribution(net, (0, 1))
+    dist = one_step_distribution(net, (0, 1))
     assert dist == {(0, 0): Fraction(1, 4), (0, 1): Fraction(1, 4),
                     (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4)}
 
 
 def test_unanimity_absorbs():
     net = generate("cycle", 4)
-    dist = voter.one_step_distribution(net, (1, 1, 1, 1))
+    dist = one_step_distribution(net, (1, 1, 1, 1))
     assert dist == {(1, 1, 1, 1): Fraction(1)}
+    h = voter.absorption_probabilities(net)
+    assert h[0b1111] == 1 and h[0] == 0
 
 
 def test_absorption_equals_alpha_mass_path3():
@@ -42,15 +45,19 @@ def test_exact_consensus_probability():
     net = generate("cycle", 5)
     alpha = stationary_distribution(net).alpha
     signals = (1, 0, 1, 1, 0)
-    assert voter.exact_consensus_probability(net, signals) == \
+    assert exact_consensus_probability(net, signals) == \
         sum(a for a, s in zip(alpha, signals) if s == 1)
 
 
 def test_martingale_residual_zero():
+    # X = sum_i |N(i)| A_i is a martingale, so the absorption kernel reads X / sum_i |N(i)|
     net = generate("star", 4)
+    h = voter.absorption_probabilities(net)
+    degs = [len(net.out_neighbors(i)) for i in range(4)]
     for bits in range(16):
         acts = tuple((bits >> i) & 1 for i in range(4))
-        assert voter.martingale_residual(net, acts) == 0
+        assert martingale_residual(net, acts) == 0
+        assert h[bits] == Fraction(sum(d * a for d, a in zip(degs, acts)), sum(degs))
 
 
 def test_mc_consensus_unanimous_start():
@@ -585,7 +592,7 @@ def test_absorption_certificate_holds(bits):
     net = generate("cycle", 5)
     h = voter.absorption_probabilities(net)
     acts = tuple((bits >> i) & 1 for i in range(5))
-    dist = voter.one_step_distribution(net, acts)
+    dist = one_step_distribution(net, acts)
     s = sum((1 << i) for i, a in enumerate(acts) if a)
     expected = sum(p * h[sum((1 << i) for i, a in enumerate(nxt) if a)]
                    for nxt, p in dist.items())

@@ -29,7 +29,7 @@ import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
 from .network import Network, _integer_view, ball
-from .signals import FiniteModel, JointTable, bernoulli_cube
+from .signals import FiniteModel, JointTable, bernoulli_cube, cube
 
 PROFILE_SPACE_CAP = 10 ** 6
 # a packed refinement key stays below this bound, so it fits in int64
@@ -122,25 +122,23 @@ def _atoms_from_entries(n, entries) -> Atoms:
     return Atoms(states.astype(np.int8), profile_of, weights, scale, sig.reshape(n, len(profiles)), letters)
 
 
-def build_profile_space(model, n, joint_table=None) -> ProfileSpace:
+def build_profile_space(model, n) -> ProfileSpace:
     """The measure 1/2 d0 x mu0^n + 1/2 d1 x mu1^n (or a joint table) as a ProfileSpace.
 
-    A finite model's space is built as Atoms. With q the lcm of the
-    denominators of mu0 and mu1, an atom weighs (1/2) prod_k mu[k] =
-    prod_k (mu[k] q) / (2 q^n); its numerator is built one letter at a time,
-    in product() order, the atoms of S = 0 first. Profile p is the p-th of
+    A finite model's space is built as Atoms. Profile p is the p-th of
     product(alphabet, repeat=n), so agent i's letter id is digit i of p in
-    base |alphabet|, most significant first. The mu[k] q of both measures
-    have gcd 1, so the numerators do too, and the scale 2 q^n is the lcm of
-    the weights' reduced denominators. A joint table's entries are converted
-    on first use.
+    base |alphabet|, most significant first: row p of signals.cube(n, a)
+    read backwards. With q the lcm of the denominators of mu0 and mu1, an
+    atom weighs (1/2) prod_k mu[k] = prod_k (mu[k] q) / (2 q^n); its
+    numerator is built one agent at a time, the atoms of S = 0 first. The
+    mu[k] q of both measures have gcd 1, so the numerators do too, and the
+    scale 2 q^n is the lcm of the weights' reduced denominators. A
+    JointTable's entries are converted on first use.
     """
-    if joint_table is not None:
-        if joint_table.n != n:
-            raise ValueError("joint table size mismatch")
-        return ProfileSpace(n=n, entries=joint_table.entries)
     if isinstance(model, JointTable):
-        return build_profile_space(None, n, joint_table=model)
+        if model.n != n:
+            raise ValueError("joint table size mismatch")
+        return ProfileSpace(n=n, entries=model.entries)
     if not isinstance(model, FiniteModel):
         raise TypeError("profile spaces need a finite signal model")
     a = len(model.alphabet)
@@ -149,16 +147,13 @@ def build_profile_space(model, n, joint_table=None) -> ProfileSpace:
     q, mu = scaled(model.mu0 + model.mu1)
     M, scale = a ** n, 2 * q ** n
     dtype = int_dtype(2 * scale)
-    levels = []
-    for m in (mu[:a], mu[a:]):
-        level = np.ones(1, dtype=dtype)
-        for _ in range(n):
-            level = np.multiply.outer(level, np.array(m, dtype=dtype)).ravel()
-        levels.append(level)
-    weights = np.concatenate(levels)
+    sig = cube(n, a).T[::-1]
+    per_state = np.array(mu, dtype=dtype).reshape(2, a)        # mu0 q, then mu1 q
+    weights = np.ones(2 * M, dtype=dtype)
+    for letters in sig:
+        weights *= per_state[:, letters].ravel()
     if weights.sum() != scale:
         raise AssertionError("profile weights must sum to 1")
-    sig = np.arange(M) // a ** np.arange(n - 1, -1, -1)[:, None] % a
     atoms = Atoms(np.repeat(np.array([0, 1], dtype=np.int8), M), np.tile(np.arange(M), 2), weights, scale,
                   sig, list(model.alphabet))
     space = ProfileSpace(n=n, atoms=atoms)

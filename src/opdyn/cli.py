@@ -41,13 +41,16 @@ def _load_graph(spec):
 
 def _load_signal(spec):
     kind, _, rest = spec.partition(":")
-    if kind == "bernoulli":
-        return bernoulli_delta(Fraction(rest))
-    if kind == "gaussian":
-        return GaussianLLR(sigma2=float(Fraction(rest)))
-    if kind == "file":
+    if kind not in ("bernoulli", "gaussian", "file"):
+        raise ValueError(f"unknown signal spec {spec!r} (bernoulli:<d> | gaussian:<s2> | file:<path>)")
+    try:
+        if kind == "bernoulli":
+            return bernoulli_delta(Fraction(rest))
+        if kind == "gaussian":
+            return GaussianLLR(sigma2=float(Fraction(rest)))
         return read_signal_model(rest)
-    raise ValueError(f"unknown signal spec {spec!r} (bernoulli:<d> | gaussian:<s2> | file:<path>)")
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        raise ValueError(f"bad signal spec {spec!r}: {exc}") from exc
 
 
 def _emit(record, out):
@@ -57,14 +60,6 @@ def _emit(record, out):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _parse_cheaters(specs):
-    out = {}
-    for item in specs or []:
-        i, _, v = item.partition("=")
-        out[int(i)] = Fraction(v)
-    return out
 
 
 def _refuse(args, flags, reason):
@@ -81,19 +76,19 @@ def _trials_seed(args):
 
 def _cmd_degroot(args):
     net = _load_graph(args.graph)
-    cheaters = _parse_cheaters(args.cheater)
+    cheaters = dict(args.cheater or [])
     if cheaters:
         _refuse(args, ("--trials", "--seed", "--delta", "--mode"),
                 "does not apply to --cheater: the limits are exact, read no signal and sample nothing")
         exact = degroot.cheater_limit_exact(net, set(cheaters))
         limits = {i: str(cheaters[i]) if i in cheaters
-                  else str(sum(Fraction(v) * exact[i][c] for c, v in cheaters.items()))
+                  else str(sum(v * exact[i][c] for c, v in cheaters.items()))
                   for i in range(net.n)}
         _emit({"experiment": "degroot-cheaters", "graph": args.graph,
                "cheaters": {str(i): str(v) for i, v in cheaters.items()},
                "limits_exact": limits}, args.out)
         return 0
-    delta = Fraction("1/10" if args.delta is None else args.delta)
+    delta = Fraction(1, 10) if args.delta is None else args.delta
     if args.mode != "mc":
         _refuse(args, ("--trials", "--seed"), "applies to --mode mc only: the exact DP samples nothing")
         est = degroot.learning_probability(net, delta, mode="exact")
@@ -123,7 +118,7 @@ def _cmd_voter(args):
                "alpha": [str(a) for a in alpha],
                "p_consensus_one_by_state": table}, args.out)
         return 0
-    delta = Fraction("1/10" if args.delta is None else args.delta)
+    delta = Fraction(1, 10) if args.delta is None else args.delta
     trials, seed = _trials_seed(args)
     out = voter.mc_consensus(net, delta, trials, seed=seed)
     lo, hi = wilson_interval(out["matches"], out["trials"])
@@ -157,7 +152,7 @@ def _cmd_voter_strong(args):
 
 def _cmd_majority(args):
     net = _load_graph(args.graph)
-    delta = Fraction(args.delta)
+    delta = args.delta
     record = {"experiment": "majority-retention", "graph": args.graph,
               "delta": str(delta), "mode": args.mode}
     trials, seed = _trials_seed(args)
@@ -309,11 +304,28 @@ def _cmd_accept(args):
 
 
 def _positive_int(text):
-    """argparse type of every --trials and of cascade's --n: an integer of at least 1."""
+    """argparse type of every --trials, of cascade's --n and of bayes's --horizon: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _fraction(text):
+    """argparse type of every --delta: an exact rational such as 1/10, 0.1 or 0."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational such as 1/10, got {text!r}") from None
+
+
+def _cheater(text):
+    """argparse type of --cheater: i=v, an agent i and the rational value v it holds."""
+    i, _, v = text.partition("=")
+    try:
+        return int(i), Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected i=v with an agent i and a rational v, got {text!r}") from None
 
 
 def _non_negative_int(text):
@@ -338,16 +350,17 @@ def build_parser():
 
     p = sub.add_parser("degroot", help="repeated weighted averaging")
     p.add_argument("--graph", required=True, help="graph file or shorthand kind:n[:d[:seed]]")
-    p.add_argument("--delta", help="signal quality P(signal=S) - 1/2 (default 1/10)")
+    p.add_argument("--delta", type=_fraction, help="signal quality P(signal=S) - 1/2 (default 1/10)")
     p.add_argument("--mode", choices=["exact", "mc"], help="exact (default): knapsack DP; mc: sampled")
-    p.add_argument("--cheater", action="append", metavar="i=v",
+    p.add_argument("--cheater", action="append", type=_cheater, metavar="i=v",
                    help="pin agent i to value v (repeatable); reports exact limits")
     _add_common(p)
     p.set_defaults(fn=_cmd_degroot)
 
     p = sub.add_parser("voter", help="neighbor-copying dynamics")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", help="signal quality P(signal=S) - 1/2, Monte Carlo only (default 1/10)")
+    p.add_argument("--delta", type=_fraction,
+                   help="signal quality P(signal=S) - 1/2, Monte Carlo only (default 1/10)")
     p.add_argument("--mode", choices=["exact", "mc"], default="mc",
                    help="exact: certified absorption table over every start state")
     _add_common(p)
@@ -355,13 +368,13 @@ def build_parser():
 
     p = sub.add_parser("voter-strong", help="two-bit strong/weak voter variant")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", default="1/10")
+    p.add_argument("--delta", type=_fraction, default="1/10")
     _add_common(p)
     p.set_defaults(fn=_cmd_voter_strong)
 
     p = sub.add_parser("majority", help="iterated closed-neighborhood majority")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta", default="3/10")
+    p.add_argument("--delta", type=_fraction, default="3/10")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--emit-lyapunov", action="store_true",
                    help="include an L/J trajectory from a seeded random start")
@@ -374,7 +387,7 @@ def build_parser():
     p.add_argument("--utility", choices=["discrete", "continuous"], help="default discrete")
     p.add_argument("--tie", choices=["one", "own"],
                    help="indifference rule: always 1 (default), or repeat the own signal")
-    p.add_argument("--horizon", type=int, help="rounds to run (default: enough to stabilize)")
+    p.add_argument("--horizon", type=_positive_int, help="rounds to run (default: enough to stabilize)")
     p.add_argument("--scenario", help="senate:<n>,<k> | chain-tie:<n>")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bayes)

@@ -25,6 +25,9 @@ EXACT_DP_MAX_SUPPORT = 2 ** 20
 # rows of a Monte Carlo block hold about this many signal draws
 _MC_BLOCK = 1 << 14
 
+# convergence_round's doubling search gives up past this round
+CONVERGENCE_CAP = 100000
+
 
 @dataclass(frozen=True)
 class DeGrootState:
@@ -182,7 +185,7 @@ def hoeffding_success_bound(alpha, delta):
     return 1.0 - math.exp(-2.0 * float(delta) ** 2 / s2)
 
 
-def convergence_round(net: Network, tv_threshold=1e-9, cap=100000):
+def convergence_round(net: Network, tv_threshold=1e-9):
     """Smallest t with max_i mixing_tv(i, t) <= threshold, by doubling search.
 
     Equivalent to probing mixing_tv from every start, but shares one matrix
@@ -196,12 +199,12 @@ def convergence_round(net: Network, tv_threshold=1e-9, cap=100000):
         return 0.5 * float(np.abs(Pt - alpha[None, :]).sum(axis=1).max())
 
     t = 1
-    while t <= cap:
+    while t <= CONVERGENCE_CAP:
         if worst(t) <= tv_threshold:
             break
         t *= 2
     else:
-        raise RuntimeError("no round reached the mixing threshold within cap")
+        raise RuntimeError(f"no power of two up to {CONVERGENCE_CAP} rounds reached the mixing threshold")
     lo, hi = t // 2, t
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -224,9 +227,12 @@ def cheater_limit_exact(net: Network, cheaters: dict):
     agent i's equation times D_i is sum_{j in H} C[i, j] h_j - D_i h_i =
     -C[i, c]. I - P_HH is nonsingular: on a strongly connected network every
     honest walk reaches a cheater with positive probability, so P_HH^t -> 0
-    and 1 is not an eigenvalue of P_HH. Refuses float weights.
+    and 1 is not an eigenvalue of P_HH. Refuses float weights and non-agents.
     """
     require_rational(net, "exact cheater limits")
+    for c in sorted(cheaters):
+        if not 0 <= c < net.n:
+            raise ValueError(f"cheater {c} is not an agent: the network has agents 0 .. {net.n - 1}")
     view = net.cached(_integer_view)
     cs = sorted(cheaters)
     honest = [i for i in range(net.n) if i not in cheaters]

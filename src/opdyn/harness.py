@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import bayes, cascade, degroot, majority, voter
-from .harness_util import wilson_interval
+from .harness_util import int_dtype, wilson_interval
 from .network import Network, from_pairs, generate, stationary_distribution
-from .signals import (FiniteModel, bernoulli_cube, bernoulli_delta, GaussianLLR, xor_pair, three_bit_epsilon,
+from .signals import (FiniteModel, bernoulli_cube, bernoulli_delta, cube, GaussianLLR, xor_pair, three_bit_epsilon,
                       map_accuracy_three_bits, trial_rng)
 
 SCHEMA_VERSION = 1
@@ -130,11 +130,8 @@ def _exp_voter_identity(cfg):
             net = generate(kind, n)
             alpha = stationary_distribution(net).alpha
             h = voter.absorption_probabilities(net)
-            for s in range(1 << n):
-                bits = [(s >> i) & 1 for i in range(n)]
-                target = sum(a * b for a, b in zip(alpha, bits))
-                if h[s] != target:
-                    ok = False
+            target = (cube(n, 2) @ np.array(alpha, dtype=object)).tolist()      # alpha . s for every state s
+            ok = ok and [h[s] for s in range(1 << n)] == target
     return ({}, {}, {}, {"absorption_equals_alpha_mass": ok})
 
 
@@ -222,33 +219,17 @@ def _exp_majority_period2(cfg):
     return ({}, {}, {}, {key: all(c[key] for c in checks) for key in checks[0]})
 
 
-def _table_to_fn(table, n):
-    def f(x):
-        idx = 0
-        for v in x:
-            idx = idx * 2 + (1 if v == 1 else 0)
-        # all_spin_configs orders (-1, 1) per coordinate, first coordinate slowest
-        return int(table[idx])
-    return f
-
-
 def _exp_majority_russo(cfg):
     """Influence sums vs the quality-derivative, closed form and via dynamics."""
     assertions = {}
     exact = {}
-    three_bit = lambda x: 1 if sum(x) > 0 else -1
-    closed_ok = True
-    for k in range(0, 10):
-        d = Fraction(k, 25)
-        total = sum(majority.influence(three_bit, 3, i, d) for i in range(3))
-        q = Fraction(1, 2) + d
-        if total != 6 * q * (1 - q):
-            closed_ok = False
-    assertions["three_bit_closed_form"] = closed_ok
-    net = generate("cycle", 7)
-    table = majority.signals_to_vote_table(net)
-    f = _table_to_fn(table, 7)
-    res = majority.russo_residual(f, 7, Fraction(1, 10), h=Fraction(1, 10000))
+    three_bit = np.where(majority.all_spin_configs(3).sum(axis=1) > 0, 1, -1)
+    # the summed influences of three-bit majority are 6 q (1 - q), q = 1/2 + d
+    assertions["three_bit_closed_form"] = all(
+        sum(majority.influence(three_bit, i, d) for i in range(3)) == 6 * (Fraction(1, 2) + d) * (Fraction(1, 2) - d)
+        for d in (Fraction(k, 25) for k in range(10)))
+    table = majority.signals_to_vote_table(generate("cycle", 7))
+    res = majority.russo_residual(table, Fraction(1, 10), h=Fraction(1, 10000))
     exact["cycle7_residual"] = _frac(res)
     assertions["cycle7_central_difference"] = res <= Fraction(1, 1000000)
     return ({}, exact, {}, assertions)
@@ -355,19 +336,21 @@ def _exp_bayes_xor(cfg):
 
 
 def _senate_joint_space(n, k, delta):
-    """Each agent's observable as one composite letter (own signal, verdict)."""
-    from itertools import product as iproduct
-    # an atom's weight depends only on how many of its signals equal S
+    """Each agent's observable as one composite letter (own signal, verdict), with id 2 signal + verdict.
+
+    Profile p is row p of signals.cube(n, 2), its verdict the majority of its
+    first k signals. With `ones` signals equal to 1 it weighs hits[ones] with
+    S = 1 and hits[n - ones] with S = 0 (signals.bernoulli_cube), S = 0 first.
+    """
+    bits = cube(n, 2)
+    verdict = bits[:, :k].sum(axis=1) >= (k + 1) // 2
+    ones = bits.sum(axis=1)
     hits, den = bernoulli_cube(delta, n)
-    weight = [Fraction(w, 2 * den) for w in hits]
-    entries = []
-    need = (k + 1) // 2
-    for s in (0, 1):
-        for prof in iproduct((0, 1), repeat=n):
-            ones = sum(prof)
-            verdict = 1 if sum(prof[:k]) >= need else 0
-            entries.append((s, tuple((b, verdict) for b in prof), weight[ones if s else n - ones]))
-    return bayes.ProfileSpace(n=n, entries=tuple(entries))
+    hits = np.array(hits, dtype=int_dtype(4 * den))
+    atoms = bayes.Atoms(np.repeat(np.array([0, 1], dtype=np.int8), len(bits)), np.tile(np.arange(len(bits)), 2),
+                        np.concatenate((hits[n - ones], hits[ones])), 2 * den, (2 * bits + verdict[:, None]).T,
+                        [(0, 0), (0, 1), (1, 0), (1, 1)])
+    return bayes.ProfileSpace(n=n, atoms=atoms)
 
 
 def _exp_senate(cfg):
@@ -385,10 +368,9 @@ def _exp_senate(cfg):
     space = _senate_joint_space(n, k, delta)
     net = Network(n=n, edges=tuple((i, i, Fraction(1)) for i in range(n)), directed=False)
     res = bayes.run_exact(net, space, horizon=2, utility="discrete")
-    follows = all(res.actions[res.rounds - 1][i][e] == prof[i][1]
-                  for e, (_s, prof, _w) in enumerate(space.entries)
-                  for i in range(n))
-    assertions["engine_agrees_n10"] = follows
+    # each atom's last actions against the verdict halves of its letters, whose ids are 2 signal + verdict
+    verdicts = space.atoms.sig[:, space.atoms.profile_of] % 2
+    assertions["engine_agrees_n10"] = bool((np.array(res.actions[res.rounds - 1]) == verdicts).all())
     exact = {"verdict_error": _frac(out10["verdict_error"])}
     return ({}, exact, {}, assertions)
 

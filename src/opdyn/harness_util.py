@@ -38,13 +38,13 @@ def int_dtype(bound):
     return np.int64 if bound < 2 ** 63 else object
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2)
+    z = NormalDist().inv_cdf(0.975)
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -20,10 +20,9 @@ import numpy as np
 
 from .harness_util import debug, int_dtype
 from .network import Network, _integer_view
-from .signals import bernoulli_cube, check_delta
+from .signals import bernoulli_cube, check_delta, cube
 
 EXACT_RETENTION_MAX_N = 23
-EXACT_INFLUENCE_MAX_N = 14
 
 # rows per block in limit_profiles
 _PROFILE_ROWS = 4096
@@ -129,11 +128,12 @@ def j_series(net: Network, traj) -> np.ndarray:
 # -- retention of information ------------------------------------------------
 
 def all_spin_configs(n) -> np.ndarray:
-    """All 2^n +-1 vectors as int8 rows, first coordinate slowest (itertools.product order)."""
-    out = np.empty((1 << n, n), dtype=np.int8)
-    for j in range(n):
-        out[:, j] = np.tile(np.repeat(np.array([-1, 1], dtype=np.int8), 1 << (n - 1 - j)), 1 << j)
-    return out
+    """All 2^n +-1 vectors as int8 rows, first coordinate slowest (itertools.product order).
+
+    The +-1 view of signals.cube(n, 2) with its columns reversed: row r has
+    +1 at coordinate i iff bit n - 1 - i of r is set.
+    """
+    return (2 * cube(n, 2)[:, ::-1] - 1).astype(np.int8)
 
 
 def _even_limit(hood: _Neighbourhoods, cur, pairs):
@@ -183,11 +183,11 @@ def _canonical_weights(net: Network, delta):
     the other way round. Then profile c weighs P[c] with S = +1 and Q[c]
     with S = -1, profile ~c the reverse, all over 2 b^n.
 
-    The 2^(n-1) vectors are built block by block from their index range,
-    agents first: agents 1 .. L vary within a block and the others are
-    constant in it, so no 2^n-row array exists. Each block's profiles are
-    packed by one float64 product with the powers of two (exact, as the
-    sums stay below 2^53). A table over the 2^(n-1) canonical profiles
+    The 2^(n-1) vectors are built block by block from signals.cube:
+    agents 1 .. L vary within a block, as the rows of cube(L, 2), and the
+    others hold one row of cube(n - 1 - L, 2) per block, so no 2^n-row
+    array exists. Each block's profiles are packed by one float64 product
+    with the powers of two (exact, as the sums stay below 2^53). A table over the 2^(n-1) canonical profiles
     gives each pair its slot when first reached, and the pairs' weights are
     pooled per slot with np.add.at, in int64 when b^n < 2^63 (no pair's sum
     exceeds b^n), else in Python integers. Returns (c of every pair
@@ -206,12 +206,12 @@ def _canonical_weights(net: Network, delta):
     L = min(n - 1, _HALF_CUBE_BITS)
     block = np.empty((n, 1 << L), dtype=hood.dtype)
     block[0] = 1
-    block[1:L + 1] = 2 * ((np.arange(1 << L) >> np.arange(L)[:, None]) & 1) - 1
+    block[1:L + 1] = 2 * cube(L, 2).T - 1
     low_plus = 1 + (block[1:L + 1] > 0).sum(axis=0)
     powers = 2.0 ** np.arange(n)
-    blocks = half >> L
-    for b in range(blocks):
-        high = ((b >> np.arange(n - 1 - L)) & 1).astype(hood.dtype)
+    highs = cube(n - 1 - L, 2).astype(hood.dtype)
+    blocks = len(highs)
+    for high in highs:
         block[L + 1:] = 2 * high[:, None] - 1
         limits = _even_limit(hood, block.T, pairs)
         p = ((limits.astype(np.float64) @ powers).astype(np.int64) + full) >> 1     # sum of +-2^j is 2p - full
@@ -311,50 +311,50 @@ def signals_to_vote_table(net: Network) -> np.ndarray:
 
 
 # -- influences and Russo's formula ------------------------------------------
+#
+# A boolean function f of n +-1 coordinates is its truth table: table[r] =
+# f(row r of all_spin_configs(n)), as signals_to_vote_table returns it.
 
-def influence(f, n, i, delta, mode="exact", trials=100000, rng=None):
-    """I_i = P_delta(f flips when bit i flips): the pivotal probability.
-
-    f maps a +-1 tuple to +-1. Exact mode enumerates the 2^n cube (n <= 14)
-    and sums the integer weights of bernoulli_cube.
-    """
-    if mode == "exact":
-        if n > EXACT_INFLUENCE_MAX_N:
-            raise ValueError(f"exact influence capped at n={EXACT_INFLUENCE_MAX_N}")
-        w, den = bernoulli_cube(delta, n)
-        total = 0
-        for x in map(tuple, all_spin_configs(n).tolist()):
-            y = x[:i] + (-x[i],) + x[i + 1:]
-            if f(x) != f(y):
-                total += w[x.count(1)]
-        return Fraction(total, den)
-    if mode == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo mode needs an rng")
-        d = float(delta)
-        hits = 0
-        for _ in range(trials):
-            x = tuple(1 if u < 0.5 + d else -1 for u in rng.random(n))
-            y = x[:i] + (-x[i],) + x[i + 1:]
-            hits += f(x) != f(y)
-        return hits / trials
-    raise ValueError(f"unknown mode {mode!r}")
+def _spin_table(table):
+    """(table, n, plus[r] = the +1 count of row r, the bit count of r); ValueError unless 2^n entries of +-1."""
+    t = np.asarray(table)
+    n = max(t.size, 1).bit_length() - 1
+    if t.ndim != 1 or t.size != 1 << n or not np.isin(t, (-1, 1)).all():
+        raise ValueError(f"a truth table over the cube holds 2^n entries, each +1 or -1; got shape {t.shape}")
+    return t, n, cube(n, 2).sum(axis=1)
 
 
-def success_probability(f, n, delta):
-    """Exact P_delta(f(X) = +1)."""
+def _cube_mass(plus, n, delta):
+    """P_delta of a set of rows given by their counts of +1 coordinates, each +1 w.p. 1/2 + delta."""
     w, den = bernoulli_cube(delta, n)
-    return Fraction(sum(w[x.count(1)] for x in map(tuple, all_spin_configs(n).tolist()) if f(x) == 1), den)
+    return Fraction(sum(c * wk for c, wk in zip(np.bincount(plus, minlength=n + 1).tolist(), w)), den)
 
 
-def russo_residual(f, n, delta, h=Fraction(1, 10000)):
+def influence(table, i, delta):
+    """I_i = P_delta(f flips when coordinate i flips): the pivotal probability, exact.
+
+    Flipping coordinate i of row r gives row r ^ 2^(n - 1 - i); the pivotal rows
+    are counted per number of +1s and weighed with bernoulli_cube's integers.
+    """
+    t, n, plus = _spin_table(table)
+    if not 0 <= i < n:
+        raise ValueError(f"coordinate {i} outside 0 .. {n - 1}")
+    return _cube_mass(plus[t != t[np.arange(t.size) ^ (1 << (n - 1 - i))]], n, delta)
+
+
+def success_probability(table, delta):
+    """Exact P_delta(f(X) = +1)."""
+    t, n, plus = _spin_table(table)
+    return _cube_mass(plus[t == 1], n, delta)
+
+
+def russo_residual(table, delta, h=Fraction(1, 10000)):
     """|central difference of P_delta(f=+1) - sum_i I_i^delta| at the given delta.
 
     Both sides exact rationals; the residual is the finite-difference error
     only, O(h^2) for the polynomial P_delta.
     """
-    delta = Fraction(delta)
-    h = Fraction(h)
-    deriv = (success_probability(f, n, delta + h) - success_probability(f, n, delta - h)) / (2 * h)
-    total_inf = sum(influence(f, n, i, delta) for i in range(n))
+    delta, h = Fraction(delta), Fraction(h)
+    deriv = (success_probability(table, delta + h) - success_probability(table, delta - h)) / (2 * h)
+    total_inf = sum(influence(table, i, delta) for i in range(_spin_table(table)[1]))
     return abs(deriv - total_inf)

@@ -30,8 +30,9 @@ FLOAT_UNIT = 1 << 40
 # generate builds no topology with more agents, or more neighbour pairs, than this
 GENERATE_MAX_SIZE = 10 ** 5
 
-# exact linear solve below this size, power iteration above
+# exact linear solve below this size, power iteration above, kept if max |alpha P - alpha| <= POWER_TOL
 EXACT_SOLVE_MAX_N = 200
+POWER_TOL = 1e-12
 
 # rebuilt rationals have denominators at most this; a float within ~1e-12 of
 # such a rational determines it uniquely
@@ -365,14 +366,13 @@ def _solve_integer(M):
 
     M is an n x (n + 1) int64 array, or an object array of Python integers
     once an entry reaches 2^63, and A must be nonsingular. One float solve
-    gives a guess. Each distinct value of the guess is rebuilt with
-    `rationalize`, and the lcm Q of their denominators is one shared
-    denominator: N = round(guess Q), tried while guess Q stays below 2^53, so
-    that N fits int64 wherever the solution lies. Failing that, every entry
-    is rebuilt on its own; failing that too, fraction-free (Bareiss)
-    elimination solves M. _proves checks every answer, A N = b Q in integers,
-    which is a proof because the solution is unique. N is a list of Python
-    integers. Raises ValueError on a singular A.
+    gives a guess. Each distinct value of the guess (to 12 decimals) is
+    rebuilt with `rationalize`, and harness_util.scaled puts the rebuilt
+    solution over the lcm Q of its denominators, in Python integers.
+    Failing that, fraction-free (Bareiss) elimination solves M. _proves
+    checks every answer, A N = b Q in integers, which is a proof because
+    the solution is unique. N is a list of Python integers. Raises
+    ValueError on a singular A.
     """
     n = len(M)
     try:
@@ -380,15 +380,11 @@ def _solve_integer(M):
     except (np.linalg.LinAlgError, OverflowError):        # singular, or an entry beyond float range
         guess = None
     if guess is not None and np.isfinite(guess).all():
-        distinct = dict(zip(guess.round(12).tolist(), guess.tolist())).values()
-        Q = lcm(*(rationalize(v).denominator for v in distinct))
-        if Q < 2 ** 53 and Q * np.abs(guess).max(initial=1.0) < 2 ** 53:
-            N = np.rint(guess * Q).astype(np.int64).tolist()
-            if _proves(M, Q, N):
-                return Q, N, f"certified float rebuild, one shared denominator {Q}"
-        Q, N = scaled(rationalize(v) for v in guess)
+        keys = guess.round(12).tolist()
+        value = {k: rationalize(v) for k, v in zip(keys, guess.tolist())}
+        Q, N = scaled(map(value.__getitem__, keys))
         if _proves(M, Q, N):
-            return Q, N, "certified float rebuild, per entry"
+            return Q, N, f"certified float rebuild, one shared denominator {Q}"
     Q, N = _bareiss(M.tolist())
     if not _proves(M, Q, N):
         raise ArithmeticError("Bareiss elimination returned a non-solution")
@@ -477,7 +473,7 @@ class StationaryDistribution:
         return np.array([float(a) for a in self.alpha])
 
 
-def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
+def stationary_distribution(net: Network) -> StationaryDistribution:
     """Left unit eigenvector of the weight matrix (the PageRank vector).
 
     Rational weights and n <= 200: the exact solution of alpha (P - I) = 0
@@ -487,7 +483,7 @@ def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
     form one line, spanned by a positive vector; the n equations sum to
     zero, so any n - 1 of them cut out that line, and sum(alpha) = 1 picks
     one point of it. Otherwise power iteration (cap 1e6 rounds), returned
-    only if max |alpha P - alpha| <= tol. Both read the network's
+    only if max |alpha P - alpha| <= POWER_TOL. Both read the network's
     IntegerView, built and validated by the first call (require_stochastic)
     and kept with the network; the solve itself runs on every call.
     """
@@ -502,13 +498,13 @@ def stationary_distribution(net: Network, tol=1e-12) -> StationaryDistribution:
     for _ in range(10 ** 6):
         nxt = alpha @ P
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - alpha)) <= tol / 2:
+        if np.max(np.abs(nxt - alpha)) <= POWER_TOL / 2:
             alpha = nxt
             break
         alpha = nxt
     else:
         raise RuntimeError("power iteration did not converge within the cap")
-    if np.max(np.abs(alpha @ P - alpha)) > tol:
+    if np.max(np.abs(alpha @ P - alpha)) > POWER_TOL:
         raise RuntimeError("stationary residual above tolerance")
     return StationaryDistribution(tuple(alpha))
 

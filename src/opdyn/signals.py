@@ -83,6 +83,17 @@ def check_delta(delta):
     return delta
 
 
+def cube(n, a):
+    """All a^n profiles of n agents over the letters 0 .. a - 1: the one enumerator of the signal cube.
+
+    An (a^n, n) int64 array whose row s holds the base-a digits of s, agent j
+    on digit j, so agent 0 varies fastest. np.indices fills it by copies, ten
+    times faster than dividing the digits out of np.arange(a^n); the result
+    is a transposed view, and cube(n, a).T[::-1] is C-contiguous.
+    """
+    return np.indices((a,) * n, dtype=np.int64).reshape(n, a ** n)[::-1].T
+
+
 def bernoulli_cube(delta, n):
     """Integer weights of n i.i.d. bits that each equal S w.p. 1/2 + delta, by count.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
 from .network import Network, _pairs_connected, require_rational, require_stochastic, stationary_distribution
-from .signals import check_delta
+from .signals import check_delta, cube
 
 EXACT_SOLVE_MAX_N = 14
 
@@ -348,11 +348,6 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
 
 # -- exact absorption analysis ----------------------------------------------
 
-def _state_bits(n):
-    """bits[s, j] = action of agent j in state s (states are little-endian bit vectors)."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-
-
 def _blocks(ns):
     """Slices of the state range 0 .. ns - 1 with about _BLOCK_ENTRIES / ns states each."""
     step = max(1, _BLOCK_ENTRIES // ns)
@@ -384,7 +379,7 @@ def _certify_table(net: Network, T, H):
     T = np.array(T, dtype=dtype)
     W = np.zeros((n, n), dtype=dtype)
     W[view.rows, view.J] = view.C.tolist()
-    bits = _state_bits(n).astype(dtype)
+    bits = cube(n, 2).astype(dtype)       # bits[s, j] = action of agent j in state s
     top = n - 1
     for block in _blocks(ns):
         a = bits[block] @ W.T                 # a[s, i] = d_i q_i(s)
@@ -416,10 +411,11 @@ def absorption_probabilities(net: Network):
     = sum_j (alpha P)_j A_j(t) = sum_j alpha_j A_j(t), so with alpha the
     stationary distribution (an n-size exact solve) the candidate is
     h(s) = sum_i alpha_i s_i. With H the lcm of alpha's denominators it is the
-    integer table T = bits @ (alpha H), which _certify_table checks state by
-    state: h = 0 and 1 at the two unanimity states and E[h(next) | s] = h(s)
-    everywhere. A stochastic network (self-loops, strongly connected, checked
-    first) absorbs almost surely, so the bounded harmonic function with those
+    integer table T = cube(n, 2) @ (alpha H), state s the bit vector of s
+    (signals.cube), which _certify_table checks state by state: h = 0 and 1
+    at the two unanimity states and E[h(next) | s] = h(s) everywhere. A
+    stochastic network (self-loops, strongly connected, checked first)
+    absorbs almost surely, so the bounded harmonic function with those
     boundary values is unique and the certificate is a proof. Raises
     ValueError on float weights or a failed validation, and ArithmeticError
     if certification fails.
@@ -430,7 +426,7 @@ def absorption_probabilities(net: Network):
     require_stochastic(net)
     require_rational(net, "exact absorption")
     H, A = scaled(stationary_distribution(net).alpha)
-    T = (_state_bits(n) @ np.array(A, dtype=int_dtype(H))).tolist()      # entries are at most H
+    T = (cube(n, 2) @ np.array(A, dtype=int_dtype(H))).tolist()      # entries are at most H
     _certify_table(net, T, H)
     return dict(enumerate(unscaled(H, T)))
 

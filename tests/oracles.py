@@ -300,12 +300,17 @@ def stepwise_limit_profiles(net, configs):
     return cur
 
 
+def spin_rows(n):
+    """All 2^n +-1 vectors as int64 rows in itertools.product order, first coordinate slowest."""
+    return np.array(list(product((-1, 1), repeat=n)), dtype=np.int64).reshape(1 << n, n)
+
+
 def fraction_retention(net, delta):
     """iota(G, delta) by pooling Fraction joint weights per limit profile."""
     n = net.n
     p = Fraction(1, 2) + Fraction(delta)
     q = 1 - p
-    configs = majority.all_spin_configs(n)
+    configs = spin_rows(n)
     limits = stepwise_limit_profiles(net, configs)
     joint = {}
     for row, prof in zip(configs, limits):
@@ -327,7 +332,7 @@ def full_cube_pooled_weights(net, delta):
     """
     n = net.n
     up, den = bernoulli_cube(delta, n)
-    configs = majority.all_spin_configs(n)
+    configs = spin_rows(n)
     limits = majority.limit_profiles(net, configs)
     packed = np.zeros(len(limits), dtype=np.int64)
     for j in range(n):
@@ -355,8 +360,8 @@ def _weights_for_delta(configs: np.ndarray, delta):
 
 
 def fraction_influence(f, n, i, delta):
-    """majority.influence in exact mode, one Fraction weight per cube vertex."""
-    configs = majority.all_spin_configs(n)
+    """majority.influence of f's truth table, one Fraction weight per cube vertex; f maps a +-1 tuple to +-1."""
+    configs = spin_rows(n)
     w = _weights_for_delta(configs, delta)
     total = Fraction(0)
     for row, wt in zip(configs, w):
@@ -368,8 +373,8 @@ def fraction_influence(f, n, i, delta):
 
 
 def fraction_success_probability(f, n, delta):
-    """majority.success_probability, one Fraction weight per cube vertex."""
-    configs = majority.all_spin_configs(n)
+    """majority.success_probability of f's truth table, one Fraction weight per cube vertex."""
+    configs = spin_rows(n)
     w = _weights_for_delta(configs, delta)
     return sum(wt for row, wt in zip(configs, w) if f(tuple(int(v) for v in row)) == 1)
 
@@ -439,7 +444,8 @@ def float_solve_absorption(net):
     require_stochastic(net)
     require_rational(net, "exact absorption")
     ns = 1 << n
-    q = voter._state_bits(n) @ net.weight_matrix().T       # q[s, i] = P(agent i adopts 1 | s)
+    bits = np.array([x[::-1] for x in product((0, 1), repeat=n)])       # bits[s, j] = bit j of s
+    q = bits @ net.weight_matrix().T                        # q[s, i] = P(agent i adopts 1 | s)
     A = np.eye(ns - 2)
     r = np.zeros(ns - 2)
     for block in voter._blocks(ns):

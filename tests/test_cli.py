@@ -510,3 +510,54 @@ def test_gaussian_cascade_underflow_leaves_stderr_empty():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert len(json.loads(proc.stdout)["p_correct"]) == 40
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["voter", "--graph", "cycle:5"], "--delta", "1/0"),
+    (["voter-strong", "--graph", "cycle:5"], "--delta", "1/0"),
+    (["degroot", "--graph", "cycle:5"], "--delta", "1/0"),
+    (["majority", "--graph", "cycle:5"], "--delta", "1/0"),
+    (["majority", "--graph", "cycle:5"], "--delta", "x"),
+    (["degroot", "--graph", "cycle:3"], "--cheater", "0=1/0"),
+    (["degroot", "--graph", "cycle:3"], "--cheater", "0"),
+    (["degroot", "--graph", "cycle:3"], "--cheater", "a=1"),
+], ids=["voter", "voter-strong", "degroot", "majority", "majority-word", "cheater-value", "cheater-no-value",
+        "cheater-agent"])
+def test_bad_rationals_are_refused_by_flag(capsys, argv, flag, value):
+    # 1/0 once ended in a ZeroDivisionError traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected " in capsys.readouterr().err
+
+
+def test_bad_signal_specs_are_named(tmp_path, capsys):
+    junk = tmp_path / "junk.txt"
+    junk.write_text("myhost\n")
+    missing = tmp_path / "missing.txt"
+    for argv, spec, reason in (
+            (["cascade"], "bernoulli:1/0", "Fraction(1, 0)"),
+            (["cascade"], "gaussian:1/0", "Fraction(1, 0)"),
+            (["cascade"], f"file:{missing}", "No such file"),
+            (["bayes", "--graph", "cycle:3"], f"file:{missing}", "No such file"),
+            (["cascade"], f"file:{junk}", "invalid literal for int()")):
+        code, err = _error_record(capsys, argv + ["--signal", spec])
+        assert code == 2 and err["command"] == argv[0]
+        assert err["error"].startswith(f"bad signal spec {spec!r}: ") and reason in err["error"]
+
+
+def test_bayes_horizon_must_be_positive(capsys):
+    # --horizon 0 once ran the default horizon without a word
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bayes", "--graph", "cycle:3", "--horizon", "0"])
+    assert exc.value.code == 2
+    assert "argument --horizon: must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cheater_outside_the_network_is_named(capsys):
+    # once reported as a singular system
+    code, err = _error_record(capsys, ["degroot", "--graph", "cycle:3", "--cheater", "9=1"])
+    assert code == 2
+    assert err == {"command": "degroot", "error": "cheater 9 is not an agent: the network has agents 0 .. 2"}
+    code, rec = run_json(capsys, ["degroot", "--graph", "cycle:3", "--cheater", "0=1/2", "--cheater", "2=0"])
+    assert code == 0 and rec["limits_exact"] == {"0": "1/2", "1": "1/4", "2": "0"}

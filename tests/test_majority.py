@@ -120,13 +120,22 @@ def test_map_rule_is_odd_cycle5():
         assert neg in rule and rule[neg] == -g
 
 
+def truth_table(f, n):
+    """f's values over the rows of all_spin_configs(n), whose row r has +1 at coordinate i iff bit n - 1 - i is set."""
+    return [f(tuple(1 if r >> (n - 1 - i) & 1 else -1 for i in range(n))) for r in range(1 << n)]
+
+
+def maj3(x):
+    return 1 if sum(x) > 0 else -1
+
+
 def test_influence_dictator_and_parity():
-    dictator = lambda x: x[0]
-    assert majority.influence(dictator, 3, 0, Fraction(1, 10)) == 1
-    assert majority.influence(dictator, 3, 1, Fraction(1, 10)) == 0
-    parity = lambda x: x[0] * x[1] * x[2]
+    dictator = truth_table(lambda x: x[0], 3)
+    assert majority.influence(dictator, 0, Fraction(1, 10)) == 1
+    assert majority.influence(dictator, 1, Fraction(1, 10)) == 0
+    parity = truth_table(lambda x: x[0] * x[1] * x[2], 3)
     for i in range(3):
-        assert majority.influence(parity, 3, i, Fraction(1, 10)) == 1
+        assert majority.influence(parity, i, Fraction(1, 10)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,39 +144,49 @@ def test_influence_dictator_and_parity():
                        st.sampled_from([Fraction(1, 10) + Fraction(1, 10000), Fraction(1, 10) - Fraction(1, 10000),
                                         -Fraction(1, 10000)])))
 def test_cube_kernels_match_fraction_oracle(data, n, delta):
-    # f is a random truth table over the 2^n cube, indexed by the bits with +1 as 1
+    # a random truth table over the 2^n cube; the oracles read it through f, indexed by the bits with +1 as 1,
+    # the first coordinate the most significant
     table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=1 << n, max_size=1 << n))
 
     def f(x):
-        return table[sum(1 << j for j, v in enumerate(x) if v == 1)]
+        return table[sum(1 << (n - 1 - j) for j, v in enumerate(x) if v == 1)]
 
     for i in range(n):
-        assert majority.influence(f, n, i, delta) == fraction_influence(f, n, i, delta)
-    assert majority.success_probability(f, n, delta) == fraction_success_probability(f, n, delta)
+        assert majority.influence(table, i, delta) == fraction_influence(f, n, i, delta)
+    assert majority.success_probability(table, delta) == fraction_success_probability(f, n, delta)
 
 
-def test_influence_mc_agrees():
-    maj3 = lambda x: 1 if sum(x) > 0 else -1
-    exact = majority.influence(maj3, 3, 0, Fraction(1, 5))
-    mc = majority.influence(maj3, 3, 0, Fraction(1, 5), mode="monte_carlo",
-                            trials=20000, rng=trial_rng(9, 0))
-    assert abs(mc - float(exact)) < 0.02
+@pytest.mark.parametrize("table", [[], [1, -1, 1], [1, -1, 0, 1], [[1, -1], [-1, 1]], [1, -1, 1, 2]])
+def test_cube_kernels_refuse_a_bad_table(table):
+    for kernel in (lambda t: majority.influence(t, 0, Fraction(1, 10)),
+                   lambda t: majority.success_probability(t, Fraction(1, 10)),
+                   lambda t: majority.russo_residual(t, Fraction(1, 10))):
+        with pytest.raises(ValueError, match="2\\^n entries, each \\+1 or -1"):
+            kernel(table)
+    with pytest.raises(ValueError, match="coordinate 3 outside 0 .. 2"):
+        majority.influence(truth_table(maj3, 3), 3, Fraction(1, 10))
 
 
 def test_russo_three_bit_closed_form():
-    maj3 = lambda x: 1 if sum(x) > 0 else -1
+    table = truth_table(maj3, 3)
     d = Fraction(1, 10)
-    total = sum(majority.influence(maj3, 3, i, d) for i in range(3))
+    total = sum(majority.influence(table, i, d) for i in range(3))
     q = Fraction(1, 2) + d
     assert total == 6 * q * (1 - q)
-    assert majority.russo_residual(maj3, 3, d) <= Fraction(1, 10 ** 6)
+    assert majority.russo_residual(table, d) <= Fraction(1, 10 ** 6)
 
 
 def test_success_probability_majority():
-    maj3 = lambda x: 1 if sum(x) > 0 else -1
     d = Fraction(1, 4)
     p = Fraction(1, 2) + d
-    assert majority.success_probability(maj3, 3, d) == p ** 3 + 3 * p ** 2 * (1 - p)
+    assert majority.success_probability(truth_table(maj3, 3), d) == p ** 3 + 3 * p ** 2 * (1 - p)
+
+
+def test_vote_table_rows_follow_all_spin_configs():
+    # signals_to_vote_table is the truth table of the vote after the dynamics, read by the cube kernels
+    net = generate("cycle", 7)
+    table = majority.signals_to_vote_table(net)
+    assert table.tolist() == truth_table(lambda x: int(np.sign(sum(stepwise_limit_profiles(net, [x])[0]))), 7)
 
 
 def test_limit_profiles_match_stepwise():

@@ -263,14 +263,14 @@ def _sampling_chain(alpha):
 
 
 # denominators p_k p_(k+1) around a ring of six primes near 520: each is below
-# REBUILD_MAX_DEN, their lcm is above 2^53
+# REBUILD_MAX_DEN, their lcm is above 2^53, and the rebuild puts them over it in Python integers
 PER_ENTRY_ALPHA = tuple(map(Fraction, ("50560/256027", "847/265189", "85151/272483", "18469/282943",
                                        "112012/295927", "11842/275141")))
 
 
 def test_stationary_branches_match_oracle(caplog):
-    # lazy-uniform graphs rebuild over one shared denominator; a denominator
-    # above 2^53 leaves the per-entry rebuild; skewed directed weights need Bareiss
+    # lazy-uniform graphs rebuild over one shared denominator, also one above
+    # 2^53; skewed directed weights need Bareiss
     skewed = Network(n=3, edges=((0, 0, Fraction(1, 999983)), (0, 1, Fraction(999982, 999983)),
                                  (1, 1, Fraction(1, 2)), (1, 2, Fraction(1, 2)),
                                  (2, 0, Fraction(1, 1000003)), (2, 2, Fraction(1000002, 1000003))))
@@ -282,7 +282,8 @@ def test_stationary_branches_match_oracle(caplog):
             (generate("grid", 9), "certified float rebuild, one shared denominator 33", 33, 5),
             (from_pairs(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),
              "certified float rebuild, one shared denominator 15", 15, 4),
-            (_sampling_chain(PER_ENTRY_ALPHA), "certified float rebuild, per entry", 36, 20644756792768007),
+            (_sampling_chain(PER_ENTRY_ALPHA), "certified float rebuild, one shared denominator 20644756792768007",
+             36, 20644756792768007),
             (skewed, "Bareiss fallback", 6, 1000003),
             (tilted, "Bareiss fallback", 4, 1000003)):
         n = net.n

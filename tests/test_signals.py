@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta, check_delta,
+from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta, check_delta, cube,
                            map_accuracy_three_bits, private_belief,
                            read_signal_model, sample_world, three_bit_epsilon,
                            trial_rng, tv_distance, write_signal_model, xor_pair)
@@ -18,6 +19,14 @@ def test_bernoulli_model_exact():
     assert private_belief(m, 1) == Fraction(2, 3)
     kind, lo, hi = belief_support(m)
     assert (kind, lo, hi) == ("bounded", Fraction(1, 3), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("n, a", [(0, 2), (1, 2), (5, 2), (3, 3), (2, 5), (4, 1)])
+def test_cube_rows_are_product_rows_reversed(n, a):
+    # row s holds the base-a digits of s, agent 0 on the lowest: itertools.product with the columns reversed
+    rows = cube(n, a)
+    assert rows.shape == (a ** n, n) and rows.dtype == np.int64
+    assert [tuple(r) for r in rows[:, ::-1].tolist()] == list(product(range(a), repeat=n))
 
 
 def test_degenerate_models_rejected():

@@ -1,10 +1,14 @@
-"""The source keeps one home for putting rationals over a common denominator, and one exact solver.
+"""The source keeps one home for putting rationals over a common denominator, one exact solver and one cube.
 
 harness_util.scaled puts rationals over their lcm, harness_util.unscaled
 turns them back into Fractions, and harness_util.int_dtype picks int64 or
 Python integers for a bound. An open-coded copy of any of them outside them
 fails this scan. network._solve_integer is the one exact linear solver: a
 float solve or a Bareiss elimination called from a second function fails it.
+signals.cube is the one enumerator of the signal cube: bits or digits cut
+from np.arange, tiled repeats, np.indices or itertools.product anywhere else
+fail it, except in signals.map_accuracy_three_bits, whose three bits each
+have their own law.
 """
 
 import ast
@@ -20,6 +24,13 @@ PATTERNS = {
     "open-coded int64-or-object choice": re.compile(r"np\.int64\s+if\b[^\n]*\belse\s+object\b"),
 }
 SOLVER_CALLS = {"np.linalg.solve", "_bareiss"}
+CUBE_HOMES = {"cube", "map_accuracy_three_bits"}
+CUBE_PATTERNS = {
+    "bits shifted out of np.arange": re.compile(r">>\s*np\.arange"),
+    "digits divided out of np.arange": re.compile(r"//\s*\w+\s*\*\*\s*np\.arange"),
+    "tiled repeats": re.compile(r"np\.tile\(\s*np\.repeat\("),
+    "grid coordinates": re.compile(r"np\.indices\("),
+}
 
 
 def _helper_lines():
@@ -62,3 +73,32 @@ def test_one_exact_solve_pipeline():
     callers = _callers()
     for name in sorted(SOLVER_CALLS):
         assert len(callers[name]) == 1, f"{name} is called from {sorted(callers[name])}, want one function"
+
+
+def _product_lines(tree):
+    """Line numbers of every itertools.product import or attribute in a parsed module."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools" \
+                and any(alias.name == "product" for alias in node.names):
+            lines.add(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr == "product" and ast.unparse(node.value) == "itertools":
+            lines.add(node.lineno)
+    return lines
+
+
+def test_one_cube_enumerator():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        allowed = set()
+        if path.name == "signals.py":
+            allowed = {line for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in CUBE_HOMES
+                       for line in range(node.lineno, node.end_lineno + 1)}
+            assert "cube" in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        found = [(line, "itertools.product") for line in _product_lines(tree)]
+        for what, pattern in CUBE_PATTERNS.items():
+            found += [(text.count("\n", 0, m.start()) + 1, what) for m in pattern.finditer(text)]
+        hits += [f"{path.name}:{line}: {what}" for line, what in sorted(found) if line not in allowed]
+    assert not hits, "enumerate the cube with signals.cube:\n" + "\n".join(hits)

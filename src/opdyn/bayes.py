@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
-from .network import Network, _integer_view, ball
+from .network import Network, _slots, ball
 from .signals import FiniteModel, JointTable, bernoulli_cube, cube
 
 PROFILE_SPACE_CAP = 10 ** 6
@@ -156,10 +156,7 @@ def build_profile_space(model, n) -> ProfileSpace:
         raise AssertionError("profile weights must sum to 1")
     atoms = Atoms(np.repeat(np.array([0, 1], dtype=np.int8), M), np.tile(np.arange(M), 2), weights, scale,
                   sig, list(model.alphabet))
-    space = ProfileSpace(n=n, atoms=atoms)
-    if len(set(model.alphabet)) < a:        # equal letters make equal profiles, which entries merge
-        return ProfileSpace(n=n, entries=space.entries)
-    return space
+    return ProfileSpace(n=n, atoms=atoms)
 
 
 class Round(NamedTuple):
@@ -326,14 +323,13 @@ def _neighbour_slots(net: Network):
     """[(rows, nbrs)] per slot k: the agents with a k-th neighbour (in sorted order) and that neighbour.
 
     rows is a slice over all agents where every agent has the slot. Read
-    from the rows of the network's IntegerView.
+    from the network's neighbour table (network._slots).
     """
-    view = net.cached(_integer_view)
-    deg = np.diff(view.indptr)
+    idx, keep = net.cached(_slots)
     slots = []
-    for k in range(int(deg.max(initial=0))):
-        rows = np.flatnonzero(deg > k)
-        slots.append((slice(None) if len(rows) == net.n else rows, view.J[view.indptr[rows] + k]))
+    for nb, kept in zip(idx, keep):
+        rows = slice(None) if kept.all() else np.flatnonzero(kept)
+        slots.append((rows, nb[rows]))
     return slots
 
 

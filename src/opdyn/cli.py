@@ -227,9 +227,11 @@ def _cmd_bayes(args):
         raise ValueError("bayes needs --graph unless --scenario is given")
     if isinstance(model, GaussianLLR):
         raise ValueError("exact forward induction needs a finite signal model")
+    utility = "discrete" if args.utility is None else args.utility
+    if utility == "continuous":
+        _refuse(args, ("--tie",), "does not apply to --utility continuous: the action is the belief, never a tie")
     net = _load_graph(args.graph)
     space = bayes.build_profile_space(model, net.n)
-    utility = "discrete" if args.utility is None else args.utility
     tie = "one" if args.tie is None else args.tie
     horizon = args.horizon or space.m * net.n + 1
     res = bayes.run_exact(net, space, horizon=horizon, utility=utility,

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import (EXACT_SOLVE_MAX_N, Network, _integer_view, require_rational, solve_exact,
+from .network import (EXACT_SOLVE_MAX_N, Network, _integer_view, _solve_integer, require_rational,
                       stationary_distribution)
-from .harness_util import debug, scaled, wilson_interval
+from .harness_util import debug, scaled, unscaled, wilson_interval
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
 EXACT_DP_MAX_SUPPORT = 2 ** 20
@@ -227,30 +227,30 @@ def cheater_limit_exact(net: Network, cheaters: dict):
     agent i's equation times D_i is sum_{j in H} C[i, j] h_j - D_i h_i =
     -C[i, c]. I - P_HH is nonsingular: on a strongly connected network every
     honest walk reaches a cheater with positive probability, so P_HH^t -> 0
-    and 1 is not an eigenvalue of P_HH. Refuses float weights and non-agents.
+    and 1 is not an eigenvalue of P_HH. [A | B] holds one right-hand column
+    per cheater, each solved by network._solve_integer. Refuses float
+    weights and non-agents.
     """
     require_rational(net, "exact cheater limits")
-    for c in sorted(cheaters):
+    cs = sorted(cheaters)
+    for c in cs:
         if not 0 <= c < net.n:
             raise ValueError(f"cheater {c} is not an agent: the network has agents 0 .. {net.n - 1}")
     view = net.cached(_integer_view)
-    cs = sorted(cheaters)
-    honest = [i for i in range(net.n) if i not in cheaters]
-    col = {j: k for k, j in enumerate(honest)}
-    D, J, C, indptr = view.D.tolist(), view.J.tolist(), view.C.tolist(), view.indptr.tolist()
+    honest = np.delete(np.arange(net.n), cs)
+    h = len(honest)
+    # [A | B]: the columns of the honest agents, then one right-hand side per cheater; honest rows only
+    col = np.argsort(np.concatenate((honest, np.array(cs, dtype=np.intp))))
+    M = np.zeros((net.n, net.n), dtype=view.D.dtype)
+    M[col[view.rows], col[view.J]] = view.C
+    M = M[:h]
+    M[np.arange(h), np.arange(h)] -= view.D[honest]
+    M[:, h:] *= -1
     out = {}
-    for c in cs:
+    for k, c in enumerate(cs, h):
         # h(c) = 1, h(other cheater) = 0, h(i) = sum_j P[i][j] h(j)
-        A = [[0] * len(honest) for _ in honest]
-        b = [0] * len(honest)
-        for r, i in enumerate(honest):
-            A[r][r] -= D[i]
-            for j, k in zip(J[indptr[i]:indptr[i + 1]], C[indptr[i]:indptr[i + 1]]):
-                if j in col:
-                    A[r][col[j]] += k
-                elif j == c:
-                    b[r] -= k
-        sol = solve_exact(A, b)
-        for k, i in enumerate(honest):
-            out.setdefault(i, {})[c] = sol[k]
+        Q, N, branch = _solve_integer(M[:, np.r_[:h, k]])
+        debug("exact solve n=%d: %s", h, branch)
+        for i, x in zip(honest.tolist(), unscaled(Q, N)):
+            out.setdefault(i, {})[c] = x
     return out

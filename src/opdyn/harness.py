@@ -23,17 +23,14 @@ from .network import Network, from_pairs, generate, stationary_distribution
 from .signals import (FiniteModel, bernoulli_cube, bernoulli_delta, cube, GaussianLLR, xor_pair, three_bit_epsilon,
                       map_accuracy_three_bits, trial_rng)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
 class ExperimentConfig:
     name: str
-    mode: str = "exact"
     trials: int = 0
     seed: int = 0
-    horizon: int = 0
-    options: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def to_json(self):
@@ -83,7 +80,7 @@ def _exp_degroot_limit(cfg):
     """Iterates-to-limit agreement on a batch of random regular networks."""
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    for k in range(cfg.options.get("nets", 20)):
+    for k in range(20):
         n = 2 * int(rng.integers(4, 26))  # even n, so any degree is feasible
         d = int(rng.choice([3, 4, 5]))
         net = generate("random_regular", n, d=d, seed=cfg.seed * 1000 + k)
@@ -102,7 +99,7 @@ def _exp_degroot_limit(cfg):
 
 def _exp_degroot_monotone(cfg):
     """Exact learning probability: monotone in signal quality, -> 1/2 at 0+."""
-    net = generate("star", cfg.options.get("n", 9))
+    net = generate("star", 9)
     deltas = [Fraction(k, 100) for k in range(5, 50, 5)]
     ps = [degroot.learning_probability(net, d, mode="exact").p for d in deltas]
     monotone = all(a <= b for a, b in zip(ps, ps[1:]))
@@ -126,7 +123,7 @@ def _exp_voter_identity(cfg):
     """
     ok = True
     for kind in ("chain", "cycle", "star"):
-        for n in range(3, cfg.options.get("max_n", 8) + 1):
+        for n in range(3, 9):
             net = generate(kind, n)
             alpha = stationary_distribution(net).alpha
             h = voter.absorption_probabilities(net)
@@ -150,11 +147,10 @@ def _exp_voter_absorption(cfg):
         estimates[key] = p_hat
         intervals[key] = (lo, hi)
         assertions[f"consensus_matches_signal_delta_{delta}"] = abs(p_hat - target) <= 3 * half
-    t_trials = cfg.options.get("time_trials", 10000)
     for n in (8, 16):
         net = generate("cycle", n)
         d = max(len(net.out_neighbors(i)) for i in range(n))
-        out = voter.mc_consensus(net, Fraction(0), t_trials, seed=cfg.seed + n)
+        out = voter.mc_consensus(net, Fraction(0), 10000, seed=cfg.seed + n)
         mean_t = float(out["times"].mean())
         estimates[f"mean_absorption_time_n{n}"] = mean_t
         assertions[f"mean_time_bound_n{n}"] = mean_t <= 2 * d * n * n
@@ -189,11 +185,9 @@ def _exp_strong_voter(cfg):
     return (estimates, {}, intervals, assertions)
 
 
-def _majority_test_nets(max_n=8):
-    nets = [generate("cycle", n) for n in range(4, max_n + 1)]
-    nets += [generate("complete", 5), generate("complete", 7)]
-    nets.append(generate("random_regular", 8, d=4, seed=7))
-    return nets
+def _majority_test_nets():
+    return ([generate("cycle", n) for n in range(4, 9)]
+            + [generate("complete", 5), generate("complete", 7), generate("random_regular", 8, d=4, seed=7)])
 
 
 def _period2_checks(traj, lyap, j, edge_count):
@@ -211,7 +205,7 @@ def _period2_checks(traj, lyap, j, edge_count):
 def _exp_majority_period2(cfg):
     """Exhaustive period/Lyapunov audit over every initial configuration."""
     checks = []
-    for net in _majority_test_nets(cfg.options.get("max_n", 8)):
+    for net in _majority_test_nets():
         edge_count = len(net.undirected_edge_list())
         traj = majority.trajectory(net, majority.all_spin_configs(net.n), edge_count + 2)
         checks.append(_period2_checks(traj, majority.lyapunov_series(net, traj),
@@ -284,12 +278,8 @@ def _exp_bayes_fixation(cfg):
     return ({}, {}, {}, {"all_runs_stabilized": stab, "fixation_bounds": ok})
 
 
-def _bayes_test_nets(max_n=5):
-    nets = []
-    for n in range(3, max_n + 1):
-        nets.append(("chain", generate("chain", n)))
-        nets.append(("cycle", generate("cycle", n)))
-    return nets
+def _bayes_test_nets():
+    return [(kind, generate(kind, n)) for n in range(3, 6) for kind in ("chain", "cycle")]
 
 
 def _exp_bayes_agreement(cfg):
@@ -299,7 +289,7 @@ def _exp_bayes_agreement(cfg):
                        mu0=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
                        mu1=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
     agree_ok = full_ok = util_ok = stab_ok = True
-    for kind, net in _bayes_test_nets(cfg.options.get("max_n", 5)):
+    for kind, net in _bayes_test_nets():
         models = [model] if net.n > 3 else [model, rich]
         for mdl in models:
             space = bayes.build_profile_space(mdl, net.n)
@@ -322,7 +312,7 @@ def _exp_bayes_xor(cfg):
     """Perfectly complementary pair: beliefs pinned at 1/2 in every round."""
     net = generate("chain", 2)
     space = bayes.build_profile_space(xor_pair(), 2)
-    res = bayes.run_exact(net, space, horizon=cfg.horizon or 10, utility="continuous")
+    res = bayes.run_exact(net, space, horizon=10, utility="continuous")
     half = Fraction(1, 2)
     stuck = all(b == half
                 for t in range(res.rounds)
@@ -355,8 +345,8 @@ def _senate_joint_space(n, k, delta):
 
 def _exp_senate(cfg):
     """A small signal-pooling committee swamps everyone's private signal."""
-    delta = Fraction(cfg.options.get("delta", Fraction(1, 6)))
-    k = cfg.options.get("k", 5)
+    delta = Fraction(1, 6)
+    k = 5
     out10 = bayes.senate_scenario(10, k, delta)
     out20 = bayes.senate_scenario(20, k, delta)
     assertions = {
@@ -377,7 +367,7 @@ def _exp_senate(cfg):
 
 def _exp_chain_tie(cfg):
     """Own-signal tie-breaking freezes a chain; wrong clusters persist."""
-    delta = Fraction(cfg.options.get("delta", Fraction(1, 6)))
+    delta = Fraction(1, 6)
     claim_ok = bound_ok = True
     exact = {}
     for n in (4, 6, 8):
@@ -394,7 +384,7 @@ def _exp_chain_tie(cfg):
 def _exp_cascade_bounded(cfg):
     """Bounded signals: cascades absorb, accuracy plateaus strictly below 1."""
     model = bernoulli_delta(Fraction(1, 6))  # p = 2/3
-    n = cfg.options.get("n", 16)
+    n = 16
     out = cascade.run_exact(model, n)
     plateau = cascade.limit_accuracy(model)
     onset = next(i for i, m in enumerate(out.p_cascaded_by) if m > 0)
@@ -416,7 +406,7 @@ def _exp_cascade_bounded(cfg):
 def _exp_cascade_unbounded(cfg):
     """Unbounded Gaussian ratios: late accuracy beats the bounded plateau."""
     trials = cfg.trials or 100000
-    n = cfg.options.get("n", 50)
+    n = 50
     model = GaussianLLR(sigma2=1)
     p_correct = cascade.gaussian_run(model, n, trials, seed=cfg.seed)
     plateau = float(cascade.limit_accuracy(bernoulli_delta(Fraction(1, 6))))
@@ -450,7 +440,7 @@ def _exp_retention_cycle(cfg):
         errors.append((n, majority.retention_error(generate("cycle", n), delta, mode="exact")))
     monotone = all(a[1] >= b[1] for a, b in zip(errors, errors[1:]))
     checks = [_map_rule_checks(majority.map_rule(generate("cycle", n), delta))
-              for n in range(4, cfg.options.get("map_max_n", 12) + 1)]
+              for n in range(4, 13)]
     odd_ok = all(odd for odd, _mono in checks)
     mono_ok = all(mono for _odd, mono in checks)
     exact = {f"iota_n{n}": _frac(e) for n, e in errors}
@@ -478,10 +468,10 @@ _RUNNERS = {
 }
 
 _DEFAULTS = {
-    "voter-absorption": {"mode": "mc", "trials": 100000, "seed": 20240601},
-    "strong-voter-majority": {"mode": "mc", "trials": 10000, "seed": 20240602},
-    "cascade-unbounded": {"mode": "mc", "trials": 100000, "seed": 20240603},
-    "degroot-limit": {"mode": "mc", "seed": 20240604},
+    "voter-absorption": {"trials": 100000, "seed": 20240601},
+    "strong-voter-majority": {"trials": 10000, "seed": 20240602},
+    "cascade-unbounded": {"trials": 100000, "seed": 20240603},
+    "degroot-limit": {"seed": 20240604},
 }
 
 

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .harness_util import debug, int_dtype
-from .network import Network, _integer_view
+from .network import Network, _slots
 from .signals import bernoulli_cube, check_delta, cube
 
 EXACT_RETENTION_MAX_N = 23
@@ -33,28 +33,25 @@ _HALF_CUBE_BITS = 12
 class _Neighbourhoods:
     """Closed neighbourhoods as padded index columns, for batches of +-1 rows.
 
-    Column slot k of agent i holds its k-th closed neighbour in sorted order;
-    slots past a short neighbourhood repeat its first member and keep[k, i] = 0
-    masks them out. dtype is the smallest signed integer type that holds every
-    closed-neighbourhood sum, so batches stay narrow. Batches may have any
-    leading axes, with agents on the last one. Built from the rows of the
-    network's IntegerView, once per network (Network.cached); refuses a directed
+    Column slot k of agent i holds its k-th closed neighbour in sorted order,
+    from the network's neighbour table (network._slots); slots past a short
+    neighbourhood hold a filler that keep[k, i] = 0 masks out. dtype is the
+    smallest signed integer type that holds every closed-neighbourhood sum,
+    so batches stay narrow. Batches may have any leading axes, with agents on
+    the last one. Built once per network (Network.cached); refuses a directed
     network and a closed neighbourhood of even size.
     """
 
     def __init__(self, net: Network):
         if net.directed:
             raise ValueError("majority dynamics runs on undirected networks")
-        view = net.cached(_integer_view)
-        deg = np.diff(view.indptr)
+        self.idx, keep = net.cached(_slots)
+        deg = keep.sum(axis=0)
         even = np.flatnonzero(deg % 2 == 0)
         if len(even):
             raise ValueError(f"closed neighborhood of {even[0]} has even size; ties are rejected, not resolved")
-        width = int(deg.max())
-        self.dtype = np.min_scalar_type(-1 - width)     # signed, holds -width .. width
-        slot = np.arange(width)[:, None]
-        self.keep = (slot < deg).astype(self.dtype)
-        self.idx = view.J[view.indptr[:-1] + np.where(slot < deg, slot, 0)]
+        self.dtype = np.min_scalar_type(-1 - len(keep))     # signed, holds -max degree .. max degree
+        self.keep = keep.astype(self.dtype)
         # slots 1.. for sums, with no mask where every neighbourhood reaches the slot
         self._rest = [(i, None if k.all() else k) for i, k in zip(self.idx[1:], self.keep[1:])]
 

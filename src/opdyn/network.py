@@ -103,9 +103,9 @@ class Network:
         Nothing is kept when build raises, so a refusal repeats on every call.
         The keys are private builders: the integer view (_integer_view, built
         by the first validate, require_stochastic, stationary solve or
-        exact kernel that reads it), and the tables of the kernels that run
-        on one network many times, such as voter._Stages and
-        majority._Neighbourhoods.
+        exact kernel that reads it), its neighbour table (_slots), and the
+        tables of the kernels that run on one network many times, such as
+        voter._Stages and majority._Neighbourhoods.
         """
         if build not in self._cache:
             self._cache[build] = build(self)
@@ -219,6 +219,20 @@ def _integer_view(net: Network) -> IntegerView:
     return IntegerView(net)
 
 
+def _slots(net: Network):
+    """(idx, keep), max out-degree x n: idx[k, i] is agent i's k-th out-neighbour where keep[k, i], else i.
+
+    The one layout of the IntegerView's rows by slot, built once per network
+    through Network.cached(_slots).
+    """
+    view = net.cached(_integer_view)
+    deg = np.diff(view.indptr)
+    keep = np.arange(int(deg.max(initial=0)))[:, None] < deg
+    idx = np.tile(np.arange(net.n), (len(keep), 1))
+    idx.T[keep.T] = view.J          # row-major over keep.T is the CSR order: agent by agent, slot by slot
+    return idx, keep
+
+
 @dataclass
 class ValidationReport:
     violations: list
@@ -290,6 +304,8 @@ def _undirected_pairs(kind, n, d=None, seed=None):
     if kind == "random_regular":
         if d is None:
             raise ValueError("random_regular requires d")
+        if seed is None:
+            raise ValueError("random_regular requires seed: the graph is drawn from it")
         if n * d % 2 != 0 or d >= n or d < 1:
             raise ValueError(f"infeasible degree sequence: n={n}, d={d}")
         rng = _random.Random(seed)

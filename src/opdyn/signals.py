@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,9 @@ class FiniteModel:
         mu1 = tuple(Fraction(p) for p in self.mu1)
         if not (len(self.alphabet) == len(mu0) == len(mu1)):
             raise ValueError("alphabet and measures must have equal length")
+        twice = [x for x, k in Counter(self.alphabet).items() if k > 1]
+        if twice:
+            raise ValueError(f"letter {twice[0]!r} appears more than once in the alphabet")
         _check_dist(mu0, "mu0")
         _check_dist(mu1, "mu1")
         object.__setattr__(self, "mu0", mu0)

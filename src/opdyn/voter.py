@@ -25,7 +25,8 @@ from math import prod
 import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
-from .network import Network, _pairs_connected, require_rational, require_stochastic, stationary_distribution
+from .network import (Network, _integer_view, _pairs_connected, require_rational, require_stochastic,
+                      stationary_distribution)
 from .signals import check_delta, cube
 
 EXACT_SOLVE_MAX_N = 14
@@ -49,30 +50,6 @@ _ENDLESS = 1 << 62
 # strong_voter_trials finishes this many or fewer open trials one at a time:
 # a lockstep step costs about as much as 70 one-trial edge updates
 _LOCKSTEP_MIN = 64
-
-
-def _weight_counts(net: Network):
-    """(J, C, D): agent i copies neighbour J[i][k] with the integer count C[i][k] out of D[i] = sum(C[i]).
-
-    The rows of the network's IntegerView (see network.require_stochastic):
-    J[i] lists agent i's out-neighbours in index order, and J[i], C[i] are
-    int64 arrays. A rational row counts in units of the lcm of its
-    denominators; a row with a float weight in units of 2^-40, rounded, a
-    positive weight never to 0. Refuses, with ValueError, an agent without
-    out-neighbours, a network that fails validate(require_stochastic=True)
-    and a row whose D[i] reaches 2^53: the exact expansions of the
-    cumulative counts over D[i] (see _Expansion) need D[i] below 2^53.
-    """
-    for i in range(net.n):
-        if not net.out_neighbors(i):
-            raise ValueError(f"agent {i} has no out-neighbours")
-    view = require_stochastic(net)
-    for i, total in enumerate(view.D.tolist()):
-        if total >= 2 ** 53:
-            raise ValueError(f"agent {i}'s weights need the integer total {total}, 2^53 or more: "
-                             "voter Monte Carlo expands its count ratios exactly only below 2^53")
-    cuts = view.indptr[1:-1]
-    return np.split(view.J, cuts), np.split(view.C.astype(np.int64), cuts), view.D.astype(np.int64)
 
 
 class _Expansion:
@@ -113,11 +90,11 @@ class _Stages:
     """The stage rows through which mc_consensus picks neighbours.
 
     Agent i's neighbours j_0 .. j_{d-1}, in index order, have the counts c_k
-    out of D_i of _weight_counts, and C_k = c_0 + ... + c_{k-1}. In each lane
-    the agent has one uniform U and copies j_k where C_k / D_i <= U <
-    C_{k+1} / D_i, so j_k with probability exactly c_k / D_i. Its stage
-    k < d - 1 is the test U < C_{k+1} / D_i; the tests only turn on as k
-    grows, so the agent copies j_k for its first stage k that is set, and
+    out of D_i of the network's IntegerView, and C_k = c_0 + ... + c_{k-1}.
+    In each lane the agent has one uniform U and copies j_k where C_k / D_i
+    <= U < C_{k+1} / D_i, so j_k with probability exactly c_k / D_i. Its
+    stage k < d - 1 is the test U < C_{k+1} / D_i; the tests only turn on as
+    k grows, so the agent copies j_k for its first stage k that is set, and
     j_{d-1} if none is. Stage row r is agent agent[r]'s stage for nbr[r],
     with q = num[r] / den[r]; an agent's rows come in stage order, exp holds
     the expansions of all the q and owner[r] is agent[r]'s state row.
@@ -125,13 +102,23 @@ class _Stages:
     The state holds agent order[p] in row p, so each degree's agents are
     the rows a0:a1 of one select group (a0, a1, J, r0): J[k, a] is the row
     of agent a0 + a's neighbour j_k and r0 + k (a1 - a0) + a the row of its
-    stage k.
+    stage k. Refuses, with ValueError and in this order, an agent without
+    out-neighbours, a network that fails validate(require_stochastic=True)
+    and a D_i of 2^53 or more, which _Expansion cannot expand exactly.
     """
 
     def __init__(self, net: Network):
-        J, C, D = _weight_counts(net)
-        deg = np.array([len(js) for js in J], dtype=np.intp)
-        self.max_D = int(D.max(initial=0))
+        deg = np.diff(net.cached(_integer_view).indptr)
+        if not deg.all():
+            raise ValueError(f"agent {int(np.argmin(deg))} has no out-neighbours")
+        view = require_stochastic(net)
+        wide = np.flatnonzero(view.D >= 2 ** 53)
+        if len(wide):
+            i = int(wide[0])
+            raise ValueError(f"agent {i}'s weights need the integer total {int(view.D[i])}, 2^53 or more: "
+                             "voter Monte Carlo expands its count ratios exactly only below 2^53")
+        C, D = view.C.astype(np.int64), view.D.astype(np.int64)
+        self.max_deg, self.max_D = int(deg.max(initial=0)), int(D.max(initial=0))
         self.order = np.argsort(deg, kind="stable")
         row = np.argsort(self.order)
         self.last = np.empty(net.n, dtype=np.intp)
@@ -139,8 +126,8 @@ class _Stages:
         a0 = r0 = 0
         for d in sorted(set(deg.tolist())):         # np.unique would import numpy.ma, 10-20 ms, on first use
             who = self.order[a0:a0 + np.count_nonzero(deg == d)]
-            js = np.array([J[i] for i in who]).reshape(len(who), d)
-            cum = np.cumsum(np.array([C[i] for i in who]).reshape(len(who), d), axis=1)
+            at = view.indptr[who][:, None] + np.arange(d)
+            js, cum = view.J[at], np.cumsum(C[at], axis=1)
             self.last[who] = js[:, -1]
             self.select.append((a0, a0 + len(who), row[js.T], r0))
             parts.append([np.tile(who, d - 1)] + [v.T[:-1].reshape(-1) for v in (js, cum, np.repeat(D[who, None], d, 1))])
@@ -257,8 +244,8 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     order[p] in 64 trials, trial 64 w + l in bit l until repacking moves it.
     Each round every agent copies one neighbour: the stage rows of _Stages
     compare one uniform per agent and lane with the agent's cumulative
-    weights, exactly (_bernoulli_words), so it copies J[i][k] with
-    probability exactly C[i][k] / D[i] (see _weight_counts). The picks come
+    weights, exactly (_bernoulli_words), so it copies its k-th neighbour with
+    probability exactly c_k / D_i (see _Stages). The picks come
     from _Choices, a round of W words taking the stream's next W columns,
     so a round is one gather, one AND and one OR per select group.
     Unanimity is one XOR with the first agent's row and one OR; a trial
@@ -276,7 +263,7 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     delta = check_delta(delta)
     st = net.cached(_Stages)
     if step_cap is None:
-        step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
+        step_cap = 100 * 2 * st.max_deg * n * n
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s = rng.integers(0, 2, size=trials).astype(np.int8)
     W = -(-trials // 64)
@@ -455,6 +442,11 @@ def _strong_pairs(net: Network):
     return pairs
 
 
+def _strong_pair_array(net: Network):
+    """_strong_pairs as an intp array, for whole-array lookups; callers take it through net.cached."""
+    return np.array(net.cached(_strong_pairs), dtype=np.intp)
+
+
 def _strong_rule(ai, wi, aj, wj, coin, swap):
     """One edge update of (opinion, strength) pairs; returns the new (ai, wi, aj, wj).
 
@@ -536,16 +528,13 @@ def _strong_walk(pairs, codes, ones, t, step_cap, rng):
     return codes[0] >> 1, t
 
 
-def run_strong_voter(net: Network, signals, rng, step_cap=None):
-    """Run one trial's edge updates until all opinions agree; returns (opinion, T).
+def run_strong_voter(net: Network, signals, rng):
+    """Run one trial's edge updates until all opinions agree; returns (opinion, T) as ints.
 
-    Refuses, like strong_voter_trials, a directed or disconnected network.
-    strong_voter_trials runs many trials at once.
+    One row of strong_voter_trials: a lone trial goes straight to _strong_walk.
     """
-    n = net.n
-    if step_cap is None:
-        step_cap = 2000 * n * n
-    return _strong_walk(net.cached(_strong_pairs), [2 * a + 1 for a in signals], sum(signals), 0, step_cap, rng)
+    values, steps = strong_voter_trials(net, [signals], rng)
+    return int(values[0]), int(steps[0])
 
 
 def strong_voter_trials(net: Network, signals, rng):
@@ -562,10 +551,9 @@ def strong_voter_trials(net: Network, signals, rng):
     """
     n = net.n
     step_cap = 2000 * n * n
-    pair_list = net.cached(_strong_pairs)
-    pairs = np.array(pair_list, dtype=np.intp)
+    pair_list, pairs = net.cached(_strong_pairs), net.cached(_strong_pair_array)
     sig = np.asarray(signals)
-    if sig.ndim != 2 or sig.shape[1] != n or not np.isin(sig, (0, 1)).all():
+    if sig.ndim != 2 or sig.shape[1] != n or not ((sig == 0) | (sig == 1)).all():
         raise ValueError(f"signals must be a trials x {n} array of 0/1")
     trials = len(sig)
     # C order: _strong_apply writes through codes.reshape(-1), which must be a view
@@ -575,21 +563,23 @@ def strong_voter_trials(net: Network, signals, rng):
     values = np.zeros(trials, dtype=np.int8)
     steps = np.zeros(trials, dtype=np.int64)
     row_start = np.arange(0, trials * n, n)
-    for t in range(step_cap + 1):
+    t = 0
+    while len(active) > _LOCKSTEP_MIN:
         done = (ones == 0) | (ones == n)
         if done.any():
             values[active[done]] = ones[done] == n
             steps[active[done]] = t
             keep = ~done
             active, codes, ones = active[keep], codes[keep], ones[keep]
+            if len(active) <= _LOCKSTEP_MIN:
+                break
         m = len(active)
-        if m <= _LOCKSTEP_MIN:
-            break
         if t == step_cap:
             raise TimeoutError(f"{m} trials without opinion consensus after {step_cap} edge updates")
         draw = rng.integers(0, 4 * len(pairs), size=m)
         edge = pairs[draw >> 2]
         ones += _strong_apply(codes, row_start[:m] + edge[:, 0], row_start[:m] + edge[:, 1], draw & 3)
+        t += 1
     for trial, row, k in zip(active.tolist(), codes.tolist(), ones.tolist()):
         values[trial], steps[trial] = _strong_walk(pair_list, row, k, t, step_cap, rng)
     debug("strong voter: trials=%d steps_max=%d trial_steps=%d",

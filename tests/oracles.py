@@ -779,18 +779,18 @@ def product_mc_consensus(net, delta, trials, seed, step_cap=None):
     """voter.mc_consensus as one exact product C = state @ A per block of rows, with a float draw per agent-round.
 
     Agent i adopts 1 iff u D_i < C_i for a double u, C_i the count on its
-    neighbours at 1 out of D_i (see voter._weight_counts): the probability is
+    neighbours at 1 out of D_i (the network's IntegerView): the probability is
     C_i / D_i within 2 ulps (test_adoption_probability_is_within_two_ulps_of_c_over_d).
     It draws S and psi as the kernel does and then its own round draws, so
     the two sample one chain and agree in distribution, not trial by trial.
     """
     n = net.n
     delta = check_delta(delta)
-    J, counts, D = voter._weight_counts(net)
+    view = require_stochastic(net)
+    D = view.D.astype(np.int64)
     A = np.zeros((n, n + 1))             # A[j, i]: agent i's count on j; column n counts the ones
     A[:, n] = 1
-    for i, (js, cs) in enumerate(zip(J, counts)):
-        A[js, i] = cs
+    A[view.J, view.rows] = view.C
     if step_cap is None:
         step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
     rows = max(1, voter._MC_BLOCK // n)

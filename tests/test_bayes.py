@@ -328,9 +328,9 @@ def test_product_atoms_are_numbered_like_entries():
     converted = bayes.ProfileSpace(3, entries=space.entries).atoms
     for a, b in zip(atoms, converted):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-    # equal letters make equal profiles, which merge as they do in entries
-    twin = FiniteModel(alphabet=("x", "x"), mu0=(Fraction(1, 3), Fraction(2, 3)), mu1=(Fraction(2, 3), Fraction(1, 3)))
-    assert bayes.build_profile_space(twin, 2).m == 1
+    # a repeated letter is refused where the model is built, so no path reads two copies of one signal
+    with pytest.raises(ValueError, match="letter 'x' appears more than once"):
+        FiniteModel(alphabet=("x", "x"), mu0=(Fraction(1, 3), Fraction(2, 3)), mu1=(Fraction(2, 3), Fraction(1, 3)))
 
 
 def test_fixation_stats_stay_on_profile_arrays():

@@ -231,6 +231,10 @@ def test_voter_monte_carlo_on_float_weights(tmp_path, capsys):
     (["bayes", "--scenario", "chain-tie:4", "--utility", "continuous"],
      "--utility does not apply to --scenario chain-tie"),
     (["bayes", "--scenario", "chain-tie:4", "--tie", "own"], "--tie does not apply to --scenario chain-tie"),
+    (["bayes", "--graph", "star:4", "--signal", "bernoulli:1/6", "--utility", "continuous", "--tie", "own"],
+     "--tie does not apply to --utility continuous"),
+    (["bayes", "--graph", "star:4", "--utility", "continuous", "--tie", "one"],
+     "--tie does not apply to --utility continuous"),
 ])
 def test_exact_paths_refuse_the_sampling_flags(capsys, argv, message):
     code, err = _error_record(capsys, argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import degroot
-from opdyn.network import Network, from_pairs, generate, mixing_tv, stationary_distribution
+from opdyn.network import Network, _integer_view, from_pairs, generate, mixing_tv, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (enumerate_p_w, float_net, fraction_cheater_limits, per_trial_learning_probability,
                      rational_digraphs, run_with_cheaters, scalar_learning_probability, weighted_net)
@@ -126,6 +126,17 @@ def test_cheater_limits_bareiss_branch(caplog):
     assert h == fraction_cheater_limits(net, {0, 3})
     assert h[1][0] == Fraction(1000003, 1999984)
     assert caplog.text.count("exact solve n=2: Bareiss fallback") == 2
+
+
+def test_cheater_limits_with_python_integer_counts():
+    # row denominators past 2^63 make the view's counts, and so [A | B], Python integers
+    q = 2 ** 70 + 1
+    net = Network(n=4, edges=((0, 0, Fraction(1, q)), (0, 1, Fraction(q - 1, q)), (1, 0, Fraction(1, 3)),
+                              (1, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3)), (2, 2, Fraction(1, 2)),
+                              (2, 3, Fraction(1, 2)), (3, 0, Fraction(q + 1, q + 2)), (3, 3, Fraction(1, q + 2))))
+    assert net.cached(_integer_view).D.dtype == object
+    for cheaters in ({0, 2}, {1}, {3}):
+        assert degroot.cheater_limit_exact(net, dict.fromkeys(cheaters, 1)) == fraction_cheater_limits(net, cheaters)
 
 
 @settings(max_examples=15, deadline=None)

@@ -39,6 +39,16 @@ def test_config_schema_version_rejected():
         harness.ExperimentConfig.from_json(json.dumps(data))
 
 
+def test_config_holds_only_the_settings_experiments_read():
+    # schema 2 dropped mode, horizon and options, which no experiment read; a schema 1 config is refused
+    cfg = harness.registry("voter-absorption")
+    assert sorted(json.loads(cfg.to_json())) == ["name", "schema_version", "seed", "trials"]
+    old = {"name": "voter-absorption", "mode": "mc", "trials": 100000, "seed": 20240601, "horizon": 0,
+           "options": {}, "schema_version": 1}
+    with pytest.raises(ValueError, match="unsupported schema version 1"):
+        harness.ExperimentConfig.from_json(json.dumps(old))
+
+
 def test_registry_lists_and_rejects():
     names = harness.experiment_names()
     assert len(names) == 16

@@ -202,6 +202,27 @@ def test_bfs_matches_reachability_oracle(data, n):
     assert _pairs_connected(n, pairs) == (-1 not in reachability_distances(undirected, 0))
 
 
+def test_random_regular_needs_a_seed():
+    # the graph is drawn from the seed, so without one every call could build another graph
+    with pytest.raises(ValueError, match="random_regular requires seed"):
+        generate("random_regular", 10, d=3)
+    assert generate("random_regular", 10, d=3, seed=5).edges == generate("random_regular", 10, d=3, seed=5).edges
+
+
+def test_slot_table_lays_out_the_view_rows():
+    # idx[k, i] is agent i's k-th out-neighbour in index order where keep[k, i] is set, else i itself
+    lonely = Network(n=3, edges=((0, 0, 1), (0, 1, 0), (1, 0, Fraction(1, 2)), (1, 2, Fraction(1, 2))))
+    for net in (generate("star", 5), generate("grid", 9), generate("chain", 1), lonely):
+        idx, keep = net.cached(network._slots)
+        deg = [len(net.out_neighbors(i)) for i in range(net.n)]
+        assert idx.shape == keep.shape == (max(deg), net.n)
+        for i in range(net.n):
+            assert keep[:, i].tolist() == [k < deg[i] for k in range(max(deg))]
+            assert idx[keep[:, i], i].tolist() == sorted(net.out_neighbors(i))
+            assert (idx[~keep[:, i], i] == i).all()
+        assert net.cached(network._slots)[0] is idx
+
+
 def test_random_regular_degrees():
     net = generate("random_regular", 12, d=4, seed=0)
     assert net.is_strongly_connected()

@@ -36,6 +36,15 @@ def test_degenerate_models_rejected():
         bernoulli_delta(Fraction(1, 2))
 
 
+def test_repeated_letters_rejected():
+    # prob reads the first copy of a letter while the exact cascade reads both: no model has two
+    third = Fraction(1, 3)
+    with pytest.raises(ValueError, match="letter 'x' appears more than once in the alphabet"):
+        FiniteModel(alphabet=("x", "y", "x"), mu0=(third, third, third), mu1=(third, third, third))
+    with pytest.raises(ValueError, match="letter 1 appears more than once"):
+        FiniteModel(alphabet=(1, 1.0), mu0=(third, 2 * third), mu1=(2 * third, third))
+
+
 def test_gaussian_support_unbounded():
     assert belief_support(GaussianLLR(1.0)) == ("unbounded",)
     assert GaussianLLR(2.0).llr(1.0) == 1.0

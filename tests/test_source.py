@@ -8,7 +8,10 @@ float solve or a Bareiss elimination called from a second function fails it.
 signals.cube is the one enumerator of the signal cube: bits or digits cut
 from np.arange, tiled repeats, np.indices or itertools.product anywhere else
 fail it, except in signals.map_accuracy_three_bits, whose three bits each
-have their own law.
+have their own law. network._slots is the one neighbour table: the
+kernels read agent i's neighbours from it or from the IntegerView's rows,
+never from Network.out_neighbors or by splitting the rows with np.split,
+except in degroot.step, the Fraction reference simulator.
 """
 
 import ast
@@ -31,6 +34,9 @@ CUBE_PATTERNS = {
     "tiled repeats": re.compile(r"np\.tile\(\s*np\.repeat\("),
     "grid coordinates": re.compile(r"np\.indices\("),
 }
+
+NEIGHBOUR_READERS = ("voter", "majority", "bayes", "degroot", "cascade")
+ROW_READ_EXEMPT = {"degroot.step"}
 
 
 def _helper_lines():
@@ -102,3 +108,21 @@ def test_one_cube_enumerator():
             found += [(text.count("\n", 0, m.start()) + 1, what) for m in pattern.finditer(text)]
         hits += [f"{path.name}:{line}: {what}" for line, what in sorted(found) if line not in allowed]
     assert not hits, "enumerate the cube with signals.cube:\n" + "\n".join(hits)
+
+
+def _row_reads(tree):
+    """(top-level name, line) of every .out_neighbors( or np.split( call in a parsed module."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (isinstance(node.func, ast.Attribute) and node.func.attr == "out_neighbors"
+                                               or ast.unparse(node.func) == "np.split"):
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_one_neighbour_table():
+    hits = []
+    for module in NEIGHBOUR_READERS:
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        hits += [f"{module}.py:{line}: {name}" for name, line in _row_reads(tree)
+                 if f"{module}.{name}" not in ROW_READ_EXEMPT]
+    assert not hits, "read neighbours from network._slots or the IntegerView rows:\n" + "\n".join(hits)

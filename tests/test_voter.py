@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from opdyn import voter
-from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, stationary_distribution
+from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, require_stochastic, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (FixedDraws, StrongVoterState, absorption_drift, certify_absorption, exact_consensus_probability,
                      float_net, float_solve_absorption, fraction_bernoulli_words, initial_strong_state,
@@ -81,16 +81,17 @@ def test_stage_rows_pick_each_neighbour_with_its_exact_weight():
     # stage k is the test U < q_k = (c_0 + ... + c_k) / D_i on the agent's U, and the
     # first set stage picks: P(j_k) = q_k - q_{k-1} = c_k / D_i, with q_{-1} = 0 and q_{d-1} = 1
     for net in (generate("cycle", 5), generate("star", 7), generate("grid", 9), weighted_net(8, 3), float_net(7)):
-        J, C, D = voter._weight_counts(net)
+        view = require_stochastic(net)
         st = voter._Stages(net)
         for i in range(net.n):
             rows = np.flatnonzero(st.agent == i)
+            row = slice(view.indptr[i], view.indptr[i + 1])
             js = [int(j) for j in st.nbr[rows]] + [int(st.last[i])]
-            assert js == J[i].tolist() == sorted(net.out_neighbors(i))
+            assert js == view.J[row].tolist() == sorted(net.out_neighbors(i))
             assert (st.order[st.owner[rows]] == i).all()
             qs = [Fraction(0)] + [Fraction(int(st.num[r]), int(st.den[r])) for r in rows] + [Fraction(1)]
             assert all(0 < q < 1 for q in qs[1:-1])
-            assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(c), int(D[i])) for c in C[i]]
+            assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(c), int(view.D[i])) for c in view.C[row]]
         # the select groups hold every agent once and every stage row once
         assert sorted(st.order.tolist()) == list(range(net.n))
         assert sum((a1 - a0) * (len(J) - 1) for a0, a1, J, _r0 in st.select) == len(st.den)
@@ -352,21 +353,21 @@ def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
 def test_mc_consensus_float_rows_and_wide_denominators():
     # float rows count in units of 2^-40, and a row summing to 1 - 1e-13 still absorbs
     net = float_net()
-    _J, C, D = voter._weight_counts(net)
-    assert np.abs(D - 2 ** 40).max() <= net.n and (np.concatenate(C) >= 2 ** 35).all()
+    view = require_stochastic(net)
+    assert np.abs(view.D - 2 ** 40).max() <= net.n and (view.C >= 2 ** 35).all()
     out = voter.mc_consensus(net, Fraction(1, 10), 500, seed=4)
     assert out["trials"] == 500 and out["times"].max() > 0
     out = voter.mc_consensus(net, Fraction(1, 2), 50, seed=4)    # every start is unanimous
     assert out["matches"] == 50 and not out["times"].any()
     # a positive float weight never rounds to 0
     tiny = Network(n=2, edges=((0, 0, 1 - 1e-13), (0, 1, 1e-13), (1, 0, 0.5), (1, 1, 0.5)))
-    assert voter._weight_counts(tiny)[1][0][1] == 1
+    assert require_stochastic(tiny).C[1] == 1
 
     def wide(q):
         return Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
                                    (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
     # D = 2^53 - 1 still counts exactly; an agent whose lcm reaches 2^53 is refused by name
-    assert voter._weight_counts(wide(2 ** 53 - 1))[2][0] == 2 ** 53 - 1
+    assert require_stochastic(wide(2 ** 53 - 1)).D[0] == 2 ** 53 - 1
     assert voter.mc_consensus(wide(2 ** 53 - 1), Fraction(1, 10), 20, seed=0)["trials"] == 20
     with pytest.raises(ValueError, match=r"agent 0's weights need the integer total 9007199254740992, 2\^53"):
         voter.mc_consensus(wide(2 ** 53), Fraction(1, 10), 5, seed=0)
@@ -560,6 +561,18 @@ def test_run_strong_voter_agrees_with_the_three_draw_sampler(kind, n, signals):
     for col in (0, 1):
         a, b = got[:, col], want[:, col]
         assert abs(a.mean() - b.mean()) <= 4 * np.sqrt((a.var() + b.var()) / trials) + 1e-12, col
+
+
+@pytest.mark.parametrize("kind,n", [("grid", 9), ("cycle", 7), ("complete", 4)])
+def test_run_strong_voter_is_the_one_trial_walk(kind, n):
+    # one trial never runs in lockstep: strong_voter_trials hands it to _strong_walk from t = 0
+    net = generate(kind, n)
+    for k in range(60):
+        signals = tuple(int(b) for b in trial_rng(9, k).integers(0, 2, n))
+        want = voter._strong_walk(net.cached(voter._strong_pairs), [2 * a + 1 for a in signals], sum(signals), 0,
+                                  2000 * n * n, trial_rng(10, k))
+        got = voter.run_strong_voter(net, signals, trial_rng(10, k))
+        assert got == want and all(type(x) is int for x in got)
 
 
 def test_run_strong_voter_refuses_a_disconnected_network(tmp_path):

@@ -162,24 +162,19 @@ def build_profile_space(model, n) -> ProfileSpace:
 class Round(NamedTuple):
     """One round of run_exact, in integers scaled by the result's D.
 
-    Agents see signals, never S, so a cell is a set of signal profiles.
-    cells[i, p] is the id of agent i's cell holding profile p, numbered in
-    order of first occurrence. Agent i's cells are base[i], ..., base[i+1] - 1
-    of the per-cell arrays w (cell weight) and w1 (its S=1 weight), so agent
-    i's belief on profile p is w1[c] / w[c] with c = base[i] + cells[i, p].
-    act[i, p] is the discrete action (0/1); it is None under the continuous
-    utility, where the action is the belief.
+    A cell is a set of signal profiles. cells[i, p] is the id of agent i's
+    cell holding profile p, in key order: agent i's cells are base[i], ...,
+    base[i+1] - 1, ranked by (previous cell, neighbours' actions). act[i, p]
+    is the discrete action (0/1), None under the continuous utility. Cell c
+    weighs w[c], of which w1[c] has S = 1; a discrete round leaves both None
+    until BayesResult._weights first reads them.
     """
 
     cells: np.ndarray
     base: np.ndarray
-    w: np.ndarray
-    w1: np.ndarray
     act: np.ndarray | None
-
-    def flat_cells(self):
-        """(n, M) index of every agent's cell of every profile into w and w1."""
-        return self.cells + self.base[:-1, None]
+    w: np.ndarray | None = None
+    w1: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -187,10 +182,10 @@ class BayesResult:
     """A run of run_exact.
 
     beliefs[t][i][e] (Fraction), actions[t][i][e] and partitions[t][i][e]
-    (cell id of atom e for agent i at round t) are built from the integer
-    rounds in `steps` when first read. Atom e has signal profile
-    profile_of[e]; profile p weighs profile_w[p] / scale, of which
-    profile_w1[p] / scale has S = 1.
+    (cell id of atom e for agent i at round t, numbered per agent in order
+    of first occurrence) are built from the integer rounds in `steps` when
+    first read. Atom e has signal profile profile_of[e]; profile p weighs
+    profile_w[p] / scale, of which profile_w1[p] / scale has S = 1.
     """
 
     space: ProfileSpace
@@ -205,13 +200,23 @@ class BayesResult:
     profile_w1: np.ndarray = field(repr=False)
     steps: list = field(repr=False)
 
+    def _weights(self, t):
+        """(w, w1) of round t, pooled from the profiles on first read and kept in steps[t]."""
+        r = self.steps[t]
+        if r.w is None:
+            flat, size = r.cells.ravel(), int(r.base[-1])
+            w, w1 = (_scatter_sum(flat, np.tile(p, self.net.n), size) for p in (self.profile_w, self.profile_w1))
+            r = self.steps[t] = r._replace(w=w, w1=w1)
+        return r.w, r.w1
+
     @cached_property
     def beliefs(self):
         out = []
-        for r in self.steps:
-            cell = np.empty(len(r.w), dtype=object)
-            cell[:] = [Fraction(a, b) for a, b in zip(r.w1.tolist(), r.w.tolist())]
-            out.append(cell[r.flat_cells()[:, self.profile_of]].tolist())
+        for t, r in enumerate(self.steps):
+            w, w1 = self._weights(t)
+            cell = np.empty(len(w), dtype=object)
+            cell[:] = [Fraction(a, b) for a, b in zip(w1.tolist(), w.tolist())]
+            out.append(cell[r.cells[:, self.profile_of]].tolist())
         return out
 
     @cached_property
@@ -222,18 +227,24 @@ class BayesResult:
 
     @cached_property
     def partitions(self):
-        return [r.cells[:, self.profile_of].tolist() for r in self.steps]
+        # agent i's ids follow agent i-1's, so numbering the flat cells in order of first occurrence
+        # and taking away base numbers each agent's own; profiles are numbered in order of first
+        # occurrence, so this is a numbering over the atoms too
+        out = []
+        for r in self.steps:
+            ids = _first_occurrence(r.cells.ravel().tolist(), r.cells.size)[0].reshape(r.cells.shape)
+            out.append((ids - r.base[:-1, None])[:, self.profile_of].tolist())
+        return out
 
     def limit_beliefs(self, e):
-        r = self.steps[-1]
-        c = r.flat_cells()[:, self.profile_of[e]]
-        return tuple(Fraction(a, b) for a, b in zip(r.w1[c].tolist(), r.w[c].tolist()))
+        w, w1 = self._weights(-1)
+        c = self.steps[-1].cells[:, self.profile_of[e]]
+        return tuple(Fraction(a, b) for a, b in zip(w1[c].tolist(), w[c].tolist()))
 
     def _belief_pairs(self, t):
         """(numerator, denominator) arrays, (n, M), of the round-t beliefs in lowest terms."""
-        r = self.steps[t]
-        flat = r.flat_cells()
-        return tuple(p[flat] for p in _lowest_terms(r.w1, r.w))
+        w, w1 = self._weights(t)
+        return tuple(p[self.steps[t].cells] for p in _lowest_terms(w1, w))
 
     def _action_arrays(self, t):
         """(n, M) arrays, equal at two (round, agent, profile) places exactly where the actions are."""
@@ -283,75 +294,63 @@ def _pair_ids(num, den):
     return ids, int(new.sum())
 
 
-def _number(keys, bounds):
-    """Every agent's keys numbered in its order of first occurrence, all agents in one pass.
+def _rank(keys, bound):
+    """(ids as int32, base, whether the table ran): each of the (n, M) keys < bound ranked among the distinct keys.
 
-    keys is (n, M) with keys[i] < bounds[i]. Agent i's keys are offset by
-    bounds[0] + ... + bounds[i-1], so no two agents share a key, and the
-    first-occurrence numbering of the flat offset keys gives agent i a run
-    of ids in its own order; subtracting the run's start gives its cells.
-    A key range of at most _TABLE_PER_PLACE entries per (agent, profile)
-    place finds each key's first position in a dense table, a wider one by
-    one stable sort. Returns (cells as int32, counts, whether the table ran).
+    Agent i's keys lie below agent i+1's, so agent i gets the ids base[i],
+    ..., base[i+1] - 1 in its key order. A range of at most _TABLE_PER_PLACE
+    entries per (agent, profile) place marks the keys present in a dense
+    boolean table; a wider one takes np.unique, which gives the same ids.
     """
-    n, M = keys.shape
-    size = int(bounds.sum())
-    flat = (keys + (np.cumsum(bounds) - bounds)[:, None]).ravel()
-    pos = np.arange(flat.size)
-    by_table = size <= _TABLE_PER_PLACE * flat.size
+    by_table = bound <= _TABLE_PER_PLACE * keys.size
     if by_table:
-        first = np.full(size, flat.size)
-        np.minimum.at(first, flat, pos)
-        first = first[flat]
+        seen = np.zeros(bound, dtype=bool)
+        seen[keys.ravel()] = True
+        present = np.flatnonzero(seen)
+        rank = np.empty(bound, dtype=np.int32)
+        rank[present] = np.arange(len(present), dtype=np.int32)
+        ids = rank.take(keys)
     else:
-        order = np.argsort(flat, kind="stable")     # stable: a key's first place leads its run
-        ordered = flat[order]
-        new = np.ones(flat.size, dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        first = np.empty_like(pos)
-        first[order] = order[new][np.cumsum(new) - 1]
-    lead = np.flatnonzero(first == pos)                # each key's first place, in id order
-    counts = np.diff(np.searchsorted(lead, M * np.arange(n + 1)))
-    rank = np.empty(flat.size, dtype=np.int32)
-    rank[lead] = np.arange(len(lead), dtype=np.int32)
-    cells = rank[first].reshape(n, M)
-    cells -= (np.cumsum(counts) - counts).astype(np.int32)[:, None]
-    return cells, counts, by_table
+        ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape).astype(np.int32)
+    return ids, np.concatenate(([0], ids.max(axis=1, initial=-1) + 1)), by_table
 
 
 def _neighbour_slots(net: Network):
-    """[(rows, nbrs)] per slot k: the agents with a k-th neighbour (in sorted order) and that neighbour.
+    """(slots, n) table: row k holds every agent's k-th neighbour other than itself (sorted), else the agent.
 
-    rows is a slice over all agents where every agent has the slot. Read
-    from the network's neighbour table (network._slots).
+    An agent's own action is a function of its own cell, so it adds nothing
+    to its key. Read from network._slots, once per network through Network.cached.
     """
     idx, keep = net.cached(_slots)
-    slots = []
-    for nb, kept in zip(idx, keep):
-        rows = slice(None) if kept.all() else np.flatnonzero(kept)
-        slots.append((rows, nb[rows]))
-    return slots
+    agents = np.arange(net.n)
+    other = keep & (idx != agents)
+    count = other.sum(axis=0)
+    table = np.tile(agents, (int(count.max(initial=0)), 1))
+    table.T[np.arange(len(table)) < count[:, None]] = idx.T[other.T]    # agent by agent, slot by slot
+    return table
 
 
-def _refine(cells, counts, codes, radix, net):
-    """Split every agent's cells by the action codes (< radix) its neighbours showed.
+def _refine(cells, base, codes, radix, net):
+    """Split every agent's cells by the action codes (< radix) its neighbours showed; returns _rank's triple.
 
-    Agent i's next key is (cell, codes of its neighbours in sorted order)
-    packed into one integer, for all agents at once, one neighbour slot at
-    a time. Before a slot that would take the keys' range past the limit,
-    they are renumbered: the dense table's size when the radix is small,
-    else _KEY_BOUND. Returns _number's (cells, counts, whether the table ran).
+    Agent i's next key is (cell, codes of its other neighbours in sorted
+    order) packed into one integer, for all agents at once, one slot at a
+    time. Before a slot that would take the keys' range past the limit (the
+    dense table's size when the radix is small, else _KEY_BOUND) they are
+    renumbered by rank. Ranks keep the order of the cells, so a round that
+    splits no cell keeps every id.
     """
-    key, bound = cells.astype(np.int64), counts.copy()
+    key, bound = cells.astype(np.int64), int(base[-1])
+    codes = codes.astype(np.int64, copy=False)          # int64 + int64 skips a cast per slot
     limit = _TABLE_PER_PLACE * cells.size if radix <= _TABLE_PER_PLACE else _KEY_BOUND
-    for rows, nb in net.cached(_neighbour_slots):
-        if int(bound.sum()) + (radix - 1) * int(bound[rows].sum()) > limit:
-            key, bound, _ = _number(key, bound)
-            key = key.astype(np.int64)
-        key[rows] *= radix
-        key[rows] += codes[nb]
-        bound[rows] *= radix
-    return _number(key, bound)
+    for nb in net.cached(_neighbour_slots):
+        if bound * radix > limit:
+            key, renumbered, _ = _rank(key, bound)
+            key, bound = key.astype(np.int64), int(renumbered[-1])
+        key *= radix
+        key += codes.take(nb, axis=0)
+        bound *= radix
+    return _rank(key, bound)
 
 
 def _first_occurrence(values, count):
@@ -383,7 +382,7 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
 
     Reads the space's Atoms: weights scaled by their common denominator D,
     summed per cell in int64 when D < 2**62 (so 2 w1 fits), else in Python
-    integers.
+    integers. A discrete round pools only each cell's margin 2 w1 - w.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -392,8 +391,6 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
     if tie_rule not in ("choose_one", "own_signal"):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     n = net.n
-    # profiles are numbered in order of first occurrence, so a first-occurrence
-    # numbering of profile cells is one of atom cells too
     states, profile_of, weights, scale, sig, letters = space.atoms
     M = sig.shape[1]
     if len(sig) != n:
@@ -402,44 +399,42 @@ def run_exact(net: Network, space: ProfileSpace, horizon: int,
     profile_w1 = _scatter_sum(profile_of, np.where(states == 1, weights, 0).astype(weights.dtype), M)
     # the own_signal tie action per letter id; -1 marks a letter other than 0/1
     letter_bit = np.array([int(x) if x in (0, 1) else -1 for x in letters], dtype=np.int8)
-    tiled_w, tiled_w1 = np.tile(profile_w, n), np.tile(profile_w1, n)
+    # pooled per cell each round: the margin 2 w1 - w (the sign of belief - 1/2) if discrete, else w and w1
+    pooled = (2 * profile_w1 - profile_w,) if utility == "discrete" else (profile_w, profile_w1)
+    tiled = [np.tile(p, n) for p in pooled]
 
-    cells, counts, by_table = _number(sig, np.full(n, len(letters)))
-    tables = int(by_table)
-    steps = []
-    stabilized = False
+    # round 0: each agent knows its own letter
+    cells, base, by_table = _rank(sig + len(letters) * np.arange(n)[:, None], n * len(letters))
+    tables, steps, stabilized = int(by_table), [], False
     for t in range(horizon):
-        base = np.concatenate(([0], np.cumsum(counts)))
-        flat_cells = (cells + base[:-1, None]).ravel()
-        w = _scatter_sum(flat_cells, tiled_w, base[-1])
-        w1 = _scatter_sum(flat_cells, tiled_w1, base[-1])
+        sums = [_scatter_sum(cells.ravel(), p, int(base[-1])) for p in tiled]
         if utility == "discrete":
-            margin = 2 * w1 - w                 # sign of belief - 1/2
-            up = margin >= 0 if tie_rule == "choose_one" else margin > 0
-            act = up[flat_cells].reshape(n, M).astype(np.int8)
+            margin, = sums
+            act = (margin >= 0 if tie_rule == "choose_one" else margin > 0).astype(np.int8).take(cells)
             if tie_rule == "own_signal":
-                tie = (margin == 0)[flat_cells].reshape(n, M)
+                tie = (margin == 0).take(cells)
                 bits = letter_bit[sig[tie]]
                 if (bits < 0).any():
                     raise ValueError("own_signal tie rule needs 0/1 signals")
                 act[tie] = bits
+            steps.append(Round(cells=cells, base=base, act=act))
             codes, radix = act, 2
         else:
-            act = None
+            w, w1 = sums
+            steps.append(Round(cells=cells, base=base, act=None, w=w, w1=w1))
             ids, radix = _pair_ids(*_lowest_terms(w1, w))
-            codes = ids[flat_cells].reshape(n, M)
-        steps.append(Round(cells=cells, base=base, w=w, w1=w1, act=act))
+            codes = ids.take(cells)
         if t >= 1 and np.array_equal(cells, steps[-2].cells):
             # partitions can no longer refine; every later round repeats this one
             stabilized = True
             break
         if t + 1 < horizon:
-            cells, counts, by_table = _refine(cells, counts, codes, radix, net)
+            cells, base, by_table = _refine(cells, base, codes, radix, net)
             tables += by_table
     debug("bayes run_exact: %d atoms, %d profiles, D=%d (%s), %d rounds, stabilized=%s, "
           "max %d cells per agent, numbered by table %d, by sort %d", len(states), M, scale,
-          "int64" if weights.dtype == np.int64 else "python-int", len(steps), stabilized, int(counts.max()),
-          tables, len(steps) - tables)
+          "int64" if weights.dtype == np.int64 else "python-int", len(steps), stabilized,
+          int(np.diff(steps[-1].base).max(initial=0)), tables, len(steps) - tables)
     return BayesResult(space=space, net=net, utility=utility, tie_rule=tie_rule,
                        rounds=len(steps), stabilized=stabilized, scale=scale,
                        profile_of=profile_of, profile_w=profile_w, profile_w1=profile_w1,
@@ -477,8 +472,9 @@ def expected_utility(res: BayesResult, agent, t=None):
         hits = np.where(r.act[agent] == 1, res.profile_w1, res.profile_w - res.profile_w1)
         return Fraction(int(hits.sum()), res.scale)
     # a cell of weight w playing b = w1/w earns w - w1 (1 - b)^2 - (w - w1) b^2 = w - w1 (w - w1) / w
+    w, w1 = res._weights(t)
     cells = slice(r.base[agent], r.base[agent + 1])
-    loss = sum((Fraction(a * (b - a), b) for a, b in zip(r.w1[cells].tolist(), r.w[cells].tolist())),
+    loss = sum((Fraction(a * (b - a), b) for a, b in zip(w1[cells].tolist(), w[cells].tolist())),
                Fraction(0))
     return (int(res.profile_w.sum()) - loss) / res.scale
 

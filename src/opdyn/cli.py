@@ -237,7 +237,7 @@ def _cmd_bayes(args):
     res = bayes.run_exact(net, space, horizon=horizon, utility=utility,
                           tie_rule={"one": "choose_one", "own": "own_signal"}[tie])
     record = {"experiment": "bayes-exact", "graph": args.graph, "signal": args.signal,
-              "utility": utility, "tie": tie, "rounds": res.rounds,
+              "utility": utility, "tie": tie if utility == "discrete" else None, "rounds": res.rounds,
               "stabilized": res.stabilized,
               "agreement": bayes.agreement_check(res)["agree"]}
     if res.stabilized:

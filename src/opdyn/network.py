@@ -397,7 +397,7 @@ def _solve_integer(M):
         guess = None
     if guess is not None and np.isfinite(guess).all():
         keys = guess.round(12).tolist()
-        value = {k: rationalize(v) for k, v in zip(keys, guess.tolist())}
+        value = {k: rationalize(v) for k, v in dict(zip(keys, guess.tolist())).items()}
         Q, N = scaled(map(value.__getitem__, keys))
         if _proves(M, Q, N):
             return Q, N, f"certified float rebuild, one shared denominator {Q}"

@@ -531,10 +531,13 @@ def _strong_walk(pairs, codes, ones, t, step_cap, rng):
 def run_strong_voter(net: Network, signals, rng):
     """Run one trial's edge updates until all opinions agree; returns (opinion, T) as ints.
 
-    One row of strong_voter_trials: a lone trial goes straight to _strong_walk.
+    One row of strong_voter_trials, walked with _strong_walk from t = 0 as
+    that walks a lone trial, without its whole-array set-up.
     """
-    values, steps = strong_voter_trials(net, [signals], rng)
-    return int(values[0]), int(steps[0])
+    n, pairs, bits = net.n, net.cached(_strong_pairs), [*signals]
+    if len(bits) != n or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"signals must be a trials x {n} array of 0/1")
+    return _strong_walk(pairs, [2 * int(b) + 1 for b in bits], sum(map(int, bits)), 0, 2000 * n * n, rng)
 
 
 def strong_voter_trials(net: Network, signals, rng):

@@ -697,32 +697,34 @@ def fraction_run_exact(net, space, horizon, utility="continuous", tie_rule="choo
                        rounds=len(actions), stabilized=stabilized)
 
 
-def _first_occurrence_ids(key):
-    """Number the distinct values of key 0, 1, ... in order of first occurrence; (ids as int32, count)."""
-    _values, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int32)
-    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse], len(first)
+def _key_order_ids(key):
+    """The distinct values of key numbered 0, 1, ... in increasing order; (ids as int32, count)."""
+    values, inverse = np.unique(key, return_inverse=True)
+    return inverse.astype(np.int32), len(values)
 
 
-def per_agent_refine(cells, counts, codes, radix, net):
-    """bayes._refine one agent at a time: fold in each neighbour's code, then np.unique per agent.
+def per_agent_refine(cells, base, codes, radix, net):
+    """bayes._refine one agent at a time: fold in every neighbour's code, then np.unique per agent.
 
-    The packed key is renumbered whenever one more code would pass 2^62.
-    Returns (cells, counts, False): a sort numbered every agent's keys.
+    Every neighbour counts, the agent itself too on a self-loop. The packed
+    key is renumbered whenever one more code would pass 2^62. Each agent's
+    keys are numbered in key order after the cells of the agents before it.
+    Returns (cells, base, False): a sort numbered every agent's keys.
     """
     new = np.empty_like(cells)
-    new_counts = np.empty_like(counts)
+    new_base = np.zeros_like(base)
     for i in range(net.n):
-        key, bound = cells[i].astype(np.int64), int(counts[i])
+        key, bound = (cells[i] - base[i]).astype(np.int64), int(base[i + 1] - base[i])
         for j in sorted(net.out_neighbors(i)):
             if bound * radix > 2 ** 62:
-                key, bound = _first_occurrence_ids(key)
+                key, bound = _key_order_ids(key)
                 key = key.astype(np.int64)
             key = key * radix + codes[j]
             bound *= radix
-        new[i], new_counts[i] = _first_occurrence_ids(key)
-    return new, new_counts, False
+        ids, count = _key_order_ids(key)
+        new[i] = new_base[i] + ids
+        new_base[i + 1] = new_base[i] + count
+    return new, new_base, False
 
 
 def searchsorted_mc_consensus(net, delta, trials, seed, step_cap=None):

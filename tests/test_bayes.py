@@ -247,10 +247,28 @@ def test_refinement_matches_per_agent_oracle(net, delta, utility, tie_rule, tabl
         mp.setattr(bayes, "_refine", per_agent_refine)
         want = bayes.run_exact(net, space, horizon, utility, tie_rule)
     assert (got.rounds, got.stabilized) == (want.rounds, want.stabilized)
-    for a, b in zip(got.steps, want.steps):
-        for field in ("cells", "base", "w", "w1"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+    for t, (a, b) in enumerate(zip(got.steps, want.steps)):
+        assert np.array_equal(a.cells, b.cells) and np.array_equal(a.base, b.base)
+        for x, y in zip(got._weights(t), want._weights(t)):
+            assert np.array_equal(x, y)
         assert (a.act is None and b.act is None) if utility == "continuous" else np.array_equal(a.act, b.act)
+
+
+@pytest.mark.parametrize("utility", ["discrete", "continuous"])
+def test_cell_ids_keep_the_order_of_the_previous_round(utility):
+    # ids are ranks of (previous cell, neighbours' actions): each new cell's parent id never
+    # decreases with its id, so a round that splits no cell keeps every id
+    for net in (generate("cycle", 5), generate("star", 4), generate("chain", 4)):
+        space = space_for(net.n)
+        res = bayes.run_exact(net, space, space.m * net.n + 1, utility)
+        assert res.stabilized
+        for prev, cur in zip(res.steps, res.steps[1:]):
+            parent = np.empty(int(cur.base[-1]), dtype=np.int64)
+            parent[cur.cells] = prev.cells
+            assert np.array_equal(parent[cur.cells], prev.cells)
+            assert (np.diff(parent) >= 0).all()
+        assert np.array_equal(res.steps[-1].cells, res.steps[-2].cells)
+        assert np.array_equal(res.steps[-1].base, res.steps[-2].base)
 
 
 def test_vectorized_checks_match_atom_loops():
@@ -311,7 +329,8 @@ def test_array_spaces_match_the_fraction_oracle_on_fraction_entries(utility):
     space = bayes.build_profile_space(xor_pair(), 2)
     got = bayes.run_exact(generate("chain", 2), space, 10, utility)
     atoms = space.atoms
-    assert bayes.run_exact(generate("chain", 2), space, 10, utility).steps[-1].w.tolist() == got.steps[-1].w.tolist()
+    again = bayes.run_exact(generate("chain", 2), space, 10, utility)
+    assert again._weights(-1)[0].tolist() == got._weights(-1)[0].tolist()
     assert space.atoms is atoms
     want = fraction_run_exact(generate("chain", 2), space, 10, utility)
     assert (got.beliefs, got.actions, got.partitions) == (want.beliefs, want.actions, want.partitions)

@@ -89,6 +89,10 @@ def test_bayes_exact_graph(capsys):
                                   "--utility", "continuous"])
     assert code == 0
     assert rec["stabilized"] and rec["agreement"] and rec["full_information"]
+    # the continuous path reads no tie rule, so its record names none
+    assert rec["utility"] == "continuous" and rec["tie"] is None
+    code, rec = run_json(capsys, ["bayes", "--graph", "cycle:3", "--signal", "bernoulli:1/6"])
+    assert code == 0 and (rec["utility"], rec["tie"]) == ("discrete", "one")
 
 
 def test_majority_lyapunov(capsys):

@@ -105,6 +105,16 @@ def test_stationary_is_left_fixed_point():
         assert sum(sd.alpha[i] * P[i][j] for i in range(net.n)) == sd.alpha[j]
 
 
+def test_stationary_rebuilds_each_distinct_value_once(monkeypatch):
+    # a regular graph's alpha is uniform, so its 64 float guesses share one value to rebuild
+    net = generate("random_regular", 64, d=4, seed=1)
+    calls = []
+    real = network.rationalize
+    monkeypatch.setattr(network, "rationalize", lambda x: calls.append(x) or real(x))
+    assert stationary_distribution(net).alpha == (Fraction(1, 64),) * 64
+    assert len(calls) == 1
+
+
 def test_mixing_tv_decreases():
     net = generate("cycle", 5)
     assert mixing_tv(net, 0, 64) < mixing_tv(net, 0, 2)

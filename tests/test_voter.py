@@ -501,6 +501,9 @@ def test_strong_voter_trials_input_and_cap(monkeypatch):
         voter.strong_voter_trials(net, [[1, 0, 1]], rng)
     with pytest.raises(ValueError, match="trials x 5 array of 0/1"):
         voter.strong_voter_trials(net, [[1, 0, 2, 0, 1]], rng)
+    for row in ([1, 0, 1], [1, 0, 2, 0, 1], [[1, 0, 1, 0, 1]]):    # one trial's row, checked the same way
+        with pytest.raises(ValueError, match="trials x 5 array of 0/1"):
+            voter.run_strong_voter(net, row, rng)
     with pytest.raises(ValueError, match="undirected"):
         voter.strong_voter_trials(Network(2, ((0, 1, 1), (1, 0, 1))), [[0, 1]], rng)
     with pytest.raises(ValueError, match="needs an edge between two agents"):
@@ -573,6 +576,7 @@ def test_run_strong_voter_is_the_one_trial_walk(kind, n):
                                   2000 * n * n, trial_rng(10, k))
         got = voter.run_strong_voter(net, signals, trial_rng(10, k))
         assert got == want and all(type(x) is int for x in got)
+        assert voter.run_strong_voter(net, np.array(signals, dtype=np.int8), trial_rng(10, k)) == want
 
 
 def test_run_strong_voter_refuses_a_disconnected_network(tmp_path):

@@ -267,7 +267,7 @@ class BayesResult:
         """(fixation round per profile, (n, M) counts of the rounds in which each agent's action changed)."""
         changed = self._changed()
         last = (np.arange(1, self.rounds)[:, None] * changed.any(axis=1)).max(axis=0, initial=0)
-        return last, changed.sum(axis=0)
+        return last, changed.sum(axis=0, dtype=np.int32)     # a count never exceeds the round count
 
     def change_counts(self):
         """per entry, per agent: number of rounds t with A_{t+1} != A_t."""
@@ -365,6 +365,15 @@ def _first_occurrence(values, count):
 
 
 def _scatter_sum(index, values, size):
+    """out[k] = the sum of values[j] over the j with index[j] = k, for k < size.
+
+    index and values must be 1-D and of one length: np.add.at broadcasts
+    other shapes, and numpy 2.4 returns wrong sums for a 2-D index against
+    1-D values, so they are refused.
+    """
+    if index.ndim != 1 or index.shape != values.shape:
+        raise ValueError(f"scatter sum needs a 1-D index and values of its length, got shapes "
+                         f"{index.shape} and {values.shape}")
     out = np.zeros(size, dtype=values.dtype)
     np.add.at(out, index, values)
     return out

@@ -171,6 +171,8 @@ def limit_accuracy(model: FiniteModel) -> Fraction:
     """
     chain = _Chain(model)
     rows, D = chain.rows, chain.D
+    if rows[0][1] is not None:      # uninformative signals (mu0 = mu1): every agent plays the prior's action
+        return Fraction(1, 2)
     index = {}           # transient row -> unknown
     k = 0
     while k < len(rows):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bayes, cascade, degroot, majority, voter
 from .harness import experiment_names, registry, run_experiment
-from .harness_util import wilson_interval
+from .harness_util import read_rational, wilson_interval
 from .network import generate, read_network, stationary_distribution
 from .signals import FiniteModel, GaussianLLR, bernoulli_delta, check_delta, read_signal_model, trial_rng
 
@@ -45,11 +45,11 @@ def _load_signal(spec):
         raise ValueError(f"unknown signal spec {spec!r} (bernoulli:<d> | gaussian:<s2> | file:<path>)")
     try:
         if kind == "bernoulli":
-            return bernoulli_delta(Fraction(rest))
+            return bernoulli_delta(read_rational(rest))
         if kind == "gaussian":
-            return GaussianLLR(sigma2=float(Fraction(rest)))
+            return GaussianLLR(sigma2=float(read_rational(rest)))
         return read_signal_model(rest)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"bad signal spec {spec!r}: {exc}") from exc
 
 
@@ -316,18 +316,18 @@ def _positive_int(text):
 def _fraction(text):
     """argparse type of every --delta: an exact rational such as 1/10, 0.1 or 0."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational such as 1/10, got {text!r}") from None
+        return read_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a rational such as 1/10: {exc}") from None
 
 
 def _cheater(text):
     """argparse type of --cheater: i=v, an agent i and the rational value v it holds."""
     i, _, v = text.partition("=")
     try:
-        return int(i), Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected i=v with an agent i and a rational v, got {text!r}") from None
+        return int(i), read_rational(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected i=v with an agent i and a rational v: {exc}") from None
 
 
 def _non_negative_int(text):

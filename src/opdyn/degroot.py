@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import (EXACT_SOLVE_MAX_N, Network, _integer_view, _solve_integer, require_rational,
-                      stationary_distribution)
+from .network import EXACT_SOLVE_MAX_N, Network, _integer_view, _solve_integer, stationary_distribution
 from .harness_util import debug, scaled, unscaled, wilson_interval
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
@@ -104,20 +103,18 @@ def learning_probability(net: Network, delta, mode="exact",
                          trials=10000, rng=None) -> LearningEstimate:
     """p_w(delta) = P(round(A_infinity) = S) under Bernoulli(delta) signals.
 
-    mode="exact" needs rational weights and an exact alpha (n <= 200, see
-    network.EXACT_SOLVE_MAX_N); it runs a knapsack DP over the weighted
-    signal sum (see _exact_p_w) and refuses more than EXACT_DP_MAX_SUPPORT
-    distinct sums. Exact ties A_infinity = 1/2 are reported separately and
-    count as neither success nor failure. mode="monte_carlo" samples trials
-    signal vectors from rng a block at a time (see _sample_p_w) and carries a
-    Wilson interval.
+    mode="exact" needs an exact alpha (n <= 200, see network.EXACT_SOLVE_MAX_N);
+    it runs a knapsack DP over the weighted signal sum (see _exact_p_w) and
+    refuses more than EXACT_DP_MAX_SUPPORT distinct sums. Exact ties
+    A_infinity = 1/2 are reported separately and count as neither success
+    nor failure. mode="monte_carlo" samples trials signal vectors from rng a
+    block at a time (see _sample_p_w) and carries a Wilson interval.
     """
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 2):
         raise ValueError("delta must lie in (0, 1/2)")
     n = net.n
     if mode == "exact":
-        require_rational(net, "exact p_w")
         sd = stationary_distribution(net)
         if not sd.exact:
             raise ValueError(f"exact p_w needs an exact stationary distribution, which is "
@@ -228,10 +225,9 @@ def cheater_limit_exact(net: Network, cheaters: dict):
     -C[i, c]. I - P_HH is nonsingular: on a strongly connected network every
     honest walk reaches a cheater with positive probability, so P_HH^t -> 0
     and 1 is not an eigenvalue of P_HH. [A | B] holds one right-hand column
-    per cheater, each solved by network._solve_integer. Refuses float
-    weights and non-agents.
+    per cheater, each solved by network._solve_integer. Refuses a cheater
+    that is not an agent.
     """
-    require_rational(net, "exact cheater limits")
     cs = sorted(cheaters)
     for c in cs:
         if not 0 <= c < net.n:

@@ -1,4 +1,5 @@
-"""Small helpers shared by the dynamics modules and the harness: scaled integers, statistics, debug records."""
+"""Small helpers shared by the dynamics modules and the harness: rationals read from text, scaled integers,
+statistics, debug records."""
 
 from __future__ import annotations
 
@@ -8,6 +9,31 @@ from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
+
+# Python's default limit on the digits of int(str); a rational literal may need no more
+LITERAL_MAX_DIGITS = 4300
+
+
+def read_rational(text):
+    """The exact rational that text spells in Fraction's syntax, such as 3, -1/4, 0.25 or 2.5e-1.
+
+    The one reader of rationals from files and the command line. Raises
+    ValueError on any other text, nan and inf among them, and on a zero
+    denominator. A literal of more than LITERAL_MAX_DIGITS characters, or
+    whose exponent takes its numerator or denominator past that many digits,
+    is refused from the text, before any integer is built: Fraction builds
+    10^k for an exponent k itself, so Fraction("1e-10000000") alone takes
+    seconds.
+    """
+    mantissa, _, exp = text.lower().partition("e")
+    exp = exp.replace("_", "").lstrip("+-")
+    if len(text) > LITERAL_MAX_DIGITS or len(mantissa) + (int(exp) if exp.isdecimal() else 0) > LITERAL_MAX_DIGITS:
+        shown = text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+        raise ValueError(f"the rational {shown!r} needs more than {LITERAL_MAX_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator: {exc}") from None
 
 
 def scaled(values):

@@ -2,30 +2,26 @@
 
 Networks here are the substrate for every dynamic in the package: a simple,
 strongly connected directed graph, optionally carrying row-stochastic weights
-(one weight per out-edge, rows summing to 1, self-loop on every node). Weights
-given as Fractions are kept exact; float weights are accepted with a 1e-12
-row-sum tolerance. Undirected graphs are stored as symmetric directed pairs.
-Each network's weights are also held as integers, in one IntegerView built
-and validated on first use and kept with the network.
+(one weight per out-edge, rows summing to 1, self-loop on every node). Every
+weight is an exact rational, a Fraction from construction on, so every exact
+oracle can read any network; graph files spell weights as 1/4, 0.25 or
+2.5e-1, read exactly. Undirected graphs are stored as symmetric directed
+pairs. Each network's weights are also held as integers, in one IntegerView
+built and validated on first use and kept with the network.
 """
 
 from __future__ import annotations
 
-import math
 import random as _random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 import numpy as np
 
-from .harness_util import debug, int_dtype, scaled, unscaled
-
-ROW_SUM_TOL = 1e-12
-
-# the integer view counts a float weight in these units, the scale of ROW_SUM_TOL
-FLOAT_UNIT = 1 << 40
+from .harness_util import debug, int_dtype, read_rational, scaled, unscaled
 
 # generate builds no topology with more agents, or more neighbour pairs, than this
 GENERATE_MAX_SIZE = 10 ** 5
@@ -39,21 +35,16 @@ POWER_TOL = 1e-12
 REBUILD_MAX_DEN = 10 ** 6
 
 
-def _as_weight(w):
-    """Keep Fractions/ints exact, pass floats through."""
-    if isinstance(w, (Fraction, int)):
-        return Fraction(w)
-    return float(w)
-
-
 @dataclass(frozen=True)
 class Network:
     """Simple directed graph with weighted edges.
 
-    edges are (source, target, weight) triples, 0-indexed. ``directed=False``
-    means the edge list is already symmetric (both directions present);
-    generators take care of that. Immutable after construction, safe to share
-    across trial workers.
+    edges are (source, target, weight) triples, 0-indexed. A weight is a
+    numbers.Rational (an int, a Fraction or a numpy integer) and is kept as a
+    Fraction; any other weight, a float among them, raises ValueError naming
+    its edge. ``directed=False`` means the edge list is already symmetric
+    (both directions present); generators take care of that. Immutable after
+    construction, safe to share across trial workers.
     """
 
     n: int
@@ -69,7 +60,12 @@ class Network:
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
             if j in out[i]:
                 raise ValueError(f"parallel edge ({i},{j})")
-            out[i][j] = _as_weight(w)
+            if type(w) is not Fraction:
+                if not isinstance(w, Rational):
+                    raise ValueError(f"edge ({i},{j}) has the weight {w!r}, which is not rational: "
+                                     f"pass an int or a Fraction, such as Fraction(str(w))")
+                w = Fraction(w)
+            out[i][j] = w
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_cache", {})
 
@@ -84,11 +80,6 @@ class Network:
 
     def weight(self, i, j):
         return self._out[i].get(j)
-
-    @property
-    def is_rational(self):
-        """Every weight is a Fraction (an int given as a weight becomes one)."""
-        return self.cached(_integer_view).rational
 
     def weight_matrix(self):
         """Float matrix P with P[i, j] = w(i, j), from the integer view's float weights."""
@@ -151,26 +142,22 @@ class IntegerView:
     """A network's weights as integers, and the verdict of its validation.
 
     Agent i's out-neighbours are J[indptr[i]:indptr[i + 1]], in index order,
-    with integer counts C over the row denominator D[i]: w(i, j) = C / D[i].
-    A rational row counts in units of the lcm of its denominators
-    (harness_util.scaled). A row with a float weight counts in units of
-    1/FLOAT_UNIT = 2^-40, rounded, a positive weight never to 0, and D[i] is
-    its total; rational is False then. C and D are int64 arrays, or object
-    arrays of Python integers once a count or a row denominator reaches 2^63.
-    rows[k] is the agent of entry k, and W[k] its weight as a float.
+    with integer counts C over the row denominator D[i]: w(i, j) = C / D[i],
+    D[i] the lcm of the row's denominators (harness_util.scaled). C and D are
+    int64 arrays, or object arrays of Python integers once a count or a row
+    denominator reaches 2^63. rows[k] is the agent of entry k, and W[k] its
+    weight as a float, correctly rounded.
 
     faults lists the violations of the base invariants (out-degree >= 1,
     strong connectivity), and row_faults those of the stochastic ones
-    (self-loop, positive weights, each row summing to 1: exactly, sum C =
-    D, for a rational row, within ROW_SUM_TOL for a float row), in the
-    words of validate. Built once per network, on the first read through
-    Network.cached(_integer_view); a faulty network keeps its view, and
-    require_stochastic refuses it on every call.
+    (self-loop, positive weights, each row summing to 1 exactly: sum C = D),
+    in the words of validate. Built once per network, on the first read
+    through Network.cached(_integer_view); a faulty network keeps its view,
+    and require_stochastic refuses it on every call.
     """
 
     def __init__(self, net: Network):
         J, C, D, weights, faults, row_faults = [], [], [], [], [], []
-        self.rational = True
         for i in range(net.n):
             nb = net.out_neighbors(i)
             if not nb:
@@ -179,20 +166,10 @@ class IntegerView:
                 row_faults.append(f"node {i} has no self-loop")
             js = sorted(nb)
             ws = [nb[j] for j in js]
-            # weights are exact Fractions (ints become Fractions) or floats, see _as_weight
-            if all(type(w) is Fraction for w in ws):
-                row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if w.numerator <= 0]
-                d, cs = scaled(ws)
-                if sum(cs) != d:
-                    row_faults.append(f"row {i} sums to {Fraction(sum(cs), d)}, not 1")
-            else:
-                row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if not w > 0]
-                self.rational = False
-                s = sum(nb.values())
-                if abs(float(s) - 1.0) > ROW_SUM_TOL:
-                    row_faults.append(f"row {i} sums to {float(s)!r}, off by more than {ROW_SUM_TOL}")
-                cs = [max(1, round(w * FLOAT_UNIT)) if 0 < w < math.inf else 0 for w in ws]
-                d = sum(cs)
+            row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if w.numerator <= 0]
+            d, cs = scaled(ws)
+            if sum(cs) != d:
+                row_faults.append(f"row {i} sums to {Fraction(sum(cs), d)}, not 1")
             J += js
             C += cs
             D.append(d)
@@ -207,7 +184,7 @@ class IntegerView:
         self.J = np.array(J, dtype=np.int64)
         self.C = np.array(C, dtype=dtype)
         self.D = np.array(D, dtype=dtype)
-        if self.rational and bound < 2 ** 53:     # exact in float64, so C / D rounds once, as float(w) does
+        if bound < 2 ** 53:     # exact in float64, so C / D rounds once, as float(w) does
             self.W = self.C / self.D[self.rows]
         else:
             self.W = np.array([float(w) for w in weights])
@@ -250,9 +227,8 @@ def validate(net: Network, require_stochastic: bool = False) -> ValidationReport
 
     Base invariants: simple (enforced at construction), every out-degree >= 1,
     strongly connected. With require_stochastic additionally: self-loop on
-    every node, strictly positive weights, each row summing to 1 (exactly for
-    rational rows, within 1e-12 for float rows). The verdict is the one the
-    network's IntegerView found when it was built.
+    every node, strictly positive weights, each row summing to 1 exactly. The
+    verdict is the one the network's IntegerView found when it was built.
     """
     view = net.cached(_integer_view)
     return ValidationReport(list(view.faults + (view.row_faults if require_stochastic else ())))
@@ -464,17 +440,6 @@ def solve_exact(A, b):
     return unscaled(Q, N)
 
 
-def require_rational(net: Network, purpose):
-    """Raise ValueError naming the first edge with a float weight; exact oracles need rationals."""
-    if net.is_rational:
-        return
-    for (i, j, _w) in net.edges:
-        w = net.weight(i, j)
-        if not isinstance(w, Fraction):
-            raise ValueError(f"{purpose} needs rational weights, but edge ({i},{j}) "
-                             f"has the float weight {w!r}; write it as p/q")
-
-
 # -- stationary distribution -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -492,7 +457,7 @@ class StationaryDistribution:
 def stationary_distribution(net: Network) -> StationaryDistribution:
     """Left unit eigenvector of the weight matrix (the PageRank vector).
 
-    Rational weights and n <= 200: the exact solution of alpha (P - I) = 0
+    Up to EXACT_SOLVE_MAX_N agents: the exact solution of alpha (P - I) = 0
     with the last equation replaced by sum(alpha) = 1 (see _exact_stationary).
     That system is nonsingular: P is irreducible (validate checks strong
     connectivity), so by Perron-Frobenius the solutions of alpha (P - I) = 0
@@ -505,10 +470,9 @@ def stationary_distribution(net: Network) -> StationaryDistribution:
     """
     view = require_stochastic(net)
     n = net.n
-    if view.rational and n <= EXACT_SOLVE_MAX_N:
+    if n <= EXACT_SOLVE_MAX_N:
         return StationaryDistribution(_exact_stationary(view))
-    debug("stationary n=%d: power iteration (%d edges, max row denominator %s)", n, len(view.J),
-          int(view.D.max()) if view.rational else "float")
+    debug("stationary n=%d: power iteration (%d edges, max row denominator %d)", n, len(view.J), int(view.D.max()))
     P = net.weight_matrix()
     alpha = np.full(n, 1.0 / n)
     for _ in range(10 ** 6):
@@ -526,7 +490,7 @@ def stationary_distribution(net: Network) -> StationaryDistribution:
 
 
 def _exact_stationary(view: IntegerView):
-    """The exact stationary distribution of a validated rational network, as a tuple of Fractions.
+    """The exact stationary distribution of a validated network, as a tuple of Fractions.
 
     Agent c's balance, sum_r alpha_r C[r, c] / D_r = alpha_c, goes over L_c,
     the lcm of the row denominators of the agents r that reach c (c among
@@ -581,17 +545,11 @@ def ball(net: Network, center: int, radius: int) -> tuple:
 
 # -- file format -------------------------------------------------------------
 
-def _parse_weight(tok):
-    if "/" in tok:
-        p, q = tok.split("/")
-        return Fraction(int(p), int(q))
-    return float(tok)
-
-
 def read_network(path) -> Network:
     """Graph file: `n <count> directed|undirected`, then `src dst weight` lines.
 
-    Blank lines and lines whose first non-blank character is `#` are skipped.
+    Every weight is read exactly, by harness_util.read_rational: 1, 1/4, 0.25
+    and 2.5e-1 are Fractions, and nan, inf or 1/0 is refused. Blank lines and lines whose first non-blank character is `#` are skipped.
     A malformed line raises ValueError naming its line number.
     """
     with open(path, encoding="utf-8") as fh:
@@ -610,17 +568,15 @@ def read_network(path) -> Network:
         try:
             if len(fields) != 3:
                 raise ValueError(f"got {ln!r}")
-            edges.append((int(fields[0]), int(fields[1]), _parse_weight(fields[2])))
-        except (ValueError, ZeroDivisionError) as exc:
+            edges.append((int(fields[0]), int(fields[1]), read_rational(fields[2])))
+        except ValueError as exc:
             raise ValueError(f"line {no}: expected 'src dst weight': {exc}") from None
     return Network(n=int(head[1]), edges=tuple(edges), directed=head[2] == "directed")
 
 
 def write_network(net: Network, path):
+    """The graph file that read_network reads back as net, every weight written as p/q."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n {net.n} {'directed' if net.directed else 'undirected'}\n")
         for (i, j, w) in net.edges:
-            if isinstance(w, Fraction):
-                fh.write(f"{i} {j} {w.numerator}/{w.denominator}\n")
-            else:
-                fh.write(f"{i} {j} {w!r}\n")
+            fh.write(f"{i} {j} {w.numerator}/{w.denominator}\n")

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .harness_util import scaled
+from .harness_util import read_rational, scaled
 
 def _check_dist(mu, name):
     if any(p <= 0 for p in mu):
@@ -235,7 +235,7 @@ def read_signal_model(path) -> FiniteModel:
     k = int(toks[0])
     if len(toks) != 1 + 2 * k:
         raise ValueError(f"{path}: expected {2 * k} rationals after the size, got {len(toks) - 1}")
-    vals = [Fraction(t) for t in toks[1:]]
+    vals = [read_rational(t) for t in toks[1:]]
     return FiniteModel(alphabet=tuple(range(k)), mu0=tuple(vals[:k]), mu1=tuple(vals[k:]))
 
 

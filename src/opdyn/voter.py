@@ -25,11 +25,11 @@ from math import prod
 import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
-from .network import (Network, _integer_view, _pairs_connected, require_rational, require_stochastic,
-                      stationary_distribution)
+from .network import Network, _integer_view, _pairs_connected, require_stochastic, stationary_distribution
 from .signals import check_delta, cube
 
-EXACT_SOLVE_MAX_N = 14
+# exact absorption certifies a table over all 2^n states, so it refuses larger networks
+EXACT_ABSORPTION_MAX_N = 14
 
 # about this many entries per block of 2^n-wide rows, so the certificate
 # never holds the 2^n x 2^n contraction whole
@@ -404,14 +404,13 @@ def absorption_probabilities(net: Network):
     stochastic network (self-loops, strongly connected, checked first)
     absorbs almost surely, so the bounded harmonic function with those
     boundary values is unique and the certificate is a proof. Raises
-    ValueError on float weights or a failed validation, and ArithmeticError
-    if certification fails.
+    ValueError above EXACT_ABSORPTION_MAX_N agents or on a failed validation,
+    and ArithmeticError if certification fails.
     """
     n = net.n
-    if n > EXACT_SOLVE_MAX_N:
-        raise ValueError(f"exact absorption capped at n={EXACT_SOLVE_MAX_N}")
+    if n > EXACT_ABSORPTION_MAX_N:
+        raise ValueError(f"exact absorption capped at n={EXACT_ABSORPTION_MAX_N}")
     require_stochastic(net)
-    require_rational(net, "exact absorption")
     H, A = scaled(stationary_distribution(net).alpha)
     T = (cube(n, 2) @ np.array(A, dtype=int_dtype(H))).tolist()      # entries are at most H
     _certify_table(net, T, H)

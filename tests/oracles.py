@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum, sqrt
+from math import fsum, gcd, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 from opdyn import cascade, majority, voter
 from opdyn.cascade import _ndtr
 from opdyn.harness_util import scaled
-from opdyn.network import (ROW_SUM_TOL, Network, from_pairs, rationalize, require_rational, require_stochastic,
-                           stationary_distribution)
+from opdyn.network import Network, from_pairs, rationalize, require_stochastic, stationary_distribution
 from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_cube, check_delta, private_belief, sample_world,
                            trial_rng, tv_distance)
 
@@ -47,7 +46,7 @@ def solve_rational(A, b):
 
 
 def fraction_weight_matrix(net: Network):
-    """P[i][j] = w(i, j) as Fractions, zero-filled; a float weight becomes its exact binary value."""
+    """P[i][j] = w(i, j) as Fractions, zero-filled."""
     P = [[Fraction(0)] * net.n for _ in range(net.n)]
     for i in range(net.n):
         for j, w in net.out_neighbors(i).items():
@@ -112,11 +111,8 @@ def fraction_violations(net: Network, require_stochastic=False):
                 v.append(f"node {i} has no self-loop")
             v += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if not w > 0]
             s = sum(nb.values())
-            if all(isinstance(w, Fraction) for w in nb.values()):
-                if s != 1:
-                    v.append(f"row {i} sums to {s}, not 1")
-            elif abs(float(s) - 1.0) > ROW_SUM_TOL:
-                v.append(f"row {i} sums to {float(s)!r}, off by more than {ROW_SUM_TOL}")
+            if s != 1:
+                v.append(f"row {i} sums to {s}, not 1")
     return v
 
 
@@ -213,9 +209,21 @@ def weighted_net(n, seed):
     return Network(n=n, edges=tuple(edges))
 
 
-def float_net(n=5, seed=0):
-    """weighted_net with its weights as floats; row 0 is scaled to sum to 1 - 1e-13."""
-    edges = [(i, j, float(w) * (1 - 1e-13 if i == 0 else 1)) for i, j, w in weighted_net(n, seed).edges]
+def wide_net(n=5, seed=0):
+    """weighted_net with each row's weights rounded to counts over a total of about 2^40.
+
+    Row i's counts are round(w 2^40) for its weights w, the first bumped
+    until the counts share no factor, so the row denominator, the counts'
+    total, is within a few units of 2^40.
+    """
+    base = weighted_net(n, seed)
+    edges = []
+    for i in range(n):
+        nb = base.out_neighbors(i)
+        counts = [round(w * 2 ** 40) for w in nb.values()]
+        while gcd(*counts) > 1:
+            counts[0] += 1
+        edges += [(i, j, Fraction(c, sum(counts))) for j, c in zip(nb, counts)]
     return Network(n=n, edges=tuple(edges))
 
 
@@ -442,7 +450,6 @@ def float_solve_absorption(net):
     """
     n = net.n
     require_stochastic(net)
-    require_rational(net, "exact absorption")
     ns = 1 << n
     bits = np.array([x[::-1] for x in product((0, 1), repeat=n)])       # bits[s, j] = bit j of s
     q = bits @ net.weight_matrix().T                        # q[s, i] = P(agent i adopts 1 | s)

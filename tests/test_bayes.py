@@ -360,6 +360,18 @@ def test_fixation_stats_stay_on_profile_arrays():
     assert stats["max_fixation"] == max(res.fixation_rounds()) and type(stats["max_fixation"]) is int
     assert stats["fixation"][res.profile_of].tolist() == res.fixation_rounds()
     assert stats["changes"][:, res.profile_of].T.tolist() == res.change_counts()
+    # the counts sum in int32, and equal the default int64 sum
+    assert stats["changes"].dtype == np.int32 and np.array_equal(stats["changes"], res._changed().sum(axis=0))
+
+
+def test_scatter_sum_refuses_shapes_that_np_add_at_gets_wrong():
+    # numpy 2.4's np.add.at returned garbage for this 2-D index broadcast against 1-D values
+    idx = np.array([[0, 0, 1, 1], [2, 3, 2, 3], [4, 5, 4, 5]])
+    values = np.array([1, 2, 3, 4])
+    for index in (idx, idx.ravel()):
+        with pytest.raises(ValueError, match="needs a 1-D index and values of its length"):
+            bayes._scatter_sum(index, values, 6)
+    assert bayes._scatter_sum(idx.ravel(), np.tile(values, 3), 6).tolist() == [3, 7, 4, 6, 4, 6]
 
 
 def test_run_exact_rejects_bad_atoms():

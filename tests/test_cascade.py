@@ -94,6 +94,15 @@ def test_limit_accuracy_matches_fraction_oracle(model):
         assert cascade.limit_accuracy(model) == fraction_limit_accuracy(model)
 
 
+def test_uninformative_signals_leave_every_agent_at_one_half():
+    # mu0 = mu1: the prior ratio is already a cascade on action 1, so the limit has no transient row to solve from
+    model = FiniteModel((0, 1), (Fraction(3, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(1, 4)))
+    assert cascade.limit_accuracy(model) == Fraction(1, 2)
+    out = cascade.run_exact(model, 5)
+    assert out == fraction_cascade_run_exact(model, 5)
+    assert out.p_correct == [Fraction(1, 2)] * 5 and out.p_cascaded_by == [1] * 5
+
+
 @settings(max_examples=30, deadline=None)
 @given(model=st.sampled_from(MODELS + [INCOMMENSURATE]), n=st.integers(1, 40),
        trials=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))

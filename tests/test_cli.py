@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opdyn import cascade, cli, degroot, majority, network, voter
 from opdyn.network import generate, write_network
@@ -179,27 +182,43 @@ def _error_record(capsys, argv):
     return code, json.loads(lines[0])
 
 
-def test_float_weights_rejected_by_exact_oracles(tmp_path, capsys):
+def test_decimal_files_get_the_exact_oracles(tmp_path, capsys):
     path = tmp_path / "decimal.txt"
     path.write_text("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.75\n")
-    for argv in (["voter", "--graph", str(path), "--mode", "exact"], ["degroot", "--graph", str(path)]):
+    code, rec = run_json(capsys, ["voter", "--graph", str(path), "--mode", "exact"])
+    assert code == 0 and rec["alpha"] == ["1/3", "2/3"]
+    assert rec["p_consensus_one_by_state"] == {"00": "0", "10": "1/3", "01": "2/3", "11": "1"}
+    # alpha = (1/3, 2/3): the limit rounds to S exactly when agent 1's signal is right
+    code, rec = run_json(capsys, ["degroot", "--graph", str(path)])
+    assert code == 0 and (rec["p_w"], rec["tie_mass"]) == ("3/5", "0")
+    code, rec = run_json(capsys, ["degroot", "--graph", str(path), "--cheater", "0=0.5"])
+    assert code == 0 and rec["limits_exact"] == {"0": "1/2", "1": "1/2"}
+    # a weight written as 1 is the rational 1
+    path.write_text("n 1 directed\n0 0 1\n")
+    code, rec = run_json(capsys, ["degroot", "--graph", str(path)])
+    assert code == 0 and rec["p_w"] == "3/5"
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "1/0", "1e-100000"])
+def test_graph_file_weights_that_are_not_rationals_are_refused_by_line(tmp_path, capsys, weight):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"n 2 directed\n0 0 1\n1 0 {weight}\n1 1 1\n")
+    for argv in (["degroot", "--graph", str(path)], ["voter", "--graph", str(path), "--mode", "exact"]):
+        start = time.perf_counter()
         code, err = _error_record(capsys, argv)
-        assert code == 2
-        assert "edge (1,0) has the float weight 0.25" in err["error"]
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and err["error"].startswith(f"bad graph spec {str(path)!r}: line 3: ")
 
 
 def test_voter_monte_carlo_on_float_weights(tmp_path, capsys):
-    # the decimal file the exact oracles refuse runs under Monte Carlo, and so
-    # does a float row summing to 1 - 1e-13
-    for text in ("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.75\n",
-                 "n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.7499999999999\n"):
-        path = tmp_path / "decimal.txt"
-        path.write_text(text)
-        code, rec = run_json(capsys, ["voter", "--graph", str(path), "--trials", "300", "--seed", "2"])
-        assert code == 0
-        assert rec["trials"] == 300 and 0 <= rec["p_match_signal_state"] <= 1
-        assert rec["wilson95"][0] <= rec["p_match_signal_state"] <= rec["wilson95"][1]
-        assert rec["mean_absorption_time"] > 0
+    # the decimal file runs under Monte Carlo
+    path = tmp_path / "decimal.txt"
+    path.write_text("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 0.25\n1 1 0.75\n")
+    code, rec = run_json(capsys, ["voter", "--graph", str(path), "--trials", "300", "--seed", "2"])
+    assert code == 0
+    assert rec["trials"] == 300 and 0 <= rec["p_match_signal_state"] <= 1
+    assert rec["wilson95"][0] <= rec["p_match_signal_state"] <= rec["wilson95"][1]
+    assert rec["mean_absorption_time"] > 0
     # a row whose counts need a total of 2^53 or more is refused by agent
     q = 2 ** 53 + 1
     path.write_text(f"n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 1/{q}\n1 1 {q - 1}/{q}\n")
@@ -529,23 +548,34 @@ def test_gaussian_cascade_underflow_leaves_stderr_empty():
     (["degroot", "--graph", "cycle:3"], "--cheater", "0=1/0"),
     (["degroot", "--graph", "cycle:3"], "--cheater", "0"),
     (["degroot", "--graph", "cycle:3"], "--cheater", "a=1"),
+    (["degroot", "--graph", "cycle:3"], "--delta", "1e-100000"),
+    (["degroot", "--graph", "cycle:3"], "--cheater", "0=1e-100000"),
 ], ids=["voter", "voter-strong", "degroot", "majority", "majority-word", "cheater-value", "cheater-no-value",
-        "cheater-agent"])
+        "cheater-agent", "delta-digits", "cheater-digits"])
 def test_bad_rationals_are_refused_by_flag(capsys, argv, flag, value):
-    # 1/0 once ended in a ZeroDivisionError traceback
+    # 1/0 once ended in a ZeroDivisionError traceback, and 1e-100000 in Python's int limit, naming no flag
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [flag, value])
     assert exc.value.code == 2
-    assert f"argument {flag}: expected " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected " in err
+    if value.endswith("1e-100000"):
+        assert "the rational '1e-100000' needs more than 4300 digits" in err
 
 
 def test_bad_signal_specs_are_named(tmp_path, capsys):
     junk = tmp_path / "junk.txt"
     junk.write_text("myhost\n")
     missing = tmp_path / "missing.txt"
+    long = tmp_path / "long.txt"
+    long.write_text("2\n1/2 1/2\n1e-100000 1\n")
+    digits = "the rational '1e-100000' needs more than 4300 digits"
     for argv, spec, reason in (
             (["cascade"], "bernoulli:1/0", "Fraction(1, 0)"),
             (["cascade"], "gaussian:1/0", "Fraction(1, 0)"),
+            (["cascade"], "bernoulli:1e-100000", digits),
+            (["cascade"], "gaussian:1e-100000", digits),
+            (["cascade"], f"file:{long}", digits),
             (["cascade"], f"file:{missing}", "No such file"),
             (["bayes", "--graph", "cycle:3"], f"file:{missing}", "No such file"),
             (["cascade"], f"file:{junk}", "invalid literal for int()")):
@@ -569,3 +599,127 @@ def test_cheater_outside_the_network_is_named(capsys):
     assert err == {"command": "degroot", "error": "cheater 9 is not an agent: the network has agents 0 .. 2"}
     code, rec = run_json(capsys, ["degroot", "--graph", "cycle:3", "--cheater", "0=1/2", "--cheater", "2=0"])
     assert code == 0 and rec["limits_exact"] == {"0": "1/2", "1": "1/4", "2": "0"}
+
+
+# -- fuzzing the front door ---------------------------------------------------
+
+JUNK_RATIONALS = ["-1/5", "1/0", "x", "nan", "inf", "1e-100000", ""]
+
+
+def _mostly(valid, junk):
+    """valid nine draws in ten, else junk."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else junk)
+
+
+RATIONALS = _mostly(st.sampled_from(["0", "1", "1/10", "1/6", "0.3", "1/2", "2.5e-1", "3/5", "0.125"]),
+                    st.sampled_from(JUNK_RATIONALS))
+SMALL_INTS = _mostly(st.integers(1, 6).map(str), st.sampled_from(["0", "-1", "x"]))
+
+
+@st.composite
+def _graph_files(draw, folder):
+    """A graph file of at most 6 agents: lazy rows with each weight 1/d spelled as p/q or, where it ends, as a
+    decimal; now and then a junk weight, an agent out of range or a malformed line."""
+    n = draw(st.integers(1, 6))
+    arcs = {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
+    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    lines = [f"n {n} {draw(st.sampled_from(['directed', 'undirected']))}"]
+    for i in range(n):
+        out = sorted(j for a, j in arcs if a == i)
+        d = len(out)
+        spellings = [f"1/{d}"] + ([str(1 / d)] if 10 ** 6 % d == 0 else [])
+        for j in out:
+            w = draw(_mostly(st.sampled_from(spellings), st.sampled_from(JUNK_RATIONALS + [repr(1 / d)])))
+            lines.append(f"{i if draw(st.integers(0, 30)) else i + n} {j} {w}")
+    if not draw(st.integers(0, 9)):
+        lines.append(draw(st.sampled_from(["0 1", "a b c", "0 0 1 1", "# note"])))
+    path = os.path.join(folder, f"g{draw(st.integers(0, 10 ** 9))}.txt")
+    Path(path).write_text("\n".join(lines) + "\n")
+    return path
+
+
+@st.composite
+def _signal_files(draw, folder):
+    """A signal file of 2 or 3 letters, mostly two measures that each sum to 1."""
+    k = draw(st.integers(2, 3))
+    rows = [draw(_mostly(st.sampled_from([("1/3", "2/3"), ("0.5", "0.5"), ("3/4", "1/4"), ("1/2", "1/3", "1/6"),
+                                          ("0.25", "0.25", "0.5")]).filter(lambda r: len(r) == k),
+                         st.lists(RATIONALS, min_size=k, max_size=k))) for _ in range(2)]
+    path = os.path.join(folder, f"s{draw(st.integers(0, 10 ** 9))}.txt")
+    Path(path).write_text(f"{k}\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+    return path
+
+
+def _flag_values(dest, folder):
+    """The strategy for the value of the flag with this dest; a flag the fuzz does not know fails the test."""
+    return {
+        "graph": _mostly(st.one_of(
+            st.tuples(st.sampled_from(["chain", "cycle", "star", "complete"]), st.integers(1, 6)).map(
+                lambda a: f"{a[0]}:{a[1]}"),
+            st.sampled_from(["grid:4", "random_regular:6:3:1", "random_regular:4:2"]), _graph_files(folder)),
+            st.sampled_from(["cycle:0", "grid:5", "cycle:x", "tree:3", "missing.txt"])),
+        "signal": _mostly(st.one_of(RATIONALS.map(lambda r: "bernoulli:" + r), RATIONALS.map(lambda r: "gaussian:" + r),
+                                    _signal_files(folder).map(lambda p: "file:" + p)),
+                          st.sampled_from(["weird:1", "file:missing.txt", "bernoulli"])),
+        "delta": RATIONALS,
+        "cheater": st.tuples(SMALL_INTS, RATIONALS).map("=".join),
+        "scenario": _mostly(st.one_of(st.tuples(SMALL_INTS, SMALL_INTS).map(lambda a: f"senate:{a[0]},{a[1]}"),
+                                      SMALL_INTS.map(lambda n: f"chain-tie:{n}")), st.just("nope:1")),
+        "trials": _mostly(st.integers(1, 200).map(str), st.sampled_from(["0", "-1", "x"])),
+        "seed": SMALL_INTS, "n": SMALL_INTS, "horizon": SMALL_INTS,
+    }[dest]
+
+
+@st.composite
+def _argvs(draw, folder):
+    """argv for one subcommand, built from the parser's own flags; --out and accept, which runs the gate, stay out.
+
+    Each optional flag comes one time in three. Every size stays small: a path that samples always gets --trials,
+    at most 200, and cascade always gets --n."""
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    command = draw(st.sampled_from(sorted(set(commands) - {"accept"})))
+    argv = [command]
+    for action in commands[command]._actions:
+        if not action.option_strings or action.dest in ("help", "out"):
+            continue
+        flag = action.option_strings[0]
+        mode = argv[argv.index("--mode") + 1] if "--mode" in argv else commands[command].get_default("mode")
+        samples = mode == "mc" and "--cheater" not in argv
+        if action.required or action.dest == "n" or (action.dest == "trials" and samples):
+            times = 1
+        else:
+            times = draw(st.integers(0, 2)) == 0
+        for _ in range(times):
+            if action.nargs == 0:
+                argv.append(flag)
+            elif action.choices:
+                argv += [flag, draw(st.sampled_from(list(action.choices)))]
+            else:
+                argv += [flag, draw(_flag_values(action.dest, folder))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_folder(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_front_door_never_ends_in_a_traceback(fuzz_folder, data):
+    argv = data.draw(_argvs(fuzz_folder))
+    # argparse refuses with its usage on stderr; every other exit is 0 with one JSON record on stdout, or
+    # 2 (bad input) or 3 (a stopped run) with one JSON line on stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and out.getvalue() == "" and "error: argument" in err.getvalue(), argv
+            return
+    assert code in (0, 2, 3), argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and json.loads(lines[0])["command"] == argv[0], argv
+    else:
+        assert json.loads(out.getvalue()) and err.getvalue() == "", argv

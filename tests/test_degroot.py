@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from opdyn import degroot
 from opdyn.network import Network, _integer_view, from_pairs, generate, mixing_tv, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (enumerate_p_w, float_net, fraction_cheater_limits, per_trial_learning_probability,
-                     rational_digraphs, run_with_cheaters, scalar_learning_probability, weighted_net)
+from oracles import (enumerate_p_w, fraction_cheater_limits, per_trial_learning_probability, rational_digraphs,
+                     run_with_cheaters, scalar_learning_probability, weighted_net, wide_net)
 
 
 def test_step_path3_oracle():
@@ -187,9 +187,15 @@ def test_learning_probability_dp_support_cap(monkeypatch):
 
 
 def test_exact_p_w_rejects_float_weights():
-    net = Network(n=2, edges=((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (1, 0, 0.5), (1, 1, 0.5)))
-    with pytest.raises(ValueError, match=r"edge \(1,0\) has the float weight 0.5"):
-        degroot.learning_probability(net, Fraction(1, 10))
+    # a float weight never reaches the exact p_w: the network refuses it, and the
+    # refusal's Fraction(str(w)) gets the exact answer
+    edges = ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (1, 0, 0.5), (1, 1, 0.5))
+    with pytest.raises(ValueError, match=r"edge \(1,0\) has the weight 0.5, which is not rational"):
+        Network(n=2, edges=edges)
+    net = Network(n=2, edges=tuple((i, j, Fraction(str(w))) for i, j, w in edges))
+    # alpha = (1/2, 1/2): a win needs both signals right, one right is a tie
+    est = degroot.learning_probability(net, Fraction(1, 10))
+    assert (est.p, est.tie_mass) == (Fraction(9, 25), Fraction(12, 25))
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,8 +216,9 @@ def test_learning_probability_mc_matches_scalar_oracle(kind, n, seed, delta, tri
 
 @pytest.mark.parametrize("seed", range(4))
 def test_learning_probability_mc_matches_scalar_oracle_on_float_weights(seed):
-    # a float alpha sums in float64; no limit of these draws lies within rounding of 1/2
-    net = float_net(7, seed)
+    # alpha's common denominator is far above 2^53, so the kernel sums a float alpha in float64;
+    # no limit of these draws lies within rounding of 1/2
+    net = wide_net(7, seed)
     trials = 500
     wins, ties = scalar_learning_probability(net, Fraction(1, 10), trials, np.random.default_rng(seed))
     est = degroot.learning_probability(net, Fraction(1, 10), mode="monte_carlo", trials=trials,

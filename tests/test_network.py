@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 import time
 from fractions import Fraction
 
@@ -38,8 +39,6 @@ BAD_ROWS = {
                                      (1, 1, Fraction(-1, 2))),
     "an agent without out-edges": ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))),
     "two components": ((0, 0, Fraction(1)), (1, 1, Fraction(1))),
-    "float rows off by 1e-9": ((0, 0, 0.5), (0, 1, 0.5 + 1e-9), (1, 0, Fraction(1, 2)), (1, 1, 0.5)),
-    "a NaN and an infinite weight": ((0, 0, float("nan")), (0, 1, 1.0), (1, 0, float("inf")), (1, 1, 0.5)),
     "ints that sum to 3": ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 0)),
 }
 
@@ -55,6 +54,27 @@ def test_bad_rows_are_refused_with_the_fraction_oracles_messages(name):
         with pytest.raises(ValueError) as exc:
             require_stochastic(net)
         assert str(exc.value) == "network fails stochastic validation: " + "; ".join(want)
+
+
+@pytest.mark.parametrize("edges, edge, weight", [
+    (((0, 0, Fraction(1, 2)), (0, 1, 0.5 + 1e-9), (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))), "(0,1)",
+     "0.500000001"),
+    (((0, 0, 1), (0, 1, float("nan")), (1, 0, float("inf")), (1, 1, 0)), "(0,1)", "nan"),
+    (((0, 0, np.float64(0.25)), (0, 1, Fraction(3, 4)), (1, 1, 1)), "(0,0)", "np.float64(0.25)"),
+], ids=["float rows off by 1e-9", "a NaN and an infinite weight", "a numpy float"])
+def test_non_rational_weights_are_refused(edges, edge, weight):
+    # the refusal names the first such edge and how to write its weight exactly
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(edge)} has the weight {re.escape(weight)}, which is not "
+                                         r"rational: pass an int or a Fraction, such as Fraction\(str\(w\)\)$"):
+        Network(n=2, edges=edges)
+
+
+def test_rational_weights_of_every_type_become_fractions():
+    net = Network(n=2, edges=((0, 0, np.int64(1)), (1, 0, True), (1, 1, Fraction(0)), (0, 1, 0)))
+    assert all(type(net.weight(i, j)) is Fraction for i, j, _w in net.edges)
+    assert [net.weight(0, 0), net.weight(1, 0), net.weight(1, 1)] == [1, 1, 0]
+    assert validate(net, require_stochastic=True).violations == [
+        "non-positive weight on edge (0,1)", "non-positive weight on edge (1,1)"]
 
 
 def test_integer_view_is_built_once_per_network(monkeypatch):
@@ -79,15 +99,8 @@ def test_integer_view_rows():
                               (2, 1, Fraction(1, 2))))
     view = require_stochastic(net)
     assert view.J.tolist() == [0, 1, 2, 0, 1, 1, 2] and view.rows.tolist() == [0, 0, 0, 1, 1, 2, 2]
-    assert view.C.tolist() == [3, 2, 1, 1, 3, 1, 1] and view.D.tolist() == [6, 4, 2] and view.rational
-    # float rows count in units of 2^-40, and their float weights are the given floats, not C / D
-    floats = Network(n=2, edges=((0, 1, 0.7), (0, 0, 0.3), (1, 0, 0.1), (1, 1, 0.9)))
-    view = require_stochastic(floats)
-    assert not view.rational and view.C.tolist() == [round(0.3 * 2 ** 40), round(0.7 * 2 ** 40),
-                                                      round(0.1 * 2 ** 40), round(0.9 * 2 ** 40)]
-    for P in (net, floats):
-        assert np.array_equal(P.weight_matrix(), np.array(fraction_weight_matrix(P), dtype=float))
-    assert floats.weight_matrix().tolist() == [[0.3, 0.7], [0.1, 0.9]]
+    assert view.C.tolist() == [3, 2, 1, 1, 3, 1, 1] and view.D.tolist() == [6, 4, 2]
+    assert np.array_equal(net.weight_matrix(), np.array(fraction_weight_matrix(net), dtype=float))
 
 
 def test_stationary_path3_closed_form():
@@ -130,13 +143,17 @@ def test_ball_radius():
 
 
 def test_file_round_trip(tmp_path):
-    net = generate("star", 5)
     path = tmp_path / "g.txt"
-    write_network(net, path)
-    back = read_network(path)
-    assert back.n == net.n
-    for i in range(net.n):
-        assert back.out_neighbors(i) == net.out_neighbors(i)
+    # every spelling of a weight is read exactly
+    path.write_text("n 3 directed\n0 0 1\n1 0 0.25\n1 1 1/4\n1 2 2.5e-1\n2 2 1\n")
+    decimal = read_network(path)
+    assert [decimal.weight(i, j) for i, j, _w in decimal.edges] == [1] + [Fraction(1, 4)] * 3 + [1]
+    assert all(type(decimal.weight(i, j)) is Fraction for i, j, _w in decimal.edges)
+    for net in (generate("star", 5), decimal, Network(n=2, edges=((0, 1, np.int64(1)),), directed=False)):
+        write_network(net, path)
+        back = read_network(path)
+        assert (back.n, back.directed, back.edges) == (net.n, net.directed, net.edges)
+        assert all(back.out_neighbors(i) == net.out_neighbors(i) for i in range(net.n))
 
 
 def test_read_network_skips_indented_comments(tmp_path):
@@ -151,6 +168,10 @@ def test_read_network_skips_indented_comments(tmp_path):
     ("n 3 undirected\n0 1 1\n0 2\n", "line 3: expected 'src dst weight'"),
     ("n 3 undirected\n# c\n0 1 x\n", "line 3: expected 'src dst weight'"),
     ("n 3 undirected\n0 1 1/0\n", "line 2: expected 'src dst weight'"),
+    ("n 2 directed\n0 0 1\n0 1 nan\n", "line 3: expected 'src dst weight': Invalid literal for Fraction: 'nan'"),
+    ("n 2 directed\n0 0 inf\n", "line 2: expected 'src dst weight': Invalid literal for Fraction: 'inf'"),
+    ("n 2 directed\n\n0 0 1e-100000\n", "line 3: expected 'src dst weight': the rational '1e-100000' needs more "
+                                         "than 4300 digits"),
     ("\n# only a comment\nn three undirected\n", "line 3: expected 'n <count> directed|undirected'"),
     ("n 3 sideways\n", "line 1: expected 'n <count> directed|undirected'"),
     ("  # nothing else\n", "empty graph file"),
@@ -355,10 +376,12 @@ def test_generate_refuses_oversized_specs_without_building(monkeypatch):
         assert time.perf_counter() - start < 0.1
 
 
-def test_stationary_float_weights_use_power_iteration(caplog):
-    net = Network(n=2, edges=((0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.25), (1, 1, 0.75)))
+def test_stationary_power_iteration_above_the_exact_cap(caplog, monkeypatch):
+    monkeypatch.setattr(network, "EXACT_SOLVE_MAX_N", 1)
+    net = Network(n=2, edges=((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 4)),
+                              (1, 1, Fraction(3, 4))))
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
         sd = stationary_distribution(net)
     assert not sd.exact
-    assert np.allclose(sd.as_floats(), [1 / 3, 2 / 3])
-    assert "stationary n=2: power iteration (4 edges, max row denominator float)" in caplog.text
+    assert np.allclose(sd.as_floats(), [1 / 3, 2 / 3], rtol=0, atol=1e-12)
+    assert "stationary n=2: power iteration (4 edges, max row denominator 4)" in caplog.text

@@ -10,10 +10,10 @@ from opdyn import voter
 from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, require_stochastic, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (FixedDraws, StrongVoterState, absorption_drift, certify_absorption, exact_consensus_probability,
-                     float_net, float_solve_absorption, fraction_bernoulli_words, initial_strong_state,
+                     float_solve_absorption, fraction_bernoulli_words, initial_strong_state,
                      martingale_residual, one_step_distribution, per_update_strong_walk, product_mc_consensus,
                      searchsorted_mc_consensus, stagewise_mc_consensus, strong_voter_step, three_draw_run_strong_voter,
-                     weighted_net)
+                     weighted_net, wide_net)
 
 
 def test_two_node_one_step_distribution():
@@ -80,7 +80,7 @@ def test_mc_consensus_matches_exact_small():
 def test_stage_rows_pick_each_neighbour_with_its_exact_weight():
     # stage k is the test U < q_k = (c_0 + ... + c_k) / D_i on the agent's U, and the
     # first set stage picks: P(j_k) = q_k - q_{k-1} = c_k / D_i, with q_{-1} = 0 and q_{d-1} = 1
-    for net in (generate("cycle", 5), generate("star", 7), generate("grid", 9), weighted_net(8, 3), float_net(7)):
+    for net in (generate("cycle", 5), generate("star", 7), generate("grid", 9), weighted_net(8, 3), wide_net(7)):
         view = require_stochastic(net)
         st = voter._Stages(net)
         for i in range(net.n):
@@ -122,13 +122,13 @@ class _PinnedWords:
         return self.calls[-1].copy()
 
 
-def _float_q():
-    """A float_net() row's first stage threshold: a count ratio over about 2^40."""
-    st = voter._Stages(float_net())
+def _wide_q():
+    """A wide_net() row's first stage threshold: a count ratio over about 2^40."""
+    st = voter._Stages(wide_net())
     return Fraction(int(st.num[0]), int(st.den[0]))
 
 
-_FLOAT_Q = _float_q()
+_WIDE_Q = _wide_q()
 
 
 @pytest.mark.parametrize("q, through", [
@@ -139,7 +139,7 @@ _FLOAT_Q = _float_q()
     (Fraction(2, 5), 3),
     (Fraction(1, 2 ** 53 - 1), 4),                 # three zero digits, then 0x0800
     (Fraction(5, 2 ** 20), 3),                     # a dyadic q whose expansion ends at digit 2
-    (_FLOAT_Q, 3),                                 # a float row's count ratio over about 2^40
+    (_WIDE_Q, 3),                                  # a wide row's count ratio over about 2^40
 ], ids=["1/2", "1/2-tied", "1/3", "1/3-past-4", "2/5", "1/(2^53-1)", "5/2^20", "float-row"])
 def test_bernoulli_words_match_the_fraction_oracle(q, through):
     w = 3
@@ -155,7 +155,7 @@ def test_bernoulli_words_match_the_fraction_oracle(q, through):
 
 def test_bernoulli_words_of_many_rows_match_the_fraction_oracle():
     # rows of different q, with the first digit pinned to tie some lanes of every pair
-    qs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(5, 2 ** 12), Fraction(7, 9), _FLOAT_Q]
+    qs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(5, 2 ** 12), Fraction(7, 9), _WIDE_Q]
     exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
     for seed in range(3):
         draw = _PinnedWords(exp, 2, 0b1011 << 20, 1, seed=seed)
@@ -185,7 +185,7 @@ def test_bernoulli_words_draw_each_owners_next_digit_once():
         assert len(calls) > 4 and not (got[0] & ~got[1]).any()
 
 
-@pytest.mark.parametrize("net", [weighted_net(8, 3), float_net(7), generate("star", 9), generate("grid", 9)],
+@pytest.mark.parametrize("net", [weighted_net(8, 3), wide_net(7), generate("star", 9), generate("grid", 9)],
                          ids=["weighted8", "float7", "star9", "grid9"])
 def test_stage_words_give_each_stage_row_its_own_q(net):
     # row r of the stage words must be [U < num[r] / den[r]] for its agent's U, by the Fraction oracle
@@ -261,8 +261,8 @@ def _mc_net(kind, n, seed):
         return generate(kind, max(4, n - n % 2), d=3, seed=seed)
     if kind == "weighted":
         return weighted_net(n, seed)
-    if kind == "float":
-        return float_net(n, seed)
+    if kind == "float":         # rows over about 2^40
+        return wide_net(n, seed)
     return generate(kind, n)
 
 
@@ -336,7 +336,7 @@ def test_mc_consensus_step_cap_names_the_open_trials():
     assert np.array_equal(out["times"], times)
 
 
-@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), weighted_net(6, 1), float_net()],
+@pytest.mark.parametrize("net", [generate("cycle", 5), generate("star", 6), weighted_net(6, 1), wide_net()],
                          ids=["cycle5", "star6", "weighted6", "float5"])
 def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
     # the stage rule, the searchsorted pick and the product rule sample one chain from different draws
@@ -351,17 +351,14 @@ def test_mc_consensus_agrees_with_the_neighbour_picking_sampler(net):
 
 
 def test_mc_consensus_float_rows_and_wide_denominators():
-    # float rows count in units of 2^-40, and a row summing to 1 - 1e-13 still absorbs
-    net = float_net()
+    # rows whose counts are over about 2^40
+    net = wide_net()
     view = require_stochastic(net)
     assert np.abs(view.D - 2 ** 40).max() <= net.n and (view.C >= 2 ** 35).all()
     out = voter.mc_consensus(net, Fraction(1, 10), 500, seed=4)
     assert out["trials"] == 500 and out["times"].max() > 0
     out = voter.mc_consensus(net, Fraction(1, 2), 50, seed=4)    # every start is unanimous
     assert out["matches"] == 50 and not out["times"].any()
-    # a positive float weight never rounds to 0
-    tiny = Network(n=2, edges=((0, 0, 1 - 1e-13), (0, 1, 1e-13), (1, 0, 0.5), (1, 1, 0.5)))
-    assert require_stochastic(tiny).C[1] == 1
 
     def wide(q):
         return Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
@@ -617,8 +614,8 @@ def test_absorption_certificate_holds(bits):
 
 
 def test_absorption_size_cap():
-    with pytest.raises(ValueError, match=f"capped at n={voter.EXACT_SOLVE_MAX_N}"):
-        voter.absorption_probabilities(generate("cycle", voter.EXACT_SOLVE_MAX_N + 1))
+    with pytest.raises(ValueError, match=f"exact absorption capped at n={voter.EXACT_ABSORPTION_MAX_N}"):
+        voter.absorption_probabilities(generate("cycle", voter.EXACT_ABSORPTION_MAX_N + 1))
 
 
 @st.composite
@@ -690,6 +687,10 @@ def test_certificate_with_wide_denominators(caplog):
 
 
 def test_exact_absorption_rejects_float_weights():
-    net = Network(n=2, edges=((0, 0, 0.5), (0, 1, 0.5), (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
-    with pytest.raises(ValueError, match=r"edge \(0,0\) has the float weight 0.5"):
-        voter.absorption_probabilities(net)
+    # a float weight never reaches the exact absorption: the network refuses it, and the
+    # refusal's Fraction(str(w)) gets the exact table
+    edges = ((0, 0, 0.5), (0, 1, 0.5), (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2)))
+    with pytest.raises(ValueError, match=r"edge \(0,0\) has the weight 0.5, which is not rational"):
+        Network(n=2, edges=edges)
+    net = Network(n=2, edges=tuple((i, j, Fraction(str(w))) for i, j, w in edges))
+    assert voter.absorption_probabilities(net) == {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 2), 3: 1}

@@ -280,6 +280,7 @@ def test_parallel_edge_rejected():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 6))
 def test_solve_exact_matches_fraction_oracle(data, n):
+    # a singular A with b in its column space has solutions, each of which passes A N = b Q
     A = [data.draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
     b = data.draw(st.lists(rationals, min_size=n, max_size=n))
     try:
@@ -289,6 +290,23 @@ def test_solve_exact_matches_fraction_oracle(data, n):
             solve_exact(A, b)
         return
     assert solve_exact(A, b) == want
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1, 0, Fraction(-11, 3)], [1, 1, 1], [1, 1, 1]], [0, 0, 0]),
+    ([[1, 2], [2, 4]], [Fraction(1, 2), 1]),
+], ids=["two equal rows, b = 0", "proportional rows, consistent b"])
+def test_solve_exact_refuses_singular_systems_with_solutions(A, b):
+    with pytest.raises(ValueError, match="^singular system$"):
+        solve_exact(A, b)
+
+
+def test_solve_exact_when_the_prime_divides_the_determinant():
+    p = network.NONSINGULAR_PRIME
+    A = [[p, 1], [0, 1]]
+    assert not network._nonsingular_mod_prime(np.array(A))
+    assert solve_exact(A, [1, 1]) == solve_rational(A, [1, 1]) == [0, 1]
+    assert solve_exact([[p]], [1]) == [Fraction(1, p)]
 
 
 def test_solve_exact_bareiss_fallback(caplog):

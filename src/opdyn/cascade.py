@@ -22,8 +22,8 @@ from math import erf, sqrt
 
 import numpy as np
 
-from .harness_util import debug, scaled
-from .network import solve_exact
+from .harness_util import debug, int_dtype, scaled
+from .network import _solve_integer
 from .signals import FiniteModel, GaussianLLR, sample_world, trial_rng
 
 def private_ratio(model: FiniteModel, k) -> Fraction:
@@ -166,14 +166,15 @@ def limit_accuracy(model: FiniteModel) -> Fraction:
     action that depends on the signal moves the public ratio by a factor
     bounded away from 1 in a fixed direction, so from every transient row a
     long enough run of equal actions reaches a cascade. Absorption is then
-    certain, Q^t -> 0, and 1 is not an eigenvalue of Q. The system is solved
-    multiplied by D, in the integer masses.
+    certain, Q^t -> 0, and 1 is not an eigenvalue of Q. The system is built
+    multiplied by D, [D I - Q_s | r_s] in the chain's integer masses, and
+    network._solve_integer solves it.
     """
     chain = _Chain(model)
     rows, D = chain.rows, chain.D
     if rows[0][1] is not None:      # uninformative signals (mu0 = mu1): every agent plays the prior's action
         return Fraction(1, 2)
-    index = {}           # transient row -> unknown
+    index = {}           # transient row -> unknown; row 0 is unknown 0
     k = 0
     while k < len(rows):
         if rows[k][1] is None:
@@ -186,17 +187,18 @@ def limit_accuracy(model: FiniteModel) -> Fraction:
     # h_s[row] = P(end in a cascade with action == s | S = s, at row)
     total = Fraction(0)
     for s in (0, 1):
-        A = [[D if r == c else 0 for c in range(m)] for r in range(m)]
-        b = [0] * m
+        M = np.zeros((m, m + 1), dtype=int_dtype(D))
+        M[np.arange(m), np.arange(m)] = D
         for k, r in index.items():
             for c, m0, m1 in rows[k][5].values():
                 prob = m1 if s == 1 else m0
                 if c in index:
-                    A[r][index[c]] -= prob
+                    M[r, index[c]] -= prob
                 elif rows[c][1] == s:
-                    b[r] += prob
-        h = solve_exact(A, b)
-        total += Fraction(1, 2) * h[index[0]]
+                    M[r, m] += prob
+        Q, N, branch = _solve_integer(M)
+        debug("exact solve n=%d: %s", m, branch)
+        total += Fraction(N[0], 2 * Q)
     return total
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import EXACT_SOLVE_MAX_N, Network, _integer_view, _solve_integer, stationary_distribution
+from .network import EXACT_SOLVE_MAX_N, Network, _solve_integer, require_stochastic, stationary_distribution
 from .harness_util import debug, scaled, unscaled, wilson_interval
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
@@ -222,17 +222,21 @@ def cheater_limit_exact(net: Network, cheaters: dict):
     of (I - P_HH) h = P_Hc over the honest agents H, in integers: with the
     counts C over the row denominators D of the network's IntegerView, honest
     agent i's equation times D_i is sum_{j in H} C[i, j] h_j - D_i h_i =
-    -C[i, c]. I - P_HH is nonsingular: on a strongly connected network every
-    honest walk reaches a cheater with positive probability, so P_HH^t -> 0
-    and 1 is not an eigenvalue of P_HH. [A | B] holds one right-hand column
-    per cheater, each solved by network._solve_integer. Refuses a cheater
-    that is not an agent.
+    -C[i, c]. I - P_HH is nonsingular: on a strongly connected network
+    (require_stochastic checks it) every honest walk reaches a cheater with
+    positive probability, so P_HH^t -> 0 and 1 is not an eigenvalue of P_HH.
+    [A | B] holds one right-hand column per cheater, each solved by
+    network._solve_integer. Refuses a cheater that is not an agent, more
+    than EXACT_SOLVE_MAX_N agents (the dense cap of the stationary solve)
+    and a network that fails stochastic validation.
     """
     cs = sorted(cheaters)
     for c in cs:
         if not 0 <= c < net.n:
             raise ValueError(f"cheater {c} is not an agent: the network has agents 0 .. {net.n - 1}")
-    view = net.cached(_integer_view)
+    if net.n > EXACT_SOLVE_MAX_N:
+        raise ValueError(f"exact cheater limits are solved only for n <= {EXACT_SOLVE_MAX_N} (n={net.n})")
+    view = require_stochastic(net)
     honest = np.delete(np.arange(net.n), cs)
     h = len(honest)
     # [A | B]: the columns of the honest agents, then one right-hand side per cheater; honest rows only

@@ -34,9 +34,6 @@ POWER_TOL = 1e-12
 # such a rational determines it uniquely
 REBUILD_MAX_DEN = 10 ** 6
 
-# a prime below 2^31, so products of two residues fit in int64
-NONSINGULAR_PRIME = 2 ** 31 - 1
-
 
 @dataclass(frozen=True)
 class Network:
@@ -356,20 +353,20 @@ def rationalize(x) -> Fraction:
     return Fraction(float(x)).limit_denominator(REBUILD_MAX_DEN)
 
 
-def _solve_integer(M, proven_nonsingular=True):
+def _solve_integer(M):
     """(Q, N, branch): the exact solution x = N / Q of the integer system M = [A | b], and how it was found.
 
-    M is an n x (n + 1) int64 array, or an object array of Python integers
-    once an entry reaches 2^63. A caller that has not proved A nonsingular
-    passes proven_nonsingular=False, and a rebuilt answer then stands only
-    if A is nonsingular modulo NONSINGULAR_PRIME. One float solve
+    The contract: A is nonsingular, and the caller proves it where it builds
+    M, as _exact_stationary, degroot.cheater_limit_exact and
+    cascade.limit_accuracy do. M is an n x (n + 1) int64 array, or an object
+    array of Python integers once an entry reaches 2^63. One float solve
     gives a guess. Each distinct value of the guess (to 12 decimals) is
     rebuilt with `rationalize`, and harness_util.scaled puts the rebuilt
-    solution over the lcm Q of its denominators, in Python integers.
-    Failing that, fraction-free (Bareiss) elimination solves M. _proves
-    checks every answer, A N = b Q in integers, which is a proof because
-    the solution is unique. N is a list of Python integers. Raises
-    ValueError on a singular A.
+    solution over the lcm Q of its denominators, in Python integers. Failing
+    that, fraction-free (Bareiss) elimination solves M. _proves checks every
+    answer, A N = b Q in integers, which is a proof because the solution is
+    unique. N is a list of Python integers. Raises ValueError where Bareiss
+    elimination finds A singular.
     """
     n = len(M)
     try:
@@ -380,7 +377,7 @@ def _solve_integer(M, proven_nonsingular=True):
         keys = guess.round(12).tolist()
         value = {k: rationalize(v) for k, v in dict(zip(keys, guess.tolist())).items()}
         Q, N = scaled(map(value.__getitem__, keys))
-        if _proves(M, Q, N) and (proven_nonsingular or _nonsingular_mod_prime(M[:, :n])):
+        if _proves(M, Q, N):
             return Q, N, f"certified float rebuild, one shared denominator {Q}"
     Q, N = _bareiss(M.tolist())
     if not _proves(M, Q, N):
@@ -427,45 +424,6 @@ def _bareiss(M):
     return prev // g, [row[n] // g for row in M]
 
 
-def _nonsingular_mod_prime(A):
-    """True if det(A) is not 0 modulo NONSINGULAR_PRIME, which proves the integer matrix A nonsingular.
-
-    Gaussian elimination on the residues, in int64. False means A is singular
-    or the prime divides det(A); only Bareiss elimination tells them apart.
-    """
-    p = NONSINGULAR_PRIME
-    R = (A % p).astype(np.int64)
-    n = len(R)
-    for k in range(n):
-        nz = np.flatnonzero(R[k:, k])
-        if not len(nz):
-            return False
-        piv = k + nz[0]
-        R[[k, piv]] = R[[piv, k]]
-        top = R[k, k:] * pow(int(R[k, k]), p - 2, p) % p
-        R[k + 1:, k:] = (R[k + 1:, k:] - R[k + 1:, k:k + 1] * top) % p
-    return True
-
-
-def solve_exact(A, b):
-    """The exact rational solution of A x = b for a nonsingular square A, as a list of Fractions.
-
-    A is a list of rows and b a list; entries are Fractions or ints. Each
-    equation A[r] x = b[r] is scaled to integers by the lcm of its
-    denominators, and _solve_integer solves the integer system. Its check
-    proves the answer only when the solution is unique, so a rebuilt answer
-    stands only once A is proved nonsingular modulo a prime; failing that,
-    Bareiss elimination settles it. Raises ValueError on a singular system.
-    """
-    n = len(A)
-    rows = [scaled([*row, rhs])[1] for row, rhs in zip(A, b)]
-    bound = max((abs(v) for row in rows for v in row), default=0)
-    M = np.array(rows, dtype=int_dtype(bound)).reshape(n, n + 1)
-    Q, N, branch = _solve_integer(M, proven_nonsingular=False)
-    debug("exact solve n=%d: %s", n, branch)
-    return unscaled(Q, N)
-
-
 # -- stationary distribution -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -485,14 +443,10 @@ def stationary_distribution(net: Network) -> StationaryDistribution:
 
     Up to EXACT_SOLVE_MAX_N agents: the exact solution of alpha (P - I) = 0
     with the last equation replaced by sum(alpha) = 1 (see _exact_stationary).
-    That system is nonsingular: P is irreducible (validate checks strong
-    connectivity), so by Perron-Frobenius the solutions of alpha (P - I) = 0
-    form one line, spanned by a positive vector; the n equations sum to
-    zero, so any n - 1 of them cut out that line, and sum(alpha) = 1 picks
-    one point of it. Otherwise power iteration (cap 1e6 rounds), returned
-    only if max |alpha P - alpha| <= POWER_TOL. Both read the network's
-    IntegerView, built and validated by the first call (require_stochastic)
-    and kept with the network; the solve itself runs on every call.
+    Otherwise power iteration (cap 1e6 rounds), returned only if
+    max |alpha P - alpha| <= POWER_TOL. Both read the network's IntegerView,
+    built and validated by the first call (require_stochastic) and kept with
+    the network; the solve itself runs on every call.
     """
     view = require_stochastic(net)
     n = net.n
@@ -522,8 +476,12 @@ def _exact_stationary(view: IntegerView):
     the lcm of the row denominators of the agents r that reach c (c among
     them, by its self-loop): sum_r C[r, c] (L_c / D_r) alpha_r - L_c alpha_c
     = 0. The last balance gives way to sum(alpha) = 1, and _solve_integer
-    solves the system. Every entry is at most lcm(D), so the system is int64
-    while that lcm is below 2^63.
+    solves the system. It is nonsingular: P is irreducible (validate checks
+    strong connectivity), so by Perron-Frobenius the solutions of alpha (P -
+    I) = 0 form one line, spanned by a positive vector; the n equations sum
+    to zero, so any n - 1 of them cut out that line, and sum(alpha) = 1
+    picks one point of it. Every entry is at most lcm(D), so the system is
+    int64 while that lcm is below 2^63.
     """
     n = len(view.D)
     dtype = int_dtype(lcm(*view.D.tolist()))

@@ -58,8 +58,8 @@ def fraction_stationary(net: Network):
     """The stationary distribution by solve_rational on the Fraction matrix of alpha (P - I) = 0.
 
     The last balance equation is replaced by sum(alpha) = 1. Fraction
-    Gauss-Jordan shares nothing with network.solve_exact, whose integer core
-    also solves the stationary system.
+    Gauss-Jordan shares nothing with network._solve_integer, which solves the
+    integer stationary system.
     """
     P = fraction_weight_matrix(net)
     n = net.n

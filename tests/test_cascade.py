@@ -83,7 +83,12 @@ def test_run_exact_matches_fraction_oracle(model, n):
     assert cascade.run_exact(model, n) == fraction_cascade_run_exact(model, n)
 
 
-@pytest.mark.parametrize("model", MODELS + [INCOMMENSURATE], ids=MODEL_IDS + ["incommensurate"])
+# the chain's mass denominator D has 72 bits, so the plateau's integer system holds Python integers
+WIDE = bernoulli_delta(Fraction(1, 6) + Fraction(1, 2 ** 70))
+
+
+@pytest.mark.parametrize("model", MODELS + [INCOMMENSURATE, WIDE],
+                         ids=MODEL_IDS + ["incommensurate", "wide-denominator"])
 def test_limit_accuracy_matches_fraction_oracle(model):
     # the four-letter chain keeps more than 64 non-cascade ratios too: both sides refuse it
     if model is FOUR_LETTER or model is INCOMMENSURATE:

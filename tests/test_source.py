@@ -4,7 +4,9 @@ harness_util.scaled puts rationals over their lcm, harness_util.unscaled
 turns them back into Fractions, and harness_util.int_dtype picks int64 or
 Python integers for a bound. An open-coded copy of any of them outside them
 fails this scan. network._solve_integer is the one exact linear solver: a
-float solve or a Bareiss elimination called from a second function fails it.
+float solve or a Bareiss elimination called from a second function fails it,
+and so does a call of _solve_integer from a function that is not one of the
+three that prove their system nonsingular where they build it.
 signals.cube is the one enumerator of the signal cube: bits or digits cut
 from np.arange, tiled repeats, np.indices or itertools.product anywhere else
 fail it, except in signals.map_accuracy_three_bits, whose three bits each
@@ -27,6 +29,8 @@ PATTERNS = {
     "open-coded int64-or-object choice": re.compile(r"np\.int64\s+if\b[^\n]*\belse\s+object\b"),
 }
 SOLVER_CALLS = {"np.linalg.solve", "_bareiss"}
+# each builds its system [A | b] and proves A nonsingular; a new caller comes here with its proof
+SOLVE_INTEGER_CALLERS = {"network._exact_stationary", "degroot.cheater_limit_exact", "cascade.limit_accuracy"}
 CUBE_HOMES = {"cube", "map_accuracy_three_bits"}
 CUBE_PATTERNS = {
     "bits shifted out of np.arange": re.compile(r">>\s*np\.arange"),
@@ -62,15 +66,19 @@ def test_no_open_coded_scaling_outside_the_helpers():
 
 
 def _callers():
-    """{called name: {"module.function" whose body calls it}} for the names in SOLVER_CALLS."""
+    """{called name: {"module.function" whose body calls it}} for the names in SOLVER_CALLS and _solve_integer."""
     callers = defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) in SOLVER_CALLS:
-                        callers[ast.unparse(node.func)].add(f"{path.stem}.{fn.name}")
+                    if isinstance(node, ast.Call):
+                        name = ast.unparse(node.func)
+                        if name.rpartition(".")[2] == "_solve_integer":     # network._solve_integer too
+                            name = "_solve_integer"
+                        if name in SOLVER_CALLS | {"_solve_integer"}:
+                            callers[name].add(f"{path.stem}.{fn.name}")
     return callers
 
 
@@ -79,6 +87,8 @@ def test_one_exact_solve_pipeline():
     callers = _callers()
     for name in sorted(SOLVER_CALLS):
         assert len(callers[name]) == 1, f"{name} is called from {sorted(callers[name])}, want one function"
+    assert callers["_solve_integer"] == SOLVE_INTEGER_CALLERS, \
+        f"_solve_integer is called from {sorted(callers['_solve_integer'])}, want {sorted(SOLVE_INTEGER_CALLERS)}"
 
 
 def _product_lines(tree):

@@ -364,7 +364,7 @@ def build_parser():
     p.add_argument("--delta", type=_fraction,
                    help="signal quality P(signal=S) - 1/2, Monte Carlo only (default 1/10)")
     p.add_argument("--mode", choices=["exact", "mc"], default="mc",
-                   help="exact: certified absorption table over every start state")
+                   help="exact: absorption table over every start state, alpha . s by the stationary solve")
     _add_common(p)
     p.set_defaults(fn=_cmd_voter)
 

@@ -103,8 +103,8 @@ def learning_probability(net: Network, delta, mode="exact",
                          trials=10000, rng=None) -> LearningEstimate:
     """p_w(delta) = P(round(A_infinity) = S) under Bernoulli(delta) signals.
 
-    mode="exact" needs an exact alpha (n <= 200, see network.EXACT_SOLVE_MAX_N);
-    it runs a knapsack DP over the weighted signal sum (see _exact_p_w) and
+    mode="exact" needs an exact alpha, so it refuses more than
+    network.EXACT_SOLVE_MAX_N agents before it solves; it runs a knapsack DP over the weighted signal sum (see _exact_p_w) and
     refuses more than EXACT_DP_MAX_SUPPORT distinct sums. Exact ties
     A_infinity = 1/2 are reported separately and count as neither success
     nor failure. mode="monte_carlo" samples trials signal vectors from rng a
@@ -115,11 +115,10 @@ def learning_probability(net: Network, delta, mode="exact",
         raise ValueError("delta must lie in (0, 1/2)")
     n = net.n
     if mode == "exact":
-        sd = stationary_distribution(net)
-        if not sd.exact:
+        if n > EXACT_SOLVE_MAX_N:
             raise ValueError(f"exact p_w needs an exact stationary distribution, which is "
                              f"solved only for n <= {EXACT_SOLVE_MAX_N} (n={n})")
-        p, tie = _exact_p_w(sd.alpha, delta)
+        p, tie = _exact_p_w(stationary_distribution(net).alpha, delta)
         return LearningEstimate(p=p, tie_mass=tie, exact=True)
     alpha = stationary_distribution(net).alpha
     if mode == "monte_carlo":

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bayes, cascade, degroot, majority, voter
-from .harness_util import int_dtype, wilson_interval
+from .harness_util import int_dtype, scaled, wilson_interval
 from .network import Network, from_pairs, generate, stationary_distribution
 from .signals import (FiniteModel, bernoulli_cube, bernoulli_delta, cube, GaussianLLR, xor_pair, three_bit_epsilon,
                       map_accuracy_three_bits, trial_rng)
@@ -116,10 +116,10 @@ def _exp_degroot_monotone(cfg):
 def _exp_voter_identity(cfg):
     """Exact absorption probability == stationary-weighted signal mass, all nets/signals.
 
-    absorption_probabilities returns the table alpha . s only after its integer
-    certificate accepts it (harmonic, 0 and 1 at the unanimity states), so
-    absorption_equals_alpha_mass checks that the certificate accepts alpha . s
-    on every net.
+    The audit of the proof that absorption_probabilities rests on, the exact
+    stationary solve: absorption_equals_alpha_mass holds iff on every net its
+    table is alpha . s and voter._certify_table, the state-by-state integer
+    certificate (harmonic, 0 and 1 at the unanimity states), accepts it.
     """
     ok = True
     for kind in ("chain", "cycle", "star"):
@@ -127,8 +127,14 @@ def _exp_voter_identity(cfg):
             net = generate(kind, n)
             alpha = stationary_distribution(net).alpha
             h = voter.absorption_probabilities(net)
+            table = [h[s] for s in range(1 << n)]
+            H, T = scaled(table)
+            try:
+                voter._certify_table(net, T, H)
+            except ArithmeticError:
+                ok = False
             target = (cube(n, 2) @ np.array(alpha, dtype=object)).tolist()      # alpha . s for every state s
-            ok = ok and [h[s] for s in range(1 << n)] == target
+            ok = ok and table == target
     return ({}, {}, {}, {"absorption_equals_alpha_mass": ok})
 
 

@@ -534,7 +534,7 @@ def read_network(path) -> Network:
 
     Every weight is read exactly, by harness_util.read_rational: 1, 1/4, 0.25
     and 2.5e-1 are Fractions, and nan, inf or 1/0 is refused. Blank lines and lines whose first non-blank character is `#` are skipped.
-    A malformed line raises ValueError naming its line number.
+    A malformed line, or a count below 1, raises ValueError naming its line number.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
@@ -546,6 +546,8 @@ def read_network(path) -> Network:
     if len(head) != 3 or head[0] != "n" or head[2] not in ("directed", "undirected") \
             or not head[1].isdigit():
         raise ValueError(f"line {no}: expected 'n <count> directed|undirected', got {header!r}")
+    if int(head[1]) < 1:
+        raise ValueError(f"line {no}: a network needs at least 1 agent, got {header!r}")
     edges = []
     for no, ln in lines[1:]:
         fields = ln.split()

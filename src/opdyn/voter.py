@@ -7,8 +7,9 @@ unanimity states are the only absorbing states and absorption is almost
 sure; both the exact path and the Monte Carlo refuse any other network.
 sum_i alpha_i A_i is a martingale, so the chance of absorbing at all-ones
 given the signals equals sum_i alpha_i * psi_i. The exact path builds that
-table on integers from the stationary distribution and certifies it state
-by state; no linear system over the 2^n states is solved.
+table on integers from the stationary distribution, whose exact solve
+proves it; no linear system over the 2^n states is solved, and the
+voter-identity audit checks the table state by state (_certify_table).
 
 Variant: asynchronous edge updates with (opinion, strength) pairs; strong
 opinions beat weak ones, equal-strength disagreements demote or randomize,
@@ -28,12 +29,9 @@ from .harness_util import debug, int_dtype, scaled, unscaled
 from .network import Network, _integer_view, _pairs_connected, require_stochastic, stationary_distribution
 from .signals import check_delta, cube
 
-# exact absorption certifies a table over all 2^n states, so it refuses larger networks
-EXACT_ABSORPTION_MAX_N = 14
-
-# about this many entries per block of 2^n-wide rows, so the certificate
-# never holds the 2^n x 2^n contraction whole
-_BLOCK_ENTRIES = 1 << 20
+# the exact table holds 2^n Fractions, built through the 2^n x n cube(n, 2): at n = 16, 0.02 s and
+# 40 MB peak on cycle:16, 0.3 s where alpha has a 95-bit denominator; that one took 1.4 s at n = 18
+EXACT_ABSORPTION_MAX_N = 16
 
 # rows of a Monte Carlo block hold about this many agent draws
 _MC_BLOCK = 1 << 14
@@ -335,12 +333,6 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
 
 # -- exact absorption analysis ----------------------------------------------
 
-def _blocks(ns):
-    """Slices of the state range 0 .. ns - 1 with about _BLOCK_ENTRIES / ns states each."""
-    step = max(1, _BLOCK_ENTRIES // ns)
-    return [slice(lo, min(lo + step, ns)) for lo in range(0, ns, step)]
-
-
 def _certify_table(net: Network, T, H):
     """Check that h = T / H is 0 at all-zeros, 1 at all-ones and harmonic; raise ArithmeticError if not.
 
@@ -351,6 +343,7 @@ def _certify_table(net: Network, T, H):
     T <- d_i T[bit_i = 0] + a_i (T[bit_i = 1] - T[bit_i = 0]), leaves
     prod_i d_i H E[h(next) | s], which must equal prod_i d_i T[s]. The
     network must pass validate(require_stochastic=True) with rational weights.
+    Time and memory are O(4^n): the voter-identity audit runs it at n <= 8.
     """
     n = net.n
     ns = 1 << n
@@ -362,58 +355,45 @@ def _certify_table(net: Network, T, H):
     scale = prod(d)
     # every partial sum and difference is at most 2 max|T| prod(d) in absolute value
     bound = 2 * max(map(abs, T)) * scale
-    dtype = np.int32 if bound < 2 ** 31 else int_dtype(bound)
+    dtype = int_dtype(bound)
     T = np.array(T, dtype=dtype)
     W = np.zeros((n, n), dtype=dtype)
     W[view.rows, view.J] = view.C.tolist()
-    bits = cube(n, 2).astype(dtype)       # bits[s, j] = action of agent j in state s
-    top = n - 1
-    for block in _blocks(ns):
-        a = bits[block] @ W.T                 # a[s, i] = d_i q_i(s)
-        # agent i is bit i; the top bit halves first, into a fresh block x ns/2 array
-        half = 1 << top
-        cur = a[:, top:top + 1] * (T[half:] - T[:half])
-        cur += d[top] * T[:half]
-        for i in range(top - 1, -1, -1):
-            half = 1 << i
-            low = cur[:, :half]
-            nxt = cur[:, half:] - low
-            nxt *= a[:, i:i + 1]
-            low *= d[i]
-            nxt += low
-            cur = nxt
-        bad = np.flatnonzero(cur[:, 0] != T[block] * scale)
-        if len(bad):
-            s = block.start + int(bad[0])
-            raise ArithmeticError(f"rational certification failed at state {s}: "
-                                  f"E[h(next)] = {Fraction(int(cur[bad[0], 0]), H * scale)}, "
-                                  f"h = {Fraction(int(T[s]), H)}")
+    a = cube(n, 2).astype(dtype) @ W.T        # a[s, i] = d_i q_i(s), state s the bit vector of cube(n, 2)
+    cur = T[None]
+    for i in range(n - 1, -1, -1):            # agent i is bit i; the top bit halves first
+        half = 1 << i
+        low = cur[:, :half]
+        cur = a[:, i:i + 1] * (cur[:, half:] - low) + d[i] * low
+    bad = np.flatnonzero(cur[:, 0] != T * scale)
+    if len(bad):
+        s = int(bad[0])
+        raise ArithmeticError(f"rational certification failed at state {s}: "
+                              f"E[h(next)] = {Fraction(int(cur[s, 0]), H * scale)}, "
+                              f"h = {Fraction(int(T[s]), H)}")
     debug("absorption certificate: %d states, H=%d, dtype=%s", ns, H, np.dtype(dtype).name)
 
 
 def absorption_probabilities(net: Network):
     """P(absorb at all-ones | start state) for every state, exact rationals.
 
-    The voter martingale gives the answer: E[sum_i alpha_i A_i(t+1) | A(t)]
-    = sum_j (alpha P)_j A_j(t) = sum_j alpha_j A_j(t), so with alpha the
-    stationary distribution (an n-size exact solve) the candidate is
-    h(s) = sum_i alpha_i s_i. With H the lcm of alpha's denominators it is the
-    integer table T = cube(n, 2) @ (alpha H), state s the bit vector of s
-    (signals.cube), which _certify_table checks state by state: h = 0 and 1
-    at the two unanimity states and E[h(next) | s] = h(s) everywhere. A
-    stochastic network (self-loops, strongly connected, checked first)
-    absorbs almost surely, so the bounded harmonic function with those
-    boundary values is unique and the certificate is a proof. Raises
-    ValueError above EXACT_ABSORPTION_MAX_N agents or on a failed validation,
-    and ArithmeticError if certification fails.
+    With alpha the stationary distribution and H the lcm of its
+    denominators, the answer is h(s) = sum_i alpha_i s_i, the integer table
+    T = cube(n, 2) @ (alpha H) over H, state s the bit vector of s
+    (signals.cube). The stationary solve proves it:
+    - n <= EXACT_ABSORPTION_MAX_N < network.EXACT_SOLVE_MAX_N, so alpha is
+      the exact solve, and network._proves makes alpha P = alpha exact;
+    - so E[h(next) | s] = sum_j (alpha P)_j s_j = h(s), 0 and 1 at unanimity;
+    - a validated network absorbs almost surely, so h is the absorption
+      probability.
+    Raises ValueError above EXACT_ABSORPTION_MAX_N agents or on a failed
+    validation (stationary_distribution validates).
     """
     n = net.n
     if n > EXACT_ABSORPTION_MAX_N:
         raise ValueError(f"exact absorption capped at n={EXACT_ABSORPTION_MAX_N}")
-    require_stochastic(net)
     H, A = scaled(stationary_distribution(net).alpha)
     T = (cube(n, 2) @ np.array(A, dtype=int_dtype(H))).tolist()      # entries are at most H
-    _certify_table(net, T, H)
     return dict(enumerate(unscaled(H, T)))
 
 

@@ -453,18 +453,13 @@ def float_solve_absorption(net):
     ns = 1 << n
     bits = np.array([x[::-1] for x in product((0, 1), repeat=n)])       # bits[s, j] = bit j of s
     q = bits @ net.weight_matrix().T                        # q[s, i] = P(agent i adopts 1 | s)
-    A = np.eye(ns - 2)
-    r = np.zeros(ns - 2)
-    for block in voter._blocks(ns):
-        rows = np.ones((block.stop - block.start, 1))
-        for i in range(n):                                  # append agent i as bit i
-            qi = q[block, i:i + 1]
-            rows = np.concatenate([rows * (1.0 - qi), rows * qi], axis=1)
-        # keep this block's transient states; state s is row s - 1 of A
-        lo, hi = max(block.start, 1), min(block.stop, ns - 1)
-        part = rows[lo - block.start:hi - block.start]
-        A[lo - 1:hi - 1] -= part[:, 1:-1]
-        r[lo - 1:hi - 1] = part[:, -1]
+    rows = np.ones((ns, 1))
+    for i in range(n):                                      # append agent i as bit i
+        qi = q[:, i:i + 1]
+        rows = np.concatenate([rows * (1.0 - qi), rows * qi], axis=1)
+    # rows[s, t] = P(next = t | s); keep the transient states, state s is row s - 1 of A
+    A = np.eye(ns - 2) - rows[1:-1, 1:-1]
+    r = rows[1:-1, -1]
     hf = np.linalg.solve(A, r)
     h = {0: Fraction(0), ns - 1: Fraction(1)}
     for s in range(1, ns - 1):

@@ -210,6 +210,18 @@ def test_graph_file_weights_that_are_not_rationals_are_refused_by_line(tmp_path,
         assert code == 2 and err["error"].startswith(f"bad graph spec {str(path)!r}: line 3: ")
 
 
+def test_graph_file_without_agents_is_refused_by_line(tmp_path, capsys):
+    # once an IndexError traceback, an unpacking error, an empty record or "negative shift count"
+    path = tmp_path / "empty.txt"
+    for kind in ("directed", "undirected"):
+        path.write_text(f"n 0 {kind}\n")
+        for argv in (["degroot"], ["degroot", "--cheater", "0=1"], ["voter", "--mode", "exact"], ["voter"],
+                     ["bayes"], ["majority"]):
+            code, err = _error_record(capsys, [argv[0], "--graph", str(path), *argv[1:]])
+            assert code == 2 and err == {"command": argv[0], "error": f"bad graph spec {str(path)!r}: line 1: a "
+                                                                      f"network needs at least 1 agent, got 'n 0 {kind}'"}
+
+
 def test_voter_monte_carlo_on_float_weights(tmp_path, capsys):
     # the decimal file runs under Monte Carlo
     path = tmp_path / "decimal.txt"
@@ -625,6 +637,16 @@ def test_cheater_limits_refuse_more_agents_than_the_exact_cap(capsys):
                    "error": f"exact cheater limits are solved only for n <= {network.EXACT_SOLVE_MAX_N} (n={n})"}
 
 
+def test_exact_p_w_refuses_more_agents_than_the_exact_cap_before_it_solves(capsys):
+    # once the refusal came after 3 s of power iteration on chain:400
+    start = time.perf_counter()
+    code, err = _error_record(capsys, ["degroot", "--graph", "chain:400"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err == {"command": "degroot", "error": "exact p_w needs an exact stationary distribution, which is "
+                                                  f"solved only for n <= {network.EXACT_SOLVE_MAX_N} (n=400)"}
+
+
 # -- fuzzing the front door ---------------------------------------------------
 
 JUNK_RATIONALS = ["-1/5", "1/0", "x", "nan", "inf", "1e-100000", ""]
@@ -643,11 +665,11 @@ SMALL_INTS = _mostly(st.integers(1, 6).map(str), st.sampled_from(["0", "-1", "x"
 @st.composite
 def _graph_files(draw, folder):
     """A graph file of at most 6 agents: lazy rows with each weight 1/d spelled as p/q or, where it ends, as a
-    decimal; now and then a junk weight, an agent out of range or a malformed line."""
+    decimal; now and then a junk weight, an agent out of range, a malformed line or a header count of 0."""
     n = draw(st.integers(1, 6))
     arcs = {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
     arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
-    lines = [f"n {n} {draw(st.sampled_from(['directed', 'undirected']))}"]
+    lines = [f"n {draw(_mostly(st.just(n), st.just(0)))} {draw(st.sampled_from(['directed', 'undirected']))}"]
     for i in range(n):
         out = sorted(j for a, j in arcs if a == i)
         d = len(out)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from opdyn import harness, majority
+from opdyn import harness, majority, voter
 from opdyn.harness_util import wilson_interval
-from opdyn.network import generate
+from opdyn.network import StationaryDistribution, generate
 
 
 def test_wilson_midpoint():
@@ -65,6 +65,30 @@ def test_run_experiment_deterministic():
     assert a.estimates == b.estimates
     assert a.exact == b.exact
     assert a.assertions == b.assertions
+
+
+def test_voter_identity_audit_is_not_a_tautology(monkeypatch):
+    # the kernel's table is alpha . s by construction; the experiment's certificate must still see a wrong one
+    def verdict():
+        return harness.run_experiment(harness.registry("voter-identity")).assertions["absorption_equals_alpha_mass"]
+
+    assert verdict() is True
+    kernel, star8 = voter.absorption_probabilities, generate("star", 8)
+
+    def bent(net):
+        h = kernel(net)
+        if net.edges == star8.edges:
+            h[37] += Fraction(1, 7)
+        return h
+
+    monkeypatch.setattr(voter, "absorption_probabilities", bent)
+    assert verdict() is False
+    # a table that matches the alpha it is compared with, uniform here, is caught by the certificate alone
+    monkeypatch.setattr(harness, "stationary_distribution",
+                        lambda net: StationaryDistribution((Fraction(1, net.n),) * net.n))
+    monkeypatch.setattr(voter, "absorption_probabilities",
+                        lambda net: {s: Fraction(bin(s).count("1"), net.n) for s in range(1 << net.n)})
+    assert verdict() is False
 
 
 def test_result_record_json():

@@ -174,6 +174,7 @@ def test_read_network_skips_indented_comments(tmp_path):
                                          "than 4300 digits"),
     ("\n# only a comment\nn three undirected\n", "line 3: expected 'n <count> directed|undirected'"),
     ("n 3 sideways\n", "line 1: expected 'n <count> directed|undirected'"),
+    ("n 0 directed\n", "line 1: a network needs at least 1 agent, got 'n 0 directed'"),
     ("  # nothing else\n", "empty graph file"),
 ])
 def test_read_network_errors_name_the_line(tmp_path, body, message):

@@ -14,6 +14,9 @@ have their own law. network._slots is the one neighbour table: the
 kernels read agent i's neighbours from it or from the IntegerView's rows,
 never from Network.out_neighbors or by splitting the rows with np.split,
 except in degroot.step, the Fraction reference simulator.
+The stationary solve is the one proof of the voter absorption table:
+voter._certify_table, its exhaustive certificate, is called in src only by
+the voter-identity audit, harness._exp_voter_identity.
 """
 
 import ast
@@ -31,6 +34,9 @@ PATTERNS = {
 SOLVER_CALLS = {"np.linalg.solve", "_bareiss"}
 # each builds its system [A | b] and proves A nonsingular; a new caller comes here with its proof
 SOLVE_INTEGER_CALLERS = {"network._exact_stationary", "degroot.cheater_limit_exact", "cascade.limit_accuracy"}
+# the kernel rests on the stationary solve's proof; only the gate's audit runs the 4^n certificate
+CERTIFY_TABLE_CALLERS = {"harness._exp_voter_identity"}
+PRIVATE_CALLS = {"_solve_integer", "_certify_table"}    # matched under any module prefix
 CUBE_HOMES = {"cube", "map_accuracy_three_bits"}
 CUBE_PATTERNS = {
     "bits shifted out of np.arange": re.compile(r">>\s*np\.arange"),
@@ -66,7 +72,7 @@ def test_no_open_coded_scaling_outside_the_helpers():
 
 
 def _callers():
-    """{called name: {"module.function" whose body calls it}} for the names in SOLVER_CALLS and _solve_integer."""
+    """{called name: {"module.function" whose body calls it}} for the names in SOLVER_CALLS and PRIVATE_CALLS."""
     callers = defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -75,9 +81,9 @@ def _callers():
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call):
                         name = ast.unparse(node.func)
-                        if name.rpartition(".")[2] == "_solve_integer":     # network._solve_integer too
-                            name = "_solve_integer"
-                        if name in SOLVER_CALLS | {"_solve_integer"}:
+                        if name.rpartition(".")[2] in PRIVATE_CALLS:     # network._solve_integer too
+                            name = name.rpartition(".")[2]
+                        if name in SOLVER_CALLS | PRIVATE_CALLS:
                             callers[name].add(f"{path.stem}.{fn.name}")
     return callers
 
@@ -89,6 +95,12 @@ def test_one_exact_solve_pipeline():
         assert len(callers[name]) == 1, f"{name} is called from {sorted(callers[name])}, want one function"
     assert callers["_solve_integer"] == SOLVE_INTEGER_CALLERS, \
         f"_solve_integer is called from {sorted(callers['_solve_integer'])}, want {sorted(SOLVE_INTEGER_CALLERS)}"
+
+
+def test_absorption_certificate_is_only_the_audit():
+    callers = _callers()["_certify_table"]
+    assert callers == CERTIFY_TABLE_CALLERS, \
+        f"_certify_table is called from {sorted(callers)}, want only {sorted(CERTIFY_TABLE_CALLERS)}"
 
 
 def _product_lines(tree):

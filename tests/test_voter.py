@@ -602,7 +602,7 @@ def test_mc_consensus_refuses_delta_outside_the_half_interval(delta):
 @settings(max_examples=10, deadline=None)
 @given(bits=st.integers(1, 30))
 def test_absorption_certificate_holds(bits):
-    # the exact solver self-certifies; spot-check the one-step identity here
+    # the stationary solve proves the table and voter-identity audits it; spot-check the one-step identity here
     net = generate("cycle", 5)
     h = voter.absorption_probabilities(net)
     acts = tuple((bits >> i) & 1 for i in range(5))
@@ -614,8 +614,12 @@ def test_absorption_certificate_holds(bits):
 
 
 def test_absorption_size_cap():
-    with pytest.raises(ValueError, match=f"exact absorption capped at n={voter.EXACT_ABSORPTION_MAX_N}"):
-        voter.absorption_probabilities(generate("cycle", voter.EXACT_ABSORPTION_MAX_N + 1))
+    cap = voter.EXACT_ABSORPTION_MAX_N
+    with pytest.raises(ValueError, match=f"exact absorption capped at n={cap}"):
+        voter.absorption_probabilities(generate("cycle", cap + 1))
+    # at the cap, the table of the doubly stochastic cycle is the share of ones
+    h = voter.absorption_probabilities(generate("cycle", cap))
+    assert len(h) == 1 << cap and all(h[s] == Fraction(bin(s).count("1"), cap) for s in (0, 5, 1 << cap - 1, len(h) - 1))
 
 
 @st.composite
@@ -672,15 +676,17 @@ def test_certificate_with_wide_denominators(caplog):
     p = 10007
     ws = [Fraction(p - 6, p), Fraction(1, p), Fraction(2, p), Fraction(1, p), Fraction(2, p)]
     net = Network(n=5, edges=tuple((i, (i + k) % 5, ws[k]) for i in range(5) for k in range(5)))
-    with caplog.at_level(logging.DEBUG, logger="opdyn"):
-        h = voter.absorption_probabilities(net)
+    h = voter.absorption_probabilities(net)
     assert all(h[s] == Fraction(bin(s).count("1"), 5) for s in range(32))
     # the slow Python-integer fallback names itself
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        certify_absorption(net, h)
     assert "absorption certificate: 32 states, H=5, dtype=object" in caplog.text
     caplog.clear()
+    cycle = generate("cycle", 5)
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
-        voter.absorption_probabilities(generate("cycle", 5))
-    assert "absorption certificate: 32 states, H=5, dtype=int32" in caplog.text
+        certify_absorption(cycle, voter.absorption_probabilities(cycle))
+    assert "absorption certificate: 32 states, H=5, dtype=int64" in caplog.text
     h[7] = Fraction(3, 5) + Fraction(1, 10 ** 12)
     with pytest.raises(ArithmeticError):
         certify_absorption(net, h)

@@ -7,17 +7,18 @@ weight is an exact rational, a Fraction from construction on, so every exact
 oracle can read any network; graph files spell weights as 1/4, 0.25 or
 2.5e-1, read exactly. Undirected graphs are stored as symmetric directed
 pairs. Each network's weights are also held as integers, in one IntegerView
-built and validated on first use and kept with the network.
+built and validated on first use and kept with the network. Every network has
+at least one agent. Seeded topologies (random_regular) are drawn from one
+numpy generator, np.random.default_rng(seed).
 """
 
 from __future__ import annotations
 
-import random as _random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .harness_util import debug, int_dtype, read_rational, scaled, unscaled
 
 # generate builds no topology with more agents, or more neighbour pairs, than this
 GENERATE_MAX_SIZE = 10 ** 5
+
+# random_regular draws at most PAIRING_BUDGET pairings, in batches of about PAIRING_BATCH_STUBS stubs
+PAIRING_BUDGET = 10 ** 4
+PAIRING_BATCH_STUBS = 1 << 16
 
 # exact linear solve below this size, power iteration above, kept if max |alpha P - alpha| <= POWER_TOL
 EXACT_SOLVE_MAX_N = 200
@@ -54,6 +59,8 @@ class Network:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         out = {i: {} for i in range(self.n)}
         for (i, j, w) in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -112,8 +119,6 @@ class Network:
     # -- connectivity --------------------------------------------------------
 
     def is_strongly_connected(self):
-        if self.n == 0:
-            return False
         back = [[] for _ in range(self.n)]
         for (i, j, _w) in self.edges:
             back[j].append(i)
@@ -174,7 +179,7 @@ class IntegerView:
             C += cs
             D.append(d)
             weights += ws
-        if net.n and not net.is_strongly_connected():
+        if not net.is_strongly_connected():
             faults.append("graph is not strongly connected")
         bound = max(max(D, default=0), max(map(abs, C), default=0))
         dtype = int_dtype(bound)
@@ -251,7 +256,18 @@ def require_stochastic(net: Network) -> IntegerView:
 # -- generators --------------------------------------------------------------
 
 def _undirected_pairs(kind, n, d=None, seed=None):
-    """Neighbor pairs (i < j, no self) for each supported topology."""
+    """Neighbor pairs (i < j, no self), sorted, for each supported topology.
+
+    random_regular draws a connected simple d-regular graph, uniform over the
+    labelled ones, by Bollobas's pairing model with rejection: the n d stubs
+    (d per agent) are shuffled and paired off, position 2k with 2k + 1, and a
+    pairing is kept only if it has no loop, no repeated pair and joins all n
+    agents. The pairings come from np.random.default_rng(seed), seed >= 0, in
+    batches of independent permutations, rng.permuted(..., axis=1): the first
+    batch is one pairing and each next one twice the last, up to about
+    PAIRING_BATCH_STUBS stubs. The first kept pairing in draw order wins.
+    After PAIRING_BUDGET pairings without one, ValueError.
+    """
     if kind == "chain":
         return [(i, i + 1) for i in range(n - 1)]
     if kind == "cycle":
@@ -284,21 +300,24 @@ def _undirected_pairs(kind, n, d=None, seed=None):
             raise ValueError("random_regular requires seed: the graph is drawn from it")
         if n * d % 2 != 0 or d >= n or d < 1:
             raise ValueError(f"infeasible degree sequence: n={n}, d={d}")
-        rng = _random.Random(seed)
-        # pairing model with restarts; also retry until connected
-        for _ in range(10000):
-            stubs = [i for i in range(n) for _ in range(d)]
-            rng.shuffle(stubs)
-            pairs = set()
-            ok = True
-            for a, b in zip(stubs[0::2], stubs[1::2]):
-                if a == b or (min(a, b), max(a, b)) in pairs:
-                    ok = False
-                    break
-                pairs.add((min(a, b), max(a, b)))
-            if ok and _pairs_connected(n, pairs):
-                return sorted(pairs)
-        raise ValueError(f"could not realize a connected {d}-regular graph on {n} nodes")
+        if not isinstance(seed, Integral) or seed < 0:
+            raise ValueError(f"random_regular needs an integer seed >= 0, got {seed!r}")
+        rng = np.random.default_rng(seed)
+        stubs = np.repeat(np.arange(n), d)
+        cap, rows, drawn = max(1, PAIRING_BATCH_STUBS // len(stubs)), 1, 0
+        while drawn < PAIRING_BUDGET:
+            rows = min(rows, cap, PAIRING_BUDGET - drawn)
+            batch = rng.permuted(np.tile(stubs, (rows, 1)), axis=1)
+            drawn, rows = drawn + rows, 2 * rows
+            a, b = batch[:, 0::2], batch[:, 1::2]
+            codes = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=1)
+            simple = (a != b).all(axis=1) & (np.diff(codes, axis=1) != 0).all(axis=1)
+            for r in np.flatnonzero(simple):
+                pairs = [divmod(code, n) for code in codes[r].tolist()]
+                if _pairs_connected(n, pairs):
+                    return pairs
+        raise ValueError(f"could not realize a connected {d}-regular graph on {n} nodes "
+                         f"after {PAIRING_BUDGET} pairings")
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -443,7 +462,8 @@ def stationary_distribution(net: Network) -> StationaryDistribution:
 
     Up to EXACT_SOLVE_MAX_N agents: the exact solution of alpha (P - I) = 0
     with the last equation replaced by sum(alpha) = 1 (see _exact_stationary).
-    Otherwise power iteration (cap 1e6 rounds), returned only if
+    Otherwise power iteration (cap 1e6 rounds) on the IntegerView's rows,
+    one np.bincount per round and no dense matrix, returned only if
     max |alpha P - alpha| <= POWER_TOL. Both read the network's IntegerView,
     built and validated by the first call (require_stochastic) and kept with
     the network; the solve itself runs on every call.
@@ -453,10 +473,13 @@ def stationary_distribution(net: Network) -> StationaryDistribution:
     if n <= EXACT_SOLVE_MAX_N:
         return StationaryDistribution(_exact_stationary(view))
     debug("stationary n=%d: power iteration (%d edges, max row denominator %d)", n, len(view.J), int(view.D.max()))
-    P = net.weight_matrix()
+
+    def step(alpha):            # alpha P, one sum per edge of the integer view's rows
+        return np.bincount(view.J, weights=alpha[view.rows] * view.W, minlength=n)
+
     alpha = np.full(n, 1.0 / n)
     for _ in range(10 ** 6):
-        nxt = alpha @ P
+        nxt = step(alpha)
         nxt /= nxt.sum()
         if np.max(np.abs(nxt - alpha)) <= POWER_TOL / 2:
             alpha = nxt
@@ -464,7 +487,7 @@ def stationary_distribution(net: Network) -> StationaryDistribution:
         alpha = nxt
     else:
         raise RuntimeError("power iteration did not converge within the cap")
-    if np.max(np.abs(alpha @ P - alpha)) > POWER_TOL:
+    if np.max(np.abs(step(alpha) - alpha)) > POWER_TOL:
         raise RuntimeError("stationary residual above tolerance")
     return StationaryDistribution(tuple(alpha))
 

@@ -647,6 +647,19 @@ def test_exact_p_w_refuses_more_agents_than_the_exact_cap_before_it_solves(capsy
                                                   f"solved only for n <= {network.EXACT_SOLVE_MAX_N} (n=400)"}
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("random_regular:20:4:-1", "random_regular needs an integer seed >= 0, got -1"),
+    # a simple 16-regular pairing on 40 agents has probability about e^-64; the budget once took 2.2 s to run out
+    ("random_regular:40:16:1", "could not realize a connected 16-regular graph on 40 nodes after 10000 pairings"),
+])
+def test_random_regular_refusals_name_the_spec(capsys, spec, message):
+    start = time.perf_counter()
+    code, err = _error_record(capsys, ["degroot", "--graph", spec])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err == {"command": "degroot", "error": f"bad graph spec {spec!r}: {message}"}
+
+
 # -- fuzzing the front door ---------------------------------------------------
 
 JUNK_RATIONALS = ["-1/5", "1/0", "x", "nan", "inf", "1e-100000", ""]

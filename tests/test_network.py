@@ -2,7 +2,9 @@ import hashlib
 import logging
 import re
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -198,12 +200,12 @@ TOPOLOGY_DIGESTS = {
     ("complete", 9): "17f47676f61ecc5c", ("complete", 16): "ff35875bf1ecb797",
     ("star", 9): "6dfa9e5b5a93c639", ("star", 16): "d53cfb0cc9d16273",
     ("grid", 9): "dd800abcc2bd212e", ("grid", 16): "421334e4e97e7f20",
-    ("random_regular", 20, 3, 0): "1c663fefa75cfe48", ("random_regular", 20, 3, 1): "5db95ba4f6ca4766",
-    ("random_regular", 20, 3, 2): "d3e9a4820a6e143a", ("random_regular", 20, 3, 3): "77d0ea4b55bde305",
-    ("random_regular", 20, 3, 4): "f8a9774f1ada37d9",
-    ("random_regular", 40, 4, 0): "325bdf34b5dbd6f4", ("random_regular", 40, 4, 1): "6d8ff380e5e4f94d",
-    ("random_regular", 40, 4, 2): "61475aa69224587b", ("random_regular", 40, 4, 3): "2ba5f489fa83a452",
-    ("random_regular", 40, 4, 4): "a85557216d9ef384",
+    ("random_regular", 20, 3, 0): "23e73956628c1adf", ("random_regular", 20, 3, 1): "972a03c4e342b960",
+    ("random_regular", 20, 3, 2): "01c9fc456f0733d2", ("random_regular", 20, 3, 3): "6ac9052ab67c0993",
+    ("random_regular", 20, 3, 4): "2b109ad266ca24ff",
+    ("random_regular", 40, 4, 0): "02a9e73ad1adc498", ("random_regular", 40, 4, 1): "42085f75911d80a7",
+    ("random_regular", 40, 4, 2): "92fcaee06f90d3a0", ("random_regular", 40, 4, 3): "7b3700bec587024c",
+    ("random_regular", 40, 4, 4): "95e19ecb224c6231",
 }
 
 
@@ -239,6 +241,40 @@ def test_random_regular_needs_a_seed():
     with pytest.raises(ValueError, match="random_regular requires seed"):
         generate("random_regular", 10, d=3)
     assert generate("random_regular", 10, d=3, seed=5).edges == generate("random_regular", 10, d=3, seed=5).edges
+
+
+def test_random_regular_is_uniform_over_connected_labelled_graphs():
+    # the model, not the stream: 3-regular graphs on 6 labelled agents are 10 copies of K3,3 and 60 prisms
+    seeds = range(2100)
+    bipartite = 0
+    for seed in seeds:
+        pairs = set(network._undirected_pairs("random_regular", 6, 3, seed))
+        bipartite += not any({(a, b), (a, c), (b, c)} <= pairs for a, b, c in combinations(range(6), 3))
+    share = len(seeds) / 7
+    assert abs(bipartite - share) <= 4 * (share * 6 / 7) ** 0.5, bipartite
+    # 2-regular graphs on 6 agents are 60 hexagons and 10 pairs of triangles, which are not connected
+    hexagons = Counter(tuple(network._undirected_pairs("random_regular", 6, 2, seed)) for seed in seeds)
+    assert all(_pairs_connected(6, pairs) for pairs in hexagons) and len(hexagons) == 60
+    expected = len(seeds) / 60
+    chi_square = sum((seen - expected) ** 2 / expected for seen in hexagons.values())
+    assert chi_square < 108.16, chi_square     # the chi-square quantile of 59 degrees of freedom at 1 - 1e-4
+
+
+def test_network_needs_an_agent():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            Network(n=n, edges=())
+
+
+def test_power_iteration_reads_the_view_rows(monkeypatch):
+    # the dense weight matrix of cycle:20000 takes 3 GB
+    monkeypatch.setattr(Network, "weight_matrix", lambda self: pytest.fail("the dense matrix was built"))
+    sd = stationary_distribution(generate("cycle", 20000))
+    assert not sd.exact and np.allclose(sd.as_floats(), 1 / 20000, rtol=1e-12, atol=0)
+    # chain:201 is above the exact cap, and its alpha_i = |N(i)| / sum_j |N(j)| = (d_i + 1) / (3 n - 2)
+    net = generate("chain", network.EXACT_SOLVE_MAX_N + 1)
+    want = np.array([len(net.out_neighbors(i)) for i in range(net.n)]) / (3 * net.n - 2)
+    assert np.allclose(stationary_distribution(net).as_floats(), want, rtol=0, atol=1e-6)
 
 
 def test_slot_table_lays_out_the_view_rows():

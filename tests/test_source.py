@@ -16,7 +16,8 @@ never from Network.out_neighbors or by splitting the rows with np.split,
 except in degroot.step, the Fraction reference simulator.
 The stationary solve is the one proof of the voter absorption table:
 voter._certify_table, its exhaustive certificate, is called in src only by
-the voter-identity audit, harness._exp_voter_identity.
+the voter-identity audit, harness._exp_voter_identity. Every seeded draw
+comes from a numpy generator: no module imports Python's random.
 """
 
 import ast
@@ -148,3 +149,18 @@ def test_one_neighbour_table():
         hits += [f"{module}.py:{line}: {name}" for name, line in _row_reads(tree)
                  if f"{module}.{name}" not in ROW_READ_EXEMPT]
     assert not hits, "read neighbours from network._slots or the IntegerView rows:\n" + "\n".join(hits)
+
+
+def test_no_module_imports_python_random():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:     # not a relative import
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}: import {name}" for name in names
+                     if name.partition(".")[0] == "random"]
+    assert not hits, "draw from a numpy generator, np.random.default_rng(seed):\n" + "\n".join(hits)

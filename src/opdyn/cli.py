@@ -20,7 +20,7 @@ from . import bayes, cascade, degroot, majority, voter
 from .harness import experiment_names, registry, run_experiment
 from .harness_util import read_rational, wilson_interval
 from .network import generate, read_network, stationary_distribution
-from .signals import FiniteModel, GaussianLLR, bernoulli_delta, check_delta, read_signal_model, trial_rng
+from .signals import FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, read_signal_model, trial_rng
 
 
 def _load_graph(spec):
@@ -135,9 +135,10 @@ def _cmd_voter_strong(args):
     delta = check_delta(args.delta)
     trials, seed = _trials_seed(args)
     rng = trial_rng(seed, 0)
-    s = rng.integers(0, 2, size=trials)[:, None]
-    match = rng.random((trials, net.n)) < 0.5 + float(delta)
-    signals = match == (s == 1)                 # the signal is s where it matches
+    s, blocks = bernoulli_blocks(rng, trials, net.n, delta)
+    signals = np.empty((trials, net.n), dtype=bool)
+    for lo, match in blocks:
+        signals[lo:lo + len(match)] = match == (s[lo:lo + len(match), None] == 1)     # s where it matches
     values, steps = voter.strong_voter_trials(net, signals, rng)
     k = signals.sum(axis=1)
     strict = 2 * k != net.n

@@ -17,12 +17,10 @@ import numpy as np
 
 from .network import EXACT_SOLVE_MAX_N, Network, _solve_integer, require_stochastic, stationary_distribution
 from .harness_util import debug, scaled, unscaled, wilson_interval
+from .signals import bernoulli_blocks
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
 EXACT_DP_MAX_SUPPORT = 2 ** 20
-
-# rows of a Monte Carlo block hold about this many signal draws
-_MC_BLOCK = 1 << 14
 
 # convergence_round's doubling search gives up past this round
 CONVERGENCE_CAP = 100000
@@ -134,12 +132,10 @@ def learning_probability(net: Network, delta, mode="exact",
 def _sample_p_w(alpha, delta, trials, rng):
     """(wins, ties) over trials sampled signal vectors, scored a block of rows at a time.
 
-    Draws S for every trial, then u for trials x n agents in blocks of about
-    _MC_BLOCK entries, and psi_i = S iff u_i < 1/2 + delta. The generator
-    fills row-major, so the blocks repeat the stream of one whole-array draw.
-    With an exact alpha whose common denominator D is below 2^53, the
-    integers c_i = alpha_i D of the agents whose signal is S add up to m,
-    exactly in float64; the limit is m / D under S = 1 and (D - m) / D under
+    S and the signals come from signals.bernoulli_blocks. With an exact
+    alpha whose common denominator D is below 2^53, the integers
+    c_i = alpha_i D of the agents whose signal is S add up to m, exactly in
+    float64; the limit is m / D under S = 1 and (D - m) / D under
     S = 0, so under either state a win is 2m > D and a tie 2m = D, the test of
     _exact_p_w. Otherwise the float limit alpha . psi is a tie at exactly 1/2
     and a win on S's side of it.
@@ -150,13 +146,10 @@ def _sample_p_w(alpha, delta, trials, rng):
         D, c = None, np.array([float(a) for a in alpha])
     else:
         c = np.array(cs, dtype=np.float64)
-    rows = max(1, _MC_BLOCK // n)
-    s = rng.integers(0, 2, size=trials)
-    p = 0.5 + float(delta)
+    s, blocks = bernoulli_blocks(rng, trials, n, delta)
     wins = ties = 0
-    for lo in range(0, trials, rows):
-        sb = s[lo:lo + rows]
-        match = rng.random((len(sb), n)) < p
+    for lo, match in blocks:
+        sb = s[lo:lo + len(match)]
         if D is None:
             a_inf = np.where(match, sb[:, None], 1 - sb[:, None]) @ c
             tie = a_inf == 0.5
@@ -166,7 +159,7 @@ def _sample_p_w(alpha, delta, trials, rng):
             tie = m2 == D
             wins += np.count_nonzero(m2 > D)
         ties += np.count_nonzero(tie)
-    debug("p_w MC: n=%d trials=%d rows=%d D=%s", n, trials, rows, "float" if D is None else D)
+    debug("p_w MC: n=%d trials=%d D=%s", n, trials, "float" if D is None else D)
     return int(wins), int(ties)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .harness_util import debug, int_dtype
 from .network import Network, _slots
-from .signals import bernoulli_cube, check_delta, cube
+from .signals import bernoulli_blocks, bernoulli_cube, check_delta, cube
 
 EXACT_RETENTION_MAX_N = 23
 
@@ -54,6 +54,7 @@ class _Neighbourhoods:
         self.keep = keep.astype(self.dtype)
         # slots 1.. for sums, with no mask where every neighbourhood reaches the slot
         self._rest = [(i, None if k.all() else k) for i, k in zip(self.idx[1:], self.keep[1:])]
+        self.pairs = len(net.undirected_edge_list()) + 1     # double steps that reach a limit (limit_profiles)
 
     def sums(self, batch):
         """(N A)_i = sum_{j in N(i)} A^j per row, in dtype."""
@@ -133,14 +134,14 @@ def all_spin_configs(n) -> np.ndarray:
     return (2 * cube(n, 2)[:, ::-1] - 1).astype(np.int8)
 
 
-def _even_limit(hood: _Neighbourhoods, cur, pairs):
-    """The even-phase limit of a block of rows, two rounds at a time for at most `pairs` pairs.
+def _even_limit(hood: _Neighbourhoods, cur):
+    """The even-phase limit of a block of rows, two rounds at a time for at most hood.pairs pairs.
 
     Stops early once every row is a fixed point of the two-step map, as the
     even phase then never changes. Pass the block in Fortran order: each
     agent's column is then contiguous, and so are the gathers of step.
     """
-    for _ in range(pairs):
+    for _ in range(hood.pairs):
         nxt = hood.step(hood.step(cur))
         if np.array_equal(nxt, cur):
             break
@@ -158,11 +159,10 @@ def limit_profiles(net: Network, configs: np.ndarray) -> np.ndarray:
     _Neighbourhoods.
     """
     hood = net.cached(_Neighbourhoods)
-    pairs = len(net.undirected_edge_list()) + 1
     out = np.empty(configs.shape, dtype=hood.dtype)
     for lo in range(0, len(configs), _PROFILE_ROWS):
         block = np.asfortranarray(configs[lo:lo + _PROFILE_ROWS], dtype=hood.dtype)
-        out[lo:lo + _PROFILE_ROWS] = _even_limit(hood, block, pairs)
+        out[lo:lo + _PROFILE_ROWS] = _even_limit(hood, block)
     return out
 
 
@@ -192,7 +192,6 @@ def _canonical_weights(net: Network, delta):
     """
     n = net.n
     hood = net.cached(_Neighbourhoods)
-    pairs = len(net.undirected_edge_list()) + 1
     up, den = bernoulli_cube(delta, n)
     dtype = int_dtype(den)
     up = np.array(up, dtype=dtype)
@@ -210,7 +209,7 @@ def _canonical_weights(net: Network, delta):
     blocks = len(highs)
     for high in highs:
         block[L + 1:] = 2 * high[:, None] - 1
-        limits = _even_limit(hood, block.T, pairs)
+        limits = _even_limit(hood, block.T)
         p = ((limits.astype(np.float64) @ powers).astype(np.int64) + full) >> 1     # sum of +-2^j is 2p - full
         plus = low_plus + int(high.sum())
         flip = p >= half
@@ -255,17 +254,17 @@ def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
         _c, P, Q, den = _canonical_weights(net, delta)
         return Fraction(int(np.minimum(P, Q).sum()), den)
     if mode == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo mode needs an rng")
+        if rng is None or trials < 1:
+            raise ValueError("monte_carlo mode needs an rng and trials >= 1")
         if n % 2 == 0:
             raise ValueError("majority-vote surrogate needs odd n")
-        d = float(delta)
-        ss = rng.integers(0, 2, size=trials) * 2 - 1
-        s8 = ss.astype(np.int8)[:, None]
-        configs = np.where(rng.random((trials, n)) < (0.5 + d), s8, -s8)
-        limits = limit_profiles(net, configs)
-        guesses = np.sign(limits.sum(axis=1))
-        return float(np.mean(guesses != ss))
+        s, blocks = bernoulli_blocks(rng, trials, n, delta)
+        spins = (2 * s - 1).astype(np.int8)[:, None]
+        wrong = 0
+        for lo, match in blocks:
+            sb = spins[lo:lo + len(match)]
+            wrong += np.count_nonzero(np.sign(limit_profiles(net, np.where(match, sb, -sb)).sum(axis=1)) != sb[:, 0])
+        return wrong / trials
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -3,9 +3,10 @@
 The world is a hidden fair bit S; conditioned on S the agents' private
 signals are i.i.d. from one of two mutually absolutely continuous measures.
 We support finite alphabets with exact rational probabilities (the backbone
-of every brute-force oracle), the symmetric two-point Bernoulli family, a
-Gaussian family with unbounded private beliefs, and explicit finite joint
-tables for counterexamples such as the XOR pair.
+of every brute-force oracle), the symmetric two-point Bernoulli family,
+whose Monte Carlo samplers all draw from bernoulli_blocks, a Gaussian
+family with unbounded private beliefs, and explicit finite joint tables for
+counterexamples such as the XOR pair.
 """
 
 from __future__ import annotations
@@ -74,6 +75,21 @@ def bernoulli_delta(delta) -> FiniteModel:
         raise ValueError("delta must lie in (0, 1/2)")
     h = Fraction(1, 2)
     return FiniteModel(alphabet=(0, 1), mu0=(h + delta, h - delta), mu1=(h - delta, h + delta))
+
+
+_MC_BLOCK = 1 << 16     # entries in a block of signal draws
+
+
+def bernoulli_blocks(rng, trials, n, delta, unit=1):
+    """(s, blocks) of the signal stream: s = rng.integers(0, 2, trials), then blocks yields (lo, match).
+
+    match = rng.random((rows, n)) < 1/2 + delta, and agent i's signal in trial lo + r is s[lo + r] iff
+    match[r, i]. rows, a multiple of unit, holds about _MC_BLOCK entries; Generator.random fills row-major,
+    so every block size repeats the one whole draw random((trials, n)). Use the blocks up before rng draws again.
+    """
+    s = rng.integers(0, 2, size=trials)
+    rows = unit * max(1, _MC_BLOCK // (unit * n))
+    return s, ((lo, rng.random((min(rows, trials - lo), n)) < 0.5 + float(delta)) for lo in range(0, trials, rows))
 
 
 def check_delta(delta):

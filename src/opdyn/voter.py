@@ -27,14 +27,11 @@ import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
 from .network import Network, _integer_view, _pairs_connected, require_stochastic, stationary_distribution
-from .signals import check_delta, cube
+from .signals import bernoulli_blocks, check_delta, cube
 
 # the exact table holds 2^n Fractions, built through the 2^n x n cube(n, 2): at n = 16, 0.02 s and
 # 40 MB peak on cycle:16, 0.3 s where alpha has a 95-bit denominator; that one took 1.4 s at n = 18
 EXACT_ABSORPTION_MAX_N = 16
-
-# rows of a Monte Carlo block hold about this many agent draws
-_MC_BLOCK = 1 << 14
 
 # Monte Carlo draws its neighbour picks a block of columns at a time, whose
 # uniform digits, 16 words per row and column, fill about this many words:
@@ -251,10 +248,8 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     padding or retired, is unanimous and stays so, so a trial retires iff
     the lanes not unanimous differ from the open ones. Once fewer than half
     the lanes of the words are open, the open lanes are repacked, in order,
-    into the fewest words. S and psi come from the whole-array draws
-    S = integers(0, 2, trials) and psi_i = S iff random((trials, n))[t, i]
-    < 1/2 + delta, taken in row blocks of about _MC_BLOCK draws and packed
-    block by block. The picks then draw raw 64-bit words from the same
+    into the fewest words. S and psi come from signals.bernoulli_blocks, whole
+    words at a time; the picks then draw raw 64-bit words from the same
     generator, a block of columns of about _ROUND_WORDS draws at a time.
     """
     n = net.n
@@ -263,18 +258,14 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     if step_cap is None:
         step_cap = 100 * 2 * st.max_deg * n * n
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    s = rng.integers(0, 2, size=trials).astype(np.int8)
+    s, blocks = bernoulli_blocks(rng, trials, n, delta, unit=64)
     W = -(-trials // 64)
     lane = np.arange(64 * W)
-    flip = ~_pack(np.pad(s, (0, 64 * W - trials)).astype(bool))      # ~S: psi = match ^ ~S
     state = np.empty((n, W), dtype=np.uint64)
-    rows = 64 * max(1, _MC_BLOCK // (64 * n))
-    for lo in range(0, trials, rows):
-        m = min(rows, trials - lo)
-        match = np.zeros((n, -(-m // 64) * 64), dtype=bool)
-        match[:, :m] = (rng.random((m, n)) < 0.5 + float(delta)).T[st.order]
-        cols = slice(lo // 64, lo // 64 + match.shape[1] // 64)
-        state[:, cols] = _pack(match) ^ flip[cols]
+    for lo, match in blocks:
+        psi = match.T[st.order] == (s[lo:lo + len(match)] == 1)      # S where it matches
+        words = _pack(np.pad(psi, ((0, 0), (0, -len(match) % 64))))
+        state[:, lo // 64:lo // 64 + words.shape[1]] = words
     lanes = lane.astype(np.int32)            # the trial in each lane; padding lanes never open
     live = _pack(lane < trials)              # the open lanes
     count, drawn, repacks = trials, 0, 0
@@ -328,7 +319,7 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
           "refills=%d columns=%d", n, trials, st.max_D, len(st.den), int(times.max(initial=0)), int(times.sum()),
           drawn, repacks, choices.refills, choices.columns)
     return {"matches": int((value == s).sum()), "trials": trials,
-            "times": times, "s": s, "value": value}
+            "times": times, "s": s.astype(np.int8), "value": value}
 
 
 # -- exact absorption analysis ----------------------------------------------

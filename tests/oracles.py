@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from opdyn import cascade, majority, voter
+from opdyn import cascade, majority, signals, voter
 from opdyn.cascade import _ndtr
 from opdyn.harness_util import scaled
 from opdyn.network import Network, from_pairs, rationalize, require_stochastic, stationary_distribution
@@ -327,6 +327,18 @@ def fraction_retention(net, delta):
         acc[0] += Fraction(1, 2) * p ** (n - k_plus) * q ** k_plus     # S = -1
         acc[1] += Fraction(1, 2) * p ** k_plus * q ** (n - k_plus)     # S = +1
     return sum(min(w0, w1) for w0, w1 in joint.values())
+
+
+def whole_array_retention_mc(net, delta, trials, rng):
+    """majority.retention_error(mode="monte_carlo") with the signals drawn as one trials x n array."""
+    n = net.n
+    d = float(check_delta(delta))
+    ss = rng.integers(0, 2, size=trials) * 2 - 1
+    s8 = ss.astype(np.int8)[:, None]
+    configs = np.where(rng.random((trials, n)) < (0.5 + d), s8, -s8)
+    limits = majority.limit_profiles(net, configs)
+    guesses = np.sign(limits.sum(axis=1))
+    return float(np.mean(guesses != ss))
 
 
 def full_cube_pooled_weights(net, delta):
@@ -797,7 +809,7 @@ def product_mc_consensus(net, delta, trials, seed, step_cap=None):
     A[view.J, view.rows] = view.C
     if step_cap is None:
         step_cap = 100 * 2 * max(len(net.out_neighbors(i)) for i in range(n)) * n * n
-    rows = max(1, voter._MC_BLOCK // n)
+    rows = max(1, signals._MC_BLOCK // n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     s = rng.integers(0, 2, size=trials).astype(np.int8)
     cur = np.empty((trials, n), dtype=np.int8)

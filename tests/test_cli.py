@@ -444,12 +444,33 @@ def test_voter_strong_writes_delta_as_a_fraction(capsys):
     assert rec["delta"] == "1/10"
 
 
-def _run_cli(argv, **env):
+def _run_cli(argv, preexec_fn=None, **env):
     env = dict({k: v for k, v in os.environ.items() if k != "OPDYN_LOG"}, **env, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", "import sys; from opdyn import cli; code = cli.main(sys.argv[1:]); "
                            "print('logging' in sys.modules, file=sys.stderr); sys.exit(code)"] + argv,
-                          capture_output=True, text=True, env=env, timeout=120, check=False)
+                          capture_output=True, text=True, env=env, timeout=120, check=False, preexec_fn=preexec_fn)
+
+
+# the children's address-space cap: with one BLAS thread both runs below fit
+# in about 250 MB; a whole 20000 x 2001 float64 draw would add 305 MiB
+AS_CAP = 384 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["majority", "--graph", "cycle:2001", "--mode", "mc", "--trials", "20000", "--delta", "3/10"],
+    # every trial starts at consensus, so the run is little more than the signal draw
+    ["voter-strong", "--graph", "cycle:2001", "--trials", "20000", "--delta", "1/2"],
+], ids=["majority", "voter-strong"])
+def test_large_sampling_runs_fit_a_capped_address_space(argv):
+    resource = pytest.importorskip("resource")
+
+    def cap():      # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (AS_CAP, AS_CAP))
+    # OpenBLAS reserves address space per thread, so one thread keeps the cap machine-independent
+    proc = _run_cli(argv, preexec_fn=cap, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["trials"] == 20000
 
 
 def test_opdyn_log_debug_sends_the_records_to_stderr():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn import majority
+from opdyn import majority, signals
 from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
 from oracles import (fraction_influence, fraction_retention, fraction_success_probability, full_cube_pooled_weights,
-                     run_to_cycle, scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles)
+                     run_to_cycle, scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles,
+                     whole_array_retention_mc)
 
 # odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
 # three triangles in a chain, whose degrees 2 and 4 mix neighbourhoods of sizes 3 and 5
@@ -242,6 +243,19 @@ def test_half_cube_retention_matches_full_cube(net, delta, bits):
     assert rule == full_cube_rule(net, pooled)
 
 
+@settings(max_examples=40, deadline=None)
+@given(net=st.sampled_from([net for net in ODD_NETS if net.n % 2] + [generate("cycle", 101)]),
+       seed=st.integers(0, 2 ** 32 - 1), delta=st.sampled_from(DELTAS), trials=st.integers(1, 400),
+       block=st.sampled_from([1, 8, 40, 1 << 16]))
+def test_retention_mc_matches_the_whole_array_draw(net, seed, delta, trials, block):
+    # small blocks push the trials through the dynamics in many row blocks; the error rate must not notice
+    want = whole_array_retention_mc(net, delta, trials, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signals, "_MC_BLOCK", block)
+        got = majority.retention_error(net, delta, mode="monte_carlo", trials=trials, rng=np.random.default_rng(seed))
+    assert got == want
+
+
 def test_retention_logs_sizes(caplog, monkeypatch):
     monkeypatch.setattr(majority, "_HALF_CUBE_BITS", 2)
     net = generate("cycle", 7)
@@ -252,6 +266,12 @@ def test_retention_logs_sizes(caplog, monkeypatch):
     pairs = len(full_cube_pooled_weights(net, Fraction(3, 10))[0]) // 2
     assert f"majority retention: n=7 configs=64 blocks=16 pairs={pairs} (int64)" in caplog.text
     assert f"majority retention: n=7 configs=64 blocks=16 pairs={pairs} (python-int)" in caplog.text
+
+
+@pytest.mark.parametrize("trials, rng", [(0, np.random.default_rng(0)), (10, None)])
+def test_retention_mc_refuses_no_trials_or_no_rng(trials, rng):
+    with pytest.raises(ValueError, match="needs an rng and trials >= 1"):
+        majority.retention_error(generate("cycle", 5), Fraction(1, 10), mode="monte_carlo", trials=trials, rng=rng)
 
 
 def test_retention_size_cap():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_delta, check_delta, cube,
+from opdyn import signals
+from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, cube,
                            map_accuracy_three_bits, private_belief,
                            read_signal_model, sample_world, three_bit_epsilon,
                            trial_rng, tv_distance, write_signal_model, xor_pair)
@@ -27,6 +28,35 @@ def test_cube_rows_are_product_rows_reversed(n, a):
     rows = cube(n, a)
     assert rows.shape == (a ** n, n) and rows.dtype == np.int64
     assert [tuple(r) for r in rows[:, ::-1].tolist()] == list(product(range(a), repeat=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trials=st.integers(0, 300), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       delta=st.fractions(0, Fraction(1, 2), max_denominator=1000),
+       block=st.sampled_from([1, 8, 40, None]), unit=st.sampled_from([1, 64]))
+def test_bernoulli_blocks_repeat_the_whole_array_draw(trials, n, seed, delta, block, unit):
+    # any block size, in rows or in words of 64 rows, gives S and the matches of one whole draw
+    whole = np.random.default_rng(seed)
+    s_want = whole.integers(0, 2, size=trials)
+    match_want = whole.random((trials, n)) < 0.5 + float(delta)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(signals, "_MC_BLOCK", block)
+        s, blocks = bernoulli_blocks(rng, trials, n, delta, unit)
+        got = list(blocks)
+    assert [lo for lo, _ in got] == [sum(len(m) for _, m in got[:k]) for k in range(len(got))]
+    assert all(len(m) % unit == 0 for _, m in got[:-1])
+    match = np.concatenate([m for _, m in got]) if got else np.zeros((0, n), dtype=bool)
+    assert np.array_equal(s, s_want) and np.array_equal(match, match_want)
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("n, unit, rows", [(9, 1, 7281), (2, 1, 32768), (2001, 1, 32), (50, 64, 1280), (2001, 64, 64)])
+def test_bernoulli_blocks_hold_about_mc_block_entries(n, unit, rows):
+    # rows is the largest multiple of unit with rows * n <= 2^16, and at least unit
+    _s, blocks = bernoulli_blocks(np.random.default_rng(0), 2 * rows + 1, n, Fraction(1, 10), unit)
+    assert [len(m) for _, m in blocks] == [rows, rows, 1]
 
 
 def test_degenerate_models_rejected():

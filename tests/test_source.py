@@ -18,6 +18,9 @@ The stationary solve is the one proof of the voter absorption table:
 voter._certify_table, its exhaustive certificate, is called in src only by
 the voter-identity audit, harness._exp_voter_identity. Every seeded draw
 comes from a numpy generator: no module imports Python's random.
+signals.bernoulli_blocks is the one Bernoulli signal stream: _MC_BLOCK is
+set in signals.py only, and no other module draws a block of uniforms
+with .random((rows, n)).
 """
 
 import ast
@@ -44,6 +47,11 @@ CUBE_PATTERNS = {
     "digits divided out of np.arange": re.compile(r"//\s*\w+\s*\*\*\s*np\.arange"),
     "tiled repeats": re.compile(r"np\.tile\(\s*np\.repeat\("),
     "grid coordinates": re.compile(r"np\.indices\("),
+}
+
+STREAM_PATTERNS = {
+    "sets _MC_BLOCK": re.compile(r"^\s*_MC_BLOCK\s*[:=]", re.MULTILINE),
+    "draws a block of uniforms": re.compile(r"\.random\(\s*\("),
 }
 
 NEIGHBOUR_READERS = ("voter", "majority", "bayes", "degroot", "cascade")
@@ -164,3 +172,17 @@ def test_no_module_imports_python_random():
             hits += [f"{path.name}:{node.lineno}: import {name}" for name in names
                      if name.partition(".")[0] == "random"]
     assert not hits, "draw from a numpy generator, np.random.default_rng(seed):\n" + "\n".join(hits)
+
+
+
+def test_one_bernoulli_signal_stream():
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for what, pattern in STREAM_PATTERNS.items():
+            lines = [text.count("\n", 0, m.start()) + 1 for m in pattern.finditer(text)]
+            if path.name == "signals.py":
+                assert lines, f"signals.py no longer {what}"
+            else:
+                hits += [f"{path.name}:{line}: {what}" for line in lines]
+    assert not hits, "draw S and the signals with signals.bernoulli_blocks:\n" + "\n".join(hits)

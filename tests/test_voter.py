@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from opdyn import voter
+from opdyn import signals, voter
 from opdyn.network import REBUILD_MAX_DEN, Network, generate, read_network, require_stochastic, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (FixedDraws, StrongVoterState, absorption_drift, certify_absorption, exact_consensus_probability,
@@ -277,7 +277,7 @@ def test_round_step_matches_a_scalar_loop_on_the_same_masks(kind, n, seed, delta
     # split rounds of several words, and refills of many columns serve many rounds
     net = _mc_net(kind, n, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(voter, "_MC_BLOCK", block)
+        mp.setattr(signals, "_MC_BLOCK", block)
         mp.setattr(voter, "_ROUND_WORDS", words)
         masks = _recorded_masks(mp)
         got = voter.mc_consensus(net, delta, trials, seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import EXACT_SOLVE_MAX_N, Network, _solve_integer, require_stochastic, stationary_distribution
 from .harness_util import debug, scaled, unscaled, wilson_interval
-from .signals import bernoulli_blocks
+from .signals import bernoulli_blocks, check_delta
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
 EXACT_DP_MAX_SUPPORT = 2 ** 20
@@ -84,7 +84,8 @@ def _exact_p_w(alpha, delta):
     for c in cs:
         nxt = {}
         for s, w in weights.items():
-            nxt[s] = nxt.get(s, 0) + w * (b - a)
+            if a < b:           # at delta = 1/2 no signal misses, and a sum of weight 0 would only grow the DP
+                nxt[s] = nxt.get(s, 0) + w * (b - a)
             nxt[s + c] = nxt.get(s + c, 0) + w * a
         if len(nxt) > EXACT_DP_MAX_SUPPORT:
             raise ValueError(f"exact p_w: more than {EXACT_DP_MAX_SUPPORT} distinct weighted "
@@ -99,18 +100,17 @@ def _exact_p_w(alpha, delta):
 
 def learning_probability(net: Network, delta, mode="exact",
                          trials=10000, rng=None) -> LearningEstimate:
-    """p_w(delta) = P(round(A_infinity) = S) under Bernoulli(delta) signals.
+    """p_w(delta) = P(round(A_infinity) = S) under Bernoulli(delta) signals, 0 <= delta <= 1/2.
 
     mode="exact" needs an exact alpha, so it refuses more than
     network.EXACT_SOLVE_MAX_N agents before it solves; it runs a knapsack DP over the weighted signal sum (see _exact_p_w) and
     refuses more than EXACT_DP_MAX_SUPPORT distinct sums. Exact ties
     A_infinity = 1/2 are reported separately and count as neither success
     nor failure. mode="monte_carlo" samples trials signal vectors from rng a
-    block at a time (see _sample_p_w) and carries a Wilson interval.
+    block at a time (see _sample_p_w) and carries a Wilson interval. A delta
+    outside [0, 1/2] is refused with ValueError (signals.check_delta).
     """
-    delta = Fraction(delta)
-    if not 0 < delta < Fraction(1, 2):
-        raise ValueError("delta must lie in (0, 1/2)")
+    delta = check_delta(delta)
     n = net.n
     if mode == "exact":
         if n > EXACT_SOLVE_MAX_N:
@@ -178,8 +178,13 @@ def convergence_round(net: Network, tv_threshold=1e-9):
     """Smallest t with max_i mixing_tv(i, t) <= threshold, by doubling search.
 
     Equivalent to probing mixing_tv from every start, but shares one matrix
-    power (and one stationary solve) per probed t.
+    power (and one stationary solve) per probed t. Those powers are dense
+    n x n, so it refuses more than network.EXACT_SOLVE_MAX_N agents with
+    ValueError before it builds the weight matrix.
     """
+    if net.n > EXACT_SOLVE_MAX_N:
+        raise ValueError(f"convergence_round powers the dense weight matrix, so it runs only for "
+                         f"n <= {EXACT_SOLVE_MAX_N} (n={net.n})")
     alpha = stationary_distribution(net).as_floats()
     P = net.weight_matrix()
 

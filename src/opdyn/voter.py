@@ -5,11 +5,14 @@ action of a neighbor chosen with its row weights. On a network that passes
 validate(require_stochastic=True) (self-loops, strongly connected) the
 unanimity states are the only absorbing states and absorption is almost
 sure; both the exact path and the Monte Carlo refuse any other network.
-sum_i alpha_i A_i is a martingale, so the chance of absorbing at all-ones
-given the signals equals sum_i alpha_i * psi_i. The exact path builds that
-table on integers from the stationary distribution, whose exact solve
-proves it; no linear system over the 2^n states is solved, and the
-voter-identity audit checks the table state by state (_certify_table).
+The Monte Carlo copies each neighbour with exactly its weight, whatever
+integer total a row's counts need: it compares random digits with exact
+ones (_Stages, _bernoulli_words). sum_i alpha_i A_i is a martingale, so
+the chance of absorbing at all-ones given the signals equals
+sum_i alpha_i * psi_i. The exact path builds that table on integers from
+the stationary distribution, whose exact solve proves it; no linear system
+over the 2^n states is solved, and the voter-identity audit checks the
+table state by state (_certify_table).
 
 Variant: asynchronous edge updates with (opinion, strength) pairs; strong
 opinions beat weak ones, equal-strength disagreements demote or randomize,
@@ -40,45 +43,21 @@ EXACT_ABSORPTION_MAX_N = 16
 _ROUND_WORDS = 1 << 17
 
 _ALL = np.uint64(2 ** 64 - 1)
-_ENDLESS = 1 << 62
 
 # strong_voter_trials finishes this many or fewer open trials one at a time:
 # a lockstep step costs about as much as 70 one-trial edge updates
 _LOCKSTEP_MIN = 64
 
 
-class _Expansion:
-    """Base-2^16 expansions of the fractions num / den (0 < num < den < 2^53), one row each.
+def _digits(num, den, m):
+    """(digit, more): digit m + 1 of the base-2^16 expansion of each num / den < 1, and whether a nonzero one follows.
 
-    E[m] is digit m + 1 of each expansion, rem the remainder after the
-    digits held and L each expansion's length in digits, _ENDLESS if it does
-    not end.
+    Python integers, so exact for every den: digit is
+    floor(num 2^(16 (m + 1)) / den) mod 2^16, and more says that division
+    leaves a remainder.
     """
-
-    def __init__(self, num, den):
-        self.den = den
-        self.E, self.rem = _expand(num, den, 4)
-        # a dyadic q has den < 2^53 and so ends within 4 digits
-        self.L = np.where(self.rem == 0, 4 - np.argmax(self.E[::-1] != 0, axis=0), _ENDLESS)
-
-    def digits(self, stop):
-        """E with at least `stop` digits."""
-        while len(self.E) < stop:
-            E, self.rem = _expand(self.rem, self.den, 4)
-            self.E = np.concatenate([self.E, E])
-        return self.E
-
-
-def _expand(rem, den, digits):
-    """The next `digits` base-2^16 digits of rem / den < 1, and the remainder after them.
-
-    Each digit takes two steps of int64 long division by bytes (256 rem < 2^61).
-    """
-    out = np.zeros((digits, len(den)), dtype=np.uint16)
-    for m in range(2 * digits):
-        byte, rem = np.divmod(rem << 8, den)
-        out[m // 2] |= (byte << (8 - 8 * (m % 2))).astype(np.uint16)
-    return out, rem
+    a, b = num.astype(object) << 16 * (m + 1), den.astype(object)
+    return (a // b & 0xFFFF).astype(np.uint16), a % b != 0
 
 
 class _Stages:
@@ -90,16 +69,15 @@ class _Stages:
     <= U < C_{k+1} / D_i, so j_k with probability exactly c_k / D_i. Its
     stage k < d - 1 is the test U < C_{k+1} / D_i; the tests only turn on as
     k grows, so the agent copies j_k for its first stage k that is set, and
-    j_{d-1} if none is. Stage row r is agent agent[r]'s stage for nbr[r],
-    with q = num[r] / den[r]; an agent's rows come in stage order, exp holds
-    the expansions of all the q and owner[r] is agent[r]'s state row.
+    j_{d-1} if none is. Stage row r is a stage of agent agent[r], with
+    q = num[r] / den[r]; an agent's rows come in stage order, first and more
+    are _digits(num, den, 0) and owner[r] is agent[r]'s state row.
 
     The state holds agent order[p] in row p, so each degree's agents are
     the rows a0:a1 of one select group (a0, a1, J, r0): J[k, a] is the row
     of agent a0 + a's neighbour j_k and r0 + k (a1 - a0) + a the row of its
     stage k. Refuses, with ValueError and in this order, an agent without
-    out-neighbours, a network that fails validate(require_stochastic=True)
-    and a D_i of 2^53 or more, which _Expansion cannot expand exactly.
+    out-neighbours and a network that fails validate(require_stochastic=True).
     """
 
     def __init__(self, net: Network):
@@ -107,29 +85,21 @@ class _Stages:
         if not deg.all():
             raise ValueError(f"agent {int(np.argmin(deg))} has no out-neighbours")
         view = require_stochastic(net)
-        wide = np.flatnonzero(view.D >= 2 ** 53)
-        if len(wide):
-            i = int(wide[0])
-            raise ValueError(f"agent {i}'s weights need the integer total {int(view.D[i])}, 2^53 or more: "
-                             "voter Monte Carlo expands its count ratios exactly only below 2^53")
-        C, D = view.C.astype(np.int64), view.D.astype(np.int64)
-        self.max_deg, self.max_D = int(deg.max(initial=0)), int(D.max(initial=0))
+        self.max_deg, self.max_D = int(deg.max(initial=0)), int(view.D.max(initial=0))
         self.order = np.argsort(deg, kind="stable")
         row = np.argsort(self.order)
-        self.last = np.empty(net.n, dtype=np.intp)
         self.select, parts = [], []
         a0 = r0 = 0
         for d in sorted(set(deg.tolist())):         # np.unique would import numpy.ma, 10-20 ms, on first use
             who = self.order[a0:a0 + np.count_nonzero(deg == d)]
             at = view.indptr[who][:, None] + np.arange(d)
-            js, cum = view.J[at], np.cumsum(C[at], axis=1)
-            self.last[who] = js[:, -1]
-            self.select.append((a0, a0 + len(who), row[js.T], r0))
-            parts.append([np.tile(who, d - 1)] + [v.T[:-1].reshape(-1) for v in (js, cum, np.repeat(D[who, None], d, 1))])
+            self.select.append((a0, a0 + len(who), row[view.J[at].T], r0))
+            cum, dens = np.cumsum(view.C[at], axis=1), np.repeat(view.D[who, None], d, 1)
+            parts.append([np.tile(who, d - 1)] + [v.T[:-1].reshape(-1) for v in (cum, dens)])
             a0, r0 = a0 + len(who), r0 + (d - 1) * len(who)
-        self.agent, self.nbr, self.num, self.den = (np.concatenate(v) for v in zip(*parts))
+        self.agent, self.num, self.den = (np.concatenate(v) for v in zip(*parts))
         self.owner = row[self.agent]
-        self.exp = _Expansion(self.num, self.den)
+        self.first, self.more = _digits(self.num, self.den, 0)
 
 
 def _uniform_digits(words):
@@ -137,8 +107,8 @@ def _uniform_digits(words):
     return words.astype("<u8", copy=False).view("<u2")
 
 
-def _bernoulli_words(exp: _Expansion, owner, owners, w, draw):
-    """w words of exact [U < q] lanes for each row r of exp, q its num / den.
+def _bernoulli_words(st: _Stages, owner, owners, w, draw):
+    """w words of exact [U < q] lanes for each row r of st, q its num / den.
 
     Each of the `owners` rows of uniforms holds one U per lane, and row r
     compares the U of owner[r], so the rows of one owner see one U in each
@@ -146,28 +116,30 @@ def _bernoulli_words(exp: _Expansion, owner, owners, w, draw):
     is spelled by random base-2^16 digits, most significant first, and the
     first one that differs from q's digit decides the lane: 1 iff it is the
     smaller. Each (owner, word) pair draws 16 uint64 words, pair after pair
-    in row-major order, and lane l reads the l-th uint16 of them. Then the
-    pairs with a lane still tied (probability 2^-16) in one of their rows
-    draw 16 more words each, in pair order, for the next digit, until none
-    is left. A lane still tied where q's expansion ends has U >= q and is 0.
+    in row-major order, and lane l reads the l-th uint16 of them; q's first
+    digit is st.first. Then the pairs with a lane still tied (probability
+    2^-16) in one of their rows draw 16 more words each, in pair order, for
+    the next digit, which _digits computes for the tied rows only, until
+    none is left. A lane still tied where q's expansion ends has U >= q and
+    is 0.
     """
     u = _uniform_digits(draw(16 * owners * w)).reshape(owners, 64 * w)[owner]
-    e = exp.E[0][:, None]
+    e = st.first[:, None]
     out, tied = _pack(u < e), _pack(u == e)
     idx = np.flatnonzero(tied)
     row, tied, flat = idx // w, tied.reshape(-1)[idx], out.reshape(-1)
-    m = 1
+    more, m = st.more[row], 1
     while True:
-        keep = (tied != 0) & (exp.L[row] > m)
+        keep = (tied != 0) & more
         idx, row, tied = idx[keep], row[keep], tied[keep]
         if not len(idx):
             return out
         pairs, at = np.unique(owner[row] * w + idx % w, return_inverse=True)
         u = _uniform_digits(draw(16 * len(pairs))).reshape(len(pairs), 64)[at]
-        e = exp.digits(m + 1)[m, row][:, None]
+        e, more = _digits(st.num[row], st.den[row], m)
         ties = _lanes(tied).reshape(len(idx), 64).view(bool)
-        flat[idx] |= _pack(ties & (u < e))[:, 0]
-        tied = _pack(ties & (u == e))[:, 0]
+        flat[idx] |= _pack(ties & (u < e[:, None]))[:, 0]
+        tied = _pack(ties & (u == e[:, None]))[:, 0]
         m += 1
 
 
@@ -201,7 +173,7 @@ class _Choices:
     def _refill(self):
         st, w = self.st, self.block
         self.masks = []                 # freed before the next block is drawn
-        B = _bernoulli_words(st.exp, st.owner, len(st.order), w, self.draw)
+        B = _bernoulli_words(st, st.owner, len(st.order), w, self.draw)
         for _a0, _a1, J, r0 in st.select:
             d, c = J.shape
             S = B[r0:r0 + (d - 1) * c].reshape(d - 1, c, w)
@@ -240,7 +212,7 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     Each round every agent copies one neighbour: the stage rows of _Stages
     compare one uniform per agent and lane with the agent's cumulative
     weights, exactly (_bernoulli_words), so it copies its k-th neighbour with
-    probability exactly c_k / D_i (see _Stages). The picks come
+    probability exactly c_k / D_i, for any D_i (see _Stages). The picks come
     from _Choices, a round of W words taking the stream's next W columns,
     so a round is one gather, one AND and one OR per select group.
     Unanimity is one XOR with the first agent's row and one OR; a trial
@@ -526,11 +498,14 @@ def strong_voter_trials(net: Network, signals, rng):
     step_cap = 2000 * n * n
     pair_list, pairs = net.cached(_strong_pairs), net.cached(_strong_pair_array)
     sig = np.asarray(signals)
-    if sig.ndim != 2 or sig.shape[1] != n or not ((sig == 0) | (sig == 1)).all():
+    # a bool array holds only 0/1, so it skips the check and its trials x n temporaries
+    if sig.ndim != 2 or sig.shape[1] != n or (sig.dtype != bool and not ((sig == 0) | (sig == 1)).all()):
         raise ValueError(f"signals must be a trials x {n} array of 0/1")
     trials = len(sig)
     # C order: _strong_apply writes through codes.reshape(-1), which must be a view
-    codes = np.ascontiguousarray(2 * sig.astype(np.int8) + 1)
+    codes = np.array(sig, dtype=np.int8, order="C")
+    codes *= 2
+    codes += 1
     ones = sig.sum(axis=1, dtype=np.intp)
     active = np.arange(trials)
     values = np.zeros(trials, dtype=np.int8)

@@ -903,17 +903,18 @@ def fraction_bernoulli_words(qs, w, calls, owner=None):
 def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=None):
     """voter.mc_consensus as a scalar loop over trials and agents, on the stage masks the kernel drew.
 
-    stages is the kernel's voter._Stages: stage row r belongs to agent
-    agent[r], in stage order, and names neighbour nbr[r]; last[i] is agent
-    i's last neighbour. masks holds the (stage rows, columns) arrays of
-    voter._bernoulli_words in call order, read as one stream of columns: a
-    round whose layout has W words takes the stream's next W columns, the
-    first for word 0, across the ends of the arrays. The layout puts the
-    trials in lanes in order; once fewer than half of its lanes hold open
-    trials, the open ones move, in order, to the fewest words. In each round
-    agent i of a trial copies nbr[r] for its first stage row r set in the
-    trial's lane, last[i] if none is. A trial unanimous at the start of
-    round t retires with time t. Every array is read from, and the last one
+    stages is the kernel's voter._Stages: its select group (a0, a1, J, r0)
+    gives agent order[a0 + a] the neighbours order[J[k, a]], in stage order,
+    and the stage k < d - 1 of neighbour k the row r0 + k (a1 - a0) + a.
+    masks holds the (stage rows, columns) arrays of voter._bernoulli_words
+    in call order, read as one stream of columns: a round whose layout has
+    W words takes the stream's next W columns, the first for word 0, across
+    the ends of the arrays. The layout puts the trials in lanes in order;
+    once fewer than half of its lanes hold open trials, the open ones move,
+    in order, to the fewest words. In each round agent i of a trial copies
+    the neighbour of its first stage row set in the trial's lane, its last
+    neighbour if none is. A trial unanimous at the start of round t retires
+    with time t. Every array is read from, and the last one
     only as far as the rounds need.
     """
     n = net.n
@@ -923,8 +924,12 @@ def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=Non
     s = rng.integers(0, 2, size=trials).astype(np.int8)
     match = rng.random((trials, n)) < 0.5 + float(delta)
     states = [[int(s[k]) if match[k, i] else 1 - int(s[k]) for i in range(n)] for k in range(trials)]
-    rows = [[(int(r), int(stages.nbr[r])) for r in np.flatnonzero(stages.agent == i)] for i in range(n)]
-    stream = [[] for _ in stages.nbr]            # the columns drawn and not yet taken, per stage row
+    rows, last = [[] for _ in range(n)], [0] * n      # (stage row, neighbour) per stage, and the last neighbour
+    for a0, a1, J, r0 in stages.select:
+        for a in range(a1 - a0):
+            i, js = int(stages.order[a0 + a]), stages.order[J[:, a]].tolist()
+            rows[i], last[i] = [(r0 + k * (a1 - a0) + a, j) for k, j in enumerate(js[:-1])], js[-1]
+    stream = [[] for _ in stages.den]            # the columns drawn and not yet taken, per stage row
     masks = [m.tolist() for m in masks]
     layout = list(range(trials))
     times = np.zeros(trials, dtype=np.int64)
@@ -953,7 +958,7 @@ def stagewise_mc_consensus(net, delta, trials, seed, stages, masks, step_cap=Non
                 continue
             word, bit = divmod(lane, 64)
             states[k] = [next((states[k][j] for r, j in rows[i] if (cols[r][word] >> bit) & 1),
-                              states[k][stages.last[i]]) for i in range(n)]
+                              states[k][last[i]]) for i in range(n)]
     assert not masks
     return {"matches": int((value == s).sum()), "trials": trials,
             "times": times, "s": s, "value": value}

@@ -231,12 +231,11 @@ def test_voter_monte_carlo_on_float_weights(tmp_path, capsys):
     assert rec["trials"] == 300 and 0 <= rec["p_match_signal_state"] <= 1
     assert rec["wilson95"][0] <= rec["p_match_signal_state"] <= rec["wilson95"][1]
     assert rec["mean_absorption_time"] > 0
-    # a row whose counts need a total of 2^53 or more is refused by agent
+    # a row whose counts need a total of 2^53 or more runs too: its picks are exact at any width
     q = 2 ** 53 + 1
     path.write_text(f"n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 1/{q}\n1 1 {q - 1}/{q}\n")
-    code, err = _error_record(capsys, ["voter", "--graph", str(path), "--trials", "5"])
-    assert code == 2
-    assert err["error"].startswith(f"agent 1's weights need the integer total {q}, 2^53 or more")
+    code, rec = run_json(capsys, ["voter", "--graph", str(path), "--trials", "5"])
+    assert code == 0 and rec["trials"] == 5
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -409,6 +408,17 @@ def test_voter_samplers_take_the_ends_of_the_half_interval(capsys):
     assert code == 0 and rec["mean_steps"] == 0
     code, rec = run_json(capsys, ["voter", "--graph", "cycle:5", "--delta", "0", "--trials", "20"])
     assert code == 0 and rec["trials"] == 20
+
+
+def test_degroot_takes_delta_on_the_closed_half_interval(capsys):
+    code, err = _error_record(capsys, ["degroot", "--graph", "cycle:6", "--delta", "3/4"])
+    assert code == 2 and err == {"command": "degroot", "error": "delta must lie in [0, 1/2], got 3/4"}
+    code, rec = run_json(capsys, ["degroot", "--graph", "cycle:6", "--delta", "0"])
+    assert code == 0 and (rec["p_w"], rec["tie_mass"]) == ("11/32", "5/16")
+    code, rec = run_json(capsys, ["degroot", "--graph", "cycle:6", "--delta", "1/2"])
+    assert code == 0 and (rec["p_w"], rec["tie_mass"]) == ("1", "0")
+    code, rec = run_json(capsys, ["degroot", "--graph", "cycle:6", "--delta", "1/2", "--mode", "mc", "--trials", "20"])
+    assert code == 0 and rec["p_w"] == 1.0
 
 
 @pytest.mark.parametrize("argv, delta", [

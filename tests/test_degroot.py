@@ -76,11 +76,37 @@ def test_hoeffding_bound_holds():
             assert float(exact.p + exact.tie_mass) >= degroot.hoeffding_success_bound(alpha, d) - 1e-12
 
 
+def test_learning_probability_takes_delta_on_the_closed_half_interval():
+    # delta = 1/2: every signal equals S, so the limit is S; delta = 0: fair signals, so p_w = (1 - tie) / 2
+    net = generate("cycle", 6)
+    for delta, want in ((Fraction(1, 2), (1, 0)), (Fraction(0), (Fraction(11, 32), Fraction(5, 16)))):
+        est = degroot.learning_probability(net, delta)
+        assert (est.p, est.tie_mass) == want == enumerate_p_w(net, delta)
+    # at delta = 1/2 only the all-S profile has weight, so the DP stays at one sum where delta = 1/10 passes 2^20
+    est = degroot.learning_probability(weighted_net(28, 1), Fraction(1, 2))
+    assert (est.p, est.tie_mass) == (1, 0)
+    est = degroot.learning_probability(net, Fraction(1, 2), mode="monte_carlo", trials=50, rng=trial_rng(0, 0))
+    assert (est.p, est.tie_mass) == (1, 0)
+    # outside [0, 1/2], 1/2 + delta is no probability: both modes refuse it by the signals' one rule
+    for delta in (Fraction(-1, 10), Fraction(3, 4)):
+        for mode in ("exact", "monte_carlo"):
+            with pytest.raises(ValueError, match=rf"delta must lie in \[0, 1/2\], got {delta}$"):
+                degroot.learning_probability(net, delta, mode=mode, trials=10, rng=trial_rng(0, 0))
+
+
 def test_convergence_round_is_tight():
     net = generate("cycle", 5)
     t = degroot.convergence_round(net, tv_threshold=1e-6)
     assert max(mixing_tv(net, i, t) for i in range(net.n)) <= 1e-6
     assert max(mixing_tv(net, i, t - 1) for i in range(net.n)) > 1e-6
+
+
+def test_convergence_round_refuses_past_the_dense_cap(monkeypatch):
+    # its matrix powers are n x n floats, so it stops at the stationary solve's dense cap before building one
+    monkeypatch.setattr(Network, "weight_matrix", lambda self: pytest.fail("built the dense weight matrix"))
+    with pytest.raises(ValueError, match=r"runs only for n <= 200 \(n=201\)"):
+        degroot.convergence_round(generate("cycle", 201))
+    assert degroot.EXACT_SOLVE_MAX_N == 200
 
 
 def test_cheater_pulls_limit():

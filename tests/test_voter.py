@@ -1,6 +1,7 @@
 import logging
+import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import floor, inf, lcm
 
 import numpy as np
 import pytest
@@ -83,39 +84,70 @@ def test_stage_rows_pick_each_neighbour_with_its_exact_weight():
     for net in (generate("cycle", 5), generate("star", 7), generate("grid", 9), weighted_net(8, 3), wide_net(7)):
         view = require_stochastic(net)
         st = voter._Stages(net)
-        for i in range(net.n):
-            rows = np.flatnonzero(st.agent == i)
-            row = slice(view.indptr[i], view.indptr[i + 1])
-            js = [int(j) for j in st.nbr[rows]] + [int(st.last[i])]
-            assert js == view.J[row].tolist() == sorted(net.out_neighbors(i))
-            assert (st.order[st.owner[rows]] == i).all()
-            qs = [Fraction(0)] + [Fraction(int(st.num[r]), int(st.den[r])) for r in rows] + [Fraction(1)]
-            assert all(0 < q < 1 for q in qs[1:-1])
-            assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(c), int(view.D[i])) for c in view.C[row]]
+        seen = []
+        for a0, a1, J, r0 in st.select:
+            for a in range(a1 - a0):
+                i = int(st.order[a0 + a])
+                seen.append(i)
+                # agent i's stage k is row r0 + k (a1 - a0) + a, and its neighbour j_k is in state row J[k, a]
+                rows = r0 + (a1 - a0) * np.arange(len(J) - 1) + a
+                assert rows.tolist() == np.flatnonzero(st.agent == i).tolist()
+                row = slice(view.indptr[i], view.indptr[i + 1])
+                assert st.order[J[:, a]].tolist() == view.J[row].tolist() == sorted(net.out_neighbors(i))
+                assert (st.order[st.owner[rows]] == i).all()
+                qs = [Fraction(0)] + [Fraction(int(st.num[r]), int(st.den[r])) for r in rows] + [Fraction(1)]
+                assert all(0 < q < 1 for q in qs[1:-1])
+                assert [b - a for a, b in zip(qs, qs[1:])] == [Fraction(int(c), int(view.D[i])) for c in view.C[row]]
         # the select groups hold every agent once and every stage row once
-        assert sorted(st.order.tolist()) == list(range(net.n))
+        assert sorted(seen) == sorted(st.order.tolist()) == list(range(net.n))
         assert sum((a1 - a0) * (len(J) - 1) for a0, a1, J, _r0 in st.select) == len(st.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.integers(2, 2 ** 200).flatmap(lambda den: st.tuples(st.integers(1, den - 1), st.just(den))),
+                     min_size=1, max_size=4),
+       m=st.integers(0, 8))
+def test_digits_match_fraction_arithmetic(rows, m):
+    # digit m + 1 of q = num / den is floor(q 2^(16 (m + 1))) mod 2^16, and more says q 2^(16 (m + 1)) is no integer
+    num, den = (np.array(v, dtype=object) for v in zip(*rows))
+    digit, more = voter._digits(num, den, m)
+    scaled = [Fraction(a, b) * 2 ** (16 * (m + 1)) for a, b in rows]
+    assert digit.dtype == np.uint16 and more.dtype == bool
+    assert digit.tolist() == [floor(x) % 2 ** 16 for x in scaled]
+    assert more.tolist() == [x.denominator != 1 for x in scaled]
+    if max(den) < 2 ** 63:          # int64 rows, as an IntegerView holds them, give the same digits
+        got = voter._digits(num.astype(np.int64), den.astype(np.int64), m)
+        assert got[0].tolist() == digit.tolist() and got[1].tolist() == more.tolist()
+
+
+class _Rows:
+    """Stage rows of the probabilities qs, with the fields voter._bernoulli_words reads from a voter._Stages."""
+
+    def __init__(self, qs):
+        self.num = np.array([q.numerator for q in qs], dtype=object)
+        self.den = np.array([q.denominator for q in qs], dtype=object)
+        self.first, self.more = voter._digits(self.num, self.den, 0)
 
 
 class _PinnedWords:
     """draw(size) for voter._bernoulli_words: random words, but the lanes in force copy q's digits before digit through.
 
     Every call draws 16 words, 64 uint16 lane digits, per (row, word) pair,
-    and call m gives each lane its digit m. The first call's pairs run
-    row-major over (row, word); later calls copy q's digit only for a
-    one-row expansion, where every pair has the same q.
+    and call m gives each lane its digit m, from voter._digits. The first
+    call's pairs run row-major over (row, word); later calls copy q's digit
+    only for a single row, where every pair has the same q.
     """
 
-    def __init__(self, exp, w, force, through, seed):
-        self.exp, self.w, self.force, self.through = exp, w, force, through
+    def __init__(self, rows, w, force, through, seed):
+        self.rows, self.w, self.force, self.through = rows, w, force, through
         self.rng = np.random.default_rng(seed)
         self.calls = []
 
     def __call__(self, size):
         m = len(self.calls)
         lanes = self.rng.bit_generator.random_raw(size).astype("<u8").view("<u2").reshape(-1, 64)
-        if m < self.through and (m == 0 or len(self.exp.den) == 1):
-            digit = self.exp.digits(m + 1)[m]
+        if m < self.through and (m == 0 or len(self.rows.den) == 1):
+            digit = voter._digits(self.rows.num, self.rows.den, m)[0]
             pinned = [lane for lane in range(64) if self.force >> lane & 1]
             lanes[:, pinned] = (np.repeat(digit, self.w) if m == 0 else digit[0])[..., None]
         self.calls.append(lanes.reshape(-1).view("<u8").astype(np.uint64))
@@ -135,19 +167,21 @@ _WIDE_Q = _wide_q()
     (Fraction(1, 2), 0),                           # the first digit decides every lane
     (Fraction(1, 2), 1),                           # a lane tied on it has U >= q: q's expansion ends there
     (Fraction(1, 3), 2),                           # tied past the first digit
-    (Fraction(1, 3), 6),                           # tied past the 4 digits the expansion holds at first
+    (Fraction(1, 3), 6),                           # tied past 4 digits
     (Fraction(2, 5), 3),
     (Fraction(1, 2 ** 53 - 1), 4),                 # three zero digits, then 0x0800
     (Fraction(5, 2 ** 20), 3),                     # a dyadic q whose expansion ends at digit 2
     (_WIDE_Q, 3),                                  # a wide row's count ratio over about 2^40
-], ids=["1/2", "1/2-tied", "1/3", "1/3-past-4", "2/5", "1/(2^53-1)", "5/2^20", "float-row"])
+    (Fraction(1, 2 ** 64 + 13), 5),                # past int64: four zero digits, then 0xFFFF
+], ids=["1/2", "1/2-tied", "1/3", "1/3-past-4", "2/5", "1/(2^53-1)", "5/2^20", "float-row", "1/(2^64+13)"])
 def test_bernoulli_words_match_the_fraction_oracle(q, through):
     w = 3
-    exp = voter._Expansion(np.array([q.numerator]), np.array([q.denominator]))
-    L = int(exp.L[0])
+    rows = _Rows([q])
+    # q's expansion length in digits, inf if it runs past 64
+    L = next((m + 1 for m in range(64) if not voter._digits(rows.num, rows.den, m)[1][0]), inf)
     for force in (0b111111 | 1 << 40, 0xF0F0 | 1 << 63):
-        draw = _PinnedWords(exp, w, force, through, seed=q.denominator % 1000)
-        got = voter._bernoulli_words(exp, np.arange(1), 1, w, draw)
+        draw = _PinnedWords(rows, w, force, through, seed=q.denominator % 1000)
+        got = voter._bernoulli_words(rows, np.arange(1), 1, w, draw)
         assert np.array_equal(got, fraction_bernoulli_words([q], w, draw.calls))
         # the pinned lanes stay tied through digit `through`, and no pair draws past the end of q
         assert 1 + min(through, L - 1) <= len(draw.calls) <= L
@@ -156,10 +190,10 @@ def test_bernoulli_words_match_the_fraction_oracle(q, through):
 def test_bernoulli_words_of_many_rows_match_the_fraction_oracle():
     # rows of different q, with the first digit pinned to tie some lanes of every pair
     qs = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(5, 2 ** 12), Fraction(7, 9), _WIDE_Q]
-    exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
+    rows = _Rows(qs)
     for seed in range(3):
-        draw = _PinnedWords(exp, 2, 0b1011 << 20, 1, seed=seed)
-        got = voter._bernoulli_words(exp, np.arange(len(qs)), len(qs), 2, draw)
+        draw = _PinnedWords(rows, 2, 0b1011 << 20, 1, seed=seed)
+        got = voter._bernoulli_words(rows, np.arange(len(qs)), len(qs), 2, draw)
         assert np.array_equal(got, fraction_bernoulli_words(qs, 2, draw.calls))
         assert len(draw.calls) > 1
 
@@ -169,7 +203,7 @@ def test_bernoulli_words_draw_each_owners_next_digit_once():
     # digits stay tied in both, and each tied (owner, word) pair draws its next digit once
     qs = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2 ** 40), Fraction(2, 5)]
     owner = np.array([0, 0, 1])
-    exp = voter._Expansion(np.array([q.numerator for q in qs]), np.array([q.denominator for q in qs]))
+    rows = _Rows(qs)
     pinned = [20, 21, 23]
     for seed in range(3):
         rng, calls = np.random.default_rng(seed), []
@@ -180,7 +214,7 @@ def test_bernoulli_words_draw_each_owners_next_digit_once():
                 lanes[:, pinned] = 0x5555
             calls.append(lanes.reshape(-1).view("<u8").astype(np.uint64))
             return calls[-1].copy()
-        got = voter._bernoulli_words(exp, owner, 2, 2, draw)
+        got = voter._bernoulli_words(rows, owner, 2, 2, draw)
         assert np.array_equal(got, fraction_bernoulli_words(qs, 2, calls, owner))
         assert len(calls) > 4 and not (got[0] & ~got[1]).any()
 
@@ -196,13 +230,33 @@ def test_stage_words_give_each_stage_row_its_own_q(net):
     def draw(size):
         calls.append(rng.bit_generator.random_raw(size))
         return calls[-1].copy()
-    B = voter._bernoulli_words(st.exp, st.owner, net.n, 2, draw)
+    B = voter._bernoulli_words(st, st.owner, net.n, 2, draw)
     qs = [Fraction(int(num), int(den)) for num, den in zip(st.num, st.den)]
     assert np.array_equal(B, fraction_bernoulli_words(qs, 2, calls, st.owner))
     # an agent's stages test one U against rising q, so each stage word holds the one before it
     for i in range(net.n):
         rows = np.flatnonzero(st.agent == i)
         assert all(((B[a] & ~B[b]) == 0).all() for a, b in zip(rows, rows[1:]))
+
+
+def _two_agents(q):
+    """Agent 0 copies agent 1 with probability 1/q, so its row's counts total q; agent 1 is fair."""
+    return Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
+                               (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
+
+
+@pytest.mark.parametrize("q", [2 ** 53, 2 ** 64 + 13], ids=["2^53", "2^64+13"])
+def test_stage_words_of_rows_of_2_53_and_past_int64(q):
+    # agent 0's stage row (q - 1) / q has the first digit 0xFFFF; lanes pinned to it tie and
+    # read their next digits from the exact expansion, which no word size caps
+    st = voter._Stages(_two_agents(q))
+    assert int(st.den[0]) == q and st.first[0] == 0xFFFF
+    qs = [Fraction(int(num), int(den)) for num, den in zip(st.num, st.den)]
+    for seed in range(3):
+        draw = _PinnedWords(st, 2, 0b1011 << 20, 1, seed=seed)
+        B = voter._bernoulli_words(st, st.owner, 2, 2, draw)
+        assert np.array_equal(B, fraction_bernoulli_words(qs, 2, draw.calls, st.owner))
+        assert len(draw.calls) > 1
 
 
 def _recorded_masks(mp):
@@ -359,23 +413,25 @@ def test_mc_consensus_float_rows_and_wide_denominators():
     assert out["trials"] == 500 and out["times"].max() > 0
     out = voter.mc_consensus(net, Fraction(1, 2), 50, seed=4)    # every start is unanimous
     assert out["matches"] == 50 and not out["times"].any()
-
-    def wide(q):
-        return Network(n=2, edges=((0, 0, Fraction(q - 1, q)), (0, 1, Fraction(1, q)),
-                                   (1, 0, Fraction(1, 2)), (1, 1, Fraction(1, 2))))
-    # D = 2^53 - 1 still counts exactly; an agent whose lcm reaches 2^53 is refused by name
-    assert require_stochastic(wide(2 ** 53 - 1)).D[0] == 2 ** 53 - 1
-    assert voter.mc_consensus(wide(2 ** 53 - 1), Fraction(1, 10), 20, seed=0)["trials"] == 20
-    with pytest.raises(ValueError, match=r"agent 0's weights need the integer total 9007199254740992, 2\^53"):
-        voter.mc_consensus(wide(2 ** 53), Fraction(1, 10), 5, seed=0)
+    # a row total of 2^53 or more, past int64 too, samples as exactly as 2^53 - 1: a pick of
+    # probability about 2^-53 never happens in 20 trials, so every such row gives one result
+    assert require_stochastic(_two_agents(2 ** 53 - 1)).D[0] == 2 ** 53 - 1
+    want = voter.mc_consensus(_two_agents(2 ** 53 - 1), Fraction(1, 10), 20, seed=0)
+    assert want["trials"] == 20 and want["times"].max() > 0
+    for q in (2 ** 53, 2 ** 53 + 1, 2 ** 64 + 13, 3 ** 80):
+        assert require_stochastic(_two_agents(q)).D[0] == q
+        out = voter.mc_consensus(_two_agents(q), Fraction(1, 10), 20, seed=0)
+        assert out["matches"] == want["matches"]
+        for key in ("times", "s", "value"):
+            assert np.array_equal(out[key], want[key]), (q, key)
 
 
 def test_mc_consensus_logs_sizes(caplog, monkeypatch):
     drawn, blocks, real = [], [], voter._bernoulli_words
 
-    def counted(exp, owner, owners, w, draw):
+    def counted(st, owner, owners, w, draw):
         blocks.append(w)
-        return real(exp, owner, owners, w, lambda size: drawn.append(size) or draw(size))
+        return real(st, owner, owners, w, lambda size: drawn.append(size) or draw(size))
     monkeypatch.setattr(voter, "_bernoulli_words", counted)
     monkeypatch.setattr(voter, "_ROUND_WORDS", 3 * 16 * 10)     # refills of 3 columns
     with caplog.at_level(logging.DEBUG, logger="opdyn"):
@@ -515,6 +571,21 @@ def test_strong_voter_trials_input_and_cap(monkeypatch):
         voter.strong_voter_trials(split, [[1, 1, 0, 0], [0, 0, 1, 1]], rng)
     with pytest.raises(TimeoutError, match="65 trials without opinion consensus after 32000 edge updates"):
         voter.strong_voter_trials(split, np.tile((1, 1, 0, 0), (65, 1)), rng)
+
+
+def test_strong_voter_trials_set_up_holds_one_copy_of_a_bool_input():
+    # a bool array needs no 0/1 check, and the int8 codes are built in place: their one copy is
+    # the set-up's only trials x n array (the check and 2 * sig.astype(np.int8) + 1 once held 2.2 of them)
+    net = generate("cycle", 2001)
+    sig = np.ones((2000, 2001), dtype=bool)
+    tracemalloc.start()
+    try:
+        values, steps = voter.strong_voter_trials(net, sig, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.all() and not steps.any()
+    assert peak <= 1.5 * sig.nbytes, peak / sig.nbytes
 
 
 def test_strong_voter_trials_logs_sizes(caplog):

@@ -1,8 +1,8 @@
 """Opinion-exchange dynamics: simulators, exact oracles, and experiments.
 
 Modules:
-    network   -- weighted directed graphs, stationary distributions, file IO
-    signals   -- finite/Gaussian private-signal models, exact beliefs
+    network   -- weighted directed graphs, stationary distributions, the graph file reader
+    signals   -- finite/Gaussian private-signal models, the signal cube and stream, the signal file reader
     degroot   -- repeated weighted averaging and its learning probability
     voter     -- neighbor-copying dynamics, exact absorption, two-bit variant
     majority  -- iterated majority, Lyapunov bookkeeping, retention, influences

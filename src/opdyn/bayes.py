@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
-from .network import Network, _slots, ball
+from .network import Network, _slots
 from .signals import FiniteModel, JointTable, bernoulli_cube, cube
 
 PROFILE_SPACE_CAP = 10 ** 6
@@ -517,64 +517,6 @@ def full_information_check(res: BayesResult):
         p = res.profile_of[e]
         bad.append((e, res.limit_beliefs(e), Fraction(int(pooled_num[p]), int(pooled_den[p]))))
     return {"full_learning": not bad, "failures": bad}
-
-
-def martingale_residuals(res: BayesResult):
-    """Exact tower check: within each cell at round t, the weight-average of
-    the round-(t+1) beliefs equals the round-t belief. Returns the list of
-    nonzero residuals (should be empty)."""
-    bad = []
-    E = len(res.space.entries)
-    weights = [w for (_s, _p, w) in res.space.entries]
-    for t in range(res.rounds - 1):
-        for i in range(res.net.n):
-            cells = {}
-            for e in range(E):
-                cells.setdefault(res.partitions[t][i][e], []).append(e)
-            for c, es in cells.items():
-                tot = sum(weights[e] for e in es)
-                avg_next = sum(weights[e] * res.beliefs[t + 1][i][e] for e in es) / tot
-                cur = res.beliefs[t][i][es[0]]
-                if avg_next != cur:
-                    bad.append((t, i, c, cur, avg_next))
-    return bad
-
-
-def refinement_violations(res: BayesResult):
-    """Partition at t+1 must refine partition at t, per agent."""
-    bad = []
-    for t in range(res.rounds - 1):
-        for i in range(res.net.n):
-            mapping = {}
-            for e in range(len(res.space.entries)):
-                fine = res.partitions[t + 1][i][e]
-                coarse = res.partitions[t][i][e]
-                if fine in mapping and mapping[fine] != coarse:
-                    bad.append((t, i, fine))
-                mapping[fine] = coarse
-    return bad
-
-
-def locality_check(net: Network, space: ProfileSpace, t: int,
-                   utility="discrete", tie_rule="choose_one"):
-    """Round-t actions depend on signals only through the radius-t ball.
-
-    Groups atoms by the profile restricted to ball(net, i, t) and verifies
-    agent i's round-t action is constant on each group, for every i.
-    """
-    res = run_exact(net, space, horizon=t + 1, utility=utility, tie_rule=tie_rule)
-    tt = min(t, res.rounds - 1)
-    bad = []
-    for i in range(net.n):
-        _sub, verts = ball(net, i, t)
-        groups = {}
-        for e, (_s, prof, _w) in enumerate(space.entries):
-            key = tuple(prof[v] for v in verts)
-            groups.setdefault(key, set()).add(res.actions[tt][i][e])
-        for key, acts in groups.items():
-            if len(acts) > 1:
-                bad.append((i, key, acts))
-    return {"local": not bad, "violations": bad}
 
 
 # -- named scenarios ---------------------------------------------------------

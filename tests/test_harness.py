@@ -6,6 +6,7 @@ import pytest
 from opdyn import harness, majority, voter
 from opdyn.harness_util import wilson_interval
 from opdyn.network import StationaryDistribution, generate
+from oracles import config_from_json
 
 
 def test_wilson_midpoint():
@@ -27,7 +28,7 @@ def test_wilson_boundaries():
 
 def test_config_json_round_trip():
     cfg = harness.registry("three-bit-map")
-    back = harness.ExperimentConfig.from_json(cfg.to_json())
+    back = config_from_json(cfg.to_json())
     assert back == cfg
 
 
@@ -36,7 +37,7 @@ def test_config_schema_version_rejected():
     data = json.loads(cfg.to_json())
     data["schema_version"] = 99
     with pytest.raises(ValueError):
-        harness.ExperimentConfig.from_json(json.dumps(data))
+        config_from_json(json.dumps(data))
 
 
 def test_config_holds_only_the_settings_experiments_read():
@@ -46,7 +47,7 @@ def test_config_holds_only_the_settings_experiments_read():
     old = {"name": "voter-absorption", "mode": "mc", "trials": 100000, "seed": 20240601, "horizon": 0,
            "options": {}, "schema_version": 1}
     with pytest.raises(ValueError, match="unsupported schema version 1"):
-        harness.ExperimentConfig.from_json(json.dumps(old))
+        config_from_json(json.dumps(old))
 
 
 def test_registry_lists_and_rejects():

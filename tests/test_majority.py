@@ -9,7 +9,7 @@ from opdyn import majority, signals
 from opdyn.network import from_pairs, generate
 from opdyn.signals import trial_rng
 from oracles import (fraction_influence, fraction_retention, fraction_success_probability, full_cube_pooled_weights,
-                     run_to_cycle, scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles,
+                     majority_step, run_to_cycle, scalar_j_functional, scalar_lyapunov, scalar_step, stepwise_limit_profiles,
                      whole_array_retention_mc)
 
 # odd closed neighbourhoods only: cycles, odd cliques, 4-regular graphs, and
@@ -23,19 +23,19 @@ ODD_NETS = [generate("cycle", n) for n in range(3, 12)] + [
 
 def test_even_closed_neighborhood_rejected():
     with pytest.raises(ValueError):
-        majority.step(generate("chain", 4), (1, 1, -1, -1))
+        majority_step(generate("chain", 4), (1, 1, -1, -1))
 
 
 def test_step_cycle5_oracle():
     net = generate("cycle", 5)
     # closed neighborhoods of size 3: plain local majority
-    assert majority.step(net, (1, 1, -1, -1, -1)) == (1, 1, -1, -1, -1)
-    assert majority.step(net, (1, -1, 1, -1, 1)) == (1, 1, -1, 1, 1)
+    assert majority_step(net, (1, 1, -1, -1, -1)) == (1, 1, -1, -1, -1)
+    assert majority_step(net, (1, -1, 1, -1, 1)) == (1, 1, -1, 1, 1)
 
 
 def test_all_ones_fixed():
     net = generate("cycle", 7)
-    assert majority.step(net, (1,) * 7) == (1,) * 7
+    assert majority_step(net, (1,) * 7) == (1,) * 7
 
 
 def test_run_to_cycle_period_two_example():
@@ -44,8 +44,8 @@ def test_run_to_cycle_period_two_example():
     assert lc.period in (1, 2)
     assert lc.entry_time <= len(net.undirected_edge_list())
     # the two phases map to each other
-    assert majority.step(net, lc.config_even) == lc.config_odd
-    assert majority.step(net, lc.config_odd) == lc.config_even
+    assert majority_step(net, lc.config_even) == lc.config_odd
+    assert majority_step(net, lc.config_odd) == lc.config_even
 
 
 def test_trajectory_matches_step():
@@ -53,7 +53,7 @@ def test_trajectory_matches_step():
     configs = majority.all_spin_configs(6)
     batch = majority.trajectory(net, configs, 1)[1]
     for k in range(0, 64, 7):
-        assert tuple(batch[k]) == majority.step(net, tuple(configs[k]))
+        assert tuple(batch[k]) == majority_step(net, tuple(configs[k]))
 
 
 def test_trajectory_rejects_bad_rows():

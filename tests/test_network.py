@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from opdyn import network
 from opdyn.harness_util import int_dtype, scaled, unscaled
-from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, ball, from_pairs, generate, mixing_tv,
-                           read_network, require_stochastic, stationary_distribution, validate, write_network)
-from oracles import (fraction_stationary, fraction_violations, fraction_weight_matrix, rational_digraphs,
-                     reachability_distances, solve_rational)
+from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, from_pairs, generate, read_network,
+                           require_stochastic, stationary_distribution, validate)
+from oracles import (ball, distances_from, fraction_stationary, fraction_violations, fraction_weight_matrix, mixing_tv,
+                     rational_digraphs, reachability_distances, solve_rational, write_network)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -229,7 +229,7 @@ def test_bfs_matches_reachability_oracle(data, n):
     net = Network(n=n, edges=tuple((i, j, 1) for i, j in edges))
     dists = [reachability_distances(adj, c) for c in range(n)]
     for c in range(n):
-        assert net.distances_from(c) == dists[c]
+        assert distances_from(net, c) == dists[c]
     assert net.is_strongly_connected() == all(-1 not in d for d in dists)
     undirected = adj | adj.T
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if undirected[i, j]]

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from opdyn import signals
 from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, cube,
-                           map_accuracy_three_bits, private_belief,
-                           read_signal_model, sample_world, three_bit_epsilon,
-                           trial_rng, tv_distance, write_signal_model, xor_pair)
-from oracles import belief_support, delta_independence, fraction_map_accuracy_three_bits
+                           map_accuracy_three_bits, read_signal_model, sample_world, three_bit_epsilon, trial_rng,
+                           xor_pair)
+from oracles import (belief_support, delta_independence, fraction_map_accuracy_three_bits, private_belief, tv_distance,
+                     write_signal_model)
 
 
 def test_bernoulli_model_exact():
@@ -151,6 +151,15 @@ def test_signal_model_file_round_trip(tmp_path):
     write_signal_model(m, path)
     back = read_signal_model(path)
     assert back.mu0 == m.mu0 and back.mu1 == m.mu1
+
+
+def test_signal_file_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("# a three-letter model\n3\n\n  # given S = 0, then S = 1\n1/2 1/3 1/6\n0.25 0.25 1/2\n")
+    back = read_signal_model(path)
+    assert back.alphabet == (0, 1, 2)
+    assert back.mu0 == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert back.mu1 == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
 
 
 def test_trial_rng_reproducible_and_distinct():

@@ -12,8 +12,7 @@ from np.arange, tiled repeats, np.indices or itertools.product anywhere else
 fail it, except in signals.map_accuracy_three_bits, whose three bits each
 have their own law. network._slots is the one neighbour table: the
 kernels read agent i's neighbours from it or from the IntegerView's rows,
-never from Network.out_neighbors or by splitting the rows with np.split,
-except in degroot.step, the Fraction reference simulator.
+never from Network.out_neighbors or by splitting the rows with np.split.
 The stationary solve is the one proof of the voter absorption table:
 voter._certify_table, its exhaustive certificate, is called in src only by
 the voter-identity audit, harness._exp_voter_identity. Every seeded draw
@@ -21,6 +20,11 @@ comes from a numpy generator: no module imports Python's random.
 signals.bernoulli_blocks is the one Bernoulli signal stream: _MC_BLOCK is
 set in signals.py only, and no other module draws a block of uniforms
 with .random((rows, n)).
+The package holds only what it runs: every top-level function or class in
+src/opdyn is referenced by another definition there, as a bare name in its
+own module, through `from .mod import name` and a use of the name, or as
+`mod.name` on a module imported with `from . import mod`, unless it is on
+UNREFERENCED_CALLERS with the caller outside src that keeps it.
 """
 
 import ast
@@ -41,6 +45,7 @@ SOLVE_INTEGER_CALLERS = {"network._exact_stationary", "degroot.cheater_limit_exa
 # the kernel rests on the stationary solve's proof; only the gate's audit runs the 4^n certificate
 CERTIFY_TABLE_CALLERS = {"harness._exp_voter_identity"}
 PRIVATE_CALLS = {"_solve_integer", "_certify_table"}    # matched under any module prefix
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 CUBE_HOMES = {"cube", "map_accuracy_three_bits"}
 CUBE_PATTERNS = {
     "bits shifted out of np.arange": re.compile(r">>\s*np\.arange"),
@@ -55,7 +60,13 @@ STREAM_PATTERNS = {
 }
 
 NEIGHBOUR_READERS = ("voter", "majority", "bayes", "degroot", "cascade")
-ROW_READ_EXEMPT = {"degroot.step"}
+
+# top-level definitions that no src definition references, each with the caller outside src that keeps it
+UNREFERENCED_CALLERS = {
+    "degroot.hoeffding_success_bound": "bench/workloads.py",
+    "voter.run_strong_voter": "bench/workloads.py",
+    "harness.run_registry": "bench/record_golden.py",
+}
 
 
 def _helper_lines():
@@ -154,8 +165,7 @@ def test_one_neighbour_table():
     hits = []
     for module in NEIGHBOUR_READERS:
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-        hits += [f"{module}.py:{line}: {name}" for name, line in _row_reads(tree)
-                 if f"{module}.{name}" not in ROW_READ_EXEMPT]
+        hits += [f"{module}.py:{line}: {name}" for name, line in _row_reads(tree)]
     assert not hits, "read neighbours from network._slots or the IntegerView rows:\n" + "\n".join(hits)
 
 
@@ -174,7 +184,6 @@ def test_no_module_imports_python_random():
     assert not hits, "draw from a numpy generator, np.random.default_rng(seed):\n" + "\n".join(hits)
 
 
-
 def test_one_bernoulli_signal_stream():
     hits = []
     for path in sorted(SRC.glob("*.py")):
@@ -186,3 +195,43 @@ def test_one_bernoulli_signal_stream():
             else:
                 hits += [f"{path.name}:{line}: {what}" for line in lines]
     assert not hits, "draw S and the signals with signals.bernoulli_blocks:\n" + "\n".join(hits)
+
+
+def _referenced(trees):
+    """{(module, name)} that some src definition references, other than the definition of name itself.
+
+    A bare name resolves through the module's `from .mod import name` imports, else to the module
+    itself; an attribute counts only on a module imported with `from . import mod`, so a method
+    call such as hood.step references no module-level step.
+    """
+    refs = set()
+    for module, tree in trees.items():
+        imported, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+        for top in tree.body:
+            own = top.name if isinstance(top, DEFINITIONS) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    refs.add(imported.get(node.id, (module, node.id)))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id in modules:
+                    refs.add((node.value.id, node.attr))
+    return refs
+
+
+def test_every_src_definition_is_referenced():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    refs = _referenced(trees)
+    unreferenced = {f"{module}.{top.name}": f"{module}.py:{top.lineno}: {top.name}"
+                    for module, tree in trees.items() for top in tree.body
+                    if isinstance(top, DEFINITIONS) and (module, top.name) not in refs}
+    hits = [where for name, where in unreferenced.items() if name not in UNREFERENCED_CALLERS]
+    assert not hits, "no src definition references these; move them to tests/oracles.py:\n" + "\n".join(hits)
+    stale = sorted(set(UNREFERENCED_CALLERS) - set(unreferenced))
+    assert not stale, f"now referenced in src or gone, drop from UNREFERENCED_CALLERS: {stale}"

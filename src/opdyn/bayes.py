@@ -181,11 +181,10 @@ class Round(NamedTuple):
 class BayesResult:
     """A run of run_exact.
 
-    beliefs[t][i][e] (Fraction), actions[t][i][e] and partitions[t][i][e]
-    (cell id of atom e for agent i at round t, numbered per agent in order
-    of first occurrence) are built from the integer rounds in `steps` when
-    first read. Atom e has signal profile profile_of[e]; profile p weighs
-    profile_w[p] / scale, of which profile_w1[p] / scale has S = 1.
+    beliefs[t][i][e] (Fraction) and actions[t][i][e] are built from the
+    integer Rounds in `steps` when first read. Atom e has signal profile
+    profile_of[e]; profile p weighs profile_w[p] / scale, of which
+    profile_w1[p] / scale has S = 1.
     """
 
     space: ProfileSpace
@@ -225,17 +224,6 @@ class BayesResult:
             return self.beliefs
         return [r.act[:, self.profile_of].tolist() for r in self.steps]
 
-    @cached_property
-    def partitions(self):
-        # agent i's ids follow agent i-1's, so numbering the flat cells in order of first occurrence
-        # and taking away base numbers each agent's own; profiles are numbered in order of first
-        # occurrence, so this is a numbering over the atoms too
-        out = []
-        for r in self.steps:
-            ids = _first_occurrence(r.cells.ravel().tolist(), r.cells.size)[0].reshape(r.cells.shape)
-            out.append((ids - r.base[:-1, None])[:, self.profile_of].tolist())
-        return out
-
     def limit_beliefs(self, e):
         w, w1 = self._weights(-1)
         c = self.steps[-1].cells[:, self.profile_of[e]]
@@ -268,14 +256,6 @@ class BayesResult:
         changed = self._changed()
         last = (np.arange(1, self.rounds)[:, None] * changed.any(axis=1)).max(axis=0, initial=0)
         return last, changed.sum(axis=0, dtype=np.int32)     # a count never exceeds the round count
-
-    def change_counts(self):
-        """per entry, per agent: number of rounds t with A_{t+1} != A_t."""
-        return self._change_arrays()[1][:, self.profile_of].T.tolist()
-
-    def fixation_rounds(self):
-        """per entry: first round from which no agent's action ever changes."""
-        return self._change_arrays()[0][self.profile_of].tolist()
 
 
 def _lowest_terms(num, den):
@@ -459,8 +439,7 @@ def fixation_stats(res: BayesResult):
     Returns dict with 'fixation' (per signal profile, an array),
     'max_fixation' (its maximum, an int), 'changes' (an agents x profiles
     array), 'bound_ok' for fixation <= M*n and changes <= M everywhere.
-    Every atom of a profile shares its values; BayesResult.fixation_rounds
-    and change_counts list them per atom.
+    Every atom of a profile shares its values: index them by res.profile_of.
     """
     if not res.stabilized:
         raise ValueError("run did not stabilize; raise the horizon to certify fixation")

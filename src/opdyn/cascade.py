@@ -9,9 +9,9 @@ the next agent's decision no longer depends on its signal.
 
 A finite signal model is one Markov chain over public ratios (_Chain):
 each distinct ratio is numbered and analysed once, and the exact series,
-the limiting accuracy and the seeded per-trial runs all walk it. Gaussian
-signals (unbounded ratios) run as vectorized Monte Carlo in the
-log domain.
+the limiting accuracy and the seeded Monte Carlo, which walks a block of
+trials at once, all walk it. Gaussian signals (unbounded ratios) run as
+vectorized Monte Carlo in the log domain.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from math import erf, sqrt
 
 import numpy as np
 
+from . import signals
 from .harness_util import debug, int_dtype, scaled
 from .network import _solve_integer
-from .signals import FiniteModel, GaussianLLR, sample_world, trial_rng
+from .signals import FiniteModel, GaussianLLR, trial_rng
 
 def private_ratio(model: FiniteModel, k) -> Fraction:
     """P(psi = x | S=0) / P(psi = x | S=1) for alphabet index k."""
@@ -101,9 +102,12 @@ class _Chain:
             row[5] = kids
         return row[5]
 
-    def child(self, k, action):
-        """The row the observer moves to after seeing action at row k."""
-        return self.children(k)[action][0]
+    def tables(self):
+        """Arrays over the rows so far: action per letter, forced or not, child per action (-1: not found yet)."""
+        rows = self.rows
+        kids = [[-1 if r[5] is None else r[5].get(a, (-1,))[0] for a in (0, 1)] for r in rows]
+        return (np.array([r[4] for r in rows], dtype=np.int8), np.array([r[1] is not None for r in rows]),
+                np.array(kids, dtype=np.intp))
 
 
 @dataclass
@@ -203,28 +207,43 @@ def limit_accuracy(model: FiniteModel) -> Fraction:
 
 
 def run_sampled(model: FiniteModel, n, trials, seed):
-    """Seeded Monte Carlo counterpart of run_exact (sanity cross-check).
+    """Seeded Monte Carlo counterpart of run_exact: (P(A_i = S), P(cascade by i)) per position.
 
-    Each trial draws its world with sample_world on trial_rng(seed, trial)
-    and walks the chain by table lookup: the row's action for the signal,
-    then the child row.
+    Trials go in blocks of at most signals._MC_BLOCK, and block b draws only
+    from trial_rng(seed, b): S for its trials, then one random(trials) per
+    position. A uniform u picks the letter Generator.choice(p=mu_S) picks:
+    the number of normalised float cumulative sums of mu_S that are <= u.
+    Each trial holds its chain row, and the chain's tables give its action
+    and next row; they grow as trials reach new rows, so memory is
+    O(block + chain rows + n) at any trial count.
     """
     chain = _Chain(model)
-    rows = chain.rows
-    correct = [0] * n
-    cascaded = [0] * n
-    for trial in range(trials):
-        world = sample_world(model, n, trial_rng(seed, trial))
-        k = 0
+    sums = [np.cumsum([float(p) for p in mu]) for mu in (model.mu0, model.mu1)]
+    cuts = np.stack([c / c[-1] for c in sums], axis=1)[:-1]     # cuts[j, S]: the letter is > j iff u >= it
+    chain.children(0)
+    acts, forced, kids = chain.tables()
+    correct = np.zeros(n, dtype=np.int64)
+    cascaded = np.zeros(n, dtype=np.int64)
+    blocks = range(0, trials, signals._MC_BLOCK)
+    for b, lo in enumerate(blocks):
+        rng = trial_rng(seed, b)
+        s = rng.integers(0, 2, size=min(signals._MC_BLOCK, trials - lo))
+        cut = cuts[:, s]
+        row = np.zeros(len(s), dtype=np.intp)
         for i in range(n):
-            _lx, forced, _A0, _A1, acts, _kids = rows[k]
-            if forced is not None:
-                cascaded[i] += 1
-            a = acts[model.index(world.signals[i])]
-            if a == world.s:
-                correct[i] += 1
-            k = chain.child(k, a)
-    return np.array(correct, dtype=np.int64) / trials, np.array(cascaded, dtype=np.int64) / trials
+            u = rng.random(len(s))
+            a = acts[row, sum(u >= c for c in cut)]
+            correct[i] += np.count_nonzero(a == s)
+            cascaded[i] += np.count_nonzero(forced[row])
+            nxt = kids[row, a]
+            if (nxt < 0).any():
+                for k in np.unique(row[nxt < 0]).tolist():
+                    chain.children(k)
+                acts, forced, kids = chain.tables()
+                nxt = kids[row, a]
+            row = nxt
+    debug("finite cascade MC: n=%d trials=%d blocks=%d chain_rows=%d", n, trials, len(blocks), len(chain.rows))
+    return correct / trials, cascaded / trials
 
 
 # -- Gaussian (unbounded ratios) --------------------------------------------

@@ -437,8 +437,10 @@ def main(argv=None):
     A ValueError (bad input) exits with code 2, like argparse's own refusals.
     A cap or certificate that stopped the run (TimeoutError, RuntimeError,
     ArithmeticError) exits with code 3. Their subclasses that signal a bug
-    rather than a stopped run keep their traceback. OPDYN_LOG=debug sends
-    the run's DEBUG records to stderr; any other non-empty value exits 2.
+    rather than a stopped run keep their traceback. A reader that closes
+    stdout early (`opdyn ... | head`) ends the run quietly with code 141,
+    the status of a process that SIGPIPE ended. OPDYN_LOG=debug sends the
+    run's DEBUG records to stderr; any other non-empty value exits 2.
     """
     args = build_parser().parse_args(argv)
     level = os.environ.get("OPDYN_LOG", "")
@@ -446,7 +448,13 @@ def main(argv=None):
         return _fail(args.command, f"OPDYN_LOG must be debug or unset, got {level!r}", 2)
     undo = _debug_to_stderr() if level else None
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout onto devnull, so the interpreter's final flush of what is left cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ZeroDivisionError, OverflowError, FloatingPointError, NotImplementedError, RecursionError):
         raise
     except ValueError as exc:

@@ -34,9 +34,6 @@ class ExperimentConfig:
     seed: int = 0
     schema_version: int = SCHEMA_VERSION
 
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 @dataclass
 class ResultRecord:

@@ -81,9 +81,6 @@ class Network:
     def out_neighbors(self, i):
         return self._out[i]
 
-    def weight(self, i, j):
-        return self._out[i].get(j)
-
     def weight_matrix(self):
         """Float matrix P with P[i, j] = w(i, j), from the integer view's float weights."""
         view = self.cached(_integer_view)
@@ -308,8 +305,8 @@ def _undirected_pairs(kind, n, d=None, seed=None):
                 pairs = [divmod(code, n) for code in codes[r].tolist()]
                 if _pairs_connected(n, pairs):
                     return pairs
-        raise ValueError(f"could not realize a connected {d}-regular graph on {n} nodes "
-                         f"after {PAIRING_BUDGET} pairings")
+        raise ValueError(f"the pairing sampler drew {PAIRING_BUDGET} pairings without a connected simple "
+                         f"{d}-regular graph on {n} nodes and gave up; such graphs may exist")
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -12,7 +12,6 @@ counterexamples such as the XOR pair.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,24 +47,6 @@ class FiniteModel:
         _check_dist(mu1, "mu1")
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "mu1", mu1)
-
-    def index(self, x):
-        try:
-            return self.alphabet.index(x)
-        except ValueError:
-            raise ValueError(f"signal {x!r} outside alphabet") from None
-
-    def prob(self, x, s):
-        k = self.index(x)
-        return self.mu1[k] if s == 1 else self.mu0[k]
-
-    def sample(self, s, rng, size=None):
-        mu = self.mu1 if s == 1 else self.mu0
-        p = np.array([float(q) for q in mu])
-        idx = rng.choice(len(self.alphabet), size=size, p=p)
-        if size is None:
-            return self.alphabet[int(idx)]
-        return [self.alphabet[int(k)] for k in np.atleast_1d(idx)]
 
 
 def bernoulli_delta(delta) -> FiniteModel:
@@ -136,14 +117,6 @@ class GaussianLLR:
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
 
-    def llr(self, x):
-        """log P(x | S=1) / P(x | S=0) = 2x / sigma2."""
-        return 2.0 * x / self.sigma2
-
-    def sample(self, s, rng, size=None):
-        mean = 1.0 if s == 1 else -1.0
-        return rng.normal(mean, math.sqrt(self.sigma2), size=size)
-
 
 @dataclass(frozen=True)
 class JointTable:
@@ -179,29 +152,6 @@ def xor_pair() -> JointTable:
         for b in (0, 1):
             entries.append(((a + b) % 2, (a, b), q))
     return JointTable(n=2, entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class WorldSample:
-    s: int
-    signals: tuple
-
-
-def sample_world(model, n, rng) -> WorldSample:
-    """Draw (S, signal profile): S fair, signals conditionally i.i.d.
-
-    For a JointTable, draws an entry by its weight (profile length must be n).
-    """
-    if isinstance(model, JointTable):
-        if model.n != n:
-            raise ValueError(f"joint table is over {model.n} agents, asked for {n}")
-        w = np.array([float(wt) for (_s, _p, wt) in model.entries])
-        k = int(rng.choice(len(model.entries), p=w))
-        s, prof, _ = model.entries[k]
-        return WorldSample(s=s, signals=prof)
-    s = int(rng.integers(0, 2))
-    sig = model.sample(s, rng, size=n)
-    return WorldSample(s=s, signals=tuple(sig))
 
 
 def trial_rng(seed, trial, agent=None):

@@ -9,14 +9,17 @@ model's one-step law, and the Hypothesis strategy for random rational digraphs
 sits with the Fraction matrix oracles. That section also holds what no code
 in src/opdyn runs: the DeGroot Fraction stepper, the majority one-step map,
 the Bayes audits (martingale, refinement, locality), the radius-t ball, the
-mixing TV, private beliefs and the writers of the graph and signal files.
+mixing TV, private beliefs and the writers of the graph and signal files, and
+the former methods that only tests called: edge weights, letter
+probabilities, the Gaussian log ratio, the config JSON, and the Bayes
+partitions, change counts and fixation rounds.
 """
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import exp, fsum, gcd, sqrt
 from typing import NamedTuple
 
@@ -28,7 +31,7 @@ from opdyn.cascade import _ndtr
 from opdyn.harness import SCHEMA_VERSION, ExperimentConfig
 from opdyn.harness_util import scaled
 from opdyn.network import Network, _bfs, from_pairs, rationalize, require_stochastic, stationary_distribution
-from opdyn.signals import FiniteModel, GaussianLLR, bernoulli_cube, check_delta, sample_world, trial_rng
+from opdyn.signals import FiniteModel, GaussianLLR, bernoulli_cube, check_delta, trial_rng
 
 
 def solve_rational(A, b):
@@ -596,22 +599,35 @@ def fraction_limit_accuracy(model) -> Fraction:
 
 
 def per_trial_run_sampled(model, n, trials, seed):
-    """cascade.run_sampled stepping every trial's public ratio through observer_update in Fractions."""
+    """cascade.run_sampled on its own draws, one trial at a time, each public ratio stepped through observer_update.
+
+    Block b of signals._MC_BLOCK trials reads trial_rng(seed, b): S for its
+    rows, then one random(rows) per position. Trial t's uniform u at position
+    i picks the first letter whose cumulative float mass under mu_S, over the
+    total, exceeds u.
+    """
     correct = np.zeros(n, dtype=np.int64)
     cascaded = np.zeros(n, dtype=np.int64)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        world = sample_world(model, n, rng)
-        lx = Fraction(1)
-        for i in range(n):
-            if in_cascade(model, lx):
-                cascaded[i] += 1
-            a = cascade.agent_decision(lx, cascade.private_ratio(model, model.index(world.signals[i])))
-            if a == world.s:
-                correct[i] += 1
-            lx = observer_update(model, lx, a)
-            if cascade.observer_action(lx) != a:
-                raise AssertionError("observer must copy the last action")
+    cdf = []
+    for mu in (model.mu0, model.mu1):
+        sums = list(accumulate(float(p) for p in mu))
+        cdf.append([c / sums[-1] for c in sums])
+    for b, lo in enumerate(range(0, trials, signals._MC_BLOCK)):
+        rng = trial_rng(seed, b)
+        states = rng.integers(0, 2, size=min(signals._MC_BLOCK, trials - lo)).tolist()
+        uniforms = [rng.random(len(states)).tolist() for _i in range(n)]
+        for t, s in enumerate(states):
+            lx = Fraction(1)
+            for i in range(n):
+                if in_cascade(model, lx):
+                    cascaded[i] += 1
+                k = next(j for j, c in enumerate(cdf[s]) if uniforms[i][t] < c)
+                a = cascade.agent_decision(lx, cascade.private_ratio(model, k))
+                if a == s:
+                    correct[i] += 1
+                lx = observer_update(model, lx, a)
+                if cascade.observer_action(lx) != a:
+                    raise AssertionError("observer must copy the last action")
     return correct / trials, cascaded / trials
 
 
@@ -1160,16 +1176,32 @@ def write_network(net: Network, path):
             fh.write(f"{i} {j} {w.numerator}/{w.denominator}\n")
 
 
+def edge_weight(net: Network, i, j):
+    """w(i, j) as read from the graph, None where i has no edge to j."""
+    return net.out_neighbors(i).get(j)
+
+
+def prob(model: FiniteModel, x, s):
+    """P(signal = x | S = s) for a letter x of a finite model."""
+    k = model.alphabet.index(x)
+    return model.mu1[k] if s == 1 else model.mu0[k]
+
+
+def gaussian_llr(model: GaussianLLR, x):
+    """log P(x | S=1) / P(x | S=0) = 2x / sigma2."""
+    return 2.0 * x / model.sigma2
+
+
 def private_belief(model, x):
     """P(S=1 | signal = x) under the uniform prior.
 
     Exact Fraction for finite models: mu1(x) / (mu0(x) + mu1(x)).
     """
     if isinstance(model, FiniteModel):
-        p0, p1 = model.prob(x, 0), model.prob(x, 1)
+        p0, p1 = prob(model, x, 0), prob(model, x, 1)
         return p1 / (p0 + p1)
     if isinstance(model, GaussianLLR):
-        return 1.0 / (1.0 + exp(-model.llr(x)))
+        return 1.0 / (1.0 + exp(-gaussian_llr(model, x)))
     raise TypeError(f"no private beliefs for {type(model).__name__}")
 
 
@@ -1230,6 +1262,31 @@ def majority_step(net: Network, config) -> tuple:
     return tuple(majority.trajectory(net, [config], 1)[1, 0].tolist())
 
 
+def partitions(res: bayes.BayesResult):
+    """partitions[t][i][e]: the id of agent i's cell holding atom e at round t.
+
+    Each agent's cells are numbered in order of first occurrence.
+    """
+    # agent i's ids follow agent i-1's, so numbering the flat cells in order of first occurrence
+    # and taking away base numbers each agent's own; profiles are numbered in order of first
+    # occurrence, so this is a numbering over the atoms too
+    out = []
+    for r in res.steps:
+        ids = bayes._first_occurrence(r.cells.ravel().tolist(), r.cells.size)[0].reshape(r.cells.shape)
+        out.append((ids - r.base[:-1, None])[:, res.profile_of].tolist())
+    return out
+
+
+def change_counts(res: bayes.BayesResult):
+    """per atom, per agent: the number of rounds t with A_{t+1} != A_t."""
+    return res._change_arrays()[1][:, res.profile_of].T.tolist()
+
+
+def fixation_rounds(res: bayes.BayesResult):
+    """per atom: the first round from which no agent's action ever changes."""
+    return res._change_arrays()[0][res.profile_of].tolist()
+
+
 def martingale_residuals(res: bayes.BayesResult):
     """Exact tower check: within each cell at round t, the weight-average of
     the round-(t+1) beliefs equals the round-t belief. Returns the list of
@@ -1237,11 +1294,12 @@ def martingale_residuals(res: bayes.BayesResult):
     bad = []
     E = len(res.space.entries)
     weights = [w for (_s, _p, w) in res.space.entries]
+    parts = partitions(res)
     for t in range(res.rounds - 1):
         for i in range(res.net.n):
             cells = {}
             for e in range(E):
-                cells.setdefault(res.partitions[t][i][e], []).append(e)
+                cells.setdefault(parts[t][i][e], []).append(e)
             for c, es in cells.items():
                 tot = sum(weights[e] for e in es)
                 avg_next = sum(weights[e] * res.beliefs[t + 1][i][e] for e in es) / tot
@@ -1254,12 +1312,13 @@ def martingale_residuals(res: bayes.BayesResult):
 def refinement_violations(res: bayes.BayesResult):
     """Partition at t+1 must refine partition at t, per agent."""
     bad = []
+    parts = partitions(res)
     for t in range(res.rounds - 1):
         for i in range(res.net.n):
             mapping = {}
             for e in range(len(res.space.entries)):
-                fine = res.partitions[t + 1][i][e]
-                coarse = res.partitions[t][i][e]
+                fine = parts[t + 1][i][e]
+                coarse = parts[t][i][e]
                 if fine in mapping and mapping[fine] != coarse:
                     bad.append((t, i, fine))
                 mapping[fine] = coarse
@@ -1288,8 +1347,13 @@ def locality_check(net: Network, space: bayes.ProfileSpace, t: int,
     return {"local": not bad, "violations": bad}
 
 
+def config_to_json(cfg: ExperimentConfig):
+    """cfg as one sorted JSON object, the form ResultRecord.to_json writes under "config"."""
+    return json.dumps(asdict(cfg), sort_keys=True)
+
+
 def config_from_json(text) -> ExperimentConfig:
-    """The ExperimentConfig that ExperimentConfig.to_json wrote, refusing another schema version."""
+    """The ExperimentConfig that config_to_json wrote, refusing another schema version."""
     data = json.loads(text)
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {data.get('schema_version')!r}")

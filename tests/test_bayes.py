@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import (fraction_profile_entries, fraction_run_exact, locality_check, martingale_residuals, per_agent_refine,
-                     refinement_violations)
+from oracles import (change_counts, fixation_rounds, fraction_profile_entries, fraction_run_exact, locality_check,
+                     martingale_residuals, partitions, per_agent_refine, refinement_violations)
 
 from opdyn import bayes
 from opdyn.harness import _senate_joint_space
@@ -168,7 +168,7 @@ def assert_matches_oracle(net, space, horizon, utility, tie_rule):
         return None
     got = bayes.run_exact(net, space, horizon, utility, tie_rule)
     assert (got.rounds, got.stabilized) == (want.rounds, want.stabilized)
-    assert got.partitions == want.partitions
+    assert partitions(got) == want.partitions
     assert got.actions == want.actions
     assert got.beliefs == want.beliefs
     assert all(type(b) is Fraction for row in got.beliefs[-1] for b in row)
@@ -280,11 +280,11 @@ def test_vectorized_checks_match_atom_loops():
         E = len(space.entries)
         changes = [[sum(res.actions[t][i][e] != res.actions[t - 1][i][e] for t in range(1, res.rounds))
                     for i in range(4)] for e in range(E)]
-        assert res.change_counts() == changes
+        assert change_counts(res) == changes
         fix = [max([t for t in range(1, res.rounds)
                     if any(res.actions[t][i][e] != res.actions[t - 1][i][e] for i in range(4))],
                    default=0) for e in range(E)]
-        assert res.fixation_rounds() == fix
+        assert fixation_rounds(res) == fix
         for i in range(4):
             for t in range(res.rounds):
                 want = sum(w * (1 - (res.actions[t][i][e] - s) ** 2 if utility == "continuous"
@@ -324,7 +324,7 @@ def test_array_spaces_match_the_fraction_oracle_on_fraction_entries(utility):
         want = fraction_run_exact(net, bayes.ProfileSpace(net.n, entries=fraction_profile_entries(model, net.n)),
                                   space.m * net.n + 1, utility)
         assert (got.rounds, got.stabilized) == (want.rounds, want.stabilized)
-        assert (got.beliefs, got.actions, got.partitions) == (want.beliefs, want.actions, want.partitions)
+        assert (got.beliefs, got.actions, partitions(got)) == (want.beliefs, want.actions, want.partitions)
         assert space.entries == fraction_profile_entries(model, net.n)
     # a joint table's entries convert to arrays once, on the first run
     space = bayes.build_profile_space(xor_pair(), 2)
@@ -334,7 +334,7 @@ def test_array_spaces_match_the_fraction_oracle_on_fraction_entries(utility):
     assert again._weights(-1)[0].tolist() == got._weights(-1)[0].tolist()
     assert space.atoms is atoms
     want = fraction_run_exact(generate("chain", 2), space, 10, utility)
-    assert (got.beliefs, got.actions, got.partitions) == (want.beliefs, want.actions, want.partitions)
+    assert (got.beliefs, got.actions, partitions(got)) == (want.beliefs, want.actions, want.partitions)
 
 
 def test_product_atoms_are_numbered_like_entries():
@@ -358,9 +358,9 @@ def test_fixation_stats_stay_on_profile_arrays():
     space = space_for(4)
     res = bayes.run_exact(net, space, horizon=space.m * 4 + 1, utility="discrete")
     stats = bayes.fixation_stats(res)
-    assert stats["max_fixation"] == max(res.fixation_rounds()) and type(stats["max_fixation"]) is int
-    assert stats["fixation"][res.profile_of].tolist() == res.fixation_rounds()
-    assert stats["changes"][:, res.profile_of].T.tolist() == res.change_counts()
+    assert stats["max_fixation"] == max(fixation_rounds(res)) and type(stats["max_fixation"]) is int
+    assert stats["fixation"][res.profile_of].tolist() == fixation_rounds(res)
+    assert stats["changes"][:, res.profile_of].T.tolist() == change_counts(res)
     # the counts sum in int32, and equal the default int64 sum
     assert stats["changes"].dtype == np.int32 and np.array_equal(stats["changes"], res._changed().sum(axis=0))
 

@@ -1,12 +1,13 @@
 import logging
 import warnings
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn import cascade
+from opdyn import cascade, signals
 from opdyn.signals import FiniteModel, GaussianLLR, bernoulli_delta
 from oracles import (fraction_cascade_run_exact, fraction_limit_accuracy, observer_update, per_trial_gaussian_run,
                      per_trial_run_sampled)
@@ -27,7 +28,7 @@ def test_observer_update_is_bayes():
     assert observer_update(MODEL, Fraction(1), 0) == Fraction(2)
     # the chain's children are the same updates
     chain = cascade._Chain(MODEL)
-    assert [chain.rows[chain.child(0, a)][0] for a in (1, 0)] == [Fraction(1, 2), Fraction(2)]
+    assert [chain.rows[chain.children(0)[a][0]][0] for a in (1, 0)] == [Fraction(1, 2), Fraction(2)]
 
 
 def test_cascade_states():
@@ -115,6 +116,47 @@ def test_run_sampled_matches_per_trial_oracle(model, n, trials, seed):
     got = cascade.run_sampled(model, n, trials, seed)
     want = per_trial_run_sampled(model, n, trials, seed)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_run_sampled_blocks_match_the_per_trial_oracle(monkeypatch):
+    # 300 trials in blocks of 64: four whole blocks and a short one, each on its own trial_rng(seed, b),
+    # while the incommensurate chain keeps numbering new ratios
+    monkeypatch.setattr(signals, "_MC_BLOCK", 64)
+    got = cascade.run_sampled(INCOMMENSURATE, 25, 300, seed=9)
+    want = per_trial_run_sampled(INCOMMENSURATE, 25, 300, seed=9)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# two-sided Bonferroni quantiles of N(0, 1) at family level 1e-6, by cell count: P(|Z| > z) = 1e-6 / cells
+LAW_Z = {20: 5.45, 24: 5.48}
+
+
+@pytest.mark.parametrize("model, n, seed", [(MODEL, 12, 1), (THREE_LETTER, 10, 2)],
+                         ids=["bernoulli-1/6", "three-letter"])
+def test_run_sampled_follows_the_exact_law(model, n, seed):
+    # each position's correct and cascaded counts are Binomial(trials, p) with p from run_exact
+    trials = 200_000
+    exact = cascade.run_exact(model, n)
+    cells = []
+    for name, freqs, law in zip(("p_correct", "p_cascaded_by"), cascade.run_sampled(model, n, trials, seed),
+                                (exact.p_correct, exact.p_cascaded_by)):
+        for i, (f, p) in enumerate(zip(freqs.tolist(), law)):
+            count = round(f * trials)
+            if p in (0, 1):
+                assert count == p * trials, f"{name}[{i}]: {count} of {trials} where the law says {p}"
+            else:
+                z = abs(count - trials * p) / sqrt(trials * p * (1 - p))
+                cells.append((float(z), f"{name}[{i}]: {count} of {trials} against p = {p}"))
+    z, where = max(cells)
+    assert z <= LAW_Z[2 * n], f"worst cell {where}, |z| = {z:.2f} > {LAW_Z[2 * n]}"
+
+
+def test_run_sampled_logs_sizes(caplog, monkeypatch):
+    monkeypatch.setattr(signals, "_MC_BLOCK", 64)
+    with caplog.at_level(logging.DEBUG, logger="opdyn"):
+        cascade.run_sampled(MODEL, 8, trials=300, seed=4)
+    # the ratios 1 and 2, and 1/2 and 4, where cascades on 1 and on 0 start
+    assert "finite cascade MC: n=8 trials=300 blocks=5 chain_rows=4" in caplog.text
 
 
 def test_gaussian_keeps_learning():

@@ -454,16 +454,18 @@ def test_voter_strong_writes_delta_as_a_fraction(capsys):
     assert rec["delta"] == "1/10"
 
 
-def _run_cli(argv, preexec_fn=None, **env):
+def _run_cli(argv, preexec_fn=None, stdout=subprocess.PIPE, **env):
     env = dict({k: v for k, v in os.environ.items() if k != "OPDYN_LOG"}, **env, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", "import sys; from opdyn import cli; code = cli.main(sys.argv[1:]); "
                            "print('logging' in sys.modules, file=sys.stderr); sys.exit(code)"] + argv,
-                          capture_output=True, text=True, env=env, timeout=120, check=False, preexec_fn=preexec_fn)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120, check=False,
+                          preexec_fn=preexec_fn)
 
 
-# the children's address-space cap: with one BLAS thread both runs below fit
-# in about 250 MB; a whole 20000 x 2001 float64 draw would add 305 MiB
+# the children's address-space cap: with one BLAS thread the runs below fit
+# in about 250 MB; a whole 20000 x 2001 float64 draw would add 305 MiB, and
+# the cascade walk over all 6 million trials at once peaks near 500 MB
 AS_CAP = 384 << 20
 
 
@@ -471,7 +473,8 @@ AS_CAP = 384 << 20
     ["majority", "--graph", "cycle:2001", "--mode", "mc", "--trials", "20000", "--delta", "3/10"],
     # every trial starts at consensus, so the run is little more than the signal draw
     ["voter-strong", "--graph", "cycle:2001", "--trials", "20000", "--delta", "1/2"],
-], ids=["majority", "voter-strong"])
+    ["cascade", "--signal", "bernoulli:1/6", "--mode", "mc", "--n", "4", "--trials", "6000000"],
+], ids=["majority", "voter-strong", "cascade"])
 def test_large_sampling_runs_fit_a_capped_address_space(argv):
     resource = pytest.importorskip("resource")
 
@@ -480,7 +483,20 @@ def test_large_sampling_runs_fit_a_capped_address_space(argv):
     # OpenBLAS reserves address space per thread, so one thread keeps the cap machine-independent
     proc = _run_cli(argv, preexec_fn=cap, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     assert proc.returncode == 0, proc.stderr[-500:]
-    assert json.loads(proc.stdout)["trials"] == 20000
+    assert json.loads(proc.stdout)["trials"] == int(argv[argv.index("--trials") + 1])
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # as in `opdyn cascade ... | head -c 300`: the reading end is closed before the record is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_cli(["cascade", "--signal", "bernoulli:1/6", "--mode", "mc", "--n", "200", "--trials", "20000"],
+                        stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == "False\n"        # no traceback, no "Exception ignored" from the final flush
 
 
 def test_opdyn_log_debug_sends_the_records_to_stderr():
@@ -693,7 +709,8 @@ def test_exact_p_w_refuses_more_agents_than_the_exact_cap_before_it_solves(capsy
 @pytest.mark.parametrize("spec, message", [
     ("random_regular:20:4:-1", "random_regular needs an integer seed >= 0, got -1"),
     # a simple 16-regular pairing on 40 agents has probability about e^-64; the budget once took 2.2 s to run out
-    ("random_regular:40:16:1", "could not realize a connected 16-regular graph on 40 nodes after 10000 pairings"),
+    ("random_regular:40:16:1", "the pairing sampler drew 10000 pairings without a connected simple 16-regular "
+                               "graph on 40 nodes and gave up; such graphs may exist"),
 ])
 def test_random_regular_refusals_name_the_spec(capsys, spec, message):
     start = time.perf_counter()

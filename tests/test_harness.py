@@ -6,7 +6,7 @@ import pytest
 from opdyn import harness, majority, voter
 from opdyn.harness_util import wilson_interval
 from opdyn.network import StationaryDistribution, generate
-from oracles import config_from_json
+from oracles import config_from_json, config_to_json
 
 
 def test_wilson_midpoint():
@@ -28,13 +28,13 @@ def test_wilson_boundaries():
 
 def test_config_json_round_trip():
     cfg = harness.registry("three-bit-map")
-    back = config_from_json(cfg.to_json())
+    back = config_from_json(config_to_json(cfg))
     assert back == cfg
 
 
 def test_config_schema_version_rejected():
     cfg = harness.registry("three-bit-map")
-    data = json.loads(cfg.to_json())
+    data = json.loads(config_to_json(cfg))
     data["schema_version"] = 99
     with pytest.raises(ValueError):
         config_from_json(json.dumps(data))
@@ -43,7 +43,7 @@ def test_config_schema_version_rejected():
 def test_config_holds_only_the_settings_experiments_read():
     # schema 2 dropped mode, horizon and options, which no experiment read; a schema 1 config is refused
     cfg = harness.registry("voter-absorption")
-    assert sorted(json.loads(cfg.to_json())) == ["name", "schema_version", "seed", "trials"]
+    assert sorted(json.loads(config_to_json(cfg))) == ["name", "schema_version", "seed", "trials"]
     old = {"name": "voter-absorption", "mode": "mc", "trials": 100000, "seed": 20240601, "horizon": 0,
            "options": {}, "schema_version": 1}
     with pytest.raises(ValueError, match="unsupported schema version 1"):

@@ -14,8 +14,8 @@ from opdyn import network
 from opdyn.harness_util import int_dtype, scaled, unscaled
 from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, from_pairs, generate, read_network,
                            require_stochastic, stationary_distribution, validate)
-from oracles import (ball, distances_from, fraction_stationary, fraction_violations, fraction_weight_matrix, mixing_tv,
-                     rational_digraphs, reachability_distances, solve_rational, write_network)
+from oracles import (ball, distances_from, edge_weight, fraction_stationary, fraction_violations, fraction_weight_matrix,
+                     mixing_tv, rational_digraphs, reachability_distances, solve_rational, write_network)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -73,8 +73,8 @@ def test_non_rational_weights_are_refused(edges, edge, weight):
 
 def test_rational_weights_of_every_type_become_fractions():
     net = Network(n=2, edges=((0, 0, np.int64(1)), (1, 0, True), (1, 1, Fraction(0)), (0, 1, 0)))
-    assert all(type(net.weight(i, j)) is Fraction for i, j, _w in net.edges)
-    assert [net.weight(0, 0), net.weight(1, 0), net.weight(1, 1)] == [1, 1, 0]
+    assert all(type(edge_weight(net, i, j)) is Fraction for i, j, _w in net.edges)
+    assert [edge_weight(net, 0, 0), edge_weight(net, 1, 0), edge_weight(net, 1, 1)] == [1, 1, 0]
     assert validate(net, require_stochastic=True).violations == [
         "non-positive weight on edge (0,1)", "non-positive weight on edge (1,1)"]
 
@@ -149,8 +149,8 @@ def test_file_round_trip(tmp_path):
     # every spelling of a weight is read exactly
     path.write_text("n 3 directed\n0 0 1\n1 0 0.25\n1 1 1/4\n1 2 2.5e-1\n2 2 1\n")
     decimal = read_network(path)
-    assert [decimal.weight(i, j) for i, j, _w in decimal.edges] == [1] + [Fraction(1, 4)] * 3 + [1]
-    assert all(type(decimal.weight(i, j)) is Fraction for i, j, _w in decimal.edges)
+    assert [edge_weight(decimal, i, j) for i, j, _w in decimal.edges] == [1] + [Fraction(1, 4)] * 3 + [1]
+    assert all(type(edge_weight(decimal, i, j)) is Fraction for i, j, _w in decimal.edges)
     for net in (generate("star", 5), decimal, Network(n=2, edges=((0, 1, np.int64(1)),), directed=False)):
         write_network(net, path)
         back = read_network(path)

@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from opdyn import signals
 from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, cube,
-                           map_accuracy_three_bits, read_signal_model, sample_world, three_bit_epsilon, trial_rng,
-                           xor_pair)
-from oracles import (belief_support, delta_independence, fraction_map_accuracy_three_bits, private_belief, tv_distance,
-                     write_signal_model)
+                           map_accuracy_three_bits, read_signal_model, three_bit_epsilon, trial_rng, xor_pair)
+from oracles import (belief_support, delta_independence, fraction_map_accuracy_three_bits, gaussian_llr, private_belief,
+                     prob, tv_distance, write_signal_model)
 
 
 def test_bernoulli_model_exact():
     m = bernoulli_delta(Fraction(1, 6))
-    assert m.prob(1, 1) == Fraction(2, 3)
-    assert m.prob(1, 0) == Fraction(1, 3)
+    assert prob(m, 1, 1) == Fraction(2, 3)
+    assert prob(m, 1, 0) == Fraction(1, 3)
     assert private_belief(m, 1) == Fraction(2, 3)
     kind, lo, hi = belief_support(m)
     assert (kind, lo, hi) == ("bounded", Fraction(1, 3), Fraction(2, 3))
@@ -77,7 +76,7 @@ def test_repeated_letters_rejected():
 
 def test_gaussian_support_unbounded():
     assert belief_support(GaussianLLR(1.0)) == ("unbounded",)
-    assert GaussianLLR(2.0).llr(1.0) == 1.0
+    assert gaussian_llr(GaussianLLR(2.0), 1.0) == 1.0
 
 
 def test_xor_pair_is_uninformative_marginally():
@@ -168,14 +167,6 @@ def test_trial_rng_reproducible_and_distinct():
     c = trial_rng(7, 4).random(4)
     assert np.allclose(a, b)
     assert not np.allclose(a, c)
-
-
-def test_sample_world_respects_state():
-    m = bernoulli_delta(Fraction(49, 100))
-    rng = trial_rng(0, 0)
-    w = sample_world(m, 50, rng)
-    matches = sum(1 for x in w.signals if x == w.s)
-    assert matches > 40  # p = 0.99
 
 
 def test_tv_distance():

@@ -24,7 +24,11 @@ The package holds only what it runs: every top-level function or class in
 src/opdyn is referenced by another definition there, as a bare name in its
 own module, through `from .mod import name` and a use of the name, or as
 `mod.name` on a module imported with `from . import mod`, unless it is on
-UNREFERENCED_CALLERS with the caller outside src that keeps it.
+UNREFERENCED_CALLERS with the caller outside src that keeps it. Every
+method of a src class, dunders aside, has its name read as an attribute
+somewhere in src outside its own body, under the same allow-list; a method
+name that two classes define is on SHARED_METHOD_NAMES with both classes,
+since an attribute read cannot tell them apart.
 """
 
 import ast
@@ -67,6 +71,8 @@ UNREFERENCED_CALLERS = {
     "voter.run_strong_voter": "bench/workloads.py",
     "harness.run_registry": "bench/record_golden.py",
 }
+# method names that more than one src class defines, each with all its classes
+SHARED_METHOD_NAMES = {}
 
 
 def _helper_lines():
@@ -225,13 +231,51 @@ def _referenced(trees):
     return refs
 
 
+def _methods(trees):
+    """{method name: [("module.Class", FunctionDef)]} of every method of a top-level src class, dunders aside."""
+    methods = defaultdict(list)
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                            and not (fn.name.startswith("__") and fn.name.endswith("__")):
+                        methods[fn.name].append((f"{module}.{cls.name}", fn))
+    return methods
+
+
+def _unread_methods(trees, methods):
+    """{"module.Class.method": "module.py:line: Class.method"} of the methods that src never reads.
+
+    A method is read when its name is an attribute anywhere in src outside its own body.
+    """
+    reads = defaultdict(list)       # attribute name -> (module, line) of every read
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr].append((module, node.lineno))
+    return {f"{owner}.{name}": f"{owner.partition('.')[0]}.py:{fn.lineno}: {owner.partition('.')[2]}.{name}"
+            for name, defs in methods.items() for owner, fn in defs
+            if all(module == owner.partition(".")[0] and fn.lineno <= line <= fn.end_lineno
+                   for module, line in reads[name])}
+
+
 def test_every_src_definition_is_referenced():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     refs = _referenced(trees)
     unreferenced = {f"{module}.{top.name}": f"{module}.py:{top.lineno}: {top.name}"
                     for module, tree in trees.items() for top in tree.body
                     if isinstance(top, DEFINITIONS) and (module, top.name) not in refs}
+    methods = _methods(trees)
+    unreferenced.update(_unread_methods(trees, methods))
     hits = [where for name, where in unreferenced.items() if name not in UNREFERENCED_CALLERS]
     assert not hits, "no src definition references these; move them to tests/oracles.py:\n" + "\n".join(hits)
     stale = sorted(set(UNREFERENCED_CALLERS) - set(unreferenced))
     assert not stale, f"now referenced in src or gone, drop from UNREFERENCED_CALLERS: {stale}"
+    shared = {name: sorted(owner for owner, _fn in defs) for name, defs in methods.items() if len(defs) > 1}
+    unlisted = [f"{name}: {owners}" for name, owners in shared.items()
+                if sorted(SHARED_METHOD_NAMES.get(name, ())) != owners]
+    assert not unlisted, "an attribute read cannot tell these methods apart; rename one, or list both classes " \
+                         "on SHARED_METHOD_NAMES:\n" + "\n".join(unlisted)
+    stale = sorted(set(SHARED_METHOD_NAMES) - set(shared))
+    assert not stale, f"no longer shared, drop from SHARED_METHOD_NAMES: {stale}"

@@ -25,7 +25,7 @@ import numpy as np
 from . import signals
 from .harness_util import debug, int_dtype, scaled
 from .network import _solve_integer
-from .signals import FiniteModel, GaussianLLR, trial_rng
+from .signals import FiniteModel, GaussianLLR, check_trials, trial_rng
 
 def private_ratio(model: FiniteModel, k) -> Fraction:
     """P(psi = x | S=0) / P(psi = x | S=1) for alphabet index k."""
@@ -217,6 +217,7 @@ def run_sampled(model: FiniteModel, n, trials, seed):
     and next row; they grow as trials reach new rows, so memory is
     O(block + chain rows + n) at any trial count.
     """
+    trials = check_trials(trials)
     chain = _Chain(model)
     sums = [np.cumsum([float(p) for p in mu]) for mu in (model.mu0, model.mu1)]
     cuts = np.stack([c / c[-1] for c in sums], axis=1)[:-1]     # cuts[j, S]: the letter is > j iff u >= it
@@ -263,8 +264,7 @@ def gaussian_run(model: GaussianLLR, n, trials, seed):
     one, whose trials all act 0), so the output is bit-identical to updating
     every trial's ratio itself. The DEBUG record counts infinite or NaN children.
     """
-    if trials < 1:
-        raise ValueError("gaussian_run needs at least one trial")
+    trials = check_trials(trials)
     sigma2 = float(model.sigma2)
     sigma = sqrt(sigma2)
     base = trial_rng(seed, 0)

@@ -19,23 +19,25 @@ import numpy as np
 from . import bayes, cascade, degroot, majority, voter
 from .harness import experiment_names, registry, run_experiment
 from .harness_util import read_rational, wilson_interval
-from .network import generate, read_network, stationary_distribution
+from .network import _symmetric_pairs, generate, read_network, stationary_distribution
 from .signals import FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, read_signal_model, trial_rng
 
 
 def _load_graph(spec):
+    """The network of a graph spec: `kind:n`, `random_regular:n:d[:seed]` (seed 0 if left out), or a file path."""
     try:
-        if ":" in spec:
-            parts = spec.split(":")
-            kind = parts[0]
-            n = int(parts[1])
-            if kind == "random_regular":
-                d = int(parts[2])
-                seed = int(parts[3]) if len(parts) > 3 else 0
-                return generate(kind, n, d=d, seed=seed)
-            return generate(kind, n)
-        return read_network(spec)
-    except (ValueError, IndexError, OSError) as exc:
+        if ":" not in spec:
+            return read_network(spec)
+        kind, *fields = spec.split(":")
+        if kind == "random_regular":
+            if len(fields) not in (2, 3):
+                raise ValueError("expected random_regular:n:d[:seed]")
+            n, d, seed = map(int, fields + ["0"] * (3 - len(fields)))
+            return generate(kind, n, d=d, seed=seed)
+        if len(fields) != 1:
+            raise ValueError("expected kind:n, or random_regular:n:d[:seed]")
+        return generate(kind, int(fields[0]))
+    except (ValueError, OSError) as exc:
         raise ValueError(f"bad graph spec {spec!r}: {exc}") from exc
 
 
@@ -170,7 +172,7 @@ def _cmd_majority(args):
     if args.emit_lyapunov:
         rng = trial_rng(seed, 1)
         config = [int(v) for v in (rng.integers(0, 2, size=net.n) * 2 - 1)]
-        traj = majority.trajectory(net, [config], len(net.undirected_edge_list()) + 2)
+        traj = majority.trajectory(net, [config], len(net.cached(_symmetric_pairs)) + 2)
         lyap = majority.lyapunov_series(net, traj)[:, 0].tolist()
         j = majority.j_series(net, traj)[:, 0].tolist()
         record["initial_config"] = config

@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import EXACT_SOLVE_MAX_N, Network, _solve_integer, require_stochastic, stationary_distribution
 from .harness_util import debug, scaled, unscaled, wilson_interval
-from .signals import bernoulli_blocks, check_delta
+from .signals import bernoulli_blocks, check_delta, check_trials
 
 # exact p_w refuses a DP over more distinct weighted signal sums than this
 EXACT_DP_MAX_SUPPORT = 2 ** 20
@@ -90,6 +90,7 @@ def learning_probability(net: Network, delta, mode="exact",
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
+        trials = check_trials(trials)
         wins, ties = _sample_p_w(alpha, delta, trials, rng)
         lo, hi = wilson_interval(wins, trials)
         return LearningEstimate(p=wins / trials, tie_mass=ties / trials,

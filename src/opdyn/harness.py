@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bayes, cascade, degroot, majority, voter
 from .harness_util import int_dtype, scaled, wilson_interval
-from .network import Network, from_pairs, generate, stationary_distribution
+from .network import Network, _symmetric_pairs, from_pairs, generate, stationary_distribution
 from .signals import (FiniteModel, bernoulli_cube, bernoulli_delta, cube, GaussianLLR, xor_pair, three_bit_epsilon,
                       map_accuracy_three_bits, trial_rng)
 
@@ -203,7 +203,7 @@ def _exp_majority_period2(cfg):
     """Exhaustive period/Lyapunov audit over every initial configuration."""
     checks = []
     for net in _majority_test_nets():
-        edge_count = len(net.undirected_edge_list())
+        edge_count = len(net.cached(_symmetric_pairs))
         traj = majority.trajectory(net, majority.all_spin_configs(net.n), edge_count + 2)
         checks.append(_period2_checks(traj, majority.lyapunov_series(net, traj),
                                       majority.j_series(net, traj), edge_count))
@@ -353,7 +353,7 @@ def _exp_senate(cfg):
     # engine cross-check at n=10: isolated agents fed (signal, verdict) letters
     n = 10
     space = _senate_joint_space(n, k, delta)
-    net = Network(n=n, edges=tuple((i, i, Fraction(1)) for i in range(n)), directed=False)
+    net = Network(n=n, edges=tuple((i, i, Fraction(1)) for i in range(n)))
     res = bayes.run_exact(net, space, horizon=2, utility="discrete")
     # each atom's last actions against the verdict halves of its letters, whose ids are 2 signal + verdict
     verdicts = space.atoms.sig[:, space.atoms.profile_of] % 2

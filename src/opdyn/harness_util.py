@@ -36,6 +36,13 @@ def read_rational(text):
         raise ValueError(f"zero denominator: {exc}") from None
 
 
+def content_lines(path):
+    """(line number from 1, stripped text) of each line of a text file that is neither blank nor a `#` comment."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
+    return [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+
+
 def scaled(values):
     """(D, ints): D the lcm of the denominators of the rationals `values`, ints[k] = values[k] * D.
 

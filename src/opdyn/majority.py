@@ -2,7 +2,8 @@
 
 Each round every agent adopts the sign of the sum of its closed neighborhood
 (which includes itself; closed neighborhoods must have odd size so the sum is
-never zero). On a finite undirected graph the trajectory enters a cycle of
+never zero). On a finite undirected graph, a symmetric edge set, the only
+kind run here (network._symmetric_pairs), the trajectory enters a cycle of
 period at most two within |E| rounds; the integer Lyapunov functional
 L_t = 1/2 sum over ordered neighbour pairs (i, j) of (A^i_{t+1} - A^j_t)^2
 certifies this step by step.
@@ -19,8 +20,8 @@ from itertools import chain
 import numpy as np
 
 from .harness_util import debug, int_dtype
-from .network import Network, _slots
-from .signals import bernoulli_blocks, bernoulli_cube, check_delta, cube
+from .network import Network, _slots, _symmetric_pairs
+from .signals import bernoulli_blocks, bernoulli_cube, check_delta, check_trials, cube
 
 EXACT_RETENTION_MAX_N = 23
 
@@ -38,13 +39,12 @@ class _Neighbourhoods:
     neighbourhood hold a filler that keep[k, i] = 0 masks out. dtype is the
     smallest signed integer type that holds every closed-neighbourhood sum,
     so batches stay narrow. Batches may have any leading axes, with agents on
-    the last one. Built once per network (Network.cached); refuses a directed
-    network and a closed neighbourhood of even size.
+    the last one. Built once per network (Network.cached); refuses a network
+    that is not undirected and a closed neighbourhood of even size.
     """
 
     def __init__(self, net: Network):
-        if net.directed:
-            raise ValueError("majority dynamics runs on undirected networks")
+        self.pairs = len(net.cached(_symmetric_pairs)) + 1      # |E| + 1 double steps reach a limit (limit_profiles)
         self.idx, keep = net.cached(_slots)
         deg = keep.sum(axis=0)
         even = np.flatnonzero(deg % 2 == 0)
@@ -54,7 +54,6 @@ class _Neighbourhoods:
         self.keep = keep.astype(self.dtype)
         # slots 1.. for sums, with no mask where every neighbourhood reaches the slot
         self._rest = [(i, None if k.all() else k) for i, k in zip(self.idx[1:], self.keep[1:])]
-        self.pairs = len(net.undirected_edge_list()) + 1     # double steps that reach a limit (limit_profiles)
 
     def sums(self, batch):
         """(N A)_i = sum_{j in N(i)} A^j per row, in dtype."""
@@ -92,7 +91,7 @@ def lyapunov_series(net: Network, traj) -> np.ndarray:
     """L_0 .. L_{T-1} for every row of a (T + 1) x rows x n trajectory, as T x rows int64.
 
     L_t = 1/2 sum over ordered neighbour pairs (i, j) of (A^i_{t+1} - A^j_t)^2.
-    The symmetric-directed edge set counts each undirected edge in both
+    The symmetric edge set counts each undirected edge in both
     orientations and each self-loop once; halving keeps the value an integer
     (every square is 0 or 4, paired across orientations) and makes the exact
     decrement identity L_t - L_{t-1} = -J_t come out with J as in j_series.
@@ -249,8 +248,9 @@ def retention_error(net: Network, delta, mode="exact", trials=10000, rng=None):
         _c, P, Q, den = _canonical_weights(net, delta)
         return Fraction(int(np.minimum(P, Q).sum()), den)
     if mode == "monte_carlo":
-        if rng is None or trials < 1:
-            raise ValueError("monte_carlo mode needs an rng and trials >= 1")
+        if rng is None:
+            raise ValueError("monte_carlo mode needs an rng")
+        trials = check_trials(trials)
         if n % 2 == 0:
             raise ValueError("majority-vote surrogate needs odd n")
         s, blocks = bernoulli_blocks(rng, trials, n, delta)

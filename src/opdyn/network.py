@@ -3,13 +3,11 @@
 Networks here are the substrate for every dynamic in the package: a simple,
 strongly connected directed graph, optionally carrying row-stochastic weights
 (one weight per out-edge, rows summing to 1, self-loop on every node). Every
-weight is an exact rational, a Fraction from construction on, so every exact
-oracle can read any network; graph files spell weights as 1/4, 0.25 or
-2.5e-1, read exactly. Undirected graphs are stored as symmetric directed
-pairs. Each network's weights are also held as integers, in one IntegerView
-built and validated on first use and kept with the network. Every network has
-at least one agent. Seeded topologies (random_regular) are drawn from one
-numpy generator, np.random.default_rng(seed).
+weight is an exact rational, held in the network's one IntegerView; graph
+files spell weights as 1/4, 0.25 or 2.5e-1, read exactly. A network is
+undirected when its edge set is symmetric (_symmetric_pairs). Every network
+has at least one agent. Seeded topologies (random_regular) are drawn from
+one numpy generator, np.random.default_rng(seed).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from numbers import Integral, Rational
 
 import numpy as np
 
-from .harness_util import debug, int_dtype, read_rational, scaled, unscaled
+from .harness_util import content_lines, debug, int_dtype, read_rational, scaled, unscaled
 
 # generate builds no topology with more agents, or more neighbour pairs, than this
 GENERATE_MAX_SIZE = 10 ** 5
@@ -44,78 +42,55 @@ REBUILD_MAX_DEN = 10 ** 6
 class Network:
     """Simple directed graph with weighted edges.
 
-    edges are (source, target, weight) triples, 0-indexed. A weight is a
-    numbers.Rational (an int, a Fraction or a numpy integer) and is kept as a
-    Fraction; any other weight, a float among them, raises ValueError naming
-    its edge. ``directed=False`` means the edge list is already symmetric
-    (both directions present); generators take care of that. Immutable after
-    construction, safe to share across trial workers.
+    edges are (source, target, weight) triples, 0-indexed, kept as given. A
+    weight is a numbers.Rational (an int, a Fraction or a numpy integer); the
+    view, an IntegerView and the one store of the weights, refuses any other
+    weight, an endpoint out of range and a parallel edge with ValueError.
+    Immutable after construction, safe to share across trial workers.
     """
 
     n: int
     edges: tuple = ()
-    directed: bool = True
-    _out: dict = field(init=False, repr=False, compare=False)
+    view: IntegerView = field(init=False, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        out = {i: {} for i in range(self.n)}
-        for (i, j, w) in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if j in out[i]:
-                raise ValueError(f"parallel edge ({i},{j})")
-            if type(w) is not Fraction:
-                if not isinstance(w, Rational):
-                    raise ValueError(f"edge ({i},{j}) has the weight {w!r}, which is not rational: "
-                                     f"pass an int or a Fraction, such as Fraction(str(w))")
-                w = Fraction(w)
-            out[i][j] = w
-        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "view", IntegerView(self))
         object.__setattr__(self, "_cache", {})
 
     # -- basic views ---------------------------------------------------------
 
     def out_neighbors(self, i):
-        return self._out[i]
+        """{j: w(i, j)} over agent i's out-edges, as Fractions read back from the view."""
+        view = self.view
+        at = slice(view.indptr[i], view.indptr[i + 1])
+        return dict(zip(view.J[at].tolist(), unscaled(int(view.D[i]), view.C[at].tolist())))
 
     def weight_matrix(self):
         """Float matrix P with P[i, j] = w(i, j), from the integer view's float weights."""
-        view = self.cached(_integer_view)
         P = np.zeros((self.n, self.n))
-        P[view.rows, view.J] = view.W
+        P[self.view.rows, self.view.J] = self.view.W
         return P
 
     def cached(self, build):
         """build(self), computed on the first call and kept: a Network never changes.
 
         Nothing is kept when build raises, so a refusal repeats on every call.
-        The keys are private builders: the integer view (_integer_view, built
-        by the first validate, require_stochastic, stationary solve or
-        exact kernel that reads it), its neighbour table (_slots), and the
-        tables of the kernels that run on one network many times, such as
+        The keys are private builders: the view's neighbour table (_slots),
+        the pairs of a symmetric edge set (_symmetric_pairs), and the tables
+        of the kernels that run on one network many times, such as
         voter._Stages and majority._Neighbourhoods.
         """
         if build not in self._cache:
             self._cache[build] = build(self)
         return self._cache[build]
 
-    def undirected_edge_list(self):
-        """Unordered edges {i, j} with i <= j (each once). Self-loops included."""
-        seen = set()
-        for (i, j, _w) in self.edges:
-            seen.add((min(i, j), max(i, j)))
-        return sorted(seen)
-
     # -- connectivity --------------------------------------------------------
 
     def is_strongly_connected(self):
-        back = [[] for _ in range(self.n)]
-        for (i, j, _w) in self.edges:
-            back[j].append(i)
-        return -1 not in _bfs(self._out, 0) and -1 not in _bfs(back, 0)
+        return self.view.connected
 
 
 def _bfs(adj, start):
@@ -142,25 +117,39 @@ class IntegerView:
     denominator reaches 2^63. rows[k] is the agent of entry k, and W[k] its
     weight as a float, correctly rounded.
 
+    connected is strong connectivity, and one_way the index in net.edges of
+    the first edge without its reverse, None on a symmetric edge set.
     faults lists the violations of the base invariants (out-degree >= 1,
     strong connectivity), and row_faults those of the stochastic ones
     (self-loop, positive weights, each row summing to 1 exactly: sum C = D),
-    in the words of validate. Built once per network, on the first read
-    through Network.cached(_integer_view); a faulty network keeps its view,
-    and require_stochastic refuses it on every call.
+    in the words of validate. Network builds it once, in the pass that
+    checks the edges; require_stochastic refuses a faulty one on every call.
     """
 
     def __init__(self, net: Network):
+        n = net.n
+        out, back = [{} for _ in range(n)], [[] for _ in range(n)]
+        for (i, j, w) in net.edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+            if j in out[i]:
+                raise ValueError(f"parallel edge ({i},{j})")
+            if type(w) is not Fraction:
+                if not isinstance(w, Rational):
+                    raise ValueError(f"edge ({i},{j}) has the weight {w!r}, which is not rational: "
+                                     f"pass an int or a Fraction, such as Fraction(str(w))")
+                w = Fraction(w)
+            out[i][j] = w
+            back[j].append(i)
         J, C, D, weights, faults, row_faults = [], [], [], [], [], []
-        for i in range(net.n):
-            nb = net.out_neighbors(i)
+        for i, nb in enumerate(out):
             if not nb:
                 faults.append(f"node {i} has out-degree 0")
             if i not in nb:
                 row_faults.append(f"node {i} has no self-loop")
             js = sorted(nb)
             ws = [nb[j] for j in js]
-            row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in nb.items() if w.numerator <= 0]
+            row_faults += [f"non-positive weight on edge ({i},{j})" for j, w in zip(js, ws) if w.numerator <= 0]
             d, cs = scaled(ws)
             if sum(cs) != d:
                 row_faults.append(f"row {i} sums to {Fraction(sum(cs), d)}, not 1")
@@ -168,13 +157,15 @@ class IntegerView:
             C += cs
             D.append(d)
             weights += ws
-        if not net.is_strongly_connected():
+        self.connected = -1 not in _bfs(out, 0) and -1 not in _bfs(back, 0)
+        self.one_way = next((k for k, (i, j, _w) in enumerate(net.edges) if i not in out[j]), None)
+        if not self.connected:
             faults.append("graph is not strongly connected")
         bound = max(max(D, default=0), max(map(abs, C), default=0))
         dtype = int_dtype(bound)
-        sizes = np.array([len(net.out_neighbors(i)) for i in range(net.n)], dtype=np.int64)
+        sizes = np.array([len(nb) for nb in out], dtype=np.int64)
         self.indptr = np.concatenate(([0], np.cumsum(sizes)))
-        self.rows = np.repeat(np.arange(net.n), sizes)
+        self.rows = np.repeat(np.arange(n), sizes)
         self.J = np.array(J, dtype=np.int64)
         self.C = np.array(C, dtype=dtype)
         self.D = np.array(D, dtype=dtype)
@@ -185,23 +176,33 @@ class IntegerView:
         self.faults, self.row_faults = tuple(faults), tuple(row_faults)
 
 
-def _integer_view(net: Network) -> IntegerView:
-    """The Network.cached key of a network's IntegerView."""
-    return IntegerView(net)
-
-
 def _slots(net: Network):
     """(idx, keep), max out-degree x n: idx[k, i] is agent i's k-th out-neighbour where keep[k, i], else i.
 
     The one layout of the IntegerView's rows by slot, built once per network
     through Network.cached(_slots).
     """
-    view = net.cached(_integer_view)
+    view = net.view
     deg = np.diff(view.indptr)
     keep = np.arange(int(deg.max(initial=0)))[:, None] < deg
     idx = np.tile(np.arange(net.n), (len(keep), 1))
     idx.T[keep.T] = view.J          # row-major over keep.T is the CSR order: agent by agent, slot by slot
     return idx, keep
+
+
+def _symmetric_pairs(net: Network):
+    """The edges (i, j), i <= j, of an undirected network, self-loops included, as an m x 2 array in index order.
+
+    A network is undirected when its edge set is symmetric, the view's
+    one_way verdict; any other raises ValueError naming its first edge
+    without a reverse. Read through Network.cached.
+    """
+    view = net.view
+    if view.one_way is not None:
+        i, j, _w = net.edges[view.one_way]
+        raise ValueError(f"the network is not undirected: edge ({i},{j}) has no reverse ({j},{i})")
+    keep = view.rows <= view.J
+    return np.stack((view.rows[keep], view.J[keep]), axis=1)
 
 
 @dataclass
@@ -224,7 +225,7 @@ def validate(net: Network, require_stochastic: bool = False) -> ValidationReport
     every node, strictly positive weights, each row summing to 1 exactly. The
     verdict is the one the network's IntegerView found when it was built.
     """
-    view = net.cached(_integer_view)
+    view = net.view
     return ValidationReport(list(view.faults + (view.row_faults if require_stochastic else ())))
 
 
@@ -239,7 +240,7 @@ def require_stochastic(net: Network) -> IntegerView:
     report = validate(net, require_stochastic=True)
     if not report.ok:
         raise ValueError(f"network fails stochastic validation: {report}")
-    return net.cached(_integer_view)
+    return net.view
 
 
 # -- generators --------------------------------------------------------------
@@ -335,7 +336,7 @@ def from_pairs(n, pairs):
         w = Fraction(1, len(closed))
         for j in closed:
             edges.append((i, j, w))
-    return Network(n=n, edges=tuple(edges), directed=False)
+    return Network(n=n, edges=tuple(edges))
 
 
 def generate(kind, n, d=None, seed=None):
@@ -518,12 +519,12 @@ def read_network(path) -> Network:
     """Graph file: `n <count> directed|undirected`, then `src dst weight` lines.
 
     Every weight is read exactly, by harness_util.read_rational: 1, 1/4, 0.25
-    and 2.5e-1 are Fractions, and nan, inf or 1/0 is refused. Blank lines and lines whose first non-blank character is `#` are skipped.
-    A malformed line, or a count below 1, raises ValueError naming its line number.
+    and 2.5e-1 are Fractions, and nan, inf or 1/0 is refused. Blank and `#`
+    lines are skipped (harness_util.content_lines). A malformed line, a count
+    below 1, or under `undirected` an edge without its reverse raises
+    ValueError naming its line. `directed` claims nothing.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
-    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(path)
     if not lines:
         raise ValueError("empty graph file: expected a header 'n <count> directed|undirected'")
     no, header = lines[0]
@@ -542,4 +543,9 @@ def read_network(path) -> Network:
             edges.append((int(fields[0]), int(fields[1]), read_rational(fields[2])))
         except ValueError as exc:
             raise ValueError(f"line {no}: expected 'src dst weight': {exc}") from None
-    return Network(n=int(head[1]), edges=tuple(edges), directed=head[2] == "directed")
+    net = Network(n=int(head[1]), edges=tuple(edges))
+    k = net.view.one_way if head[2] == "undirected" else None
+    if k is not None:
+        (no, _ln), (i, j, _w) = lines[k + 1], edges[k]
+        raise ValueError(f"line {no}: the header says undirected, but edge ({i},{j}) has no reverse ({j},{i})")
+    return net

@@ -15,10 +15,11 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
-from .harness_util import read_rational, scaled
+from .harness_util import content_lines, read_rational, scaled
 
 def _check_dist(mu, name):
     if any(p <= 0 for p in mu):
@@ -82,6 +83,13 @@ def check_delta(delta):
     if not 0 <= delta <= Fraction(1, 2):
         raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
     return delta
+
+
+def check_trials(trials):
+    """trials as an int; ValueError unless it is an integer of at least 1. The one trial check of every sampler."""
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"a sampler needs at least one trial, got trials={trials!r}")
+    return int(trials)
 
 
 def cube(n, a):
@@ -166,13 +174,11 @@ def read_signal_model(path) -> FiniteModel:
     """Signal file: the alphabet size k, then the measures given S=0 and S=1, each a line of k rationals.
 
     The alphabet is 0..k-1. Every measure is read exactly, by
-    harness_util.read_rational. Blank lines and lines whose first non-blank
-    character is `#` are skipped. A malformed line, a wrong count of
+    harness_util.read_rational. Blank and `#` lines are skipped
+    (harness_util.content_lines). A malformed line, a wrong count of
     rationals on a line or of measure lines raises ValueError naming the line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)]
-    lines = [(no, toks) for no, toks in lines if toks and not toks[0].startswith("#")]
+    lines = [(no, ln.split()) for no, ln in content_lines(path)]
     if not lines:
         raise ValueError(f"{path}: empty signal model file")
     (no, head), rows = lines[0], lines[1:]

@@ -17,7 +17,8 @@ table state by state (_certify_table).
 Variant: asynchronous edge updates with (opinion, strength) pairs; strong
 opinions beat weak ones, equal-strength disagreements demote or randomize,
 and the pair swaps position with probability 1/2. The consensus opinion is
-the strict signal majority whenever one exists.
+the strict signal majority whenever one exists. It runs on undirected
+networks only, whose edge set is symmetric (network._symmetric_pairs).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from math import prod
 import numpy as np
 
 from .harness_util import debug, int_dtype, scaled, unscaled
-from .network import Network, _integer_view, _pairs_connected, require_stochastic, stationary_distribution
-from .signals import bernoulli_blocks, check_delta, cube
+from .network import Network, _symmetric_pairs, require_stochastic, stationary_distribution
+from .signals import bernoulli_blocks, check_delta, check_trials, cube
 
 # the exact table holds 2^n Fractions, built through the 2^n x n cube(n, 2): at n = 16, 0.02 s and
 # 40 MB peak on cycle:16, 0.3 s where alpha has a 95-bit denominator; that one took 1.4 s at n = 18
@@ -81,7 +82,7 @@ class _Stages:
     """
 
     def __init__(self, net: Network):
-        deg = np.diff(net.cached(_integer_view).indptr)
+        deg = np.diff(net.view.indptr)
         if not deg.all():
             raise ValueError(f"agent {int(np.argmin(deg))} has no out-neighbours")
         view = require_stochastic(net)
@@ -225,7 +226,7 @@ def mc_consensus(net: Network, delta, trials, seed, step_cap=None):
     generator, a block of columns of about _ROUND_WORDS draws at a time.
     """
     n = net.n
-    delta = check_delta(delta)
+    delta, trials = check_delta(delta), check_trials(trials)
     st = net.cached(_Stages)
     if step_cap is None:
         step_cap = 100 * 2 * st.max_deg * n * n
@@ -367,26 +368,21 @@ def absorption_probabilities(net: Network):
 # looked up at ctrl * 16 + 4 * code_i + code_j.
 
 def _strong_pairs(net: Network):
-    """The edges between two distinct agents, which the variant picks uniformly.
+    """The edges (i, j), i < j, of network._symmetric_pairs, which the variant picks uniformly.
 
     Callers take it through net.cached, so each network builds and checks it
-    once. Raises ValueError on a directed network, on one without such an
-    edge and on a disconnected one, whose components can settle on different
-    opinions and never reach one consensus.
+    once. Raises ValueError on a network that is not undirected, on one
+    without such an edge and on a disconnected one, whose components can
+    settle on different opinions and never reach one consensus; on symmetric
+    edges connected is the view's strong connectivity.
     """
-    if net.directed:
-        raise ValueError("strong voter runs on undirected networks")
-    pairs = tuple(e for e in net.undirected_edge_list() if e[0] != e[1])
+    pairs = net.cached(_symmetric_pairs)
+    pairs = tuple(map(tuple, pairs[pairs[:, 0] != pairs[:, 1]].tolist()))
     if not pairs:
         raise ValueError("strong voter needs an edge between two agents")
-    if not _pairs_connected(net.n, pairs):
+    if not net.is_strongly_connected():
         raise ValueError("strong voter needs a connected network: two components never reach one consensus")
     return pairs
-
-
-def _strong_pair_array(net: Network):
-    """_strong_pairs as an intp array, for whole-array lookups; callers take it through net.cached."""
-    return np.array(net.cached(_strong_pairs), dtype=np.intp)
 
 
 def _strong_rule(ai, wi, aj, wj, coin, swap):
@@ -490,13 +486,14 @@ def strong_voter_trials(net: Network, signals, rng):
     at once and drops the trials that reached consensus. Once _LOCKSTEP_MIN
     or fewer trials are open, each runs on alone in turn with _strong_walk,
     drawing from the same rng. values[t] is trial t's consensus opinion and
-    steps[t] its number of edge updates. Raises ValueError on a disconnected
-    network, and TimeoutError if a trial has no consensus after 2000 n^2
+    steps[t] its number of edge updates. Raises ValueError where _strong_pairs
+    does, and TimeoutError if a trial has no consensus after 2000 n^2
     updates.
     """
     n = net.n
     step_cap = 2000 * n * n
-    pair_list, pairs = net.cached(_strong_pairs), net.cached(_strong_pair_array)
+    pair_list = net.cached(_strong_pairs)
+    pairs = np.array(pair_list, dtype=np.intp)
     sig = np.asarray(signals)
     # a bool array holds only 0/1, so it skips the check and its trials x n temporaries
     if sig.ndim != 2 or sig.shape[1] != n or (sig.dtype != bool and not ((sig == 0) | (sig == 1)).all()):

@@ -9,7 +9,8 @@ model's one-step law, and the Hypothesis strategy for random rational digraphs
 sits with the Fraction matrix oracles. That section also holds what no code
 in src/opdyn runs: the DeGroot Fraction stepper, the majority one-step map,
 the Bayes audits (martingale, refinement, locality), the radius-t ball, the
-mixing TV, private beliefs and the writers of the graph and signal files, and
+mixing TV, private beliefs, the writers of the graph and signal files, the
+undirected edge list (which symmetrizes any edge set) and its symmetry check, and
 the former methods that only tests called: edge weights, letter
 probabilities, the Gaussian log ratio, the config JSON, and the Bayes
 partitions, change counts and fixation rounds.
@@ -271,7 +272,7 @@ def scalar_step(net: Network, config) -> tuple:
 
     A^i_{t+1} = sgn sum_{j in N(i)} A^j_t.
     """
-    majority._Neighbourhoods(net)       # refuses a directed graph and even neighbourhoods
+    majority._Neighbourhoods(net)       # refuses a network that is not undirected, and even neighbourhoods
     M = neighbor_matrix(net)
     a = np.asarray(config, dtype=np.int64)
     if a.shape != (net.n,) or not np.all(np.abs(a) == 1):
@@ -310,7 +311,7 @@ def stepwise_limit_profiles(net, configs):
     """Even-phase limits by exactly 2(|E| + 1) single int64 majority rounds."""
     M = neighbor_matrix(net)
     cur = np.asarray(configs, dtype=np.int64)
-    for _ in range(2 * (len(net.undirected_edge_list()) + 1)):
+    for _ in range(2 * (len(undirected_edge_list(net)) + 1)):
         cur = np.sign(cur @ M.T)
     return cur
 
@@ -1040,9 +1041,9 @@ def strong_voter_step(net: Network, state: StrongVoterState, rng) -> StrongVoter
     Equal opinions: no change. Afterwards the two endpoints swap their whole
     (opinion, strength) pairs with probability 1/2.
     """
-    if net.directed:
+    if not is_symmetric(net):
         raise ValueError("strong voter runs on undirected networks")
-    pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
+    pairs = [e for e in undirected_edge_list(net) if e[0] != e[1]]
     i, j = pairs[int(rng.integers(0, len(pairs)))]
     ops = list(state.opinions)
     sts = list(state.strengths)
@@ -1086,7 +1087,7 @@ def per_update_strong_walk(net: Network, state: StrongVoterState, step_cap, rng)
     coin (d >> 1) & 1 and the swap d & 1; strong_voter_step reads them in that
     order, the coin only for a disagreement between two weak agents.
     """
-    pairs = [e for e in net.undirected_edge_list() if e[0] != e[1]]
+    pairs = [e for e in undirected_edge_list(net) if e[0] != e[1]]
     draws = []
     batch = 64
     while 0 < sum(state.opinions) < net.n:
@@ -1136,9 +1137,20 @@ def three_draw_run_strong_voter(net: Network, signals, rng, step_cap=None):
 
 # -- helpers that only the tests call ---------------------------------------
 
+def undirected_edge_list(net: Network):
+    """Unordered edges {i, j} with i <= j (each once), self-loops included, whatever the direction of the edges."""
+    return sorted({(min(i, j), max(i, j)) for (i, j, _w) in net.edges})
+
+
+def is_symmetric(net: Network):
+    """True iff every edge (i, j) of net comes with its reverse (j, i)."""
+    arcs = {(i, j) for (i, j, _w) in net.edges}
+    return all((j, i) in arcs for (i, j) in arcs)
+
+
 def distances_from(net: Network, center):
     """BFS distance (in edges, following direction) from center; -1 if unreachable."""
-    return _bfs(net._out, center)
+    return _bfs([net.out_neighbors(i) for i in range(net.n)], center)
 
 
 def ball(net: Network, center: int, radius: int) -> tuple:
@@ -1155,7 +1167,7 @@ def ball(net: Network, center: int, radius: int) -> tuple:
     edges = tuple(
         (idx[i], idx[j], w) for (i, j, w) in net.edges if i in idx and j in idx
     )
-    return Network(n=len(verts), edges=edges, directed=net.directed), verts
+    return Network(n=len(verts), edges=edges), verts
 
 
 def mixing_tv(net: Network, start: int, t: int) -> float:
@@ -1169,9 +1181,12 @@ def mixing_tv(net: Network, start: int, t: int) -> float:
 
 
 def write_network(net: Network, path):
-    """The graph file that network.read_network reads back as net, every weight written as p/q."""
+    """The graph file that network.read_network reads back as net, every weight written as p/q.
+
+    The header says undirected where the edge set is symmetric, else directed.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {net.n} {'directed' if net.directed else 'undirected'}\n")
+        fh.write(f"n {net.n} {'undirected' if is_symmetric(net) else 'directed'}\n")
         for (i, j, w) in net.edges:
             fh.write(f"{i} {j} {w.numerator}/{w.denominator}\n")
 
@@ -1426,7 +1441,7 @@ def martingale_residual(net: Network, acts):
     Requires uniform weighting w(i, j) = 1/|N(i)| on an undirected network;
     the residual is then identically zero.
     """
-    if net.directed:
+    if not is_symmetric(net):
         raise ValueError("martingale requires an undirected network")
     degs = []
     for i in range(net.n):
@@ -1454,7 +1469,7 @@ class LimitCycle:
 
 def run_to_cycle(net: Network, config) -> LimitCycle:
     """The majority-dynamics cycle of period at most two that the trajectory enters, always within |E| rounds."""
-    edge_count = len(net.undirected_edge_list())
+    edge_count = len(undirected_edge_list(net))
     traj = majority.trajectory(net, [config], edge_count + 2)[:, 0]
     repeats = (traj[2:] == traj[:-2]).all(axis=1)
     if not repeats.any():

@@ -208,7 +208,7 @@ def test_run_exact_matches_oracle_on_named_spaces(utility, tie_rule):
                           utility, tie_rule)
     # isolated agents that see (own bit, verdict) letters: tuple letters, no 0/1 signal
     senate = _senate_joint_space(5, 3, Fraction(1, 6))
-    loops = Network(n=5, edges=tuple((i, i, Fraction(1)) for i in range(5)), directed=False)
+    loops = Network(n=5, edges=tuple((i, i, Fraction(1)) for i in range(5)))
     assert_matches_oracle(loops, senate, 3, utility, tie_rule)
 
 

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from opdyn import cascade, cli, degroot, majority, network, voter
 from opdyn.network import generate
 from opdyn.signals import GaussianLLR, bernoulli_delta, trial_rng
-from oracles import scalar_j_functional, scalar_lyapunov, scalar_step, write_network, write_signal_model
+from oracles import (scalar_j_functional, scalar_lyapunov, scalar_step, undirected_edge_list, write_network,
+                     write_signal_model)
 
 
 def run_json(capsys, argv):
@@ -118,7 +119,7 @@ def test_majority_lyapunov_record_matches_scalar_kernels(capsys, seed):
     net = generate("cycle", 7)
     config = tuple(int(v) for v in (trial_rng(seed, 1).integers(0, 2, size=7) * 2 - 1))
     traj = [config]
-    for _ in range(len(net.undirected_edge_list()) + 2):
+    for _ in range(len(undirected_edge_list(net)) + 2):
         traj.append(scalar_step(net, traj[-1]))
     series = [{"t": t,
                "L": int(scalar_lyapunov(net, traj[t], traj[t + 1])),
@@ -531,7 +532,8 @@ def test_cap_ends_as_json_with_exit_code_3(capsys):
 def test_voter_strong_refuses_a_disconnected_graph(tmp_path, capsys):
     # two 4-node paths that settle on different opinions never reach one consensus
     path = tmp_path / "split.txt"
-    path.write_text("n 8 undirected\n0 1 1\n1 2 1\n2 3 1\n4 5 1\n5 6 1\n6 7 1\n")
+    pairs = ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7))
+    path.write_text("n 8 undirected\n" + "".join(f"{i} {j} 1\n{j} {i} 1\n" for i, j in pairs))
     code, err = _error_record(capsys, ["voter-strong", "--graph", str(path), "--trials", "5"])
     assert code == 2
     assert err == {"command": "voter-strong",
@@ -718,6 +720,50 @@ def test_random_regular_refusals_name_the_spec(capsys, spec, message):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert err == {"command": "degroot", "error": f"bad graph spec {spec!r}: {message}"}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cycle:7:junk", "expected kind:n, or random_regular:n:d[:seed]"),
+    ("grid:9:2", "expected kind:n, or random_regular:n:d[:seed]"),
+    ("random_regular:20:4:1:extra", "expected random_regular:n:d[:seed]"),
+    ("random_regular:20", "expected random_regular:n:d[:seed]"),
+])
+def test_graph_specs_refuse_extra_fields(capsys, spec, message):
+    # the extra fields were once dropped without a word, and a missing d ended in "list index out of range"
+    code, err = _error_record(capsys, ["degroot", "--graph", spec])
+    assert code == 2
+    assert err == {"command": "degroot", "error": f"bad graph spec {spec!r}: {message}"}
+
+
+def test_undirected_is_read_off_the_edges(tmp_path, capsys):
+    # the directed circulant i -> i, i + 1, i + 2 (mod 5) once ran majority to iota = 181/3125 under an
+    # `undirected` header, though 10 of its 32 starts still cycle with period 5 after 60 rounds
+    circ5 = tmp_path / "circ5.txt"
+    arcs = "".join(f"{i} {(i + k) % 5} 1/3\n" for i in range(5) for k in range(3))
+    circ5.write_text("n 5 undirected\n" + arcs)
+    for command in ("majority", "voter-strong"):
+        code, err = _error_record(capsys, [command, "--graph", str(circ5)])
+        assert code == 2
+        assert err == {"command": command, "error": f"bad graph spec {str(circ5)!r}: line 3: the header says "
+                                                    f"undirected, but edge (0,1) has no reverse (1,0)"}
+    # the same edges under `directed`: read, then refused by the dynamics that need a symmetric edge set
+    circ5.write_text("n 5 directed\n" + arcs)
+    for command in ("majority", "voter-strong"):
+        code, err = _error_record(capsys, [command, "--graph", str(circ5)])
+        assert code == 2
+        assert err == {"command": command, "error": "the network is not undirected: edge (0,1) has no reverse (1,0)"}
+    # a symmetric file is undirected whatever its header: the complete graph on 3 agents, self-loops included
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("n 3 directed\n" + "".join(f"{i} {j} 1/3\n" for i in range(3) for j in range(3)))
+    code, rec = run_json(capsys, ["majority", "--graph", str(triangle)])
+    assert code == 0 and rec["iota"] == str(majority.retention_error(generate("complete", 3), Fraction(3, 10)))
+    # an `undirected` header is checked as the file is read, whatever runs on it
+    lopsided = tmp_path / "lopsided.txt"
+    lopsided.write_text("n 2 undirected\n0 0 1/2\n0 1 1/2\n1 1 1\n")
+    code, err = _error_record(capsys, ["degroot", "--graph", str(lopsided)])
+    assert code == 2
+    assert err == {"command": "degroot", "error": f"bad graph spec {str(lopsided)!r}: line 3: the header says "
+                                                  f"undirected, but edge (0,1) has no reverse (1,0)"}
 
 
 # -- fuzzing the front door ---------------------------------------------------

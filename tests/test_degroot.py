@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdyn import degroot, signals
-from opdyn.network import Network, _integer_view, from_pairs, generate, stationary_distribution
+from opdyn.network import Network, from_pairs, generate, stationary_distribution
 from opdyn.signals import trial_rng
 from oracles import (DeGrootState, degroot_limit, degroot_run, degroot_step, enumerate_p_w, fraction_cheater_limits,
                      mixing_tv, per_trial_learning_probability, rational_digraphs, run_with_cheaters,
@@ -161,7 +161,7 @@ def test_cheater_limits_with_python_integer_counts():
     net = Network(n=4, edges=((0, 0, Fraction(1, q)), (0, 1, Fraction(q - 1, q)), (1, 0, Fraction(1, 3)),
                               (1, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3)), (2, 2, Fraction(1, 2)),
                               (2, 3, Fraction(1, 2)), (3, 0, Fraction(q + 1, q + 2)), (3, 3, Fraction(1, q + 2))))
-    assert net.cached(_integer_view).D.dtype == object
+    assert net.view.D.dtype == object
     for cheaters in ({0, 2}, {1}, {3}):
         assert degroot.cheater_limit_exact(net, dict.fromkeys(cheaters, 1)) == fraction_cheater_limits(net, cheaters)
 

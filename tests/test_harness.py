@@ -6,7 +6,7 @@ import pytest
 from opdyn import harness, majority, voter
 from opdyn.harness_util import wilson_interval
 from opdyn.network import StationaryDistribution, generate
-from oracles import config_from_json, config_to_json
+from oracles import config_from_json, config_to_json, undirected_edge_list
 
 
 def test_wilson_midpoint():
@@ -121,7 +121,7 @@ def _period2_checks(net, traj, edge_count):
 @pytest.mark.parametrize("kind, n", [("cycle", 7), ("complete", 5), ("cycle", 8)])
 def test_period2_checks_catch_faults(kind, n):
     net = generate(kind, n)
-    edge_count = len(net.undirected_edge_list())
+    edge_count = len(undirected_edge_list(net))
     traj = majority.trajectory(net, majority.all_spin_configs(n), edge_count + 2)
     assert all(_period2_checks(net, traj, edge_count).values())
     # one flipped entry in the last round breaks the period-two repeat

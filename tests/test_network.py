@@ -15,7 +15,8 @@ from opdyn.harness_util import int_dtype, scaled, unscaled
 from opdyn.network import (GENERATE_MAX_SIZE, Network, _pairs_connected, from_pairs, generate, read_network,
                            require_stochastic, stationary_distribution, validate)
 from oracles import (ball, distances_from, edge_weight, fraction_stationary, fraction_violations, fraction_weight_matrix,
-                     mixing_tv, rational_digraphs, reachability_distances, solve_rational, write_network)
+                     is_symmetric, mixing_tv, rational_digraphs, reachability_distances, solve_rational,
+                     undirected_edge_list, write_network)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -151,16 +152,18 @@ def test_file_round_trip(tmp_path):
     decimal = read_network(path)
     assert [edge_weight(decimal, i, j) for i, j, _w in decimal.edges] == [1] + [Fraction(1, 4)] * 3 + [1]
     assert all(type(edge_weight(decimal, i, j)) is Fraction for i, j, _w in decimal.edges)
-    for net in (generate("star", 5), decimal, Network(n=2, edges=((0, 1, np.int64(1)),), directed=False)):
+    for net, header in ((generate("star", 5), "n 5 undirected"), (decimal, "n 3 directed"),
+                        (Network(n=2, edges=((0, 1, np.int64(1)), (1, 0, np.int64(1)))), "n 2 undirected")):
         write_network(net, path)
+        assert path.read_text().splitlines()[0] == header
         back = read_network(path)
-        assert (back.n, back.directed, back.edges) == (net.n, net.directed, net.edges)
+        assert (back.n, back.edges) == (net.n, net.edges)
         assert all(back.out_neighbors(i) == net.out_neighbors(i) for i in range(net.n))
 
 
 def test_read_network_skips_indented_comments(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("# a triangle\nn 3 undirected\n  # note\n\t# tabbed\n0 1 1\n\n1 2 1\n   \n0 2 1\n")
+    path.write_text("# a triangle\nn 3 directed\n  # note\n\t# tabbed\n0 1 1\n\n1 2 1\n   \n0 2 1\n")
     net = read_network(path)
     assert net.n == 3
     assert [sorted(net.out_neighbors(i)) for i in range(3)] == [[1, 2], [2], []]
@@ -184,6 +187,66 @@ def test_read_network_errors_name_the_line(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=message):
         read_network(path)
+
+
+def test_read_network_checks_the_undirected_header(tmp_path):
+    path = tmp_path / "g.txt"
+    # the claim is checked, and the first edge without its reverse is named by its line
+    path.write_text("n 3 undirected\n0 0 1\n# c\n0 1 1\n\n1 2 1\n1 0 1\n")
+    with pytest.raises(ValueError, match=re.escape("line 6: the header says undirected, but edge (1,2) has no "
+                                                   "reverse (2,1)")):
+        read_network(path)
+    # `directed` claims nothing: the same edges read, and symmetric edges are undirected whatever the header says
+    path.write_text(path.read_text().replace("undirected", "directed"))
+    assert not is_symmetric(read_network(path))
+    path.write_text("n 2 directed\n0 0 1/2\n0 1 1/2\n1 0 1/2\n1 1 1/2\n")
+    assert read_network(path).cached(network._symmetric_pairs).tolist() == [[0, 0], [0, 1], [1, 1]]
+
+
+WEIGHTS = st.one_of(st.integers(1, 5), st.integers(1, 5).map(np.int64), st.fractions(0, 3, max_denominator=7))
+
+
+@st.composite
+def _edge_lists(draw, symmetric):
+    """(n, edges) on n <= 8 agents, in a drawn order, with weights of every rational type.
+
+    symmetric: every arc with its reverse. Otherwise at least one arc between two agents lacks its reverse.
+    """
+    n = draw(st.integers(1 if symmetric else 2, 8))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    if symmetric:
+        arcs |= {(j, i) for i, j in arcs}
+    else:
+        i, j = draw(st.tuples(node, node).filter(lambda a: a[0] != a[1]))
+        arcs = (arcs | {(i, j)}) - {(j, i)}
+    order = draw(st.permutations(sorted(arcs)))
+    return n, tuple((i, j, draw(WEIGHTS)) for i, j in order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_symmetric_pairs_match_the_edge_list_oracle(data):
+    n, edges = data.draw(_edge_lists(symmetric=True))
+    net = Network(n=n, edges=edges)
+    assert net.edges == edges       # kept as given: the view is the only store of the weights
+    assert [tuple(p) for p in net.cached(network._symmetric_pairs).tolist()] == undirected_edge_list(net)
+    for i in range(n):
+        assert net.out_neighbors(i) == {j: Fraction(w) for a, j, w in edges if a == i}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_asymmetric_edges_are_refused_naming_an_edge_without_its_reverse(data):
+    n, edges = data.draw(_edge_lists(symmetric=False))
+    net = Network(n=n, edges=edges)
+    arcs = {(i, j) for i, j, _w in edges}
+    i, j = next((i, j) for i, j, _w in edges if (j, i) not in arcs)
+    for _ in range(2):      # nothing is kept, and the refusal repeats
+        with pytest.raises(ValueError, match=re.escape(f"the network is not undirected: edge ({i},{j}) has no "
+                                                       f"reverse ({j},{i})")):
+            net.cached(network._symmetric_pairs)
+    assert not is_symmetric(net)
 
 
 def test_from_pairs_matches_generate():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdyn import signals
-from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, cube,
+from opdyn import cascade, degroot, majority, signals, voter
+from opdyn.network import generate
+from opdyn.signals import (FiniteModel, GaussianLLR, bernoulli_blocks, bernoulli_delta, check_delta, check_trials, cube,
                            map_accuracy_three_bits, read_signal_model, three_bit_epsilon, trial_rng, xor_pair)
 from oracles import (belief_support, delta_independence, fraction_map_accuracy_three_bits, gaussian_llr, private_belief,
                      prob, tv_distance, write_signal_model)
@@ -180,3 +181,28 @@ def test_check_delta_takes_the_half_interval_and_refuses_the_rest():
     for bad in (Fraction(3, 4), -1, "-1/4", Fraction(1, 2) + Fraction(1, 10 ** 9), -1e-9):
         with pytest.raises(ValueError, match=r"delta must lie in \[0, 1/2\], got "):
             check_delta(bad)
+
+
+# every seeded sampler, called with a trial count
+SAMPLERS = {
+    "cascade.run_sampled": lambda t: cascade.run_sampled(bernoulli_delta(Fraction(1, 6)), 3, t, seed=1),
+    "cascade.gaussian_run": lambda t: cascade.gaussian_run(GaussianLLR(1.0), 3, t, seed=1),
+    "voter.mc_consensus": lambda t: voter.mc_consensus(generate("cycle", 5), Fraction(1, 10), t, seed=1),
+    "degroot.learning_probability": lambda t: degroot.learning_probability(
+        generate("cycle", 5), Fraction(1, 10), mode="monte_carlo", trials=t, rng=np.random.default_rng(1)),
+    "majority.retention_error": lambda t: majority.retention_error(
+        generate("cycle", 5), Fraction(1, 10), mode="monte_carlo", trials=t, rng=np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "7"])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_every_seeded_sampler_refuses_fewer_than_one_trial(sampler, trials):
+    # once a NaN through a RuntimeWarning, an empty result, a numpy error and three other messages
+    with pytest.raises(ValueError, match=rf"^a sampler needs at least one trial, got trials={trials!r}$"):
+        SAMPLERS[sampler](trials)
+    SAMPLERS[sampler](np.int64(2))      # a numpy integer is a trial count too
+
+
+def test_check_trials_returns_an_int():
+    assert check_trials(np.int64(5)) == 5 and type(check_trials(np.int64(5))) is int

@@ -15,7 +15,12 @@ kernels read agent i's neighbours from it or from the IntegerView's rows,
 never from Network.out_neighbors or by splitting the rows with np.split.
 The stationary solve is the one proof of the voter absorption table:
 voter._certify_table, its exhaustive certificate, is called in src only by
-the voter-identity audit, harness._exp_voter_identity. Every seeded draw
+the voter-identity audit, harness._exp_voter_identity.
+network._symmetric_pairs is the one pair view of an undirected network:
+Network has no `directed` flag, so no src module reads a `.directed`
+attribute, and network._pairs_connected, which checks a pair list, is
+called only by the topology generator network._undirected_pairs for
+random_regular; every other connectivity verdict is the IntegerView's. Every seeded draw
 comes from a numpy generator: no module imports Python's random.
 signals.bernoulli_blocks is the one Bernoulli signal stream: _MC_BLOCK is
 set in signals.py only, and no other module draws a block of uniforms
@@ -48,7 +53,9 @@ SOLVER_CALLS = {"np.linalg.solve", "_bareiss"}
 SOLVE_INTEGER_CALLERS = {"network._exact_stationary", "degroot.cheater_limit_exact", "cascade.limit_accuracy"}
 # the kernel rests on the stationary solve's proof; only the gate's audit runs the 4^n certificate
 CERTIFY_TABLE_CALLERS = {"harness._exp_voter_identity"}
-PRIVATE_CALLS = {"_solve_integer", "_certify_table"}    # matched under any module prefix
+# a drawn pair list is checked before it becomes a network; a network's connectivity is its view's verdict
+PAIRS_CONNECTED_CALLERS = {"network._undirected_pairs"}
+PRIVATE_CALLS = {"_solve_integer", "_certify_table", "_pairs_connected"}    # matched under any module prefix
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 CUBE_HOMES = {"cube", "map_accuracy_three_bits"}
 CUBE_PATTERNS = {
@@ -127,6 +134,16 @@ def test_absorption_certificate_is_only_the_audit():
     callers = _callers()["_certify_table"]
     assert callers == CERTIFY_TABLE_CALLERS, \
         f"_certify_table is called from {sorted(callers)}, want only {sorted(CERTIFY_TABLE_CALLERS)}"
+
+
+def test_one_pair_view():
+    callers = _callers()["_pairs_connected"]
+    assert callers == PAIRS_CONNECTED_CALLERS, \
+        f"_pairs_connected is called from {sorted(callers)}, want only {sorted(PAIRS_CONNECTED_CALLERS)}"
+    hits = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "directed"]
+    assert not hits, "undirected is read off the edges, with network._symmetric_pairs:\n" + "\n".join(hits)
 
 
 def _product_lines(tree):

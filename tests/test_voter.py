@@ -330,6 +330,10 @@ def test_round_step_matches_a_scalar_loop_on_the_same_masks(kind, n, seed, delta
     # small blocks split the start draws into many row blocks; refills of one column or a few
     # split rounds of several words, and refills of many columns serve many rounds
     net = _mc_net(kind, n, seed)
+    if not trials:      # no empty result: every seeded sampler refuses fewer than one trial
+        with pytest.raises(ValueError, match="needs at least one trial"):
+            voter.mc_consensus(net, delta, trials, seed)
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signals, "_MC_BLOCK", block)
         mp.setattr(voter, "_ROUND_WORDS", words)
@@ -557,16 +561,17 @@ def test_strong_voter_trials_input_and_cap(monkeypatch):
     for row in ([1, 0, 1], [1, 0, 2, 0, 1], [[1, 0, 1, 0, 1]]):    # one trial's row, checked the same way
         with pytest.raises(ValueError, match="trials x 5 array of 0/1"):
             voter.run_strong_voter(net, row, rng)
-    with pytest.raises(ValueError, match="undirected"):
-        voter.strong_voter_trials(Network(2, ((0, 1, 1), (1, 0, 1))), [[0, 1]], rng)
+    # undirected means a symmetric edge set: the edge (0, 1) without (1, 0) is refused by name
+    with pytest.raises(ValueError, match=r"not undirected: edge \(0,1\) has no reverse \(1,0\)"):
+        voter.strong_voter_trials(Network(2, ((0, 1, 1), (1, 1, 1))), [[0, 1]], rng)
     with pytest.raises(ValueError, match="needs an edge between two agents"):
-        voter.strong_voter_trials(Network(1, ((0, 0, 1),), directed=False), [[1]], rng)
+        voter.strong_voter_trials(Network(1, ((0, 0, 1),)), [[1]], rng)
     # two components, each unanimous against the other: never a consensus
-    split = Network(4, ((0, 1, 1), (2, 3, 1)), directed=False)
+    split = Network(4, ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1)))
     with pytest.raises(ValueError, match="needs a connected network"):
         voter.strong_voter_trials(split, [[1, 1, 0, 0]], rng)
-    # past the connectivity check, the step cap still ends such a run
-    monkeypatch.setattr(voter, "_pairs_connected", lambda n, pairs: True)
+    # past the connectivity check, with the pairs it would have kept, the step cap still ends such a run
+    monkeypatch.setattr(voter, "_strong_pairs", lambda net: ((0, 1), (2, 3)))
     with pytest.raises(TimeoutError, match="no opinion consensus within 32000 edge updates"):
         voter.strong_voter_trials(split, [[1, 1, 0, 0], [0, 0, 1, 1]], rng)
     with pytest.raises(TimeoutError, match="65 trials without opinion consensus after 32000 edge updates"):
@@ -650,7 +655,8 @@ def test_run_strong_voter_is_the_one_trial_walk(kind, n):
 def test_run_strong_voter_refuses_a_disconnected_network(tmp_path):
     # two 4-node paths that settle on different opinions never reach one consensus
     path = tmp_path / "split.txt"
-    path.write_text("n 8 undirected\n0 1 1\n1 2 1\n2 3 1\n4 5 1\n5 6 1\n6 7 1\n")
+    pairs = ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7))
+    path.write_text("n 8 undirected\n" + "".join(f"{i} {j} 1\n{j} {i} 1\n" for i, j in pairs))
     net = read_network(path)
     rng = np.random.default_rng(0)
     for _ in range(2):                        # a refusal is not cached: it repeats
@@ -705,7 +711,7 @@ def _stochastic_digraphs(draw):
         out = sorted(j for a, j in arcs if a == i)
         ws = draw(st.lists(st.integers(1, 4), min_size=len(out), max_size=len(out)))
         edges += [(i, j, Fraction(w, sum(ws))) for j, w in zip(out, ws)]
-    return Network(n=n, edges=tuple(edges), directed=True)
+    return Network(n=n, edges=tuple(edges))
 
 
 @settings(max_examples=60, deadline=None)
